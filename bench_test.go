@@ -10,9 +10,11 @@ package trustedcells
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
+	"trustedcells/internal/cloud"
 	"trustedcells/internal/sim"
 	"trustedcells/internal/storage"
 	"trustedcells/internal/tamper"
@@ -662,4 +664,67 @@ func BenchmarkPersistentKVGetMiss(b *testing.B) {
 	if total := st.BloomSkips + st.CacheHits + st.RunReads; total > 0 {
 		b.ReportMetric(100*float64(st.BloomSkips)/float64(total), "bloom-skip-%")
 	}
+}
+
+// BenchmarkFrameRoundTrip measures one batched call through the framed front
+// door — FrameClient, loopback socket, FrameServer, in-memory backend — in
+// the two shapes the repository's benchmark (bench/) loads it with: a write
+// of 16 sealed 256-byte documents (the request carries the bytes) and a read
+// of 16 sealed 1 KiB documents (the response does). One call in flight, so
+// ns/op and allocs/op are the frame layer's own cost plus a memory store;
+// a codec regression shows here without the full benchmark run.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := cloud.NewFrameServer(cloud.NewMemory(), cloud.FrameServerOptions{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	client, err := cloud.DialFramed(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		_ = client.Close()
+		_ = srv.Close()
+		<-served
+	})
+
+	const batch = 16
+	batchOf := func(docBytes int) ([]string, []cloud.BlobPut) {
+		names := make([]string, batch)
+		puts := make([]cloud.BlobPut, batch)
+		for i := range puts {
+			names[i] = fmt.Sprintf("fleet/c%07d/d%07d", docBytes, i)
+			puts[i] = cloud.BlobPut{Name: names[i], Data: make([]byte, docBytes)}
+		}
+		return names, puts
+	}
+
+	b.Run("write", func(b *testing.B) {
+		_, puts := batchOf(256 + 64) // payload plus envelope overhead
+		b.ReportAllocs()
+		b.SetBytes(batch * int64(len(puts[0].Data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := client.PutBlobs(puts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		names, puts := batchOf(1024 + 64)
+		if _, err := client.PutBlobs(puts); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.SetBytes(batch * int64(len(puts[0].Data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			blobs, err := client.GetBlobs(names)
+			if err != nil || len(blobs[batch-1].Data) != len(puts[0].Data) {
+				b.Fatalf("read: %d blobs, %v", len(blobs), err)
+			}
+		}
+	})
 }

@@ -81,7 +81,7 @@ type QuotaError struct {
 	RetryAfter time.Duration
 }
 
-// Error implements error in the fixed format the wire codec parses back.
+// Error implements error.
 func (e *QuotaError) Error() string {
 	return fmt.Sprintf("cloud: tenant %q over %s quota", e.Tenant, e.Resource)
 }

@@ -16,40 +16,64 @@ package cloud
 //	[4B big-endian length][8B big-endian request id][payload]
 //
 // where length counts the id plus the payload (so length >= 8), and the
-// payload is the same JSON rpcRequest/rpcResponse codec the line protocol
-// speaks — multiplexing buys concurrency, not a new codec, and dispatch()
-// is shared verbatim. Request ids are chosen by the client, must be unique
+// payload is the binary encoding (wirecodec.go) of the same
+// rpcRequest/rpcResponse values the line protocol speaks, so dispatch() is
+// shared verbatim. Request ids are chosen by the client, must be unique
 // among its in-flight requests, and are echoed on the response; nothing
 // else is read into them. A frame whose declared length exceeds the
 // server's MaxFrameBytes is answered with a typed error frame and the
 // connection is closed (the remaining bytes are unread, so the stream
-// cannot be resynchronized). A torn frame — the connection dying mid-frame
-// — just closes the connection; the client fails all in-flight calls.
+// cannot be resynchronized). So is a payload that does not start with the
+// codec's magic byte — a peer speaking another wire version, such as the
+// JSON payload this protocol used to carry: ErrWireVersion, then close. A
+// torn frame — the connection dying mid-frame — just closes the connection;
+// the client fails all in-flight calls.
+//
+// Frame I/O: a frame is encoded straight into a pooled buffer whose first 12
+// bytes are reserved for the header, and leaves in one Write. Frames are read
+// through a per-connection bufio.Reader, the payload into a buffer that grows
+// as bytes arrive rather than to the declared length. The server's read
+// buffer is pooled: a decoded request's blob data points into it, and it is
+// recycled once the request has been dispatched and answered — the Service
+// contract already forbids a backend to retain put data past the call. The
+// client's read buffer is allocated per response and handed to the caller
+// with it: the returned blobs' Data point into that one allocation.
 //
 // An optional first frame with Op "hello" and Name <tenant> binds the
 // connection to that tenant's namespaced view (see Tenants). Connections
-// that skip the hello talk to the server's default backend, which keeps
-// old clients working against a multi-tenant server.
+// that skip the hello talk to the server's default backend.
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"trustedcells/internal/crypto"
 )
 
 // DefaultMaxFrameBytes caps a frame's declared length (id + payload) unless
 // FrameServerOptions overrides it. 16 MiB comfortably fits the largest
-// batch the experiments ship while bounding a malicious client's ability to
-// make the server allocate.
+// batch the experiments ship while bounding what a peer can make the other
+// side buffer.
 const DefaultMaxFrameBytes = 16 << 20
 
 // frameHeaderSize is the fixed prefix: 4 bytes length + 8 bytes request id.
 const frameHeaderSize = 12
+
+// frameReadBuffer sizes a connection's bufio.Reader: large enough that a
+// header and a typical batch arrive in one read.
+const frameReadBuffer = 32 << 10
+
+// frameReadChunk is the most a payload buffer grows ahead of the bytes that
+// have actually arrived, so a declared length alone reserves no memory.
+const frameReadChunk = 64 << 10
 
 // opHello is the reserved op binding a connection to a tenant.
 const opHello = "hello"
@@ -58,49 +82,70 @@ const opHello = "hello"
 // that declared an oversized frame.
 const errFrameTooLarge = "cloud: frame exceeds size limit"
 
-// writeFrame writes one length-prefixed frame. Callers serialize access to w.
-func writeFrame(w io.Writer, id uint64, payload []byte) error {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(8+len(payload)))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame, rejecting declared lengths above maxBytes with
-// errTooLarge (after consuming the 8-byte id so the caller can answer it).
+// errTooLarge is readFrameHeader's report of a declared length above the
+// limit; the id it returns with it is valid.
 var errTooLarge = errors.New("cloud: frame too large")
 
-func readFrame(r io.Reader, maxBytes int) (id uint64, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return 0, nil, err
+// frameBufs recycles the buffers frames are encoded into and the buffers
+// the server reads payloads into.
+var frameBufs crypto.BufPool
+
+// beginFrame reserves the header at the start of an empty buffer; the
+// payload is appended after it and finishFrame fills the header in.
+func beginFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, frameHeaderSize)...)
+}
+
+// finishFrame writes the header of a frame begun with beginFrame.
+func finishFrame(frame []byte, id uint64) error {
+	length := len(frame) - 4
+	if uint64(length) > math.MaxUint32 {
+		return fmt.Errorf("cloud: frame of %d bytes exceeds the length field", length)
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(length))
+	binary.BigEndian.PutUint64(frame[4:frameHeaderSize], id)
+	return nil
+}
+
+// readFrameHeader reads one frame header and returns the request id and the
+// payload length. A declared length above maxBytes yields errTooLarge with
+// the id, so the caller can answer it; the unread payload then makes the
+// stream unrecoverable and the caller must close the connection.
+func readFrameHeader(br *bufio.Reader, maxBytes int) (id uint64, payloadLen int, err error) {
+	hdr, err := br.Peek(frameHeaderSize)
+	if err != nil {
+		return 0, 0, err
 	}
 	length := binary.BigEndian.Uint32(hdr[:4])
+	id = binary.BigEndian.Uint64(hdr[4:frameHeaderSize])
+	if _, err := br.Discard(frameHeaderSize); err != nil {
+		return 0, 0, err
+	}
 	if length < 8 {
-		return 0, nil, fmt.Errorf("cloud: malformed frame length %d", length)
+		return 0, 0, fmt.Errorf("cloud: malformed frame length %d", length)
 	}
-	if int(length) > maxBytes {
-		// Read the id so the peer can be told which request died, then
-		// report; the unread payload makes the stream unrecoverable and the
-		// caller must close the connection.
-		if _, err := io.ReadFull(r, hdr[4:12]); err != nil {
-			return 0, nil, err
+	if uint64(length) > uint64(maxBytes) {
+		return id, 0, errTooLarge
+	}
+	return id, int(length) - 8, nil
+}
+
+// readFramePayload reads n payload bytes into buf (reusing its capacity) and
+// returns it. The buffer is never sized from n alone: past frameReadChunk it
+// at most doubles over the bytes already received, so a peer has to send
+// half of whatever it makes this side hold.
+func readFramePayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), max(frameReadChunk, len(buf)))
+		buf = slices.Grow(buf, chunk)
+		m, err := io.ReadFull(br, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
 		}
-		return binary.BigEndian.Uint64(hdr[4:12]), nil, errTooLarge
 	}
-	if _, err := io.ReadFull(r, hdr[4:12]); err != nil {
-		return 0, nil, err
-	}
-	id = binary.BigEndian.Uint64(hdr[4:12])
-	payload = make([]byte, length-8)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return id, payload, nil
+	return buf, nil
 }
 
 // FrameServerOptions tunes a FrameServer. The zero value gets defaults from
@@ -184,43 +229,68 @@ func (s *FrameServer) Close() error {
 	return nil
 }
 
-// frameConn is the per-connection server state: the bound service view and
-// the serialized writer.
+// frameConn is the per-connection server state: the serialized writer.
 type frameConn struct {
 	conn    net.Conn
 	writeMu sync.Mutex
 }
 
-func (fc *frameConn) respond(id uint64, resp rpcResponse) error {
-	payload, err := json.Marshal(&resp)
-	if err != nil {
-		payload, _ = json.Marshal(&rpcResponse{Err: "cloud: response encoding failed"})
+// respond encodes resp into a pooled buffer and writes it as one frame.
+func (fc *frameConn) respond(id uint64, resp *rpcResponse) error {
+	bp := frameBufs.Get()
+	defer frameBufs.Put(bp)
+	*bp = appendResponse(beginFrame(*bp), resp)
+	if len(*bp)-4 > DefaultMaxFrameBytes {
+		// The client would refuse the frame and drop the connection with
+		// every call in flight; fail this one call instead.
+		var tooLarge rpcResponse
+		applyRespError(&tooLarge, errors.New("cloud: response exceeds frame size limit"))
+		*bp = appendResponse(beginFrame(*bp), &tooLarge)
+	}
+	if err := finishFrame(*bp, id); err != nil {
+		return err
 	}
 	fc.writeMu.Lock()
 	defer fc.writeMu.Unlock()
-	return writeFrame(fc.conn, id, payload)
+	_, err := fc.conn.Write(*bp)
+	return err
+}
+
+// respondError answers id with err as an error frame.
+func (fc *frameConn) respondError(id uint64, err error) error {
+	var resp rpcResponse
+	applyRespError(&resp, err)
+	return fc.respond(id, &resp)
 }
 
 func (s *FrameServer) handle(conn net.Conn) {
 	defer conn.Close()
 	fc := &frameConn{conn: conn}
+	br := bufio.NewReaderSize(conn, frameReadBuffer)
 	svc := s.svc
 	sem := make(chan struct{}, s.opts.PerConnWorkers)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
-		id, payload, err := readFrame(conn, s.opts.MaxFrameBytes)
+		id, n, err := readFrameHeader(br, s.opts.MaxFrameBytes)
 		if err == errTooLarge {
-			resp := rpcResponse{Err: errFrameTooLarge}
-			_ = fc.respond(id, resp)
+			_ = fc.respondError(id, errors.New(errFrameTooLarge))
 			return
 		}
 		if err != nil {
 			return // torn frame, peer gone, or malformed length
 		}
+		// The request's blob data points into this buffer, so it goes back
+		// to the pool only when the request is done with.
+		bp := frameBufs.Get()
+		if *bp, err = readFramePayload(br, *bp, n); err != nil {
+			frameBufs.Put(bp)
+			return
+		}
 		var req rpcRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			if fc.respond(id, rpcResponse{Err: "cloud: malformed frame payload"}) != nil {
+		if err := decodeRequest(*bp, &req); err != nil {
+			frameBufs.Put(bp)
+			if fc.respondError(id, err) != nil || errors.Is(err, ErrWireVersion) {
 				return
 			}
 			continue
@@ -228,6 +298,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 		if req.Op == opHello {
 			// Tenant binding is handled in the read loop, synchronously, so
 			// every later frame sees the bound view without locking.
+			frameBufs.Put(bp)
 			var resp rpcResponse
 			view, err := s.bindTenant(req.Name)
 			if err != nil {
@@ -235,18 +306,21 @@ func (s *FrameServer) handle(conn net.Conn) {
 			} else {
 				svc = view
 			}
-			if fc.respond(id, resp) != nil {
+			if fc.respond(id, &resp) != nil {
 				return
 			}
 			continue
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(svc Service, id uint64, req rpcRequest) {
+		bound := svc // the view as of this frame: a later hello rebinds svc
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			_ = fc.respond(id, dispatch(svc, req))
-		}(svc, id, req)
+			resp := dispatch(bound, req)
+			_ = fc.respond(id, &resp)
+			frameBufs.Put(bp)
+		}()
 	}
 }
 
@@ -302,15 +376,21 @@ func (c *FrameClient) Close() error { return c.conn.Close() }
 
 // readLoop is the demux goroutine: it routes each response frame to the
 // waiting call by id and, on transport error, fails everything in flight.
+// Each payload is read into its own allocation, which the decoded response's
+// blob data points into and the caller thereby owns.
 func (c *FrameClient) readLoop() {
+	br := bufio.NewReaderSize(c.conn, frameReadBuffer)
 	for {
-		id, payload, err := readFrame(c.conn, DefaultMaxFrameBytes)
-		if err != nil {
-			c.fail(fmt.Errorf("cloud: framed receive: %w", err))
-			return
+		id, n, err := readFrameHeader(br, DefaultMaxFrameBytes)
+		var payload []byte
+		if err == nil {
+			payload, err = readFramePayload(br, nil, n)
 		}
 		var resp rpcResponse
-		if err := json.Unmarshal(payload, &resp); err != nil {
+		if err == nil {
+			err = decodeResponse(payload, &resp)
+		}
+		if err != nil {
 			c.fail(fmt.Errorf("cloud: framed receive: %w", err))
 			return
 		}
@@ -336,32 +416,46 @@ func (c *FrameClient) fail(err error) {
 	}
 }
 
-func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
-	payload, err := json.Marshal(&req)
-	if err != nil {
-		return rpcResponse{}, fmt.Errorf("cloud: framed send: %w", err)
+// send encodes req into a pooled buffer, registers the call under a fresh id
+// and writes the frame; the response arrives on the returned channel.
+func (c *FrameClient) send(req *rpcRequest) (chan rpcResponse, error) {
+	bp := frameBufs.Get()
+	defer frameBufs.Put(bp)
+	var err error
+	if *bp, err = appendRequest(beginFrame(*bp), req); err != nil {
+		return nil, err
 	}
 	id := c.nextID.Add(1)
+	if err := finishFrame(*bp, id); err != nil {
+		return nil, err
+	}
 	ch := make(chan rpcResponse, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return rpcResponse{}, err
+		return nil, err
 	}
 	c.pending[id] = ch
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err = writeFrame(c.conn, id, payload)
+	_, err = c.conn.Write(*bp)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return rpcResponse{}, fmt.Errorf("cloud: framed send: %w", err)
+		return nil, fmt.Errorf("cloud: framed send: %w", err)
 	}
+	return ch, nil
+}
 
+func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
+	ch, err := c.send(&req)
+	if err != nil {
+		return rpcResponse{}, err
+	}
 	resp, ok := <-ch
 	if !ok {
 		c.mu.Lock()

@@ -1,10 +1,12 @@
 package cloud
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -23,6 +25,16 @@ func startFrameServer(t *testing.T, svc Service, opts FrameServerOptions) string
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close() })
 	return ln.Addr().String()
+}
+
+// readTestFrame reads one whole frame the way both ends of the protocol do.
+func readTestFrame(br *bufio.Reader) (id uint64, payload []byte, err error) {
+	id, n, err := readFrameHeader(br, DefaultMaxFrameBytes)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err = readFramePayload(br, nil, n)
+	return id, payload, err
 }
 
 // blockingService stalls PutBlob until released, so tests can hold requests
@@ -169,7 +181,7 @@ func TestFrameTornFrame(t *testing.T) {
 			return
 		}
 		// Read the request frame, answer with half a response frame, die.
-		if _, _, err := readFrame(conn, DefaultMaxFrameBytes); err == nil {
+		if _, _, err := readTestFrame(bufio.NewReader(conn)); err == nil {
 			_, _ = conn.Write([]byte{0x00, 0x00, 0x01, 0x00, 0x00})
 		}
 		_ = conn.Close()
@@ -213,7 +225,8 @@ func TestFrameOversizedRejected(t *testing.T) {
 		t.Fatalf("write header: %v", err)
 	}
 
-	id, payload, err := readFrame(conn, DefaultMaxFrameBytes)
+	br := bufio.NewReader(conn)
+	id, payload, err := readTestFrame(br)
 	if err != nil {
 		t.Fatalf("read rejection frame: %v", err)
 	}
@@ -221,7 +234,7 @@ func TestFrameOversizedRejected(t *testing.T) {
 		t.Fatalf("rejection answered id %d, want 77", id)
 	}
 	var resp rpcResponse
-	if err := json.Unmarshal(payload, &resp); err != nil {
+	if err := decodeResponse(payload, &resp); err != nil {
 		t.Fatalf("decode rejection: %v", err)
 	}
 	if resp.Err != errFrameTooLarge {
@@ -231,7 +244,7 @@ func TestFrameOversizedRejected(t *testing.T) {
 	// The stream cannot be resynchronized past an unread payload, so the
 	// server must have closed the connection.
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readFrame(conn, DefaultMaxFrameBytes); err == nil {
+	if _, _, err := readTestFrame(br); err == nil {
 		t.Fatal("connection still open after oversized frame")
 	}
 
@@ -326,3 +339,181 @@ func (s shedService) Receive(string, int) ([]Message, error) {
 	return nil, &OverloadError{RetryAfter: s.retry}
 }
 func (s shedService) Stats() Stats { return s.inner.Stats() }
+
+// failingService fails every put with a fixed error.
+type failingService struct {
+	Service
+	err error
+}
+
+func (f failingService) PutBlob(string, []byte) (int, error) { return 0, f.err }
+
+// TestErrorCodesNotTextCrossWire pins that the client rebuilds a typed error
+// from the response's code and never from its text, on both protocols: a
+// backend error that merely reads like an overload or a quota rejection stays
+// a plain error, and one that wraps a sentinel still matches it, text intact.
+func TestErrorCodesNotTextCrossWire(t *testing.T) {
+	dial := map[string]func(t *testing.T, svc Service) Service{
+		"framed": func(t *testing.T, svc Service) Service {
+			return dialTestFrameServer(t, svc, FrameServerOptions{}, "")
+		},
+		"tcp": func(t *testing.T, svc Service) Service { return startServer(t, svc) },
+	}
+	for proto, mk := range dial {
+		for _, text := range []string{
+			"cloud: overloaded by a disk that is full",
+			`cloud: tenant "acme" over ops quota`,
+		} {
+			c := mk(t, failingService{Service: NewMemory(), err: errors.New(text)})
+			_, err := c.PutBlob("x", []byte("y"))
+			var oe *OverloadError
+			var qe *QuotaError
+			if err == nil || err.Error() != text {
+				t.Fatalf("%s: error text changed on the wire: %v, want %q", proto, err, text)
+			}
+			if errors.As(err, &oe) || errors.As(err, &qe) || errors.Is(err, ErrOverloaded) || errors.Is(err, ErrQuotaExceeded) {
+				t.Fatalf("%s: a plain error reading %q came back typed: %#v", proto, text, err)
+			}
+		}
+
+		wrapped := fmt.Errorf("replica 2 of 3: %w", ErrUnavailable)
+		c := mk(t, failingService{Service: NewMemory(), err: wrapped})
+		_, err := c.PutBlob("x", []byte("y"))
+		if !errors.Is(err, ErrUnavailable) || err.Error() != wrapped.Error() {
+			t.Fatalf("%s: wrapped sentinel came back as %v, want errors.Is ErrUnavailable with text %q", proto, err, wrapped)
+		}
+		if _, err := c.GetBlob("absent"); err != ErrBlobNotFound {
+			t.Fatalf("%s: bare sentinel came back as %#v, want ErrBlobNotFound itself", proto, err)
+		}
+	}
+}
+
+// TestFrameWireVersionRefused sends the server what a client of the JSON
+// payload era would: the frame is answered, on its id, with an
+// ErrWireVersion error frame in the current codec, and the connection is
+// closed. The client refuses a JSON response the same way.
+func TestFrameWireVersionRefused(t *testing.T) {
+	addr := startFrameServer(t, NewMemory(), FrameServerOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial raw: %v", err)
+	}
+	defer conn.Close()
+	frame := append(beginFrame(nil), `{"op":"put","name":"x","data":"eQ=="}`...)
+	if err := finishFrame(frame, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	id, payload, err := readTestFrame(br)
+	if err != nil {
+		t.Fatalf("read refusal: %v", err)
+	}
+	var resp rpcResponse
+	if err := decodeResponse(payload, &resp); err != nil {
+		t.Fatalf("decode refusal: %v", err)
+	}
+	if err := respError(resp); id != 9 || !errors.Is(err, ErrWireVersion) {
+		t.Fatalf("refusal = id %d, %v; want id 9, ErrWireVersion", id, err)
+	}
+	if _, _, err := readTestFrame(br); err == nil {
+		t.Fatal("connection still open after a wire version mismatch")
+	}
+
+	// A server answering in JSON: the call fails with ErrWireVersion.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		id, _, err := readTestFrame(bufio.NewReader(conn))
+		if err != nil {
+			return
+		}
+		old := append(beginFrame(nil), `{"version":1}`...)
+		if finishFrame(old, id) == nil {
+			_, _ = conn.Write(old)
+		}
+	}()
+	c, err := DialFramed(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.PutBlob("x", []byte("y")); !errors.Is(err, ErrWireVersion) {
+		t.Fatalf("call against a JSON server = %v, want ErrWireVersion", err)
+	}
+}
+
+// TestFramePayloadBufferGrowsWithBytes pins the read buffer's sizing rule: a
+// declared length reserves nothing by itself.
+func TestFramePayloadBufferGrowsWithBytes(t *testing.T) {
+	// Declared 16 MiB, nothing sent.
+	buf, err := readFramePayload(bufio.NewReader(bytes.NewReader(nil)), nil, DefaultMaxFrameBytes-8)
+	if err == nil {
+		t.Fatal("read of a payload that never arrived succeeded")
+	}
+	if cap(buf) > 2*frameReadChunk {
+		t.Fatalf("buffer grew to %d bytes for a payload that never arrived", cap(buf))
+	}
+	// Declared 16 MiB, 1 MiB sent: at most about twice what arrived.
+	sent := make([]byte, 1<<20)
+	buf, err = readFramePayload(bufio.NewReader(bytes.NewReader(sent)), nil, DefaultMaxFrameBytes-8)
+	if err == nil || len(buf) != len(sent) {
+		t.Fatalf("short payload: read %d bytes, err %v", len(buf), err)
+	}
+	if cap(buf) > 3*len(sent) {
+		t.Fatalf("buffer grew to %d bytes for %d received", cap(buf), len(sent))
+	}
+	// And a whole payload larger than one chunk arrives intact.
+	want := bytes.Repeat([]byte("0123456789abcdef"), 20<<10)
+	buf, err = readFramePayload(bufio.NewReader(bytes.NewReader(want)), buf, len(want))
+	if err != nil || !bytes.Equal(buf, want) {
+		t.Fatalf("320 KiB payload: %d bytes, err %v", len(buf), err)
+	}
+}
+
+// TestFrameDeclaredLengthAllocatesNothing is the same rule seen from outside:
+// connections that declare the largest frame the server accepts and then send
+// nothing must not cost the server that much memory each.
+func TestFrameDeclaredLengthAllocatesNothing(t *testing.T) {
+	addr := startFrameServer(t, NewMemory(), FrameServerOptions{})
+	var hdr [frameHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[:4], DefaultMaxFrameBytes)
+	binary.BigEndian.PutUint64(hdr[4:], 1)
+
+	const conns = 4
+	grew := allocatedBy(func() {
+		for i := 0; i < conns; i++ {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("dial raw: %v", err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(hdr[:]); err != nil {
+				t.Fatalf("write header: %v", err)
+			}
+			// Half-close: the server reads the header, sizes its buffer, finds
+			// the stream ended and hangs up — which is the event to wait for.
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatalf("close write: %v", err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("server did not hang up on a torn 16 MiB frame: %v", err)
+			}
+		}
+	})
+	if grew > conns<<20 {
+		t.Fatalf("%d connections declaring 16 MiB and sending nothing made the process allocate %d bytes", conns, grew)
+	}
+}

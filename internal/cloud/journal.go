@@ -44,9 +44,16 @@ package cloud
 // of recovery, and when a commit notices the journal has outgrown its
 // threshold. Committers hold the RLock, a checkpoint holds the Lock, so a
 // reset can never race an append.
+//
+// Closing: Durable.Crash closes the journal without that lock, while commits
+// are in flight, so the journal guards its own device: append and reset hold
+// liveMu shared, close holds it exclusively and marks the journal closed. A
+// commit that loses the race to a close gets errJournalClosed instead of
+// issuing its barrier on a closed (or by then reused) descriptor.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,6 +75,10 @@ const defaultJournalBytes = 32 << 20
 // is zero-filled. Writes into already-allocated blocks of an unchanged-size
 // file let the commit barrier use a pure data sync.
 const journalPreallocChunk = 4 << 20
+
+// errJournalClosed is what a commit returns once the journal has been closed
+// (by Close or Crash): the write was not made durable and is not acknowledged.
+var errJournalClosed = errors.New("cloud: commit journal closed")
 
 // journalGroup is one shard's slice of a committed write: the unit of both
 // journaling and replay ordering.
@@ -95,6 +106,11 @@ type commitJournal struct {
 
 	preMu    sync.Mutex
 	prealloc int64 // file extent already zero-filled ahead of the head
+
+	// liveMu keeps close out while the device is in use: held shared for the
+	// length of an append or a reset, exclusively to close.
+	liveMu sync.RWMutex
+	closed bool
 }
 
 // openJournal opens (creating if needed) the journal file under dir.
@@ -181,6 +197,11 @@ func (j *commitJournal) ensurePrealloc(recordLen int) error {
 // Returns true when the journal has outgrown its limit and the caller should
 // checkpoint. Callers hold the Durable journal RLock.
 func (j *commitJournal) append(groups []journalGroup) (checkpoint bool, err error) {
+	j.liveMu.RLock()
+	defer j.liveMu.RUnlock()
+	if j.closed {
+		return false, errJournalClosed
+	}
 	record := encodeJournalRecord(groups)
 	if err := j.ensurePrealloc(len(record)); err != nil {
 		return false, err
@@ -214,6 +235,11 @@ func (j *commitJournal) append(groups []journalGroup) (checkpoint bool, err erro
 // stay data-only. Callers hold the Durable journal Lock (no commit is in
 // flight).
 func (j *commitJournal) reset() error {
+	j.liveMu.RLock()
+	defer j.liveMu.RUnlock()
+	if j.closed {
+		return errJournalClosed
+	}
 	if err := j.log.Reset(); err != nil {
 		return err
 	}
@@ -239,7 +265,17 @@ func (j *commitJournal) retire() error {
 	return j.dev.Sync()
 }
 
-func (j *commitJournal) close() error { return j.dev.Close() }
+// close closes the journal's device once no append or reset is using it.
+// Closing twice is a no-op.
+func (j *commitJournal) close() error {
+	j.liveMu.Lock()
+	defer j.liveMu.Unlock()
+	if j.closed {
+		return nil
+	}
+	j.closed = true
+	return j.dev.Close()
+}
 
 // scan reads every intact record from the start of the journal, stopping —
 // like any WAL recovery — at the first torn or corrupt record, which can only

@@ -1,6 +1,10 @@
 package cloud
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"trustedcells/internal/storage"
@@ -321,4 +325,66 @@ func TestDurableCrashBeforeAnyCommit(t *testing.T) {
 
 func blobName(i int) string {
 	return "blob-" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+}
+
+// TestDurableCrashDuringCommits kills the store while writers are inside
+// commit: the journal's device must not be closed under a barrier in flight
+// (the race detector watches for that), a commit that loses to the crash must
+// fail with errJournalClosed rather than be acknowledged, and every batch that
+// was acknowledged must be there after recovery.
+func TestDurableCrashDuringCommits(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Shards: 4, JournalBytes: 1 << 20}
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const writers = 4
+	var acked [writers]int // batches writer w had acknowledged when it stopped
+	firstAck := make(chan struct{}, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; ; b++ {
+				puts := make([]BlobPut, 8)
+				for i := range puts {
+					puts[i] = BlobPut{Name: fmt.Sprintf("w%d/b%04d/%d", w, b, i), Data: []byte{byte(w), byte(b), byte(i)}}
+				}
+				if _, err := d.PutBlobs(puts); err != nil {
+					if !errors.Is(err, errJournalClosed) && !errors.Is(err, storage.ErrClosed) {
+						t.Errorf("writer %d: commit after crash failed with %v, want a closed-store error", w, err)
+					}
+					return
+				}
+				if acked[w]++; acked[w] == 1 {
+					firstAck <- struct{}{}
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		<-firstAck // every writer is committing before the kill
+	}
+	d.Crash()
+	wg.Wait()
+
+	d, err = OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for w := 0; w < writers; w++ {
+		for b := 0; b < acked[w]; b++ {
+			for i := 0; i < 8; i++ {
+				name := fmt.Sprintf("w%d/b%04d/%d", w, b, i)
+				got, err := d.GetBlob(name)
+				if err != nil || !bytes.Equal(got.Data, []byte{byte(w), byte(b), byte(i)}) {
+					t.Fatalf("acknowledged blob %s after recovery: %v %v", name, got.Data, err)
+				}
+			}
+		}
+	}
 }

@@ -30,12 +30,39 @@ type rpcRequest struct {
 	Gets      []CondGet `json:"gets,omitempty"`
 }
 
-// rpcResponse is the wire format of a response. RetryAfterMs carries the
-// backoff hint of typed overload/quota rejections so respError can
-// reconstruct them client-side.
+// errCode says which typed error a response's Err text stands for, so the
+// client rebuilds the error from the code and never from the text.
+type errCode uint8
+
+const (
+	codeOK errCode = iota
+	codeOther
+	codeNotFound
+	codeUnavailable
+	codeMailboxEmpty
+	codeOverloaded
+	codeQuota
+	codeWireVersion
+)
+
+// codeSentinels maps the codes that stand for a sentinel error to it.
+var codeSentinels = [...]error{
+	codeNotFound:     ErrBlobNotFound,
+	codeUnavailable:  ErrUnavailable,
+	codeMailboxEmpty: ErrMailboxEmpty,
+	codeWireVersion:  ErrWireVersion,
+}
+
+// rpcResponse is the wire format of a response. A failed call carries the
+// error's text in Err and its type in Code; RetryAfterMs, Tenant and
+// Resource carry the fields of typed overload/quota rejections so respError
+// can reconstruct them client-side.
 type rpcResponse struct {
 	Err          string    `json:"err,omitempty"`
+	Code         errCode   `json:"code,omitempty"`
 	RetryAfterMs int64     `json:"retry_after_ms,omitempty"`
+	Tenant       string    `json:"tenant,omitempty"`
+	Resource     string    `json:"resource,omitempty"`
 	Version      int       `json:"version,omitempty"`
 	Blob         *Blob     `json:"blob,omitempty"`
 	Names        []string  `json:"names,omitempty"`
@@ -144,29 +171,37 @@ func dispatch(svc Service, req rpcRequest) rpcResponse {
 		st := svc.Stats()
 		resp.Stats = &st
 	default:
-		resp.Err = fmt.Sprintf("cloud: unknown op %q", req.Op)
-		return resp
+		err = fmt.Errorf("cloud: unknown op %q", req.Op)
 	}
 	applyRespError(&resp, err)
 	return resp
 }
 
-// applyRespError serializes err into resp, preserving the retry-after hint
-// of typed overload/quota rejections so the client can rebuild them.
+// applyRespError serializes err into resp: its text, the code of the typed
+// error it is (or wraps), and the fields of overload/quota rejections.
 func applyRespError(resp *rpcResponse, err error) {
 	if err == nil {
 		return
 	}
 	resp.Err = err.Error()
+	resp.Code = codeOther
 	var retry time.Duration
 	var oe *OverloadError
 	var qe *QuotaError
 	switch {
 	case errors.As(err, &oe):
+		resp.Code = codeOverloaded
 		retry = oe.RetryAfter
 	case errors.As(err, &qe):
+		resp.Code = codeQuota
+		resp.Tenant, resp.Resource = qe.Tenant, qe.Resource
 		retry = qe.RetryAfter
 	default:
+		for code, sentinel := range codeSentinels {
+			if sentinel != nil && errors.Is(err, sentinel) {
+				resp.Code = errCode(code)
+			}
+		}
 		return
 	}
 	resp.RetryAfterMs = retry.Milliseconds()
@@ -241,29 +276,39 @@ func unknownOp(resp rpcResponse) bool {
 }
 
 // respError turns a wire response back into the error the server-side
-// Service returned, reconstructing the typed sentinels and the retry-after
-// carrying OverloadError/QuotaError so errors.Is/As work across the wire.
+// Service returned, from the response's error code: the typed sentinels and
+// the retry-after carrying OverloadError/QuotaError come back as themselves,
+// so errors.Is/As work across the wire. The text is only ever displayed.
 func respError(resp rpcResponse) error {
-	switch resp.Err {
-	case "":
+	if resp.Err == "" && resp.Code == codeOK {
 		return nil
-	case ErrBlobNotFound.Error():
-		return ErrBlobNotFound
-	case ErrUnavailable.Error():
-		return ErrUnavailable
-	case ErrMailboxEmpty.Error():
-		return ErrMailboxEmpty
 	}
 	retry := time.Duration(resp.RetryAfterMs) * time.Millisecond
-	if strings.HasPrefix(resp.Err, "cloud: overloaded") {
+	switch resp.Code {
+	case codeOverloaded:
 		return &OverloadError{RetryAfter: retry}
+	case codeQuota:
+		return &QuotaError{Tenant: resp.Tenant, Resource: resp.Resource, RetryAfter: retry}
 	}
-	var tenant, resource string
-	if _, err := fmt.Sscanf(resp.Err, "cloud: tenant %q over %s quota", &tenant, &resource); err == nil {
-		return &QuotaError{Tenant: tenant, Resource: resource, RetryAfter: retry}
+	if int(resp.Code) < len(codeSentinels) && codeSentinels[resp.Code] != nil {
+		sentinel := codeSentinels[resp.Code]
+		if resp.Err == sentinel.Error() {
+			return sentinel
+		}
+		return &remoteError{text: resp.Err, sentinel: sentinel}
 	}
 	return errors.New(resp.Err)
 }
+
+// remoteError is a server-side error that wrapped a sentinel: it keeps the
+// server's text and still matches the sentinel with errors.Is.
+type remoteError struct {
+	text     string
+	sentinel error
+}
+
+func (e *remoteError) Error() string { return e.text }
+func (e *remoteError) Unwrap() error { return e.sentinel }
 
 // PutBlob implements Service.
 func (c *Client) PutBlob(name string, data []byte) (int, error) {

@@ -118,7 +118,7 @@ func (t *Tenants) View(name string) (*TenantView, error) {
 	if !ok {
 		return nil, fmt.Errorf("cloud: unknown tenant %q", name)
 	}
-	return &TenantView{reg: t, st: st}, nil
+	return &TenantView{reg: t, st: st, prefix: "t/" + name + "/"}, nil
 }
 
 // Names returns the defined tenant names, sorted.
@@ -200,21 +200,20 @@ func (st *tenantState) admit(ops int, bytes int64, now time.Time) error {
 // safe, and quota accounting stays coherent because it lives in the record,
 // not the view.
 type TenantView struct {
-	reg *Tenants
-	st  *tenantState
+	reg    *Tenants
+	st     *tenantState
+	prefix string // "t/<tenant>/", built once: every name of every batch takes it
 }
 
 // Tenant returns the tenant name the view is bound to.
 func (v *TenantView) Tenant() string { return v.st.name }
-
-func (v *TenantView) prefix() string { return "t/" + v.st.name + "/" }
 
 // PutBlob implements Service, charging 1 op and len(data) bytes.
 func (v *TenantView) PutBlob(name string, data []byte) (int, error) {
 	if err := v.st.admit(1, int64(len(data)), v.reg.now()); err != nil {
 		return 0, err
 	}
-	return v.reg.inner.PutBlob(v.prefix()+name, data)
+	return v.reg.inner.PutBlob(v.prefix+name, data)
 }
 
 // GetBlob implements Service; reads charge 1 op and no bytes.
@@ -222,11 +221,11 @@ func (v *TenantView) GetBlob(name string) (Blob, error) {
 	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
 		return Blob{}, err
 	}
-	b, err := v.reg.inner.GetBlob(v.prefix() + name)
+	b, err := v.reg.inner.GetBlob(v.prefix + name)
 	if err != nil {
 		return Blob{}, err
 	}
-	b.Name = strings.TrimPrefix(b.Name, v.prefix())
+	b.Name = strings.TrimPrefix(b.Name, v.prefix)
 	return b, nil
 }
 
@@ -235,7 +234,7 @@ func (v *TenantView) DeleteBlob(name string) error {
 	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
 		return err
 	}
-	return v.reg.inner.DeleteBlob(v.prefix() + name)
+	return v.reg.inner.DeleteBlob(v.prefix + name)
 }
 
 // ListBlobs implements Service, listing only this tenant's names (returned
@@ -244,12 +243,12 @@ func (v *TenantView) ListBlobs(prefix string) ([]string, error) {
 	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
 		return nil, err
 	}
-	names, err := v.reg.inner.ListBlobs(v.prefix() + prefix)
+	names, err := v.reg.inner.ListBlobs(v.prefix + prefix)
 	if err != nil {
 		return nil, err
 	}
 	for i := range names {
-		names[i] = strings.TrimPrefix(names[i], v.prefix())
+		names[i] = strings.TrimPrefix(names[i], v.prefix)
 	}
 	return names, nil
 }
@@ -260,7 +259,7 @@ func (v *TenantView) Send(msg Message) error {
 	if err := v.st.admit(1, int64(len(msg.Body)), v.reg.now()); err != nil {
 		return err
 	}
-	msg.To = v.prefix() + msg.To
+	msg.To = v.prefix + msg.To
 	return v.reg.inner.Send(msg)
 }
 
@@ -269,12 +268,12 @@ func (v *TenantView) Receive(recipient string, max int) ([]Message, error) {
 	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
 		return nil, err
 	}
-	msgs, err := v.reg.inner.Receive(v.prefix()+recipient, max)
+	msgs, err := v.reg.inner.Receive(v.prefix+recipient, max)
 	if err != nil {
 		return nil, err
 	}
 	for i := range msgs {
-		msgs[i].To = strings.TrimPrefix(msgs[i].To, v.prefix())
+		msgs[i].To = strings.TrimPrefix(msgs[i].To, v.prefix)
 	}
 	return msgs, nil
 }
@@ -295,7 +294,7 @@ func (v *TenantView) PutBlobs(puts []BlobPut) ([]int, error) {
 	}
 	renamed := make([]BlobPut, len(puts))
 	for i, p := range puts {
-		renamed[i] = BlobPut{Name: v.prefix() + p.Name, Data: p.Data}
+		renamed[i] = BlobPut{Name: v.prefix + p.Name, Data: p.Data}
 	}
 	return PutBlobsVia(v.reg.inner, renamed)
 }
@@ -307,14 +306,14 @@ func (v *TenantView) GetBlobs(names []string) ([]Blob, error) {
 	}
 	renamed := make([]string, len(names))
 	for i, name := range names {
-		renamed[i] = v.prefix() + name
+		renamed[i] = v.prefix + name
 	}
 	blobs, err := GetBlobsVia(v.reg.inner, renamed)
 	if err != nil {
 		return nil, err
 	}
 	for i := range blobs {
-		blobs[i].Name = strings.TrimPrefix(blobs[i].Name, v.prefix())
+		blobs[i].Name = strings.TrimPrefix(blobs[i].Name, v.prefix)
 	}
 	return blobs, nil
 }
@@ -326,14 +325,14 @@ func (v *TenantView) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	}
 	renamed := make([]CondGet, len(gets))
 	for i, g := range gets {
-		renamed[i] = CondGet{Name: v.prefix() + g.Name, IfNewer: g.IfNewer}
+		renamed[i] = CondGet{Name: v.prefix + g.Name, IfNewer: g.IfNewer}
 	}
 	blobs, err := GetBlobsIfVia(v.reg.inner, renamed)
 	if err != nil {
 		return nil, err
 	}
 	for i := range blobs {
-		blobs[i].Name = strings.TrimPrefix(blobs[i].Name, v.prefix())
+		blobs[i].Name = strings.TrimPrefix(blobs[i].Name, v.prefix)
 	}
 	return blobs, nil
 }

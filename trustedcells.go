@@ -343,6 +343,11 @@ var (
 	ErrTenantQuotaExceeded = cloud.ErrQuotaExceeded
 )
 
+// ErrCloudWireVersion reports that the peer of a framed connection speaks
+// another version of the frame payload codec (DESIGN.md §11.2); the
+// connection is closed after it. Match with errors.Is.
+var ErrCloudWireVersion = cloud.ErrWireVersion
+
 // CloudOverloadError is the concrete shed error: it unwraps to
 // ErrCloudOverloaded and carries the server's retry-after hint.
 type CloudOverloadError = cloud.OverloadError
