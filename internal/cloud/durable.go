@@ -16,11 +16,11 @@ package cloud
 //	m:<recipient>\x00<seq hex>  mailbox→ binary Message (FIFO by zero-padded seq)
 //
 // Batched operations group their arguments by shard exactly like Memory and
-// apply the per-shard groups in parallel goroutines. Durability comes from
-// the cross-shard commit journal (journal.go): the shard engines run without
-// WALs, and a whole batch is acknowledged after ONE fsync'd journal record —
-// not one barrier per shard — which is what holds E13's durability overhead
-// near the memory provider. Clients — including
+// apply the per-shard groups one after another on the caller's goroutine.
+// Durability comes from the cross-shard commit journal (journal.go): the
+// shard engines run without WALs, and a whole batch is acknowledged after ONE
+// fsync'd journal record — not one barrier per shard — which is what holds
+// E13's durability overhead near the memory provider. Clients — including
 // the TCP server, which serves any Service — cannot tell the two backends
 // apart except by killing the process. DESIGN.md §8 documents the format and
 // the recovery protocol; experiment E13 measures the durability overhead and
@@ -688,17 +688,20 @@ func decodeMessage(b []byte) (Message, error) {
 
 // --- Service ----------------------------------------------------------------
 
-// currentVersion reads a blob's stored version under the shard write mutex.
-func (s *durableShard) currentVersion(name string) (int, error) {
-	raw, err := s.kv.Get(blobKey(name))
+// currentVersion reads the stored version of the blob under key (a blobKey)
+// under the shard write mutex, decoding it from the engine's view of the
+// record without copying the value.
+func (s *durableShard) currentVersion(key []byte) (int, error) {
+	var version int
+	var derr error
+	err := s.kv.View(key, func(raw []byte) { version, _, _, derr = decodeBlobValue(raw) })
 	if err == storage.ErrNotFound {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	v, _, _, err := decodeBlobValue(raw)
-	return v, err
+	return version, derr
 }
 
 // applyShard runs ops against one shard under its write mutex and returns
@@ -727,15 +730,16 @@ func (d *Durable) applyShardLocked(si int, ops []storage.Op) (journalGroup, erro
 func (d *Durable) PutBlob(name string, data []byte) (int, error) {
 	si := shardIndexOf(name, len(d.shards))
 	s := d.shards[si]
+	key := blobKey(name)
 	s.wmu.Lock()
-	cur, err := s.currentVersion(name)
+	cur, err := s.currentVersion(key)
 	if err != nil {
 		s.wmu.Unlock()
 		return 0, err
 	}
 	version := cur + 1
 	g, err := d.applyShardLocked(si, []storage.Op{{
-		Key:   blobKey(name),
+		Key:   key,
 		Value: encodeBlobValue(version, d.clock(), data),
 	}})
 	s.wmu.Unlock()
@@ -883,26 +887,18 @@ func (d *Durable) Stats() Stats {
 // --- BatchService -----------------------------------------------------------
 
 // PutBlobs stores every blob durably and returns the new version of each in
-// argument order. Writes are grouped by shard and applied to the shard
-// engines in parallel goroutines (version assignment and memtable insert,
-// no I/O barrier), then the WHOLE batch is acknowledged by one fsync'd
-// commit-journal record — the single disk barrier of the call.
+// argument order. Writes are grouped by shard and each group is applied to
+// its shard engine on the caller's goroutine (version assignment and
+// memtable insert, no I/O barrier — concurrency comes from the many requests
+// in flight, not from fanning one out), then the WHOLE batch is acknowledged
+// by one fsync'd commit-journal record — the single disk barrier of the call.
 func (d *Durable) PutBlobs(puts []BlobPut) ([]int, error) {
 	versions := make([]int, len(puts))
 	groups := groupKeysByShard(len(puts), len(d.shards), func(i int) string { return puts[i].Name })
 	jgs := make([]journalGroup, len(groups))
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for gi := range groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			jgs[gi], errs[gi] = d.putGroup(groups[gi], puts, versions)
-		}(gi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for gi, g := range groups {
+		var err error
+		if jgs[gi], err = d.putGroup(g, puts, versions); err != nil {
 			return nil, err
 		}
 	}
@@ -931,10 +927,11 @@ func (d *Durable) putGroup(g shardGroup, puts []BlobPut, versions []int) (journa
 	batchVersions := make(map[string]int)
 	for _, i := range g.indices {
 		name := puts[i].Name
+		key := blobKey(name)
 		cur, seen := batchVersions[name]
 		if !seen {
 			var err error
-			if cur, err = s.currentVersion(name); err != nil {
+			if cur, err = s.currentVersion(key); err != nil {
 				return journalGroup{}, err
 			}
 		}
@@ -942,7 +939,7 @@ func (d *Durable) putGroup(g shardGroup, puts []BlobPut, versions []int) (journa
 		batchVersions[name] = version
 		versions[i] = version
 		ops = append(ops, storage.Op{
-			Key:   blobKey(name),
+			Key:   key,
 			Value: encodeBlobValue(version, now, puts[i].Data),
 		})
 	}

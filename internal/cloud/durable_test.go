@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -284,5 +285,180 @@ func TestDurableClockOverride(t *testing.T) {
 	b, err := d.GetBlob("doc")
 	if err != nil || !b.Stored.Equal(fixed) {
 		t.Fatalf("Stored = %v, want %v (%v)", b.Stored, fixed, err)
+	}
+}
+
+// TestDurablePutBlobsVersionsMonotonic checks that PutBlobs continues every
+// blob's version from its newest copy wherever that copy lives — the
+// memtable, a flushed run, a compacted run, the journal replayed after a
+// crash, the runs left by a clean close — that a memtable tombstone shadows
+// an older copy in a run, and that a name repeated inside one batch counts up
+// within the batch.
+func TestDurablePutBlobsVersionsMonotonic(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Shards: 4, MaxRuns: -1}
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = d.Close() }()
+	names := make([]string, 12)
+	for i := range names {
+		names[i] = fmt.Sprintf("cell-%d/vault/doc-%02d", i%3, i)
+	}
+	want := make(map[string]int)
+	put := func(stage string, batch ...string) {
+		t.Helper()
+		puts := make([]BlobPut, len(batch))
+		for i, n := range batch {
+			puts[i] = BlobPut{Name: n, Data: []byte(stage)}
+		}
+		got, err := d.PutBlobs(puts)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		for i, n := range batch {
+			want[n]++
+			if got[i] != want[n] {
+				t.Fatalf("%s: %s (position %d) got version %d, want %d", stage, n, i, got[i], want[n])
+			}
+		}
+		for _, n := range batch {
+			if b, err := d.GetBlob(n); err != nil || b.Version != want[n] || string(b.Data) != stage {
+				t.Fatalf("%s: GetBlob(%s) = v%d %q %v, want v%d", stage, n, b.Version, b.Data, err, want[n])
+			}
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	put("first", names...)
+	put("memtable", names...)
+	put("duplicates", names[0], names[1], names[0], names[0], names[2], names[1])
+	flush()
+	put("run", names[:6]...)
+	put("memtable over run", names...)
+	flush()
+	put("second run", names[3:]...)
+	flush()
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	put("compacted", names...)
+
+	if err := d.DeleteBlob(names[0]); err != nil {
+		t.Fatal(err)
+	}
+	want[names[0]] = 0
+	put("after delete", names[0], names[0])
+
+	put("journaled", append(names, names[7])...)
+	d.Crash()
+	if d, err = OpenDurable(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if d.RecoveryStats().JournalRecords == 0 {
+		t.Fatal("crash left nothing in the journal to replay")
+	}
+	put("after crash", append(names, names[5], names[5])...)
+
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDurable(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	put("after close", names...)
+}
+
+// TestDurablePutBlobsConcurrentVersions races batched writers on a handful of
+// names while a tiny memtable forces flushes and compactions underneath: every
+// version of a name must be handed out exactly once, with no gap.
+func TestDurablePutBlobsConcurrentVersions(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2, MemtableBytes: 2 << 10, MaxRuns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const writers, batches = 4, 40
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	seen := make([]map[string][]int, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		seen[w] = make(map[string][]int)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte('0' + w)}, 200)
+			for i := 0; i < batches; i++ {
+				batch := []BlobPut{
+					{Name: names[(w+i)%len(names)], Data: payload},
+					{Name: names[(w+2*i)%len(names)], Data: payload},
+					{Name: names[(w+i)%len(names)], Data: payload},
+				}
+				vs, err := d.PutBlobs(batch)
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				for j, p := range batch {
+					seen[w][p.Name] = append(seen[w][p.Name], vs[j])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, n := range names {
+		var all []int
+		for w := range seen {
+			all = append(all, seen[w][n]...)
+		}
+		sort.Ints(all)
+		for i, v := range all {
+			if v != i+1 {
+				t.Fatalf("%s: versions %v are not 1..%d", n, all, len(all))
+			}
+		}
+		if b, err := d.GetBlob(n); err != nil || b.Version != len(all) {
+			t.Fatalf("%s: stored v%d (%v), handed out %d versions", n, b.Version, err, len(all))
+		}
+	}
+	if d.EngineStats().Flushes == 0 {
+		t.Fatal("no flush happened under the writers")
+	}
+}
+
+// BenchmarkDurablePutBlobs measures the durable write path per batch of 16
+// blobs of 256 B over 4096 names (so most puts overwrite), with NoSync so the
+// fsync barrier does not hide the CPU cost. Run with -benchmem.
+func BenchmarkDurablePutBlobs(b *testing.B) {
+	d, err := OpenDurable(b.TempDir(), DurableOptions{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	names := make([]string, 1<<12)
+	for i := range names {
+		names[i] = fmt.Sprintf("cell-%05d/vault/doc-%04d", i%997, i)
+	}
+	data := bytes.Repeat([]byte("s"), 256)
+	puts := make([]BlobPut, 16)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(puts) * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range puts {
+			puts[j] = BlobPut{Name: names[(i*len(puts)+j)&(len(names)-1)], Data: data}
+		}
+		if _, err := d.PutBlobs(puts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -81,8 +81,10 @@ func newBloomFilter(n, bitsPerKey int) *bloomFilter {
 	}
 }
 
-func (f *bloomFilter) add(key []byte) {
-	h := bloomHash(key)
+func (f *bloomFilter) add(key []byte) { f.addHash(bloomHash(key)) }
+
+// addHash inserts a key by its pre-computed bloomHash.
+func (f *bloomFilter) addHash(h uint64) {
 	delta := h>>17 | h<<47
 	nbits := uint64(len(f.bits)) * 8
 	for i := uint8(0); i < f.k; i++ {
@@ -94,11 +96,14 @@ func (f *bloomFilter) add(key []byte) {
 
 // mayContain reports whether key might be in the set. A nil filter (a run
 // written with blooms disabled) conservatively answers true.
-func (f *bloomFilter) mayContain(key []byte) bool {
+func (f *bloomFilter) mayContain(key []byte) bool { return f.mayContainHash(bloomHash(key)) }
+
+// mayContainHash is mayContain for a pre-computed bloomHash, so a lookup
+// hashes its key once however many runs it probes.
+func (f *bloomFilter) mayContainHash(h uint64) bool {
 	if f == nil {
 		return true
 	}
-	h := bloomHash(key)
 	delta := h>>17 | h<<47
 	nbits := uint64(len(f.bits)) * 8
 	for i := uint8(0); i < f.k; i++ {

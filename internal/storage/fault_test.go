@@ -155,7 +155,7 @@ func TestOpenRunRejectsDamage(t *testing.T) {
 	if reopened.count != 2 || !bytes.Equal(reopened.first, []byte("alpha")) || !bytes.Equal(reopened.last, []byte("beta")) {
 		t.Fatalf("rebuilt descriptor: %+v", reopened)
 	}
-	e, ok, err := reopened.get(dev, nil, []byte("beta"), nil)
+	e, ok, err := reopened.get(dev, nil, []byte("beta"), bloomHash([]byte("beta")), nil)
 	if err != nil || !ok || string(e.value) != "2" {
 		t.Fatalf("get through rebuilt index: %v %v %v", e, ok, err)
 	}

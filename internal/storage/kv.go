@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -121,8 +120,9 @@ func (kv *KV) Get(key []byte) ([]byte, error) {
 		return append([]byte(nil), e.value...), nil
 	}
 	// Newest run first: later runs shadow earlier ones.
+	h := bloomHash(key)
 	for i := len(kv.runs) - 1; i >= 0; i-- {
-		e, ok, err := kv.runs[i].get(kv.dev, nil, key, &kv.stats)
+		e, ok, err := kv.runs[i].get(kv.dev, nil, key, h, &kv.stats)
 		if err != nil {
 			return nil, err
 		}
@@ -318,33 +318,45 @@ func (kv *KV) mergedEntriesLocked(start, end []byte) ([]memEntry, error) {
 // can decide whether to drop them. It is shared by the volatile KV and the
 // crash-safe PersistentKV; the latter passes a memtable snapshot so the merge
 // can run outside the engine lock.
+//
+// Every source is already sorted and holds each key once, so the merge walks
+// them side by side: at each step the smallest head key is emitted from the
+// newest source holding it and every source at that key advances.
 func mergeEntries(dev Device, runs []*run, mem []memEntry, start, end []byte) ([]memEntry, error) {
-	// Collect sources oldest → newest so that later inserts overwrite.
-	byKey := make(map[string]memEntry)
-	var order [][]byte
-	add := func(e memEntry) {
-		k := string(e.key)
-		if _, seen := byKey[k]; !seen {
-			order = append(order, e.key)
-		}
-		byKey[k] = e
-	}
+	sources := make([][]memEntry, 0, len(runs)+1)
+	total := len(mem)
 	for _, r := range runs {
-		if err := r.scan(dev, start, end, func(e memEntry) bool { add(e); return true }); err != nil {
+		var entries []memEntry
+		if start == nil && end == nil {
+			entries = make([]memEntry, 0, r.count)
+		}
+		if err := r.scan(dev, start, end, func(e memEntry) bool {
+			entries = append(entries, e)
+			return true
+		}); err != nil {
 			return nil, err
 		}
+		sources = append(sources, entries)
+		total += len(entries)
 	}
-	for _, e := range mem {
-		add(e)
+	sources = append(sources, mem)
+	out := make([]memEntry, 0, total)
+	for {
+		newest := -1
+		for i, s := range sources {
+			if len(s) > 0 && (newest < 0 || bytes.Compare(s[0].key, sources[newest][0].key) <= 0) {
+				newest = i
+			}
+		}
+		if newest < 0 {
+			return out, nil
+		}
+		e := sources[newest][0]
+		out = append(out, e)
+		for i, s := range sources {
+			if len(s) > 0 && bytes.Equal(s[0].key, e.key) {
+				sources[i] = s[1:]
+			}
+		}
 	}
-	out := make([]memEntry, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[string(k)])
-	}
-	sortEntries(out)
-	return out, nil
-}
-
-func sortEntries(entries []memEntry) {
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].key, entries[j].key) < 0 })
 }

@@ -382,22 +382,24 @@ func TestRunSparseIndexLookups(t *testing.T) {
 	}
 	// Every present key is found, absent (odd) keys are not.
 	for i := 0; i < 100; i++ {
-		e, ok, err := r.get(dev, nil, []byte(fmt.Sprintf("key-%04d", i*2)), nil)
+		present := []byte(fmt.Sprintf("key-%04d", i*2))
+		e, ok, err := r.get(dev, nil, present, bloomHash(present), nil)
 		if err != nil || !ok {
 			t.Fatalf("present key %d not found: %v", i, err)
 		}
 		if string(e.value) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("value mismatch for %d", i)
 		}
-		if _, ok, _ := r.get(dev, nil, []byte(fmt.Sprintf("key-%04d", i*2+1)), nil); ok {
+		absent := []byte(fmt.Sprintf("key-%04d", i*2+1))
+		if _, ok, _ := r.get(dev, nil, absent, bloomHash(absent), nil); ok {
 			t.Fatalf("absent key %d reported found", i*2+1)
 		}
 	}
 	// Out-of-range keys short-circuit.
-	if _, ok, _ := r.get(dev, nil, []byte("aaa"), nil); ok {
+	if _, ok, _ := r.get(dev, nil, []byte("aaa"), bloomHash([]byte("aaa")), nil); ok {
 		t.Fatal("key below range found")
 	}
-	if _, ok, _ := r.get(dev, nil, []byte("zzz"), nil); ok {
+	if _, ok, _ := r.get(dev, nil, []byte("zzz"), bloomHash([]byte("zzz")), nil); ok {
 		t.Fatal("key above range found")
 	}
 }

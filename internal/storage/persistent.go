@@ -556,49 +556,61 @@ func (p *PersistentKV) WaitDurable(seq uint64) error {
 	return p.gc.wait(seq, p.walDev.Sync)
 }
 
-// Get returns the value stored under key, or ErrNotFound.
-//
-// Device I/O happens outside p.mu: the run stack is snapshotted under the
-// read lock (runs are immutable and the slice is only ever swapped or
-// appended), the runs device is pinned through its reference count, and the
-// lock is released before any run is consulted — so flushes, writers, and
-// compaction installs never stall behind a reader's disk access. Both hit
-// paths copy on return: memtable entries are replaced in place by writers,
-// and run lookups may alias block-cache buffers shared with other readers.
+// Get returns a copy of the value stored under key, or ErrNotFound.
 func (p *PersistentKV) Get(key []byte) ([]byte, error) {
+	var value []byte
+	if err := p.View(key, func(v []byte) { value = append([]byte(nil), v...) }); err != nil {
+		return nil, err
+	}
+	return value, nil
+}
+
+// View calls fn with the value stored under key, or returns ErrNotFound
+// without calling it. The value is a view of the memtable arena or of a
+// block-cache segment shared with other readers: fn must neither modify it
+// nor retain it after returning.
+//
+// Neither device I/O nor fn runs under p.mu: the run stack is snapshotted
+// under the read lock (runs are immutable and the slice is only ever swapped
+// or appended), the runs device is pinned through its reference count, and
+// the lock is released before any run is consulted — so flushes, writers, and
+// compaction installs never stall behind a reader's disk access. A memtable
+// hit needs no pin: arena bytes are never rewritten.
+func (p *PersistentKV) View(key []byte, fn func(value []byte)) error {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	p.stats.gets.Add(1)
 	if e, ok := p.mem.get(key); ok {
-		tombstone := e.tombstone
-		value := append([]byte(nil), e.value...)
 		p.mu.RUnlock()
-		if tombstone {
-			return nil, ErrNotFound
+		if e.tombstone {
+			return ErrNotFound
 		}
-		return value, nil
+		fn(e.value)
+		return nil
 	}
 	runs := p.runs
 	h := p.runsH
 	h.acquire()
 	p.mu.RUnlock()
 	defer h.release()
+	hash := bloomHash(key)
 	for i := len(runs) - 1; i >= 0; i-- {
-		e, ok, err := runs[i].get(h.dev, p.opts.Cache, key, &p.stats)
+		e, ok, err := runs[i].get(h.dev, p.opts.Cache, key, hash, &p.stats)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
 			if e.tombstone {
-				return nil, ErrNotFound
+				return ErrNotFound
 			}
-			return append([]byte(nil), e.value...), nil
+			fn(e.value)
+			return nil
 		}
 	}
-	return nil, ErrNotFound
+	return ErrNotFound
 }
 
 // Scan calls fn for every live key/value pair with key in [start, end) in

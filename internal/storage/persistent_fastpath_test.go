@@ -252,7 +252,7 @@ func TestPersistentKVGetCompletesDuringCompactionInstall(t *testing.T) {
 	// must still succeed, served by the pinned file handle.
 	found := false
 	for i := len(runs) - 1; i >= 0 && !found; i-- {
-		e, ok, err := runs[i].get(h.dev, nil, []byte("key-1"), nil)
+		e, ok, err := runs[i].get(h.dev, nil, []byte("key-1"), bloomHash([]byte("key-1")), nil)
 		if err != nil {
 			t.Fatalf("read through pinned handle: %v", err)
 		}

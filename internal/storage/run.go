@@ -191,49 +191,70 @@ func sharedPrefixLen(a, b []byte) int {
 	return i
 }
 
+// uvarintLen is the encoded length of binary.PutUvarint(v).
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // writeRun writes the sorted entries as a new run at the end of the device —
 // header, prefix-compressed body, and footer in one write — and returns its
 // descriptor. bloomBitsPerKey sizes the per-run bloom filter (0 = default
 // sizing, negative = no filter).
+//
+// A sizing pass computes the body length and the sparse index first, so the
+// whole run is encoded into one buffer allocated at its final size.
 func writeRun(dev Device, entries []memEntry, bloomBitsPerKey int) (*run, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("storage: cannot write an empty run")
 	}
 	r := &run{id: runIDs.Add(1), count: len(entries), prefixed: true}
-	var filter *bloomFilter
 	if bloomBitsPerKey >= 0 {
-		filter = newBloomFilter(len(entries), bloomBitsPerKey)
+		r.filter = newBloomFilter(len(entries), bloomBitsPerKey)
 	}
-	body := make([]byte, 0, 64*len(entries))
+	nIndex := (len(entries) + sparseEvery - 1) / sparseEvery
+	r.indexKeys = make([][]byte, 0, nIndex)
+	r.indexOffsets = make([]int, 0, nIndex)
 	var prevKey []byte
 	for i, e := range entries {
 		shared := 0
 		if i%sparseEvery == 0 {
 			// Restart point: full key, and a sparse index entry.
 			r.indexKeys = append(r.indexKeys, append([]byte(nil), e.key...))
-			r.indexOffsets = append(r.indexOffsets, len(body))
+			r.indexOffsets = append(r.indexOffsets, r.length)
 		} else {
 			shared = sharedPrefixLen(prevKey, e.key)
 		}
-		body = encodePrefixedEntry(body, shared, e.key, e.value, e.tombstone)
+		unshared := len(e.key) - shared
+		r.length += uvarintLen(uint64(shared)) + uvarintLen(uint64(unshared)) +
+			uvarintLen(uint64(len(e.value))) + 1 + unshared + len(e.value)
 		prevKey = e.key
-		if filter != nil {
-			filter.add(e.key)
-		}
 	}
-	r.filter = filter
 	r.first = append([]byte(nil), entries[0].key...)
 	r.last = append([]byte(nil), entries[len(entries)-1].key...)
-	r.length = len(body)
 
-	footer := r.encodeFooter()
-	r.tail = len(footer)
-
-	buf := make([]byte, 8, 8+len(body)+len(footer))
+	buf := make([]byte, 8, 8+r.length+r.footerCap())
+	for i, e := range entries {
+		shared := 0
+		if i%sparseEvery != 0 {
+			shared = sharedPrefixLen(prevKey, e.key)
+		}
+		buf = encodePrefixedEntry(buf, shared, e.key, e.value, e.tombstone)
+		prevKey = e.key
+		if r.filter != nil {
+			r.filter.add(e.key)
+		}
+	}
+	body := buf[8:]
 	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(body))
 	binary.BigEndian.PutUint32(buf[4:8], uint32(len(body))|runFooterFlag)
-	buf = append(buf, body...)
-	buf = append(buf, footer...)
+	buf = r.appendFooter(buf)
+	r.tail = len(buf) - 8 - r.length
+
 	off := dev.Size()
 	n, err := dev.WriteAt(buf, off)
 	if err := fullWrite(n, len(buf), err); err != nil {
@@ -243,32 +264,39 @@ func writeRun(dev Device, entries []memEntry, bloomBitsPerKey int) (*run, error)
 	return r, nil
 }
 
-// encodeFooter serializes the descriptor — count, key range, bloom filter,
-// sparse index — framed as [4]crc [4]len payload.
-func (r *run) encodeFooter() []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	capHint := 64 + 16*len(r.indexKeys)
+// footerCap bounds the encoded footer size from above.
+func (r *run) footerCap() int {
+	n := 8 + 1 + 5*binary.MaxVarintLen64 + len(r.first) + len(r.last)
 	if r.filter != nil {
-		capHint += len(r.filter.bits)
+		n += len(r.filter.bits)
 	}
-	payload := make([]byte, 0, capHint)
-	putBytes := func(b []byte) {
-		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(b)))]...)
-		payload = append(payload, b...)
+	for _, k := range r.indexKeys {
+		n += 2*binary.MaxVarintLen64 + len(k)
 	}
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(r.count))]...)
-	putBytes(r.first)
-	putBytes(r.last)
-	payload = r.filter.marshal(payload)
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(r.indexKeys)))]...)
+	return n
+}
+
+// appendFooter appends the descriptor — count, key range, bloom filter,
+// sparse index — framed as [4]crc [4]len payload.
+func (r *run) appendFooter(buf []byte) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, 8)...)
+	buf = binary.AppendUvarint(buf, uint64(r.count))
+	buf = binary.AppendUvarint(buf, uint64(len(r.first)))
+	buf = append(buf, r.first...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.last)))
+	buf = append(buf, r.last...)
+	buf = r.filter.marshal(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(r.indexKeys)))
 	for i, k := range r.indexKeys {
-		putBytes(k)
-		payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(r.indexOffsets[i]))]...)
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		buf = binary.AppendUvarint(buf, uint64(r.indexOffsets[i]))
 	}
-	footer := make([]byte, 8, 8+len(payload))
-	binary.BigEndian.PutUint32(footer[0:4], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint32(footer[4:8], uint32(len(payload)))
-	return append(footer, payload...)
+	payload := buf[start+8:]
+	binary.BigEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(buf[start+4:], uint32(len(payload)))
+	return buf
 }
 
 // decodeFooter parses a footer payload into the descriptor fields.
@@ -430,18 +458,6 @@ func openRun(dev Device, off int64) (*run, error) {
 	return r, nil
 }
 
-// addHash inserts a pre-computed bloomHash (used when rebuilding filters for
-// legacy runs, where keys were already hashed during the body parse).
-func (f *bloomFilter) addHash(h uint64) {
-	delta := h>>17 | h<<47
-	nbits := uint64(len(f.bits)) * 8
-	for i := uint8(0); i < f.k; i++ {
-		pos := h % nbits
-		f.bits[pos/8] |= 1 << (pos % 8)
-		h += delta
-	}
-}
-
 // scanRuns walks the device from offset zero and rebuilds the descriptor of
 // every complete run, in write order. It stops at the first torn or corrupt
 // run — the signature a crash leaves mid-flush — and returns the byte extent
@@ -507,12 +523,13 @@ func (r *run) segmentFor(key []byte) (from, to int) {
 // without touching the device; on a hit path the indexed segment is served
 // from the block cache when present and admitted to it after a device read.
 // The returned entry's value may alias a cache-resident buffer — callers
-// that hand it out must copy. Counter increments go to c (nil = uncounted).
-func (r *run) get(dev Device, cache *BlockCache, key []byte, c *kvCounters) (memEntry, bool, error) {
+// that hand it out must copy. h is bloomHash(key), computed once by the caller
+// for the whole run stack. Counter increments go to c (nil = uncounted).
+func (r *run) get(dev Device, cache *BlockCache, key []byte, h uint64, c *kvCounters) (memEntry, bool, error) {
 	if !r.mayContain(key) {
 		return memEntry{}, false, nil
 	}
-	if !r.filter.mayContain(key) {
+	if !r.filter.mayContainHash(h) {
 		if c != nil {
 			c.bloomSkips.Add(1)
 		}
@@ -586,8 +603,9 @@ func (r *run) searchSegment(seg, key []byte) (memEntry, bool, error) {
 
 // scan iterates over all entries of the run in key order with key in
 // [start, end) (nil end = unbounded), calling fn until it returns false.
-// Keys are fresh copies; values alias the body buffer read for this scan
-// (never mutated afterwards, so retaining them is safe).
+// Keys and values alias buffers owned by this scan (the body read for it and
+// an append-only key arena) that are never mutated afterwards, so retaining
+// them is safe.
 func (r *run) scan(dev Device, start, end []byte, fn func(memEntry) bool) error {
 	body := make([]byte, r.length)
 	if _, err := dev.ReadAt(body, r.offset); err != nil {
@@ -616,15 +634,20 @@ func (r *run) scan(dev Device, start, end []byte, fn func(memEntry) bool) error 
 		}
 		return nil
 	}
-	var scratch []byte
+	var scratch, keys []byte
 	for pos < len(body) {
 		value, flags, n, err := decodePrefixedEntry(body[pos:], &scratch)
 		if err != nil {
 			return err
 		}
 		pos += n
+		if cap(keys)-len(keys) < len(scratch) {
+			// A fresh block; keys already handed out keep the old one.
+			keys = make([]byte, 0, max(4<<10, 2*len(scratch)))
+		}
+		keys = append(keys, scratch...)
 		e := memEntry{
-			key:       append([]byte(nil), scratch...),
+			key:       keys[len(keys)-len(scratch) : len(keys) : len(keys)],
 			value:     value,
 			tombstone: flags&runFlagTombstone != 0,
 		}

@@ -96,7 +96,7 @@ func TestWriteRunWithoutBloom(t *testing.T) {
 		t.Fatal("footer resurrected a disabled filter")
 	}
 	// Lookups still work, they just can't skip.
-	e, ok, err := r.get(dev, nil, []byte("key-00003"), nil)
+	e, ok, err := r.get(dev, nil, []byte("key-00003"), bloomHash([]byte("key-00003")), nil)
 	if err != nil || !ok || string(e.value) != "value-1" {
 		t.Fatalf("get without filter: %v %v %v", e, ok, err)
 	}
@@ -128,7 +128,7 @@ func TestRunSparseIndexBoundaries(t *testing.T) {
 				t.Fatalf("%s: %d index entries, want %d", name, len(r.indexKeys), wantIndex)
 			}
 			for i, e := range entries {
-				got, ok, err := r.get(dev, nil, e.key, nil)
+				got, ok, err := r.get(dev, nil, e.key, bloomHash(e.key), nil)
 				if err != nil || !ok {
 					t.Fatalf("%s: present key %q missing: %v", name, e.key, err)
 				}
@@ -137,14 +137,14 @@ func TestRunSparseIndexBoundaries(t *testing.T) {
 				}
 				// The key just after entry i (inside the gap keys i*3 leaves).
 				gap := []byte(fmt.Sprintf("key-%05d", i*3+1))
-				if _, ok, _ := r.get(dev, nil, gap, nil); ok {
+				if _, ok, _ := r.get(dev, nil, gap, bloomHash(gap), nil); ok {
 					t.Fatalf("%s: gap key %q found", name, gap)
 				}
 			}
-			if _, ok, _ := r.get(dev, nil, []byte("key-"), nil); ok {
+			if _, ok, _ := r.get(dev, nil, []byte("key-"), bloomHash([]byte("key-")), nil); ok {
 				t.Fatalf("%s: key below range found", name)
 			}
-			if _, ok, _ := r.get(dev, nil, []byte("key-99999"), nil); ok {
+			if _, ok, _ := r.get(dev, nil, []byte("key-99999"), bloomHash([]byte("key-99999")), nil); ok {
 				t.Fatalf("%s: key above range found", name)
 			}
 		}
@@ -190,7 +190,7 @@ func TestRunDifferentialAgainstOracle(t *testing.T) {
 		for trial := 0; trial < 3000; trial++ {
 			k := fmt.Sprintf("k%04d-%02d", rng.Intn(5000), rng.Intn(10))
 			want, present := oracle[k]
-			got, ok, err := r.get(dev, cache, []byte(k), nil)
+			got, ok, err := r.get(dev, cache, []byte(k), bloomHash([]byte(k)), nil)
 			if err != nil {
 				t.Fatalf("legacy=%v get %q: %v", legacy, k, err)
 			}
@@ -256,7 +256,7 @@ func FuzzRunRoundTrip(f *testing.F) {
 			t.Fatalf("descriptor mismatch: %+v", r)
 		}
 		for _, e := range entries {
-			got, ok, err := r.get(dev, nil, e.key, nil)
+			got, ok, err := r.get(dev, nil, e.key, bloomHash(e.key), nil)
 			if err != nil || !ok {
 				t.Fatalf("key %q missing: %v", e.key, err)
 			}

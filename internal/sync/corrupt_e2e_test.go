@@ -61,10 +61,16 @@ func TestCorruptBlobFailsClosed(t *testing.T) {
 // member index, so the rotten copy would win), the catalog audit convicts the
 // member, and quarantining it restores full availability from the trusted
 // majority.
+//
+// A read returns after the first R=2 answers, so member 0 takes part in it
+// only if it answers before one of the honest members. To make that certain,
+// member 2's reads are partitioned away while the corrupt read is drilled;
+// the failure threshold keeps that partition from marking member 2 down.
 func TestCorruptMemberQuarantinedFleetRoutesAround(t *testing.T) {
 	faulty := cloud.NewFaulty(cloud.NewMemory(), cloud.FaultyOptions{Seed: 11})
-	members := []cloud.Service{faulty, cloud.NewMemory(), cloud.NewMemory()}
-	fleet, err := cloud.NewReplicated(members, cloud.ReplicatedOptions{WriteQuorum: 3, ReadQuorum: 2})
+	partitioned := cloud.NewFaulty(cloud.NewMemory(), cloud.FaultyOptions{})
+	members := []cloud.Service{faulty, cloud.NewMemory(), partitioned}
+	fleet, err := cloud.NewReplicated(members, cloud.ReplicatedOptions{WriteQuorum: 3, ReadQuorum: 2, FailThreshold: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +90,11 @@ func TestCorruptMemberQuarantinedFleetRoutesAround(t *testing.T) {
 	}
 
 	faulty.SetCorrupt(1)
+	partitioned.SetMask(cloud.MaskReads)
 	if err := b.Pull(); err == nil {
 		t.Fatal("fleet served a corrupted member's bytes without failing closed")
 	}
+	partitioned.SetMask(0)
 
 	// The audit sweep convicts member 0: every shard blob it serves flips a
 	// bit and fails verification.
