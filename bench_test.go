@@ -283,7 +283,7 @@ func BenchmarkE12CellThroughput(b *testing.B) {
 
 // BenchmarkE13DurableCloud measures experiment E13 at 10k documents: batched
 // cell ingest against the in-memory provider vs the disk-backed provider
-// (group-committed WAL + LSM checkpoints), plus the crash drill — kill the
+// (group-committed journal + LSM checkpoints), plus the crash drill — kill the
 // durable provider mid-workload, reopen, verify 100% of acknowledged blobs
 // replay. The durability overhead is expected to stay under 3x and recovery
 // to replay everything; EXPERIMENTS.md records the reference numbers.
@@ -596,7 +596,6 @@ func benchPersistentKV(b *testing.B, n int) (*storage.PersistentKV, [][]byte) {
 	kv, err := storage.OpenPersistentKV(b.TempDir(), storage.PersistentOptions{
 		MemtableBytes: 64 << 10,
 		MaxRuns:       64,
-		NoSync:        true,
 		Cache:         storage.NewBlockCache(8 << 20),
 	})
 	if err != nil {
@@ -616,7 +615,7 @@ func benchPersistentKV(b *testing.B, n int) (*storage.PersistentKV, [][]byte) {
 		for _, k := range keys[start:end] {
 			ops = append(ops, storage.Op{Key: k, Value: make([]byte, 256)})
 		}
-		if _, err := kv.ApplyNoSync(ops); err != nil {
+		if err := kv.Apply(ops); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -217,12 +217,12 @@ func main() {
 			log.Fatalf("tccloud: open durable store: %v", err)
 		}
 		rec := d.RecoveryStats()
-		log.Printf("tccloud: recovered %s in %v: %d shards, %d runs, %d WAL records (%d ops) replayed, %d pending messages",
+		log.Printf("tccloud: recovered %s in %v: %d shards, %d runs, %d journal records (%d ops) replayed, %d pending messages",
 			*dataDir, rec.Elapsed.Round(0), rec.Shards, rec.RecoveredRuns,
-			rec.ReplayedRecords, rec.ReplayedOps, rec.PendingMessages)
-		if rec.DiscardedWALBytes > 0 || rec.DiscardedRunBytes > 0 {
-			log.Printf("tccloud: truncated torn tails: %d WAL bytes, %d run bytes",
-				rec.DiscardedWALBytes, rec.DiscardedRunBytes)
+			rec.JournalRecords, rec.JournalOps, rec.PendingMessages)
+		if rec.DiscardedJournalBytes > 0 || rec.DiscardedRunBytes > 0 {
+			log.Printf("tccloud: truncated torn tails: %d journal bytes, %d run bytes",
+				rec.DiscardedJournalBytes, rec.DiscardedRunBytes)
 		}
 		log.Printf("tccloud: read fast path: %d MiB block cache, bloom filters %s, compaction slots %d",
 			opts.CacheBytes>>20, enabledWord(opts.BloomBitsPerKey >= 0), opts.CompactionConcurrency)
@@ -314,8 +314,8 @@ func main() {
 	}
 
 	// A durable store wants a graceful shutdown: checkpoint the memtables and
-	// close the WALs so the next start replays nothing. (A kill -9 is also
-	// fine — that is the point — it just pays the WAL replay.)
+	// retire the commit journal so the next start replays nothing. (A kill -9
+	// is also fine — that is the point — it just pays the journal replay.)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {

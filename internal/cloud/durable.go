@@ -17,8 +17,8 @@ package cloud
 //
 // Batched operations group their arguments by shard exactly like Memory and
 // apply the per-shard groups one after another on the caller's goroutine.
-// Durability comes from the cross-shard commit journal (journal.go): the
-// shard engines run without WALs, and a whole batch is acknowledged after ONE
+// Durability comes from the cross-shard commit journal (journal.go), the
+// store's only write-ahead log: a whole batch is acknowledged after ONE
 // fsync'd journal record — not one barrier per shard — which is what holds
 // E13's durability overhead near the memory provider. Clients — including
 // the TCP server, which serves any Service — cannot tell the two backends
@@ -99,17 +99,8 @@ type DurableRecovery struct {
 	// RecoveredRuns counts the run descriptors rebuilt by re-parsing the runs
 	// devices.
 	RecoveredRuns int
-	// ReplayedRecords / ReplayedOps count the log records and the individual
-	// operations re-applied to memtables — commit-journal records (the
-	// store's own log) plus any legacy per-shard WAL records found on disk.
-	ReplayedRecords int
-	ReplayedOps     int
-	// DuplicateRecords counts WAL records skipped because their sequence had
-	// already been applied.
-	DuplicateRecords int
-	// DiscardedWALBytes / DiscardedRunBytes are the torn tails truncated
-	// during recovery (unacknowledged appends, mid-flush crashes).
-	DiscardedWALBytes int64
+	// DiscardedRunBytes is the torn tail truncated from the shards' runs
+	// devices (mid-flush crashes).
 	DiscardedRunBytes int64
 	// JournalRecords / JournalOps count the commit-journal records replayed
 	// into the shard engines (the cross-shard durability log; each record is
@@ -118,6 +109,9 @@ type DurableRecovery struct {
 	JournalRecords        int
 	JournalOps            int
 	DiscardedJournalBytes int64
+	// ReplayedOps is the operations re-applied to memtables; it equals
+	// JournalOps, the journal being the store's only log.
+	ReplayedOps int
 	// PendingMessages is the number of undelivered mailbox messages found.
 	PendingMessages int
 	// Elapsed is the wall-clock duration of OpenDurable, including all shard
@@ -223,12 +217,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		BloomBitsPerKey: opts.BloomBitsPerKey,
 		Cache:           d.cache,
 		Limiter:         d.limiter,
-		// The shard engines run without WALs: the cross-shard commit journal
-		// is the durability barrier (one fsync per batch instead of one per
-		// shard) AND the replay log (recoverJournal re-applies everything
-		// since the last checkpoint). A per-shard WAL would write every
-		// value a second time for no additional safety.
-		DisableWAL: true,
 	}
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -260,10 +248,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	for _, s := range d.shards {
 		rec := s.kv.Recovery()
 		d.recovery.RecoveredRuns += rec.RecoveredRuns
-		d.recovery.ReplayedRecords += rec.WALRecords
-		d.recovery.ReplayedOps += rec.WALOps
-		d.recovery.DuplicateRecords += rec.WALDuplicates
-		d.recovery.DiscardedWALBytes += rec.DiscardedWALBytes
 		d.recovery.DiscardedRunBytes += rec.DiscardedRunBytes
 	}
 	if err := d.recoverJournal(dir, opts); err != nil {
@@ -307,13 +291,12 @@ func (d *Durable) recoverJournal(dir string, opts DurableOptions) error {
 			return fmt.Errorf("cloud: journal group for shard %d of %d: %w",
 				g.shard, len(d.shards), storage.ErrCorrupt)
 		}
-		if _, err := d.shards[g.shard].kv.ApplyNoSync(g.ops); err != nil {
+		if err := d.shards[g.shard].kv.Apply(g.ops); err != nil {
 			return fmt.Errorf("cloud: journal replay shard %d: %w", g.shard, err)
 		}
 		d.recovery.JournalOps += len(g.ops)
 	}
-	d.recovery.ReplayedRecords += records
-	d.recovery.ReplayedOps += d.recovery.JournalOps
+	d.recovery.ReplayedOps = d.recovery.JournalOps
 	if err := d.flushShards(); err != nil {
 		return err
 	}
@@ -718,7 +701,7 @@ func (d *Durable) applyShardLocked(si int, ops []storage.Op) (journalGroup, erro
 	s := d.shards[si]
 	g := journalGroup{shard: si, seq: s.seq, ops: ops}
 	s.seq++
-	if _, err := s.kv.ApplyNoSync(ops); err != nil {
+	if err := s.kv.Apply(ops); err != nil {
 		return journalGroup{}, err
 	}
 	return g, nil

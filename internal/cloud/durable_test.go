@@ -132,7 +132,7 @@ func TestDurableSurvivesCrash(t *testing.T) {
 	}
 	defer d2.Close()
 	rec := d2.RecoveryStats()
-	if rec.Shards != 4 || rec.ReplayedRecords == 0 {
+	if rec.Shards != 4 || rec.JournalRecords == 0 {
 		t.Fatalf("recovery stats: %+v", rec)
 	}
 	names, err := d2.ListBlobs("")
@@ -164,7 +164,7 @@ func TestDurableSurvivesCrash(t *testing.T) {
 }
 
 // TestDurableReopenAfterClose exercises the graceful path: Close checkpoints,
-// so reopening replays runs, not WAL records.
+// so reopening recovers runs and replays no journal records.
 func TestDurableReopenAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{Shards: 2})
@@ -187,7 +187,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 	}
 	defer d2.Close()
 	rec := d2.RecoveryStats()
-	if rec.ReplayedRecords != 0 || rec.RecoveredRuns == 0 {
+	if rec.JournalRecords != 0 || rec.RecoveredRuns == 0 {
 		t.Fatalf("graceful close should recover from runs: %+v", rec)
 	}
 	blobs, err := d2.GetBlobs([]string{"a", "b", "c"})

@@ -1,17 +1,10 @@
 package cloud
 
-// The commit journal is why a durable batch costs ONE disk barrier instead of
-// one per shard. Before it, every batched write fanned out to up to Shards
-// WAL fsyncs in parallel — and parallel fsyncs to different files mostly
-// serialize in the filesystem journal, so a 256-blob PutBlobs over 32 shards
-// paid ~5x the latency of a single barrier and E13 measured durability at
-// ~2x the throughput of the in-memory provider. With the journal, the shard
-// engines run with their own WAL fsyncs disabled and the whole cross-shard
-// batch is made durable by a single fsync'd record here: acknowledged means
-// "in the fsync'd journal", and recovery replays the journal into the shard
-// engines. The shard engines run with their WALs disabled outright — journal
-// replay restores everything since the last checkpoint, so a per-shard log
-// would just write every value a second time.
+// The commit journal is the durable store's write-ahead log, and its only
+// one: a whole cross-shard batch is made durable by a single fsync'd record
+// here — one disk barrier, not one per shard. Acknowledged means "in the
+// fsync'd journal"; the shard engines keep no log of their own, and recovery
+// replays the journal into them.
 //
 // The barrier itself is kept cheap two ways. First, the journal file is
 // zero-filled to its full limit and fsync'd when opened, and re-zeroed after
@@ -29,6 +22,10 @@ package cloud
 //	[uvarint ngroups] then per group:
 //	  [uvarint shard] [uvarint shardSeq] [uvarint nops]
 //	  per op: [1 flags(bit0=delete)] [uvarint klen] key [uvarint vlen] value
+//
+// A group takes at least 3 bytes and an op at least 3, so a decoded count
+// larger than a third of the bytes left is corruption, rejected before it
+// sizes an allocation.
 //
 // shardSeq is a per-shard counter assigned under the shard write mutex — the
 // same critical section that assigns blob versions and applies the ops to the
@@ -391,7 +388,7 @@ func decodeJournalRecord(b []byte) ([]journalGroup, error) {
 		return out, true
 	}
 	ngroups, ok := uv()
-	if !ok {
+	if !ok || ngroups > uint64(len(b))/3 {
 		return nil, storage.ErrCorrupt
 	}
 	groups := make([]journalGroup, 0, ngroups)
@@ -399,7 +396,7 @@ func decodeJournalRecord(b []byte) ([]journalGroup, error) {
 		shard, ok1 := uv()
 		seq, ok2 := uv()
 		nops, ok3 := uv()
-		if !ok1 || !ok2 || !ok3 {
+		if !ok1 || !ok2 || !ok3 || nops > uint64(len(b))/3 {
 			return nil, storage.ErrCorrupt
 		}
 		g := journalGroup{shard: int(shard), seq: seq, ops: make([]storage.Op, 0, nops)}

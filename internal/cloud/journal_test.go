@@ -2,8 +2,12 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -40,19 +44,65 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalDecodeRejectsCorruptRecords(t *testing.T) {
-	valid := encodeJournalRecord([]journalGroup{
+// sampleJournalRecord is a small valid record payload.
+func sampleJournalRecord() []byte {
+	return encodeJournalRecord([]journalGroup{
 		{shard: 1, seq: 2, ops: []storage.Op{{Key: []byte("k"), Value: []byte("v")}}},
 	})
-	for name, payload := range map[string][]byte{
-		"empty":          {},
-		"truncated":      valid[:len(valid)-3],
-		"trailing bytes": append(append([]byte(nil), valid...), 0xFF),
-	} {
-		if _, err := decodeJournalRecord(payload); err == nil {
-			t.Errorf("%s: decode accepted a corrupt record", name)
+}
+
+// corruptJournalRecords are payloads decodeJournalRecord must reject, among
+// them counts that promise more groups or ops than the bytes can hold.
+func corruptJournalRecords() map[string][]byte {
+	valid := sampleJournalRecord()
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	return map[string][]byte{
+		"empty":            {},
+		"truncated":        valid[:len(valid)-3],
+		"trailing bytes":   append(append([]byte(nil), valid...), 0xFF),
+		"huge group count": huge,
+		"huge op count":    append([]byte{1, 0, 0}, huge...),
+	}
+}
+
+func TestJournalDecodeRejectsCorruptRecords(t *testing.T) {
+	for name, payload := range corruptJournalRecords() {
+		if _, err := decodeJournalRecord(payload); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: decode = %v, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// FuzzJournalRecord feeds arbitrary bytes to the journal record decoder: it
+// must never panic, never allocate far beyond the input, and every record it
+// accepts must re-encode to the same groups.
+func FuzzJournalRecord(f *testing.F) {
+	f.Add(sampleJournalRecord())
+	for _, payload := range corruptJournalRecords() {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// Longer records only repeat the same paths, and the fuzzer's
+		// minimization of an interesting input is quadratic in its length.
+		if len(payload) > 256 {
+			return
+		}
+		// A group or an op takes at least 3 bytes on the wire and under 64 in
+		// RAM; anything near this bound means a count was trusted.
+		limit := uint64(64*len(payload) + 64<<10)
+		var groups []journalGroup
+		var err error
+		if grew := allocatedBy(func() { groups, err = decodeJournalRecord(payload) }); grew > limit {
+			t.Fatalf("decodeJournalRecord allocated %d bytes for a %d-byte payload", grew, len(payload))
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodeJournalRecord(encodeJournalRecord(groups))
+		if err != nil || !reflect.DeepEqual(again, groups) {
+			t.Fatalf("accepted record is not stable:\n first  %+v\n second %+v (%v)", groups, again, err)
+		}
+	})
 }
 
 func TestSortForReplayReconstructsApplyOrder(t *testing.T) {
@@ -387,4 +437,178 @@ func TestDurableCrashDuringCommits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// journalExtent is the byte range of one record in the journal file.
+type journalExtent struct{ off, size int }
+
+// journalExtents walks the record headers of a journal file up to the zero
+// runway.
+func journalExtents(raw []byte) []journalExtent {
+	var recs []journalExtent
+	for off := 0; off+8 <= len(raw); {
+		size := 8 + int(binary.BigEndian.Uint32(raw[off+4:off+8]))
+		if size == 8 || off+size > len(raw) {
+			break
+		}
+		recs = append(recs, journalExtent{off, size})
+		off += size
+	}
+	return recs
+}
+
+// TestDurableJournalCrashPoints damages the commit journal of a crashed
+// Durable store the way real crashes do — truncation mid-record, a torn
+// header, a doubled record, a corrupted payload, a length field claiming
+// 4 GiB — and verifies that recovery keeps every batch acknowledged before
+// the damage, discards exactly the damaged bytes, and is idempotent (a
+// second recovery sees the same state and replays nothing).
+func TestDurableJournalCrashPoints(t *testing.T) {
+	const batches = 8
+	// Large memtables: nothing reaches a run before the crash, so the journal
+	// is the only copy of every batch.
+	opts := DurableOptions{Shards: 2, MemtableBytes: 8 << 20, JournalBytes: 1 << 20}
+	// Each damage edits the journal file, whose records sit at recs, and
+	// returns how many batches must survive, how many records recovery
+	// replays, and exactly how many torn bytes it discards. Every record
+	// ends in blob data, which is never zero, so a torn tail is measured to
+	// its last byte.
+	cases := []struct {
+		name   string
+		damage func(raw []byte, recs []journalExtent) (out []byte, survive, replayed int, discarded int64)
+	}{
+		{
+			name: "truncate-mid-record",
+			damage: func(raw []byte, recs []journalExtent) ([]byte, int, int, int64) {
+				last := recs[len(recs)-1]
+				return raw[:last.off+last.size-3], batches - 1, batches - 1, int64(last.size - 3)
+			},
+		},
+		{
+			name: "torn-header",
+			damage: func(raw []byte, recs []journalExtent) ([]byte, int, int, int64) {
+				// 5 of the 8 header bytes of a record that never finished.
+				last := recs[len(recs)-1]
+				copy(raw[last.off+last.size:], []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x99})
+				return raw, batches, batches, 5
+			},
+		},
+		{
+			name: "duplicate-sequence",
+			damage: func(raw []byte, recs []journalExtent) ([]byte, int, int, int64) {
+				// The last record written twice: replay is a blind rewrite,
+				// so applying it again changes nothing.
+				last := recs[len(recs)-1]
+				copy(raw[last.off+last.size:], raw[last.off:last.off+last.size])
+				return raw, batches, batches + 1, 0
+			},
+		},
+		{
+			name: "corrupt-payload",
+			damage: func(raw []byte, recs []journalExtent) ([]byte, int, int, int64) {
+				last := recs[len(recs)-1]
+				raw[last.off+last.size-2] ^= 0xFF
+				return raw, batches - 1, batches - 1, int64(last.size)
+			},
+		},
+		{
+			name: "huge-length-header",
+			damage: func(raw []byte, recs []journalExtent) ([]byte, int, int, int64) {
+				// The length field claims 4 GiB; a recovery without bounds
+				// checks would try to allocate it.
+				last := recs[len(recs)-1]
+				binary.BigEndian.PutUint32(raw[last.off+4:], 0xFFFFFFFF)
+				return raw, batches - 1, batches - 1, int64(last.size)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDurable(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := make([][]BlobPut, batches)
+			for b := range acked {
+				puts := make([]BlobPut, 4)
+				for i := range puts {
+					puts[i] = BlobPut{Name: fmt.Sprintf("b%d/%d", b, i), Data: []byte(fmt.Sprintf("batch-%d-blob-%d", b, i))}
+				}
+				if _, err := d.PutBlobs(puts); err != nil {
+					t.Fatal(err)
+				}
+				acked[b] = puts
+			}
+			d.Crash()
+
+			path := filepath.Join(dir, journalFileName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := journalExtents(raw)
+			if len(recs) != batches {
+				t.Fatalf("journal holds %d records, want one per batch (%d)", len(recs), batches)
+			}
+			raw, survive, replayed, discarded := tc.damage(raw, recs)
+			if err := os.WriteFile(path, raw, 0o600); err != nil {
+				t.Fatal(err)
+			}
+
+			d, err = OpenDurable(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := d.RecoveryStats()
+			if rec.JournalRecords != replayed || rec.DiscardedJournalBytes != discarded {
+				t.Fatalf("recovery replayed %d records and discarded %d bytes, want %d and %d",
+					rec.JournalRecords, rec.DiscardedJournalBytes, replayed, discarded)
+			}
+			first := durableState(t, d)
+			for b, puts := range acked {
+				for _, p := range puts {
+					got, ok := first[p.Name]
+					if b < survive && (!ok || got != string(p.Data)) {
+						t.Fatalf("acknowledged blob %s before the damage = %q (present %v)", p.Name, got, ok)
+					}
+					if b >= survive && ok {
+						t.Fatalf("blob %s of the damaged record survived", p.Name)
+					}
+				}
+			}
+			d.Crash()
+
+			d, err = OpenDurable(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if rec := d.RecoveryStats(); rec.JournalRecords != 0 || rec.DiscardedJournalBytes != 0 {
+				t.Fatalf("second recovery replayed %d records and discarded %d bytes, want none",
+					rec.JournalRecords, rec.DiscardedJournalBytes)
+			}
+			if second := durableState(t, d); !reflect.DeepEqual(first, second) {
+				t.Fatalf("second recovery diverged:\n first  %v\n second %v", first, second)
+			}
+		})
+	}
+}
+
+// durableState returns every blob of the store by name.
+func durableState(t *testing.T, d *Durable) map[string]string {
+	t.Helper()
+	names, err := d.ListBlobs("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := d.GetBlobs(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make(map[string]string, len(names))
+	for i, name := range names {
+		state[name] = string(blobs[i].Data)
+	}
+	return state
 }

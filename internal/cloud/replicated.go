@@ -1189,8 +1189,8 @@ func (r *Replicated) lockStripes(keys []string) func() {
 }
 
 // PutBlobs stores the whole batch on a write quorum of members — each member
-// sees the batch as one call, so a durable member still pays one WAL record
-// per shard it touches — and returns the element-wise maximum versions the
+// sees the batch as one call, so a durable member still pays one journal record
+// and one barrier for it — and returns the element-wise maximum versions the
 // acknowledging members assigned.
 func (r *Replicated) PutBlobs(puts []BlobPut) ([]int, error) {
 	r.maybeProbe()

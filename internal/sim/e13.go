@@ -18,7 +18,7 @@ import (
 // E13Config parameterises the durable-cloud experiment. It has two parts per
 // catalog size: a throughput comparison (the same batched cell ingest against
 // the in-memory provider and the disk-backed provider, where the durable path
-// pays WAL encoding plus group-commit fsyncs) and a crash drill (kill the
+// pays journal encoding plus group-committed fsyncs) and a crash drill (kill the
 // durable provider mid-workload, reopen it, and verify every acknowledged
 // blob is replayed).
 type E13Config struct {
@@ -27,7 +27,7 @@ type E13Config struct {
 	// PayloadSize is the plaintext size of each document.
 	PayloadSize int
 	// BatchSize is the IngestBatch chunk (one PutBlobs exchange per chunk;
-	// on the durable backend, one WAL record + fsync per shard it touches).
+	// on the durable backend, one commit-journal record + fsync).
 	BatchSize int
 	// Shards is the stripe count of both providers.
 	Shards int
@@ -61,12 +61,12 @@ type E13Result struct {
 	Overhead   float64 // MemoryOps / DurableOps (1.0 = free durability)
 
 	// Crash drill outcomes.
-	AckedBlobs    int     // blobs acknowledged before the kill
-	RecoveryMS    float64 // wall-clock OpenDurable time after the kill
-	ReplayedBlobs int     // acked blobs present again after recovery
-	RecoveredPct  float64 // 100 * ReplayedBlobs / AckedBlobs
-	WALRecords    int     // WAL group-commit records replayed by recovery
-	RecoveredRuns int     // run descriptors rebuilt by recovery
+	AckedBlobs     int     // blobs acknowledged before the kill
+	RecoveryMS     float64 // wall-clock OpenDurable time after the kill
+	ReplayedBlobs  int     // acked blobs present again after recovery
+	RecoveredPct   float64 // 100 * ReplayedBlobs / AckedBlobs
+	JournalRecords int     // commit-journal records replayed by recovery
+	RecoveredRuns  int     // run descriptors rebuilt by recovery
 }
 
 func (c E13Config) durableOptions() cloud.DurableOptions {
@@ -202,7 +202,7 @@ func RunE13Size(cfg E13Config, docs int) (E13Result, error) {
 	}
 	res.RecoveryMS = float64(time.Since(recoverStart).Microseconds()) / 1000
 	rec := d2.RecoveryStats()
-	res.WALRecords = rec.ReplayedRecords
+	res.JournalRecords = rec.JournalRecords
 	res.RecoveredRuns = rec.RecoveredRuns
 	after, err := d2.ListBlobs("")
 	if err != nil {
@@ -237,7 +237,7 @@ func RunE13Size(cfg E13Config, docs int) (E13Result, error) {
 }
 
 // RunE13 measures the durable provider end to end: what durability costs on
-// the batched ingest path (group-committed WAL + LSM checkpoints vs a RAM
+// the batched ingest path (group-committed journal + LSM checkpoints vs a RAM
 // map) and what a provider restart costs (recovery time, and whether every
 // acknowledged blob survives — the paper's availability premise made
 // testable).
@@ -250,7 +250,7 @@ func RunE13(cfg E13Config) (*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("same batched cell ingest (IngestBatch(%d), %d B sealed payloads) against both providers, %d FNV shards each",
 				cfg.BatchSize, cfg.PayloadSize, cfg.Shards),
-			"durable = per-shard WAL with group-committed fsync + memtable checkpoints into CRC'd runs + background compaction; overhead = memory ops/sec ÷ durable ops/sec",
+			"durable = cross-shard commit journal with group-committed fsync + memtable checkpoints into CRC'd runs + background compaction; overhead = memory ops/sec ÷ durable ops/sec",
 			fmt.Sprintf("crash drill: kill the provider (no flush, no fsync beyond acknowledged commits) after %.0f%% of the workload, reopen, verify every acknowledged blob is served, then finish the workload on the recovered store",
 				cfg.KillFrac*100),
 		},

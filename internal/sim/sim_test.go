@@ -357,7 +357,7 @@ func TestRunE12Shape(t *testing.T) {
 // TestRunE13Shape verifies the durable-provider experiment at a reduced
 // scale. Throughput numbers are machine-dependent, but the durability claims
 // are not: the crash drill must replay 100% of the acknowledged blobs, and
-// recovery must actually have replayed WAL state.
+// recovery must actually have replayed journal state.
 func TestRunE13Shape(t *testing.T) {
 	cfg := E13Config{
 		CatalogSizes:  []int{800},

@@ -81,10 +81,8 @@ func newBloomFilter(n, bitsPerKey int) *bloomFilter {
 	}
 }
 
-func (f *bloomFilter) add(key []byte) { f.addHash(bloomHash(key)) }
-
-// addHash inserts a key by its pre-computed bloomHash.
-func (f *bloomFilter) addHash(h uint64) {
+func (f *bloomFilter) add(key []byte) {
+	h := bloomHash(key)
 	delta := h>>17 | h<<47
 	nbits := uint64(len(f.bits)) * 8
 	for i := uint8(0); i < f.k; i++ {

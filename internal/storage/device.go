@@ -37,6 +37,10 @@ var (
 	ErrCorrupt    = errors.New("storage: corrupted record")
 	ErrReadOnly   = errors.New("storage: device is read-only")
 	ErrOutOfSpace = errors.New("storage: device capacity exceeded")
+	// ErrLegacyStore refuses a PersistentKV directory written before the
+	// footered run format: it has no upgrade path, and opening it fails
+	// without touching a file.
+	ErrLegacyStore = errors.New("storage: store predates the footered run format")
 )
 
 // Device abstracts the stable storage behind the engine: a NAND flash chip,
@@ -53,8 +57,8 @@ type Device interface {
 }
 
 // Truncater is the optional truncation extension of Device. The persistent
-// engine uses it to discard a torn tail detected during recovery and to reset
-// the write-ahead log after a checkpoint; every device in this package
+// engine uses it to discard a torn tail detected during recovery and
+// AppendLog.Reset to discard a checkpointed log; every device in this package
 // implements it.
 type Truncater interface {
 	// Truncate discards everything past size bytes.

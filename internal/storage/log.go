@@ -115,9 +115,9 @@ func (l *AppendLog) SeekHead(off int64) {
 	l.mu.Unlock()
 }
 
-// Reset discards every record and rewinds the head to zero. It is how the
-// persistent engine retires a write-ahead log whose content has been
-// checkpointed into a durable run. The device must support truncation.
+// Reset discards every record and rewinds the head to zero. It is how a
+// write-ahead log whose content has been checkpointed into durable runs is
+// retired (the cloud commit journal). The device must support truncation.
 func (l *AppendLog) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -3,44 +3,35 @@ package storage
 // This file implements the durable engine variant behind the disk-backed
 // cloud store (cloud.Durable): a PersistentKV is the crash-safe sibling of KV.
 // Where KV keeps its run descriptors only in RAM (fine for the in-cell cache,
-// whose content can be re-fetched from the provider), a PersistentKV must
-// come back from a kill -9 with every acknowledged write intact. It layers
-// the existing LSM pieces onto two files in a directory:
+// whose content can be re-fetched from the provider), a PersistentKV
+// persists its runs in one generation file per directory and rebuilds their
+// descriptors on open:
 //
 //	<dir>/runs-<gen>.dat   immutable sorted runs, appended by flushes
-//	<dir>/wal.dat          write-ahead log of operations since the last flush
 //
-// Write path: an operation batch is encoded as one WAL record (sequence
-// number + ops), appended, applied to the memtable, and acknowledged only
-// after the WAL is fsync'd. Concurrent writers share fsyncs through a group
-// committer: whoever grabs the sync slot flushes the log head for everyone
-// appended so far, and the rest just wait — one disk barrier amortized over
-// the whole group.
+// The engine owns no log. Apply inserts a batch into the memtable; the batch
+// is durable once a Flush or Close returns (or a flush triggered by the
+// memtable outgrowing MemtableBytes): the memtable is written as one run and
+// the runs device is fsync'd. Until then a crash loses it — the embedding
+// store keeps its own write-ahead log (cloud.Durable's commit journal) and
+// replays acknowledged writes into a reopened engine, so a second per-engine
+// log would only write every value twice.
 //
-// Checkpoint: when the memtable exceeds its budget it is written as a run,
-// the runs device is fsync'd, and the WAL is truncated to zero — every WAL
-// record is now redundant with the run. A crash between those two steps is
-// harmless because replaying the WAL re-applies values that are already in
-// the run (records carry absolute values, not increments, so replay is
-// idempotent).
+// Recovery: Open picks the newest complete generation, rebuilds the run
+// descriptors from the run footers and truncates a torn tail left by a
+// mid-flush crash. A directory written before the footered run format — a
+// non-empty wal.dat of the old per-engine log, or a footer-less run — is
+// refused with ErrLegacyStore before any file is touched.
 //
-// Recovery: Open rebuilds the run descriptors by re-parsing the runs device
-// (truncating a torn tail left by a mid-flush crash), then replays the WAL
-// into a fresh memtable, skipping duplicate sequence numbers and truncating
-// the first torn or corrupt record and everything after it. The result is
-// exactly the state covered by the last acknowledged group commit.
-//
-// Compaction: when the run count exceeds MaxRuns after a flush, a background
-// goroutine merges every run into a new generation file. The merged file is
-// written to a .tmp path, fsync'd, and atomically renamed before the old
-// generation is deleted, so a crash at any point leaves either the old or the
-// new generation fully intact; Open always picks the highest complete
-// generation and deletes the rest.
+// Compaction: when the run count exceeds MaxRuns after a flush or a
+// compaction, a background goroutine merges every run into a new generation
+// file. The merged file is written to a .tmp path, fsync'd, and atomically
+// renamed before the old generation is deleted, so a crash at any point
+// leaves either the old or the new generation fully intact; Open always picks
+// the highest complete generation and deletes the rest.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,28 +43,15 @@ import (
 )
 
 // PersistentOptions configure a PersistentKV. The zero value is usable: every
-// field falls back to the DefaultPersistentOptions value, and writes are
-// durable (fsync'd) unless NoSync is set.
+// field falls back to the DefaultPersistentOptions value.
 type PersistentOptions struct {
 	// MemtableBytes bounds the RAM-resident write buffer; exceeding it
-	// checkpoints the memtable into a run and resets the WAL.
+	// flushes the memtable into a run.
 	MemtableBytes int
 	// MaxRuns is the run count tolerated before a background compaction is
 	// scheduled. Zero falls back to the default; negative disables automatic
 	// compaction.
 	MaxRuns int
-	// NoSync skips the WAL fsync on commit. Acknowledged writes then survive
-	// a process crash only if the OS flushed them — the ablation knob for
-	// measuring what durability itself costs.
-	NoSync bool
-	// DisableWAL skips the write-ahead log entirely: batches go straight to
-	// the memtable and a crash loses everything since the last Flush. For
-	// engines embedded under an external commit log (the cloud.Durable
-	// journal) that replays acknowledged writes itself, the per-engine WAL is
-	// a redundant second copy of every value; disabling it removes that
-	// write amplification. WaitDurable degrades to a no-op — only Flush makes
-	// state durable.
-	DisableWAL bool
 	// BloomBitsPerKey sizes the per-run bloom filters written into run
 	// footers. Zero uses the default sizing (~10 bits/key, ~1% false
 	// positives); negative disables the filters — the ablation knob for
@@ -91,12 +69,12 @@ type PersistentOptions struct {
 	Limiter *CompactionLimiter
 }
 
-// DefaultPersistentOptions mirror DefaultOptions with durable commits.
+// DefaultPersistentOptions mirror DefaultOptions.
 func DefaultPersistentOptions() PersistentOptions {
 	return PersistentOptions{MemtableBytes: 256 << 10, MaxRuns: 8}
 }
 
-// Op is one operation of an atomic, durable batch applied via Apply.
+// Op is one operation of an atomic batch applied via Apply.
 type Op struct {
 	Key    []byte
 	Value  []byte
@@ -112,25 +90,16 @@ type RecoveryInfo struct {
 	// DiscardedRunBytes is the torn tail truncated from the runs device (a
 	// crash mid-flush).
 	DiscardedRunBytes int64
-	// WALRecords / WALOps are the group-commit records and individual
-	// operations replayed into the memtable.
-	WALRecords int
-	WALOps     int
-	// WALDuplicates counts records skipped because their sequence number had
-	// already been applied (a torn rewrite or a doubled record).
-	WALDuplicates int
-	// DiscardedWALBytes is the torn tail truncated from the WAL (a crash
-	// mid-append, before the group commit that would have acknowledged it).
-	DiscardedWALBytes int64
 	// Elapsed is the wall-clock duration of Open.
 	Elapsed time.Duration
 }
 
-// walFile and the runs-file naming scheme of a PersistentKV directory.
+// The runs-file naming scheme of a PersistentKV directory, and the log file
+// of the pre-footer engine, which Open checks for and refuses.
 const (
-	walFile    = "wal.dat"
-	runsPrefix = "runs-"
-	runsSuffix = ".dat"
+	runsPrefix    = "runs-"
+	runsSuffix    = ".dat"
+	legacyWALFile = "wal.dat"
 )
 
 // PersistentKV is a crash-safe LSM key/value store rooted at a directory.
@@ -142,18 +111,14 @@ type PersistentKV struct {
 	mu     sync.RWMutex
 	runsH  *runsHandle
 	gen    uint64
-	wal    *AppendLog
-	walDev *FileDevice
 	mem    *memtable
 	runs   []*run // oldest first; newer runs shadow older ones
-	seq    uint64 // last WAL sequence number assigned
 	closed bool
 
 	compacting bool
 	compactErr error
 	wg         sync.WaitGroup
 
-	gc       groupCommitter
 	stats    kvCounters
 	recovery RecoveryInfo
 }
@@ -186,72 +151,9 @@ func (h *runsHandle) release() error {
 	return nil
 }
 
-// groupCommitter amortizes WAL fsyncs across concurrent writers: one writer
-// syncs the log head on behalf of everyone appended so far, the rest wait on
-// the condition variable until their sequence number is covered.
-type groupCommitter struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	appended uint64 // highest sequence number appended to the WAL
-	synced   uint64 // highest sequence number known durable
-	syncing  bool
-}
-
-func (g *groupCommitter) init(seq uint64) {
-	g.cond = sync.NewCond(&g.mu)
-	g.appended = seq
-	g.synced = seq
-}
-
-func (g *groupCommitter) noteAppend(seq uint64) {
-	g.mu.Lock()
-	if seq > g.appended {
-		g.appended = seq
-	}
-	g.mu.Unlock()
-}
-
-// markSynced records that everything up to seq is durable through some other
-// barrier (a checkpoint fsync'd the runs device and reset the WAL).
-func (g *groupCommitter) markSynced(seq uint64) {
-	g.mu.Lock()
-	if seq > g.synced {
-		g.synced = seq
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// wait blocks until seq is durable, performing the shared fsync when no other
-// writer currently holds the sync slot.
-func (g *groupCommitter) wait(seq uint64, sync func() error) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.synced < seq {
-		if g.syncing {
-			g.cond.Wait()
-			continue
-		}
-		g.syncing = true
-		target := g.appended
-		g.mu.Unlock()
-		err := sync()
-		g.mu.Lock()
-		g.syncing = false
-		if err == nil && target > g.synced {
-			g.synced = target
-		}
-		g.cond.Broadcast()
-		if err != nil {
-			return fmt.Errorf("storage: wal sync: %w", err)
-		}
-	}
-	return nil
-}
-
 // OpenPersistentKV opens (creating if needed) a persistent store rooted at
 // dir and recovers its state: pick the newest complete runs generation,
-// rebuild its run descriptors, truncate any torn tail, then replay the WAL.
+// rebuild its run descriptors and truncate any torn tail.
 func OpenPersistentKV(dir string, opts PersistentOptions) (*PersistentKV, error) {
 	start := time.Now()
 	def := DefaultPersistentOptions()
@@ -265,24 +167,8 @@ func OpenPersistentKV(dir string, opts PersistentOptions) (*PersistentKV, error)
 		return nil, fmt.Errorf("storage: open persistent store: %w", err)
 	}
 	p := &PersistentKV{dir: dir, opts: opts, mem: newMemtable()}
-
 	if err := p.recoverRuns(); err != nil {
 		return nil, err
-	}
-	if err := p.recoverWAL(); err != nil {
-		_ = p.runsH.release()
-		return nil, err
-	}
-	p.gc.init(p.seq)
-
-	// A replayed memtable past its budget is checkpointed immediately so a
-	// reopened store starts within its RAM envelope.
-	if p.mem.size() >= p.opts.MemtableBytes {
-		if err := p.flushLocked(); err != nil {
-			p.walDev.Close()
-			_ = p.runsH.release()
-			return nil, err
-		}
 	}
 	// Make the directory entries of freshly created files (and recovery's
 	// truncations/removals) durable before the store accepts writes.
@@ -293,18 +179,25 @@ func OpenPersistentKV(dir string, opts PersistentOptions) (*PersistentKV, error)
 
 // recoverRuns selects the newest complete runs generation, rebuilds its run
 // descriptors and truncates any torn tail. Stale generations (the leftovers
-// of a compaction interrupted between rename and delete) and abandoned .tmp
-// files are removed.
+// of a compaction interrupted between rename and delete), abandoned .tmp
+// files and an empty wal.dat are removed — but only once the legacy checks
+// have passed, so a refused open leaves every file as it found it.
 func (p *PersistentKV) recoverRuns() error {
+	walPath := filepath.Join(p.dir, legacyWALFile)
+	wal, err := os.Stat(walPath)
+	if err == nil && wal.Size() > 0 {
+		return fmt.Errorf("storage: %s holds %d bytes of a per-engine log: %w", walPath, wal.Size(), ErrLegacyStore)
+	}
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
 		return fmt.Errorf("storage: scan %s: %w", p.dir, err)
 	}
 	var gens []uint64
+	var debris []string
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			_ = os.Remove(filepath.Join(p.dir, name))
+			debris = append(debris, name)
 			continue
 		}
 		if !strings.HasPrefix(name, runsPrefix) || !strings.HasSuffix(name, runsSuffix) {
@@ -323,20 +216,31 @@ func (p *PersistentKV) recoverRuns() error {
 		// complete by construction (compaction renames it into place only
 		// after its content is fsync'd).
 		for _, g := range gens[:len(gens)-1] {
-			_ = os.Remove(filepath.Join(p.dir, p.runsFileName(g)))
+			debris = append(debris, p.runsFileName(g))
 		}
 	}
-	dev, err := OpenFileDevice(filepath.Join(p.dir, p.runsFileName(p.gen)))
+	path := filepath.Join(p.dir, p.runsFileName(p.gen))
+	dev, err := OpenFileDevice(path)
 	if err != nil {
 		return err
 	}
-	runs, valid := scanRuns(dev)
+	runs, valid, err := scanRuns(dev)
+	if err != nil {
+		dev.Close()
+		return fmt.Errorf("storage: %s: %w", path, err)
+	}
 	if valid < dev.Size() {
 		p.recovery.DiscardedRunBytes = dev.Size() - valid
 		if err := dev.Truncate(valid); err != nil {
 			dev.Close()
 			return err
 		}
+	}
+	for _, name := range debris {
+		_ = os.Remove(filepath.Join(p.dir, name))
+	}
+	if wal != nil {
+		_ = os.Remove(walPath)
 	}
 	p.runsH = newRunsHandle(dev)
 	p.runs = runs
@@ -347,186 +251,35 @@ func (p *PersistentKV) recoverRuns() error {
 	return nil
 }
 
-// recoverWAL replays the write-ahead log into the memtable: records are
-// applied in order, duplicate sequence numbers are skipped, and the first
-// torn or corrupt record truncates the log — everything before it was
-// acknowledged (or checkpointed), everything after it never was.
-func (p *PersistentKV) recoverWAL() error {
-	dev, err := OpenFileDevice(filepath.Join(p.dir, walFile))
-	if err != nil {
-		return err
-	}
-	size := dev.Size()
-	off := int64(0)
-	header := make([]byte, logHeaderSize)
-	for off+logHeaderSize <= size {
-		n, err := dev.ReadAt(header, off)
-		if fullRead(n, logHeaderSize, err) != nil {
-			break
-		}
-		want := binary.BigEndian.Uint32(header[0:4])
-		length := int64(binary.BigEndian.Uint32(header[4:8]))
-		if off+logHeaderSize+length > size {
-			break // torn append: the record never finished
-		}
-		payload := make([]byte, length)
-		n, err = dev.ReadAt(payload, off+logHeaderSize)
-		if fullRead(n, int(length), err) != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			break
-		}
-		seq, ops, err := decodeWALRecord(payload)
-		if err != nil {
-			break
-		}
-		off += logHeaderSize + length
-		if seq <= p.seq && p.seq > 0 {
-			p.recovery.WALDuplicates++
-			continue
-		}
-		for _, e := range ops {
-			p.mem.put(e.key, e.value, e.tombstone)
-		}
-		p.seq = seq
-		p.recovery.WALRecords++
-		p.recovery.WALOps += len(ops)
-	}
-	if off < size {
-		p.recovery.DiscardedWALBytes = size - off
-		if err := dev.Truncate(off); err != nil {
-			dev.Close()
-			return err
-		}
-	}
-	p.walDev = dev
-	p.wal = NewAppendLog(dev)
-	return nil
-}
-
 func (p *PersistentKV) runsFileName(gen uint64) string {
 	return fmt.Sprintf("%s%06d%s", runsPrefix, gen, runsSuffix)
 }
 
-// Recovery returns what Open had to replay and repair.
+// Recovery returns what Open had to repair.
 func (p *PersistentKV) Recovery() RecoveryInfo {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.recovery
 }
 
-// encodeWALRecord serializes one group-commit record:
-//
-//	[8] sequence number (big endian)
-//	[uvarint] operation count
-//	per op: [1] flags (bit 0 = tombstone) [uvarint] klen [uvarint] vlen [k] [v]
-func encodeWALRecord(seq uint64, ops []Op) []byte {
-	size := 8 + binary.MaxVarintLen64
-	for _, op := range ops {
-		size += 1 + 2*binary.MaxVarintLen64 + len(op.Key) + len(op.Value)
-	}
-	buf := make([]byte, 8, size)
-	binary.BigEndian.PutUint64(buf[:8], seq)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(ops)))
-	buf = append(buf, tmp[:n]...)
-	for _, op := range ops {
-		var flags byte
-		if op.Delete {
-			flags |= runFlagTombstone
-		}
-		buf = append(buf, flags)
-		n = binary.PutUvarint(tmp[:], uint64(len(op.Key)))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(len(op.Value)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, op.Key...)
-		buf = append(buf, op.Value...)
-	}
-	return buf
-}
-
-// decodeWALRecord is the inverse of encodeWALRecord.
-func decodeWALRecord(b []byte) (uint64, []memEntry, error) {
-	if len(b) < 8 {
-		return 0, nil, ErrCorrupt
-	}
-	seq := binary.BigEndian.Uint64(b[:8])
-	b = b[8:]
-	nops, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
-	}
-	b = b[n:]
-	ops := make([]memEntry, 0, nops)
-	for i := uint64(0); i < nops; i++ {
-		if len(b) < 1 {
-			return 0, nil, ErrCorrupt
-		}
-		flags := b[0]
-		b = b[1:]
-		klen, n1 := binary.Uvarint(b)
-		if n1 <= 0 {
-			return 0, nil, ErrCorrupt
-		}
-		vlen, n2 := binary.Uvarint(b[n1:])
-		if n2 <= 0 {
-			return 0, nil, ErrCorrupt
-		}
-		b = b[n1+n2:]
-		if uint64(len(b)) < klen+vlen {
-			return 0, nil, ErrCorrupt
-		}
-		ops = append(ops, memEntry{
-			key:       append([]byte(nil), b[:klen]...),
-			value:     append([]byte(nil), b[klen:klen+vlen]...),
-			tombstone: flags&runFlagTombstone != 0,
-		})
-		b = b[klen+vlen:]
-	}
-	if len(b) != 0 {
-		return 0, nil, ErrCorrupt
-	}
-	return seq, ops, nil
-}
-
-// Apply atomically applies a batch of operations and blocks until the batch
-// is durable (one WAL record, one shared group-commit fsync).
+// Apply atomically applies a batch of operations to the memtable, flushing
+// it into a run once it outgrows MemtableBytes. The batch is durable once a
+// later Flush or Close returns; a crash before then loses it, so an
+// embedding store that acknowledges writes earlier must log them itself.
 func (p *PersistentKV) Apply(ops []Op) error {
-	seq, err := p.ApplyNoSync(ops)
-	if err != nil {
-		return err
-	}
-	return p.WaitDurable(seq)
-}
-
-// ApplyNoSync appends the batch to the WAL and applies it to the memtable but
-// does not wait for the fsync. The returned sequence number can be handed to
-// WaitDurable before acknowledging the write to a client; releasing any
-// caller-side lock between the two lets concurrent writers share one fsync.
-func (p *PersistentKV) ApplyNoSync(ops []Op) (uint64, error) {
 	if len(ops) == 0 {
-		return 0, nil
+		return nil
 	}
 	for _, op := range ops {
 		if len(op.Key) == 0 {
-			return 0, fmt.Errorf("storage: empty key")
+			return fmt.Errorf("storage: empty key")
 		}
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	seq := p.seq + 1
-	if !p.opts.DisableWAL {
-		if _, err := p.wal.Append(encodeWALRecord(seq, ops)); err != nil {
-			p.mu.Unlock()
-			return 0, err
-		}
-	}
-	p.seq = seq
 	for _, op := range ops {
 		if op.Delete {
 			p.stats.deletes.Add(1)
@@ -535,25 +288,10 @@ func (p *PersistentKV) ApplyNoSync(ops []Op) (uint64, error) {
 		}
 		p.mem.put(op.Key, op.Value, op.Delete)
 	}
-	p.gc.noteAppend(seq)
-	needFlush := p.mem.size() >= p.opts.MemtableBytes
-	p.mu.Unlock()
-	if needFlush {
-		if err := p.Flush(); err != nil {
-			return 0, err
-		}
+	if p.mem.size() >= p.opts.MemtableBytes {
+		return p.flushLocked()
 	}
-	return seq, nil
-}
-
-// WaitDurable blocks until the WAL record with the given sequence number is
-// on stable storage (or was checkpointed into a run). A zero sequence — the
-// result of an empty batch — returns immediately, as does a NoSync store.
-func (p *PersistentKV) WaitDurable(seq uint64) error {
-	if seq == 0 || p.opts.NoSync || p.opts.DisableWAL {
-		return nil
-	}
-	return p.gc.wait(seq, p.walDev.Sync)
+	return nil
 }
 
 // Get returns a copy of the value stored under key, or ErrNotFound.
@@ -644,7 +382,7 @@ func (p *PersistentKV) Scan(start, end []byte, fn func(key, value []byte) bool) 
 	return nil
 }
 
-// Flush checkpoints the memtable into a run and resets the WAL.
+// Flush writes the memtable as a run and makes it durable.
 func (p *PersistentKV) Flush() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -654,9 +392,9 @@ func (p *PersistentKV) Flush() error {
 	return p.flushLocked()
 }
 
-// flushLocked writes the memtable as a run, fsyncs the runs device, then
-// resets the WAL — in that order, so a crash in between merely replays
-// records whose values are already in the run (replay is idempotent).
+// flushLocked writes the memtable as a run and fsyncs the runs device before
+// the run joins the stack: once it returns, every write applied so far is
+// durable.
 func (p *PersistentKV) flushLocked() error {
 	if p.mem.count() == 0 {
 		return nil
@@ -671,15 +409,6 @@ func (p *PersistentKV) flushLocked() error {
 	p.runs = append(p.runs, r)
 	p.mem = newMemtable()
 	p.stats.flushes.Add(1)
-	if !p.opts.DisableWAL {
-		if err := p.wal.Reset(); err != nil {
-			return err
-		}
-	}
-	// Everything appended so far is covered by the run the device just
-	// fsync'd, so pending group commits can be released without touching the
-	// (now empty) WAL.
-	p.gc.markSynced(p.seq)
 	if p.opts.MaxRuns > 0 && len(p.runs) > p.opts.MaxRuns {
 		p.scheduleCompactionLocked()
 	}
@@ -734,16 +463,22 @@ func (p *PersistentKV) Compact() error {
 // never throttled). Crash-safety ordering: the new file's content is fsync'd
 // before the rename, the rename is made durable by a directory fsync before
 // the old generation is unlinked, so at every instant one complete
-// generation is on disk. The memtable and WAL are untouched — they hold
-// strictly newer data. Readers that snapshotted the old generation keep it
-// alive through the runs handle's reference count; the replaced runs' cached
-// segments are dropped from the block cache after the install (ids are never
-// reused, so a stale segment can never be served for a new run — the drop
-// just reclaims the RAM promptly).
-func (p *PersistentKV) compact() error {
+// generation is on disk. The memtable is untouched — it holds strictly newer
+// data. Readers that snapshotted the old generation keep it alive through
+// the runs handle's reference count; the replaced runs' cached segments are
+// dropped from the block cache after the install (ids are never reused, so a
+// stale segment can never be served for a new run — the drop just reclaims
+// the RAM promptly).
+func (p *PersistentKV) compact() (err error) {
 	defer func() {
 		p.mu.Lock()
 		p.compacting = false
+		// Runs flushed while this compaction ran were carried over verbatim;
+		// when they alone exceed the limit, go again instead of waiting for
+		// the next flush to notice.
+		if err == nil && p.opts.MaxRuns > 0 && len(p.runs) > p.opts.MaxRuns {
+			p.scheduleCompactionLocked()
+		}
 		p.mu.Unlock()
 	}()
 
@@ -910,9 +645,6 @@ func (p *PersistentKV) Close() error {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
-	if e := p.walDev.Close(); err == nil && e != nil {
-		err = e
-	}
 	// Drop the owner reference; a reader still in flight closes the device
 	// when it finishes.
 	if e := p.runsH.release(); err == nil && e != nil {
@@ -922,9 +654,9 @@ func (p *PersistentKV) Close() error {
 }
 
 // Crash simulates a process kill for recovery tests and experiments: the
-// store is abandoned without the flush, WAL reset, or final fsync a graceful
-// Close performs. On-disk state is left exactly as the workload's own group
-// commits and checkpoints wrote it.
+// store is abandoned without the flush a graceful Close performs, so the
+// memtable is lost. On-disk state is left exactly as the workload's own
+// flushes wrote it.
 func (p *PersistentKV) Crash() {
 	p.mu.Lock()
 	if p.closed {
@@ -934,6 +666,5 @@ func (p *PersistentKV) Crash() {
 	p.closed = true
 	p.mu.Unlock()
 	p.wg.Wait()
-	_ = p.walDev.Close()
 	_ = p.runsH.release()
 }

@@ -1,10 +1,7 @@
 package storage
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -336,103 +333,5 @@ func TestPersistentKVConcurrentGetsAndCompactions(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
-	}
-}
-
-// TestPersistentKVRecoversLegacyFooterlessRuns writes a generation file in
-// the pre-footer format by hand and opens a store over it: the legacy runs
-// must come back readable, with their descriptors re-parsed from the bodies
-// and bloom filters rebuilt so even old data gets the negative-lookup skip.
-func TestPersistentKVRecoversLegacyFooterlessRuns(t *testing.T) {
-	dir := t.TempDir()
-	dev, err := OpenFileDevice(filepath.Join(dir, fmt.Sprintf("%s%06d%s", runsPrefix, 0, runsSuffix)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []memEntry
-	for i := 0; i < 40; i++ {
-		entries = append(entries, memEntry{
-			key:   []byte(fmt.Sprintf("legacy-%04d", i)),
-			value: []byte(fmt.Sprintf("old-val-%d", i)),
-		})
-	}
-	writeLegacyRun(t, dev, entries[:20])
-	writeLegacyRun(t, dev, entries[20:])
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := OpenPersistentKV(dir, PersistentOptions{MaxRuns: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got := p.Recovery().RecoveredRuns; got != 2 {
-		t.Fatalf("recovered %d runs, want 2", got)
-	}
-	for _, e := range entries {
-		v, err := p.Get(e.key)
-		if err != nil || !bytes.Equal(v, e.value) {
-			t.Fatalf("legacy key %q = %q, %v", e.key, v, err)
-		}
-	}
-	// In-range misses are bloom-skipped even though the legacy format never
-	// stored a filter: recovery rebuilt one from the parsed keys.
-	for i := 0; i < 40; i++ {
-		if _, err := p.Get([]byte(fmt.Sprintf("legacy-%04dx", i))); err != ErrNotFound {
-			t.Fatalf("legacy miss %d: %v", i, err)
-		}
-	}
-	if st := p.Stats(); st.BloomSkips < 30 {
-		t.Fatalf("BloomSkips = %d, rebuilt filters not consulted", st.BloomSkips)
-	}
-	// The first compaction rewrites legacy runs in the footered format.
-	if err := p.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.RLock()
-	rewritten := len(p.runs) == 1 && p.runs[0].prefixed && p.runs[0].tail > 0
-	p.mu.RUnlock()
-	if !rewritten {
-		t.Fatal("compaction did not rewrite legacy runs in the footered format")
-	}
-	for _, e := range entries {
-		v, err := p.Get(e.key)
-		if err != nil || !bytes.Equal(v, e.value) {
-			t.Fatalf("post-compaction key %q = %q, %v", e.key, v, err)
-		}
-	}
-}
-
-// TestPersistentKVLegacyTornTailTruncated: a legacy generation with a torn
-// final run recovers its valid prefix, same as the footered format.
-func TestPersistentKVLegacyTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, fmt.Sprintf("%s%06d%s", runsPrefix, 0, runsSuffix))
-	dev, err := OpenFileDevice(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeLegacyRun(t, dev, []memEntry{{key: []byte("safe"), value: []byte("yes")}})
-	// A torn second run: header promising more bytes than exist.
-	torn := make([]byte, 8)
-	binary.BigEndian.PutUint32(torn[0:4], crc32.ChecksumIEEE([]byte("x")))
-	binary.BigEndian.PutUint32(torn[4:8], 500)
-	if _, err := dev.WriteAt(torn, dev.Size()); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := OpenPersistentKV(dir, PersistentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Recovery().DiscardedRunBytes != 8 {
-		t.Fatalf("DiscardedRunBytes = %d, want 8", p.Recovery().DiscardedRunBytes)
-	}
-	if v, err := p.Get([]byte("safe")); err != nil || string(v) != "yes" {
-		t.Fatalf("intact run lost: %q %v", v, err)
 	}
 }

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +68,12 @@ func TestPersistentKVRoundTripAndReopen(t *testing.T) {
 	if _, err := p.Get([]byte("b")); err != ErrClosed {
 		t.Fatalf("Get after close: %v", err)
 	}
+	// Every store since the footered run format left an empty wal.dat behind;
+	// reopening one removes it.
+	walPath := filepath.Join(dir, legacyWALFile)
+	if err := os.WriteFile(walPath, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	p2 := mustOpen(t, dir, testOpts())
 	defer p2.Close()
@@ -72,35 +81,48 @@ func TestPersistentKVRoundTripAndReopen(t *testing.T) {
 	if got := collect(t, p2); len(got) != len(want) || got["b"] != "2" || got["c"] != "3" {
 		t.Fatalf("reopened state = %v, want %v", got, want)
 	}
-	// Close flushed, so the reopened store recovered from a run, not the WAL.
-	rec := p2.Recovery()
-	if rec.RecoveredRuns == 0 || rec.WALRecords != 0 {
+	if rec := p2.Recovery(); rec.RecoveredRuns != 1 {
 		t.Fatalf("recovery after graceful close: %+v", rec)
+	}
+	if _, err := os.Stat(walPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("empty wal.dat not removed: %v", err)
 	}
 }
 
-func TestPersistentKVWALReplayAfterCrash(t *testing.T) {
+// TestPersistentKVDisableWAL pins the engine's durability contract now that
+// running without a write-ahead log is its only mode: a flushed write
+// survives a crash, an unflushed one does not (the embedding store's log owns
+// it), and the engine writes no log file of its own.
+func TestPersistentKVDisableWAL(t *testing.T) {
 	dir := t.TempDir()
 	p := mustOpen(t, dir, testOpts())
-	for i := 0; i < 20; i++ {
-		put(t, p, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
+	put(t, p, "flushed", "yes")
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	put(t, p, "unflushed", "gone")
+	if names, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(names) != 1 ||
+		filepath.Base(names[0]) != "runs-000000.dat" {
+		t.Fatalf("files in the store directory = %v (%v), want the runs file alone", names, err)
 	}
 	p.Crash()
 
 	p2 := mustOpen(t, dir, testOpts())
 	defer p2.Close()
-	rec := p2.Recovery()
-	if rec.WALRecords != 20 || rec.WALOps != 20 {
-		t.Fatalf("expected 20 WAL records replayed, got %+v", rec)
+	if rec := p2.Recovery(); rec.RecoveredRuns != 1 || rec.DiscardedRunBytes != 0 {
+		t.Fatalf("recovery: %+v", rec)
 	}
-	for i := 0; i < 20; i++ {
-		v, err := p2.Get([]byte(fmt.Sprintf("key-%03d", i)))
-		if err != nil || string(v) != fmt.Sprintf("val-%03d", i) {
-			t.Fatalf("key-%03d after crash: %q, %v", i, v, err)
-		}
+	if v, err := p2.Get([]byte("flushed")); err != nil || string(v) != "yes" {
+		t.Fatalf("Get after flush+crash: %q, %v", v, err)
+	}
+	if _, err := p2.Get([]byte("unflushed")); err != ErrNotFound {
+		t.Fatalf("unflushed key survived a crash: %v", err)
 	}
 }
 
+// TestPersistentKVFlushResetsWAL checks that Flush leaves nothing for a log
+// to replay: the memtable is empty, and a crash right after recovers every
+// flushed value from the run alone.
 func TestPersistentKVFlushResetsWAL(t *testing.T) {
 	dir := t.TempDir()
 	p := mustOpen(t, dir, testOpts())
@@ -108,202 +130,69 @@ func TestPersistentKVFlushResetsWAL(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	wal, err := os.Stat(filepath.Join(dir, "wal.dat"))
-	if err != nil {
-		t.Fatalf("stat wal: %v", err)
-	}
-	if wal.Size() != 0 {
-		t.Fatalf("WAL not reset after flush: %d bytes", wal.Size())
-	}
-	st := p.Stats()
-	if st.Flushes != 1 || st.Runs != 1 || st.MemtableLen != 0 {
+	if st := p.Stats(); st.Flushes != 1 || st.Runs != 1 || st.MemtableLen != 0 {
 		t.Fatalf("stats after flush: %+v", st)
 	}
 	p.Crash()
-	// The flushed value must come back from the run with nothing to replay.
+
 	p2 := mustOpen(t, dir, testOpts())
 	defer p2.Close()
-	if rec := p2.Recovery(); rec.RecoveredRuns != 1 || rec.WALRecords != 0 {
+	if rec := p2.Recovery(); rec.RecoveredRuns != 1 {
 		t.Fatalf("recovery: %+v", rec)
+	}
+	if st := p2.Stats(); st.MemtableLen != 0 {
+		t.Fatalf("memtable after flush+crash: %+v", st)
 	}
 	if v, err := p2.Get([]byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get after flush+crash: %q, %v", v, err)
 	}
 }
 
-// TestPersistentKVWALCrashPoints damages the WAL the way real crashes do —
-// truncation mid-record, a torn header, a doubled record, a corrupted
-// payload, a length field pointing past the file — and verifies recovery is
-// lossless up to the damage and idempotent (a second reopen sees the same
-// state as the first).
-func TestPersistentKVWALCrashPoints(t *testing.T) {
-	const records = 8
-	// lastRecord returns the byte range of the final WAL record by writing
-	// the same workload twice and diffing the sizes — kept deterministic by
-	// the fixed key/value shapes below.
-	type wantState func(t *testing.T, state map[string]string, rec RecoveryInfo)
-	allBut := func(missing int) map[string]string {
-		want := make(map[string]string)
-		for i := 0; i < records-missing; i++ {
-			want[fmt.Sprintf("key-%03d", i)] = fmt.Sprintf("val-%03d", i)
+// TestPersistentKVWALReplayAfterCrash plays the embedding store's log back
+// into a crashed engine, as cloud.Durable does with its commit journal: the
+// replayed batches span writes that a flush already made durable and writes
+// the crash lost, and applying them over the recovered runs — once, or twice
+// when recovery itself is interrupted — restores every acknowledged write.
+func TestPersistentKVWALReplayAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	p := mustOpen(t, dir, testOpts())
+	var log [][]Op
+	ack := func(ops ...Op) {
+		t.Helper()
+		if err := p.Apply(ops); err != nil {
+			t.Fatalf("Apply: %v", err)
 		}
-		return want
+		log = append(log, ops)
 	}
-	cases := []struct {
-		name   string
-		damage func(t *testing.T, walPath string)
-		want   wantState
-	}{
-		{
-			name: "truncate-mid-record",
-			damage: func(t *testing.T, walPath string) {
-				info, err := os.Stat(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.Truncate(walPath, info.Size()-3); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records-1 {
-					t.Fatalf("state = %v", state)
-				}
-				for k, v := range allBut(1) {
-					if state[k] != v {
-						t.Fatalf("missing %s: %v", k, state)
-					}
-				}
-				if rec.DiscardedWALBytes == 0 {
-					t.Fatalf("no WAL bytes discarded: %+v", rec)
-				}
-			},
-		},
-		{
-			name: "torn-header",
-			damage: func(t *testing.T, walPath string) {
-				f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o600)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 5 of the 8 header bytes of a record that never finished.
-				if _, err := f.Write([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x99}); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records {
-					t.Fatalf("complete records must all survive: %v", state)
-				}
-				if rec.DiscardedWALBytes != 5 {
-					t.Fatalf("expected the 5 torn bytes discarded: %+v", rec)
-				}
-			},
-		},
-		{
-			name: "duplicate-sequence",
-			damage: func(t *testing.T, walPath string) {
-				raw, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Every record has the same size (fixed-width keys/values), so
-				// the last record is the last len/records slice.
-				recSize := len(raw) / records
-				f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o600)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write(raw[len(raw)-recSize:]); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records {
-					t.Fatalf("state = %v", state)
-				}
-				if rec.WALDuplicates != 1 {
-					t.Fatalf("expected 1 duplicate skipped: %+v", rec)
-				}
-				if rec.WALRecords != records {
-					t.Fatalf("expected %d records applied once: %+v", records, rec)
-				}
-			},
-		},
-		{
-			name: "corrupt-payload",
-			damage: func(t *testing.T, walPath string) {
-				raw, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw[len(raw)-2] ^= 0xFF
-				if err := os.WriteFile(walPath, raw, 0o600); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records-1 {
-					t.Fatalf("corrupted record must be dropped: %v", state)
-				}
-				if rec.DiscardedWALBytes == 0 {
-					t.Fatalf("no WAL bytes discarded: %+v", rec)
-				}
-			},
-		},
-		{
-			name: "huge-length-header",
-			damage: func(t *testing.T, walPath string) {
-				raw, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recSize := len(raw) / records
-				off := len(raw) - recSize
-				// The length field (bytes 4..8 of the header) claims 4 GiB; a
-				// recovery without bounds checks would try to allocate it.
-				raw[off+4], raw[off+5], raw[off+6], raw[off+7] = 0xFF, 0xFF, 0xFF, 0xFF
-				if err := os.WriteFile(walPath, raw, 0o600); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records-1 {
-					t.Fatalf("oversized record must be dropped: %v", state)
-				}
-			},
-		},
+	for i := 0; i < 20; i++ {
+		ack(Op{Key: []byte(fmt.Sprintf("key-%03d", i)), Value: []byte(fmt.Sprintf("val-%03d", i))})
+		if i == 9 {
+			if err := p.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			p := mustOpen(t, dir, testOpts())
-			for i := 0; i < records; i++ {
-				put(t, p, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
-			}
-			p.Crash()
-			tc.damage(t, filepath.Join(dir, "wal.dat"))
+	ack(Op{Key: []byte("key-000"), Value: []byte("rewritten")}, Op{Key: []byte("key-001"), Delete: true})
+	want := collect(t, p)
+	p.Crash()
 
-			p2 := mustOpen(t, dir, testOpts())
-			first := collect(t, p2)
-			tc.want(t, first, p2.Recovery())
-			p2.Crash()
-
-			// Idempotence: recovering the recovered store changes nothing.
-			p3 := mustOpen(t, dir, testOpts())
-			defer p3.Close()
-			second := collect(t, p3)
-			if len(first) != len(second) {
-				t.Fatalf("second recovery diverged: %v vs %v", first, second)
+	for replay := 1; replay <= 2; replay++ {
+		p2 := mustOpen(t, dir, testOpts())
+		if rec := p2.Recovery(); rec.RecoveredRuns != 1 {
+			t.Fatalf("replay %d: recovery: %+v", replay, rec)
+		}
+		if _, err := p2.Get([]byte("key-019")); err != ErrNotFound {
+			t.Fatalf("replay %d: unflushed key present before replay: %v", replay, err)
+		}
+		for _, ops := range log {
+			if err := p2.Apply(ops); err != nil {
+				t.Fatalf("replay %d: Apply: %v", replay, err)
 			}
-			for k, v := range first {
-				if second[k] != v {
-					t.Fatalf("second recovery diverged at %s: %q vs %q", k, v, second[k])
-				}
-			}
-		})
+		}
+		if got := collect(t, p2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replay %d: state = %v, want %v", replay, got, want)
+		}
+		p2.Crash()
 	}
 }
 
@@ -415,7 +304,95 @@ func TestPersistentKVStaleGenerationRemoved(t *testing.T) {
 	}
 }
 
-func TestPersistentKVConcurrentGroupCommit(t *testing.T) {
+// TestPersistentKVRefusesLegacyStore opens directories written before the
+// footered run format: each must be refused with ErrLegacyStore and left
+// byte-identical — no torn-tail truncation, no debris removal.
+func TestPersistentKVRefusesLegacyStore(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(t *testing.T, dir string)
+	}{
+		{
+			name: "wal",
+			plant: func(t *testing.T, dir string) {
+				// A store of the per-engine log era: one flushed run, and
+				// writes that only the log held.
+				p := mustOpen(t, dir, testOpts())
+				put(t, p, "flushed", "yes")
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, legacyWALFile), []byte("unreplayed records"), 0o600); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		{
+			name: "footerless-run",
+			plant: func(t *testing.T, dir string) {
+				// Plain entries — [uvarint klen][uvarint vlen][flags][k][v] —
+				// under a header with bit 31 clear and a valid body checksum.
+				var body []byte
+				for i := 0; i < 20; i++ {
+					k, v := fmt.Sprintf("legacy-%04d", i), fmt.Sprintf("old-%d", i)
+					body = binary.AppendUvarint(body, uint64(len(k)))
+					body = binary.AppendUvarint(body, uint64(len(v)))
+					body = append(append(append(body, 0), k...), v...)
+				}
+				run := make([]byte, 8, 8+len(body))
+				binary.BigEndian.PutUint32(run[0:4], crc32.ChecksumIEEE(body))
+				binary.BigEndian.PutUint32(run[4:8], uint32(len(body)))
+				run = append(run, body...)
+				for name, content := range map[string][]byte{
+					"runs-000003.dat": run,
+					"runs-000002.dat": []byte("stale generation"),
+					"runs-000004.tmp": []byte("compaction debris"),
+					legacyWALFile:     nil,
+				} {
+					if err := os.WriteFile(filepath.Join(dir, name), content, 0o600); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.plant(t, dir)
+			before := readDir(t, dir)
+			if p, err := OpenPersistentKV(dir, testOpts()); !errors.Is(err, ErrLegacyStore) {
+				if err == nil {
+					p.Close()
+				}
+				t.Fatalf("OpenPersistentKV = %v, want ErrLegacyStore", err)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+			}
+		})
+	}
+}
+
+// readDir returns every file of dir and its content.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
+}
+
+func TestPersistentKVConcurrentApply(t *testing.T) {
 	dir := t.TempDir()
 	p := mustOpen(t, dir, PersistentOptions{MemtableBytes: 64 << 10, MaxRuns: 4})
 	const workers = 8
@@ -442,7 +419,9 @@ func TestPersistentKVConcurrentGroupCommit(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	p.Crash()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	p2 := mustOpen(t, dir, testOpts())
 	defer p2.Close()
 	if n := len(collect(t, p2)); n != workers*perWorker {

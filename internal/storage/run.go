@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -13,10 +14,10 @@ import (
 // device. Runs are the on-flash representation of flushed memtables and of
 // compaction outputs.
 //
-// On-device layout of a run (current format, "footered"):
+// On-device layout of a run:
 //
 //	[4] crc32 over the body
-//	[4] bit 31: footer-present flag; bits 0..30: body length
+//	[4] bit 31: footer flag (always set); bits 0..30: body length
 //	body: repeated prefix-compressed entries
 //	  [uvarint] shared key prefix length (0 at restart points)
 //	  [uvarint] unshared key suffix length
@@ -36,11 +37,9 @@ import (
 // filter, sparse index) without re-parsing the body: recovery reads the body
 // once to verify its checksum and never decodes an entry.
 //
-// Runs written before the footer format — bit 31 of the length word clear —
-// remain readable: their plain-encoded bodies are parsed entry by entry on
-// open (rebuilding the descriptor the old way) and a bloom filter is built
-// from the parsed keys, so even legacy runs get the negative-lookup fast
-// path. The next compaction rewrites them in the current format.
+// Runs written before the footer format — bit 31 of the length word clear,
+// plain-encoded bodies — are not read: openRun refuses an intact one with
+// ErrLegacyStore.
 //
 // Each run keeps a sparse index in RAM: every sparseEvery-th key and its byte
 // offset inside the body, so a point lookup reads only a bounded slice of the
@@ -50,11 +49,9 @@ type run struct {
 	id     uint64 // process-unique id, keys the block cache
 	offset int64  // device offset of the body
 	length int    // body length in bytes
-	tail   int    // footer bytes following the body (0 for legacy runs)
-	// prefixed marks a prefix-compressed body; legacy bodies are plain.
-	prefixed bool
-	count    int
-	filter   *bloomFilter
+	tail   int    // footer bytes following the body
+	count  int
+	filter *bloomFilter
 	// sparse index: sorted by key.
 	indexKeys    [][]byte
 	indexOffsets []int
@@ -78,53 +75,6 @@ const runFooterFlag = 1 << 31
 // runIDs allocates process-unique run ids; ids are never reused, so block
 // cache entries of a replaced run can simply be dropped by id.
 var runIDs atomic.Uint64
-
-// encodeEntry appends the legacy plain encoding of (key, value, tombstone) to
-// buf. Kept for reading (and, in tests, writing) pre-footer runs.
-func encodeEntry(buf []byte, key, value []byte, tombstone bool) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	buf = append(buf, tmp[:n]...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	buf = append(buf, tmp[:n]...)
-	var flags byte
-	if tombstone {
-		flags |= runFlagTombstone
-	}
-	buf = append(buf, flags)
-	buf = append(buf, key...)
-	buf = append(buf, value...)
-	return buf
-}
-
-// decodeEntry decodes one legacy plain entry from b, returning the entry and
-// the number of bytes consumed. The returned key and value are copies.
-func decodeEntry(b []byte) (memEntry, int, error) {
-	klen, n1 := binary.Uvarint(b)
-	if n1 <= 0 {
-		return memEntry{}, 0, ErrCorrupt
-	}
-	vlen, n2 := binary.Uvarint(b[n1:])
-	if n2 <= 0 {
-		return memEntry{}, 0, ErrCorrupt
-	}
-	pos := n1 + n2
-	if pos >= len(b) {
-		return memEntry{}, 0, ErrCorrupt
-	}
-	flags := b[pos]
-	pos++
-	end := pos + int(klen) + int(vlen)
-	if end > len(b) || int(klen) < 0 || int(vlen) < 0 {
-		return memEntry{}, 0, ErrCorrupt
-	}
-	e := memEntry{
-		key:       append([]byte(nil), b[pos:pos+int(klen)]...),
-		value:     append([]byte(nil), b[pos+int(klen):end]...),
-		tombstone: flags&runFlagTombstone != 0,
-	}
-	return e, end, nil
-}
 
 // encodePrefixedEntry appends the prefix-compressed encoding of an entry
 // whose key shares `shared` leading bytes with the previous entry's key.
@@ -212,7 +162,7 @@ func writeRun(dev Device, entries []memEntry, bloomBitsPerKey int) (*run, error)
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("storage: cannot write an empty run")
 	}
-	r := &run{id: runIDs.Add(1), count: len(entries), prefixed: true}
+	r := &run{id: runIDs.Add(1), count: len(entries)}
 	if bloomBitsPerKey >= 0 {
 		r.filter = newBloomFilter(len(entries), bloomBitsPerKey)
 	}
@@ -311,8 +261,11 @@ func (r *run) decodeFooter(payload []byte) error {
 		}
 		return append([]byte(nil), b[n:n+int(l)]...), b[n+int(l):], true
 	}
+	// Counts are bounded by the bytes that must hold their elements — a body
+	// entry takes at least 4 bytes, an index entry at least 2 — so a damaged
+	// footer cannot demand an allocation larger than its run.
 	count, n := binary.Uvarint(payload)
-	if n <= 0 || count == 0 {
+	if n <= 0 || count == 0 || count > uint64(r.length)/4 {
 		return bad("count")
 	}
 	r.count = int(count)
@@ -331,7 +284,7 @@ func (r *run) decodeFooter(payload []byte) error {
 	r.filter = filter
 	b = b[n:]
 	nIndex, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || nIndex > uint64(len(b)-n)/2 {
 		return bad("index count")
 	}
 	b = b[n:]
@@ -358,13 +311,11 @@ func (r *run) decodeFooter(payload []byte) error {
 
 // openRun rebuilds the in-RAM descriptor (sparse index, key range, bloom
 // filter, count) of the run stored at offset off. It is the recovery-path
-// inverse of writeRun: the descriptor it returns is identical to the one
-// writeRun produced before the crash. For footered runs the descriptor comes
-// from the footer and the body is only checksummed, never decoded; legacy
-// runs are re-parsed entry by entry and get a bloom filter rebuilt from their
-// keys. Torn or corrupted runs (body or footer extending past the device,
-// CRC mismatch, undecodable entries) come back as ErrCorrupt-wrapped errors
-// so the caller can truncate the tail.
+// inverse of writeRun: the descriptor comes from the footer and the body is
+// only checksummed, never decoded. Torn or corrupted runs (body or footer
+// extending past the device, CRC mismatch) come back as ErrCorrupt-wrapped
+// errors so the caller can truncate the tail; an intact footer-less run — the
+// pre-footer format — comes back as ErrLegacyStore.
 func openRun(dev Device, off int64) (*run, error) {
 	size := dev.Size()
 	if off+8 > size {
@@ -377,7 +328,6 @@ func openRun(dev Device, off int64) (*run, error) {
 	}
 	want := binary.BigEndian.Uint32(header[0:4])
 	word := binary.BigEndian.Uint32(header[4:8])
-	footered := word&runFooterFlag != 0
 	length := int64(word &^ runFooterFlag)
 	if length == 0 || off+8+length > size {
 		return nil, fmt.Errorf("storage: run body of %d bytes at %d exceeds device end %d: %w",
@@ -391,70 +341,36 @@ func openRun(dev Device, off int64) (*run, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return nil, fmt.Errorf("storage: run body checksum mismatch: %w", ErrCorrupt)
 	}
-	r := &run{id: runIDs.Add(1), offset: off + 8, length: int(length)}
-
-	if footered {
-		footerOff := off + 8 + length
-		if footerOff+8 > size {
-			return nil, fmt.Errorf("storage: run footer header at %d past device end %d: %w", footerOff, size, ErrCorrupt)
-		}
-		fh := make([]byte, 8)
-		n, err := dev.ReadAt(fh, footerOff)
-		if err := fullRead(n, len(fh), err); err != nil {
-			return nil, fmt.Errorf("storage: open run footer header: %w", err)
-		}
-		fwant := binary.BigEndian.Uint32(fh[0:4])
-		flen := int64(binary.BigEndian.Uint32(fh[4:8]))
-		if flen == 0 || footerOff+8+flen > size {
-			return nil, fmt.Errorf("storage: run footer of %d bytes at %d exceeds device end %d: %w",
-				flen, footerOff, size, ErrCorrupt)
-		}
-		payload := make([]byte, flen)
-		n, err = dev.ReadAt(payload, footerOff+8)
-		if err := fullRead(n, int(flen), err); err != nil {
-			return nil, fmt.Errorf("storage: open run footer: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != fwant {
-			return nil, fmt.Errorf("storage: run footer checksum mismatch: %w", ErrCorrupt)
-		}
-		r.prefixed = true
-		r.tail = 8 + int(flen)
-		if err := r.decodeFooter(payload); err != nil {
-			return nil, err
-		}
-		return r, nil
+	if word&runFooterFlag == 0 {
+		return nil, fmt.Errorf("storage: footer-less run at %d: %w", off, ErrLegacyStore)
 	}
-
-	// Legacy footer-less run: rebuild the descriptor by parsing the plain
-	// body, collecting key hashes along the way to build the bloom filter the
-	// old format never stored.
-	var hashes []uint64
-	pos := 0
-	for pos < len(body) {
-		e, n, err := decodeEntry(body[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("storage: run entry at body offset %d: %w", pos, err)
-		}
-		if r.count%sparseEvery == 0 {
-			r.indexKeys = append(r.indexKeys, e.key)
-			r.indexOffsets = append(r.indexOffsets, pos)
-		}
-		if r.count == 0 {
-			r.first = e.key
-		}
-		r.last = e.key
-		r.count++
-		hashes = append(hashes, bloomHash(e.key))
-		pos += n
+	footerOff := off + 8 + length
+	if footerOff+8 > size {
+		return nil, fmt.Errorf("storage: run footer header at %d past device end %d: %w", footerOff, size, ErrCorrupt)
 	}
-	if r.count == 0 {
-		return nil, fmt.Errorf("storage: run with no entries: %w", ErrCorrupt)
+	fh := make([]byte, 8)
+	n, err = dev.ReadAt(fh, footerOff)
+	if err := fullRead(n, len(fh), err); err != nil {
+		return nil, fmt.Errorf("storage: open run footer header: %w", err)
 	}
-	filter := newBloomFilter(r.count, 0)
-	for _, h := range hashes {
-		filter.addHash(h)
+	fwant := binary.BigEndian.Uint32(fh[0:4])
+	flen := int64(binary.BigEndian.Uint32(fh[4:8]))
+	if flen == 0 || footerOff+8+flen > size {
+		return nil, fmt.Errorf("storage: run footer of %d bytes at %d exceeds device end %d: %w",
+			flen, footerOff, size, ErrCorrupt)
 	}
-	r.filter = filter
+	payload := make([]byte, flen)
+	n, err = dev.ReadAt(payload, footerOff+8)
+	if err := fullRead(n, int(flen), err); err != nil {
+		return nil, fmt.Errorf("storage: open run footer: %w", err)
+	}
+	if crc32.ChecksumIEEE(payload) != fwant {
+		return nil, fmt.Errorf("storage: run footer checksum mismatch: %w", ErrCorrupt)
+	}
+	r := &run{id: runIDs.Add(1), offset: off + 8, length: int(length), tail: 8 + int(flen)}
+	if err := r.decodeFooter(payload); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -463,17 +379,22 @@ func openRun(dev Device, off int64) (*run, error) {
 // run — the signature a crash leaves mid-flush — and returns the byte extent
 // of the valid prefix so the caller can truncate the tail away; data past the
 // first damage is unreachable anyway because runs are parsed sequentially.
-func scanRuns(dev Device) (runs []*run, valid int64) {
+// A legacy run is not damage: it fails the scan with ErrLegacyStore so the
+// caller refuses the store instead of truncating it.
+func scanRuns(dev Device) (runs []*run, valid int64, err error) {
 	off := int64(0)
 	for off+8 <= dev.Size() {
 		r, err := openRun(dev, off)
+		if errors.Is(err, ErrLegacyStore) {
+			return nil, 0, err
+		}
 		if err != nil {
 			break
 		}
 		runs = append(runs, r)
 		off += r.extent()
 	}
-	return runs, off
+	return runs, off, nil
 }
 
 // verify re-reads the run body and checks its CRC.
@@ -560,24 +481,6 @@ func (r *run) get(dev Device, cache *BlockCache, key []byte, h uint64, c *kvCoun
 // searchSegment scans one indexed segment for key. seg must start at a
 // restart point (segments returned by segmentFor always do).
 func (r *run) searchSegment(seg, key []byte) (memEntry, bool, error) {
-	if !r.prefixed {
-		pos := 0
-		for pos < len(seg) {
-			e, n, err := decodeEntry(seg[pos:])
-			if err != nil {
-				return memEntry{}, false, err
-			}
-			cmp := bytes.Compare(e.key, key)
-			if cmp == 0 {
-				return e, true, nil
-			}
-			if cmp > 0 {
-				return memEntry{}, false, nil
-			}
-			pos += n
-		}
-		return memEntry{}, false, nil
-	}
 	var scratch []byte
 	pos := 0
 	for pos < len(seg) {
@@ -621,19 +524,6 @@ func (r *run) scan(dev Device, start, end []byte, fn func(memEntry) bool) error 
 		return fn(e)
 	}
 	pos := 0
-	if !r.prefixed {
-		for pos < len(body) {
-			e, n, err := decodeEntry(body[pos:])
-			if err != nil {
-				return err
-			}
-			pos += n
-			if !emit(e) {
-				return nil
-			}
-		}
-		return nil
-	}
 	var scratch, keys []byte
 	for pos < len(body) {
 		value, flags, n, err := decodePrefixedEntry(body[pos:], &scratch)

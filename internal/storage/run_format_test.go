@@ -2,38 +2,13 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 )
-
-// writeLegacyRun writes entries in the pre-footer format — plain encoding,
-// bit 31 of the length word clear, no footer — exactly as earlier releases
-// did, so compatibility tests exercise the real on-device bytes.
-func writeLegacyRun(t testing.TB, dev Device, entries []memEntry) *run {
-	t.Helper()
-	var body []byte
-	for _, e := range entries {
-		body = encodeEntry(body, e.key, e.value, e.tombstone)
-	}
-	buf := make([]byte, 8, 8+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(body))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(body)))
-	buf = append(buf, body...)
-	off := dev.Size()
-	if _, err := dev.WriteAt(buf, off); err != nil {
-		t.Fatalf("write legacy run: %v", err)
-	}
-	r, err := openRun(dev, off)
-	if err != nil {
-		t.Fatalf("open legacy run: %v", err)
-	}
-	return r
-}
 
 func runTestEntries(n int) []memEntry {
 	entries := make([]memEntry, n)
@@ -57,7 +32,7 @@ func TestRunFooterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.tail == 0 || !w.prefixed {
+	if w.tail == 0 {
 		t.Fatalf("writeRun produced a footer-less run: %+v", w)
 	}
 	r, err := openRun(dev, 0)
@@ -104,119 +79,129 @@ func TestWriteRunWithoutBloom(t *testing.T) {
 
 // TestRunSparseIndexBoundaries probes every alignment the sparse index can
 // produce — entry counts exactly at, one below and one above a restart
-// multiple — in both the footered and the legacy format. The probes cover
-// every present key, the gaps between keys, both ends of the range, and the
-// keys sitting exactly on restart points.
+// multiple — on runs reopened from their footers. The probes cover every
+// present key, the gaps between keys, both ends of the range, and the keys
+// sitting exactly on restart points.
 func TestRunSparseIndexBoundaries(t *testing.T) {
 	counts := []int{1, sparseEvery - 1, sparseEvery, sparseEvery + 1, 3*sparseEvery - 1, 3 * sparseEvery, 3*sparseEvery + 1}
 	for _, n := range counts {
-		for _, legacy := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/legacy=%v", n, legacy)
-			dev := NewMemDevice(0)
-			entries := runTestEntries(n)
-			var r *run
-			if legacy {
-				r = writeLegacyRun(t, dev, entries)
-			} else {
-				var err error
-				if r, err = writeRun(dev, entries, 0); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+		dev := NewMemDevice(0)
+		entries := runTestEntries(n)
+		r := writeAndReopenRun(t, dev, entries)
+		wantIndex := (n + sparseEvery - 1) / sparseEvery
+		if len(r.indexKeys) != wantIndex {
+			t.Fatalf("n=%d: %d index entries, want %d", n, len(r.indexKeys), wantIndex)
+		}
+		for i, e := range entries {
+			got, ok, err := r.get(dev, nil, e.key, bloomHash(e.key), nil)
+			if err != nil || !ok {
+				t.Fatalf("n=%d: present key %q missing: %v", n, e.key, err)
 			}
-			wantIndex := (n + sparseEvery - 1) / sparseEvery
-			if len(r.indexKeys) != wantIndex {
-				t.Fatalf("%s: %d index entries, want %d", name, len(r.indexKeys), wantIndex)
+			if !bytes.Equal(got.value, e.value) || got.tombstone != e.tombstone {
+				t.Fatalf("n=%d: key %q = %q/%v, want %q/%v", n, e.key, got.value, got.tombstone, e.value, e.tombstone)
 			}
-			for i, e := range entries {
-				got, ok, err := r.get(dev, nil, e.key, bloomHash(e.key), nil)
-				if err != nil || !ok {
-					t.Fatalf("%s: present key %q missing: %v", name, e.key, err)
-				}
-				if !bytes.Equal(got.value, e.value) || got.tombstone != e.tombstone {
-					t.Fatalf("%s: key %q = %q/%v, want %q/%v", name, e.key, got.value, got.tombstone, e.value, e.tombstone)
-				}
-				// The key just after entry i (inside the gap keys i*3 leaves).
-				gap := []byte(fmt.Sprintf("key-%05d", i*3+1))
-				if _, ok, _ := r.get(dev, nil, gap, bloomHash(gap), nil); ok {
-					t.Fatalf("%s: gap key %q found", name, gap)
-				}
+			// The key just after entry i (inside the gap keys i*3 leaves).
+			gap := []byte(fmt.Sprintf("key-%05d", i*3+1))
+			if _, ok, _ := r.get(dev, nil, gap, bloomHash(gap), nil); ok {
+				t.Fatalf("n=%d: gap key %q found", n, gap)
 			}
-			if _, ok, _ := r.get(dev, nil, []byte("key-"), bloomHash([]byte("key-")), nil); ok {
-				t.Fatalf("%s: key below range found", name)
-			}
-			if _, ok, _ := r.get(dev, nil, []byte("key-99999"), bloomHash([]byte("key-99999")), nil); ok {
-				t.Fatalf("%s: key above range found", name)
-			}
+		}
+		if _, ok, _ := r.get(dev, nil, []byte("key-"), bloomHash([]byte("key-")), nil); ok {
+			t.Fatalf("n=%d: key below range found", n)
+		}
+		if _, ok, _ := r.get(dev, nil, []byte("key-99999"), bloomHash([]byte("key-99999")), nil); ok {
+			t.Fatalf("n=%d: key above range found", n)
 		}
 	}
 }
 
+// writeAndReopenRun writes entries as a run at the start of an empty dev and
+// returns the descriptor openRun rebuilds from the footer.
+func writeAndReopenRun(t *testing.T, dev Device, entries []memEntry) *run {
+	t.Helper()
+	if _, err := writeRun(dev, entries, 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := openRun(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestRunDifferentialAgainstOracle drives randomized keys/values/tombstones
-// through both run formats and cross-checks every lookup and a full scan
+// through a reopened run and cross-checks every lookup and a full scan
 // against a plain map oracle.
 func TestRunDifferentialAgainstOracle(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(99))
-		oracle := make(map[string]memEntry)
-		for i := 0; i < 700; i++ {
-			k := fmt.Sprintf("k%04d-%02d", rng.Intn(5000), rng.Intn(10))
-			oracle[k] = memEntry{
-				key:       []byte(k),
-				value:     []byte(fmt.Sprintf("v-%d-%d", i, rng.Intn(1000))),
-				tombstone: rng.Intn(6) == 0,
-			}
+	rng := rand.New(rand.NewSource(99))
+	oracle := make(map[string]memEntry)
+	for i := 0; i < 700; i++ {
+		k := fmt.Sprintf("k%04d-%02d", rng.Intn(5000), rng.Intn(10))
+		oracle[k] = memEntry{
+			key:       []byte(k),
+			value:     []byte(fmt.Sprintf("v-%d-%d", i, rng.Intn(1000))),
+			tombstone: rng.Intn(6) == 0,
 		}
-		keys := make([]string, 0, len(oracle))
-		for k := range oracle {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		entries := make([]memEntry, 0, len(keys))
-		for _, k := range keys {
-			entries = append(entries, oracle[k])
-		}
+	}
+	keys := make([]string, 0, len(oracle))
+	for k := range oracle {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	entries := make([]memEntry, 0, len(keys))
+	for _, k := range keys {
+		entries = append(entries, oracle[k])
+	}
 
-		dev := NewMemDevice(0)
-		var r *run
-		if legacy {
-			r = writeLegacyRun(t, dev, entries)
-		} else {
-			var err error
-			if r, err = writeRun(dev, entries, 0); err != nil {
-				t.Fatal(err)
-			}
+	dev := NewMemDevice(0)
+	r := writeAndReopenRun(t, dev, entries)
+	cache := NewBlockCache(64 << 10) // small: exercises hits, misses and eviction
+	for trial := 0; trial < 3000; trial++ {
+		k := fmt.Sprintf("k%04d-%02d", rng.Intn(5000), rng.Intn(10))
+		want, present := oracle[k]
+		got, ok, err := r.get(dev, cache, []byte(k), bloomHash([]byte(k)), nil)
+		if err != nil {
+			t.Fatalf("get %q: %v", k, err)
 		}
-		cache := NewBlockCache(64 << 10) // small: exercises hits, misses and eviction
-		for trial := 0; trial < 3000; trial++ {
-			k := fmt.Sprintf("k%04d-%02d", rng.Intn(5000), rng.Intn(10))
-			want, present := oracle[k]
-			got, ok, err := r.get(dev, cache, []byte(k), bloomHash([]byte(k)), nil)
-			if err != nil {
-				t.Fatalf("legacy=%v get %q: %v", legacy, k, err)
-			}
-			if ok != present {
-				t.Fatalf("legacy=%v key %q: found=%v, oracle=%v", legacy, k, ok, present)
-			}
-			if present && (!bytes.Equal(got.value, want.value) || got.tombstone != want.tombstone) {
-				t.Fatalf("legacy=%v key %q = %q/%v, want %q/%v", legacy, k, got.value, got.tombstone, want.value, want.tombstone)
-			}
+		if ok != present {
+			t.Fatalf("key %q: found=%v, oracle=%v", k, ok, present)
 		}
-		var scanned []memEntry
-		if err := r.scan(dev, nil, nil, func(e memEntry) bool {
-			scanned = append(scanned, e)
-			return true
-		}); err != nil {
-			t.Fatal(err)
+		if present && (!bytes.Equal(got.value, want.value) || got.tombstone != want.tombstone) {
+			t.Fatalf("key %q = %q/%v, want %q/%v", k, got.value, got.tombstone, want.value, want.tombstone)
 		}
-		if len(scanned) != len(entries) {
-			t.Fatalf("legacy=%v scan returned %d entries, want %d", legacy, len(scanned), len(entries))
+	}
+	var scanned []memEntry
+	if err := r.scan(dev, nil, nil, func(e memEntry) bool {
+		scanned = append(scanned, e)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != len(entries) {
+		t.Fatalf("scan returned %d entries, want %d", len(scanned), len(entries))
+	}
+	for i, e := range scanned {
+		w := entries[i]
+		if !bytes.Equal(e.key, w.key) || !bytes.Equal(e.value, w.value) || e.tombstone != w.tombstone {
+			t.Fatalf("scan[%d] = %q/%q/%v, want %q/%q/%v",
+				i, e.key, e.value, e.tombstone, w.key, w.value, w.tombstone)
 		}
-		for i, e := range scanned {
-			w := entries[i]
-			if !bytes.Equal(e.key, w.key) || !bytes.Equal(e.value, w.value) || e.tombstone != w.tombstone {
-				t.Fatalf("legacy=%v scan[%d] = %q/%q/%v, want %q/%q/%v",
-					legacy, i, e.key, e.value, e.tombstone, w.key, w.value, w.tombstone)
-			}
+	}
+}
+
+// TestRunFooterBoundsCounts feeds footers whose counts promise more elements
+// than their bytes can hold: decodeFooter must reject them as corruption
+// before sizing an allocation by them.
+func TestRunFooterBoundsCounts(t *testing.T) {
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	for name, payload := range map[string][]byte{
+		// count 1, empty first/last keys, no filter, then the index count.
+		"index count": append([]byte{1, 0, 0, 0, 0}, huge...),
+		"entry count": append(append([]byte(nil), huge...), 0, 0, 0, 0, 0),
+	} {
+		r := &run{length: 64}
+		if err := r.decodeFooter(payload); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decodeFooter = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
