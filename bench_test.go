@@ -158,127 +158,83 @@ func BenchmarkE9FleetThroughput(b *testing.B) {
 
 // BenchmarkE10QueryThroughput measures experiment E10 at 10k catalog
 // documents with 16 concurrent readers: series-aggregate query throughput of
-// the seed per-document path (full catalog scan + one cloud round-trip per
-// uncached document) versus the indexed+batched pipeline (planned index scan
-// + one GetBlobs exchange per query + parallel open + streaming merge). The
-// measured queries/sec of both paths and their ratio are attached as
-// benchmark metrics; EXPERIMENTS.md records the reference numbers. The
-// pipeline is expected to sustain at least 2x the sequential throughput.
+// the indexed+batched pipeline (planned index scan + one GetBlobs exchange
+// per query + parallel open + streaming merge). EXPERIMENTS.md records the
+// reference numbers.
 func BenchmarkE10QueryThroughput(b *testing.B) {
 	cfg := sim.DefaultE10Config()
 	const catalogDocs = 10_000
-	var seqQPS, batQPS float64
+	var qps float64
 	for i := 0; i < b.N; i++ {
 		res, err := sim.RunE10Size(cfg, catalogDocs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		seqQPS += res.SequentialQPS
-		batQPS += res.BatchedQPS
+		qps += res.BatchedQPS
 	}
-	seqQPS /= float64(b.N)
-	batQPS /= float64(b.N)
-	b.ReportMetric(seqQPS, "seq-queries/sec")
-	b.ReportMetric(batQPS, "batched-queries/sec")
-	if seqQPS > 0 {
-		b.ReportMetric(batQPS/seqQPS, "speedup")
-	}
+	b.ReportMetric(qps/float64(b.N), "queries/sec")
 }
 
 // BenchmarkE11DeltaSync measures experiment E11 at its default scale — 8
 // replicas of a 10k-document catalog under a seeded intermittent-connectivity
-// schedule — on both replication protocols, and attaches the sealed bytes
-// each moved plus their ratio as benchmark metrics. The byte counts are
-// deterministic for the seed; EXPERIMENTS.md records the reference numbers
-// and the delta protocol is expected to move at least 5x fewer bytes.
+// schedule — and attaches the sealed bytes moved and the recovery rounds as
+// benchmark metrics. The byte counts are deterministic for the seed;
+// EXPERIMENTS.md records the reference numbers.
 func BenchmarkE11DeltaSync(b *testing.B) {
 	cfg := sim.DefaultE11Config()
-	var fullBytes, deltaBytes, rounds float64
+	var deltaBytes, rounds float64
 	for i := 0; i < b.N; i++ {
-		full, err := sim.RunE11Path(cfg, false)
+		res, err := sim.RunE11Sync(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		delta, err := sim.RunE11Path(cfg, true)
-		if err != nil {
-			b.Fatal(err)
+		if !res.Converged {
+			b.Fatalf("replicas did not converge: %+v", res)
 		}
-		if !full.Converged || !delta.Converged {
-			b.Fatalf("replicas did not converge: full=%+v delta=%+v", full, delta)
-		}
-		fullBytes += float64(full.SyncBytes)
-		deltaBytes += float64(delta.SyncBytes)
-		rounds += float64(delta.Rounds)
+		deltaBytes += float64(res.SyncBytes)
+		rounds += float64(res.Rounds)
 	}
-	fullBytes /= float64(b.N)
-	deltaBytes /= float64(b.N)
-	b.ReportMetric(fullBytes/(1<<20), "full-sync-MB")
-	b.ReportMetric(deltaBytes/(1<<20), "delta-sync-MB")
-	if deltaBytes > 0 {
-		b.ReportMetric(fullBytes/deltaBytes, "bytes-ratio")
-	}
+	b.ReportMetric(deltaBytes/float64(b.N)/(1<<20), "delta-sync-MB")
 	b.ReportMetric(rounds/float64(b.N), "recovery-rounds")
 }
 
-// BenchmarkE12SealFastPath measures experiment E12's envelope microbenchmark:
-// seal+open throughput and allocations per operation of the seed
-// implementation (cipher rebuilt per call, multi-allocation build) versus the
-// fast path (cached AEADs, bulk nonces, pooled buffers, in-place open). The
-// fast path is expected to sustain at least 1.5x the legacy throughput with
-// at least 5x fewer allocations; EXPERIMENTS.md records the reference
-// numbers.
+// BenchmarkE12SealFastPath measures experiment E12's envelope
+// microbenchmark: seal+open throughput and allocations per operation of the
+// fast path (cached AEADs, bulk nonces, pooled buffers, in-place open).
+// EXPERIMENTS.md records the reference numbers.
 func BenchmarkE12SealFastPath(b *testing.B) {
 	cfg := sim.DefaultE12Config()
 	cfg.MicroOps = 5_000
-	var legacyOps, fastOps, legacyAllocs, fastAllocs float64
+	var ops, allocs float64
 	for i := 0; i < b.N; i++ {
-		legacy, err := sim.RunE12Micro(cfg, false)
+		res, err := sim.RunE12Micro(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fast, err := sim.RunE12Micro(cfg, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		legacyOps += legacy.OpsPerSec
-		fastOps += fast.OpsPerSec
-		legacyAllocs += legacy.AllocsPerOp
-		fastAllocs += fast.AllocsPerOp
+		ops += res.OpsPerSec
+		allocs += res.AllocsPerOp
 	}
 	n := float64(b.N)
-	b.ReportMetric(legacyOps/n, "legacy-ops/sec")
-	b.ReportMetric(fastOps/n, "fast-ops/sec")
-	b.ReportMetric(legacyAllocs/n, "legacy-allocs/op")
-	b.ReportMetric(fastAllocs/n, "fast-allocs/op")
-	if legacyOps > 0 {
-		b.ReportMetric(fastOps/legacyOps, "speedup")
-	}
+	b.ReportMetric(ops/n, "ops/sec")
+	b.ReportMetric(allocs/n, "allocs/op")
 }
 
 // BenchmarkE12CellThroughput measures experiment E12's whole-cell workload at
-// 10k documents: policy-gated ingest+read throughput with the crypto fast
-// path on versus off.
+// 10k documents: policy-gated ingest and read throughput.
 func BenchmarkE12CellThroughput(b *testing.B) {
 	cfg := sim.DefaultE12Config()
 	const docs = 10_000
-	var legacyIngest, fastIngest float64
+	var ingest, read float64
 	for i := 0; i < b.N; i++ {
-		legacy, err := sim.RunE12Cell(cfg, docs, false)
+		res, err := sim.RunE12Cell(cfg, docs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fast, err := sim.RunE12Cell(cfg, docs, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		legacyIngest += legacy.IngestPerSec
-		fastIngest += fast.IngestPerSec
+		ingest += res.IngestPerSec
+		read += res.ReadPerSec
 	}
-	b.ReportMetric(legacyIngest/float64(b.N), "legacy-ingest-docs/sec")
-	b.ReportMetric(fastIngest/float64(b.N), "fast-ingest-docs/sec")
-	if legacyIngest > 0 {
-		b.ReportMetric(fastIngest/legacyIngest, "ingest-speedup")
-	}
+	b.ReportMetric(ingest/float64(b.N), "ingest-docs/sec")
+	b.ReportMetric(read/float64(b.N), "read-docs/sec")
 }
 
 // BenchmarkE13DurableCloud measures experiment E13 at 10k documents: batched
@@ -408,11 +364,11 @@ func BenchmarkE16CommonsQuery(b *testing.B) {
 // fleet. Detection within one exchange, zero false positives and quorum
 // availability during quarantine are protocol properties, not machine-speed
 // numbers, so the benchmark enforces them; the reported metrics track the
-// detection latency and the attestation bytes overhead.
+// detection latency and quorum readability during quarantine.
 func BenchmarkE17ByzantineQuarantine(b *testing.B) {
 	cfg := sim.DefaultE17Config()
 	const docs = 10_000
-	var detectMS, overheadPct, readablePct float64
+	var detectMS, readablePct float64
 	for i := 0; i < b.N; i++ {
 		res, err := sim.RunE17Size(cfg, docs)
 		if err != nil {
@@ -442,12 +398,10 @@ func BenchmarkE17ByzantineQuarantine(b *testing.B) {
 			}
 		}
 		detectMS += worstMS
-		overheadPct += res.ProofOverheadPct
 		readablePct += worstReadable
 	}
 	n := float64(b.N)
 	b.ReportMetric(detectMS/n, "detect-ms")
-	b.ReportMetric(overheadPct/n, "proof-overhead-%")
 	b.ReportMetric(readablePct/n, "quarantine-readable-%")
 }
 

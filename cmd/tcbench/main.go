@@ -20,7 +20,7 @@
 // comma-separated list, merged) against a committed baseline and exits
 // non-zero on regression — the bench-trend gate CI runs on every pull
 // request. The baseline carries two kinds of bounds: "metrics" are floors for
-// higher-is-better numbers (throughput, speedups), "ceilings" are upper
+// higher-is-better numbers (throughput), "ceilings" are upper
 // bounds for lower-is-better numbers (durability overhead, recovery time) —
 // each in a tolerant flavour for timing-dependent numbers and a strict,
 // no-tolerance flavour for deterministic ones (recovery percentages,
@@ -157,7 +157,7 @@ type baseline struct {
 	// Tolerance is the fraction a metric may cross its bound before the gate
 	// fails (0.25 = fail when regressed >25% against the baseline).
 	Tolerance float64 `json:"tolerance"`
-	// Metrics maps "<experiment>.<metric>" (e.g. "e11.bytes_ratio") to its
+	// Metrics maps "<experiment>.<metric>" (e.g. "e10.batched_qps") to its
 	// floor; these metrics are higher-is-better.
 	Metrics map[string]float64 `json:"metrics"`
 	// Ceilings maps "<experiment>.<metric>" (e.g. "e13.durable_overhead") to

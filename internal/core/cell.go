@@ -704,16 +704,6 @@ func (c *Cell) SearchPlan(q datamodel.Query) ([]*datamodel.Document, datamodel.P
 	return docs, plan, nil
 }
 
-// SearchScan runs a metadata query on the pre-index full-scan path — the
-// seed baseline experiment E10 measures the planner against (owner
-// operation).
-func (c *Cell) SearchScan(q datamodel.Query) ([]*datamodel.Document, error) {
-	if c.tee.Locked() {
-		return nil, ErrNotOwner
-	}
-	return c.catalog.SearchScan(q), nil
-}
-
 // KeywordCounts counts catalog documents per keyword in a single pass over
 // the keyword index (owner operation).
 func (c *Cell) KeywordCounts(keywords []string) (map[string]int, error) {

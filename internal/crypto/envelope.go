@@ -1,14 +1,5 @@
 package crypto
 
-import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/rand"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
-
 // Envelope is an authenticated-encryption container. The trusted cell stores
 // every piece of data that leaves the tamper-resistant boundary (cloud blobs,
 // cached payloads, audit records) inside an envelope.
@@ -51,75 +42,6 @@ func Seal(key SymmetricKey, plaintext, associated []byte) ([]byte, error) {
 // sealed is and must not be modified.
 func Open(key SymmetricKey, sealed []byte) (plaintext, associated []byte, err error) {
 	return OpenTo(nil, key, sealed)
-}
-
-// SealLegacy is the seed implementation of Seal, preserved verbatim as the
-// ablation baseline of experiment E12: it rebuilds the AES-GCM cipher on
-// every call, reads the nonce straight from crypto/rand, and builds the
-// envelope through several intermediate allocations. Production code uses
-// Seal/SealTo.
-func SealLegacy(key SymmetricKey, plaintext, associated []byte) ([]byte, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("crypto: seal: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("crypto: seal: %w", err)
-	}
-	nonce := make([]byte, gcmNonceSize)
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, fmt.Errorf("crypto: seal nonce: %w", err)
-	}
-	header := make([]byte, 0, 1+gcmNonceSize+4+len(associated))
-	header = append(header, envelopeVersion)
-	header = append(header, nonce...)
-	var adLen [4]byte
-	binary.BigEndian.PutUint32(adLen[:], uint32(len(associated)))
-	header = append(header, adLen[:]...)
-	header = append(header, associated...)
-
-	ct := gcm.Seal(nil, nonce, plaintext, header)
-	return append(header, ct...), nil
-}
-
-// OpenLegacy is the seed implementation of Open, preserved as the E12
-// ablation baseline: per-call cipher construction and a defensive copy of
-// the associated data.
-func OpenLegacy(key SymmetricKey, sealed []byte) (plaintext, associated []byte, err error) {
-	if len(sealed) < 1+gcmNonceSize+4 {
-		return nil, nil, ErrDecrypt
-	}
-	if sealed[0] != envelopeVersion {
-		return nil, nil, fmt.Errorf("crypto: unsupported envelope version %d", sealed[0])
-	}
-	nonce := sealed[1 : 1+gcmNonceSize]
-	adLen := binary.BigEndian.Uint32(sealed[1+gcmNonceSize : 1+gcmNonceSize+4])
-	// The one divergence from the seed: bound-check adLen before the int
-	// conversion, which went negative on 32-bit platforms (a panic, not an
-	// error, on attacker-controlled input — the differential fuzz harness
-	// requires both implementations to reject it cleanly).
-	if uint64(adLen) > uint64(len(sealed)-(1+gcmNonceSize+4)) {
-		return nil, nil, ErrDecrypt
-	}
-	headerEnd := 1 + gcmNonceSize + 4 + int(adLen)
-	header := sealed[:headerEnd]
-	associated = make([]byte, adLen)
-	copy(associated, sealed[1+gcmNonceSize+4:headerEnd])
-
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, nil, fmt.Errorf("crypto: open: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, nil, fmt.Errorf("crypto: open: %w", err)
-	}
-	plaintext, err = gcm.Open(nil, nonce, sealed[headerEnd:], header)
-	if err != nil {
-		return nil, nil, ErrDecrypt
-	}
-	return plaintext, associated, nil
 }
 
 // EnvelopeOverhead is the number of bytes Seal adds on top of the plaintext

@@ -29,9 +29,9 @@ func FuzzSealOpenRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Seal: %v", err)
 		}
-		legacy, err := SealLegacy(key, pt, ad)
+		legacy, err := sealLegacy(key, pt, ad)
 		if err != nil {
-			t.Fatalf("SealLegacy: %v", err)
+			t.Fatalf("sealLegacy: %v", err)
 		}
 		for _, sealed := range [][]byte{fast, legacy} {
 			gotPT, gotAD, err := Open(key, sealed)
@@ -42,9 +42,9 @@ func FuzzSealOpenRoundTrip(f *testing.F) {
 				t.Fatalf("round trip mismatch: pt %d/%d bytes, ad %d/%d bytes",
 					len(gotPT), len(pt), len(gotAD), len(ad))
 			}
-			lPT, lAD, err := OpenLegacy(key, sealed)
+			lPT, lAD, err := openLegacy(key, sealed)
 			if err != nil {
-				t.Fatalf("OpenLegacy: %v", err)
+				t.Fatalf("openLegacy: %v", err)
 			}
 			if !bytes.Equal(lPT, pt) || !bytes.Equal(lAD, ad) {
 				t.Fatal("legacy open disagrees with fast open")
@@ -83,7 +83,7 @@ func FuzzEnvelopeOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, keyByte byte) {
 		k := fuzzKey(keyByte)
 		fastPT, fastAD, fastErr := Open(k, data)
-		legacyPT, legacyAD, legacyErr := OpenLegacy(k, data)
+		legacyPT, legacyAD, legacyErr := openLegacy(k, data)
 		if (fastErr == nil) != (legacyErr == nil) {
 			t.Fatalf("implementations disagree: fast err=%v legacy err=%v", fastErr, legacyErr)
 		}

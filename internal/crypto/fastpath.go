@@ -16,10 +16,8 @@ package crypto
 //     the caller's buffer, so steady-state sealing performs zero heap
 //     allocations when the caller recycles buffers through a BufPool.
 //
-// SetFastPath(false) reverts Seal/Open/SealTo/OpenTo to the seed
-// implementation (per-call cipher construction, per-call nonce read,
-// associated-data copy, multi-allocation envelope build); experiment E12
-// measures the two paths against each other.
+// These are the only envelope implementation. The seed's per-call version
+// survives in envelope_legacy_test.go as the differential fuzz oracle.
 
 import (
 	"crypto/aes"
@@ -31,21 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// fastPath selects between the cached zero-allocation implementation and the
-// seed implementation of the envelope APIs. It exists for the E12 ablation
-// and defaults to on.
-var fastPath atomic.Bool
-
-func init() { fastPath.Store(true) }
-
-// SetFastPath toggles the sealing fast path and returns the previous setting.
-// It is safe to call concurrently with sealing, but it is meant for
-// experiment harnesses (ablation runs), not production configuration.
-func SetFastPath(enabled bool) bool { return fastPath.Swap(enabled) }
-
-// FastPathEnabled reports whether the sealing fast path is active.
-func FastPathEnabled() bool { return fastPath.Load() }
 
 // ---------------------------------------------------------------------------
 // AEAD cache
@@ -213,13 +196,6 @@ func grow(b []byte, n int) []byte {
 // nonce, associated data and ciphertext are produced directly in place. The
 // envelope needs len(plaintext) + EnvelopeOverhead(len(associated)) bytes.
 func SealTo(dst []byte, key SymmetricKey, plaintext, associated []byte) ([]byte, error) {
-	if !fastPath.Load() {
-		sealed, err := SealLegacy(key, plaintext, associated)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, sealed...), nil
-	}
 	aead, err := envelopeAEADs.Get(key)
 	if err != nil {
 		return nil, fmt.Errorf("crypto: seal: %w", err)
@@ -246,13 +222,6 @@ func SealTo(dst []byte, key SymmetricKey, plaintext, associated []byte) ([]byte,
 // sealed is, and must not be modified. When dst has enough spare capacity the
 // only work is the decryption itself: no copies, no allocations.
 func OpenTo(dst []byte, key SymmetricKey, sealed []byte) (plaintext, associated []byte, err error) {
-	if !fastPath.Load() {
-		pt, ad, err := OpenLegacy(key, sealed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return append(dst, pt...), ad, nil
-	}
 	if len(sealed) < envelopeHeaderBase {
 		return nil, nil, ErrDecrypt
 	}

@@ -59,36 +59,19 @@ func TestCrossPathCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	legacy, err := SealLegacy(key, pt, ad)
+	legacy, err := sealLegacy(key, pt, ad)
 	if err != nil {
-		t.Fatalf("SealLegacy: %v", err)
+		t.Fatalf("sealLegacy: %v", err)
 	}
 	for name, sealed := range map[string][]byte{"fast": fast, "legacy": legacy} {
 		gotPT, gotAD, err := Open(key, sealed)
 		if err != nil || !bytes.Equal(gotPT, pt) || !bytes.Equal(gotAD, ad) {
 			t.Fatalf("Open(%s): %q %q %v", name, gotPT, gotAD, err)
 		}
-		gotPT, gotAD, err = OpenLegacy(key, sealed)
+		gotPT, gotAD, err = openLegacy(key, sealed)
 		if err != nil || !bytes.Equal(gotPT, pt) || !bytes.Equal(gotAD, ad) {
-			t.Fatalf("OpenLegacy(%s): %q %q %v", name, gotPT, gotAD, err)
+			t.Fatalf("openLegacy(%s): %q %q %v", name, gotPT, gotAD, err)
 		}
-	}
-}
-
-func TestSetFastPathRestores(t *testing.T) {
-	key, _ := NewSymmetricKey()
-	prev := SetFastPath(false)
-	defer SetFastPath(prev)
-	sealed, err := Seal(key, []byte("slow"), []byte("ad"))
-	if err != nil {
-		t.Fatalf("Seal (legacy mode): %v", err)
-	}
-	pt, ad, err := Open(key, sealed)
-	if err != nil || string(pt) != "slow" || string(ad) != "ad" {
-		t.Fatalf("Open (legacy mode): %q %q %v", pt, ad, err)
-	}
-	if FastPathEnabled() {
-		t.Fatal("fast path reported enabled while disabled")
 	}
 }
 
@@ -233,11 +216,11 @@ func BenchmarkSealOpenLegacy1KiB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sealed, err := SealLegacy(key, pt, nil)
+		sealed, err := sealLegacy(key, pt, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := OpenLegacy(key, sealed); err != nil {
+		if _, _, err := openLegacy(key, sealed); err != nil {
 			b.Fatal(err)
 		}
 	}

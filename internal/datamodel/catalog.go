@@ -50,7 +50,7 @@ type PlanInfo struct {
 // experiment E10 use it to prove that filtered searches no longer walk the
 // whole document map.
 type IndexStats struct {
-	// Searches counts Search/SearchPlan/SearchScan calls.
+	// Searches counts Search/SearchPlan calls.
 	Searches int64
 	// IndexScans counts searches served from an index.
 	IndexScans int64
@@ -326,26 +326,6 @@ func (c *Catalog) SearchPlan(q Query) ([]*Document, PlanInfo) {
 		}
 	}
 	return c.finishLocked(matched, q, info)
-}
-
-// SearchScan answers q by walking the whole document map — the pre-index
-// seed code path, kept as the baseline experiment E10 measures the planner
-// against.
-func (c *Catalog) SearchScan(q Query) []*Document {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	c.searches.Add(1)
-	c.fullScans.Add(1)
-	info := PlanInfo{Index: "scan", Candidates: len(c.docs)}
-	var matched []*Document
-	for _, d := range c.docs {
-		info.Scanned++
-		if matches(d, q) {
-			matched = append(matched, d)
-		}
-	}
-	docs, _ := c.finishLocked(matched, q, info)
-	return docs
 }
 
 // finishLocked sorts the matched documents newest-first, applies Limit, and

@@ -97,6 +97,21 @@ func TestSearchPlanUsesMostSelectiveIndex(t *testing.T) {
 	}
 }
 
+// searchScan answers q by walking the whole document map, with no index:
+// the seed's search path, kept as the planner's oracle.
+func (c *Catalog) searchScan(q Query) []*Document {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var matched []*Document
+	for _, d := range c.docs {
+		if matches(d, q) {
+			matched = append(matched, d)
+		}
+	}
+	docs, _ := c.finishLocked(matched, q, PlanInfo{})
+	return docs
+}
+
 func TestSearchPlanMatchesScanBaseline(t *testing.T) {
 	cat := planCatalog(t, 500)
 	queries := []Query{
@@ -116,7 +131,7 @@ func TestSearchPlanMatchesScanBaseline(t *testing.T) {
 		{Owner: "alice", Limit: 3},
 	}
 	for _, q := range queries {
-		want := cat.SearchScan(q)
+		want := cat.searchScan(q)
 		got := cat.Search(q)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %+v: planner disagrees with scan baseline\n got %d docs\nwant %d docs", q, len(got), len(want))

@@ -1,15 +1,13 @@
 package datamodel
 
-// Binary document codec. Every document crossing the sealed boundary — shard
-// replication blobs, vault snapshots — historically paid json.Marshal and
-// json.Unmarshal per document; the compact length-prefixed binary form below
-// roughly halves the payload bytes and removes the reflection cost from the
-// sealing hot path. The JSON codec remains the fallback: DecodeDocument
-// sniffs the first byte, so old blobs keep decoding forever.
+// Binary document codec. Every document crossing the sealed boundary in a
+// shard replication blob is written in the compact length-prefixed form below,
+// which roughly halves the bytes of the JSON it replaced and removes the
+// reflection cost from the sealing hot path. JSON input is refused.
 //
 // Wire format (all integers are unsigned varints unless noted):
 //
-//	[1] magic 0xD0 — never a valid first byte of JSON text
+//	[1] magic 0xD0
 //	[1] codec version (currently 1)
 //	7 length-prefixed strings: ID, Owner, Type, Title, ContentHash,
 //	                           BlobRef, KeyFingerprint
@@ -19,18 +17,22 @@ package datamodel
 //	keywords: uvarint count + length-prefixed strings
 //	tags:     uvarint count + length-prefixed key/value pairs, sorted by key
 //	          (so equal documents encode to equal bytes)
+//
+// The decoder accepts only what the encoder writes: minimal varints, tag
+// keys in strictly increasing order and canonical times, so an accepted
+// document re-encodes to the same bytes.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 )
 
 const (
-	// DocCodecMagic is the first byte of every binary-encoded document. JSON
-	// text can never start with it, which is what lets DecodeDocument pick
-	// the codec without a flag.
+	// DocCodecMagic is the first byte of every binary-encoded document.
 	DocCodecMagic = 0xD0
 
 	docCodecVersion = 1
@@ -63,12 +65,10 @@ func (d *Document) AppendBinary(dst []byte) ([]byte, error) {
 	dst = AppendString(dst, d.KeyFingerprint)
 	dst = binary.AppendUvarint(dst, uint64(d.Class))
 	dst = binary.AppendUvarint(dst, uint64(d.Size))
-	tb, err := d.CreatedAt.MarshalBinary()
+	dst, err := AppendTime(dst, d.CreatedAt)
 	if err != nil {
 		return nil, fmt.Errorf("datamodel: encode created_at: %w", err)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(tb)))
-	dst = append(dst, tb...)
 	dst = binary.AppendUvarint(dst, uint64(len(d.Keywords)))
 	for _, k := range d.Keywords {
 		dst = AppendString(dst, k)
@@ -91,11 +91,42 @@ func (d *Document) AppendBinary(dst []byte) ([]byte, error) {
 // EncodeBinary returns the document's binary encoding.
 func (d *Document) EncodeBinary() ([]byte, error) { return d.AppendBinary(nil) }
 
+// AppendTime appends t as a uvarint length plus its time.MarshalBinary bytes.
+func AppendTime(dst []byte, t time.Time) ([]byte, error) {
+	tb, err := t.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(tb)))
+	return append(dst, tb...), nil
+}
+
+// ConsumeTime parses one time written by AppendTime, accepting only the
+// encoding AppendTime would produce for the decoded value.
+func ConsumeTime(b []byte) (time.Time, []byte, error) {
+	n, b, err := ConsumeUvarint(b)
+	if err != nil {
+		return time.Time{}, nil, err
+	}
+	if n > uint64(len(b)) {
+		return time.Time{}, nil, ErrCodec
+	}
+	var t time.Time
+	if err := t.UnmarshalBinary(b[:n]); err != nil {
+		return time.Time{}, nil, fmt.Errorf("%w: time: %v", ErrCodec, err)
+	}
+	if again, err := t.MarshalBinary(); err != nil || !bytes.Equal(again, b[:n]) {
+		return time.Time{}, nil, fmt.Errorf("%w: non-canonical time", ErrCodec)
+	}
+	return t, b[n:], nil
+}
+
 // ConsumeUvarint parses one uvarint from the front of b, returning the value
-// and the remaining bytes (ErrCodec on malformed or truncated input).
+// and the remaining bytes (ErrCodec on malformed, truncated or non-minimal
+// input: a final byte of zero means the encoder did not write it).
 func ConsumeUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return 0, nil, ErrCodec
 	}
 	return v, b[n:], nil
@@ -117,7 +148,7 @@ func ConsumeString(b []byte) (string, []byte, error) {
 // DecodeDocumentPrefix parses one binary document from the front of data and
 // returns it together with the remaining bytes. Embedding codecs (the sync
 // shard format) use it to decode documents in place; it does not run
-// Validate, mirroring how embedded JSON documents were unmarshalled before.
+// Validate.
 func DecodeDocumentPrefix(data []byte) (*Document, []byte, error) {
 	if len(data) < 2 || data[0] != DocCodecMagic {
 		return nil, nil, ErrCodec
@@ -146,17 +177,9 @@ func DecodeDocumentPrefix(data []byte) (*Document, []byte, error) {
 	if d.Size < 0 {
 		return nil, nil, ErrCodec
 	}
-	tlen, b, err := ConsumeUvarint(b)
-	if err != nil {
+	if d.CreatedAt, b, err = ConsumeTime(b); err != nil {
 		return nil, nil, err
 	}
-	if tlen > uint64(len(b)) {
-		return nil, nil, ErrCodec
-	}
-	if err := d.CreatedAt.UnmarshalBinary(b[:tlen]); err != nil {
-		return nil, nil, fmt.Errorf("%w: created_at: %v", ErrCodec, err)
-	}
-	b = b[tlen:]
 	nKeywords, b, err := ConsumeUvarint(b)
 	if err != nil {
 		return nil, nil, err
@@ -179,29 +202,34 @@ func DecodeDocumentPrefix(data []byte) (*Document, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if nTags > uint64(len(b)) {
+	// A tag is a key and a value, two bytes at least.
+	if nTags > uint64(len(b))/2 {
 		return nil, nil, ErrCodec
 	}
 	if nTags > 0 {
 		d.Tags = make(map[string]string, nTags)
+		prev := ""
 		for i := uint64(0); i < nTags; i++ {
 			var k, v string
 			if k, b, err = ConsumeString(b); err != nil {
 				return nil, nil, err
 			}
+			if i > 0 && k <= prev {
+				return nil, nil, fmt.Errorf("%w: tags out of order", ErrCodec)
+			}
 			if v, b, err = ConsumeString(b); err != nil {
 				return nil, nil, err
 			}
 			d.Tags[k] = v
+			prev = k
 		}
 	}
 	return &d, b, nil
 }
 
-// DecodeDocumentBinary parses a complete binary-encoded document, rejecting
-// trailing bytes and validating the result — the strict counterpart of the
-// JSON path in DecodeDocument.
-func DecodeDocumentBinary(data []byte) (*Document, error) {
+// DecodeDocument parses a complete binary-encoded document, rejecting
+// trailing bytes and validating the result.
+func DecodeDocument(data []byte) (*Document, error) {
 	d, rest, err := DecodeDocumentPrefix(data)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package datamodel
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -68,39 +70,32 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: EncodeBinary: %v", doc.ID, err)
 		}
-		got, err := DecodeDocumentBinary(data)
+		got, err := DecodeDocument(data)
 		if err != nil {
-			t.Fatalf("%s: DecodeDocumentBinary: %v", doc.ID, err)
+			t.Fatalf("%s: DecodeDocument: %v", doc.ID, err)
 		}
 		docsEquivalent(t, doc, got)
 	}
 }
 
-// TestCrossCodecDecode is the cross-decode guarantee of the dual-codec
-// design: a binary-encoded document and its JSON twin decode — through the
-// one sniffing entry point — to equivalent documents.
+// TestCrossCodecDecode pins that the binary codec is the only one: the JSON
+// twin of a document that decodes in binary is refused.
 func TestCrossCodecDecode(t *testing.T) {
 	for _, doc := range codecTestDocs() {
-		jsonBytes, err := doc.Encode()
+		jsonBytes, err := json.Marshal(doc)
 		if err != nil {
-			t.Fatalf("%s: Encode: %v", doc.ID, err)
+			t.Fatalf("%s: json.Marshal: %v", doc.ID, err)
 		}
 		binBytes, err := doc.EncodeBinary()
 		if err != nil {
 			t.Fatalf("%s: EncodeBinary: %v", doc.ID, err)
 		}
-		if len(binBytes) >= len(jsonBytes) {
-			t.Errorf("%s: binary (%d B) not smaller than JSON (%d B)", doc.ID, len(binBytes), len(jsonBytes))
-		}
-		fromJSON, err := DecodeDocument(jsonBytes)
-		if err != nil {
-			t.Fatalf("%s: DecodeDocument(json): %v", doc.ID, err)
-		}
-		fromBin, err := DecodeDocument(binBytes)
-		if err != nil {
+		if _, err := DecodeDocument(binBytes); err != nil {
 			t.Fatalf("%s: DecodeDocument(binary): %v", doc.ID, err)
 		}
-		docsEquivalent(t, fromJSON, fromBin)
+		if _, err := DecodeDocument(jsonBytes); err == nil {
+			t.Fatalf("%s: DecodeDocument accepted JSON", doc.ID)
+		}
 	}
 }
 
@@ -118,40 +113,48 @@ func TestBinaryCodecDeterministic(t *testing.T) {
 func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	doc := codecTestDocs()[1]
 	data, _ := doc.EncodeBinary()
+	// The first string (the ID) re-encoded with a non-minimal length varint.
+	padded := append([]byte{DocCodecMagic, docCodecVersion, byte(len(doc.ID)) | 0x80, 0x00}, data[3:]...)
+	// Tags written in decreasing key order.
+	swapped := codecTestDocs()[1]
+	swapped.Tags = map[string]string{"device": "linky"}
+	unsorted, _ := swapped.EncodeBinary()
+	unsorted = bytes.Replace(unsorted, []byte{1, 6, 'd', 'e', 'v', 'i', 'c', 'e', 5, 'l', 'i', 'n', 'k', 'y'},
+		[]byte{2, 1, 'z', 0, 6, 'd', 'e', 'v', 'i', 'c', 'e', 5, 'l', 'i', 'n', 'k', 'y'}, 1)
 	cases := map[string][]byte{
-		"empty":          {},
-		"magic only":     {DocCodecMagic},
-		"bad version":    {DocCodecMagic, 99},
-		"truncated":      data[:len(data)/2],
-		"trailing bytes": append(append([]byte(nil), data...), 0x00),
+		"empty":              {},
+		"magic only":         {DocCodecMagic},
+		"bad version":        {DocCodecMagic, 99},
+		"truncated":          data[:len(data)/2],
+		"trailing bytes":     append(append([]byte(nil), data...), 0x00),
+		"non-minimal varint": padded,
+		"tags out of order":  unsorted,
+		"json":               []byte(`{"id":"x","owner":"y","type":"z"}`),
 	}
 	for name, input := range cases {
-		if _, err := DecodeDocumentBinary(input); err == nil {
+		if _, err := DecodeDocument(input); err == nil {
 			t.Fatalf("%s: malformed input accepted", name)
 		}
 	}
 	// Truncation at every boundary must error, never panic.
 	for n := 0; n < len(data); n++ {
-		if _, err := DecodeDocumentBinary(data[:n]); err == nil {
+		if _, err := DecodeDocument(data[:n]); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", n)
 		}
 	}
 }
 
-// FuzzDecodeDocument throws arbitrary bytes at the sniffing decoder: it must
-// never panic, and anything it accepts must re-encode and decode to an
-// equivalent document (round-trip stability).
+// FuzzDecodeDocument throws arbitrary bytes at the decoder: it must never
+// panic, and anything it accepts must re-encode to the same bytes.
 func FuzzDecodeDocument(f *testing.F) {
 	for _, doc := range codecTestDocs() {
 		if bin, err := doc.EncodeBinary(); err == nil {
 			f.Add(bin)
-		}
-		if js, err := doc.Encode(); err == nil {
-			f.Add(js)
+			f.Add(bin[:len(bin)/2])
 		}
 	}
 	f.Add([]byte{DocCodecMagic, docCodecVersion, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte(`{"id":"x","owner":"y","type":"z"}`))
+	f.Add([]byte{DocCodecMagic, docCodecVersion, 0x81, 0x00, 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := DecodeDocument(data)
@@ -162,10 +165,8 @@ func FuzzDecodeDocument(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded document does not re-encode: %v", err)
 		}
-		again, err := DecodeDocumentBinary(bin)
-		if err != nil {
-			t.Fatalf("re-encoded document does not decode: %v", err)
+		if !bytes.Equal(bin, data) {
+			t.Fatalf("accepted document re-encodes differently:\n in  %x\n out %x", data, bin)
 		}
-		docsEquivalent(t, doc, again)
 	})
 }

@@ -6,7 +6,6 @@
 package datamodel
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -130,26 +129,4 @@ func (d *Document) Clone() *Document {
 		c.Tags[k] = v
 	}
 	return &c
-}
-
-// Encode serialises the document metadata as JSON — the interoperable,
-// human-debuggable form. Hot paths use EncodeBinary (see codec.go), which
-// DecodeDocument also accepts.
-func (d *Document) Encode() ([]byte, error) { return json.Marshal(d) }
-
-// DecodeDocument parses document metadata in either codec: binary documents
-// (first byte DocCodecMagic, which no JSON text starts with) go through the
-// binary decoder, everything else through the JSON fallback.
-func DecodeDocument(data []byte) (*Document, error) {
-	if len(data) > 0 && data[0] == DocCodecMagic {
-		return DecodeDocumentBinary(data)
-	}
-	var d Document
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("datamodel: decode document: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

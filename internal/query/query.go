@@ -9,8 +9,7 @@
 // one cloud round-trip), PARALLEL-OPEN (decryption and per-document
 // aggregation fan out across the cell's bounded worker pool), and
 // STREAMING-MERGE (per-document results fold into the merged answer one at a
-// time). The seed per-document path is kept as RunSeriesAggregateSequential,
-// the baseline experiment E10 measures the pipeline against.
+// time).
 package query
 
 import (
@@ -123,7 +122,7 @@ func (m *seriesMerger) result(kind timeseries.AggregateKind) (*timeseries.Series
 // from the local cache arrives in ONE cloud exchange, decryption and
 // downsampling fan out across the cell's worker pool, and the per-document
 // aggregates stream into the merged series. Per-document policies and
-// granularity caps apply exactly as on the sequential path.
+// granularity caps apply exactly as in Cell.Aggregate.
 func (e *Engine) RunSeriesAggregate(q SeriesAggregate) (*SeriesResult, error) {
 	filter := q.Filter
 	filter.Type = core.SeriesDocType
@@ -147,34 +146,6 @@ func (e *Engine) RunSeriesAggregate(q SeriesAggregate) (*SeriesResult, error) {
 		}
 		res.Documents = append(res.Documents, r.DocID)
 		merger.add(r.Series)
-	}
-	return e.finishSeries(res, q.Kind, merger)
-}
-
-// RunSeriesAggregateSequential is the seed read path kept as the E10
-// baseline: a full catalog scan selects the documents, then each one goes
-// through an individual policy-checked Aggregate — and thus up to one cloud
-// round-trip per document whose payload is not cached locally.
-func (e *Engine) RunSeriesAggregateSequential(q SeriesAggregate) (*SeriesResult, error) {
-	filter := q.Filter
-	filter.Type = core.SeriesDocType
-	docs, err := e.cell.SearchScan(filter)
-	if err != nil {
-		return nil, err
-	}
-	if len(docs) == 0 {
-		return nil, ErrNoDocuments
-	}
-	res := &SeriesResult{Plan: datamodel.PlanInfo{Index: "scan", Candidates: e.cell.Catalog().Len(), Matched: len(docs)}}
-	merger := newSeriesMerger()
-	for _, d := range docs {
-		agg, err := e.cell.Aggregate(e.subject, d.ID, q.Granularity, q.Kind, e.ctx)
-		if err != nil {
-			res.Denied++
-			continue
-		}
-		res.Documents = append(res.Documents, d.ID)
-		merger.add(agg)
 	}
 	return e.finishSeries(res, q.Kind, merger)
 }

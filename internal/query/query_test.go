@@ -143,8 +143,7 @@ func TestMetadataAndKeywordCount(t *testing.T) {
 // coldQueryCell builds a cell with nSeries series documents plus filler
 // notes, syncs its vault, and returns a restored twin whose payload cache is
 // empty — every payload must come from the cloud, which is where the batched
-// pipeline pays one exchange and the sequential baseline pays one per
-// document.
+// pipeline pays one exchange and a per-document read pays one per document.
 func coldQueryCell(t *testing.T, svc cloud.Service, nSeries, nNotes int) *core.Cell {
 	t.Helper()
 	builder, err := core.New(core.Config{
@@ -195,14 +194,15 @@ func coldQueryCell(t *testing.T, svc cloud.Service, nSeries, nNotes int) *core.C
 	return cold
 }
 
-// TestBatchedPipelineMatchesSequentialBaseline runs the same aggregate on
-// the batched pipeline and on the seed per-document path and requires
-// identical merged results — while the batched path does all its cloud
-// fetching in one exchange.
+// TestBatchedPipelineMatchesSequentialBaseline runs the aggregate on the
+// batched pipeline and requires the merge the seed's per-document path
+// computes — one policy-checked Cell.Aggregate per document, summed here —
+// while the batched path does all its cloud fetching in one exchange.
 func TestBatchedPipelineMatchesSequentialBaseline(t *testing.T) {
 	svc := cloud.NewMemory()
 	cell := coldQueryCell(t, svc, 4, 20)
-	eng := NewEngine(cell, "bob", core.AccessContext{Groups: []string{"household"}})
+	household := core.AccessContext{Groups: []string{"household"}}
+	eng := NewEngine(cell, "bob", household)
 	q := SeriesAggregate{Granularity: timeseries.GranularityHour, Kind: timeseries.AggregateSum}
 
 	gets0 := svc.Stats().Gets
@@ -212,38 +212,43 @@ func TestBatchedPipelineMatchesSequentialBaseline(t *testing.T) {
 	}
 	batchedGets := svc.Stats().Gets - gets0
 
-	// A second, fresh cold cell for the sequential baseline.
+	// A second, fresh cold cell for the per-document baseline.
 	svc2 := cloud.NewMemory()
 	cell2 := coldQueryCell(t, svc2, 4, 20)
-	eng2 := NewEngine(cell2, "bob", core.AccessContext{Groups: []string{"household"}})
-	gets0 = svc2.Stats().Gets
-	sequential, err := eng2.RunSeriesAggregateSequential(q)
+	docs, err := cell2.Search(datamodel.Query{Type: core.SeriesDocType})
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatal(err)
+	}
+	gets0 = svc2.Stats().Gets
+	want := make(map[time.Time]float64)
+	for _, d := range docs {
+		agg, err := cell2.Aggregate("bob", d.ID, q.Granularity, q.Kind, household)
+		if err != nil {
+			t.Fatalf("Aggregate %s: %v", d.ID, err)
+		}
+		for _, p := range agg.Points() {
+			want[p.Time] += p.Value
+		}
 	}
 	seqGets := svc2.Stats().Gets - gets0
 
-	if len(batched.Documents) != 4 || len(sequential.Documents) != 4 {
-		t.Fatalf("documents: batched %d sequential %d", len(batched.Documents), len(sequential.Documents))
+	if len(batched.Documents) != 4 || len(docs) != 4 {
+		t.Fatalf("documents: batched %d per-document %d", len(batched.Documents), len(docs))
 	}
-	if batched.Merged.Len() != sequential.Merged.Len() {
-		t.Fatalf("merged length: %d vs %d", batched.Merged.Len(), sequential.Merged.Len())
+	if batched.Merged.Len() != len(want) {
+		t.Fatalf("merged length: %d vs %d", batched.Merged.Len(), len(want))
 	}
-	for i := 0; i < batched.Merged.Len(); i++ {
-		if batched.Merged.At(i).Value != sequential.Merged.At(i).Value {
-			t.Fatalf("bucket %d: %v vs %v", i, batched.Merged.At(i).Value, sequential.Merged.At(i).Value)
+	for _, p := range batched.Merged.Points() {
+		if p.Value != want[p.Time] {
+			t.Fatalf("bucket %v: %v vs %v", p.Time, p.Value, want[p.Time])
 		}
 	}
-	// Both paths fetched 4 payloads, but the plans differ: the batched path
-	// used the type index, the baseline scanned the whole catalog.
+	// Both paths fetched 4 payloads; the batched plan used the type index.
 	if batchedGets != seqGets {
-		t.Fatalf("blob gets: batched %d sequential %d", batchedGets, seqGets)
+		t.Fatalf("blob gets: batched %d per-document %d", batchedGets, seqGets)
 	}
 	if batched.Plan.Index != "type" || batched.Plan.Scanned >= cell.Catalog().Len() {
 		t.Fatalf("batched plan %+v", batched.Plan)
-	}
-	if sequential.Plan.Index != "scan" {
-		t.Fatalf("sequential plan %+v", sequential.Plan)
 	}
 }
 

@@ -15,13 +15,13 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// E10 — query/scan throughput: seed per-document path vs indexed+batched path
+// E10 — query throughput: indexed plan + batched fetch
 // ---------------------------------------------------------------------------
 
 // E10Config parameterises the read/query-pipeline experiment.
 type E10Config struct {
 	// CatalogSizes are the total catalog sizes (series documents plus filler
-	// notes) to measure, one pair of rows per size.
+	// notes) to measure, one row per size.
 	CatalogSizes []int
 	// Readers is the number of concurrent reader goroutines sharing the cell.
 	Readers int
@@ -34,8 +34,7 @@ type E10Config struct {
 	// PointsPerSeries is the length of each stored series.
 	PointsPerSeries int
 	// RTT is the simulated network round-trip to the shared provider, charged
-	// once per service call — so once per document on the seed path, once per
-	// query on the batched path.
+	// once per service call — so once per query.
 	RTT time.Duration
 	// Shards is the cloud store's shard count.
 	Shards int
@@ -62,42 +61,12 @@ type E10Result struct {
 	CatalogDocs int
 	Readers     int
 	Queries     int
-	// SequentialQPS is the seed path: full catalog scan + one policy-checked
-	// Aggregate (one cloud round-trip) per matching document.
-	SequentialQPS float64
 	// BatchedQPS is the pipeline: indexed plan + one batched cloud exchange
 	// per query + parallel open + streaming merge.
 	BatchedQPS float64
-	Speedup    float64
-	// SeqScannedPerQuery / BatScannedPerQuery are catalog documents tested
-	// per query on each path (the index-selectivity half of the story).
-	SeqScannedPerQuery float64
-	BatScannedPerQuery float64
-}
-
-// RunE10Size measures one catalog size on both paths.
-func RunE10Size(cfg E10Config, catalogDocs int) (E10Result, error) {
-	seqQPS, seqScanned, err := runE10Path(cfg, catalogDocs, false)
-	if err != nil {
-		return E10Result{}, err
-	}
-	batQPS, batScanned, err := runE10Path(cfg, catalogDocs, true)
-	if err != nil {
-		return E10Result{}, err
-	}
-	res := E10Result{
-		CatalogDocs:        catalogDocs,
-		Readers:            cfg.Readers,
-		Queries:            cfg.Partitions,
-		SequentialQPS:      seqQPS,
-		BatchedQPS:         batQPS,
-		SeqScannedPerQuery: seqScanned,
-		BatScannedPerQuery: batScanned,
-	}
-	if seqQPS > 0 {
-		res.Speedup = batQPS / seqQPS
-	}
-	return res, nil
+	// ScannedPerQuery is catalog documents tested per query (the
+	// index-selectivity half of the story).
+	ScannedPerQuery float64
 }
 
 // buildE10Cell populates a library cell (series documents tagged by
@@ -173,13 +142,13 @@ func buildE10Cell(cfg E10Config, catalogDocs int, svc *cloud.Memory) (*core.Cell
 	return reader, nil
 }
 
-// runE10Path builds a cold cell and runs the partition workload on one path,
-// returning queries/sec and catalog documents scanned per query.
-func runE10Path(cfg E10Config, catalogDocs int, batched bool) (float64, float64, error) {
+// RunE10Size builds a cold cell of catalogDocs documents and runs the
+// partition workload on it.
+func RunE10Size(cfg E10Config, catalogDocs int) (E10Result, error) {
 	svc := cloud.NewMemoryShards(cfg.Shards)
 	cell, err := buildE10Cell(cfg, catalogDocs, svc)
 	if err != nil {
-		return 0, 0, err
+		return E10Result{}, err
 	}
 	// The provider round-trip only starts mattering once the fleet queries.
 	svc.SetLatency(cfg.RTT)
@@ -200,13 +169,7 @@ func runE10Path(cfg E10Config, catalogDocs int, batched bool) (float64, float64,
 					Granularity: timeseries.GranularityHour,
 					Kind:        timeseries.AggregateMean,
 				}
-				var res *query.SeriesResult
-				var err error
-				if batched {
-					res, err = eng.RunSeriesAggregate(q)
-				} else {
-					res, err = eng.RunSeriesAggregateSequential(q)
-				}
+				res, err := eng.RunSeriesAggregate(q)
 				if err != nil {
 					errs[r] = err
 					return
@@ -223,28 +186,31 @@ func runE10Path(cfg E10Config, catalogDocs int, batched bool) (float64, float64,
 	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return 0, 0, err
+			return E10Result{}, err
 		}
 	}
 	st := cell.Catalog().IndexStats()
-	scannedPerQuery := float64(st.DocsScanned) / float64(cfg.Partitions)
-	return float64(cfg.Partitions) / elapsed.Seconds(), scannedPerQuery, nil
+	return E10Result{
+		CatalogDocs:     catalogDocs,
+		Readers:         cfg.Readers,
+		Queries:         cfg.Partitions,
+		BatchedQPS:      float64(cfg.Partitions) / elapsed.Seconds(),
+		ScannedPerQuery: float64(st.DocsScanned) / float64(cfg.Partitions),
+	}, nil
 }
 
 // RunE10 measures series-aggregate query throughput for fleets of concurrent
-// readers on the two read paths: the seed per-document path (full catalog
-// scan, one cloud round-trip per uncached document) and the indexed+batched
-// pipeline (planned index scan, one batched cloud exchange per query,
-// parallel decryption, streaming merge).
+// readers on the indexed+batched pipeline: planned index scan, one batched
+// cloud exchange per query, parallel decryption, streaming merge.
 func RunE10(cfg E10Config) (*Table, error) {
 	table := &Table{
 		ID:      "E10",
-		Title:   "Query/scan throughput: seed per-document path vs indexed+batched pipeline",
-		Headers: []string{"catalog docs", "path", "readers", "queries/sec", "speedup", "docs scanned/query"},
+		Title:   "Query throughput: indexed plan + batched fetch pipeline",
+		Headers: []string{"catalog docs", "readers", "queries/sec", "docs scanned/query"},
 		Notes: []string{
 			fmt.Sprintf("%d concurrent readers aggregate %d tag partitions of %d series documents each over a restored (cold-cache) cell; provider round-trip %v charged per service call",
 				cfg.Readers, cfg.Partitions, cfg.DocsPerPartition, cfg.RTT),
-			"sequential = SearchScan + one Aggregate (one GetBlob round-trip) per document; batched = indexed SearchPlan + one GetBlobs exchange per query + parallel open + streaming merge",
+			"each query = indexed SearchPlan + one GetBlobs exchange + parallel open + streaming merge",
 		},
 	}
 	for _, n := range cfg.CatalogSizes {
@@ -252,13 +218,10 @@ func RunE10(cfg E10Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(fmt.Sprintf("%d", n), "sequential", fmt.Sprintf("%d", res.Readers),
-			fmt.Sprintf("%.0f", res.SequentialQPS), "1.0x", fmt.Sprintf("%.0f", res.SeqScannedPerQuery))
-		table.AddRow(fmt.Sprintf("%d", n), "indexed/batched", fmt.Sprintf("%d", res.Readers),
-			fmt.Sprintf("%.0f", res.BatchedQPS), fmt.Sprintf("%.1fx", res.Speedup), fmt.Sprintf("%.0f", res.BatScannedPerQuery))
-		// The largest measured catalog provides the headline gate metrics.
+		table.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", res.Readers),
+			fmt.Sprintf("%.0f", res.BatchedQPS), fmt.Sprintf("%.0f", res.ScannedPerQuery))
+		// The largest measured catalog provides the headline gate metric.
 		table.SetMetric("batched_qps", res.BatchedQPS)
-		table.SetMetric("speedup", res.Speedup)
 	}
 	return table, nil
 }

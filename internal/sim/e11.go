@@ -11,19 +11,18 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// E11 — fleet-scale delta sync: sharded anti-entropy vs full-state replication
+// E11 — fleet-scale delta sync: sharded anti-entropy
 // ---------------------------------------------------------------------------
 
 // E11Config parameterises the replication experiment: a fleet of replicas of
 // one user's 10k-document catalog, churning through a seeded schedule of
-// intermittent connectivity and concurrent updates, measured on both sync
-// protocols.
+// intermittent connectivity and concurrent updates.
 type E11Config struct {
 	// Replicas is the number of trusted cells replicating the catalog.
 	Replicas int
 	// Docs is the catalog size seeded before the churn phase.
 	Docs int
-	// SyncShards is the replication shard count of the delta protocol.
+	// SyncShards is the replication shard count of every replica.
 	SyncShards int
 	// ChurnRounds is how many rounds of intermittent connectivity plus
 	// concurrent updates the fleet lives through before recovery.
@@ -58,17 +57,16 @@ func DefaultE11Config() E11Config {
 	}
 }
 
-// E11Result is the outcome of one path's run, kept structured so the Go
-// benchmark and the CI gate can assert on it without re-parsing the table.
+// E11Result is the outcome of one run, kept structured so the Go benchmark
+// and the CI gate can assert on it without re-parsing the table.
 type E11Result struct {
-	Path     string
 	Replicas int
 	Docs     int
 	// SeedBytes is the sealed bytes moved distributing the initial catalog to
-	// every replica (paid once, similar on both paths).
+	// every replica (paid once).
 	SeedBytes int64
 	// SyncBytes is the sealed bytes moved during churn plus recovery — the
-	// steady-state replication cost the protocols differ on.
+	// steady-state replication cost.
 	SyncBytes int64
 	// ShardsMoved counts shard payloads shipped during churn plus recovery.
 	ShardsMoved int64
@@ -93,10 +91,9 @@ func e11Doc(i int) *datamodel.Document {
 	}
 }
 
-// RunE11Path runs the workload on one protocol. delta selects the sharded
-// anti-entropy path; otherwise every sync is the O(catalog) full-state
-// exchange.
-func RunE11Path(cfg E11Config, delta bool) (E11Result, error) {
+// RunE11Sync runs the churn-and-recover workload over the sharded delta
+// protocol.
+func RunE11Sync(cfg E11Config) (E11Result, error) {
 	svc := cloud.NewMemoryShards(cfg.CloudShards)
 	key, err := crypto.NewSymmetricKey()
 	if err != nil {
@@ -107,25 +104,15 @@ func RunE11Path(cfg E11Config, delta bool) (E11Result, error) {
 		replicas[i] = syncpkg.NewReplicaShards(fmt.Sprintf("e11/cell-%02d", i),
 			"e11", key, svc, fixedClock(), cfg.SyncShards)
 	}
-	syncOne := func(r *syncpkg.Replica) error {
-		if delta {
-			return r.Sync()
-		}
-		return r.SyncFull()
-	}
-	path := "full-state"
-	if delta {
-		path = "sharded-delta"
-	}
-	res := E11Result{Path: path, Replicas: cfg.Replicas, Docs: cfg.Docs}
+	res := E11Result{Replicas: cfg.Replicas, Docs: cfg.Docs}
 
 	// Seed the catalog on the first replica and distribute it.
 	for i := 0; i < cfg.Docs; i++ {
 		replicas[0].Upsert(e11Doc(i))
 	}
 	for _, r := range replicas {
-		if err := syncOne(r); err != nil {
-			return res, fmt.Errorf("E11 %s: seeding sync: %w", path, err)
+		if err := r.Sync(); err != nil {
+			return res, fmt.Errorf("E11: seeding sync: %w", err)
 		}
 	}
 	totalBytes := func() int64 {
@@ -157,12 +144,12 @@ func RunE11Path(cfg E11Config, delta bool) (E11Result, error) {
 		}
 		for _, r := range replicas {
 			res.SyncsAttempted++
-			if err := syncOne(r); err != nil {
+			if err := r.Sync(); err != nil {
 				if err == syncpkg.ErrDisconnected {
 					res.SyncsFailed++
 					continue
 				}
-				return res, fmt.Errorf("E11 %s: churn sync: %w", path, err)
+				return res, fmt.Errorf("E11: churn sync: %w", err)
 			}
 		}
 	}
@@ -176,8 +163,8 @@ func RunE11Path(cfg E11Config, delta bool) (E11Result, error) {
 		res.Rounds++
 		for _, r := range replicas {
 			res.SyncsAttempted++
-			if err := syncOne(r); err != nil {
-				return res, fmt.Errorf("E11 %s: recovery sync: %w", path, err)
+			if err := r.Sync(); err != nil {
+				return res, fmt.Errorf("E11: recovery sync: %w", err)
 			}
 		}
 		res.Converged = true
@@ -196,55 +183,40 @@ func RunE11Path(cfg E11Config, delta bool) (E11Result, error) {
 }
 
 // RunE11 measures catalog replication across a fleet of intermittently
-// connected replicas on the two protocols: the historical full-state exchange
-// (every sync re-ships the whole sealed catalog) and the sharded delta
-// protocol (per-shard version vectors, dirty-shard pushes, conditional
-// batched pulls). The headline metric is sealed bytes moved during churn and
-// recovery; rounds-to-convergence and the replicated conflict count complete
-// the picture.
+// connected replicas on the sharded delta protocol (per-shard version vectors,
+// dirty-shard pushes, conditional batched pulls). The headline metric is
+// sealed bytes moved during churn and recovery; rounds-to-convergence and the
+// replicated conflict count complete the picture.
 func RunE11(cfg E11Config) (*Table, error) {
 	table := &Table{
 		ID:      "E11",
-		Title:   "Fleet-scale catalog replication: sharded delta sync vs full-state sync",
-		Headers: []string{"path", "replicas", "docs", "syncs (failed)", "recovery rounds", "sync MB moved", "shard blobs", "conflicts", "converged"},
+		Title:   "Fleet-scale catalog replication: sharded delta sync",
+		Headers: []string{"replicas", "docs", "syncs (failed)", "recovery rounds", "sync MB moved", "shard blobs", "conflicts", "converged"},
 		Notes: []string{
 			fmt.Sprintf("%d replicas of a %d-document catalog; %d churn rounds at %.0f%% connectivity with %d fleet-wide updates per round (seed %d)",
 				cfg.Replicas, cfg.Docs, cfg.ChurnRounds, cfg.ConnectProb*100, cfg.UpdatesPerRound, cfg.Seed),
-			"sync MB = sealed bytes moved during churn + recovery, excluding the one-time seeding cost both paths pay alike",
-			"full-state = one userID/syncstate blob re-sealed and re-shipped per sync; sharded-delta = dirty shards pushed, advanced shards pulled via one conditional batched exchange",
+			"sync MB = sealed bytes moved during churn + recovery, excluding the one-time seeding cost",
+			"dirty shards pushed, advanced shards pulled via one conditional batched exchange",
 			"converged = identical live state and identical replicated conflict count on every replica",
 		},
 	}
-	var results []E11Result
-	for _, delta := range []bool{false, true} {
-		res, err := RunE11Path(cfg, delta)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Converged {
-			return nil, fmt.Errorf("E11 %s: replicas did not converge in %d rounds", res.Path, cfg.MaxRecoverRounds)
-		}
-		results = append(results, res)
-		table.AddRow(res.Path,
-			fmt.Sprintf("%d", res.Replicas),
-			fmt.Sprintf("%d", res.Docs),
-			fmt.Sprintf("%d (%d)", res.SyncsAttempted, res.SyncsFailed),
-			fmt.Sprintf("%d", res.Rounds),
-			fmt.Sprintf("%.1f", float64(res.SyncBytes)/(1<<20)),
-			fmt.Sprintf("%d", res.ShardsMoved),
-			fmt.Sprintf("%d", res.Conflicts),
-			fmt.Sprintf("%t", res.Converged))
+	res, err := RunE11Sync(cfg)
+	if err != nil {
+		return nil, err
 	}
-	full, deltaRes := results[0], results[1]
-	table.SetMetric("full_sync_mb", float64(full.SyncBytes)/(1<<20))
-	table.SetMetric("delta_sync_mb", float64(deltaRes.SyncBytes)/(1<<20))
-	if deltaRes.SyncBytes > 0 {
-		ratio := float64(full.SyncBytes) / float64(deltaRes.SyncBytes)
-		table.SetMetric("bytes_ratio", ratio)
-		table.Notes = append(table.Notes,
-			fmt.Sprintf("delta sync moved %.1fx fewer sealed bytes than full-state sync", ratio))
+	if !res.Converged {
+		return nil, fmt.Errorf("E11: replicas did not converge in %d rounds", cfg.MaxRecoverRounds)
 	}
-	table.SetMetric("delta_recovery_rounds", float64(deltaRes.Rounds))
-	table.SetMetric("conflicts", float64(deltaRes.Conflicts))
+	table.AddRow(fmt.Sprintf("%d", res.Replicas),
+		fmt.Sprintf("%d", res.Docs),
+		fmt.Sprintf("%d (%d)", res.SyncsAttempted, res.SyncsFailed),
+		fmt.Sprintf("%d", res.Rounds),
+		fmt.Sprintf("%.1f", float64(res.SyncBytes)/(1<<20)),
+		fmt.Sprintf("%d", res.ShardsMoved),
+		fmt.Sprintf("%d", res.Conflicts),
+		fmt.Sprintf("%t", res.Converged))
+	table.SetMetric("delta_sync_mb", float64(res.SyncBytes)/(1<<20))
+	table.SetMetric("delta_recovery_rounds", float64(res.Rounds))
+	table.SetMetric("conflicts", float64(res.Conflicts))
 	return table, nil
 }

@@ -19,9 +19,8 @@ import (
 
 // E12Config parameterises the envelope fast-path experiment. It has two
 // parts: a single-threaded envelope microbenchmark (seal+open throughput and
-// allocations per operation, legacy implementation vs fast path), and a
-// whole-cell workload (ingest then read a catalog of 1k/10k/100k documents
-// through the reference monitor on both paths).
+// allocations per operation), and a whole-cell workload (ingest then read a
+// catalog of 1k/10k/100k documents through the reference monitor).
 type E12Config struct {
 	// MicroOps is how many seal+open pairs each microbenchmark path runs.
 	MicroOps int
@@ -58,17 +57,14 @@ func DefaultE12Config() E12Config {
 	}
 }
 
-// E12MicroResult is one path's envelope microbenchmark outcome.
+// E12MicroResult is the envelope microbenchmark outcome.
 type E12MicroResult struct {
-	Path        string
 	OpsPerSec   float64 // seal+open pairs per second, single-threaded
 	AllocsPerOp float64 // heap allocations per seal+open pair
 }
 
-// E12CellResult is one path's whole-cell workload outcome at one catalog
-// size.
+// E12CellResult is the whole-cell workload outcome at one catalog size.
 type E12CellResult struct {
-	Path            string
 	Docs            int
 	IngestPerSec    float64
 	IngestAllocsDoc float64
@@ -93,15 +89,9 @@ func measureOps(ops int, fn func() error) (opsPerSec, allocsPerOp float64, err e
 		float64(m1.Mallocs-m0.Mallocs) / float64(ops), nil
 }
 
-// RunE12Micro measures seal+open cost on one implementation. fast selects
-// the cached/pooled path (SealTo/OpenTo into recycled buffers); otherwise
-// every pair runs the seed implementation (per-call cipher construction,
-// per-call nonce read, associated-data copy, multi-allocation build).
-func RunE12Micro(cfg E12Config, fast bool) (E12MicroResult, error) {
-	// Pin the process-wide flag so the fast measurement cannot silently run
-	// legacy crypto (or vice versa) if a previous ablation left it flipped.
-	prev := crypto.SetFastPath(fast)
-	defer crypto.SetFastPath(prev)
+// RunE12Micro measures seal+open cost through SealTo/OpenTo into recycled
+// buffers.
+func RunE12Micro(cfg E12Config) (E12MicroResult, error) {
 	master, err := crypto.NewSymmetricKey()
 	if err != nil {
 		return E12MicroResult{}, err
@@ -116,79 +106,47 @@ func RunE12Micro(cfg E12Config, fast bool) (E12MicroResult, error) {
 	}
 	ad := make([]byte, cfg.MicroADLen)
 
-	res := E12MicroResult{Path: "legacy"}
-	if fast {
-		res.Path = "fast-path"
-	}
-	// Warm-up pass (not measured): touch every key once so the fast path
-	// measures the steady state the cache is built for, and the legacy path
-	// gets the same treatment.
 	sealBuf := make([]byte, 0, cfg.MicroPayload+crypto.EnvelopeOverhead(cfg.MicroADLen))
 	ptBuf := make([]byte, 0, cfg.MicroPayload)
-	for _, k := range keys {
-		var sealed []byte
-		if fast {
-			sealed, err = crypto.SealTo(sealBuf, k, payload, ad)
-		} else {
-			sealed, err = crypto.SealLegacy(k, payload, ad)
-		}
+	pair := func(k crypto.SymmetricKey) error {
+		sealed, err := crypto.SealTo(sealBuf, k, payload, ad)
 		if err != nil {
-			return res, err
+			return fmt.Errorf("E12: seal: %w", err)
 		}
-		if fast {
-			_, _, err = crypto.OpenTo(ptBuf, k, sealed)
-		} else {
-			_, _, err = crypto.OpenLegacy(k, sealed)
-		}
+		pt, _, err := crypto.OpenTo(ptBuf, k, sealed)
 		if err != nil {
-			return res, err
+			return fmt.Errorf("E12: open: %w", err)
 		}
-	}
-
-	run := func() error {
-		for i := 0; i < cfg.MicroOps; i++ {
-			k := keys[i%len(keys)]
-			var sealed, pt []byte
-			var err error
-			if fast {
-				sealed, err = crypto.SealTo(sealBuf, k, payload, ad)
-			} else {
-				sealed, err = crypto.SealLegacy(k, payload, ad)
-			}
-			if err != nil {
-				return fmt.Errorf("E12 %s: seal: %w", res.Path, err)
-			}
-			if fast {
-				pt, _, err = crypto.OpenTo(ptBuf, k, sealed)
-			} else {
-				pt, _, err = crypto.OpenLegacy(k, sealed)
-			}
-			if err != nil {
-				return fmt.Errorf("E12 %s: open: %w", res.Path, err)
-			}
-			if len(pt) != len(payload) || pt[1] != payload[1] {
-				return fmt.Errorf("E12 %s: round trip corrupted", res.Path)
-			}
+		if len(pt) != len(payload) || pt[1] != payload[1] {
+			return fmt.Errorf("E12: round trip corrupted")
 		}
 		return nil
 	}
-	res.OpsPerSec, res.AllocsPerOp, err = measureOps(cfg.MicroOps, run)
+	// Warm-up pass (not measured): touch every key once so the measurement
+	// sees the steady state the AEAD cache is built for.
+	for _, k := range keys {
+		if err := pair(k); err != nil {
+			return E12MicroResult{}, err
+		}
+	}
+	var res E12MicroResult
+	res.OpsPerSec, res.AllocsPerOp, err = measureOps(cfg.MicroOps, func() error {
+		for i := 0; i < cfg.MicroOps; i++ {
+			if err := pair(keys[i%len(keys)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	return res, err
 }
 
 // RunE12Cell runs the whole-cell workload at one catalog size: ingest docs
 // documents through IngestBatch, then read every one back through ReadBatch
 // (policy gate, batched fetch, parallel open), measuring throughput and
-// allocations per document on both phases. fast toggles the crypto fast path
-// for the duration of the run — the ablation knob of the experiment.
-func RunE12Cell(cfg E12Config, docs int, fast bool) (E12CellResult, error) {
-	prev := crypto.SetFastPath(fast)
-	defer crypto.SetFastPath(prev)
-
-	res := E12CellResult{Path: "legacy", Docs: docs}
-	if fast {
-		res.Path = "fast-path"
-	}
+// allocations per document on both phases.
+func RunE12Cell(cfg E12Config, docs int) (E12CellResult, error) {
+	res := E12CellResult{Docs: docs}
 	svc := cloud.NewMemoryShards(cloud.DefaultShards)
 	cell, err := core.New(core.Config{
 		ID:    "e12-cell",
@@ -232,7 +190,7 @@ func RunE12Cell(cfg E12Config, docs int, fast bool) (E12CellResult, error) {
 			}
 			batch, err := cell.IngestBatch(items)
 			if err != nil {
-				return fmt.Errorf("E12 %s: ingest: %w", res.Path, err)
+				return fmt.Errorf("E12: ingest: %w", err)
 			}
 			for _, d := range batch {
 				ids = append(ids, d.ID)
@@ -252,7 +210,7 @@ func RunE12Cell(cfg E12Config, docs int, fast bool) (E12CellResult, error) {
 			}
 			for _, r := range cell.ReadBatch("e12-reader", ids[lo:hi], core.AccessContext{}) {
 				if r.Err != nil {
-					return fmt.Errorf("E12 %s: read %s: %w", res.Path, r.DocID, r.Err)
+					return fmt.Errorf("E12: read %s: %w", r.DocID, r.Err)
 				}
 			}
 		}
@@ -265,91 +223,50 @@ func RunE12Cell(cfg E12Config, docs int, fast bool) (E12CellResult, error) {
 }
 
 // RunE12 measures the envelope fast path end to end. The microbenchmark
-// isolates the per-envelope constant factor the tentpole attacks (cached
-// AEADs + bulk nonces + pooled single-allocation builds vs the seed's
-// rebuild-everything implementation); the cell workload shows what that
-// constant factor is worth once the whole reference monitor — catalog,
-// policy gate, audit, local cache, cloud batch API — wraps around it.
+// isolates the per-envelope constant factor (cached AEADs + bulk nonces +
+// pooled single-allocation builds); the cell workload shows what it costs
+// once the whole reference monitor — catalog, policy gate, audit, local
+// cache, cloud batch API — wraps around it.
 func RunE12(cfg E12Config) (*Table, error) {
 	table := &Table{
 		ID:      "E12",
 		Title:   "Zero-allocation sealing fast path: envelope micro-cost and whole-cell throughput",
-		Headers: []string{"workload", "path", "ops/sec", "allocs/op", "read ops/sec", "read allocs/op"},
+		Headers: []string{"workload", "ops/sec", "allocs/op", "read ops/sec", "read allocs/op"},
 		Notes: []string{
-			fmt.Sprintf("micro: %d seal+open pairs of %d B payloads under %d distinct per-document keys, single-threaded",
+			fmt.Sprintf("micro: %d seal+open pairs of %d B payloads under %d distinct per-document keys, single-threaded; cached AEADs, bulk nonces, pooled buffers, in-place open",
 				cfg.MicroOps, cfg.MicroPayload, cfg.MicroKeys),
-			"legacy = seed implementation (cipher rebuilt per call, per-call nonce read, associated data copied, multi-allocation envelope build); fast-path = cached AEADs, bulk nonces, pooled buffers, in-place open",
 			fmt.Sprintf("cell: ingest via IngestBatch(%d) then read back via ReadBatch(%d) as a policy-gated subject, %d B payloads, in-memory sharded provider",
 				cfg.BatchSize, cfg.ReadChunk, cfg.PayloadSize),
 			"cell allocs/op count the whole reference monitor (metadata, policy gate, audit, cache, provider), not just the envelope",
 		},
 	}
 
-	legacyMicro, err := RunE12Micro(cfg, false)
+	micro, err := RunE12Micro(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fastMicro, err := RunE12Micro(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range []E12MicroResult{legacyMicro, fastMicro} {
-		table.AddRow("envelope micro", m.Path,
-			fmt.Sprintf("%.0f", m.OpsPerSec),
-			fmt.Sprintf("%.1f", m.AllocsPerOp),
-			"-", "-")
-	}
-	if legacyMicro.OpsPerSec > 0 {
-		table.SetMetric("seal_open_speedup", fastMicro.OpsPerSec/legacyMicro.OpsPerSec)
-	}
-	// Higher-is-better allocation metric for the bench gate: how many times
-	// fewer allocations the fast path performs per envelope. The fast path
-	// rounds up to half an allocation so a perfectly clean run cannot divide
-	// by zero.
-	fastAllocs := fastMicro.AllocsPerOp
-	if fastAllocs < 0.5 {
-		fastAllocs = 0.5
-	}
-	table.SetMetric("alloc_ratio", legacyMicro.AllocsPerOp/fastAllocs)
-	table.SetMetric("fast_allocs_per_op", fastMicro.AllocsPerOp)
+	table.AddRow("envelope micro",
+		fmt.Sprintf("%.0f", micro.OpsPerSec),
+		fmt.Sprintf("%.1f", micro.AllocsPerOp),
+		"-", "-")
+	table.SetMetric("fast_allocs_per_op", micro.AllocsPerOp)
 
-	// The gate's reference scale: headline cell metrics come from the 10k
-	// catalog when the sweep includes it (both the full and the -quick
-	// configuration do), so the committed floor compares like with like.
-	// Sweeps without a 10k point fall back to their largest scale.
-	headlineDocs := cfg.CatalogSizes[len(cfg.CatalogSizes)-1]
+	headlineDocs := headlineScale(cfg.CatalogSizes)
 	for _, docs := range cfg.CatalogSizes {
-		if docs == 10_000 {
-			headlineDocs = docs
-		}
-	}
-	for _, docs := range cfg.CatalogSizes {
-		legacyCell, err := RunE12Cell(cfg, docs, false)
+		r, err := RunE12Cell(cfg, docs)
 		if err != nil {
 			return nil, err
 		}
-		fastCell, err := RunE12Cell(cfg, docs, true)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range []E12CellResult{legacyCell, fastCell} {
-			table.AddRow(fmt.Sprintf("cell %dk docs", docs/1000), r.Path,
-				fmt.Sprintf("%.0f", r.IngestPerSec),
-				fmt.Sprintf("%.1f", r.IngestAllocsDoc),
-				fmt.Sprintf("%.0f", r.ReadPerSec),
-				fmt.Sprintf("%.1f", r.ReadAllocsDoc))
-		}
+		table.AddRow(fmt.Sprintf("cell %dk docs", docs/1000),
+			fmt.Sprintf("%.0f", r.IngestPerSec),
+			fmt.Sprintf("%.1f", r.IngestAllocsDoc),
+			fmt.Sprintf("%.0f", r.ReadPerSec),
+			fmt.Sprintf("%.1f", r.ReadAllocsDoc))
 		if docs != headlineDocs {
 			continue
 		}
-		table.SetMetric("fast_ingest_docs_per_sec", fastCell.IngestPerSec)
-		table.SetMetric("fast_read_docs_per_sec", fastCell.ReadPerSec)
-		if legacyCell.IngestPerSec > 0 {
-			table.SetMetric("ingest_speedup", fastCell.IngestPerSec/legacyCell.IngestPerSec)
-		}
-		if legacyCell.ReadPerSec > 0 {
-			table.SetMetric("read_speedup", fastCell.ReadPerSec/legacyCell.ReadPerSec)
-		}
+		table.SetMetric("fast_ingest_docs_per_sec", r.IngestPerSec)
+		table.SetMetric("fast_read_docs_per_sec", r.ReadPerSec)
 	}
 	return table, nil
 }

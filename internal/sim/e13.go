@@ -255,12 +255,7 @@ func RunE13(cfg E13Config) (*Table, error) {
 				cfg.KillFrac*100),
 		},
 	}
-	headlineDocs := cfg.CatalogSizes[len(cfg.CatalogSizes)-1]
-	for _, docs := range cfg.CatalogSizes {
-		if docs == 10_000 {
-			headlineDocs = docs
-		}
-	}
+	headlineDocs := headlineScale(cfg.CatalogSizes)
 	for _, docs := range cfg.CatalogSizes {
 		res, err := RunE13Size(cfg, docs)
 		if err != nil {

@@ -229,12 +229,7 @@ func RunE15(cfg E15Config) (*Table, error) {
 			"recovery: the member returns, the hinted-handoff drain replays its missed writes in order, and its own store is checked blob by blob; anti-entropy then confirms the drain left nothing stale",
 		},
 	}
-	headlineDocs := cfg.CatalogSizes[len(cfg.CatalogSizes)-1]
-	for _, docs := range cfg.CatalogSizes {
-		if docs == 10_000 {
-			headlineDocs = docs
-		}
-	}
+	headlineDocs := headlineScale(cfg.CatalogSizes)
 	for _, docs := range cfg.CatalogSizes {
 		res, err := RunE15Size(cfg, docs)
 		if err != nil {

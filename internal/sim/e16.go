@@ -208,12 +208,7 @@ func RunE16(cfg E16Config) (*Table, error) {
 		},
 	}
 	corrupted := 0
-	headline := cfg.FleetSizes[len(cfg.FleetSizes)-1]
-	for _, n := range cfg.FleetSizes {
-		if n == 10_000 {
-			headline = n
-		}
-	}
+	headline := headlineScale(cfg.FleetSizes)
 
 	addRow := func(n int, drill string, run *e16Run) error {
 		res := run.Res

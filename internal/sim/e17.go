@@ -25,14 +25,13 @@ import (
 // two deployments: a single durable provider audited by strict replicas, and
 // a three-member replicated fleet whose convicted member is quarantined and
 // later re-admitted through the anti-entropy probe. Honest controls measure
-// false positives, and an attestation on/off ingest measures what the Merkle
-// root + countersignature cost on the wire.
+// false positives.
 type E17Config struct {
 	// CatalogSizes are the document counts of the prefilled catalog.
 	CatalogSizes []int
-	// SyncShards is the replica shard count of the replicated-fleet drills
-	// and of the proof-overhead measurement. The single-provider drills use
-	// one shard so the forked histories collide on a single catalog shard.
+	// SyncShards is the replica shard count of the replicated-fleet drills.
+	// The single-provider drills use one shard so the forked histories
+	// collide on a single catalog shard.
 	SyncShards int
 	// Members is the fleet size N; member 0 is the adversary.
 	Members int
@@ -469,44 +468,12 @@ func e17HonestReplicated(cfg E17Config, docs int) (int, error) {
 	return falsePos, nil
 }
 
-// e17ProofOverhead measures what the attestation section (Merkle root +
-// countersignature per shard) costs on the wire: the same catalog published
-// with attestation on and off, compared by pushed bytes. The counts are
-// deterministic for a fixed clock.
-func e17ProofOverhead(cfg E17Config, docs int) (float64, error) {
-	measure := func(attest bool) (int64, error) {
-		key, err := crypto.NewSymmetricKey()
-		if err != nil {
-			return 0, err
-		}
-		rep := syncpkg.NewReplicaShards("alice/gateway", "alice", key, cloud.NewMemory(), fixedClock(), cfg.SyncShards)
-		rep.SetAttestation(attest)
-		if err := e17Prefill(rep, docs); err != nil {
-			return 0, err
-		}
-		return rep.TransferStats().BytesPushed, nil
-	}
-	on, err := measure(true)
-	if err != nil {
-		return 0, err
-	}
-	off, err := measure(false)
-	if err != nil {
-		return 0, err
-	}
-	if off == 0 {
-		return 0, fmt.Errorf("no bytes pushed")
-	}
-	return 100 * float64(on-off) / float64(off), nil
-}
-
 // E17SizeResult aggregates one catalog size across both deployments.
 type E17SizeResult struct {
-	Docs             int
-	Durable          map[string]e17DrillResult
-	Replicated       map[string]e17DrillResult
-	FalsePositives   int
-	ProofOverheadPct float64
+	Docs           int
+	Durable        map[string]e17DrillResult
+	Replicated     map[string]e17DrillResult
+	FalsePositives int
 }
 
 // RunE17Size drills one catalog size.
@@ -537,9 +504,6 @@ func RunE17Size(cfg E17Config, docs int) (E17SizeResult, error) {
 		}
 		res.Replicated[attack] = r
 	}
-	if res.ProofOverheadPct, err = e17ProofOverhead(cfg, docs); err != nil {
-		return res, err
-	}
 	return res, nil
 }
 
@@ -562,12 +526,7 @@ func RunE17(cfg E17Config) (*Table, error) {
 			"honest controls run the same audits against well-behaved providers; any conviction counts as a false positive",
 		},
 	}
-	headlineDocs := cfg.CatalogSizes[len(cfg.CatalogSizes)-1]
-	for _, docs := range cfg.CatalogSizes {
-		if docs == 10_000 {
-			headlineDocs = docs
-		}
-	}
+	headlineDocs := headlineScale(cfg.CatalogSizes)
 	for _, docs := range cfg.CatalogSizes {
 		res, err := RunE17Size(cfg, docs)
 		if err != nil {
@@ -586,8 +545,6 @@ func RunE17(cfg E17Config) (*Table, error) {
 				fmt.Sprintf("%d", r.Rounds), fmt.Sprintf("%.2f", r.DetectMS),
 				fmt.Sprintf("%.1f%%", r.ReadablePct), fmt.Sprintf("%t", r.Readmitted))
 		}
-		table.Notes = append(table.Notes,
-			fmt.Sprintf("attestation overhead at %d docs: +%.2f%% pushed bytes", docs, res.ProofOverheadPct))
 		if docs != headlineDocs {
 			continue
 		}
@@ -617,7 +574,6 @@ func RunE17(cfg E17Config) (*Table, error) {
 		table.SetMetric("false_positives", float64(res.FalsePositives))
 		table.SetMetric("detect_rounds_max", float64(roundsMax))
 		table.SetMetric("detect_ms", msMax)
-		table.SetMetric("proof_overhead_pct", res.ProofOverheadPct)
 		table.SetMetric("quarantine_readable_pct", readableMin)
 		table.SetMetric("readmitted_pct", 100*float64(readmitted)/float64(len(e17Attacks)))
 	}

@@ -350,12 +350,7 @@ func RunE18(cfg E18Config) (*Table, error) {
 			"recovery ms = reopen after a kill: run descriptors come back from run footers without decoding body entries",
 		},
 	}
-	headlineDocs := cfg.CatalogSizes[len(cfg.CatalogSizes)-1]
-	for _, docs := range cfg.CatalogSizes {
-		if docs == 10_000 {
-			headlineDocs = docs
-		}
-	}
+	headlineDocs := headlineScale(cfg.CatalogSizes)
 	for _, docs := range cfg.CatalogSizes {
 		res, err := RunE18Size(cfg, docs)
 		if err != nil {

@@ -21,7 +21,7 @@ type Table struct {
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
 	// Metrics are the machine-readable headline numbers of the experiment
-	// (throughput, speedup, bytes ratio, …). cmd/tcbench emits them with
+	// (throughput, speedup, bytes moved, …). cmd/tcbench emits them with
 	// -json and its -gate mode compares them against a committed baseline,
 	// so CI can fail on regressions without re-parsing the rendered rows.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -205,4 +205,16 @@ func RunQuick(id string) (*Table, error) {
 	default:
 		return Run(id)
 	}
+}
+
+// headlineScale picks the scale point a sweep's gated metrics come from: 10k
+// when the sweep includes it (the full and the -quick configurations both
+// do), so the committed bounds compare like with like; otherwise the largest.
+func headlineScale(sizes []int) int {
+	for _, n := range sizes {
+		if n == 10_000 {
+			return n
+		}
+	}
+	return sizes[len(sizes)-1]
 }

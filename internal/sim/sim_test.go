@@ -226,35 +226,21 @@ func TestRunE9Shape(t *testing.T) {
 	}
 }
 
-// TestRunE10Shape verifies the read/query pipeline experiment: the
-// indexed+batched path must beat the seed per-document path, and its planner
-// must not scan anywhere near the whole catalog.
+// TestRunE10Shape verifies the query experiment at a reduced scale: every
+// partition query returns its documents (RunE10Size checks the count), and
+// the planner considers only the indexed candidates, never the whole catalog.
 func TestRunE10Shape(t *testing.T) {
 	cfg := DefaultE10Config()
 	cfg.CatalogSizes = []int{2000}
 	cfg.Partitions = 16
-	// A larger simulated round-trip keeps the measurement dominated by the
-	// provider exchanges being counted, not by CPU — the race detector slows
-	// compute by an order of magnitude and would otherwise drown the signal.
-	cfg.RTT = 20 * time.Millisecond
 	res, err := RunE10Size(cfg, 2000)
 	if err != nil {
 		t.Fatalf("RunE10Size: %v", err)
 	}
-	if res.SequentialQPS <= 0 || res.BatchedQPS <= 0 {
+	if res.BatchedQPS <= 0 {
 		t.Fatalf("throughput must be positive: %+v", res)
 	}
-	// One batched exchange per query instead of one round-trip per document;
-	// even on a loaded single-core runner the pipeline must stay ahead.
-	if res.Speedup < 1.5 {
-		t.Fatalf("indexed/batched path not faster: %+v", res)
-	}
-	// The sequential baseline scans the whole catalog per query; the planner
-	// must only consider the indexed candidates.
-	if res.SeqScannedPerQuery != float64(res.CatalogDocs) {
-		t.Fatalf("baseline should full-scan: %+v", res)
-	}
-	if res.BatScannedPerQuery >= float64(res.CatalogDocs)/2 {
+	if res.ScannedPerQuery >= float64(res.CatalogDocs)/2 {
 		t.Fatalf("planner scans too much of the catalog: %+v", res)
 	}
 	table, err := RunE10(E10Config{CatalogSizes: []int{1000}, Readers: 4, Partitions: 8,
@@ -262,16 +248,15 @@ func TestRunE10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunE10: %v", err)
 	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("rows = %d\n%s", len(table.Rows), table)
+	if len(table.Rows) != 1 || table.Metrics["batched_qps"] <= 0 {
+		t.Fatalf("rows = %d, metrics %v\n%s", len(table.Rows), table.Metrics, table)
 	}
 }
 
 // TestRunE11Shape verifies the replication experiment at a reduced scale:
-// both protocols must converge (state and conflict counts), and the delta
-// protocol must move several times fewer bytes than the full-state baseline.
-// The byte counts are seed-driven, not timing-driven, so the assertions hold
-// on any machine.
+// the fleet must converge (state and conflict counts) and report its sync
+// bytes. The byte counts are seed-driven, not timing-driven, so two runs of
+// the same configuration must move exactly the same bytes on any machine.
 func TestRunE11Shape(t *testing.T) {
 	cfg := E11Config{
 		Replicas:         4,
@@ -283,29 +268,22 @@ func TestRunE11Shape(t *testing.T) {
 		Seed:             19,
 		MaxRecoverRounds: 30,
 	}
-	full, err := RunE11Path(cfg, false)
+	first, err := RunE11Sync(cfg)
 	if err != nil {
-		t.Fatalf("RunE11Path(full): %v", err)
+		t.Fatalf("RunE11Sync: %v", err)
 	}
-	delta, err := RunE11Path(cfg, true)
+	if !first.Converged {
+		t.Fatalf("did not converge: %+v", first)
+	}
+	if first.SyncBytes <= 0 || first.ShardsMoved <= 0 {
+		t.Fatalf("no sync traffic measured: %+v", first)
+	}
+	again, err := RunE11Sync(cfg)
 	if err != nil {
-		t.Fatalf("RunE11Path(delta): %v", err)
+		t.Fatalf("RunE11Sync: %v", err)
 	}
-	for _, res := range []E11Result{full, delta} {
-		if !res.Converged {
-			t.Fatalf("%s did not converge: %+v", res.Path, res)
-		}
-	}
-	if full.Conflicts != delta.Conflicts {
-		t.Fatalf("the two paths resolved different conflict sets: full=%d delta=%d",
-			full.Conflicts, delta.Conflicts)
-	}
-	if delta.SyncBytes <= 0 || full.SyncBytes <= 0 {
-		t.Fatalf("no sync traffic measured: full=%+v delta=%+v", full, delta)
-	}
-	if ratio := float64(full.SyncBytes) / float64(delta.SyncBytes); ratio < 3 {
-		t.Fatalf("delta sync should move several times fewer bytes: ratio=%.2f full=%d delta=%d",
-			ratio, full.SyncBytes, delta.SyncBytes)
+	if again.SyncBytes != first.SyncBytes || again.Rounds != first.Rounds || again.Conflicts != first.Conflicts {
+		t.Fatalf("same seed, different run:\n first %+v\n again %+v", first, again)
 	}
 	table, err := RunE11(E11Config{
 		Replicas: 3, Docs: 500, SyncShards: 32, ChurnRounds: 2,
@@ -314,18 +292,14 @@ func TestRunE11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunE11: %v", err)
 	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("rows = %d\n%s", len(table.Rows), table)
-	}
-	if table.Metrics["bytes_ratio"] <= 1 {
-		t.Fatalf("bytes_ratio metric missing or not >1: %v", table.Metrics)
+	if len(table.Rows) != 1 || table.Metrics["delta_sync_mb"] <= 0 {
+		t.Fatalf("rows = %d, metrics %v\n%s", len(table.Rows), table.Metrics, table)
 	}
 }
 
 // TestRunE12Shape verifies the fast-path experiment at a reduced scale. The
-// allocation counts are deterministic (they count mallocs, not time), so the
-// ≥5x allocation claim is asserted even here; the throughput speedup is only
-// required to not be a slowdown under the race detector's 10x CPU tax.
+// allocation count is deterministic (it counts mallocs, not time), so the
+// zero-allocation claim is asserted even here.
 func TestRunE12Shape(t *testing.T) {
 	cfg := E12Config{
 		MicroOps: 2_000, MicroPayload: 1 << 10, MicroADLen: 32, MicroKeys: 64,
@@ -335,19 +309,13 @@ func TestRunE12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunE12: %v", err)
 	}
-	// 2 micro rows + 2 rows per catalog size.
-	if len(table.Rows) != 2+2*len(cfg.CatalogSizes) {
+	// 1 micro row + 1 row per catalog size.
+	if len(table.Rows) != 1+len(cfg.CatalogSizes) {
 		t.Fatalf("rows = %d\n%s", len(table.Rows), table)
 	}
-	if ratio := table.Metrics["alloc_ratio"]; ratio < 5 {
-		t.Fatalf("fast path should allocate >=5x less per envelope, got %.1fx\n%s", ratio, table)
-	}
-	if table.Metrics["fast_allocs_per_op"] > 1 {
-		t.Fatalf("fast path allocates %.1f times per seal+open, want ~0\n%s",
+	if table.Metrics["fast_allocs_per_op"] > 0.5 {
+		t.Fatalf("fast path allocates %.1f times per seal+open, want 0\n%s",
 			table.Metrics["fast_allocs_per_op"], table)
-	}
-	if speedup := table.Metrics["seal_open_speedup"]; speedup < 1.0 {
-		t.Fatalf("fast path slower than legacy: %.2fx\n%s", speedup, table)
 	}
 	if table.Metrics["fast_ingest_docs_per_sec"] <= 0 || table.Metrics["fast_read_docs_per_sec"] <= 0 {
 		t.Fatalf("cell throughput missing: %v", table.Metrics)
@@ -494,9 +462,6 @@ func TestRunE17Shape(t *testing.T) {
 	}
 	if pct := table.Metrics["readmitted_pct"]; pct != 100 {
 		t.Fatalf("healed members must be readmitted, got %.1f%%\n%s", pct, table)
-	}
-	if ovh := table.Metrics["proof_overhead_pct"]; ovh <= 0 || ovh > 10 {
-		t.Fatalf("attestation overhead out of range: %.2f%%\n%s", ovh, table)
 	}
 }
 

@@ -64,9 +64,9 @@ var (
 // provider stores attestations inside the sealed blob and cannot forge, strip
 // or replay them without tripping rule 2 or rule 3.
 type Attestation struct {
-	Epoch uint64 `json:"epoch"`
-	Root  []byte `json:"root"`
-	Sig   []byte `json:"sig"`
+	Epoch uint64
+	Root  []byte
+	Sig   []byte
 }
 
 // RollbackError is the typed evidence behind ErrRollbackDetected.
@@ -122,16 +122,6 @@ type divergenceError struct {
 
 func (e *divergenceError) Error() string {
 	return fmt.Sprintf("sync: shard %d served at v%d below acknowledged v%d", e.shard, e.served, e.acked)
-}
-
-// SetAttestation toggles shard attestation stamping (default on). With it off,
-// pushes emit the unauthenticated v1 codec — experiment E17 uses the toggle to
-// measure the proof-bytes overhead, and it is the escape hatch for mixed
-// fleets with pre-attestation replicas.
-func (r *Replica) SetAttestation(on bool) {
-	r.mu.Lock()
-	r.attest = on
-	r.mu.Unlock()
 }
 
 // SetStrictFreshness selects what a freshness violation (rules 1 and 2) does:
@@ -236,15 +226,9 @@ func (r *Replica) nextEpochLocked(si int) (uint64, error) {
 // root signed by this replica, alongside the latest witnessed attestation of
 // every other replica (so pullers learn the whole fleet's freshness frontier
 // from any single push). The replica witnesses its own attestation
-// immediately — an upload that then fails merely burns an epoch. With
-// attestation off the snapshot is stripped to the v1 wire form. The caller
+// immediately — an upload that then fails merely burns an epoch. The caller
 // holds the state mutex.
 func (r *Replica) attestSnapshotLocked(si int, snap *shardState) error {
-	if !r.attest {
-		snap.Writer = ""
-		snap.Attests = nil
-		return nil
-	}
 	epoch, err := r.nextEpochLocked(si)
 	if err != nil {
 		return fmt.Errorf("sync: epoch source for shard %d: %w", si, err)
@@ -270,13 +254,13 @@ func (r *Replica) suspectLocked(si int) {
 }
 
 // auditFetchedLocked runs rules 2 and 3 over a fetched shard state whose blob
-// version advanced past everything previously merged. It returns nil for
-// legacy/unattested blobs (nothing to audit), a typed conviction for proven
-// misbehaviour, and records a suspicion instead of convicting rule 2 in
-// lenient mode. The caller holds the state mutex.
+// version advanced past everything previously merged. It returns a typed
+// conviction for proven misbehaviour, ErrIntegrity for a state its writer did
+// not attest, and records a suspicion instead of convicting rule 2 in lenient
+// mode. The caller holds the state mutex.
 func (r *Replica) auditFetchedLocked(si int, st shardState, b cloud.Blob) error {
-	if !r.attest || len(st.Attests) == 0 {
-		return nil
+	if _, ok := st.Attests[st.Writer]; !ok {
+		return ErrIntegrity
 	}
 	sh := r.shards[si]
 	fresh := false
@@ -323,11 +307,7 @@ func (r *Replica) auditFetchedLocked(si int, st shardState, b cloud.Blob) error 
 }
 
 // witnessAttestsLocked advances the shard's witness set to the newest
-// attestation seen per replica. Only the delta protocol calls it — the
-// full-state blob is a separate channel whose contents never advance shard
-// `seen` versions, so witnessing epochs from it would let an honest provider
-// combination look like a rollback (rule 2's soundness argument needs
-// "witnessed epoch e" to imply "merged the shard blob that carried e").
+// attestation seen per replica.
 func witnessAttestsLocked(sh *replicaShard, attests map[string]Attestation) {
 	for rep, att := range attests {
 		if w, ok := sh.attests[rep]; !ok || att.Epoch > w.Epoch {
@@ -396,11 +376,11 @@ func (r *Replica) CheckShardBlob(si int, data []byte) error {
 	if err != nil {
 		return err
 	}
+	if _, ok := st.Attests[st.Writer]; !ok {
+		return ErrIntegrity
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.attest || len(st.Attests) == 0 {
-		return nil
-	}
 	sh := r.shards[si]
 	fresh := false
 	for rep, att := range st.Attests {

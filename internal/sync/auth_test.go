@@ -21,7 +21,7 @@ func authPair(svc cloud.Service) (*Replica, *Replica) {
 }
 
 func TestHonestSyncHasNoFalsePositives(t *testing.T) {
-	// Churny honest traffic — concurrent pushes, overwrite races, full-state
+	// Churny honest traffic — concurrent pushes, overwrite races, extra
 	// rounds mixed in — must never trip the freshness audit in strict mode.
 	svc := cloud.NewAdversary(cloud.NewMemory(), cloud.AdversaryConfig{Mode: cloud.Honest, Seed: 3})
 	a, b := authPair(svc)
@@ -35,8 +35,8 @@ func TestHonestSyncHasNoFalsePositives(t *testing.T) {
 			t.Fatalf("b.Sync round %d: %v", i, err)
 		}
 		if i%5 == 0 {
-			if err := a.SyncFull(); err != nil {
-				t.Fatalf("a.SyncFull round %d: %v", i, err)
+			if err := a.Sync(); err != nil {
+				t.Fatalf("a.Sync extra round %d: %v", i, err)
 			}
 		}
 	}
@@ -209,40 +209,38 @@ func TestLenientModeSuspectsAndHeals(t *testing.T) {
 	}
 }
 
-func TestAttestationDisabledInterop(t *testing.T) {
-	// An attestation-off replica emits the v1 wire format and still
-	// interoperates with an attesting peer; the attesting peer simply has
-	// nothing to audit on the legacy blobs.
-	svc := cloud.NewMemory()
-	a, b := authPair(svc)
-	a.SetAttestation(false)
-	a.Upsert(doc(1))
-	if err := a.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := svc.GetBlob("alice/syncshard/0000")
+func TestUnattestedShardRefused(t *testing.T) {
+	// Every push stamps its writer's attestation, so a shard without one is
+	// not something an honest replica wrote: the two pre-attestation wire
+	// forms and an unstamped current-codec state, each sealed under the user
+	// key, fail closed on Pull and on CheckShardBlob.
+	forms := legacyShardForms(t, codecTestState())
+	unstamped, err := appendShardState(nil, codecTestState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := a.decodeShard(0, blob.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Writer != "" || len(st.Attests) != 0 {
-		t.Fatalf("attestation-off push carried auth section: %+v", st)
-	}
-	if err := b.Sync(); err != nil {
-		t.Fatalf("attesting peer rejected legacy blob: %v", err)
-	}
-	b.Upsert(doc(2))
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Sync(); err != nil {
-		t.Fatalf("legacy replica rejected attested blob: %v", err)
-	}
-	if !Equal(a, b) {
-		t.Fatal("mixed fleet did not converge")
+	forms["unstamped"] = unstamped
+	for name, payload := range forms {
+		t.Run(name, func(t *testing.T) {
+			svc := cloud.NewMemory()
+			a, b := authPair(svc)
+			sealed, err := crypto.Seal(a.key, payload, a.shardAD(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.PutBlob(a.shardBlobName(0), sealed); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Pull(); !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("Pull = %v, want ErrIntegrity", err)
+			}
+			if err := b.CheckShardBlob(0, sealed); !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("CheckShardBlob = %v, want ErrIntegrity", err)
+			}
+			if b.LiveCount() != 0 {
+				t.Fatal("refused shard merged documents")
+			}
+		})
 	}
 }
 
@@ -334,8 +332,8 @@ func TestCodecAuthSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc[1] != shardCodecVersionAuth {
-		t.Fatalf("codec version = %d, want %d", enc[1], shardCodecVersionAuth)
+	if enc[1] != shardCodecVersion {
+		t.Fatalf("codec version = %d, want %d", enc[1], shardCodecVersion)
 	}
 	dec, err := decodeShardState(enc)
 	if err != nil {
@@ -353,5 +351,42 @@ func TestCodecAuthSectionRoundTrip(t *testing.T) {
 		if _, err := decodeShardState(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
+	}
+}
+
+func TestAttestationOverheadConstant(t *testing.T) {
+	// The attestation section is the writer plus one signed (epoch, root)
+	// per replica: its size must not grow with the shard body.
+	overhead := make(map[int]int)
+	for _, n := range []int{1, 100, 1000} {
+		a, _ := authPair(cloud.NewMemory())
+		for i := 0; i < n; i++ {
+			a.Upsert(doc(i))
+		}
+		a.mu.Lock()
+		snap := snapshotShardLocked(a.shards[0])
+		err := a.attestSnapshotLocked(0, &snap)
+		a.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		with, err := appendShardState(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Writer, snap.Attests = "", nil
+		without, err := appendShardState(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overhead[n] = len(with) - len(without)
+		if n == 1000 {
+			if pct := 100 * float64(overhead[n]) / float64(len(without)); pct > 5 {
+				t.Fatalf("attestation costs %.2f%% of a %d-doc shard, want <= 5%%", pct, n)
+			}
+		}
+	}
+	if overhead[1] <= 0 || overhead[100] != overhead[1] || overhead[1000] != overhead[1] {
+		t.Fatalf("attestation overhead by shard size = %v, want one positive constant", overhead)
 	}
 }

@@ -1,57 +1,49 @@
 package sync
 
-// Binary shard codec. Every dirty-shard push seals one shardState; the seed
-// implementation paid json.Marshal/Unmarshal over the whole shard (hundreds
-// of documents) per exchange. The length-prefixed binary form below embeds
-// the datamodel binary document codec, roughly halving shard blob bytes and
-// removing the reflection cost from the sync hot path. Decoding sniffs the
-// first byte and falls back to JSON, so shard blobs pushed by older replicas
-// keep merging cleanly.
+// Binary shard codec: the one wire form of a shard state. It embeds the
+// datamodel binary document codec and always carries the authenticated-catalog
+// section, so a replica never writes an unattested shard. The unattested
+// version 1 and the JSON form before it are refused.
 //
 // Wire format (integers are unsigned varints):
 //
-//	[1] magic 0xD6 — distinct from the document magic and from JSON
-//	[1] codec version (currently 1)
+//	[1] magic 0xD6
+//	[1] codec version (2)
 //	docs:      count + per entry: key string, revision, replica string,
 //	           updated (uvarint length + time.MarshalBinary), flags byte
 //	           (bit0 deleted, bit1 metadata present), [binary document]
 //	vv:        count + (replica string, counter) pairs
 //	conflicts: count + strings
+//	writer:    string
+//	attests:   count + per entry: replica string, epoch, root bytes, sig bytes
 //
-// Doc keys, vector keys and conflict keys are sorted, so equal states encode
-// to equal bytes on every replica.
+// Doc keys, vector keys, conflict keys and attestation keys are sorted, so
+// equal states encode to equal bytes on every replica. The decoder accepts
+// only what the encoder writes — keys strictly increasing, minimal varints,
+// no unknown flag bits — so an accepted state re-encodes to the same bytes.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"trustedcells/internal/datamodel"
 )
 
 const (
 	shardCodecMagic   = 0xD6
-	shardCodecVersion = 1
-	// shardCodecVersionAuth appends the authenticated-catalog section
-	// (writer + attestations, see auth.go) after the conflict set. States
-	// without attestations still encode as version 1, so disabling
-	// attestation reproduces the pre-auth wire format byte for byte.
-	shardCodecVersionAuth = 2
+	shardCodecVersion = 2
 
 	shardFlagDeleted = 1 << 0
 	shardFlagHasDoc  = 1 << 1
-)
 
-func appendTime(dst []byte, t time.Time) ([]byte, error) {
-	tb, err := t.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(tb)))
-	return append(dst, tb...), nil
-}
+	// Smallest encodings, for checking a count against the bytes left before
+	// it sizes an allocation.
+	minDocEntryWire    = 20 // empty key, revision, empty replica, 15-byte time + its length, flags
+	minVVEntryWire     = 2  // empty replica, counter
+	minConflictWire    = 1  // empty key
+	minAttestEntryWire = 4  // empty replica, epoch, empty root, empty sig
+)
 
 // appendBytes writes a length-prefixed byte string.
 func appendBytes(dst, b []byte) []byte {
@@ -74,11 +66,7 @@ func consumeBytes(b []byte) ([]byte, []byte, error) {
 
 // appendShardState appends the binary encoding of st to dst.
 func appendShardState(dst []byte, st shardState) ([]byte, error) {
-	codecVersion := byte(shardCodecVersion)
-	if st.Writer != "" || len(st.Attests) > 0 {
-		codecVersion = shardCodecVersionAuth
-	}
-	dst = append(dst, shardCodecMagic, codecVersion)
+	dst = append(dst, shardCodecMagic, shardCodecVersion)
 
 	ids := make([]string, 0, len(st.Docs))
 	for id := range st.Docs {
@@ -92,7 +80,7 @@ func appendShardState(dst []byte, st shardState) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, v.Revision)
 		dst = datamodel.AppendString(dst, v.Replica)
 		var err error
-		if dst, err = appendTime(dst, v.Updated); err != nil {
+		if dst, err = datamodel.AppendTime(dst, v.Updated); err != nil {
 			return nil, fmt.Errorf("sync: encode doc %s: %w", id, err)
 		}
 		var flags byte
@@ -131,57 +119,66 @@ func appendShardState(dst []byte, st shardState) ([]byte, error) {
 		dst = datamodel.AppendString(dst, k)
 	}
 
-	if codecVersion == shardCodecVersionAuth {
-		dst = datamodel.AppendString(dst, st.Writer)
-		reps := make([]string, 0, len(st.Attests))
-		for rep := range st.Attests {
-			reps = append(reps, rep)
-		}
-		sort.Strings(reps)
-		dst = binary.AppendUvarint(dst, uint64(len(reps)))
-		for _, rep := range reps {
-			a := st.Attests[rep]
-			dst = datamodel.AppendString(dst, rep)
-			dst = binary.AppendUvarint(dst, a.Epoch)
-			dst = appendBytes(dst, a.Root)
-			dst = appendBytes(dst, a.Sig)
-		}
+	dst = datamodel.AppendString(dst, st.Writer)
+	reps := make([]string, 0, len(st.Attests))
+	for rep := range st.Attests {
+		reps = append(reps, rep)
+	}
+	sort.Strings(reps)
+	dst = binary.AppendUvarint(dst, uint64(len(reps)))
+	for _, rep := range reps {
+		a := st.Attests[rep]
+		dst = datamodel.AppendString(dst, rep)
+		dst = binary.AppendUvarint(dst, a.Epoch)
+		dst = appendBytes(dst, a.Root)
+		dst = appendBytes(dst, a.Sig)
 	}
 	return dst, nil
 }
 
 var errShardCodec = fmt.Errorf("sync: malformed shard state")
 
-// decodeShardState parses a shard blob in either codec: binary states (first
-// byte shardCodecMagic) through the decoder below, anything else through the
-// JSON fallback that older replicas pushed.
-func decodeShardState(data []byte) (shardState, error) {
-	if len(data) == 0 || data[0] != shardCodecMagic {
-		var st shardState
-		if err := json.Unmarshal(data, &st); err != nil {
-			return shardState{}, fmt.Errorf("sync: decode shard state: %w", err)
-		}
-		return st, nil
+// consumeCount reads a list count and refuses one the bytes left cannot hold
+// at minWire bytes per entry.
+func consumeCount(b []byte, minWire int) (uint64, []byte, error) {
+	n, b, err := datamodel.ConsumeUvarint(b)
+	if err != nil {
+		return 0, nil, err
 	}
-	if len(data) < 2 || (data[1] != shardCodecVersion && data[1] != shardCodecVersionAuth) {
+	if n > uint64(len(b)/minWire) {
+		return 0, nil, errShardCodec
+	}
+	return n, b, nil
+}
+
+// consumeKey reads one map key, which must sort strictly after prev (the
+// previous key of the same list, ignored for the first).
+func consumeKey(b []byte, first bool, prev string) (string, []byte, error) {
+	k, b, err := datamodel.ConsumeString(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if !first && k <= prev {
+		return "", nil, fmt.Errorf("%w: keys out of order", errShardCodec)
+	}
+	return k, b, nil
+}
+
+// decodeShardState parses a shard blob written by appendShardState.
+func decodeShardState(data []byte) (shardState, error) {
+	if len(data) < 2 || data[0] != shardCodecMagic || data[1] != shardCodecVersion {
 		return shardState{}, errShardCodec
 	}
-	codecVersion := data[1]
 	b := data[2:]
 
-	nDocs, b, err := datamodel.ConsumeUvarint(b)
+	nDocs, b, err := consumeCount(b, minDocEntryWire)
 	if err != nil {
 		return shardState{}, err
 	}
-	// Each entry costs several bytes on the wire; one byte is a safe lower
-	// bound that keeps corrupted counts from forcing huge allocations.
-	if nDocs > uint64(len(b)) {
-		return shardState{}, errShardCodec
-	}
 	st := shardState{Docs: make(map[string]VersionedDoc, nDocs)}
+	var id string
 	for i := uint64(0); i < nDocs; i++ {
-		var id string
-		if id, b, err = datamodel.ConsumeString(b); err != nil {
+		if id, b, err = consumeKey(b, i == 0, id); err != nil {
 			return shardState{}, err
 		}
 		var v VersionedDoc
@@ -191,45 +188,32 @@ func decodeShardState(data []byte) (shardState, error) {
 		if v.Replica, b, err = datamodel.ConsumeString(b); err != nil {
 			return shardState{}, err
 		}
-		var tlen uint64
-		if tlen, b, err = datamodel.ConsumeUvarint(b); err != nil {
-			return shardState{}, err
-		}
-		if tlen > uint64(len(b)) {
-			return shardState{}, errShardCodec
-		}
-		if err := v.Updated.UnmarshalBinary(b[:tlen]); err != nil {
+		if v.Updated, b, err = datamodel.ConsumeTime(b); err != nil {
 			return shardState{}, fmt.Errorf("%w: updated: %v", errShardCodec, err)
 		}
-		b = b[tlen:]
-		if len(b) < 1 {
+		if len(b) < 1 || b[0]&^(shardFlagDeleted|shardFlagHasDoc) != 0 {
 			return shardState{}, errShardCodec
 		}
 		flags := b[0]
 		b = b[1:]
 		v.Deleted = flags&shardFlagDeleted != 0
 		if flags&shardFlagHasDoc != 0 {
-			var doc *datamodel.Document
-			if doc, b, err = datamodel.DecodeDocumentPrefix(b); err != nil {
+			if v.Doc, b, err = datamodel.DecodeDocumentPrefix(b); err != nil {
 				return shardState{}, fmt.Errorf("%w: doc %s: %v", errShardCodec, id, err)
 			}
-			v.Doc = doc
 		}
 		st.Docs[id] = v
 	}
 
-	nVV, b, err := datamodel.ConsumeUvarint(b)
+	nVV, b, err := consumeCount(b, minVVEntryWire)
 	if err != nil {
 		return shardState{}, err
 	}
-	if nVV > uint64(len(b)) {
-		return shardState{}, errShardCodec
-	}
 	if nVV > 0 {
 		st.VV = make(map[string]uint64, nVV)
+		var k string
 		for i := uint64(0); i < nVV; i++ {
-			var k string
-			if k, b, err = datamodel.ConsumeString(b); err != nil {
+			if k, b, err = consumeKey(b, i == 0, k); err != nil {
 				return shardState{}, err
 			}
 			if st.VV[k], b, err = datamodel.ConsumeUvarint(b); err != nil {
@@ -238,54 +222,46 @@ func decodeShardState(data []byte) (shardState, error) {
 		}
 	}
 
-	nConflicts, b, err := datamodel.ConsumeUvarint(b)
+	nConflicts, b, err := consumeCount(b, minConflictWire)
 	if err != nil {
 		return shardState{}, err
 	}
-	if nConflicts > uint64(len(b)) {
-		return shardState{}, errShardCodec
-	}
 	if nConflicts > 0 {
 		st.Conflicts = make(map[string]bool, nConflicts)
+		var k string
 		for i := uint64(0); i < nConflicts; i++ {
-			var k string
-			if k, b, err = datamodel.ConsumeString(b); err != nil {
+			if k, b, err = consumeKey(b, i == 0, k); err != nil {
 				return shardState{}, err
 			}
 			st.Conflicts[k] = true
 		}
 	}
 
-	if codecVersion == shardCodecVersionAuth {
-		if st.Writer, b, err = datamodel.ConsumeString(b); err != nil {
-			return shardState{}, err
-		}
-		var nAtt uint64
-		if nAtt, b, err = datamodel.ConsumeUvarint(b); err != nil {
-			return shardState{}, err
-		}
-		if nAtt > uint64(len(b)) {
-			return shardState{}, errShardCodec
-		}
-		if nAtt > 0 {
-			st.Attests = make(map[string]Attestation, nAtt)
-			for i := uint64(0); i < nAtt; i++ {
-				var rep string
-				if rep, b, err = datamodel.ConsumeString(b); err != nil {
-					return shardState{}, err
-				}
-				var a Attestation
-				if a.Epoch, b, err = datamodel.ConsumeUvarint(b); err != nil {
-					return shardState{}, err
-				}
-				if a.Root, b, err = consumeBytes(b); err != nil {
-					return shardState{}, err
-				}
-				if a.Sig, b, err = consumeBytes(b); err != nil {
-					return shardState{}, err
-				}
-				st.Attests[rep] = a
+	if st.Writer, b, err = datamodel.ConsumeString(b); err != nil {
+		return shardState{}, err
+	}
+	nAtt, b, err := consumeCount(b, minAttestEntryWire)
+	if err != nil {
+		return shardState{}, err
+	}
+	if nAtt > 0 {
+		st.Attests = make(map[string]Attestation, nAtt)
+		var rep string
+		for i := uint64(0); i < nAtt; i++ {
+			if rep, b, err = consumeKey(b, i == 0, rep); err != nil {
+				return shardState{}, err
 			}
+			var a Attestation
+			if a.Epoch, b, err = datamodel.ConsumeUvarint(b); err != nil {
+				return shardState{}, err
+			}
+			if a.Root, b, err = consumeBytes(b); err != nil {
+				return shardState{}, err
+			}
+			if a.Sig, b, err = consumeBytes(b); err != nil {
+				return shardState{}, err
+			}
+			st.Attests[rep] = a
 		}
 	}
 	if len(b) != 0 {

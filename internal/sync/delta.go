@@ -196,7 +196,7 @@ func (r *Replica) mergeFetchedLocked(si int, b cloud.Blob) error {
 		if sh.acked > 0 {
 			// The provider acknowledged our push of this shard and now claims
 			// the blob does not exist at all.
-			if r.strict && r.attest {
+			if r.strict {
 				return &divergenceError{shard: si, acked: sh.acked, served: 0}
 			}
 			r.suspectLocked(si)
@@ -205,7 +205,7 @@ func (r *Replica) mergeFetchedLocked(si int, b cloud.Blob) error {
 	}
 	if b.Version <= sh.seen {
 		if b.Version < sh.acked {
-			if r.strict && r.attest {
+			if r.strict {
 				return &divergenceError{shard: si, acked: sh.acked, served: b.Version}
 			}
 			r.suspectLocked(si)
@@ -215,7 +215,7 @@ func (r *Replica) mergeFetchedLocked(si int, b cloud.Blob) error {
 	if len(b.Data) == 0 {
 		// An advanced version must carry bytes on the conditional-get
 		// contract; an empty advanced entry is provider misbehaviour.
-		if r.strict && r.attest {
+		if r.strict {
 			return &RollbackError{Shard: si, AckedVersion: sh.acked, ServedVersion: b.Version}
 		}
 		r.suspectLocked(si)

@@ -11,10 +11,7 @@
 // seals and uploads only the dirty shards in one batched exchange; Pull asks
 // the provider for every shard conditionally (one conditional batched
 // exchange) and receives bytes only for the shards whose remote version
-// advanced. Sync cost is therefore O(changed shards), not O(catalog); the
-// historical full-state protocol survives as SyncFull/PushFull/PullFull and
-// is the ablation baseline experiment E11 measures the delta protocol
-// against.
+// advanced. Sync cost is therefore O(changed shards), not O(catalog).
 //
 // Conflicts (the same document updated on two cells while disconnected) are
 // resolved deterministically by highest revision, then lexicographically
@@ -52,11 +49,11 @@ const DefaultShardCount = 64
 
 // VersionedDoc is a document plus its replication metadata.
 type VersionedDoc struct {
-	Doc      *datamodel.Document `json:"doc"`
-	Revision uint64              `json:"revision"`
-	Replica  string              `json:"replica"`
-	Updated  time.Time           `json:"updated"`
-	Deleted  bool                `json:"deleted"`
+	Doc      *datamodel.Document
+	Revision uint64
+	Replica  string
+	Updated  time.Time
+	Deleted  bool
 }
 
 // shardState is the replicated state of one shard: its documents, its version
@@ -65,15 +62,16 @@ type VersionedDoc struct {
 // of the shard. All three merge commutatively, which is what lets concurrent
 // pushes converge instead of clobbering.
 type shardState struct {
-	Docs      map[string]VersionedDoc `json:"docs"`
-	VV        map[string]uint64       `json:"vv,omitempty"`
-	Conflicts map[string]bool         `json:"conflicts,omitempty"`
+	Docs      map[string]VersionedDoc
+	VV        map[string]uint64
+	Conflicts map[string]bool
 	// Writer is the replica that pushed this state; Attests carries the
 	// newest signed (epoch, Merkle root) commitment the writer held for each
 	// replica — the freshness evidence the rollback/fork audit in auth.go
-	// verifies. Both are empty on pre-attestation states.
-	Writer  string                 `json:"writer,omitempty"`
-	Attests map[string]Attestation `json:"attests,omitempty"`
+	// verifies. Every push sets both; they are empty only on a snapshot
+	// that has not been stamped yet.
+	Writer  string
+	Attests map[string]Attestation
 }
 
 // replicaShard is one in-memory partition of a replica, guarded by the
@@ -95,8 +93,7 @@ type replicaShard struct {
 	// provider guilt on any single-provider backend (freshness rule 1).
 	acked int
 	// attests is the witness set: the newest verified attestation per
-	// replica, advanced only by delta shard merges and our own pushes (see
-	// witnessAttestsLocked for why the full-state path must not touch it).
+	// replica, advanced only by shard merges and our own pushes.
 	attests map[string]Attestation
 	// epoch backs the in-memory attestation counter when no external epoch
 	// source is installed.
@@ -108,9 +105,8 @@ type replicaShard struct {
 // Two mutexes split its concerns: mu guards the in-memory state and is never
 // held across cloud I/O, so local Upsert/Get/Delete proceed at memory speed
 // while a sync round waits on a slow or partitioned provider; syncMu
-// serializes Push/Pull/Sync (and their full-state variants) against each
-// other, so two overlapping sync rounds cannot interleave their
-// read-merge-write cycles.
+// serializes Push/Pull/Sync against each other, so two overlapping sync
+// rounds cannot interleave their read-merge-write cycles.
 type Replica struct {
 	mu     sync.Mutex
 	syncMu sync.Mutex
@@ -124,11 +120,10 @@ type Replica struct {
 	clock     func() time.Time
 
 	// Authenticated-catalog state (auth.go): authKey signs shard roots,
-	// attest toggles stamping, strict selects convict-vs-suspect on
-	// freshness violations, epochSource optionally backs epochs with a
-	// tamper-resistant counter, suspicions counts lenient-mode violations.
+	// strict selects convict-vs-suspect on freshness violations,
+	// epochSource optionally backs epochs with a tamper-resistant counter,
+	// suspicions counts lenient-mode violations.
 	authKey     crypto.SymmetricKey
-	attest      bool
 	strict      bool
 	epochSource func(shard int) (uint64, error)
 	suspicions  int
@@ -193,7 +188,6 @@ func NewReplicaShards(id, userID string, key crypto.SymmetricKey, svc cloud.Serv
 		clock:     clock,
 		changed:   make(map[string]bool),
 		authKey:   crypto.DeriveKey(key, "sync-root", userID),
-		attest:    true,
 		strict:    true,
 	}
 	for i := range r.shards {
@@ -417,13 +411,7 @@ func (r *Replica) recordConflictLocked(s *replicaShard, key string) {
 // marked dirty so the next push re-publishes the merged state; this is the
 // anti-entropy step that recovers from concurrent pushes overwriting each
 // other at the blob store.
-//
-// The return value reports whether any remote document was applied locally;
-// the full-state protocol uses it to dirty shards whose content it learned
-// from the full blob (which delta-only peers never read), while the delta
-// protocol ignores it (what it pulled is already in the shard blobs).
-func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) bool {
-	applied := false
+func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 	behind := false
 	for k, v := range s.vv {
 		if remote.VV[k] < v {
@@ -436,7 +424,6 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) bool {
 		if !exists {
 			s.docs[id] = rv
 			r.noteChangedLocked(id)
-			applied = true
 			continue
 		}
 		switch {
@@ -455,7 +442,6 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) bool {
 			}
 			s.docs[id] = rv
 			r.noteChangedLocked(id)
-			applied = true
 		case rv.Revision == lv.Revision && rv.Replica != lv.Replica:
 			// True concurrent conflict: deterministic winner, recorded under a
 			// key both sides derive identically.
@@ -467,7 +453,6 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) bool {
 			if rv.Replica > lv.Replica {
 				s.docs[id] = rv
 				r.noteChangedLocked(id)
-				applied = true
 			}
 		}
 	}
@@ -484,7 +469,6 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) bool {
 	if behind {
 		s.dirty = true
 	}
-	return applied
 }
 
 // snapshotShardLocked deep-copies a shard's replicated state for sealing
@@ -503,15 +487,6 @@ func snapshotShardLocked(s *replicaShard) shardState {
 	}
 	for k := range s.conflicts {
 		out.Conflicts[k] = true
-	}
-	if len(s.attests) > 0 {
-		// Witnessed attestations ride along (the full-state protocol carries
-		// them for completeness); the delta push replaces this copy with a
-		// freshly stamped set in attestSnapshotLocked.
-		out.Attests = make(map[string]Attestation, len(s.attests))
-		for rep, a := range s.attests {
-			out.Attests[rep] = a
-		}
 	}
 	return out
 }
@@ -565,7 +540,7 @@ func releaseShardBufs(bufs []*[]byte) {
 
 // decodeShard opens and verifies one sealed shard blob. The decrypted
 // plaintext lives in a pooled buffer for the duration of the decode — the
-// binary codec (and the JSON fallback) copy every field out.
+// binary codec copies every field out.
 func (r *Replica) decodeShard(si int, sealed []byte) (shardState, error) {
 	pb := shardBufs.Get()
 	defer shardBufs.Put(pb)

@@ -173,21 +173,6 @@ func TestTamperedSyncStateDetected(t *testing.T) {
 	}
 }
 
-func TestTamperedFullStateDetected(t *testing.T) {
-	svc := cloud.NewMemory()
-	a, b := twoReplicas(svc)
-	a.Upsert(doc(1))
-	if err := a.PushFull(); err != nil {
-		t.Fatal(err)
-	}
-	blob, _ := svc.GetBlob("alice/syncstate")
-	blob.Data[len(blob.Data)-3] ^= 0x40
-	_, _ = svc.PutBlob("alice/syncstate", blob.Data)
-	if err := b.PullFull(); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("tampered full state not detected: %v", err)
-	}
-}
-
 // TestSpliceAcrossShardsDetected swaps two sealed shard blobs: the associated
 // data binds each shard to its position, so the splice must fail verification.
 func TestSpliceAcrossShardsDetected(t *testing.T) {
@@ -270,80 +255,6 @@ func TestPushNoopWhenClean(t *testing.T) {
 	st := svc.Stats()
 	if st.Gets != gets || st.Puts != puts {
 		t.Fatalf("clean push performed cloud I/O: gets %d->%d puts %d->%d", gets, st.Gets, puts, st.Puts)
-	}
-}
-
-// TestFullVsDeltaInterop mixes the two protocols on one user: state written
-// by the full path must flow through a mixed-protocol replica to a
-// delta-only peer, and local updates must survive a PushFull (the full blob
-// is a different channel than the shard blobs, so PushFull must not clear
-// the dirty flags).
-func TestFullVsDeltaInterop(t *testing.T) {
-	svc := cloud.NewMemory()
-	key, _ := crypto.NewSymmetricKey()
-	clock := func() time.Time { return t0 }
-	a := NewReplica("alice/full-only", "alice", key, svc, clock)
-	b := NewReplica("alice/mixed", "alice", key, svc, clock)
-	c := NewReplica("alice/delta-only", "alice", key, svc, clock)
-
-	a.Upsert(doc(1))
-	if err := a.SyncFull(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PullFull(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Get("doc-0001"); !ok {
-		t.Fatal("full-state did not replicate")
-	}
-	// b learned doc-0001 from the full blob only; its delta Push must
-	// publish it to the shard blobs so the delta-only peer can see it.
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("doc-0001"); !ok {
-		t.Fatal("full-path state did not reach the delta-only replica")
-	}
-	// A local update followed by PushFull must still reach the shard blobs
-	// via the next delta push.
-	b.Upsert(doc(2))
-	if err := b.PushFull(); err != nil {
-		t.Fatal(err)
-	}
-	if b.DirtyShards() == 0 {
-		t.Fatal("PushFull cleared dirty flags; delta peers would never see the update")
-	}
-	if err := b.Push(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("doc-0002"); !ok {
-		t.Fatal("update pushed via PushFull never reached the delta-only replica")
-	}
-	// And delta-born state flows back to the full-only replica.
-	c.Upsert(doc(3))
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Sync(); err != nil { // mixed replica bridges delta -> full
-		t.Fatal(err)
-	}
-	if err := b.PushFull(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.PullFull(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.Get("doc-0003"); !ok {
-		t.Fatal("delta update did not reach the full-only replica")
-	}
-	if !Equal(b, c) {
-		t.Fatalf("mixed-protocol replicas did not converge: %v vs %v", b.DocIDs(), c.DocIDs())
 	}
 }
 

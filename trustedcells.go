@@ -150,8 +150,8 @@ type CondGet = cloud.CondGet
 // Replica is one cell's replica of the user's metadata catalog, synchronized
 // across the user's trusted cells through the untrusted cloud by the sharded
 // delta anti-entropy protocol (see Cell.AttachReplica and Cell.SyncCatalog).
-// SyncFull/PushFull/PullFull keep the historical O(catalog) full-state
-// protocol available as an ablation baseline.
+// Every pushed shard carries its writer's signed attestation, and a shard
+// without one is refused.
 type Replica = syncpkg.Replica
 
 // ReplicaTransfer is a snapshot of a replica's synchronization traffic:
