@@ -518,7 +518,8 @@ func (d *Durable) flushShards() error {
 }
 
 // EngineStats sums the storage-engine counters across shards (flushes,
-// compactions, resident runs, bloom skips, block-cache hits and misses) —
+// compactions, resident runs, bloom skips, block-cache hits and misses,
+// device reads and the bytes they moved) —
 // the observability hook for E13/E18 and tests.
 func (d *Durable) EngineStats() storage.Stats {
 	var total storage.Stats
@@ -533,6 +534,7 @@ func (d *Durable) EngineStats() storage.Stats {
 		total.CacheHits += st.CacheHits
 		total.CacheMisses += st.CacheMisses
 		total.RunReads += st.RunReads
+		total.RunReadBytes += st.RunReadBytes
 		total.Runs += st.Runs
 		total.MemtableLen += st.MemtableLen
 		total.MemtableB += st.MemtableB

@@ -78,6 +78,7 @@ type E18Result struct {
 	BloomSkipPct       float64 // % of run lookups the filters answered
 	DeviceReadsPerMiss float64 // device reads per negative GetBlob
 	CacheHitPct        float64 // block-cache hit rate during the hot phase
+	BytesPerDeviceRead float64 // bytes one device read moved in the point phase
 
 	RecoveryMS float64 // reopen time after a kill (footer-based descriptors)
 }
@@ -160,17 +161,19 @@ type e18Phases struct {
 	negSkipPct      float64 // negative phase: % of run lookups a filter absorbed
 	hotHitPct       float64 // hot phase: block-cache hit rate
 	negReadsPerMiss float64 // negative phase: device reads per missing GetBlob
+	bytesPerRead    float64 // point phase: bytes per device read (one run block)
 }
 
 // e18Counters is the engine-counter snapshot the phase rates are deltas of.
-type e18Counters struct{ skips, hits, misses, reads int64 }
+type e18Counters struct{ skips, hits, misses, reads, readBytes int64 }
 
 func e18Snap(d *cloud.Durable) e18Counters {
 	if d == nil {
 		return e18Counters{}
 	}
 	s := d.EngineStats()
-	return e18Counters{skips: s.BloomSkips, hits: s.CacheHits, misses: s.CacheMisses, reads: s.RunReads}
+	return e18Counters{skips: s.BloomSkips, hits: s.CacheHits, misses: s.CacheMisses,
+		reads: s.RunReads, readBytes: s.RunReadBytes}
 }
 
 func e18Pct(part, whole int64) float64 {
@@ -191,10 +194,15 @@ func e18ReadPhases(svc cloud.Service, d *cloud.Durable, docs int, cfg E18Config)
 	for i := range uniform {
 		uniform[i] = rng.Intn(docs)
 	}
+	before := e18Snap(d)
 	if p.point, err = e18ReadOps(svc, cfg.PointReads, false, func(i int) string {
 		return e18Name(uniform[i])
 	}); err != nil {
 		return p, err
+	}
+	after := e18Snap(d)
+	if reads := after.reads - before.reads; reads > 0 {
+		p.bytesPerRead = float64(after.readBytes-before.readBytes) / float64(reads)
 	}
 	hotSet := cfg.HotSetSize
 	if hotSet > docs {
@@ -207,13 +215,13 @@ func e18ReadPhases(svc cloud.Service, d *cloud.Durable, docs int, cfg E18Config)
 	}); err != nil {
 		return p, err
 	}
-	before := e18Snap(d)
+	before = e18Snap(d)
 	if p.hot, err = e18ReadOps(svc, cfg.PointReads, false, func(i int) string {
 		return e18Name(i % hotSet)
 	}); err != nil {
 		return p, err
 	}
-	after := e18Snap(d)
+	after = e18Snap(d)
 	p.hotHitPct = e18Pct(after.hits-before.hits, (after.hits-before.hits)+(after.misses-before.misses))
 
 	before = e18Snap(d)
@@ -307,6 +315,7 @@ func RunE18Size(cfg E18Config, docs int) (E18Result, error) {
 	res.BloomSkipPct = fastPhases.negSkipPct
 	res.CacheHitPct = fastPhases.hotHitPct
 	res.DeviceReadsPerMiss = fastPhases.negReadsPerMiss
+	res.BytesPerDeviceRead = fastPhases.bytesPerRead
 	if res.BaseHotOps > 0 {
 		res.HotSpeedup = res.FastHotOps / res.BaseHotOps
 	}
@@ -340,7 +349,7 @@ func RunE18(cfg E18Config) (*Table, error) {
 		ID:    "E18",
 		Title: "Durable read fast path: bloom filters, block cache, footer recovery",
 		Headers: []string{"docs", "backend", "point /s", "hot /s", "neg /s", "mixed /s",
-			"bloom skip %", "cache hit %", "dev reads/miss", "recovery ms"},
+			"bloom skip %", "cache hit %", "dev reads/miss", "bytes/read", "recovery ms"},
 		Notes: []string{
 			fmt.Sprintf("raw %d B blobs via PutBlobs(%d), no cell crypto: the storage read path in isolation, %d FNV shards, %d KiB memtables (small, so reads hit the on-device runs)",
 				cfg.PayloadSize, cfg.BatchSize, cfg.Shards, cfg.MemtableBytes>>10),
@@ -348,6 +357,7 @@ func RunE18(cfg E18Config) (*Table, error) {
 			fmt.Sprintf("phases: %d uniform point reads, %d reads over a %d-blob hot set (cache-resident after one warm pass), %d negative lookups, %d mixed",
 				cfg.PointReads, cfg.PointReads, cfg.HotSetSize, cfg.PointReads, cfg.PointReads),
 			"recovery ms = reopen after a kill: run descriptors come back from run footers without decoding body entries",
+			"bytes/read = bytes one device read moved during the uniform point phase: one run block, at most 4 KiB plus one entry",
 		},
 	}
 	headlineDocs := headlineScale(cfg.CatalogSizes)
@@ -357,11 +367,11 @@ func RunE18(cfg E18Config) (*Table, error) {
 			return nil, err
 		}
 		table.AddRow(fmt.Sprintf("%d", docs), "memory",
-			fmt.Sprintf("%.0f", res.MemoryPointOps), "-", "-", "-", "-", "-", "-", "-")
+			fmt.Sprintf("%.0f", res.MemoryPointOps), "-", "-", "-", "-", "-", "-", "-", "-")
 		table.AddRow(fmt.Sprintf("%d", docs), "durable",
 			fmt.Sprintf("%.0f", res.BasePointOps),
 			fmt.Sprintf("%.0f", res.BaseHotOps),
-			fmt.Sprintf("%.0f", res.BaseNegOps), "-", "-", "-", "-", "-")
+			fmt.Sprintf("%.0f", res.BaseNegOps), "-", "-", "-", "-", "-", "-")
 		table.AddRow(fmt.Sprintf("%d", docs), "durable-fastpath",
 			fmt.Sprintf("%.0f", res.FastPointOps),
 			fmt.Sprintf("%.0f", res.FastHotOps),
@@ -370,6 +380,7 @@ func RunE18(cfg E18Config) (*Table, error) {
 			fmt.Sprintf("%.1f%%", res.BloomSkipPct),
 			fmt.Sprintf("%.1f%%", res.CacheHitPct),
 			fmt.Sprintf("%.3f", res.DeviceReadsPerMiss),
+			fmt.Sprintf("%.0f", res.BytesPerDeviceRead),
 			fmt.Sprintf("%.1f", res.RecoveryMS))
 		if docs == headlineDocs {
 			table.SetMetric("fastpath_docs_per_sec", res.FastPointOps)
@@ -378,6 +389,7 @@ func RunE18(cfg E18Config) (*Table, error) {
 			table.SetMetric("bloom_skip_pct", res.BloomSkipPct)
 			table.SetMetric("cache_hit_pct", res.CacheHitPct)
 			table.SetMetric("device_reads_per_miss", res.DeviceReadsPerMiss)
+			table.SetMetric("bytes_per_device_read", res.BytesPerDeviceRead)
 			table.SetMetric("hot_speedup", res.HotSpeedup)
 		}
 		if docs == 100_000 {

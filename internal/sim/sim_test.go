@@ -495,6 +495,11 @@ func TestRunE18Shape(t *testing.T) {
 	if rpm := table.Metrics["device_reads_per_miss"]; rpm > 0.2 {
 		t.Fatalf("negative lookups still reach the device: %.3f reads/miss\n%s", rpm, table)
 	}
+	// A cold point read moves one run block: 4 KiB plus at most one ~1 KiB
+	// entry, never a 16-entry (~17 KB) segment.
+	if b := table.Metrics["bytes_per_device_read"]; b <= 0 || b > 6144 {
+		t.Fatalf("bytes per device read = %.0f, want (0, 6144]\n%s", b, table)
+	}
 }
 
 func TestRunFig1AllFlowsSucceed(t *testing.T) {

@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -169,6 +171,103 @@ func TestOpenRunRejectsDamage(t *testing.T) {
 	// A header past the device end is torn, not fatal.
 	if _, err := openRun(dev, dev.Size()-2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn header accepted: %v", err)
+	}
+}
+
+// TestKVSurfacesShortRunRead: over a device whose reads come back three bytes
+// short with a nil error, every run read — point lookup, scan, checksum
+// verification — fails with ErrUnexpectedEOF instead of parsing the missing
+// tail, and a short block is never admitted to the block cache.
+func TestKVSurfacesShortRunRead(t *testing.T) {
+	dev := &faultDevice{inner: NewMemDevice(0)}
+	kv := NewKV(dev, Options{})
+	entries := bigValueEntries(40, 1<<10)
+	for _, e := range entries {
+		if err := kv.Put(e.key, e.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	key := entries[len(entries)-2].key
+	dev.shortReadBy = 3
+	if _, err := kv.Get(key); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Get over a short read: %v", err)
+	}
+	if err := kv.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Scan over a short read: %v", err)
+	}
+	if err := kv.VerifyRuns(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("VerifyRuns over a short read: %v", err)
+	}
+	cache := NewBlockCache(1 << 20)
+	r := kv.runs[0]
+	if _, _, err := r.get(dev, cache, key, bloomHash(key), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("run get over a short read: %v", err)
+	}
+	if b := cache.Bytes(); b != 0 {
+		t.Fatalf("short block admitted to the cache: %d bytes resident", b)
+	}
+	// Once reads are whole again, the same lookup succeeds and is cached.
+	dev.shortReadBy = 0
+	if _, ok, err := r.get(dev, cache, key, bloomHash(key), nil); !ok || err != nil {
+		t.Fatalf("run get after the fault cleared: ok=%v err=%v", ok, err)
+	}
+	if cache.Bytes() == 0 {
+		t.Fatal("whole block not admitted to the cache")
+	}
+}
+
+// TestPersistentKVSurfacesShortRunRead cuts the runs file short underneath an
+// open store: the file device's reads then come back short, and Get and Scan
+// must fail with ErrUnexpectedEOF while the block cache keeps exactly what it
+// held.
+func TestPersistentKVSurfacesShortRunRead(t *testing.T) {
+	dir := t.TempDir()
+	cache := NewBlockCache(1 << 20)
+	p, err := OpenPersistentKV(dir, PersistentOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	entries := bigValueEntries(40, 1<<10)
+	ops := make([]Op, len(entries))
+	for i, e := range entries {
+		ops[i] = Op{Key: e.key, Value: e.value}
+	}
+	if err := p.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first, last := entries[0].key, entries[len(entries)-1].key
+	if _, err := p.Get(first); err != nil {
+		t.Fatal(err)
+	}
+	resident := cache.Bytes()
+	if resident == 0 {
+		t.Fatal("first block not cached")
+	}
+	// Keep the run's header and all but the tail of its last block.
+	r := p.runs[0]
+	cut := r.offset + int64(r.indexOffsets[len(r.indexOffsets)-1]) + 10
+	if err := os.Truncate(filepath.Join(dir, p.runsFileName(p.gen)), cut); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(last); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Get over a short read: %v", err)
+	}
+	if err := p.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Scan over a short read: %v", err)
+	}
+	if b := cache.Bytes(); b != resident {
+		t.Fatalf("cache holds %d bytes after the failed reads, held %d", b, resident)
+	}
+	// The block read before the cut is still served from the cache.
+	if _, err := p.Get(first); err != nil {
+		t.Fatalf("cached block: %v", err)
 	}
 }
 

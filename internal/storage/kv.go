@@ -38,11 +38,14 @@ type Stats struct {
 	CacheHits   int64
 	CacheMisses int64
 	// RunReads counts device reads issued by point lookups: the residue the
-	// bloom filters and the block cache failed to absorb.
-	RunReads    int64
-	Runs        int
-	MemtableLen int
-	MemtableB   int
+	// bloom filters and the block cache failed to absorb. RunReadBytes is
+	// what those reads moved: one block each, so RunReadBytes/RunReads is
+	// the read amplification of a point lookup in bytes.
+	RunReads     int64
+	RunReadBytes int64
+	Runs         int
+	MemtableLen  int
+	MemtableB    int
 }
 
 // KV is the embedded key/value engine. All methods are safe for concurrent
@@ -64,7 +67,7 @@ type kvCounters struct {
 	flushes, compactions   atomic.Int64
 	bloomSkips             atomic.Int64
 	cacheHits, cacheMisses atomic.Int64
-	runReads               atomic.Int64
+	runReads, runReadBytes atomic.Int64
 }
 
 // NewKV creates an engine over dev with the given options.
@@ -208,18 +211,19 @@ func (kv *KV) Stats() Stats {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
 	return Stats{
-		Puts:        kv.stats.puts.Load(),
-		Gets:        kv.stats.gets.Load(),
-		Deletes:     kv.stats.deletes.Load(),
-		Flushes:     kv.stats.flushes.Load(),
-		Compactions: kv.stats.compactions.Load(),
-		BloomSkips:  kv.stats.bloomSkips.Load(),
-		CacheHits:   kv.stats.cacheHits.Load(),
-		CacheMisses: kv.stats.cacheMisses.Load(),
-		RunReads:    kv.stats.runReads.Load(),
-		Runs:        len(kv.runs),
-		MemtableLen: kv.mem.count(),
-		MemtableB:   kv.mem.size(),
+		Puts:         kv.stats.puts.Load(),
+		Gets:         kv.stats.gets.Load(),
+		Deletes:      kv.stats.deletes.Load(),
+		Flushes:      kv.stats.flushes.Load(),
+		Compactions:  kv.stats.compactions.Load(),
+		BloomSkips:   kv.stats.bloomSkips.Load(),
+		CacheHits:    kv.stats.cacheHits.Load(),
+		CacheMisses:  kv.stats.cacheMisses.Load(),
+		RunReads:     kv.stats.runReads.Load(),
+		RunReadBytes: kv.stats.runReadBytes.Load(),
+		Runs:         len(kv.runs),
+		MemtableLen:  kv.mem.count(),
+		MemtableB:    kv.mem.size(),
 	}
 }
 

@@ -615,18 +615,19 @@ func (p *PersistentKV) Stats() Stats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return Stats{
-		Puts:        p.stats.puts.Load(),
-		Gets:        p.stats.gets.Load(),
-		Deletes:     p.stats.deletes.Load(),
-		Flushes:     p.stats.flushes.Load(),
-		Compactions: p.stats.compactions.Load(),
-		BloomSkips:  p.stats.bloomSkips.Load(),
-		CacheHits:   p.stats.cacheHits.Load(),
-		CacheMisses: p.stats.cacheMisses.Load(),
-		RunReads:    p.stats.runReads.Load(),
-		Runs:        len(p.runs),
-		MemtableLen: p.mem.count(),
-		MemtableB:   p.mem.size(),
+		Puts:         p.stats.puts.Load(),
+		Gets:         p.stats.gets.Load(),
+		Deletes:      p.stats.deletes.Load(),
+		Flushes:      p.stats.flushes.Load(),
+		Compactions:  p.stats.compactions.Load(),
+		BloomSkips:   p.stats.bloomSkips.Load(),
+		CacheHits:    p.stats.cacheHits.Load(),
+		CacheMisses:  p.stats.cacheMisses.Load(),
+		RunReads:     p.stats.runReads.Load(),
+		RunReadBytes: p.stats.runReadBytes.Load(),
+		Runs:         len(p.runs),
+		MemtableLen:  p.mem.count(),
+		MemtableB:    p.mem.size(),
 	}
 }
 

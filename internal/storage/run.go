@@ -31,8 +31,12 @@ import (
 //	  payload: entry count, first/last key, bloom filter, sparse index
 //
 // Keys share their prefix with the previous entry except at restart points —
-// every sparseEvery-th entry, exactly where the sparse index points — so any
-// indexed segment can be decoded standalone. The footer carries everything
+// exactly where the sparse index points — so any indexed segment (a block)
+// can be decoded standalone. A block closes before the entry that would be
+// its sparseEvery+1-th, or before any entry once it holds blockBytes of body:
+// small entries pack sparseEvery to a block, large ones a few. Readers only
+// follow the footer's index, so runs written under any restart spacing read
+// back alike. The footer carries everything
 // openRun needs to rebuild the in-RAM descriptor (count, key range, bloom
 // filter, sparse index) without re-parsing the body: recovery reads the body
 // once to verify its checksum and never decodes an entry.
@@ -41,10 +45,12 @@ import (
 // plain-encoded bodies — are not read: openRun refuses an intact one with
 // ErrLegacyStore.
 //
-// Each run keeps a sparse index in RAM: every sparseEvery-th key and its byte
-// offset inside the body, so a point lookup reads only a bounded slice of the
-// body. The sparse index is tiny (a few entries per run) which is what makes
-// the engine viable on a 64 KiB token.
+// Each run keeps a sparse index in RAM: the first key of every block and its
+// byte offset inside the body, so a point lookup reads one block — at most
+// blockBytes plus one entry, however large the values. The index grows with
+// the entry count ÷ sparseEvery or the body bytes ÷ blockBytes, whichever is
+// larger: a few entries per run, which is what makes the engine viable on a
+// 64 KiB token.
 type run struct {
 	id     uint64 // process-unique id, keys the block cache
 	offset int64  // device offset of the body
@@ -61,10 +67,16 @@ type run struct {
 // extent is the total on-device size of the run including its 8-byte header.
 func (r *run) extent() int64 { return 8 + int64(r.length) + int64(r.tail) }
 
-// sparseEvery controls the sparse index granularity and the prefix
-// compression restart interval (they must coincide: an indexed segment starts
-// at a restart point so it can be decoded without earlier context).
-const sparseEvery = 16
+// sparseEvery and blockBytes bound a block — the body span between two sparse
+// index entries, which is also the prefix compression restart interval (they
+// must coincide: an indexed segment starts at a restart point so it can be
+// decoded without earlier context). A block holds at most sparseEvery
+// entries, and no entry starts once it holds blockBytes, so a point lookup's
+// buffer is bounded in bytes, not only in entries.
+const (
+	sparseEvery = 16
+	blockBytes  = 4 << 10
+)
 
 // runFlagTombstone marks deleted entries.
 const runFlagTombstone = 0x01
@@ -156,8 +168,10 @@ func uvarintLen(v uint64) int {
 // descriptor. bloomBitsPerKey sizes the per-run bloom filter (0 = default
 // sizing, negative = no filter).
 //
-// A sizing pass computes the body length and the sparse index first, so the
-// whole run is encoded into one buffer allocated at its final size.
+// A sizing pass places the restart points (the block rule lives there alone)
+// and computes the body length, so the whole run is encoded into one buffer
+// allocated at its final size; the encoding pass restarts wherever the index
+// says a block begins.
 func writeRun(dev Device, entries []memEntry, bloomBitsPerKey int) (*run, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("storage: cannot write an empty run")
@@ -166,19 +180,22 @@ func writeRun(dev Device, entries []memEntry, bloomBitsPerKey int) (*run, error)
 	if bloomBitsPerKey >= 0 {
 		r.filter = newBloomFilter(len(entries), bloomBitsPerKey)
 	}
-	nIndex := (len(entries) + sparseEvery - 1) / sparseEvery
+	nIndex := (len(entries) + sparseEvery - 1) / sparseEvery // a lower bound
 	r.indexKeys = make([][]byte, 0, nIndex)
 	r.indexOffsets = make([]int, 0, nIndex)
 	var prevKey []byte
+	blockStart, blockLen := 0, 0 // body offset and entry count of the open block
 	for i, e := range entries {
 		shared := 0
-		if i%sparseEvery == 0 {
+		if i == 0 || blockLen == sparseEvery || r.length-blockStart >= blockBytes {
 			// Restart point: full key, and a sparse index entry.
 			r.indexKeys = append(r.indexKeys, append([]byte(nil), e.key...))
 			r.indexOffsets = append(r.indexOffsets, r.length)
+			blockStart, blockLen = r.length, 0
 		} else {
 			shared = sharedPrefixLen(prevKey, e.key)
 		}
+		blockLen++
 		unshared := len(e.key) - shared
 		r.length += uvarintLen(uint64(shared)) + uvarintLen(uint64(unshared)) +
 			uvarintLen(uint64(len(e.value))) + 1 + unshared + len(e.value)
@@ -188,9 +205,12 @@ func writeRun(dev Device, entries []memEntry, bloomBitsPerKey int) (*run, error)
 	r.last = append([]byte(nil), entries[len(entries)-1].key...)
 
 	buf := make([]byte, 8, 8+r.length+r.footerCap())
-	for i, e := range entries {
+	restarts := r.indexOffsets
+	for _, e := range entries {
 		shared := 0
-		if i%sparseEvery != 0 {
+		if len(restarts) > 0 && len(buf)-8 == restarts[0] {
+			restarts = restarts[1:]
+		} else {
 			shared = sharedPrefixLen(prevKey, e.key)
 		}
 		buf = encodePrefixedEntry(buf, shared, e.key, e.value, e.tombstone)
@@ -400,12 +420,14 @@ func scanRuns(dev Device) (runs []*run, valid int64, err error) {
 // verify re-reads the run body and checks its CRC.
 func (r *run) verify(dev Device) error {
 	header := make([]byte, 8)
-	if _, err := dev.ReadAt(header, r.offset-8); err != nil {
+	n, err := dev.ReadAt(header, r.offset-8)
+	if err := fullRead(n, len(header), err); err != nil {
 		return fmt.Errorf("storage: run verify: %w", err)
 	}
 	want := binary.BigEndian.Uint32(header[0:4])
 	body := make([]byte, r.length)
-	if _, err := dev.ReadAt(body, r.offset); err != nil {
+	n, err = dev.ReadAt(body, r.offset)
+	if err := fullRead(n, len(body), err); err != nil {
 		return fmt.Errorf("storage: run verify: %w", err)
 	}
 	if crc32.ChecksumIEEE(body) != want {
@@ -467,11 +489,14 @@ func (r *run) get(dev Device, cache *BlockCache, key []byte, h uint64, c *kvCoun
 			c.cacheMisses.Add(1)
 		}
 		seg = make([]byte, to-from)
-		if _, err := dev.ReadAt(seg, r.offset+int64(from)); err != nil {
+		// A short segment fails here, before the cache can admit it.
+		n, err := dev.ReadAt(seg, r.offset+int64(from))
+		if err := fullRead(n, len(seg), err); err != nil {
 			return memEntry{}, false, fmt.Errorf("storage: run get: %w", err)
 		}
 		if c != nil {
 			c.runReads.Add(1)
+			c.runReadBytes.Add(int64(len(seg)))
 		}
 		cache.put(r.id, int64(from), seg)
 	}
@@ -511,7 +536,8 @@ func (r *run) searchSegment(seg, key []byte) (memEntry, bool, error) {
 // them is safe.
 func (r *run) scan(dev Device, start, end []byte, fn func(memEntry) bool) error {
 	body := make([]byte, r.length)
-	if _, err := dev.ReadAt(body, r.offset); err != nil {
+	n, err := dev.ReadAt(body, r.offset)
+	if err := fullRead(n, len(body), err); err != nil {
 		return fmt.Errorf("storage: run scan: %w", err)
 	}
 	emit := func(e memEntry) bool { // reports whether to keep going

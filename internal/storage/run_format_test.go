@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -115,6 +117,137 @@ func TestRunSparseIndexBoundaries(t *testing.T) {
 	}
 }
 
+// bigValueEntries returns n entries with valueLen-byte values, every 5th a
+// tombstone.
+func bigValueEntries(n, valueLen int) []memEntry {
+	entries := make([]memEntry, n)
+	for i := range entries {
+		entries[i] = memEntry{
+			key:       []byte(fmt.Sprintf("blob-%05d", i*3)),
+			value:     bytes.Repeat([]byte{byte(i)}, valueLen),
+			tombstone: i%5 == 4,
+		}
+	}
+	return entries
+}
+
+// checkBlockRule decodes every indexed segment of r and checks the restart
+// rule writeRun follows: a block holds at most sparseEvery entries, its
+// entries before the last span less than blockBytes, and a block other than
+// the last is closed only because it was full by one of the two bounds.
+// It returns the largest block in bytes.
+func checkBlockRule(t *testing.T, dev Device, r *run) int {
+	t.Helper()
+	largest := 0
+	for i, from := range r.indexOffsets {
+		to := r.length
+		if i+1 < len(r.indexOffsets) {
+			to = r.indexOffsets[i+1]
+		}
+		seg := make([]byte, to-from)
+		if n, err := dev.ReadAt(seg, r.offset+int64(from)); n != len(seg) {
+			t.Fatalf("block %d: read %d of %d bytes: %v", i, n, len(seg), err)
+		}
+		var scratch []byte
+		count, pos, last := 0, 0, 0
+		for pos < len(seg) {
+			_, _, n, err := decodePrefixedEntry(seg[pos:], &scratch)
+			if err != nil {
+				t.Fatalf("block %d does not decode standalone: %v", i, err)
+			}
+			count, pos, last = count+1, pos+n, n
+		}
+		if count == 0 || count > sparseEvery || len(seg)-last >= blockBytes {
+			t.Fatalf("block %d: %d entries, %d bytes before its last entry; bounds are %d and %d",
+				i, count, len(seg)-last, sparseEvery, blockBytes)
+		}
+		if to < r.length && count < sparseEvery && len(seg) < blockBytes {
+			t.Fatalf("block %d closed early: %d entries, %d bytes", i, count, len(seg))
+		}
+		largest = max(largest, len(seg))
+	}
+	return largest
+}
+
+// TestRunBlockBytes writes 1 KiB values: blocks must close on bytes, so every
+// index gap stays within blockBytes plus one entry — a point lookup reads
+// ~4 KiB, not sixteen values — and every key still reads back.
+func TestRunBlockBytes(t *testing.T) {
+	const n, valueLen = 100, 1 << 10
+	dev := NewMemDevice(0)
+	entries := bigValueEntries(n, valueLen)
+	r := writeAndReopenRun(t, dev, entries)
+	maxEntry := len(encodePrefixedEntry(nil, 0, entries[n-1].key, entries[n-1].value, false))
+	if largest := checkBlockRule(t, dev, r); largest > blockBytes+maxEntry {
+		t.Fatalf("largest block %d bytes, want <= %d", largest, blockBytes+maxEntry)
+	}
+	if byCount := (n + sparseEvery - 1) / sparseEvery; len(r.indexKeys) <= byCount {
+		t.Fatalf("%d index entries: the byte bound never closed a block (entry bound alone gives %d)",
+			len(r.indexKeys), byCount)
+	}
+	for _, e := range entries {
+		got, ok, err := r.get(dev, nil, e.key, bloomHash(e.key), nil)
+		if err != nil || !ok || !bytes.Equal(got.value, e.value) || got.tombstone != e.tombstone {
+			t.Fatalf("key %q: ok=%v err=%v", e.key, ok, err)
+		}
+	}
+}
+
+// TestRunReadsSixteenEntrySegments hand-encodes a run the way writers before
+// the byte bound did — a restart at every sparseEvery-th entry, whatever the
+// value size — and checks that openRun serves every key, every gap key and a
+// full scan from it: readers follow the footer's index, so stores written
+// under the old rule read back unchanged.
+func TestRunReadsSixteenEntrySegments(t *testing.T) {
+	entries := bigValueEntries(3*sparseEvery+5, 1<<10)
+	w := &run{count: len(entries), filter: newBloomFilter(len(entries), 0),
+		first: entries[0].key, last: entries[len(entries)-1].key}
+	var body, prev []byte
+	for i, e := range entries {
+		shared := 0
+		if i%sparseEvery == 0 {
+			w.indexKeys = append(w.indexKeys, e.key)
+			w.indexOffsets = append(w.indexOffsets, len(body))
+		} else {
+			shared = sharedPrefixLen(prev, e.key)
+		}
+		body = encodePrefixedEntry(body, shared, e.key, e.value, e.tombstone)
+		w.filter.add(e.key)
+		prev = e.key
+	}
+	raw := make([]byte, 8, 8+len(body))
+	binary.BigEndian.PutUint32(raw[0:4], crc32.ChecksumIEEE(body))
+	binary.BigEndian.PutUint32(raw[4:8], uint32(len(body))|runFooterFlag)
+	raw = w.appendFooter(append(raw, body...))
+	dev := NewMemDevice(0)
+	if _, err := dev.WriteAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := openRun(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.indexOffsets, w.indexOffsets) {
+		t.Fatalf("index offsets %v, wrote %v", r.indexOffsets, w.indexOffsets)
+	}
+	if seg := r.indexOffsets[1] - r.indexOffsets[0]; seg <= blockBytes+(1<<10) {
+		t.Fatalf("hand-encoded segment is %d bytes: not the old layout", seg)
+	}
+	cache := NewBlockCache(1 << 20)
+	for i, e := range entries {
+		got, ok, err := r.get(dev, cache, e.key, bloomHash(e.key), nil)
+		if err != nil || !ok || !bytes.Equal(got.value, e.value) || got.tombstone != e.tombstone {
+			t.Fatalf("key %q: ok=%v err=%v", e.key, ok, err)
+		}
+		gap := []byte(fmt.Sprintf("blob-%05d", i*3+1))
+		if _, ok, err := r.get(dev, cache, gap, bloomHash(gap), nil); ok || err != nil {
+			t.Fatalf("gap key %q: found=%v err=%v", gap, ok, err)
+		}
+	}
+	checkScan(t, dev, r, entries)
+}
+
 // writeAndReopenRun writes entries as a run at the start of an empty dev and
 // returns the descriptor openRun rebuilds from the footer.
 func writeAndReopenRun(t *testing.T, dev Device, entries []memEntry) *run {
@@ -170,6 +303,12 @@ func TestRunDifferentialAgainstOracle(t *testing.T) {
 			t.Fatalf("key %q = %q/%v, want %q/%v", k, got.value, got.tombstone, want.value, want.tombstone)
 		}
 	}
+	checkScan(t, dev, r, entries)
+}
+
+// checkScan scans the whole run and compares it entry by entry with entries.
+func checkScan(t *testing.T, dev Device, r *run, entries []memEntry) {
+	t.Helper()
 	var scanned []memEntry
 	if err := r.scan(dev, nil, nil, func(e memEntry) bool {
 		scanned = append(scanned, e)
@@ -208,13 +347,17 @@ func TestRunFooterBoundsCounts(t *testing.T) {
 
 // FuzzRunRoundTrip feeds arbitrary bytes through a deterministic
 // entry-builder, writes the run (footer included) and checks that the
-// reopened descriptor serves every entry back intact — and that a corrupted
-// copy is rejected rather than misread.
+// reopened descriptor follows the block rule and serves every entry back
+// intact, by lookup and by scan — and that a corrupted copy is rejected
+// rather than misread. Each value is its chunk repeated 1+repeat times, so
+// blocks close on bytes as well as on entry counts.
 func FuzzRunRoundTrip(f *testing.F) {
-	f.Add([]byte("seed"), uint8(3))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint8(40))
-	f.Add(bytes.Repeat([]byte{0xAB}, 64), uint8(17))
-	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+	f.Add([]byte("seed"), uint8(3), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint8(40), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xAB}, 64), uint8(17), uint8(0))
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5}, 40), uint8(40), uint8(200))
+	f.Add(bytes.Repeat([]byte{0xCD}, 64), uint8(4), uint8(255))
+	f.Fuzz(func(t *testing.T, data []byte, n, repeat uint8) {
 		if n == 0 || len(data) == 0 {
 			return
 		}
@@ -224,7 +367,7 @@ func FuzzRunRoundTrip(f *testing.F) {
 			chunk := data[i*len(data)/int(n) : (i+1)*len(data)/int(n)]
 			entries = append(entries, memEntry{
 				key:       []byte(fmt.Sprintf("%06d-%x", i, chunk)),
-				value:     chunk,
+				value:     bytes.Repeat(chunk, 1+int(repeat)),
 				tombstone: len(chunk)%3 == 0,
 			})
 		}
@@ -240,6 +383,7 @@ func FuzzRunRoundTrip(f *testing.F) {
 		if r.count != len(entries) || !bytes.Equal(r.first, entries[0].key) || !bytes.Equal(r.last, entries[len(entries)-1].key) {
 			t.Fatalf("descriptor mismatch: %+v", r)
 		}
+		checkBlockRule(t, dev, r)
 		for _, e := range entries {
 			got, ok, err := r.get(dev, nil, e.key, bloomHash(e.key), nil)
 			if err != nil || !ok {
@@ -249,6 +393,7 @@ func FuzzRunRoundTrip(f *testing.F) {
 				t.Fatalf("key %q = %q/%v, want %q/%v", e.key, got.value, got.tombstone, e.value, e.tombstone)
 			}
 		}
+		checkScan(t, dev, r, entries)
 		// Flip one body byte on a copy: openRun must reject, never misread.
 		if w.length > 0 {
 			tampered := NewMemDevice(0)
