@@ -895,27 +895,32 @@ func (r *Replicated) readRepair(name string, winner Blob, responders []blobRespo
 			targets = append(targets, resp.idx)
 		}
 	}
-	r.stats.readRepairs.Add(int64(r.repairName(name, winner, targets)))
+	r.stats.readRepairs.Add(int64(r.repairName(name, winner, targets, false)))
 }
 
-// repairName lifts the listed members to the winning blob. It only acts when
-// it can take the name's stripe without waiting: write fan-outs hold the
-// stripe until every member call returns, so owning it proves no write is in
-// flight — and the member state re-read under the lock is current, never a
-// stale snapshot a straggler already advanced past. When the stripe is busy a
-// write is still propagating; repairing then would race it and inflate
-// versions, so the repair is skipped and the next read or anti-entropy pass
-// retries. Repair puts until the member's version reaches the winner's, so
+// repairName lifts the listed members to the winning blob under the name's
+// stripe: write fan-outs hold the stripe until every member call returns, so
+// owning it proves no write is in flight — and the member state re-read under
+// the lock is current, never a stale snapshot a straggler already advanced
+// past. A busy stripe means a write is still propagating. Read repair (wait
+// false) then skips the name rather than stall the read, and the next read or
+// anti-entropy pass retries; anti-entropy (wait true) waits the straggler out
+// — each of its member calls is bounded by CallTimeout — so one pass repairs
+// every name, including those whose write returned to its caller at W acks
+// while a failed member call was still unwinding. Repair puts until the
+// member's version reaches the winner's, so
 // converged members agree on versions, not just bytes; a conflicting copy at
 // the winning version gets one extra put, making its member the new maximum
 // carrying the winning data, and the next pass lifts the rest. Returns the
 // number of repair puts issued.
-func (r *Replicated) repairName(name string, winner Blob, targets []int) int {
+func (r *Replicated) repairName(name string, winner Blob, targets []int, wait bool) int {
 	if winner.Version == 0 || len(targets) == 0 {
 		return 0
 	}
 	mu := r.stripe(name)
-	if !mu.TryLock() {
+	if wait {
+		mu.Lock()
+	} else if !mu.TryLock() {
 		return 0
 	}
 	defer mu.Unlock()
@@ -1504,7 +1509,7 @@ func (r *Replicated) repairQuarantined(names []string, sources []int, report *Re
 				continue
 			}
 			if !bytes.Equal(held[pos].Data, w.Data) {
-				puts := r.repairName(names[pos], w, []int{qi})
+				puts := r.repairName(names[pos], w, []int{qi}, true)
 				report.QuarantineRepairs += puts
 				report.BytesMoved += int64(puts * len(w.Data))
 			}
@@ -1581,7 +1586,7 @@ func (r *Replicated) repairShard(names []string, memberIdx []int, report *Repair
 				targets = append(targets, v.idx)
 			}
 		}
-		puts := r.repairName(name, winner, targets)
+		puts := r.repairName(name, winner, targets, true)
 		report.StalePuts += puts
 		report.BytesMoved += int64(puts * len(winner.Data))
 	}

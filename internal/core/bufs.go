@@ -5,8 +5,9 @@ package core
 // associated-data string and a fresh envelope buffer per document; the pools
 // below make those steady-state costs allocation-free. Safety rests on the
 // stores' copy-on-write contract: cloud.Memory duplicates blob data on put
-// and the KV memtable duplicates both key and value, so a pooled buffer may
-// be recycled as soon as the call that shipped it returns (DESIGN.md §7).
+// and the cache engine's memtable duplicates both key and value, so a pooled
+// buffer may be recycled as soon as the call that shipped it returns
+// (DESIGN.md §7).
 
 import "trustedcells/internal/crypto"
 

@@ -71,7 +71,7 @@ type Cell struct {
 	tee     *tamper.TEE
 	keys    *crypto.KeyHierarchy
 	catalog *datamodel.Catalog
-	cache   *storage.KV
+	cache   *storage.PersistentKV
 	access  *policy.Set
 	usage   *ucon.Monitor
 	log     *audit.Log
@@ -138,13 +138,15 @@ func New(cfg Config) (*Cell, error) {
 			cacheBytes = 1 << 20
 		}
 	}
-	dev := storage.NewMeteredDevice(storage.NewMemDevice(0), tee.Meter())
+	// Each cache generation is a fresh metered memory device, so the engine's
+	// page traffic is charged to the TEE and a replaced generation is freed.
+	newDevice := func() storage.Device { return storage.NewMeteredDevice(storage.NewMemDevice(0), tee.Meter()) }
 	cell := &Cell{
 		id:             cfg.ID,
 		tee:            tee,
 		keys:           keys,
 		catalog:        datamodel.NewCatalog(),
-		cache:          storage.NewKV(dev, storage.Options{MemtableBytes: cacheBytes, MaxRuns: 8}),
+		cache:          storage.NewMemoryKV(newDevice, storage.PersistentOptions{MemtableBytes: cacheBytes}),
 		access:         policy.NewSet(cfg.ID),
 		usage:          ucon.NewMonitor(),
 		log:            audit.NewLog(),
@@ -358,7 +360,7 @@ func (c *Cell) Ingest(payload []byte, opts IngestOptions) (*datamodel.Document, 
 			return nil, fmt.Errorf("core: ingest: cloud put: %w", err)
 		}
 	}
-	if err := c.cache.Put(appendPayloadKey((*scratch)[:0], doc.ID), sealed); err != nil {
+	if err := c.cache.Apply([]storage.Op{{Key: appendPayloadKey((*scratch)[:0], doc.ID), Value: sealed}}); err != nil {
 		return nil, fmt.Errorf("core: ingest: cache: %w", err)
 	}
 	if err := c.catalog.Add(doc); err != nil {
@@ -448,10 +450,10 @@ func (c *Cell) openDocument(doc *datamodel.Document, key crypto.SymmetricKey, ow
 
 // warmCache writes a verified sealed payload back to the local cache. Best
 // effort: the read already has the bytes even if caching them fails. The
-// cache key lives in pooled scratch (the KV copies it on put).
+// cache key lives in pooled scratch (the memtable copies it on apply).
 func (c *Cell) warmCache(docID string, sealed []byte) {
 	kb := keyBufs.Get()
-	_ = c.cache.Put(appendPayloadKey(*kb, docID), sealed)
+	_ = c.cache.Apply([]storage.Op{{Key: appendPayloadKey(*kb, docID), Value: sealed}})
 	keyBufs.Put(kb)
 }
 

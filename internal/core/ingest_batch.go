@@ -8,6 +8,7 @@ import (
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
+	"trustedcells/internal/storage"
 )
 
 // IngestItem is one document of a batched ingest.
@@ -78,13 +79,24 @@ func (c *Cell) IngestBatch(items []IngestItem) ([]*datamodel.Document, error) {
 		}
 	}
 
-	docs := make([]*datamodel.Document, 0, len(sealed))
+	// One cache batch for the whole ingest. The keys share one pooled buffer:
+	// a key sliced off before the buffer grew still points at the old array,
+	// whose bytes are never rewritten, and the memtable copies every key.
+	ops := make([]storage.Op, len(sealed))
 	kb := keyBufs.Get()
-	defer keyBufs.Put(kb)
+	for i, s := range sealed {
+		start := len(*kb)
+		*kb = appendPayloadKey(*kb, s.doc.ID)
+		ops[i] = storage.Op{Key: (*kb)[start:], Value: s.sealed}
+	}
+	err = c.cache.Apply(ops)
+	keyBufs.Put(kb)
+	if err != nil {
+		return nil, fmt.Errorf("core: ingest batch: cache: %w", err)
+	}
+
+	docs := make([]*datamodel.Document, 0, len(sealed))
 	for _, s := range sealed {
-		if err := c.cache.Put(appendPayloadKey((*kb)[:0], s.doc.ID), s.sealed); err != nil {
-			return docs, fmt.Errorf("core: ingest batch: cache: %w", err)
-		}
 		if err := c.catalog.Add(s.doc); err != nil {
 			return docs, fmt.Errorf("core: ingest batch: catalog: %w", err)
 		}

@@ -258,8 +258,8 @@ const maxPooledBufCap = 4 << 20
 // zero-length slice (pointer, so Put does not box a new header); the caller
 // appends into it — typically via SealTo/OpenTo — stores the grown slice
 // back through the pointer, and Puts it when the bytes are no longer
-// referenced. The cell's stores copy on write (cloud.Memory and the KV
-// memtable both duplicate incoming data), so a sealed envelope may be
+// referenced. The cell's stores copy on write (cloud.Memory and the storage
+// engine's memtable both duplicate incoming data), so a sealed envelope may be
 // recycled as soon as the call that shipped it returns; DESIGN.md §7 records
 // the ownership rules.
 type BufPool struct {

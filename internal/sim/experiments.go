@@ -124,19 +124,25 @@ func RunE2(cfg E2Config) (*Table, error) {
 	for _, class := range cfg.Classes {
 		profile := tamper.DefaultProfile(class)
 		meter := &tamper.CostMeter{}
-		dev := storage.NewMeteredDevice(storage.NewMemDevice(0), meter)
 		mem := profile.RAMBudget / 4
 		if mem > 256<<10 {
 			mem = 256 << 10
 		}
-		kv := storage.NewKV(dev, storage.Options{MemtableBytes: mem, MaxRuns: 6})
+		// No background compaction: its page charges would land in whichever
+		// phase happened to be running. The insert phase ends with one
+		// explicit compaction instead, so every row is deterministic.
+		kv := storage.NewMemoryKV(func() storage.Device { return storage.NewMeteredDevice(storage.NewMemDevice(0), meter) },
+			storage.PersistentOptions{MemtableBytes: mem, MaxRuns: -1})
 
 		for i := 0; i < cfg.Records; i++ {
-			if err := kv.Put([]byte(fmt.Sprintf("doc/%08d", i)), value); err != nil {
+			if err := kv.Apply([]storage.Op{{Key: []byte(fmt.Sprintf("doc/%08d", i)), Value: value}}); err != nil {
 				return nil, err
 			}
 		}
 		if err := kv.Flush(); err != nil {
+			return nil, err
+		}
+		if err := kv.Compact(); err != nil {
 			return nil, err
 		}
 		insertTime := meter.SimulatedTime(profile)

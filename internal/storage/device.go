@@ -11,10 +11,13 @@
 //     profile's RAM budget;
 //   - reads consult the memtable, then immutable sorted runs through a sparse
 //     in-RAM index, touching a bounded number of flash pages;
-//   - compaction merges runs to bound read amplification.
+//   - compaction merges runs into a new generation to bound read
+//     amplification, and drops the generation it replaced.
 //
-// Every page touched is charged to a tamper.CostMeter so that experiments can
-// convert engine work into simulated device time and energy.
+// There is one engine, PersistentKV, over two generation stores: crash-safe
+// files (cloud.Durable's shards) and in-memory devices (the cell's payload
+// cache). Every page touched is charged to a tamper.CostMeter so that
+// experiments can convert engine work into simulated device time and energy.
 package storage
 
 import (
@@ -35,7 +38,6 @@ var (
 	ErrNotFound   = errors.New("storage: key not found")
 	ErrClosed     = errors.New("storage: store is closed")
 	ErrCorrupt    = errors.New("storage: corrupted record")
-	ErrReadOnly   = errors.New("storage: device is read-only")
 	ErrOutOfSpace = errors.New("storage: device capacity exceeded")
 	// ErrLegacyStore refuses a PersistentKV directory written before the
 	// footered run format: it has no upgrade path, and opening it fails
@@ -93,7 +95,7 @@ func fullRead(n, want int, err error) error {
 }
 
 // MemDevice is an in-memory Device used for tests, simulations and volatile
-// caches. A capacity of zero means unbounded.
+// caches. A capacity of zero means unbounded; the buffer grows by doubling.
 type MemDevice struct {
 	mu       sync.RWMutex
 	data     []byte
@@ -128,10 +130,15 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	if d.capacity > 0 && end > d.capacity {
 		return 0, ErrOutOfSpace
 	}
-	if end > int64(len(d.data)) {
-		grown := make([]byte, end)
-		copy(grown, d.data)
-		d.data = grown
+	if old := int64(len(d.data)); end > old {
+		if end > int64(cap(d.data)) {
+			grown := make([]byte, old, max(end, 2*int64(cap(d.data))))
+			copy(grown, d.data)
+			d.data = grown
+		}
+		// Spare capacity may hold bytes from before a Truncate: zero the gap.
+		d.data = d.data[:end]
+		clear(d.data[old:end])
 	}
 	copy(d.data[off:end], p)
 	return len(p), nil

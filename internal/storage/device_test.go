@@ -60,6 +60,47 @@ func TestMemDeviceCapacity(t *testing.T) {
 	}
 }
 
+// TestMemDeviceAppendsGrowGeometrically: appending past the end grows the
+// buffer geometrically instead of copying the whole device on every write,
+// and bytes never written since — a gap, or what lay past a Truncate — read
+// back as zeros.
+func TestMemDeviceAppendsGrowGeometrically(t *testing.T) {
+	chunk := bytes.Repeat([]byte{0xAB}, 100)
+	allocs := testing.AllocsPerRun(3, func() {
+		d := NewMemDevice(0)
+		for i := 0; i < 1000; i++ {
+			if _, err := d.WriteAt(chunk, d.Size()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("1000 appends of 100 B allocated %.0f times, want <= 32", allocs)
+	}
+
+	d := NewMemDevice(0)
+	if _, err := d.WriteAt(bytes.Repeat([]byte{0xFF}, 1000), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Truncate(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteAt([]byte("tail"), 500); err != nil {
+		t.Fatal(err)
+	}
+	if d.Size() != 504 {
+		t.Fatalf("size = %d, want 504", d.Size())
+	}
+	buf := make([]byte, 504)
+	if _, err := d.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(bytes.Repeat([]byte{0xFF}, 100), make([]byte, 400)...), "tail"...)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("bytes past the truncation or in the gap did not read back as zeros")
+	}
+}
+
 func TestFileDevice(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cell.dat")
 	d, err := OpenFileDevice(path)

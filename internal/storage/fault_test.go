@@ -11,7 +11,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -180,29 +179,30 @@ func TestOpenRunRejectsDamage(t *testing.T) {
 // tail, and a short block is never admitted to the block cache.
 func TestKVSurfacesShortRunRead(t *testing.T) {
 	dev := &faultDevice{inner: NewMemDevice(0)}
-	kv := NewKV(dev, Options{})
+	p := NewMemoryKV(func() Device { return dev }, PersistentOptions{})
+	defer p.Close()
 	entries := bigValueEntries(40, 1<<10)
 	for _, e := range entries {
-		if err := kv.Put(e.key, e.value); err != nil {
+		if err := p.Apply([]Op{{Key: e.key, Value: e.value}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := kv.Flush(); err != nil {
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	key := entries[len(entries)-2].key
 	dev.shortReadBy = 3
-	if _, err := kv.Get(key); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := p.Get(key); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("Get over a short read: %v", err)
 	}
-	if err := kv.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := p.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("Scan over a short read: %v", err)
 	}
-	if err := kv.VerifyRuns(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := p.VerifyRuns(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("VerifyRuns over a short read: %v", err)
 	}
 	cache := NewBlockCache(1 << 20)
-	r := kv.runs[0]
+	r := p.runs[0]
 	if _, _, err := r.get(dev, cache, key, bloomHash(key), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("run get over a short read: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestPersistentKVSurfacesShortRunRead(t *testing.T) {
 	// Keep the run's header and all but the tail of its last block.
 	r := p.runs[0]
 	cut := r.offset + int64(r.indexOffsets[len(r.indexOffsets)-1]) + 10
-	if err := os.Truncate(filepath.Join(dir, p.runsFileName(p.gen)), cut); err != nil {
+	if err := os.Truncate(fileGenerations{dir}.path(p.gen, runsSuffix), cut); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Get(last); !errors.Is(err, io.ErrUnexpectedEOF) {

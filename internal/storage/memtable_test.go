@@ -131,6 +131,26 @@ func TestMemtableMatchesModel(t *testing.T) {
 	}
 }
 
+func TestMemtableOrderingAndSize(t *testing.T) {
+	m := newMemtable()
+	m.put([]byte("b"), []byte("2"), false)
+	m.put([]byte("a"), []byte("1"), false)
+	m.put([]byte("c"), []byte("3"), false)
+	var keys []string
+	m.scan(nil, nil, func(e memEntry) bool { keys = append(keys, string(e.key)); return true })
+	if fmt.Sprint(keys) != "[a b c]" {
+		t.Fatalf("memtable order %v", keys)
+	}
+	before := m.size()
+	m.put([]byte("b"), []byte("a much longer replacement value"), false)
+	if m.size() <= before {
+		t.Fatal("size did not grow after replacing with a larger value")
+	}
+	if m.count() != 3 {
+		t.Fatalf("count = %d, want 3", m.count())
+	}
+}
+
 // TestMemtableSizeCountsOverwrites pins the RAM accounting: overwriting one
 // key keeps every shadowed record in the arena, so size keeps growing and an
 // engine fed nothing but overwrites of one key still flushes at its budget.
@@ -147,13 +167,14 @@ func TestMemtableSizeCountsOverwrites(t *testing.T) {
 		t.Fatalf("size = %d after 100 overwrites, want >= %d", m.size(), floor)
 	}
 
-	kv := NewKV(NewMemDevice(0), Options{MemtableBytes: 4 << 10, MaxRuns: -1})
+	p := NewMemoryKV(func() Device { return NewMemDevice(0) }, PersistentOptions{MemtableBytes: 4 << 10, MaxRuns: -1})
+	defer p.Close()
 	for i := 0; i < 200; i++ {
-		if err := kv.Put([]byte("hot"), value); err != nil {
+		if err := p.Apply([]Op{{Key: []byte("hot"), Value: value}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := kv.Stats()
+	st := p.Stats()
 	if st.Flushes == 0 {
 		t.Fatal("200 overwrites of one key never reached the 4 KiB flush threshold")
 	}

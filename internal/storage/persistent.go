@@ -1,13 +1,19 @@
 package storage
 
-// This file implements the durable engine variant behind the disk-backed
-// cloud store (cloud.Durable): a PersistentKV is the crash-safe sibling of KV.
-// Where KV keeps its run descriptors only in RAM (fine for the in-cell cache,
-// whose content can be re-fetched from the provider), a PersistentKV
-// persists its runs in one generation file per directory and rebuilds their
-// descriptors on open:
+// This file implements the package's one LSM engine, PersistentKV. Flushes
+// append runs to the current generation, one device; a compaction merges
+// them into a new generation and drops the old one. Where a generation's
+// bytes live is all that differs between the engine's two stores:
 //
-//	<dir>/runs-<gen>.dat   immutable sorted runs, appended by flushes
+//   - files (OpenPersistentKV, behind cloud.Durable): <dir>/runs-<gen>.dat,
+//     whose run descriptors are rebuilt on open;
+//   - memory (NewMemoryKV, behind the cell's payload cache and E2): a fresh
+//     caller-supplied Device per generation, reclaimed by the garbage
+//     collector once its last reader lets go. Nothing is recovered — the
+//     cache's content can be re-fetched from the provider.
+//
+// Flush, lookups, scans, background compaction and the block cache are one
+// code path over both.
 //
 // The engine owns no log. Apply inserts a batch into the memtable; the batch
 // is durable once a Flush or Close returns (or a flush triggered by the
@@ -17,7 +23,7 @@ package storage
 // replays acknowledged writes into a reopened engine, so a second per-engine
 // log would only write every value twice.
 //
-// Recovery: Open picks the newest complete generation, rebuilds the run
+// Recovery: Open picks the newest complete generation file, rebuilds the run
 // descriptors from the run footers and truncates a torn tail left by a
 // mid-flush crash. A directory written before the footered run format — a
 // non-empty wal.dat of the old per-engine log, or a footer-less run — is
@@ -25,13 +31,11 @@ package storage
 //
 // Compaction: when the run count exceeds MaxRuns after a flush or a
 // compaction, a background goroutine merges every run into a new generation
-// file. The merged file is written to a .tmp path, fsync'd, and atomically
-// renamed before the old generation is deleted, so a crash at any point
-// leaves either the old or the new generation fully intact; Open always picks
-// the highest complete generation and deletes the rest.
+// (see compact and fileGenerations for the crash-safe install).
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,8 +46,8 @@ import (
 	"time"
 )
 
-// PersistentOptions configure a PersistentKV. The zero value is usable: every
-// field falls back to the DefaultPersistentOptions value.
+// PersistentOptions configure a PersistentKV. The zero value is usable and
+// sized for a secure-MCU class device: a 256 KiB memtable and eight runs.
 type PersistentOptions struct {
 	// MemtableBytes bounds the RAM-resident write buffer; exceeding it
 	// flushes the memtable into a run.
@@ -69,11 +73,6 @@ type PersistentOptions struct {
 	Limiter *CompactionLimiter
 }
 
-// DefaultPersistentOptions mirror DefaultOptions.
-func DefaultPersistentOptions() PersistentOptions {
-	return PersistentOptions{MemtableBytes: 256 << 10, MaxRuns: 8}
-}
-
 // Op is one operation of an atomic batch applied via Apply.
 type Op struct {
 	Key    []byte
@@ -94,6 +93,37 @@ type RecoveryInfo struct {
 	Elapsed time.Duration
 }
 
+// Stats exposes engine counters for the experiments.
+type Stats struct {
+	Puts, Gets, Deletes, Flushes, Compactions int64
+	// BloomSkips counts run lookups answered "definitely absent" by the
+	// per-run bloom filter — each one is a device read that never happened.
+	BloomSkips int64
+	// CacheHits / CacheMisses count block-cache lookups on the read path
+	// (only engines configured with a cache record them).
+	CacheHits   int64
+	CacheMisses int64
+	// RunReads counts device reads issued by point lookups: the residue the
+	// bloom filters and the block cache failed to absorb. RunReadBytes is
+	// what those reads moved: one block each, so RunReadBytes/RunReads is
+	// the read amplification of a point lookup in bytes.
+	RunReads     int64
+	RunReadBytes int64
+	Runs         int
+	MemtableLen  int
+	MemtableB    int
+}
+
+// kvCounters backs Stats with atomics: lookups count themselves outside the
+// engine's write lock, so many readers may increment concurrently.
+type kvCounters struct {
+	puts, gets, deletes    atomic.Int64
+	flushes, compactions   atomic.Int64
+	bloomSkips             atomic.Int64
+	cacheHits, cacheMisses atomic.Int64
+	runReads, runReadBytes atomic.Int64
+}
+
 // The runs-file naming scheme of a PersistentKV directory, and the log file
 // of the pre-footer engine, which Open checks for and refuses.
 const (
@@ -102,10 +132,59 @@ const (
 	legacyWALFile = "wal.dat"
 )
 
-// PersistentKV is a crash-safe LSM key/value store rooted at a directory.
-// All methods are safe for concurrent use.
+// generations decides where a run generation's bytes live. The engine creates
+// generation N+1 for a compaction, installs it once its content is synced,
+// and then removes generation N; an abandoned compaction removes the
+// generation it created instead.
+type generations interface {
+	create(gen uint64) (Device, error)
+	install(gen uint64) error
+	remove(gen uint64)
+}
+
+// fileGenerations keeps each generation in <dir>/runs-<gen>.dat. A new one is
+// written under a .tmp name and renamed into place, so a crash at any point
+// leaves one complete generation on disk.
+type fileGenerations struct{ dir string }
+
+func (f fileGenerations) path(gen uint64, suffix string) string {
+	return filepath.Join(f.dir, fmt.Sprintf("%s%06d%s", runsPrefix, gen, suffix))
+}
+
+func (f fileGenerations) create(gen uint64) (Device, error) {
+	return OpenFileDevice(f.path(gen, ".tmp"))
+}
+
+func (f fileGenerations) install(gen uint64) error {
+	if err := os.Rename(f.path(gen, ".tmp"), f.path(gen, runsSuffix)); err != nil {
+		return fmt.Errorf("storage: install compacted runs: %w", err)
+	}
+	// Make the rename durable before the old generation is unlinked: a crash
+	// must never find the directory with the old file gone and the new file
+	// not yet persisted.
+	syncDir(f.dir)
+	return nil
+}
+
+func (f fileGenerations) remove(gen uint64) {
+	_ = os.Remove(f.path(gen, ".tmp"))
+	_ = os.Remove(f.path(gen, runsSuffix))
+	syncDir(f.dir)
+}
+
+// memoryGenerations makes each generation a fresh device; a replaced one is
+// garbage once the runs handle holding it is released.
+type memoryGenerations func() Device
+
+func (m memoryGenerations) create(uint64) (Device, error) { return m(), nil }
+func (memoryGenerations) install(uint64) error            { return nil }
+func (memoryGenerations) remove(uint64)                   {}
+
+// PersistentKV is an LSM key/value store over a generations store: crash-safe
+// files rooted at a directory, or volatile memory. All methods are safe for
+// concurrent use.
 type PersistentKV struct {
-	dir  string
+	gens generations
 	opts PersistentOptions
 
 	mu     sync.RWMutex
@@ -124,19 +203,19 @@ type PersistentKV struct {
 }
 
 // runsHandle reference-counts the runs device so readers can finish against
-// a generation file that a concurrent compaction install has already
-// replaced. The handle is created with one owner reference; readers acquire
-// under p.mu and release when done, the owner reference is dropped when the
-// generation is swapped out (or the store closes), and whoever drops the
-// count to zero closes the file. Acquire always happens under p.mu while the
-// handle is still the current one, so the count can never resurrect from
-// zero.
+// a generation that a concurrent compaction install has already replaced.
+// The handle is created with one owner reference; readers acquire under p.mu
+// and release when done, the owner reference is dropped when the generation
+// is swapped out (or the store closes), and whoever drops the count to zero
+// closes the device if it is an io.Closer. Acquire always happens under p.mu
+// while the handle is still the current one, so the count can never
+// resurrect from zero.
 type runsHandle struct {
-	dev  *FileDevice
+	dev  Device
 	refs atomic.Int64
 }
 
-func newRunsHandle(dev *FileDevice) *runsHandle {
+func newRunsHandle(dev Device) *runsHandle {
 	h := &runsHandle{dev: dev}
 	h.refs.Store(1)
 	return h
@@ -146,7 +225,14 @@ func (h *runsHandle) acquire() { h.refs.Add(1) }
 
 func (h *runsHandle) release() error {
 	if h.refs.Add(-1) == 0 {
-		return h.dev.Close()
+		return closeDevice(h.dev)
+	}
+	return nil
+}
+
+func closeDevice(dev Device) error {
+	if c, ok := dev.(io.Closer); ok {
+		return c.Close()
 	}
 	return nil
 }
@@ -156,25 +242,38 @@ func (h *runsHandle) release() error {
 // rebuild its run descriptors and truncate any torn tail.
 func OpenPersistentKV(dir string, opts PersistentOptions) (*PersistentKV, error) {
 	start := time.Now()
-	def := DefaultPersistentOptions()
-	if opts.MemtableBytes <= 0 {
-		opts.MemtableBytes = def.MemtableBytes
-	}
-	if opts.MaxRuns == 0 {
-		opts.MaxRuns = def.MaxRuns
-	}
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("storage: open persistent store: %w", err)
 	}
-	p := &PersistentKV{dir: dir, opts: opts, mem: newMemtable()}
-	if err := p.recoverRuns(); err != nil {
+	files := fileGenerations{dir}
+	p := newPersistentKV(files, opts)
+	if err := p.recoverRuns(files); err != nil {
 		return nil, err
 	}
 	// Make the directory entries of freshly created files (and recovery's
 	// truncations/removals) durable before the store accepts writes.
-	syncDir(p.dir)
+	syncDir(dir)
 	p.recovery.Elapsed = time.Since(start)
 	return p, nil
+}
+
+// NewMemoryKV creates an empty store whose generations are devices returned
+// by newDevice — typically a MeteredDevice over a MemDevice, so the engine's
+// page traffic is charged to a cost meter. Nothing survives the process.
+func NewMemoryKV(newDevice func() Device, opts PersistentOptions) *PersistentKV {
+	p := newPersistentKV(memoryGenerations(newDevice), opts)
+	p.runsH = newRunsHandle(newDevice())
+	return p
+}
+
+func newPersistentKV(gens generations, opts PersistentOptions) *PersistentKV {
+	if opts.MemtableBytes <= 0 {
+		opts.MemtableBytes = 256 << 10
+	}
+	if opts.MaxRuns == 0 {
+		opts.MaxRuns = 8
+	}
+	return &PersistentKV{gens: gens, opts: opts, mem: newMemtable()}
 }
 
 // recoverRuns selects the newest complete runs generation, rebuilds its run
@@ -182,22 +281,22 @@ func OpenPersistentKV(dir string, opts PersistentOptions) (*PersistentKV, error)
 // of a compaction interrupted between rename and delete), abandoned .tmp
 // files and an empty wal.dat are removed — but only once the legacy checks
 // have passed, so a refused open leaves every file as it found it.
-func (p *PersistentKV) recoverRuns() error {
-	walPath := filepath.Join(p.dir, legacyWALFile)
+func (p *PersistentKV) recoverRuns(files fileGenerations) error {
+	walPath := filepath.Join(files.dir, legacyWALFile)
 	wal, err := os.Stat(walPath)
 	if err == nil && wal.Size() > 0 {
 		return fmt.Errorf("storage: %s holds %d bytes of a per-engine log: %w", walPath, wal.Size(), ErrLegacyStore)
 	}
-	entries, err := os.ReadDir(p.dir)
+	entries, err := os.ReadDir(files.dir)
 	if err != nil {
-		return fmt.Errorf("storage: scan %s: %w", p.dir, err)
+		return fmt.Errorf("storage: scan %s: %w", files.dir, err)
 	}
 	var gens []uint64
 	var debris []string
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			debris = append(debris, name)
+			debris = append(debris, filepath.Join(files.dir, name))
 			continue
 		}
 		if !strings.HasPrefix(name, runsPrefix) || !strings.HasSuffix(name, runsSuffix) {
@@ -216,10 +315,10 @@ func (p *PersistentKV) recoverRuns() error {
 		// complete by construction (compaction renames it into place only
 		// after its content is fsync'd).
 		for _, g := range gens[:len(gens)-1] {
-			debris = append(debris, p.runsFileName(g))
+			debris = append(debris, files.path(g, runsSuffix))
 		}
 	}
-	path := filepath.Join(p.dir, p.runsFileName(p.gen))
+	path := files.path(p.gen, runsSuffix)
 	dev, err := OpenFileDevice(path)
 	if err != nil {
 		return err
@@ -236,8 +335,8 @@ func (p *PersistentKV) recoverRuns() error {
 			return err
 		}
 	}
-	for _, name := range debris {
-		_ = os.Remove(filepath.Join(p.dir, name))
+	for _, path := range debris {
+		_ = os.Remove(path)
 	}
 	if wal != nil {
 		_ = os.Remove(walPath)
@@ -249,10 +348,6 @@ func (p *PersistentKV) recoverRuns() error {
 		p.recovery.RunBytes += int64(r.length)
 	}
 	return nil
-}
-
-func (p *PersistentKV) runsFileName(gen uint64) string {
-	return fmt.Sprintf("%s%06d%s", runsPrefix, gen, runsSuffix)
 }
 
 // Recovery returns what Open had to repair.
@@ -382,6 +477,27 @@ func (p *PersistentKV) Scan(start, end []byte, fn func(key, value []byte) bool) 
 	return nil
 }
 
+// VerifyRuns re-reads every run and checks its checksum: the integrity check
+// of a store whose device is an untrusted cache.
+func (p *PersistentKV) VerifyRuns() error {
+	p.mu.RLock()
+	if p.closed {
+		p.mu.RUnlock()
+		return ErrClosed
+	}
+	runs := p.runs
+	h := p.runsH
+	h.acquire()
+	p.mu.RUnlock()
+	defer h.release()
+	for i, r := range runs {
+		if err := r.verify(h.dev); err != nil {
+			return fmt.Errorf("storage: run %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Flush writes the memtable as a run and makes it durable.
 func (p *PersistentKV) Flush() error {
 	p.mu.Lock()
@@ -432,7 +548,7 @@ func (p *PersistentKV) scheduleCompactionLocked() {
 	}()
 }
 
-// Compact merges every run into a single run in a new generation file,
+// Compact merges every run into a single run in a new generation,
 // dropping tombstones and shadowed versions; see compact for the protocol.
 // At most one compaction runs at a time — a call overlapping an in-flight
 // (background or direct) compaction is a no-op.
@@ -460,12 +576,12 @@ func (p *PersistentKV) Compact() error {
 // generation. When a Limiter is configured the compaction first queues for a
 // concurrency slot and then paces its reads and writes against the shared
 // bytes/sec budget (only outside the lock — the fold-in under the lock is
-// never throttled). Crash-safety ordering: the new file's content is fsync'd
-// before the rename, the rename is made durable by a directory fsync before
-// the old generation is unlinked, so at every instant one complete
-// generation is on disk. The memtable is untouched — it holds strictly newer
-// data. Readers that snapshotted the old generation keep it alive through
-// the runs handle's reference count; the replaced runs' cached segments are
+// never throttled). Crash-safety ordering: the new generation's content is
+// synced before it is installed, and installed before the old generation is
+// removed, so with files at every instant one complete generation is on
+// disk. The memtable is untouched — it holds strictly newer data. Readers
+// that snapshotted the old generation keep it alive through the runs
+// handle's reference count; the replaced runs' cached segments are
 // dropped from the block cache after the install (ids are never reused, so a
 // stale segment can never be served for a new run — the drop just reclaims
 // the RAM promptly).
@@ -517,15 +633,13 @@ func (p *PersistentKV) compact() (err error) {
 			live = append(live, e)
 		}
 	}
-	tmpPath := filepath.Join(p.dir, fmt.Sprintf("%s%06d.tmp", runsPrefix, newGen))
-	finalPath := filepath.Join(p.dir, p.runsFileName(newGen))
-	newDev, err := OpenFileDevice(tmpPath)
+	newDev, err := p.gens.create(newGen)
 	if err != nil {
 		return err
 	}
 	abort := func(err error) error {
-		newDev.Close()
-		_ = os.Remove(tmpPath)
+		_ = closeDevice(newDev)
+		p.gens.remove(newGen)
 		return err
 	}
 	var newRuns []*run
@@ -569,15 +683,11 @@ func (p *PersistentKV) compact() (err error) {
 			return abort(fmt.Errorf("storage: sync compacted runs: %w", err))
 		}
 	}
-	if err := os.Rename(tmpPath, finalPath); err != nil {
+	if err := p.gens.install(newGen); err != nil {
 		p.mu.Unlock()
-		return abort(fmt.Errorf("storage: install compacted runs: %w", err))
+		return abort(err)
 	}
-	// Make the rename durable before unlinking the old generation: a crash
-	// must never find the directory with the old file gone and the new file
-	// not yet persisted.
-	syncDir(p.dir)
-	oldPath := filepath.Join(p.dir, p.runsFileName(p.gen))
+	oldGen := p.gen
 	oldIDs := make([]uint64, 0, len(snapshot)+len(suffix))
 	for _, r := range snapshot {
 		oldIDs = append(oldIDs, r.id)
@@ -593,11 +703,10 @@ func (p *PersistentKV) compact() (err error) {
 	p.mu.Unlock()
 
 	// Drop the owner reference of the replaced generation; in-flight readers
-	// that pinned it finish their lookups and the last one closes the file
-	// (already unlinked below — the kernel keeps it alive until then).
+	// that pinned it finish their lookups and the last one closes it (a file
+	// already unlinked below — the kernel keeps it alive until then).
 	_ = oldH.release()
-	_ = os.Remove(oldPath)
-	syncDir(p.dir)
+	p.gens.remove(oldGen)
 	p.opts.Cache.invalidateRuns(oldIDs)
 	return nil
 }
@@ -632,7 +741,7 @@ func (p *PersistentKV) Stats() Stats {
 }
 
 // Close checkpoints the memtable, waits for any background compaction, and
-// closes the underlying files. Closing twice is a no-op.
+// releases the runs device. Closing twice is a no-op.
 func (p *PersistentKV) Close() error {
 	p.mu.Lock()
 	if p.closed {

@@ -6,12 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
+
+	"trustedcells/internal/tamper"
 )
 
 func testOpts() PersistentOptions {
@@ -27,10 +31,50 @@ func mustOpen(t *testing.T, dir string, opts PersistentOptions) *PersistentKV {
 	return p
 }
 
+// backends are the engine's two generation stores. Every test that needs
+// neither a crash nor a reopen runs over both, through forEachBackend.
+var backends = []struct {
+	name string
+	open func(t *testing.T, opts PersistentOptions) *PersistentKV
+}{
+	{"file", func(t *testing.T, opts PersistentOptions) *PersistentKV { return mustOpen(t, t.TempDir(), opts) }},
+	{"memory", func(t *testing.T, opts PersistentOptions) *PersistentKV {
+		return NewMemoryKV(func() Device { return NewMemDevice(0) }, opts)
+	}},
+}
+
+// forEachBackend runs test as one subtest per backend; open creates a store
+// that is closed when the subtest ends.
+func forEachBackend(t *testing.T, test func(t *testing.T, open func(PersistentOptions) *PersistentKV)) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			test(t, func(opts PersistentOptions) *PersistentKV {
+				p := b.open(t, opts)
+				t.Cleanup(func() { p.Close() })
+				return p
+			})
+		})
+	}
+}
+
 func put(t *testing.T, p *PersistentKV, key, value string) {
 	t.Helper()
 	if err := p.Apply([]Op{{Key: []byte(key), Value: []byte(value)}}); err != nil {
 		t.Fatalf("Apply(%s): %v", key, err)
+	}
+}
+
+func del(t *testing.T, p *PersistentKV, key string) {
+	t.Helper()
+	if err := p.Apply([]Op{{Key: []byte(key), Delete: true}}); err != nil {
+		t.Fatalf("Apply(delete %s): %v", key, err)
+	}
+}
+
+func flush(t *testing.T, p *PersistentKV) {
+	t.Helper()
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 }
 
@@ -430,12 +474,391 @@ func TestPersistentKVConcurrentApply(t *testing.T) {
 }
 
 func TestPersistentKVEmptyKeyRejected(t *testing.T) {
-	p := mustOpen(t, t.TempDir(), testOpts())
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(testOpts())
+		if err := p.Apply([]Op{{Key: nil, Value: []byte("x")}}); err == nil {
+			t.Fatal("empty key accepted")
+		}
+		if err := p.Apply(nil); err != nil {
+			t.Fatalf("empty batch should be a no-op: %v", err)
+		}
+	})
+}
+
+// smallOpts is the configuration of the ported single-engine tests: a 4 KiB
+// memtable, so a few hundred keys span several runs.
+func smallOpts() PersistentOptions {
+	return PersistentOptions{MemtableBytes: 4 << 10, MaxRuns: 4}
+}
+
+func TestKVPutGet(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		put(t, p, "alice/doc1", "payload-1")
+		got, err := p.Get([]byte("alice/doc1"))
+		if err != nil || string(got) != "payload-1" {
+			t.Fatalf("Get = %q, %v", got, err)
+		}
+		if _, err := p.Get([]byte("missing")); err != ErrNotFound {
+			t.Fatalf("expected ErrNotFound, got %v", err)
+		}
+	})
+}
+
+func TestKVOverwrite(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		put(t, p, "k", "v1")
+		put(t, p, "k", "v2")
+		if got, err := p.Get([]byte("k")); err != nil || string(got) != "v2" {
+			t.Fatalf("Get after overwrite = %q, %v", got, err)
+		}
+		// Overwrite across a flush boundary.
+		flush(t, p)
+		put(t, p, "k", "v3")
+		if got, _ := p.Get([]byte("k")); string(got) != "v3" {
+			t.Fatalf("Get after flush+overwrite = %q", got)
+		}
+	})
+}
+
+func TestKVDelete(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		put(t, p, "k", "v")
+		del(t, p, "k")
+		if _, err := p.Get([]byte("k")); err != ErrNotFound {
+			t.Fatalf("deleted key still readable: %v", err)
+		}
+		// A delete survives a flush: the tombstone shadows an older run.
+		put(t, p, "persistent", "v")
+		flush(t, p)
+		del(t, p, "persistent")
+		flush(t, p)
+		if _, err := p.Get([]byte("persistent")); err != ErrNotFound {
+			t.Fatalf("tombstone not honoured after flush: %v", err)
+		}
+		// Deleting a missing key is fine.
+		del(t, p, "never-existed")
+	})
+}
+
+func TestKVFlushAndReadBack(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		for i := 0; i < 200; i++ {
+			put(t, p, fmt.Sprintf("key-%04d", i), fmt.Sprintf("value-%d", i))
+		}
+		flush(t, p)
+		if st := p.Stats(); st.Runs == 0 {
+			t.Fatal("expected at least one run after flush")
+		}
+		for i := 0; i < 200; i++ {
+			key := fmt.Sprintf("key-%04d", i)
+			if got, err := p.Get([]byte(key)); err != nil || string(got) != fmt.Sprintf("value-%d", i) {
+				t.Fatalf("Get %s = %q, %v", key, got, err)
+			}
+		}
+	})
+}
+
+func TestKVAutomaticFlushOnBudget(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(PersistentOptions{MemtableBytes: 1 << 10, MaxRuns: 100})
+		big := string(bytes.Repeat([]byte("x"), 300))
+		for i := 0; i < 20; i++ {
+			put(t, p, fmt.Sprintf("k%02d", i), big)
+		}
+		st := p.Stats()
+		if st.Flushes == 0 {
+			t.Fatal("memtable never flushed despite exceeding its budget")
+		}
+		if st.MemtableB > 2<<10 {
+			t.Fatalf("memtable footprint %d exceeds budget substantially", st.MemtableB)
+		}
+	})
+}
+
+// TestKVAutomaticCompaction waits for the background compactions the flushes
+// scheduled, then checks they bounded the run count and lost nothing.
+func TestKVAutomaticCompaction(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		opts := PersistentOptions{MemtableBytes: 512, MaxRuns: 2}
+		p := open(opts)
+		big := string(bytes.Repeat([]byte("y"), 200))
+		for i := 0; i < 40; i++ {
+			put(t, p, fmt.Sprintf("k%03d", i), big)
+		}
+		p.wg.Wait()
+		st := p.Stats()
+		if st.Compactions == 0 {
+			t.Fatal("no compaction although MaxRuns=2")
+		}
+		if st.Runs > opts.MaxRuns {
+			t.Fatalf("too many runs after compaction: %d", st.Runs)
+		}
+		for i := 0; i < 40; i++ {
+			if _, err := p.Get([]byte(fmt.Sprintf("k%03d", i))); err != nil {
+				t.Fatalf("key %d lost after compaction: %v", i, err)
+			}
+		}
+	})
+}
+
+func TestKVScanRange(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+			put(t, p, k, "v-"+k)
+		}
+		flush(t, p)
+		put(t, p, "b", "v-b2") // newer version in the memtable
+		del(t, p, "d")
+
+		var got []string
+		if err := p.Scan([]byte("b"), []byte("f"), func(k, v []byte) bool {
+			got = append(got, string(k)+"="+string(v))
+			return true
+		}); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		if want := []string{"b=v-b2", "c=v-c", "e=v-e"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan returned %v, want %v", got, want)
+		}
+		if n := len(collect(t, p)); n != 5 { // six keys minus one deleted
+			t.Fatalf("full scan found %d keys, want 5", n)
+		}
+		visits := 0
+		_ = p.Scan(nil, nil, func(_, _ []byte) bool { visits++; return false })
+		if visits != 1 {
+			t.Fatalf("early-stop scan visited %d", visits)
+		}
+	})
+}
+
+func TestKVCompactDropsTombstones(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		for i := 0; i < 50; i++ {
+			put(t, p, fmt.Sprintf("k%02d", i), "v")
+		}
+		flush(t, p)
+		for i := 0; i < 50; i += 2 {
+			del(t, p, fmt.Sprintf("k%02d", i))
+		}
+		flush(t, p)
+		if err := p.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		if n := len(collect(t, p)); n != 25 {
+			t.Fatalf("%d keys after compact, want 25", n)
+		}
+		if st := p.Stats(); st.Runs != 1 || p.runs[0].count != 25 {
+			t.Fatalf("after compact: %d runs, first holds %d entries; want 1 run of 25", st.Runs, p.runs[0].count)
+		}
+	})
+}
+
+func TestKVCompactEverythingDeleted(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		put(t, p, "only", "v")
+		flush(t, p)
+		del(t, p, "only")
+		flush(t, p)
+		if err := p.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		if n := len(collect(t, p)); n != 0 {
+			t.Fatalf("%d keys, want 0", n)
+		}
+		if runs := p.Stats().Runs; runs != 0 {
+			t.Fatalf("runs = %d, want 0", runs)
+		}
+	})
+}
+
+func TestKVClose(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		put(t, p, "k", "v")
+		if err := p.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := p.Apply([]Op{{Key: []byte("k2"), Value: []byte("v")}}); err != ErrClosed {
+			t.Fatalf("Apply after close: %v", err)
+		}
+		if _, err := p.Get([]byte("k")); err != ErrClosed {
+			t.Fatalf("Get after close: %v", err)
+		}
+		if err := p.VerifyRuns(); err != ErrClosed {
+			t.Fatalf("VerifyRuns after close: %v", err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatalf("double Close: %v", err)
+		}
+	})
+}
+
+func TestKVVerifyRunsDetectsTampering(t *testing.T) {
+	dev := NewMemDevice(0)
+	p := NewMemoryKV(func() Device { return dev }, PersistentOptions{MemtableBytes: 1 << 20})
 	defer p.Close()
-	if err := p.Apply([]Op{{Key: nil, Value: []byte("x")}}); err == nil {
-		t.Fatal("empty key accepted")
+	for i := 0; i < 100; i++ {
+		put(t, p, fmt.Sprintf("key-%03d", i), string(bytes.Repeat([]byte("v"), 50)))
 	}
-	if err := p.Apply(nil); err != nil {
-		t.Fatalf("empty batch should be a no-op: %v", err)
+	flush(t, p)
+	if err := p.VerifyRuns(); err != nil {
+		t.Fatalf("VerifyRuns on clean store: %v", err)
+	}
+	// Corrupt a byte in the middle of the device (inside the run body).
+	if _, err := dev.WriteAt([]byte{0xAA}, dev.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.VerifyRuns(); err == nil {
+		t.Fatal("tampered run not detected")
+	}
+}
+
+// TestKVMeteredWorkload charges the memory store's page traffic to a cost
+// meter, as the cell cache does with its TEE's meter.
+func TestKVMeteredWorkload(t *testing.T) {
+	var meter tamper.CostMeter
+	p := NewMemoryKV(func() Device { return NewMeteredDevice(NewMemDevice(0), &meter) },
+		PersistentOptions{MemtableBytes: 2 << 10, MaxRuns: 4})
+	defer p.Close()
+	for i := 0; i < 500; i++ {
+		put(t, p, fmt.Sprintf("sensor/%06d", i), "reading=1234")
+	}
+	_, _, writes, _, _ := meter.Snapshot()
+	if writes == 0 {
+		t.Fatal("metered device recorded no page writes")
+	}
+	token := tamper.DefaultProfile(tamper.ClassSecureToken)
+	gateway := tamper.DefaultProfile(tamper.ClassHomeGateway)
+	if meter.SimulatedTime(token) <= meter.SimulatedTime(gateway) {
+		t.Fatal("token should be slower than gateway for the same workload")
+	}
+}
+
+func TestKVRandomizedAgainstMap(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		rng := rand.New(rand.NewSource(42))
+		p := open(PersistentOptions{MemtableBytes: 1 << 10, MaxRuns: 3})
+		oracle := make(map[string]string)
+		for i := 0; i < 3000; i++ {
+			k := fmt.Sprintf("key-%03d", rng.Intn(300))
+			switch rng.Intn(10) {
+			case 0:
+				del(t, p, k)
+				delete(oracle, k)
+			case 1:
+				flush(t, p)
+			case 2:
+				if rng.Intn(5) == 0 {
+					if err := p.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				v := fmt.Sprintf("val-%d", i)
+				put(t, p, k, v)
+				oracle[k] = v
+			}
+		}
+		for k, v := range oracle {
+			if got, err := p.Get([]byte(k)); err != nil || string(got) != v {
+				t.Fatalf("key %s = %q, %v; want %q", k, got, err, v)
+			}
+		}
+		if got := collect(t, p); !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("scan holds %d keys, oracle %d", len(got), len(oracle))
+		}
+	})
+}
+
+// Property: what you put is what you get, for arbitrary binary keys/values.
+func TestKVPutGetProperty(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func(PersistentOptions) *PersistentKV) {
+		p := open(smallOpts())
+		f := func(key, value []byte) bool {
+			if len(key) == 0 {
+				return true
+			}
+			if err := p.Apply([]Op{{Key: key, Value: value}}); err != nil {
+				return false
+			}
+			got, err := p.Get(key)
+			return err == nil && bytes.Equal(got, value)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPersistentKVMemoryReclaimsReplacedGenerations churns a fixed key set
+// through the memory store: every compaction moves the live data into a new
+// device and drops the old one, so the current generation stays near the
+// live bytes however many overwrites went before.
+func TestPersistentKVMemoryReclaimsReplacedGenerations(t *testing.T) {
+	p := NewMemoryKV(func() Device { return NewMemDevice(0) }, PersistentOptions{MemtableBytes: 4 << 10, MaxRuns: 2})
+	defer p.Close()
+	live := 0
+	for round := 0; round < 50; round++ {
+		live = 0
+		for k := 0; k < 200; k++ {
+			key, value := fmt.Sprintf("key-%03d", k), fmt.Sprintf("value-of-round-%02d", round)
+			put(t, p, key, value)
+			live += len(key) + len(value)
+		}
+	}
+	flush(t, p)
+	p.wg.Wait()
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	p.wg.Wait()
+	if st := p.Stats(); st.Compactions < 2 {
+		t.Fatalf("%d compactions during the churn", st.Compactions)
+	}
+	p.mu.RLock()
+	size := p.runsH.dev.Size()
+	p.mu.RUnlock()
+	if size > 2*int64(live) {
+		t.Fatalf("current generation holds %d bytes for %d live bytes", size, live)
+	}
+}
+
+func benchmarkStore() *PersistentKV {
+	return NewMemoryKV(func() Device { return NewMemDevice(0) }, PersistentOptions{MemtableBytes: 1 << 20, MaxRuns: 8})
+}
+
+func BenchmarkKVPut(b *testing.B) {
+	p := benchmarkStore()
+	defer p.Close()
+	value := bytes.Repeat([]byte("v"), 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Apply([]Op{{Key: []byte(fmt.Sprintf("key-%09d", i)), Value: value}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKVGet(b *testing.B) {
+	p := benchmarkStore()
+	defer p.Close()
+	value := bytes.Repeat([]byte("v"), 100)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		_ = p.Apply([]Op{{Key: []byte(fmt.Sprintf("key-%09d", i)), Value: value}})
+	}
+	_ = p.Flush()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Get([]byte(fmt.Sprintf("key-%09d", i%n))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

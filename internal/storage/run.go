@@ -583,3 +583,51 @@ func (r *run) allEntries(dev Device) ([]memEntry, error) {
 	})
 	return out, err
 }
+
+// mergeEntries merges a run stack (oldest first) and a slice of memtable
+// entries (already restricted to [start, end)) into a single sorted slice
+// where newer versions shadow older ones. Tombstones are retained so callers
+// can decide whether to drop them. The engine passes a memtable snapshot so
+// the merge can run outside its lock.
+//
+// Every source is already sorted and holds each key once, so the merge walks
+// them side by side: at each step the smallest head key is emitted from the
+// newest source holding it and every source at that key advances.
+func mergeEntries(dev Device, runs []*run, mem []memEntry, start, end []byte) ([]memEntry, error) {
+	sources := make([][]memEntry, 0, len(runs)+1)
+	total := len(mem)
+	for _, r := range runs {
+		var entries []memEntry
+		if start == nil && end == nil {
+			entries = make([]memEntry, 0, r.count)
+		}
+		if err := r.scan(dev, start, end, func(e memEntry) bool {
+			entries = append(entries, e)
+			return true
+		}); err != nil {
+			return nil, err
+		}
+		sources = append(sources, entries)
+		total += len(entries)
+	}
+	sources = append(sources, mem)
+	out := make([]memEntry, 0, total)
+	for {
+		newest := -1
+		for i, s := range sources {
+			if len(s) > 0 && (newest < 0 || bytes.Compare(s[0].key, sources[newest][0].key) <= 0) {
+				newest = i
+			}
+		}
+		if newest < 0 {
+			return out, nil
+		}
+		e := sources[newest][0]
+		out = append(out, e)
+		for i, s := range sources {
+			if len(s) > 0 && bytes.Equal(s[0].key, e.key) {
+				sources[i] = s[1:]
+			}
+		}
+	}
+}

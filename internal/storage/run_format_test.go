@@ -117,6 +117,52 @@ func TestRunSparseIndexBoundaries(t *testing.T) {
 	}
 }
 
+func TestRunSparseIndexLookups(t *testing.T) {
+	dev := NewMemDevice(0)
+	var entries []memEntry
+	for i := 0; i < 100; i++ {
+		entries = append(entries, memEntry{
+			key:   []byte(fmt.Sprintf("key-%04d", i*2)), // even keys only
+			value: []byte(fmt.Sprintf("val-%d", i)),
+		})
+	}
+	r, err := writeRun(dev, entries, 0)
+	if err != nil {
+		t.Fatalf("writeRun: %v", err)
+	}
+	if err := r.verify(dev); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	// Every present key is found, absent (odd) keys are not.
+	for i := 0; i < 100; i++ {
+		present := []byte(fmt.Sprintf("key-%04d", i*2))
+		e, ok, err := r.get(dev, nil, present, bloomHash(present), nil)
+		if err != nil || !ok {
+			t.Fatalf("present key %d not found: %v", i, err)
+		}
+		if string(e.value) != fmt.Sprintf("val-%d", i) {
+			t.Fatalf("value mismatch for %d", i)
+		}
+		absent := []byte(fmt.Sprintf("key-%04d", i*2+1))
+		if _, ok, _ := r.get(dev, nil, absent, bloomHash(absent), nil); ok {
+			t.Fatalf("absent key %d reported found", i*2+1)
+		}
+	}
+	// Out-of-range keys short-circuit.
+	if _, ok, _ := r.get(dev, nil, []byte("aaa"), bloomHash([]byte("aaa")), nil); ok {
+		t.Fatal("key below range found")
+	}
+	if _, ok, _ := r.get(dev, nil, []byte("zzz"), bloomHash([]byte("zzz")), nil); ok {
+		t.Fatal("key above range found")
+	}
+}
+
+func TestWriteRunEmpty(t *testing.T) {
+	if _, err := writeRun(NewMemDevice(0), nil, 0); err == nil {
+		t.Fatal("empty run accepted")
+	}
+}
+
 // bigValueEntries returns n entries with valueLen-byte values, every 5th a
 // tombstone.
 func bigValueEntries(n, valueLen int) []memEntry {
