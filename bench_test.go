@@ -130,7 +130,7 @@ func BenchmarkE8CommonsUtility(b *testing.B) {
 // BenchmarkE9FleetThroughput measures experiment E9 at 16 concurrent cells:
 // ingest throughput of the sequential path (per-document Ingest against the
 // historical single-mutex store, one round-trip per blob) versus the
-// sharded/batched path (IngestBatch flushing through cloud.BatchService
+// sharded/batched path (IngestBatch flushing through cloud.Service.PutBlobs
 // against the sharded store). The measured ops/sec of both paths and their
 // ratio are attached as benchmark metrics; EXPERIMENTS.md records the
 // reference numbers. The sharded/batched path is expected to sustain at

@@ -1,7 +1,8 @@
 // Command tccell runs a trusted cell against a tccloud server and walks
 // through the core personal-data-service workflow from the command line:
 // ingest a document, list the catalog, read it back through the reference
-// monitor, and synchronize the encrypted vault with the cloud.
+// monitor, and synchronize the encrypted vault with the cloud. It talks to
+// the server's -addr port over the framed protocol (trustedcells.DialCloud).
 //
 //	tccloud -addr 127.0.0.1:7070 &
 //	tccell -id alice-gw -cloud 127.0.0.1:7070 -ingest ./payslip.pdf -type pay-slip
@@ -98,7 +99,7 @@ func runCommons(svc trustedcells.CloudService, n int) error {
 func main() {
 	var (
 		id       = flag.String("id", "demo-cell", "cell identifier")
-		cloudTCP = flag.String("cloud", "", "tccloud address (empty = in-process memory cloud)")
+		cloudTCP = flag.String("cloud", "", "tccloud -addr to connect to (empty = in-process memory cloud)")
 		seed     = flag.String("seed", "", "deterministic provisioning seed (defaults to the cell id)")
 		ingest   = flag.String("ingest", "", "path of a file to ingest")
 		docType  = flag.String("type", "document", "document type used for -ingest")

@@ -1,12 +1,13 @@
 // Command tccloud runs the untrusted infrastructure of the trusted-cells
 // architecture as a standalone TCP server: an encrypted-blob store plus
-// mailboxes for cell-to-cell messages. Cells (cmd/tccell) and applications
-// connect to it with trustedcells.DialCloud.
+// mailboxes for cell-to-cell messages, served over the connection-multiplexed
+// framed protocol. Cells (cmd/tccell) and applications connect to -addr with
+// trustedcells.DialCloud.
 //
 // By default the store is in-memory. With -data-dir it becomes the durable
 // disk-backed store: every acknowledged write is covered by a group-committed
 // write-ahead log, and restarting the server replays the log and rebuilds its
-// LSM runs — clients observe the same wire protocol either way:
+// LSM runs — clients observe the same protocol either way:
 //
 //	tccloud -addr :7070 -data-dir /var/lib/tccloud
 //
@@ -17,28 +18,30 @@
 //	tccloud -addr :7070 -data-dir /var/lib/tccloud -adversary rollback -rate 1
 //
 // With -member the server becomes the coordinator of a replicated fleet: its
-// own store (in-memory or durable) is member 0, each -member address is
-// dialed as a further member, and clients are served the replication layer —
-// quorum writes, quorum reads with read repair, hinted handoff for members
-// that go dark, and a periodic anti-entropy pass:
+// own store (in-memory or durable) is member 0, each -member address is a
+// further member (dialed on first use and redialed after it restarts), and
+// clients are served the replication layer — quorum writes, quorum reads
+// with read repair, hinted handoff for members that go dark, and a periodic
+// anti-entropy pass:
 //
 //	tccloud -addr :7070 -data-dir /var/lib/tccloud \
 //	    -member host-b:7070 -member host-c:7070 -quorum-w 2 -quorum-r 2
 //
 // With -framed-addr the server additionally opens the fleet-scale front
-// door: the connection-multiplexed framed protocol (trustedcells.DialFramed)
-// with admission control — when more than -max-inflight weighted mutations
-// are executing, further ones are shed immediately with a typed retry-after
-// error instead of queuing — and optional per-tenant namespaces and quotas:
+// door: the same protocol with admission control in front of the backend —
+// when more than -max-inflight weighted mutations are executing, further
+// ones are shed immediately with a typed retry-after error instead of
+// queuing — and optional per-tenant namespaces and quotas:
 //
 //	tccloud -addr :7070 -framed-addr :7071 -data-dir /var/lib/tccloud \
 //	    -max-inflight 1024 \
 //	    -tenant acme:1073741824:500 -tenant globex
 //
 // Each -tenant is name[:maxBytes[:opsPerSec]]; omitted budgets are
-// unlimited. A framed connection binds to its tenant with a hello frame and
-// then sees only its own namespace. The classic line-protocol listener keeps
-// serving the backend directly, so existing clients are unaffected.
+// unlimited. A front-door connection binds to its tenant with a hello frame
+// and then sees only its own namespace. The -addr listener keeps serving the
+// backend directly, with neither tenants nor admission: it is the port for
+// trusted local cells and for fleet coordinators dialing their members.
 //
 // The mailboxes double as the distributed shared commons' query plane
 // (DESIGN.md §13): a community coordinator scatters sealed query specs into
@@ -165,7 +168,7 @@ func main() {
 	var tenants tenantList
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "address to listen on")
-		framedAddr = flag.String("framed-addr", "", "address for the multiplexed framed front door (empty = disabled)")
+		framedAddr = flag.String("framed-addr", "", "address for the front door with admission control and tenants (empty = disabled)")
 		maxInFly   = flag.Int64("max-inflight", 1024, "with -framed-addr: weighted in-flight mutation budget before shedding")
 		retryAfter = flag.Duration("retry-after", 25*time.Millisecond, "with -framed-addr: backoff hint attached to shed requests")
 		dataDir    = flag.String("data-dir", "", "directory for the durable disk-backed store (empty = in-memory)")
@@ -178,7 +181,7 @@ func main() {
 		syncEvery  = flag.Duration("sync-every", 30*time.Second, "with -member: anti-entropy interval (0 disables the background pass)")
 		statsEvery = flag.Duration("stats-every", time.Minute, "with -data-dir: interval for logging per-shard cache/bloom hit rates (0 disables)")
 	)
-	flag.Var(&members, "member", "address of a further fleet member to dial (repeatable or comma-separated); the local store is member 0")
+	flag.Var(&members, "member", "-addr of a further fleet member to dial (repeatable or comma-separated); the local store is member 0")
 	flag.Var(&tenants, "tenant", "with -framed-addr: provision a tenant as name[:maxBytes[:opsPerSec]] (repeatable)")
 	flag.Parse()
 
@@ -245,14 +248,14 @@ func main() {
 	// clients are served the replication layer instead of the bare store.
 	var replicated *cloud.Replicated
 	if len(members) > 0 {
-		// Members are wrapped in a Redialer rather than dialed once: a member
-		// that restarts gets a fresh connection on its next probe, so the
-		// hint drain can bring it back (a plain Client would pin the dead
-		// connection for the life of the coordinator). A member that is not
-		// up yet is fine too — it is marked down until its first probe lands.
+		// A member client dials on first use and redials after its
+		// connection dies: a member that restarts gets a fresh connection on
+		// its next probe, so the hint drain can bring it back. A member that
+		// is not up yet is fine too — it is marked down until its first probe
+		// lands.
 		fleet := []cloud.Service{svc}
 		for _, maddr := range members {
-			client := cloud.NewRedialer(maddr)
+			client := cloud.NewFrameClient(maddr)
 			defer client.Close()
 			fleet = append(fleet, client)
 		}
@@ -285,11 +288,10 @@ func main() {
 	}
 	log.Printf("tccloud: serving the untrusted infrastructure on %s (backend=%s adversary=%s)",
 		ln.Addr(), backend, cfg.Mode)
-	srv := cloud.NewServer(svc)
+	srv := cloud.NewFrameServer(svc, cloud.FrameServerOptions{})
 
-	// The framed front door: admission control around the backend, tenant
-	// namespaces on top, the multiplexed protocol in front. The classic line
-	// listener keeps serving the raw backend for old clients.
+	// The front door: admission control around the backend, tenant
+	// namespaces on top. The -addr listener keeps serving the raw backend.
 	var framedSrv *cloud.FrameServer
 	framedErr := make(chan error, 1)
 	if *framedAddr != "" {

@@ -35,12 +35,11 @@ type AdmissionOptions struct {
 // Admission wraps a Service with load shedding on the mutation path. Reads
 // (GetBlob, ListBlobs, batched and conditional gets, Stats) pass through
 // unthrottled — the durable read path runs outside the journal. Admission
-// implements BatchService and ConditionalBatchService and is safe for
-// concurrent use; wrap it around the backend once and share it between all
-// connections. cmd/tccloud wires backend → Admission → Tenants, keeping the
-// controller global — overload protection is about the provider's health,
-// not any one tenant's budget — while quota checks run first, so an
-// over-quota tenant cannot consume admission slots.
+// is safe for concurrent use; wrap it around the backend once and share it
+// between all connections. cmd/tccloud wires backend → Admission → Tenants,
+// keeping the controller global — overload protection is about the
+// provider's health, not any one tenant's budget — while quota checks run
+// first, so an over-quota tenant cannot consume admission slots.
 type Admission struct {
 	inner      Service
 	maxInFly   int64
@@ -144,7 +143,7 @@ func (a *Admission) Receive(recipient string, max int) ([]Message, error) {
 // Stats implements Service; pass-through.
 func (a *Admission) Stats() Stats { return a.inner.Stats() }
 
-// PutBlobs implements BatchService with weight len(puts), so one huge batch
+// PutBlobs implements Service with weight len(puts), so one huge batch
 // cannot slip under a budget that N singles would have tripped.
 func (a *Admission) PutBlobs(puts []BlobPut) ([]int, error) {
 	w := int64(len(puts))
@@ -155,15 +154,15 @@ func (a *Admission) PutBlobs(puts []BlobPut) ([]int, error) {
 		return nil, err
 	}
 	defer a.release(w)
-	return PutBlobsVia(a.inner, puts)
+	return a.inner.PutBlobs(puts)
 }
 
-// GetBlobs implements BatchService; reads are never shed.
+// GetBlobs implements Service; reads are never shed.
 func (a *Admission) GetBlobs(names []string) ([]Blob, error) {
-	return GetBlobsVia(a.inner, names)
+	return a.inner.GetBlobs(names)
 }
 
-// GetBlobsIf implements ConditionalBatchService; reads are never shed.
+// GetBlobsIf implements Service; reads are never shed.
 func (a *Admission) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	return GetBlobsIfVia(a.inner, gets)
+	return a.inner.GetBlobsIf(gets)
 }

@@ -37,8 +37,8 @@ type forkBranch struct {
 	blobs map[string]Blob
 }
 
-// Adversary is a Service/BatchService/ConditionalBatchService wrapper
-// injecting adversarial behaviour in front of any backend.
+// Adversary is a Service wrapper injecting adversarial behaviour in front of
+// any backend.
 type Adversary struct {
 	inner Service
 
@@ -190,7 +190,7 @@ func (a *Adversary) EndFork(winner string) error {
 		for i, n := range names {
 			puts[i] = BlobPut{Name: n, Data: br.blobs[n].Data}
 		}
-		if _, err := PutBlobsVia(a.inner, puts); err != nil {
+		if _, err := a.inner.PutBlobs(puts); err != nil {
 			return err
 		}
 	}
@@ -252,7 +252,7 @@ func (a *Adversary) putBatch(branch string, puts []BlobPut) ([]int, error) {
 		fwdIdx = append(fwdIdx, i)
 	}
 	if len(fwd) > 0 {
-		vs, err := PutBlobsVia(a.inner, fwd)
+		vs, err := a.inner.PutBlobs(fwd)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +315,7 @@ func (a *Adversary) getBatch(branch string, names []string) ([]Blob, error) {
 		}
 		return blobs, nil
 	}
-	blobs, err := GetBlobsVia(a.inner, names)
+	blobs, err := a.inner.GetBlobs(names)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func (a *Adversary) condBatch(branch string, gets []CondGet) ([]Blob, error) {
 		}
 		return blobs, nil
 	}
-	blobs, err := GetBlobsIfVia(a.inner, gets)
+	blobs, err := a.inner.GetBlobsIf(gets)
 	if err != nil {
 		return nil, err
 	}
@@ -461,13 +461,13 @@ func (a *Adversary) Observations() [][]byte {
 	return out
 }
 
-// PutBlobs implements BatchService.
+// PutBlobs implements Service.
 func (a *Adversary) PutBlobs(puts []BlobPut) ([]int, error) { return a.putBatch("", puts) }
 
-// GetBlobs implements BatchService.
+// GetBlobs implements Service.
 func (a *Adversary) GetBlobs(names []string) ([]Blob, error) { return a.getBatch("", names) }
 
-// GetBlobsIf implements ConditionalBatchService.
+// GetBlobsIf implements Service.
 func (a *Adversary) GetBlobsIf(gets []CondGet) ([]Blob, error) { return a.condBatch("", gets) }
 
 // ClientView returns the Service through which one client (a connection, a
@@ -523,11 +523,11 @@ func (v *AdversaryView) Receive(recipient string, max int) ([]Message, error) {
 // Stats implements Service.
 func (v *AdversaryView) Stats() Stats { return v.a.Stats() }
 
-// PutBlobs implements BatchService.
+// PutBlobs implements Service.
 func (v *AdversaryView) PutBlobs(puts []BlobPut) ([]int, error) { return v.a.putBatch(v.id, puts) }
 
-// GetBlobs implements BatchService.
+// GetBlobs implements Service.
 func (v *AdversaryView) GetBlobs(names []string) ([]Blob, error) { return v.a.getBatch(v.id, names) }
 
-// GetBlobsIf implements ConditionalBatchService.
+// GetBlobsIf implements Service.
 func (v *AdversaryView) GetBlobsIf(gets []CondGet) ([]Blob, error) { return v.a.condBatch(v.id, gets) }

@@ -75,38 +75,6 @@ func TestBatchAcrossManyShards(t *testing.T) {
 	}
 }
 
-// fullService hides Memory's BatchService implementation so the Via helpers
-// exercise their sequential fallback.
-type fullService struct{ inner *Memory }
-
-func (f fullService) PutBlob(name string, data []byte) (int, error) {
-	return f.inner.PutBlob(name, data)
-}
-func (f fullService) GetBlob(name string) (Blob, error)            { return f.inner.GetBlob(name) }
-func (f fullService) DeleteBlob(name string) error                 { return f.inner.DeleteBlob(name) }
-func (f fullService) ListBlobs(prefix string) ([]string, error)    { return f.inner.ListBlobs(prefix) }
-func (f fullService) Send(msg Message) error                       { return f.inner.Send(msg) }
-func (f fullService) Receive(r string, max int) ([]Message, error) { return f.inner.Receive(r, max) }
-func (f fullService) Stats() Stats                                 { return f.inner.Stats() }
-
-func TestViaHelpersFallBackWithoutBatchService(t *testing.T) {
-	svc := fullService{inner: NewMemory()}
-	if _, ok := Service(svc).(BatchService); ok {
-		t.Fatal("test double must not implement BatchService")
-	}
-	versions, err := PutBlobsVia(svc, []BlobPut{{Name: "x", Data: []byte("1")}, {Name: "x", Data: []byte("2")}})
-	if err != nil || len(versions) != 2 || versions[1] != 2 {
-		t.Fatalf("PutBlobsVia fallback: %v %v", versions, err)
-	}
-	blobs, err := GetBlobsVia(svc, []string{"x", "missing"})
-	if err != nil {
-		t.Fatalf("GetBlobsVia fallback: %v", err)
-	}
-	if string(blobs[0].Data) != "2" || blobs[1].Version != 0 {
-		t.Fatalf("fallback blobs: %+v", blobs)
-	}
-}
-
 func TestGetBlobsIfSkipsUnadvanced(t *testing.T) {
 	m := NewMemoryShards(4)
 	_, _ = m.PutBlob("shard/0", []byte("v1-0"))
@@ -133,26 +101,6 @@ func TestGetBlobsIfSkipsUnadvanced(t *testing.T) {
 	blobs, err = m.GetBlobsIf([]CondGet{{Name: "shard/0"}})
 	if err != nil || string(blobs[0].Data) != "v1-0" {
 		t.Fatalf("unconditional fetch: %+v %v", blobs, err)
-	}
-}
-
-func TestGetBlobsIfViaFallsBackWithoutConditionalService(t *testing.T) {
-	svc := fullService{inner: NewMemory()}
-	if _, ok := Service(svc).(ConditionalBatchService); ok {
-		t.Fatal("test double must not implement ConditionalBatchService")
-	}
-	_, _ = svc.PutBlob("x", []byte("1"))
-	_, _ = svc.PutBlob("y", []byte("1"))
-	_, _ = svc.PutBlob("y", []byte("2"))
-	blobs, err := GetBlobsIfVia(svc, []CondGet{{Name: "x", IfNewer: 1}, {Name: "y", IfNewer: 1}})
-	if err != nil {
-		t.Fatalf("GetBlobsIfVia fallback: %v", err)
-	}
-	if blobs[0].Version != 1 || blobs[0].Data != nil {
-		t.Fatalf("fallback should strip unadvanced data: %+v", blobs[0])
-	}
-	if blobs[1].Version != 2 || string(blobs[1].Data) != "2" {
-		t.Fatalf("fallback should keep advanced data: %+v", blobs[1])
 	}
 }
 

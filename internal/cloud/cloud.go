@@ -10,12 +10,13 @@
 // verifies that cells detect every integrity violation.
 //
 // The in-memory implementation is sharded (see Memory) so that a fleet of
-// concurrent cells does not serialize behind a single lock, and exposes a
-// batch API (see BatchService) that amortizes one network round-trip over
-// many blobs. DESIGN.md documents both; experiment E9 measures them.
+// concurrent cells does not serialize behind a single lock, and Service
+// carries batch calls (PutBlobs, GetBlobs, GetBlobsIf) that amortize one
+// network round-trip over many blobs. DESIGN.md documents both; experiment
+// E9 measures them.
 //
-// Beyond the single providers (Memory in RAM, Durable on disk, Client over
-// TCP), Replicated stripes the same contracts over N member backends with
+// Beyond the single providers (Memory in RAM, Durable on disk, FrameClient
+// over TCP), Replicated stripes the same contract over N member backends with
 // quorum writes, read repair, hinted handoff and anti-entropy, so the fleet
 // keeps answering while providers fail (DESIGN.md §9, experiment E15); and
 // Faulty wraps any provider with deterministic fault injection — seeded
@@ -98,6 +99,20 @@ type Blob struct {
 	Stored  time.Time
 }
 
+// BlobPut is one named payload of a batched upload.
+type BlobPut struct {
+	Name string
+	Data []byte
+}
+
+// CondGet names one blob of a conditional batched fetch: the blob's data is
+// wanted only if its stored version is strictly greater than IfNewer. Passing
+// IfNewer 0 fetches unconditionally.
+type CondGet struct {
+	Name    string
+	IfNewer int
+}
+
 // Message is one mailbox item exchanged between cells through the cloud.
 type Message struct {
 	ID   string
@@ -115,9 +130,9 @@ type Service interface {
 	//
 	// Implementations must not retain data past the call: callers recycle
 	// the sealed buffers through pools the moment a put returns (the
-	// in-memory store copies, the TCP client writes to the socket
-	// synchronously — see DESIGN.md §7.2). The same contract applies to the
-	// batched PutBlobs of BatchService.
+	// in-memory store copies, the wire client writes to the socket
+	// synchronously — see DESIGN.md §7.2). The same contract applies to
+	// PutBlobs.
 	PutBlob(name string, data []byte) (int, error)
 	// GetBlob returns the latest version of the blob.
 	GetBlob(name string) (Blob, error)
@@ -125,6 +140,19 @@ type Service interface {
 	DeleteBlob(name string) error
 	// ListBlobs returns the names with the given prefix, sorted.
 	ListBlobs(prefix string) ([]string, error)
+	// PutBlobs stores every blob and returns the new version of each, in
+	// argument order. The whole batch shares one round-trip.
+	PutBlobs(puts []BlobPut) ([]int, error)
+	// GetBlobs returns the latest version of each named blob in argument
+	// order. Missing names yield a zero Blob (Version 0) at their position;
+	// only service-level failures return an error.
+	GetBlobs(names []string) ([]Blob, error)
+	// GetBlobsIf is the conditional batched fetch that makes delta
+	// synchronization cheap (a batched If-None-Match): one Blob per request,
+	// in argument order. A blob whose stored version is still <= IfNewer
+	// comes back with its current Version but nil Data; a missing name
+	// yields a zero Blob (Version 0).
+	GetBlobsIf(gets []CondGet) ([]Blob, error)
 	// Send delivers a message to the recipient's mailbox.
 	Send(msg Message) error
 	// Receive pops up to max pending messages for the recipient.

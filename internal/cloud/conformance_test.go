@@ -3,12 +3,11 @@ package cloud
 // The conformance battery: one behavioural table driving every backend the
 // package ships — RAM, disk, wire, and the replicated layer (healthy and with
 // a faulty member). A caller must not be able to tell the backends apart
-// through the Service, BatchService or ConditionalBatchService contracts.
+// through the Service contract.
 
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 )
@@ -17,8 +16,11 @@ import (
 //
 //   - durable gets a small shard count so the per-shard paths (and the
 //     META.json shard pinning) are exercised without 32 directories per test;
-//   - tcp serves a Memory over a real loopback socket;
+//   - tcp serves a Memory the way tccloud -addr does — a FrameServer with
+//     no tenants — to a NewFrameClient that dials on its first call;
 //   - replicated stripes a mixed fleet (RAM, disk, RAM) at W=2/R=2;
+//   - replicated-wire stripes RAM, disk and a wire member reached through
+//     NewFrameClient, the way tccloud -member builds a fleet;
 //   - replicated-faulty additionally wraps one member in cloud.Faulty at a
 //     nonzero error rate — the battery must pass identically, because the
 //     two healthy members always satisfy both quorums;
@@ -44,19 +46,7 @@ func serviceBackends(t *testing.T) map[string]func(t *testing.T) Service {
 			return d
 		},
 		"tcp": func(t *testing.T) Service {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("listen: %v", err)
-			}
-			srv := NewServer(NewMemory())
-			go func() { _ = srv.Serve(ln) }()
-			t.Cleanup(func() { _ = srv.Close() })
-			client, err := Dial(ln.Addr().String())
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			t.Cleanup(func() { _ = client.Close() })
-			return client
+			return lazyTestFrameClient(t, NewMemory())
 		},
 		"replicated": func(t *testing.T) Service {
 			d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2})
@@ -65,6 +55,20 @@ func serviceBackends(t *testing.T) map[string]func(t *testing.T) Service {
 			}
 			t.Cleanup(func() { _ = d.Close() })
 			r, err := NewReplicated([]Service{NewMemory(), d, NewMemory()},
+				ReplicatedOptions{WriteQuorum: 2, ReadQuorum: 2})
+			if err != nil {
+				t.Fatalf("NewReplicated: %v", err)
+			}
+			t.Cleanup(func() { _ = r.Close() })
+			return r
+		},
+		"replicated-wire": func(t *testing.T) Service {
+			d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2})
+			if err != nil {
+				t.Fatalf("OpenDurable: %v", err)
+			}
+			t.Cleanup(func() { _ = d.Close() })
+			r, err := NewReplicated([]Service{NewMemory(), d, lazyTestFrameClient(t, NewMemory())},
 				ReplicatedOptions{WriteQuorum: 2, ReadQuorum: 2})
 			if err != nil {
 				t.Fatalf("NewReplicated: %v", err)
@@ -101,19 +105,20 @@ func serviceBackends(t *testing.T) map[string]func(t *testing.T) Service {
 	}
 }
 
+// lazyTestFrameClient serves svc over a FrameServer on a loopback socket and
+// returns a client that has not dialed yet. Both are torn down with the test.
+func lazyTestFrameClient(t *testing.T, svc Service) *FrameClient {
+	client := NewFrameClient(startFrameServer(t, svc, FrameServerOptions{}))
+	t.Cleanup(func() { _ = client.Close() })
+	return client
+}
+
 // dialTestFrameServer starts a FrameServer over svc on a loopback socket and
 // returns a connected FrameClient, bound to tenant when non-empty. Both are
 // torn down with the test.
 func dialTestFrameServer(t *testing.T, svc Service, opts FrameServerOptions, tenant string) *FrameClient {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := NewFrameServer(svc, opts)
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	client, err := DialFramed(ln.Addr().String())
+	client, err := DialFramed(startFrameServer(t, svc, opts))
 	if err != nil {
 		t.Fatalf("dial framed: %v", err)
 	}
@@ -127,9 +132,8 @@ func dialTestFrameServer(t *testing.T, svc Service, opts FrameServerOptions, ten
 }
 
 // TestServiceConformance runs the same behavioural battery over every backend:
-// the contracts of Service, BatchService and ConditionalBatchService must be
-// indistinguishable between the RAM store, the disk store, the wire client
-// and the replicated layer.
+// the Service contract must be indistinguishable between the RAM store, the
+// disk store, the wire client and the replicated layer.
 func TestServiceConformance(t *testing.T) {
 	for name, mk := range serviceBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -214,7 +218,7 @@ func TestServiceConformance(t *testing.T) {
 			}
 
 			// Batch put/get: versions in argument order, missing names zero.
-			versions, err := PutBlobsVia(svc, []BlobPut{
+			versions, err := svc.PutBlobs([]BlobPut{
 				{Name: "batch/a", Data: []byte("aa")},
 				{Name: "bob/doc-0", Data: []byte("v2")},
 				{Name: "batch/b", Data: []byte("bb")},
@@ -222,7 +226,7 @@ func TestServiceConformance(t *testing.T) {
 			if err != nil || len(versions) != 3 || versions[0] != 1 || versions[1] != 2 || versions[2] != 1 {
 				t.Fatalf("PutBlobs versions = %v, %v", versions, err)
 			}
-			blobs, err := GetBlobsVia(svc, []string{"missing", "batch/a", "batch/b"})
+			blobs, err := svc.GetBlobs([]string{"missing", "batch/a", "batch/b"})
 			if err != nil {
 				t.Fatalf("GetBlobs: %v", err)
 			}
@@ -231,7 +235,7 @@ func TestServiceConformance(t *testing.T) {
 			}
 
 			// Conditional fetch: unadvanced versions ship no data.
-			got, err := GetBlobsIfVia(svc, []CondGet{
+			got, err := svc.GetBlobsIf([]CondGet{
 				{Name: "batch/a", IfNewer: 1},   // current 1: not advanced
 				{Name: "bob/doc-0", IfNewer: 1}, // current 2: advanced
 				{Name: "missing", IfNewer: 0},
@@ -337,7 +341,7 @@ func TestConformanceGetBlobsIfConcurrent(t *testing.T) {
 						for i, n := range names {
 							puts[i] = BlobPut{Name: n, Data: []byte(fmt.Sprintf("%s|w%d-r%d", n, w, round))}
 						}
-						if _, err := PutBlobsVia(svc, puts); err != nil {
+						if _, err := svc.PutBlobs(puts); err != nil {
 							t.Errorf("writer %d: %v", w, err)
 							return
 						}
@@ -357,7 +361,7 @@ func TestConformanceGetBlobsIfConcurrent(t *testing.T) {
 					for i, n := range names {
 						gets[i] = CondGet{Name: n, IfNewer: floor[i]}
 					}
-					blobs, err := GetBlobsIfVia(svc, gets)
+					blobs, err := svc.GetBlobsIf(gets)
 					if err != nil {
 						t.Errorf("GetBlobsIf: %v", err)
 						return
@@ -397,7 +401,7 @@ func TestConformanceGetBlobsIfConcurrent(t *testing.T) {
 
 			// Quiesced: every name must sit at its final version with matching
 			// payload visible through the plain batch read as well.
-			blobs, err := GetBlobsVia(svc, names)
+			blobs, err := svc.GetBlobs(names)
 			if err != nil {
 				t.Fatalf("final GetBlobs: %v", err)
 			}

@@ -1,8 +1,8 @@
 package cloud
 
 // This file implements the disk-backed provider: cloud.Durable offers the
-// exact same Service / BatchService / ConditionalBatchService contracts as
-// the in-memory store, but every acknowledged write survives a process kill.
+// exact same Service contract as the in-memory store, but every acknowledged
+// write survives a process kill.
 // The paper's supporting server is "untrusted but highly available" — PRs 1–4
 // modelled the untrusted half (adversary injection lives in Memory); Durable
 // models the availability half: a provider that restarts without losing the
@@ -131,8 +131,8 @@ type durableShard struct {
 	seq uint64
 }
 
-// Durable is the disk-backed implementation of Service, BatchService and
-// ConditionalBatchService. All methods are safe for concurrent use.
+// Durable is the disk-backed implementation of Service. All methods are safe
+// for concurrent use.
 type Durable struct {
 	dir    string
 	shards []*durableShard
@@ -869,7 +869,7 @@ func (d *Durable) Stats() Stats {
 	return d.stats.snapshot()
 }
 
-// --- BatchService -----------------------------------------------------------
+// --- batch calls ------------------------------------------------------------
 
 // PutBlobs stores every blob durably and returns the new version of each in
 // argument order. Writes are grouped by shard and each group is applied to
@@ -948,9 +948,9 @@ func (d *Durable) GetBlobs(names []string) ([]Blob, error) {
 	return blobs, nil
 }
 
-// GetBlobsIf implements ConditionalBatchService: blobs whose stored version
-// is still <= the requested IfNewer come back with their current Version but
-// no data, exactly like the in-memory store.
+// GetBlobsIf implements Service: blobs whose stored version is still <= the
+// requested IfNewer come back with their current Version but no data, exactly
+// like the in-memory store.
 func (d *Durable) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	blobs := make([]Blob, len(gets))
 	for i, g := range gets {
@@ -976,11 +976,7 @@ func (d *Durable) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 }
 
 // interface conformance
-var (
-	_ Service                 = (*Durable)(nil)
-	_ BatchService            = (*Durable)(nil)
-	_ ConditionalBatchService = (*Durable)(nil)
-)
+var _ Service = (*Durable)(nil)
 
 // sanity check: prefixes must be distinct and ordered so blob scans never
 // wander into mailbox keys.

@@ -287,23 +287,23 @@ func (f *Faulty) Receive(recipient string, max int) ([]Message, error) {
 // holds the wrapper's own counters.
 func (f *Faulty) Stats() Stats { return f.inner.Stats() }
 
-// PutBlobs implements BatchService: the whole batch is one fault decision,
+// PutBlobs implements Service: the whole batch is one fault decision,
 // matching the one-round-trip economics the batch API models.
 func (f *Faulty) PutBlobs(puts []BlobPut) ([]int, error) {
 	if err := f.checkIn(MaskWrites); err != nil {
 		return nil, err
 	}
-	return PutBlobsVia(f.inner, puts)
+	return f.inner.PutBlobs(puts)
 }
 
-// GetBlobs implements BatchService with one fault decision per batch; the
+// GetBlobs implements Service with one fault decision per batch; the
 // corruption schedule still draws per blob, since bit rot strikes objects,
 // not round trips.
 func (f *Faulty) GetBlobs(names []string) ([]Blob, error) {
 	if err := f.checkIn(MaskReads); err != nil {
 		return nil, err
 	}
-	blobs, err := GetBlobsVia(f.inner, names)
+	blobs, err := f.inner.GetBlobs(names)
 	if err != nil {
 		return blobs, err
 	}
@@ -313,13 +313,13 @@ func (f *Faulty) GetBlobs(names []string) ([]Blob, error) {
 	return blobs, nil
 }
 
-// GetBlobsIf implements ConditionalBatchService with one fault decision per
-// batch and per-blob corruption draws.
+// GetBlobsIf implements Service with one fault decision per batch and
+// per-blob corruption draws.
 func (f *Faulty) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	if err := f.checkIn(MaskReads); err != nil {
 		return nil, err
 	}
-	blobs, err := GetBlobsIfVia(f.inner, gets)
+	blobs, err := f.inner.GetBlobsIf(gets)
 	if err != nil {
 		return blobs, err
 	}
@@ -330,8 +330,4 @@ func (f *Faulty) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 }
 
 // interface conformance
-var (
-	_ Service                 = (*Faulty)(nil)
-	_ BatchService            = (*Faulty)(nil)
-	_ ConditionalBatchService = (*Faulty)(nil)
-)
+var _ Service = (*Faulty)(nil)

@@ -1,26 +1,23 @@
 package cloud
 
-// This file replaces the one-op-per-round-trip JSON line protocol (tcp.go)
-// with a connection-multiplexed framed protocol for the fleet-scale front
-// door. The line protocol serializes a connection: the server handles
-// requests one at a time and responses come back in order, so a slow
-// operation stalls everything queued behind it and a client needs one
-// connection per concurrent request. The framed protocol instead tags every
-// request with an id and lets responses return in completion order, so one
-// TCP connection carries any number of concurrent operations — which is
-// what lets tens of thousands of simulated cells share a handful of
-// sockets in experiment E14.
+// This file is the wire: a connection-multiplexed framed protocol carrying
+// Service calls between processes (cmd/tccell and cmd/tccloud, a tccloud
+// coordinator and its fleet members, the E14 front door). Every request is
+// tagged with an id and responses return in completion order, so one TCP
+// connection carries any number of concurrent operations and a slow
+// operation never stalls the ones queued behind it — which is what lets tens
+// of thousands of simulated cells share a handful of sockets in experiment
+// E14.
 //
 // Frame layout (DESIGN.md §11.2):
 //
 //	[4B big-endian length][8B big-endian request id][payload]
 //
 // where length counts the id plus the payload (so length >= 8), and the
-// payload is the binary encoding (wirecodec.go) of the same
-// rpcRequest/rpcResponse values the line protocol speaks, so dispatch() is
-// shared verbatim. Request ids are chosen by the client, must be unique
-// among its in-flight requests, and are echoed on the response; nothing
-// else is read into them. A frame whose declared length exceeds the
+// payload is the binary encoding (wirecodec.go) of an rpcRequest or
+// rpcResponse. Request ids are chosen by the client, must be unique among
+// its in-flight requests on a connection, and are echoed on the response;
+// nothing else is read into them. A frame whose declared length exceeds the
 // server's MaxFrameBytes is answered with a typed error frame and the
 // connection is closed (the remaining bytes are unread, so the stream
 // cannot be resynchronized). So is a payload that does not start with the
@@ -54,6 +51,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"trustedcells/internal/crypto"
 )
@@ -148,6 +146,43 @@ func readFramePayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
+// dispatch executes one wire request against svc.
+func dispatch(svc Service, req rpcRequest) rpcResponse {
+	var resp rpcResponse
+	var err error
+	switch req.Op {
+	case "put":
+		resp.Version, err = svc.PutBlob(req.Name, req.Data)
+	case "get":
+		var b Blob
+		b, err = svc.GetBlob(req.Name)
+		if err == nil {
+			resp.Blob = &b
+		}
+	case "delete":
+		err = svc.DeleteBlob(req.Name)
+	case "list":
+		resp.Names, err = svc.ListBlobs(req.Prefix)
+	case "putb":
+		resp.Versions, err = svc.PutBlobs(req.Puts)
+	case "getb":
+		resp.Blobs, err = svc.GetBlobs(req.Names)
+	case "getc":
+		resp.Blobs, err = svc.GetBlobsIf(req.Gets)
+	case "send":
+		err = svc.Send(req.Message)
+	case "receive":
+		resp.Messages, err = svc.Receive(req.Recipient, req.Max)
+	case "stats":
+		st := svc.Stats()
+		resp.Stats = &st
+	default:
+		err = fmt.Errorf("cloud: unknown op %q", req.Op)
+	}
+	applyRespError(&resp, err)
+	return resp
+}
+
 // FrameServerOptions tunes a FrameServer. The zero value gets defaults from
 // NewFrameServer.
 type FrameServerOptions struct {
@@ -177,6 +212,7 @@ type FrameServer struct {
 
 	mu     sync.Mutex
 	ln     net.Listener
+	conns  map[net.Conn]struct{} // accepted connections still being read
 	closed bool
 }
 
@@ -188,7 +224,7 @@ func NewFrameServer(svc Service, opts FrameServerOptions) *FrameServer {
 	if opts.PerConnWorkers <= 0 {
 		opts.PerConnWorkers = 32
 	}
-	return &FrameServer{svc: svc, opts: opts}
+	return &FrameServer{svc: svc, opts: opts, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections on ln until Close is called. It returns after
@@ -196,7 +232,12 @@ func NewFrameServer(svc Service, opts FrameServerOptions) *FrameServer {
 func (s *FrameServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
+	closed := s.closed
 	s.mu.Unlock()
+	if closed {
+		_ = ln.Close()
+		return nil
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -209,20 +250,50 @@ func (s *FrameServer) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("cloud: accept: %w", err)
 		}
+		if !s.track(conn) {
+			_ = conn.Close()
+			continue
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			defer s.untrack(conn)
 			s.handle(conn)
 		}()
 	}
 }
 
-// Close stops the server; in-flight connections are abandoned when their
-// sockets close.
+// track registers an accepted connection so Close can stop reading it. It
+// refuses one accepted after Close.
+func (s *FrameServer) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+func (s *FrameServer) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+}
+
+// Close stops the server: it closes the listener and stops reading every
+// connection, so no new request starts. Requests already dispatched still
+// answer; each connection closes once its last one has, and Serve returns
+// when all have.
 func (s *FrameServer) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
+	for conn := range s.conns {
+		// A read deadline in the past fails the blocked read at once while
+		// leaving the write side open for the answers still owed.
+		_ = conn.SetReadDeadline(time.Unix(1, 0))
+	}
 	if s.ln != nil {
 		return s.ln.Close()
 	}
@@ -278,7 +349,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 			return
 		}
 		if err != nil {
-			return // torn frame, peer gone, or malformed length
+			return // torn frame, peer gone, malformed length, or Close
 		}
 		// The request's blob data points into this buffer, so it goes back
 		// to the pool only when the request is done with.
@@ -331,55 +402,141 @@ func (s *FrameServer) bindTenant(name string) (Service, error) {
 	return s.opts.Tenants.View(name)
 }
 
-// FrameClient is a Service over one multiplexed framed connection. Any
-// number of goroutines may issue calls concurrently; each call is tagged
-// with a fresh id, and a single demux goroutine routes response frames back
-// by id, so calls complete in the server's completion order without
-// head-of-line blocking. Implements BatchService and
-// ConditionalBatchService. When the connection dies, every in-flight and
-// subsequent call fails with the transport error; the client does not
-// redial.
+// FrameClient is a Service over framed connections to one FrameServer
+// address. Any number of goroutines may issue calls concurrently; each call
+// is tagged with a fresh id, and a per-connection demux goroutine routes
+// response frames back by id, so calls complete in the server's completion
+// order without head-of-line blocking.
+//
+// The client holds at most one live connection and redials: a call made
+// while there is none — the first call of a client from NewFrameClient, or
+// any call after the connection died — dials afresh, re-binding the tenant
+// of an earlier Hello before its first request. Calls in flight when a
+// connection dies fail with the transport error and are never re-sent, since
+// the server may have applied them. Close is terminal.
 type FrameClient struct {
+	addr string
+	cur  atomic.Pointer[clientConn] // the live connection, if any
+
+	mu     sync.Mutex // serializes dialing, Hello and Close
+	tenant string     // bound by Hello; re-bound on every new connection
+	closed bool
+}
+
+// clientConn is one connection of a FrameClient.
+type clientConn struct {
 	conn    net.Conn
 	writeMu sync.Mutex
 	nextID  atomic.Uint64
+	dead    atomic.Bool // set with err: the connection takes no more calls
 
 	mu      sync.Mutex
 	pending map[uint64]chan rpcResponse
 	err     error // terminal transport error, set once
 }
 
-// DialFramed connects to a FrameServer at addr.
+// errClientClosed is what every call on a closed FrameClient returns.
+var errClientClosed = errors.New("cloud: framed client closed")
+
+// NewFrameClient returns a client for the FrameServer at addr without
+// dialing it: the first call connects, so a client can be made for a server
+// that is not up yet.
+func NewFrameClient(addr string) *FrameClient { return &FrameClient{addr: addr} }
+
+// DialFramed connects to a FrameServer at addr, reporting a dial failure
+// now rather than at the first call.
 func DialFramed(addr string) (*FrameClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: dial framed: %w", err)
+	c := NewFrameClient(addr)
+	if _, err := c.connect(); err != nil {
+		return nil, err
 	}
-	c := &FrameClient{conn: conn, pending: make(map[uint64]chan rpcResponse)}
-	go c.readLoop()
 	return c, nil
 }
 
-// Hello binds the connection to a tenant namespace. Call it once, before
-// issuing operations; a failed hello leaves the connection on the default
-// backend.
+// connect returns the live connection, dialing one if there is none.
+func (c *FrameClient) connect() (*clientConn, error) {
+	if cc := c.cur.Load(); cc != nil && !cc.dead.Load() {
+		return cc, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.connectLocked()
+}
+
+func (c *FrameClient) connectLocked() (*clientConn, error) {
+	if c.closed {
+		return nil, errClientClosed
+	}
+	if cc := c.cur.Load(); cc != nil && !cc.dead.Load() {
+		return cc, nil // another caller dialed while this one waited
+	}
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: dial framed: %w", err)
+	}
+	cc := &clientConn{conn: conn, pending: make(map[uint64]chan rpcResponse)}
+	go cc.readLoop()
+	if c.tenant != "" {
+		if err := cc.hello(c.tenant); err != nil {
+			cc.fail(err)
+			return nil, err
+		}
+	}
+	c.cur.Store(cc)
+	return cc, nil
+}
+
+// Hello binds the client to a tenant namespace, on the current connection
+// and on every connection it dials later. A failed hello leaves the binding
+// as it was.
 func (c *FrameClient) Hello(tenant string) error {
-	resp, err := c.call(rpcRequest{Op: opHello, Name: tenant})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cc, err := c.connectLocked()
+	if err != nil {
+		return err
+	}
+	if err := cc.hello(tenant); err != nil {
+		return err
+	}
+	c.tenant = tenant
+	return nil
+}
+
+// Close closes the connection, failing all in-flight calls; the client
+// does not redial after it.
+func (c *FrameClient) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	if cc := c.cur.Swap(nil); cc != nil {
+		return cc.conn.Close()
+	}
+	return nil
+}
+
+func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
+	cc, err := c.connect()
+	if err != nil {
+		return rpcResponse{}, err
+	}
+	return cc.call(&req)
+}
+
+func (cc *clientConn) hello(tenant string) error {
+	resp, err := cc.call(&rpcRequest{Op: opHello, Name: tenant})
 	if err != nil {
 		return err
 	}
 	return respError(resp)
 }
 
-// Close closes the connection, failing all in-flight calls.
-func (c *FrameClient) Close() error { return c.conn.Close() }
-
 // readLoop is the demux goroutine: it routes each response frame to the
-// waiting call by id and, on transport error, fails everything in flight.
-// Each payload is read into its own allocation, which the decoded response's
+// waiting call by id and, on transport error, fails the connection. Each
+// payload is read into its own allocation, which the decoded response's
 // blob data points into and the caller thereby owns.
-func (c *FrameClient) readLoop() {
-	br := bufio.NewReaderSize(c.conn, frameReadBuffer)
+func (cc *clientConn) readLoop() {
+	br := bufio.NewReaderSize(cc.conn, frameReadBuffer)
 	for {
 		id, n, err := readFrameHeader(br, DefaultMaxFrameBytes)
 		var payload []byte
@@ -391,80 +548,80 @@ func (c *FrameClient) readLoop() {
 			err = decodeResponse(payload, &resp)
 		}
 		if err != nil {
-			c.fail(fmt.Errorf("cloud: framed receive: %w", err))
+			cc.fail(fmt.Errorf("cloud: framed receive: %w", err))
 			return
 		}
-		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
+		cc.mu.Lock()
+		ch := cc.pending[id]
+		delete(cc.pending, id)
+		cc.mu.Unlock()
 		if ch != nil {
 			ch <- resp
 		}
 	}
 }
 
-func (c *FrameClient) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
+// fail ends the connection: the first error sticks, every pending call is
+// failed, and the socket is closed.
+func (cc *clientConn) fail(err error) {
+	cc.mu.Lock()
+	if cc.err == nil {
+		cc.err = err
+		cc.dead.Store(true)
 	}
-	for id, ch := range c.pending {
+	for id, ch := range cc.pending {
 		close(ch)
-		delete(c.pending, id)
+		delete(cc.pending, id)
 	}
+	cc.mu.Unlock()
+	_ = cc.conn.Close()
 }
 
 // send encodes req into a pooled buffer, registers the call under a fresh id
 // and writes the frame; the response arrives on the returned channel.
-func (c *FrameClient) send(req *rpcRequest) (chan rpcResponse, error) {
+func (cc *clientConn) send(req *rpcRequest) (chan rpcResponse, error) {
 	bp := frameBufs.Get()
 	defer frameBufs.Put(bp)
 	var err error
 	if *bp, err = appendRequest(beginFrame(*bp), req); err != nil {
 		return nil, err
 	}
-	id := c.nextID.Add(1)
+	id := cc.nextID.Add(1)
 	if err := finishFrame(*bp, id); err != nil {
 		return nil, err
 	}
 	ch := make(chan rpcResponse, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	cc.mu.Lock()
+	if cc.err != nil {
+		err := cc.err
+		cc.mu.Unlock()
 		return nil, err
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
+	cc.pending[id] = ch
+	cc.mu.Unlock()
 
-	c.writeMu.Lock()
-	_, err = c.conn.Write(*bp)
-	c.writeMu.Unlock()
+	cc.writeMu.Lock()
+	_, err = cc.conn.Write(*bp)
+	cc.writeMu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cloud: framed send: %w", err)
+		// A partly written frame leaves the stream unusable.
+		err = fmt.Errorf("cloud: framed send: %w", err)
+		cc.fail(err)
+		return nil, err
 	}
 	return ch, nil
 }
 
-func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
-	ch, err := c.send(&req)
+func (cc *clientConn) call(req *rpcRequest) (rpcResponse, error) {
+	ch, err := cc.send(req)
 	if err != nil {
 		return rpcResponse{}, err
 	}
 	resp, ok := <-ch
 	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = errors.New("cloud: framed connection closed")
-		}
-		return rpcResponse{}, err
+		cc.mu.Lock()
+		defer cc.mu.Unlock()
+		return rpcResponse{}, cc.err // fail closes channels only after setting err
 	}
 	return resp, nil
 }
@@ -538,7 +695,7 @@ func (c *FrameClient) Stats() Stats {
 	return *resp.Stats
 }
 
-// PutBlobs implements BatchService: one frame out, one frame back, and the
+// PutBlobs implements Service: one frame out, one frame back, and the
 // connection stays available to other goroutines while the batch commits.
 func (c *FrameClient) PutBlobs(puts []BlobPut) ([]int, error) {
 	resp, err := c.call(rpcRequest{Op: "putb", Puts: puts})
@@ -548,13 +705,15 @@ func (c *FrameClient) PutBlobs(puts []BlobPut) ([]int, error) {
 	if err := respError(resp); err != nil {
 		return nil, err
 	}
+	// The provider is untrusted: never hand positional callers a slice
+	// whose length the server chose.
 	if len(resp.Versions) != len(puts) {
 		return nil, fmt.Errorf("cloud: batch put: server returned %d versions for %d blobs", len(resp.Versions), len(puts))
 	}
 	return resp.Versions, nil
 }
 
-// GetBlobs implements BatchService.
+// GetBlobs implements Service.
 func (c *FrameClient) GetBlobs(names []string) ([]Blob, error) {
 	resp, err := c.call(rpcRequest{Op: "getb", Names: names})
 	if err != nil {
@@ -569,7 +728,7 @@ func (c *FrameClient) GetBlobs(names []string) ([]Blob, error) {
 	return resp.Blobs, nil
 }
 
-// GetBlobsIf implements ConditionalBatchService.
+// GetBlobsIf implements Service.
 func (c *FrameClient) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	resp, err := c.call(rpcRequest{Op: "getc", Gets: gets})
 	if err != nil {

@@ -8,23 +8,62 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// startFrameServer runs a FrameServer over svc on a loopback socket and
-// returns its address.
+// testFrameServer is a FrameServer serving on a loopback socket.
+type testFrameServer struct {
+	*FrameServer
+	addr   string
+	served chan error // Serve's result
+}
+
+// serveFramesAt serves svc on addr ("127.0.0.1:0" for any port), retrying
+// while a previous listener's port is released.
+func serveFramesAt(t *testing.T, addr string, svc Service, opts FrameServerOptions) *testFrameServer {
+	t.Helper()
+	var ln net.Listener
+	var err error
+	for i := 0; i < 100; i++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("listen %s: %v", addr, err)
+	}
+	s := &testFrameServer{FrameServer: NewFrameServer(svc, opts), addr: ln.Addr().String(), served: make(chan error, 1)}
+	go func() { s.served <- s.Serve(ln) }()
+	return s
+}
+
+// stop closes the server and waits for Serve to return, as a process exit
+// would: every connection is gone when it returns.
+func (s *testFrameServer) stop(t *testing.T) {
+	t.Helper()
+	_ = s.Close()
+	select {
+	case err := <-s.served:
+		if err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Serve did not return after Close")
+	}
+}
+
+// startFrameServer runs a FrameServer over svc on a loopback socket for the
+// rest of the test and returns its address.
 func startFrameServer(t *testing.T, svc Service, opts FrameServerOptions) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := NewFrameServer(svc, opts)
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	return ln.Addr().String()
+	s := serveFramesAt(t, "127.0.0.1:0", svc, opts)
+	t.Cleanup(func() { s.stop(t) })
+	return s.addr
 }
 
 // readTestFrame reads one whole frame the way both ends of the protocol do.
@@ -265,7 +304,7 @@ func TestFrameOversizedRejected(t *testing.T) {
 func TestFrameTypedErrorsCrossWire(t *testing.T) {
 	// MaxInFlight 0 is invalid, so use a saturating wrapper: a backend that
 	// always sheds with a known hint.
-	shed := shedService{inner: NewMemory(), retry: 40 * time.Millisecond}
+	shed := shedService{Service: NewMemory(), retry: 40 * time.Millisecond}
 	tenants := NewTenants(shed)
 	if err := tenants.Define("tiny", TenantQuota{MaxBytes: 4}); err != nil {
 		t.Fatalf("Define: %v", err)
@@ -324,21 +363,21 @@ func TestFrameHelloUnknownTenant(t *testing.T) {
 
 // shedService rejects every mutation with a typed OverloadError.
 type shedService struct {
-	inner Service
+	Service
 	retry time.Duration
 }
 
 func (s shedService) PutBlob(string, []byte) (int, error) {
 	return 0, &OverloadError{RetryAfter: s.retry}
 }
-func (s shedService) GetBlob(name string) (Blob, error)    { return s.inner.GetBlob(name) }
-func (s shedService) DeleteBlob(string) error              { return &OverloadError{RetryAfter: s.retry} }
-func (s shedService) ListBlobs(p string) ([]string, error) { return s.inner.ListBlobs(p) }
-func (s shedService) Send(Message) error                   { return &OverloadError{RetryAfter: s.retry} }
+func (s shedService) PutBlobs([]BlobPut) ([]int, error) {
+	return nil, &OverloadError{RetryAfter: s.retry}
+}
+func (s shedService) DeleteBlob(string) error { return &OverloadError{RetryAfter: s.retry} }
+func (s shedService) Send(Message) error      { return &OverloadError{RetryAfter: s.retry} }
 func (s shedService) Receive(string, int) ([]Message, error) {
 	return nil, &OverloadError{RetryAfter: s.retry}
 }
-func (s shedService) Stats() Stats { return s.inner.Stats() }
 
 // failingService fails every put with a fixed error.
 type failingService struct {
@@ -349,42 +388,34 @@ type failingService struct {
 func (f failingService) PutBlob(string, []byte) (int, error) { return 0, f.err }
 
 // TestErrorCodesNotTextCrossWire pins that the client rebuilds a typed error
-// from the response's code and never from its text, on both protocols: a
-// backend error that merely reads like an overload or a quota rejection stays
-// a plain error, and one that wraps a sentinel still matches it, text intact.
+// from the response's code and never from its text: a backend error that
+// merely reads like an overload or a quota rejection stays a plain error, and
+// one that wraps a sentinel still matches it, text intact.
 func TestErrorCodesNotTextCrossWire(t *testing.T) {
-	dial := map[string]func(t *testing.T, svc Service) Service{
-		"framed": func(t *testing.T, svc Service) Service {
-			return dialTestFrameServer(t, svc, FrameServerOptions{}, "")
-		},
-		"tcp": func(t *testing.T, svc Service) Service { return startServer(t, svc) },
-	}
-	for proto, mk := range dial {
-		for _, text := range []string{
-			"cloud: overloaded by a disk that is full",
-			`cloud: tenant "acme" over ops quota`,
-		} {
-			c := mk(t, failingService{Service: NewMemory(), err: errors.New(text)})
-			_, err := c.PutBlob("x", []byte("y"))
-			var oe *OverloadError
-			var qe *QuotaError
-			if err == nil || err.Error() != text {
-				t.Fatalf("%s: error text changed on the wire: %v, want %q", proto, err, text)
-			}
-			if errors.As(err, &oe) || errors.As(err, &qe) || errors.Is(err, ErrOverloaded) || errors.Is(err, ErrQuotaExceeded) {
-				t.Fatalf("%s: a plain error reading %q came back typed: %#v", proto, text, err)
-			}
-		}
-
-		wrapped := fmt.Errorf("replica 2 of 3: %w", ErrUnavailable)
-		c := mk(t, failingService{Service: NewMemory(), err: wrapped})
+	for _, text := range []string{
+		"cloud: overloaded by a disk that is full",
+		`cloud: tenant "acme" over ops quota`,
+	} {
+		c := dialTestFrameServer(t, failingService{Service: NewMemory(), err: errors.New(text)}, FrameServerOptions{}, "")
 		_, err := c.PutBlob("x", []byte("y"))
-		if !errors.Is(err, ErrUnavailable) || err.Error() != wrapped.Error() {
-			t.Fatalf("%s: wrapped sentinel came back as %v, want errors.Is ErrUnavailable with text %q", proto, err, wrapped)
+		var oe *OverloadError
+		var qe *QuotaError
+		if err == nil || err.Error() != text {
+			t.Fatalf("error text changed on the wire: %v, want %q", err, text)
 		}
-		if _, err := c.GetBlob("absent"); err != ErrBlobNotFound {
-			t.Fatalf("%s: bare sentinel came back as %#v, want ErrBlobNotFound itself", proto, err)
+		if errors.As(err, &oe) || errors.As(err, &qe) || errors.Is(err, ErrOverloaded) || errors.Is(err, ErrQuotaExceeded) {
+			t.Fatalf("a plain error reading %q came back typed: %#v", text, err)
 		}
+	}
+
+	wrapped := fmt.Errorf("replica 2 of 3: %w", ErrUnavailable)
+	c := dialTestFrameServer(t, failingService{Service: NewMemory(), err: wrapped}, FrameServerOptions{}, "")
+	_, err := c.PutBlob("x", []byte("y"))
+	if !errors.Is(err, ErrUnavailable) || err.Error() != wrapped.Error() {
+		t.Fatalf("wrapped sentinel came back as %v, want errors.Is ErrUnavailable with text %q", err, wrapped)
+	}
+	if _, err := c.GetBlob("absent"); err != ErrBlobNotFound {
+		t.Fatalf("bare sentinel came back as %#v, want ErrBlobNotFound itself", err)
 	}
 }
 
@@ -515,5 +546,448 @@ func TestFrameDeclaredLengthAllocatesNothing(t *testing.T) {
 	})
 	if grew > conns<<20 {
 		t.Fatalf("%d connections declaring 16 MiB and sending nothing made the process allocate %d bytes", conns, grew)
+	}
+}
+
+// TestFrameServerCloseWithIdleClient: Close must not wait for clients to hang
+// up. A connected client that sends nothing used to leave its handler blocked
+// in a read, so Serve never returned and tccloud never reached its shutdown
+// checkpoint.
+func TestFrameServerCloseWithIdleClient(t *testing.T) {
+	srv := serveFramesAt(t, "127.0.0.1:0", NewMemory(), FrameServerOptions{})
+	c, err := DialFramed(srv.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.PutBlob("x", []byte("y")); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	_ = srv.Close()
+	select {
+	case err := <-srv.served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve still blocked 1s after Close with an idle client connected")
+	}
+}
+
+// TestFrameServerCloseAnswersParkedRequest closes the server while a request
+// is parked in the backend: the call is answered or fails, never hangs, and
+// Serve returns once the backend lets go.
+func TestFrameServerCloseAnswersParkedRequest(t *testing.T) {
+	blocker := &blockingService{Service: NewMemory(), release: make(chan struct{}), entered: make(chan string, 1)}
+	srv := serveFramesAt(t, "127.0.0.1:0", blocker, FrameServerOptions{})
+	c, err := DialFramed(srv.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.PutBlob("parked", []byte("x"))
+		done <- err
+	}()
+	<-blocker.entered
+	_ = srv.Close()
+	close(blocker.release)
+	select {
+	case err := <-done:
+		t.Logf("parked request after Close: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked request hung across Close")
+	}
+	srv.stop(t)
+}
+
+// TestFrameClientRedialsAfterServerRestart kills the server under a client
+// and checks the next call after the restart redials and succeeds — with the
+// server's state intact when the backing store survives (as a Durable member
+// or a restarted tccloud process would).
+func TestFrameClientRedialsAfterServerRestart(t *testing.T) {
+	store := NewMemory()
+	srv := serveFramesAt(t, "127.0.0.1:0", store, FrameServerOptions{})
+	c := NewFrameClient(srv.addr)
+	defer c.Close()
+	if _, err := c.PutBlob("k", []byte("v1")); err != nil {
+		t.Fatalf("put before restart: %v", err)
+	}
+
+	srv.stop(t)
+	if _, err := c.GetBlob("k"); err == nil {
+		t.Fatal("expected a transport error while the server is down")
+	}
+
+	// Rebind the same port; the store (and its versions) survive, as they
+	// would for a durable member restarted over the same data directory.
+	srv = serveFramesAt(t, srv.addr, store, FrameServerOptions{})
+	defer srv.stop(t)
+	b, err := c.GetBlob("k")
+	if err != nil {
+		t.Fatalf("get after restart: %v", err)
+	}
+	if string(b.Data) != "v1" || b.Version != 1 {
+		t.Fatalf("blob after restart = %q v%d, want v1/1", b.Data, b.Version)
+	}
+	if _, err := c.PutBlob("k", []byte("v2")); err != nil {
+		t.Fatalf("put after restart: %v", err)
+	}
+}
+
+// TestFrameClientRebindsTenantAfterRestart: a client bound with Hello says
+// hello again on the connection it redials, so its writes after a server
+// restart still land in its own namespace, never in the default backend's.
+func TestFrameClientRebindsTenantAfterRestart(t *testing.T) {
+	backend := NewMemory()
+	tenants := NewTenants(backend)
+	if err := tenants.Define("acme", TenantQuota{}); err != nil {
+		t.Fatal(err)
+	}
+	opts := FrameServerOptions{Tenants: tenants}
+	srv := serveFramesAt(t, "127.0.0.1:0", backend, opts)
+	c := NewFrameClient(srv.addr)
+	defer c.Close()
+	if err := c.Hello("acme"); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	srv.stop(t)
+	if _, err := c.PutBlob("lost", []byte("x")); err == nil {
+		t.Fatal("expected a transport error while the server is down")
+	}
+	srv = serveFramesAt(t, srv.addr, backend, opts)
+	defer srv.stop(t)
+	if _, err := c.PutBlob("after", []byte("x")); err != nil {
+		t.Fatalf("put after restart: %v", err)
+	}
+	if _, err := backend.GetBlob("t/acme/after"); err != nil {
+		t.Fatalf("write after restart missed the tenant namespace: %v", err)
+	}
+	if _, err := backend.GetBlob("after"); err != ErrBlobNotFound {
+		t.Fatalf("write after restart landed in the default namespace: %v", err)
+	}
+}
+
+// countingService counts the puts that reach the backend.
+type countingService struct {
+	*blockingService
+	puts atomic.Int64
+}
+
+func (c *countingService) PutBlob(name string, data []byte) (int, error) {
+	c.puts.Add(1)
+	return c.blockingService.PutBlob(name, data)
+}
+
+// TestFrameClientNeverResends: a put in flight when its connection is killed
+// fails, the backend applies it at most once, and the client's next call
+// redials instead of replaying it.
+func TestFrameClientNeverResends(t *testing.T) {
+	store := NewMemory()
+	backend := &countingService{blockingService: &blockingService{
+		Service: store, release: make(chan struct{}), entered: make(chan string, 1),
+	}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := &trackingListener{Listener: ln}
+	srv := NewFrameServer(backend, FrameServerOptions{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(tl) }()
+	defer func() { _ = srv.Close(); <-served }()
+
+	c := NewFrameClient(ln.Addr().String())
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.PutBlob("once", []byte("x"))
+		done <- err
+	}()
+	<-backend.entered
+	tl.killConns()
+	if err := <-done; err == nil {
+		t.Fatal("put whose connection was killed reported success")
+	}
+	close(backend.release) // the backend finishes the put it already took
+	if _, err := c.GetBlob("once"); err != nil && err != ErrBlobNotFound {
+		t.Fatalf("call after the kill did not redial: %v", err)
+	}
+	if n := backend.puts.Load(); n != 1 {
+		t.Fatalf("backend saw the put %d times, want exactly once", n)
+	}
+}
+
+// trackingListener records accepted connections so a test can sever them
+// the way a network failure would.
+type trackingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *trackingListener) killConns() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		_ = c.Close()
+	}
+	l.conns = nil
+}
+
+// TestFrameClientDialsLazily: NewFrameClient does not dial, so it can be made
+// for a server that is not up; calls fail until one binds the address.
+func TestFrameClientDialsLazily(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	c := NewFrameClient(addr)
+	defer c.Close()
+	if _, err := c.PutBlob("x", []byte("y")); err == nil {
+		t.Fatal("put with no server listening succeeded")
+	}
+	srv := serveFramesAt(t, addr, NewMemory(), FrameServerOptions{})
+	defer srv.stop(t)
+	if _, err := c.PutBlob("x", []byte("y")); err != nil {
+		t.Fatalf("put once the server is up: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := c.PutBlob("x", []byte("y")); err == nil {
+		t.Fatal("a closed client redialed")
+	}
+}
+
+// TestReplicatedTCPMemberRestart runs the availability drill over a real
+// wire: a 3-member fleet where one member is a framed server reached through
+// NewFrameClient. The member's process dies mid-workload, writes continue at
+// quorum, the process comes back over the same store, and the hint drain
+// converges it.
+func TestReplicatedTCPMemberRestart(t *testing.T) {
+	remoteStore := NewMemory()
+	srv := serveFramesAt(t, "127.0.0.1:0", remoteStore, FrameServerOptions{})
+	remote := NewFrameClient(srv.addr)
+	defer remote.Close()
+	r, err := NewReplicated([]Service{NewMemory(), NewMemory(), remote}, ReplicatedOptions{
+		WriteQuorum:   2,
+		ReadQuorum:    2,
+		FailThreshold: 1,
+		ProbeEvery:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	put := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			name := fmt.Sprintf("tcp/doc-%03d", i)
+			if _, err := r.PutBlob(name, []byte(name)); err != nil {
+				t.Fatalf("put %s: %v", name, err)
+			}
+		}
+	}
+	put(0, 20)
+
+	// The member's process dies; the fleet keeps acknowledging at W=2. The
+	// down mark lands when the member's calls fail, which may trail the
+	// quorum acks.
+	srv.stop(t)
+	put(20, 40)
+	deadline := time.Now().Add(5 * time.Second)
+	for !r.MemberDown(2) {
+		if time.Now().After(deadline) {
+			t.Fatal("TCP member should be marked down after its process died")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The process returns over the same store; probes redial, the hint
+	// drain replays what it missed, anti-entropy mops up anything dropped.
+	srv = serveFramesAt(t, srv.addr, remoteStore, FrameServerOptions{})
+	defer srv.stop(t)
+	if n := r.DrainHints(); n == 0 {
+		t.Fatal("expected hints to drain into the restarted member")
+	}
+	if _, err := r.AntiEntropy(); err != nil {
+		t.Fatalf("anti-entropy: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("tcp/doc-%03d", i)
+		b, err := remoteStore.GetBlob(name)
+		if err != nil {
+			t.Fatalf("restarted member missing %s: %v", name, err)
+		}
+		if string(b.Data) != name {
+			t.Fatalf("restarted member has wrong data for %s", name)
+		}
+	}
+}
+
+func TestTCPBlobRoundTrip(t *testing.T) {
+	client := dialTestFrameServer(t, NewMemory(), FrameServerOptions{}, "")
+	v, err := client.PutBlob("alice/doc-1", []byte("sealed"))
+	if err != nil || v != 1 {
+		t.Fatalf("PutBlob over TCP: v=%d err=%v", v, err)
+	}
+	b, err := client.GetBlob("alice/doc-1")
+	if err != nil || !bytes.Equal(b.Data, []byte("sealed")) {
+		t.Fatalf("GetBlob over TCP: %q %v", b.Data, err)
+	}
+	names, err := client.ListBlobs("alice/")
+	if err != nil || len(names) != 1 {
+		t.Fatalf("ListBlobs: %v %v", names, err)
+	}
+	if err := client.DeleteBlob("alice/doc-1"); err != nil {
+		t.Fatalf("DeleteBlob: %v", err)
+	}
+	if _, err := client.GetBlob("alice/doc-1"); err != ErrBlobNotFound {
+		t.Fatalf("expected ErrBlobNotFound through the client, got %v", err)
+	}
+}
+
+func TestTCPMailboxAndStats(t *testing.T) {
+	client := dialTestFrameServer(t, NewMemory(), FrameServerOptions{}, "")
+	if err := client.Send(Message{From: "alice", To: "bob", Kind: "share", Body: []byte("hi")}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	msgs, err := client.Receive("bob", 10)
+	if err != nil || len(msgs) != 1 || string(msgs[0].Body) != "hi" {
+		t.Fatalf("Receive: %v %v", msgs, err)
+	}
+	if st := client.Stats(); st.Sends != 1 || st.Receives != 1 {
+		t.Fatalf("stats over TCP: %+v", st)
+	}
+}
+
+// TestTCPMultipleClients: two clients, each with its own connection, share
+// one server's store.
+func TestTCPMultipleClients(t *testing.T) {
+	clientA := dialTestFrameServer(t, NewMemory(), FrameServerOptions{}, "")
+	clientB := NewFrameClient(clientA.addr)
+	defer clientB.Close()
+	if _, err := clientA.PutBlob("shared", []byte("from-a")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := clientB.GetBlob("shared")
+	if err != nil || string(b.Data) != "from-a" {
+		t.Fatalf("cross-client read: %v %v", b, err)
+	}
+}
+
+// TestTCPBatchRoundTrip: a batch is one exchange, and the server's counters
+// still count it per blob.
+func TestTCPBatchRoundTrip(t *testing.T) {
+	client := dialTestFrameServer(t, NewMemory(), FrameServerOptions{}, "")
+	puts := make([]BlobPut, 20)
+	names := make([]string, 20)
+	for i := range puts {
+		names[i] = fmt.Sprintf("fleet/blob-%02d", i)
+		puts[i] = BlobPut{Name: names[i], Data: []byte(names[i])}
+	}
+	versions, err := client.PutBlobs(puts)
+	if err != nil {
+		t.Fatalf("PutBlobs over TCP: %v", err)
+	}
+	for i, v := range versions {
+		if v != 1 {
+			t.Fatalf("version[%d] = %d", i, v)
+		}
+	}
+	blobs, err := client.GetBlobs(append(names, "missing"))
+	if err != nil {
+		t.Fatalf("GetBlobs over TCP: %v", err)
+	}
+	for i := range names {
+		if !bytes.Equal(blobs[i].Data, []byte(names[i])) {
+			t.Fatalf("blob %d = %q", i, blobs[i].Data)
+		}
+	}
+	if blobs[len(names)].Version != 0 {
+		t.Fatalf("missing blob should be zero: %+v", blobs[len(names)])
+	}
+	if st := client.Stats(); st.Puts != 20 || st.Gets != 21 {
+		t.Fatalf("server-side counters after batch: %+v", st)
+	}
+}
+
+func TestTCPConditionalBatchGet(t *testing.T) {
+	client := dialTestFrameServer(t, NewMemory(), FrameServerOptions{}, "")
+	_, _ = client.PutBlob("sync/0", []byte("a1"))
+	_, _ = client.PutBlob("sync/1", []byte("b1"))
+	_, _ = client.PutBlob("sync/1", []byte("b2"))
+	blobs, err := client.GetBlobsIf([]CondGet{
+		{Name: "sync/0", IfNewer: 1},
+		{Name: "sync/1", IfNewer: 1},
+		{Name: "sync/2", IfNewer: 0},
+	})
+	if err != nil {
+		t.Fatalf("GetBlobsIf over TCP: %v", err)
+	}
+	if blobs[0].Version != 1 || blobs[0].Data != nil {
+		t.Fatalf("unadvanced blob should ship no data over the wire: %+v", blobs[0])
+	}
+	if blobs[1].Version != 2 || !bytes.Equal(blobs[1].Data, []byte("b2")) {
+		t.Fatalf("advanced blob: %+v", blobs[1])
+	}
+	if blobs[2].Version != 0 {
+		t.Fatalf("missing blob should be zero: %+v", blobs[2])
+	}
+}
+
+// TestTCPUnknownOp: a request whose op code the server does not know is
+// answered with an error on its id, and the connection keeps serving.
+func TestTCPUnknownOp(t *testing.T) {
+	conn, err := net.Dial("tcp", startFrameServer(t, NewMemory(), FrameServerOptions{}))
+	if err != nil {
+		t.Fatalf("dial raw: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	exchange := func(id uint64, payload []byte) rpcResponse {
+		t.Helper()
+		frame := append(beginFrame(nil), payload...)
+		if err := finishFrame(frame, id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		gotID, body, err := readTestFrame(br)
+		if err != nil || gotID != id {
+			t.Fatalf("response to %d: id %d, %v", id, gotID, err)
+		}
+		var resp rpcResponse
+		if err := decodeResponse(body, &resp); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp
+	}
+	if resp := exchange(1, []byte{wireMagic, 0x7F, 0}); !strings.Contains(resp.Err, "unknown op") {
+		t.Fatalf("unknown op answered %+v", resp)
+	}
+	stats, err := appendRequest(nil, &rpcRequest{Op: "stats"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := exchange(2, stats); resp.Err != "" || resp.Stats == nil {
+		t.Fatalf("connection unusable after an unknown op: %+v", resp)
 	}
 }

@@ -51,9 +51,9 @@ func (c *counters) snapshot() Stats {
 // atomics. A single-shard Memory reproduces the original single-mutex
 // behaviour and serves as the sequential baseline in experiment E9.
 //
-// Memory also implements BatchService: PutBlobs and GetBlobs group their
-// arguments by shard and take each shard lock once, and pay the simulated
-// network latency (SetLatency) once per call instead of once per blob.
+// The batch calls group their arguments by shard and take each shard lock
+// once, and pay the simulated network latency (SetLatency) once per call
+// instead of once per blob.
 type Memory struct {
 	shards []*shard
 	stats  counters
@@ -136,7 +136,7 @@ func (m *Memory) SetOutage(until time.Time) {
 // SetLatency attaches a simulated network round-trip to every service call.
 // Each Service method sleeps once per invocation — so a batch call pays one
 // round-trip for its whole argument list, which is precisely the economics
-// that make BatchService worthwhile for a fleet of edge cells talking to a
+// that make the batch calls worthwhile for a fleet of edge cells talking to a
 // remote provider. Zero disables the simulation (the default).
 func (m *Memory) SetLatency(d time.Duration) {
 	m.cfgMu.Lock()
@@ -301,7 +301,7 @@ func (m *Memory) Stats() Stats {
 	return m.stats.snapshot()
 }
 
-// PutBlobs implements BatchService: it stores every blob, grouping the writes
+// PutBlobs implements Service: it stores every blob, grouping the writes
 // by shard so each shard lock is taken at most once, and returns the new
 // version of each blob in argument order. The simulated network latency is
 // paid once for the whole batch.
@@ -326,7 +326,7 @@ func (m *Memory) PutBlobs(puts []BlobPut) ([]int, error) {
 	return versions, nil
 }
 
-// GetBlobs implements BatchService: it returns the latest version of each
+// GetBlobs implements Service: it returns the latest version of each
 // named blob in argument order. A missing name yields a zero Blob (Version
 // 0) at its position rather than failing the whole batch; only service-level
 // failures (outages) return an error.
@@ -348,9 +348,9 @@ func (m *Memory) GetBlobs(names []string) ([]Blob, error) {
 	return blobs, nil
 }
 
-// GetBlobsIf implements ConditionalBatchService: blobs whose stored version is
-// still <= the requested IfNewer come back with their current Version but no
-// data, so a synchronizing replica pays only for the shards that advanced.
+// GetBlobsIf implements Service: blobs whose stored version is still <= the
+// requested IfNewer come back with their current Version but no data, so a
+// synchronizing replica pays only for the shards that advanced.
 func (m *Memory) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	if err := m.checkIn(); err != nil {
 		return nil, err

@@ -218,8 +218,7 @@ type RepairReport struct {
 	Readmitted        int   // quarantined members re-admitted after verifying clean
 }
 
-// Replicated stripes the full Service, BatchService and
-// ConditionalBatchService contracts over N member backends with quorum
+// Replicated stripes the Service contract over N member backends with quorum
 // writes, quorum reads, read repair, hinted handoff and anti-entropy. All
 // methods are safe for concurrent use.
 type Replicated struct {
@@ -1168,10 +1167,10 @@ func (r *Replicated) rememberDelivered(id string) {
 	}
 }
 
-// --- BatchService -----------------------------------------------------------
+// --- batch calls ------------------------------------------------------------
 
-// fanBatch fans a whole batch to each live member: one member call per
-// member, W acks required, hints per element for the members that missed it.
+// lockStripes locks the name stripes of keys in ascending index order and
+// returns the matching unlock.
 func (r *Replicated) lockStripes(keys []string) func() {
 	idx := make([]int, 0, len(keys))
 	seen := make(map[int]bool)
@@ -1230,7 +1229,7 @@ func (r *Replicated) PutBlobs(puts []BlobPut) ([]int, error) {
 	}
 	r.hintSkipped(live, hs...)
 	results := r.fanout(live, r.opts.WriteQuorum+len(quar), func(i int, svc Service) fanResult {
-		vers, err := PutBlobsVia(svc, copied)
+		vers, err := svc.PutBlobs(copied)
 		return fanResult{vers: vers, err: err}
 	}, func(i int) { r.hintFailed(i, hs...) }, unlock)
 	versions := make([]int, len(copied))
@@ -1269,7 +1268,7 @@ func (r *Replicated) GetBlobs(names []string) ([]Blob, error) {
 			ErrQuorumFailed, len(live), len(r.members), r.opts.ReadQuorum)
 	}
 	results := r.fanout(live, r.opts.ReadQuorum, func(i int, svc Service) fanResult {
-		blobs, err := GetBlobsVia(svc, names)
+		blobs, err := svc.GetBlobs(names)
 		if err == nil && len(blobs) != len(names) {
 			err = fmt.Errorf("cloud: replicated: member %d returned %d blobs for %d names", i, len(blobs), len(names))
 		}
@@ -1318,11 +1317,10 @@ func (r *Replicated) mergeBatch(names []string, results []fanResult) ([]Blob, er
 	return merged, nil
 }
 
-// GetBlobsIf implements ConditionalBatchService: the element-wise
-// maximum-version merge of a read quorum, shipping data only past the
-// caller's version. The conditional path does not read-repair — it is the
-// hot path of delta sync — so repairs ride on GetBlob/GetBlobs and the
-// anti-entropy pass.
+// GetBlobsIf implements Service: the element-wise maximum-version merge of
+// a read quorum, shipping data only past the caller's version. The
+// conditional path does not read-repair — it is the hot path of delta sync —
+// so repairs ride on GetBlob/GetBlobs and the anti-entropy pass.
 func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	r.maybeProbe()
 	if len(gets) == 0 {
@@ -1335,7 +1333,7 @@ func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 			ErrQuorumFailed, len(live), len(r.members), r.opts.ReadQuorum)
 	}
 	results := r.fanout(live, r.opts.ReadQuorum, func(i int, svc Service) fanResult {
-		blobs, err := GetBlobsIfVia(svc, gets)
+		blobs, err := svc.GetBlobsIf(gets)
 		if err == nil && len(blobs) != len(gets) {
 			err = fmt.Errorf("cloud: replicated: member %d returned %d blobs for %d gets", i, len(blobs), len(gets))
 		}
@@ -1466,7 +1464,7 @@ func (r *Replicated) repairQuarantined(names []string, sources []int, report *Re
 	for _, si := range sources {
 		svc := r.Member(si)
 		blobs, err := boundedCall(r.opts.CallTimeout, func() ([]Blob, error) {
-			return GetBlobsVia(svc, names)
+			return svc.GetBlobs(names)
 		})
 		if err != nil || len(blobs) != len(names) {
 			r.markFailure(r.members[si])
@@ -1498,7 +1496,7 @@ func (r *Replicated) repairQuarantined(names []string, sources []int, report *Re
 	for _, qi := range quarantined {
 		svc := r.Member(qi)
 		held, err := boundedCall(r.opts.CallTimeout, func() ([]Blob, error) {
-			return GetBlobsVia(svc, names)
+			return svc.GetBlobs(names)
 		})
 		if err != nil || len(held) != len(names) {
 			r.markFailure(r.members[qi])
@@ -1519,7 +1517,7 @@ func (r *Replicated) repairQuarantined(names []string, sources []int, report *Re
 		// the trusted winner, which repairName cannot lower) keeps the member
 		// out of read quorums.
 		after, err := boundedCall(r.opts.CallTimeout, func() ([]Blob, error) {
-			return GetBlobsVia(svc, names)
+			return svc.GetBlobs(names)
 		})
 		if err != nil || len(after) != len(names) {
 			r.markFailure(r.members[qi])
@@ -1556,7 +1554,7 @@ func (r *Replicated) repairShard(names []string, memberIdx []int, report *Repair
 	for _, i := range memberIdx {
 		svc := r.Member(i)
 		blobs, err := boundedCall(r.opts.CallTimeout, func() ([]Blob, error) {
-			return GetBlobsVia(svc, names)
+			return svc.GetBlobs(names)
 		})
 		if err != nil || len(blobs) != len(names) {
 			r.markFailure(r.members[i])
@@ -1642,8 +1640,6 @@ func (r *Replicated) String() string {
 
 // interface conformance
 var (
-	_ Service                 = (*Replicated)(nil)
-	_ BatchService            = (*Replicated)(nil)
-	_ ConditionalBatchService = (*Replicated)(nil)
-	_ fmt.Stringer            = (*Replicated)(nil)
+	_ Service      = (*Replicated)(nil)
+	_ fmt.Stringer = (*Replicated)(nil)
 )

@@ -108,9 +108,8 @@ func (t *Tenants) Define(name string, quota TenantQuota) error {
 	return nil
 }
 
-// View returns the tenant's namespaced Service. The view implements
-// BatchService and ConditionalBatchService and is safe for concurrent use;
-// any number of connections may share one view.
+// View returns the tenant's namespaced Service. The view is safe for
+// concurrent use; any number of connections may share one view.
 func (t *Tenants) View(name string) (*TenantView, error) {
 	t.mu.Lock()
 	st, ok := t.tenants[name]
@@ -282,7 +281,7 @@ func (v *TenantView) Receive(recipient string, max int) ([]Message, error) {
 // use Tenants.Usage for per-tenant accounting.
 func (v *TenantView) Stats() Stats { return v.reg.inner.Stats() }
 
-// PutBlobs implements BatchService: the batch charges len(puts) ops plus
+// PutBlobs implements Service: the batch charges len(puts) ops plus
 // the summed payload bytes up front, then rides the inner batch fast path.
 func (v *TenantView) PutBlobs(puts []BlobPut) ([]int, error) {
 	var bytes int64
@@ -296,10 +295,10 @@ func (v *TenantView) PutBlobs(puts []BlobPut) ([]int, error) {
 	for i, p := range puts {
 		renamed[i] = BlobPut{Name: v.prefix + p.Name, Data: p.Data}
 	}
-	return PutBlobsVia(v.reg.inner, renamed)
+	return v.reg.inner.PutBlobs(renamed)
 }
 
-// GetBlobs implements BatchService, charging len(names) ops.
+// GetBlobs implements Service, charging len(names) ops.
 func (v *TenantView) GetBlobs(names []string) ([]Blob, error) {
 	if err := v.st.admit(max(1, len(names)), 0, v.reg.now()); err != nil {
 		return nil, err
@@ -308,7 +307,7 @@ func (v *TenantView) GetBlobs(names []string) ([]Blob, error) {
 	for i, name := range names {
 		renamed[i] = v.prefix + name
 	}
-	blobs, err := GetBlobsVia(v.reg.inner, renamed)
+	blobs, err := v.reg.inner.GetBlobs(renamed)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +317,7 @@ func (v *TenantView) GetBlobs(names []string) ([]Blob, error) {
 	return blobs, nil
 }
 
-// GetBlobsIf implements ConditionalBatchService, charging len(gets) ops.
+// GetBlobsIf implements Service, charging len(gets) ops.
 func (v *TenantView) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	if err := v.st.admit(max(1, len(gets)), 0, v.reg.now()); err != nil {
 		return nil, err
@@ -327,7 +326,7 @@ func (v *TenantView) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	for i, g := range gets {
 		renamed[i] = CondGet{Name: v.prefix + g.Name, IfNewer: g.IfNewer}
 	}
-	blobs, err := GetBlobsIfVia(v.reg.inner, renamed)
+	blobs, err := v.reg.inner.GetBlobsIf(renamed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,8 @@
 package cloud
 
 // Binary payload codec of the framed protocol (frame.go): the bytes after a
-// frame's 12-byte header. It encodes the same rpcRequest/rpcResponse values
-// the JSON line protocol (tcp.go) marshals, so both front doors keep sharing
-// one dispatch, but without reflection, base64 or per-field allocations.
+// frame's 12-byte header, encoding one rpcRequest or rpcResponse without
+// reflection or per-field allocations.
 //
 // Layout (DESIGN.md §11.2). uvarint/varint are encoding/binary's; a string or
 // byte string is a uvarint length followed by that many raw bytes; a list is
@@ -62,6 +61,130 @@ var ErrWireVersion = errors.New("cloud: unsupported wire version")
 // not parse decodes to. The frame around it was intact, so the connection
 // stays usable.
 var errMalformedPayload = errors.New("cloud: malformed frame payload")
+
+// rpcRequest is one Service call as it travels in a request frame.
+type rpcRequest struct {
+	Op        string
+	Name      string
+	Data      []byte
+	Prefix    string
+	Recipient string
+	Max       int
+	Message   Message
+	Puts      []BlobPut
+	Names     []string
+	Gets      []CondGet
+}
+
+// rpcResponse is the answer to one rpcRequest. A failed call carries the
+// error's text in Err and its type in Code; RetryAfterMs, Tenant and
+// Resource carry the fields of typed overload/quota rejections so respError
+// can reconstruct them client-side.
+type rpcResponse struct {
+	Err          string
+	Code         errCode
+	RetryAfterMs int64
+	Tenant       string
+	Resource     string
+	Version      int
+	Blob         *Blob
+	Names        []string
+	Messages     []Message
+	Stats        *Stats
+	Versions     []int
+	Blobs        []Blob
+}
+
+// errCode says which typed error a response's Err text stands for, so the
+// client rebuilds the error from the code and never from the text.
+type errCode uint8
+
+const (
+	codeOK errCode = iota
+	codeOther
+	codeNotFound
+	codeUnavailable
+	codeMailboxEmpty
+	codeOverloaded
+	codeQuota
+	codeWireVersion
+)
+
+// codeSentinels maps the codes that stand for a sentinel error to it.
+var codeSentinels = [...]error{
+	codeNotFound:     ErrBlobNotFound,
+	codeUnavailable:  ErrUnavailable,
+	codeMailboxEmpty: ErrMailboxEmpty,
+	codeWireVersion:  ErrWireVersion,
+}
+
+// applyRespError serializes err into resp: its text, the code of the typed
+// error it is (or wraps), and the fields of overload/quota rejections.
+func applyRespError(resp *rpcResponse, err error) {
+	if err == nil {
+		return
+	}
+	resp.Err = err.Error()
+	resp.Code = codeOther
+	var retry time.Duration
+	var oe *OverloadError
+	var qe *QuotaError
+	switch {
+	case errors.As(err, &oe):
+		resp.Code = codeOverloaded
+		retry = oe.RetryAfter
+	case errors.As(err, &qe):
+		resp.Code = codeQuota
+		resp.Tenant, resp.Resource = qe.Tenant, qe.Resource
+		retry = qe.RetryAfter
+	default:
+		for code, sentinel := range codeSentinels {
+			if sentinel != nil && errors.Is(err, sentinel) {
+				resp.Code = errCode(code)
+			}
+		}
+		return
+	}
+	resp.RetryAfterMs = retry.Milliseconds()
+	if resp.RetryAfterMs == 0 && retry > 0 {
+		resp.RetryAfterMs = 1 // round sub-millisecond hints up, not to zero
+	}
+}
+
+// respError turns a wire response back into the error the server-side
+// Service returned, from the response's error code: the typed sentinels and
+// the retry-after carrying OverloadError/QuotaError come back as themselves,
+// so errors.Is/As work across the wire. The text is only ever displayed.
+func respError(resp rpcResponse) error {
+	if resp.Err == "" && resp.Code == codeOK {
+		return nil
+	}
+	retry := time.Duration(resp.RetryAfterMs) * time.Millisecond
+	switch resp.Code {
+	case codeOverloaded:
+		return &OverloadError{RetryAfter: retry}
+	case codeQuota:
+		return &QuotaError{Tenant: resp.Tenant, Resource: resp.Resource, RetryAfter: retry}
+	}
+	if int(resp.Code) < len(codeSentinels) && codeSentinels[resp.Code] != nil {
+		sentinel := codeSentinels[resp.Code]
+		if resp.Err == sentinel.Error() {
+			return sentinel
+		}
+		return &remoteError{text: resp.Err, sentinel: sentinel}
+	}
+	return errors.New(resp.Err)
+}
+
+// remoteError is a server-side error that wrapped a sentinel: it keeps the
+// server's text and still matches the sentinel with errors.Is.
+type remoteError struct {
+	text     string
+	sentinel error
+}
+
+func (e *remoteError) Error() string { return e.text }
+func (e *remoteError) Unwrap() error { return e.sentinel }
 
 // wireOps maps the one-byte op code to the op name dispatch switches on.
 // Code 0 is unused so that a zeroed payload is not a valid request.

@@ -253,7 +253,7 @@ func (r *reader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) { // a final zero byte: not the minimal encoding
 		r.err = ErrBadSpec
 		return 0
 	}
@@ -289,17 +289,28 @@ func (r *reader) bytes() []byte {
 	return p
 }
 
-func (r *reader) byte1() byte {
+// flag reads a boolean byte, which the encoder writes as 0 or 1.
+func (r *reader) flag() bool {
 	if r.err != nil {
-		return 0
+		return false
 	}
-	if len(r.b) < 1 {
+	if len(r.b) < 1 || r.b[0] > 1 {
 		r.err = ErrBadSpec
-		return 0
+		return false
 	}
-	v := r.b[0]
+	v := r.b[0] == 1
 	r.b = r.b[1:]
 	return v
+}
+
+// done returns the latched error, or ErrBadSpec when bytes remain: the
+// decoders accept only what the encoders write, so an accepted payload
+// re-encodes to the same bytes.
+func (r *reader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("%w: trailing bytes", ErrBadSpec)
+	}
+	return r.err
 }
 
 // Encode renders the spec in its versioned binary wire format: a magic byte,
@@ -355,11 +366,8 @@ func DecodeSpec(b []byte) (*Spec, error) {
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		s.Aggregators = append(s.Aggregators, r.str())
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrBadSpec)
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -398,7 +406,7 @@ func decodeResponse(b []byte) (*response, error) {
 	p := &response{}
 	p.queryID = r.str()
 	p.cellID = r.str()
-	p.declined = r.byte1() == 1
+	p.declined = r.flag()
 	n := r.uvarint()
 	if r.err == nil && n > uint64(len(r.b)) {
 		r.err = ErrBadSpec
@@ -406,8 +414,8 @@ func decodeResponse(b []byte) (*response, error) {
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		p.shares = append(p.shares, r.bytes())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -455,9 +463,12 @@ func decodeControl(b []byte) (*control, error) {
 	c.aggID = r.str()
 	c.replyTo = r.str()
 	n := r.uvarint()
-	hasShares := r.byte1() == 1
+	hasShares := r.flag()
 	if r.err == nil && n > uint64(len(r.b)) {
 		r.err = ErrBadSpec
+	}
+	if hasShares {
+		c.shares = [][]byte{} // non-nil even when empty: encode writes the flag from it
 	}
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		c.cells = append(c.cells, r.str())
@@ -466,8 +477,8 @@ func decodeControl(b []byte) (*control, error) {
 		}
 	}
 	c.partial = r.bytes()
-	if r.err != nil {
-		return nil, r.err
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -1,9 +1,11 @@
 package commons
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -109,6 +111,77 @@ func TestSpecCodecRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrBadSpec", name, err)
 		}
 	}
+}
+
+// allocatedBy reports the bytes allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzCommonsCodec throws arbitrary bytes at the three commons decoders —
+// query spec, cell response, control message — whose input is whatever an
+// untrusted provider relays through the mailboxes. None may panic or let a
+// count size an allocation the input cannot back, and an accepted payload
+// must re-encode to the same bytes.
+func FuzzCommonsCodec(f *testing.F) {
+	spec := testSpec("q-fuzz")
+	spec.ReplyTo = "census"
+	resp := (&response{queryID: "q", cellID: "c", shares: [][]byte{{1, 2}, {}}}).encode()
+	ctrl := (&control{queryID: "q", aggID: "agg-0", replyTo: "census", cells: []string{"c"},
+		shares: [][]byte{{3}}, partial: []byte{4}}).encode()
+	declined := (&response{queryID: "q", cellID: "c", declined: true}).encode()
+	declined[len(declined)-2] = 7 // the declined flag, before the zero share count
+	f.Add(spec.Encode())
+	f.Add(resp)
+	f.Add(ctrl)
+	f.Add(append(append([]byte{}, resp...), 0)) // trailing byte
+	f.Add(append(append([]byte{}, ctrl...), 0)) // trailing byte
+	f.Add(declined)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Longer payloads only repeat the same paths, and the fuzzer's
+		// minimization of an interesting input is quadratic in its length.
+		if len(data) > 256 {
+			return
+		}
+		limit := uint64(64*len(data) + 64<<10)
+		for name, reencode := range map[string]func() ([]byte, error){
+			"spec": func() ([]byte, error) {
+				s, err := DecodeSpec(data)
+				if err != nil {
+					return nil, err
+				}
+				return s.Encode(), nil
+			},
+			"response": func() ([]byte, error) {
+				p, err := decodeResponse(data)
+				if err != nil {
+					return nil, err
+				}
+				return p.encode(), nil
+			},
+			"control": func() ([]byte, error) {
+				c, err := decodeControl(data)
+				if err != nil {
+					return nil, err
+				}
+				return c.encode(), nil
+			},
+		} {
+			var again []byte
+			var err error
+			if grew := allocatedBy(func() { again, err = reencode() }); grew > limit {
+				t.Fatalf("%s: a %d-byte payload allocated %d bytes", name, len(data), grew)
+			}
+			if err == nil && !bytes.Equal(again, data) {
+				t.Fatalf("accepted %s re-encodes differently:\n in  %x\n out %x", name, data, again)
+			}
+		}
+	})
 }
 
 func TestSpecValidate(t *testing.T) {

@@ -29,10 +29,10 @@ type sealedItem struct {
 // IngestBatch acquires many payloads in one operation. Sealing — the AES
 // envelope over each payload, the CPU hot path of ingestion — fans out across
 // a bounded worker pool, and the resulting ciphertexts are flushed to the
-// cloud through the batch API (one round-trip for the whole batch when the
-// service supports it, see cloud.BatchService). The local cache, catalog and
-// audit updates then apply in item order, so a batch is observationally
-// equivalent to a sequence of Ingest calls.
+// cloud through the batch API (one round-trip for the whole batch, see
+// cloud.Service.PutBlobs). The local cache, catalog and audit updates then
+// apply in item order, so a batch is observationally equivalent to a sequence
+// of Ingest calls.
 //
 // The batch fails as a unit before any upload: an error while sealing, or
 // two items hashing to the same document ID, leaves the cell and the cloud
@@ -74,7 +74,7 @@ func (c *Cell) IngestBatch(items []IngestItem) ([]*datamodel.Document, error) {
 		for i, s := range sealed {
 			puts[i] = cloud.BlobPut{Name: s.doc.BlobRef, Data: s.sealed}
 		}
-		if _, err := cloud.PutBlobsVia(c.cloud, puts); err != nil {
+		if _, err := c.cloud.PutBlobs(puts); err != nil {
 			return nil, fmt.Errorf("core: ingest batch: cloud put: %w", err)
 		}
 	}

@@ -5,7 +5,7 @@ package core
 // locally — the exact asymmetry IngestBatch removed from the write side.
 // ReadBatch and AggregateBatch gate every document through the reference
 // monitor individually, fetch all missing sealed payloads in ONE batched
-// cloud exchange (cloud.GetBlobsVia), warm the local cache with what came
+// cloud exchange (cloud.Service.GetBlobs), warm the local cache with what came
 // back, and spread decryption over the shared bounded worker pool.
 
 import (
@@ -224,7 +224,7 @@ func (c *Cell) fetchSealedBatch(docs []*datamodel.Document) (sealed map[string][
 	for i, d := range missing {
 		names[i] = d.BlobRef
 	}
-	blobs, err := cloud.GetBlobsVia(c.cloud, names)
+	blobs, err := c.cloud.GetBlobs(names)
 	if err != nil {
 		for _, d := range missing {
 			errs[d.ID] = fmt.Errorf("core: fetching %s: %w", d.ID, err)

@@ -119,7 +119,7 @@ func e18Payload(i, size int) []byte {
 }
 
 // e18Populate uploads the catalog in PutBlobs batches.
-func e18Populate(svc cloud.BatchService, docs int, cfg E18Config) error {
+func e18Populate(svc cloud.Service, docs int, cfg E18Config) error {
 	for start := 0; start < docs; start += cfg.BatchSize {
 		end := start + cfg.BatchSize
 		if end > docs {

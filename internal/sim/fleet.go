@@ -399,7 +399,7 @@ func fleetWriteBatch(f *Fleet, client cloud.Service, cell, batch int, rng *rand.
 		sealBufs[b] = sealed
 		puts[b] = cloud.BlobPut{Name: name, Data: sealed}
 	}
-	if _, err := cloud.PutBlobsVia(client, puts); err != nil {
+	if _, err := client.PutBlobs(puts); err != nil {
 		return 0, err
 	}
 	return batch, nil
@@ -416,7 +416,7 @@ func fleetReadRecent(f *Fleet, client cloud.Service, cell, window int, openBuf *
 	for s := lo; s < seq; s++ {
 		names = append(names, f.DocName(cell, uint32(s)))
 	}
-	blobs, err := cloud.GetBlobsVia(client, names)
+	blobs, err := client.GetBlobs(names)
 	if err != nil {
 		return 0, err
 	}

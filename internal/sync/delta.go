@@ -70,7 +70,7 @@ func (r *Replica) push() error {
 
 	// Read-modify-write: learn what the cloud holds for the shards we are
 	// about to overwrite. No state lock across the exchange.
-	remote, err := cloud.GetBlobsIfVia(r.cloud, gets)
+	remote, err := r.cloud.GetBlobsIf(gets)
 	if err != nil {
 		return mapCloudErr("push", err)
 	}
@@ -119,7 +119,7 @@ func (r *Replica) push() error {
 		bufs[i] = sealed
 		puts[i] = cloud.BlobPut{Name: r.shardBlobName(si), Data: *sealed}
 	}
-	versions, err := cloud.PutBlobsVia(r.cloud, puts)
+	versions, err := r.cloud.PutBlobs(puts)
 	// The provider copied (or shipped) every blob; the sealed buffers can be
 	// recycled. The traffic accounting below only reads slice-header lengths.
 	releaseShardBufs(bufs)
@@ -160,7 +160,7 @@ func (r *Replica) pull() error {
 	}
 	r.mu.Unlock()
 
-	blobs, err := cloud.GetBlobsIfVia(r.cloud, gets)
+	blobs, err := r.cloud.GetBlobsIf(gets)
 	if err != nil {
 		return mapCloudErr("pull", err)
 	}

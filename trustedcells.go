@@ -126,23 +126,12 @@ type (
 	Point       = timeseries.Point
 )
 
-// CloudService is the untrusted infrastructure interface.
+// CloudService is the untrusted infrastructure interface, batched and
+// conditional fetches included (PutBlobs, GetBlobs, GetBlobsIf).
 type CloudService = cloud.Service
-
-// BatchCloudService is the optional batch extension of CloudService: one
-// round-trip uploads or fetches many blobs. The in-memory cloud and the TCP
-// client both implement it; Cell.IngestBatch exploits it automatically.
-type BatchCloudService = cloud.BatchService
 
 // BlobPut is one named payload of a batched upload.
 type BlobPut = cloud.BlobPut
-
-// ConditionalCloudService is the optional conditional-fetch extension of
-// CloudService: one round-trip returns data only for the blobs whose stored
-// version advanced past what the caller already holds (a batched
-// If-None-Match). The in-memory cloud and the TCP client both implement it;
-// the delta synchronizer exploits it automatically.
-type ConditionalCloudService = cloud.ConditionalBatchService
 
 // CondGet names one blob of a conditional batched fetch.
 type CondGet = cloud.CondGet
@@ -246,10 +235,9 @@ func NewMemoryCloud() *cloud.Memory { return cloud.NewMemory() }
 // given shard count; one shard reproduces the historical single-mutex store.
 func NewMemoryCloudShards(shards int) *cloud.Memory { return cloud.NewMemoryShards(shards) }
 
-// DurableCloud is the disk-backed provider: the same Service, batch and
-// conditional-fetch contracts as the in-memory cloud, but every acknowledged
-// write is covered by a group-committed write-ahead log and survives a
-// process kill. Reopening a store replays the log, rebuilds its LSM runs and
+// DurableCloud is the disk-backed provider: the same Service contract as
+// the in-memory cloud, but every acknowledged write is covered by a
+// group-committed write-ahead log and survives a process kill. Reopening a store replays the log, rebuilds its LSM runs and
 // resumes serving (see OpenDurableCloud and DESIGN.md §8).
 type DurableCloud = cloud.Durable
 
@@ -276,21 +264,18 @@ func OpenDurableCloud(dir string, opts DurableCloudOptions) (*DurableCloud, erro
 	return cloud.OpenDurable(dir, opts)
 }
 
-// DialCloud connects to a tccloud server over TCP and returns a CloudService.
-func DialCloud(addr string) (CloudService, error) { return cloud.Dial(addr) }
-
 // FramedCloudClient is the connection-multiplexed cloud client: one TCP
 // connection carries any number of concurrent requests as length-prefixed,
 // request-id-tagged frames, so batch operations cost one round-trip instead
-// of one per blob. It implements the full CloudService, batch and
-// conditional-fetch contracts and is safe for concurrent use by any number
-// of goroutines (see DialFramedCloud and DESIGN.md §11.2).
+// of one per blob. It implements CloudService and is safe for concurrent use
+// by any number of goroutines (see DialCloud and DESIGN.md §11.2). After a
+// dropped connection its next call redials.
 type FramedCloudClient = cloud.FrameClient
 
-// DialFramedCloud connects to a tccloud framed listener (its -framed-addr)
-// and returns the multiplexed client. Call Hello on the client to bind the
-// connection to a tenant namespace when the server defines tenants.
-func DialFramedCloud(addr string) (*FramedCloudClient, error) { return cloud.DialFramed(addr) }
+// DialCloud connects to a tccloud server — its -addr, or its -framed-addr
+// front door — and returns the multiplexed client. Call Hello on the client
+// to bind it to a tenant namespace when the server defines tenants.
+func DialCloud(addr string) (*FramedCloudClient, error) { return cloud.DialFramed(addr) }
 
 // CloudTenants is a multi-tenant front door over any cloud provider:
 // per-tenant namespaces (isolated blob and mailbox name spaces) with
@@ -303,8 +288,8 @@ type CloudTenants = cloud.Tenants
 type TenantQuota = cloud.TenantQuota
 
 // TenantCloudView is one tenant's view of a shared provider — the full
-// CloudService, batch and conditional-fetch contracts, transparently
-// namespaced and quota-charged (see CloudTenants.View).
+// CloudService, transparently namespaced and quota-charged (see
+// CloudTenants.View).
 type TenantCloudView = cloud.TenantView
 
 // TenantUsage is a point-in-time snapshot of one tenant's consumption.
