@@ -1,8 +1,10 @@
 // Health commons: an epidemiological study over many individuals' cells.
 // Each cell holds its owner's medical records; the study only ever receives
-// (a) a secure sum computed with additive secret sharing and (b) a
-// k-anonymized, differentially-private release — the "shared commons"
-// requirement of the paper.
+// (a) a noisy count released by the distributed commons query — each cell
+// answers with additive secret shares sealed to a three-cell aggregator
+// committee, the untrusted cloud relaying them — and (b) a k-anonymized,
+// differentially-private release: the "shared commons" requirement of the
+// paper.
 package main
 
 import (
@@ -24,9 +26,16 @@ func main() {
 	// number of diabetes cases and a diet/disease cross table.
 	records := sensor.GenerateHealthRecords(population, start, 7)
 
-	// 1. Secure count: each cell contributes 0 or 1, split into additive
-	// shares sent to a 3-cell aggregator committee through the cloud.
-	parts := make([]trustedcells.Participant, population)
+	// 1. Secure count: each cell answers a sealed query with 0 or 1, split
+	// into additive shares for a 3-cell aggregator committee and relayed by
+	// the cloud; the study sees only the k-suppressed, Laplace-noised total.
+	svc := trustedcells.NewMemoryCloud()
+	key, err := trustedcells.NewCommonsKey()
+	if err != nil {
+		log.Fatal(err)
+	}
+	community := trustedcells.NewCommonsCommunity("health-study", key)
+	responders := make([]*trustedcells.CommonsResponder, population)
 	truth := 0
 	for i, r := range records {
 		v := uint64(0)
@@ -34,15 +43,35 @@ func main() {
 			v = 1
 			truth++
 		}
-		parts[i] = trustedcells.Participant{ID: fmt.Sprintf("cell-%04d", i), Value: v}
+		responders[i] = trustedcells.NewCommonsResponder(fmt.Sprintf("cell-%04d", i), community, svc,
+			func(*trustedcells.CommonsSpec) (uint64, bool, error) { return v, true, nil })
 	}
-	res, err := trustedcells.SecureSum(parts, true, 3)
+	aggs := []*trustedcells.CommonsAggregator{
+		trustedcells.NewCommonsAggregator("agg-0", community, svc),
+		trustedcells.NewCommonsAggregator("agg-1", community, svc),
+		trustedcells.NewCommonsAggregator("agg-2", community, svc),
+	}
+	co, err := trustedcells.NewCommonsCoordinator(trustedcells.CommonsCoordinatorConfig{
+		ID: "study", Community: community, Cloud: svc,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("secure diabetes count over %d cells: %d (ground truth %d)\n", population, res.Sum, truth)
-	fmt.Printf("  cost: %d messages, %.0f bytes uploaded per cell, %d rounds\n",
-		res.Messages, res.BytesPerParticipant, res.Rounds)
+	res, err := co.Query(trustedcells.CommonsSpec{
+		ID:              "diabetes-count",
+		K:               10,
+		Epsilon:         1.0,
+		MaxContribution: 1,
+		Deadline:        5 * time.Second,
+		Aggregators:     []string{"agg-0", "agg-1", "agg-2"},
+	}, responders, aggs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("diabetes count over %d/%d cells (k=%d cleared: %v): released %.1f (ground truth %d, eps=%.1f)\n",
+		res.Responded, res.Total, res.K, res.Released, res.NoisySum, truth, res.Epsilon)
+	fmt.Printf("  cost: %d messages, %.0f sealed bytes per cell\n",
+		res.Messages, float64(res.BytesScattered+res.BytesGathered)/float64(res.Total))
 
 	// 2. Anonymized release: quasi-identifiers are generalized inside the
 	// cells until every combination matches at least k individuals.

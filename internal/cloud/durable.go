@@ -129,6 +129,10 @@ type durableShard struct {
 	wmu sync.Mutex
 	kv  *storage.PersistentKV
 	seq uint64
+	// heads maps a recipient to the seq of the last message Receive popped.
+	// Sends take seqs under wmu, so the next pop scans from head+1, past
+	// the tombstones of earlier pops. RAM only: a restart scans the prefix.
+	heads map[string]uint64
 }
 
 // Durable is the disk-backed implementation of Service. All methods are safe
@@ -229,7 +233,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 				errs[i] = fmt.Errorf("cloud: shard %d: %w", i, err)
 				return
 			}
-			d.shards[i] = &durableShard{kv: kv}
+			d.shards[i] = &durableShard{kv: kv, heads: make(map[string]uint64)}
 		}(i)
 	}
 	wg.Wait()
@@ -823,10 +827,14 @@ func (d *Durable) Receive(recipient string, max int) ([]Message, error) {
 	s := d.shards[si]
 	s.wmu.Lock()
 	prefix := msgPrefix(recipient)
+	from := prefix
+	if head, ok := s.heads[recipient]; ok {
+		from = msgKey(recipient, head+1)
+	}
 	var msgs []Message
 	var dels []storage.Op
 	var decodeErr error
-	err := s.kv.Scan(prefix, keyUpperBound(prefix), func(k, v []byte) bool {
+	err := s.kv.Scan(from, keyUpperBound(prefix), func(k, v []byte) bool {
 		m, err := decodeMessage(v)
 		if err != nil {
 			decodeErr = fmt.Errorf("cloud: mailbox %s: %w", recipient, err)
@@ -848,6 +856,9 @@ func (d *Durable) Receive(recipient string, max int) ([]Message, error) {
 		return nil, nil
 	}
 	g, err := d.applyShardLocked(si, dels)
+	if err == nil {
+		s.heads[recipient] = msgs[len(msgs)-1].Seq
+	}
 	s.wmu.Unlock()
 	if err != nil {
 		return nil, err

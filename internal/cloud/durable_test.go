@@ -288,6 +288,65 @@ func TestDurableClockOverride(t *testing.T) {
 	}
 }
 
+// TestDurableReceiveSkipsPoppedTombstones checks that polling an empty
+// mailbox costs the same after ten thousand pops as after ten: Receive starts
+// past the messages it already popped instead of re-reading their
+// tombstones. A restart forgets that position, so the mailbox keeps working
+// (and FIFO) across a reopen.
+func TestDurableReceiveSkipsPoppedTombstones(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{Shards: 1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := 0
+	cycle := func(until int) {
+		for ; cycles < until; cycles++ {
+			if err := d.Send(Message{To: "box", Kind: "k", Body: []byte("payload")}); err != nil {
+				t.Fatal(err)
+			}
+			if msgs, err := d.Receive("box", 0); err != nil || len(msgs) != 1 {
+				t.Fatalf("cycle %d: got %d messages, %v", cycles, len(msgs), err)
+			}
+		}
+	}
+	emptyPoll := func() uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			least = min(least, allocatedBy(func() {
+				if msgs, err := d.Receive("box", 0); err != nil || len(msgs) != 0 {
+					t.Fatalf("empty mailbox returned %d messages, %v", len(msgs), err)
+				}
+			}))
+		}
+		return least
+	}
+	cycle(10)
+	early := emptyPoll()
+	cycle(10_000)
+	late := emptyPoll()
+	if late >= 2*early {
+		t.Fatalf("an empty Receive allocates %d B after %d pops, %d B after 10", late, cycles, early)
+	}
+
+	for _, body := range []string{"first", "second"} {
+		if err := d.Send(Message{To: "box", Kind: "k", Body: []byte(body)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDurable(dir, DurableOptions{Shards: 1, NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	msgs, err := d.Receive("box", 0)
+	if err != nil || len(msgs) != 2 || string(msgs[0].Body) != "first" || string(msgs[1].Body) != "second" {
+		t.Fatalf("after reopen: %+v %v", msgs, err)
+	}
+}
+
 // TestDurablePutBlobsVersionsMonotonic checks that PutBlobs continues every
 // blob's version from its newest copy wherever that copy lives — the
 // memtable, a flushed run, a compacted run, the journal replayed after a

@@ -6,126 +6,156 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"trustedcells/internal/cloud"
+	"trustedcells/internal/crypto"
 )
 
-func makeParticipants(n int) ([]Participant, uint64) {
-	parts := make([]Participant, n)
+// makeValues returns n bounded cell contributions and their sum.
+func makeValues(n int) ([]uint64, uint64) {
+	values := make([]uint64, n)
 	var sum uint64
-	for i := range parts {
-		v := uint64(i%97 + 1)
-		parts[i] = Participant{ID: fmt.Sprintf("cell-%04d", i), Value: v}
-		sum += v
+	for i := range values {
+		values[i] = uint64(i%97 + 1)
+		sum += values[i]
 	}
-	return parts, sum
+	return values, sum
 }
 
+// secureSum runs one commons query over a fresh in-memory cloud: one
+// responder per value and a committee of the given size, the committee ids
+// distinct from the cell ids because both live in one mailbox namespace.
+func secureSum(tb testing.TB, values []uint64, committee int) (*Result, cloud.Stats, error) {
+	tb.Helper()
+	svc := cloud.NewMemory()
+	comm := NewCommunity("sum", crypto.DeriveKey(crypto.SymmetricKey{2}, "test", "sum"))
+	responders := make([]*Responder, len(values))
+	for i, v := range values {
+		responders[i] = NewResponder(fmt.Sprintf("cell-%04d", i), comm, svc, fixedEval(v))
+	}
+	aggIDs := make([]string, committee)
+	aggs := make([]*Aggregator, committee)
+	for i := range aggs {
+		aggIDs[i] = fmt.Sprintf("agg-%d", i)
+		aggs[i] = NewAggregator(aggIDs[i], comm, svc)
+	}
+	co, err := NewCoordinator(CoordinatorConfig{ID: "census", Community: comm, Cloud: svc})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := testSpec("q-sum", aggIDs...)
+	spec.Deadline = 30 * time.Second
+	spec.MaxContribution = math.MaxUint16
+	res, err := co.Query(spec, responders, aggs)
+	return res, svc.Stats(), err
+}
+
+// bytesPerCell is the sealed mailbox payload a query moved, per cell.
+func bytesPerCell(res *Result) float64 {
+	return float64(res.BytesScattered+res.BytesGathered) / float64(res.Total)
+}
+
+// checkSum asserts an exact sum over every cell and the honest protocol's
+// message count: a spec out and a response back per cell, and shares, valid
+// set, finalize and partial total per aggregator.
+func checkSum(t *testing.T, res *Result, st cloud.Stats, n, committee int, want uint64) {
+	t.Helper()
+	if res.Sum != want || res.Responded != n {
+		t.Fatalf("n=%d committee=%d: sum=%d responded=%d, want %d over %d", n, committee, res.Sum, res.Responded, want, n)
+	}
+	if sends := 2*n + 4*committee; st.Sends != int64(sends) || res.Messages != sends {
+		t.Fatalf("n=%d committee=%d: %d sends, %d messages counted, want %d", n, committee, st.Sends, res.Messages, sends)
+	}
+}
+
+// TestSecureSumPureSMC runs the committee as large as the population: every
+// cell's value is split across all n members.
 func TestSecureSumPureSMC(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 50} {
-		parts, want := makeParticipants(n)
-		res, err := SecureSum(parts, PureSMC, 0)
+	for _, n := range []int{2, 5, 50} {
+		values, want := makeValues(n)
+		res, st, err := secureSum(t, values, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if res.Sum != want {
-			t.Fatalf("n=%d: sum=%d want %d", n, res.Sum, want)
-		}
-		if res.Aggregators != n || res.Participants != n {
-			t.Fatalf("topology %+v", res)
-		}
-		// All-to-all: messages grow quadratically.
-		if n > 1 && res.Messages < n*n {
-			t.Fatalf("n=%d messages=%d, expected at least n^2", n, res.Messages)
-		}
+		checkSum(t, res, st, n, n, want)
 	}
 }
 
 func TestSecureSumCloudAssisted(t *testing.T) {
-	parts, want := makeParticipants(100)
-	res, err := SecureSum(parts, CloudAssisted, 3)
+	values, want := makeValues(100)
+	res, st, err := secureSum(t, values, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sum != want {
-		t.Fatalf("sum=%d want %d", res.Sum, want)
-	}
-	if res.Aggregators != 3 {
-		t.Fatalf("aggregators = %d", res.Aggregators)
-	}
-	// Linear message cost: ~n*m + m.
-	if res.Messages != 100*3+3 {
-		t.Fatalf("messages = %d", res.Messages)
-	}
-	// Per-participant upload must not depend on n.
-	if res.BytesPerParticipant != float64(3*shareBytes) {
-		t.Fatalf("bytes per participant = %v", res.BytesPerParticipant)
+	checkSum(t, res, st, 100, 3, want)
+	if !res.Released {
+		t.Fatalf("100 contributors should clear k=%d", res.K)
 	}
 }
 
-func TestSecureSumScalability(t *testing.T) {
-	small, _ := makeParticipants(20)
-	large, _ := makeParticipants(200)
-	smcSmall, _ := SecureSum(small, PureSMC, 0)
-	smcLarge, _ := SecureSum(large, PureSMC, 0)
-	cloudSmall, _ := SecureSum(small, CloudAssisted, 3)
-	cloudLarge, _ := SecureSum(large, CloudAssisted, 3)
-	// The per-participant upload grows with n for pure SMC but stays flat for
-	// the cloud-assisted protocol — the asymmetry argument of the paper.
-	if smcLarge.BytesPerParticipant <= smcSmall.BytesPerParticipant {
-		t.Fatal("pure SMC upload should grow with n")
+// TestCommitteeRepliesDrainWithoutResends pins the committee phase's retry
+// rule: a committee as large as the population answers faster than one
+// mailbox poll drains, and a silent member that is merely queued must not
+// be sent its share batch again.
+func TestCommitteeRepliesDrainWithoutResends(t *testing.T) {
+	const n = 300
+	values, want := makeValues(n)
+	res, st, err := secureSum(t, values, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cloudLarge.BytesPerParticipant != cloudSmall.BytesPerParticipant {
-		t.Fatal("cloud-assisted upload should be independent of n")
+	checkSum(t, res, st, n, n, want)
+}
+
+func TestSecureSumScalability(t *testing.T) {
+	small, _ := makeValues(20)
+	large, _ := makeValues(200)
+	per := func(values []uint64, committee int) float64 {
+		res, _, err := secureSum(t, values, committee)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytesPerCell(res)
+	}
+	// The per-cell traffic grows with n for pure SMC but stays flat for the
+	// cloud-assisted committee: the asymmetry argument of the paper.
+	smcSmall, smcLarge := per(small, len(small)), per(large, len(large))
+	cloudSmall, cloudLarge := per(small, 3), per(large, 3)
+	if smcLarge < 5*smcSmall {
+		t.Fatalf("pure SMC bytes/cell should grow with n: %.0f at 20, %.0f at 200", smcSmall, smcLarge)
+	}
+	if math.Abs(cloudLarge-cloudSmall) > 0.2*cloudSmall {
+		t.Fatalf("cloud-assisted bytes/cell should stay flat: %.0f at 20, %.0f at 200", cloudSmall, cloudLarge)
 	}
 }
 
 func TestSecureSumValidation(t *testing.T) {
-	if _, err := SecureSum(nil, PureSMC, 0); err != ErrNoParticipants {
-		t.Fatalf("no participants: %v", err)
+	co, _, _ := newHarness(t, cloud.NewMemory(), nil)
+	if _, err := co.Scatter(testSpec("q-empty"), nil); err != ErrNoParticipants {
+		t.Fatalf("no cells: %v", err)
 	}
-	parts, _ := makeParticipants(5)
-	if _, err := SecureSum(parts, CloudAssisted, 1); err != ErrBadAggregators {
-		t.Fatalf("1 aggregator: %v", err)
-	}
-	if _, err := SecureSum(parts, CloudAssisted, 6); err != ErrBadAggregators {
-		t.Fatalf("too many aggregators: %v", err)
-	}
-	if _, err := SecureSum(parts, Protocol(42), 0); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if PureSMC.String() != "pure-smc" || CloudAssisted.String() != "cloud-assisted" {
-		t.Fatal("protocol names wrong")
+	if _, err := co.Scatter(testSpec("q-one", "agg-0"), []string{"c000"}); err != ErrBadAggregators {
+		t.Fatalf("committee of one: %v", err)
 	}
 }
 
 func TestSecureSumProperty(t *testing.T) {
-	f := func(values []uint16, mRaw uint8) bool {
-		if len(values) == 0 {
+	f := func(raw []uint16, mRaw uint8) bool {
+		if len(raw) == 0 {
 			return true
 		}
-		if len(values) > 64 {
-			values = values[:64]
+		if len(raw) > 64 {
+			raw = raw[:64]
 		}
-		parts := make([]Participant, len(values))
+		values := make([]uint64, len(raw))
 		var want uint64
-		for i, v := range values {
-			parts[i] = Participant{ID: fmt.Sprintf("p%d", i), Value: uint64(v)}
+		for i, v := range raw {
+			values[i] = uint64(v)
 			want += uint64(v)
 		}
-		smc, err := SecureSum(parts, PureSMC, 0)
-		if err != nil || smc.Sum != want {
-			return false
-		}
-		m := int(mRaw%3) + 2
-		if m > len(parts) {
-			m = len(parts)
-		}
-		if m >= 2 {
-			cloud, err := SecureSum(parts, CloudAssisted, m)
-			if err != nil || cloud.Sum != want {
-				return false
-			}
-		}
-		return true
+		res, _, err := secureSum(t, values, int(mRaw%4)+2)
+		return err == nil && res.Sum == want && res.Responded == len(values)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -285,11 +315,11 @@ func TestHistograms(t *testing.T) {
 }
 
 func BenchmarkSecureSumCloudAssisted1000(b *testing.B) {
-	parts, _ := makeParticipants(1000)
-	b.ResetTimer()
+	values, want := makeValues(1000)
 	for i := 0; i < b.N; i++ {
-		if _, err := SecureSum(parts, CloudAssisted, 3); err != nil {
-			b.Fatal(err)
+		res, _, err := secureSum(b, values, 3)
+		if err != nil || res.Sum != want {
+			b.Fatalf("sum %v: %v", res, err)
 		}
 	}
 }

@@ -1,19 +1,22 @@
-// Distributed commons queries: the scatter/gather protocol that turns the
-// in-memory secure-aggregation primitives of this package into a fleet-wide
-// workload running over the untrusted cloud's mailbox plane.
+// Package commons implements the "shared commons" requirement: privacy-
+// preserving computations over many trusted cells, so that individual
+// privacy does not hinder societal benefits (census, epidemiological
+// releases, global queries).
 //
-// A Coordinator seals a versioned query spec into per-cell mailboxes; each
-// cell's Responder evaluates the spec locally (for real cells, through the
-// query planner and the reference monitor's aggregate gate) and posts back a
-// sealed partial aggregate as additive secret shares, one per aggregator
-// cell, so no single aggregator ever learns a cell's value. The Coordinator
-// forwards the shares to the Aggregator committee, intersects the committees'
-// valid sets so every partial total covers the exact same contributor set,
-// combines the partials, and releases the aggregate only after k-anonymity
-// suppression and calibrated Laplace noise. A partial-response deadline
-// tolerates stragglers: the release carries an explicit
-// (responded, total, suppressed) accounting instead of blocking on dead
-// cells. See DESIGN.md §13 for the wire format and the threat model.
+// The secure sum is one scatter/gather protocol over the untrusted cloud's
+// mailboxes (DESIGN.md §13). A Coordinator seals a query spec into per-cell
+// mailboxes; each cell's Responder evaluates it locally (for real cells,
+// through the query planner and the reference monitor's aggregate gate) and
+// answers with additive secret shares, each sealed to one aggregator, so no
+// single aggregator learns a cell's value. The Coordinator forwards the
+// shares to the Aggregator committee, intersects the committee's valid sets
+// so every partial total covers the same contributors, and releases the
+// combined sum only after k-anonymity suppression and Laplace noise, with
+// explicit (responded, total, suppressed) accounting past a deadline. A
+// committee of three is the paper's cloud-assisted setting; one as large as
+// the population is pure SMC. anonymize.go holds the k-anonymity and
+// Laplace helpers. E16 measures the protocol at fleet scale, E4 across
+// committee sizes.
 package commons
 
 import (
@@ -38,6 +41,10 @@ import (
 
 // Errors of the distributed query plane.
 var (
+	// ErrNoParticipants reports a query scattered to no cells.
+	ErrNoParticipants = errors.New("commons: no participants")
+	// ErrBadAggregators reports a committee of fewer than two aggregators.
+	ErrBadAggregators = errors.New("commons: the aggregator committee needs at least 2 members")
 	// ErrBadSpec reports a query spec that fails validation or a commons
 	// payload whose bytes do not decode (wrong magic, wrong version,
 	// truncation).
@@ -987,11 +994,11 @@ type Result struct {
 // gatherPoll sleeps briefly between mailbox polls when no progress was made.
 const gatherPoll = 500 * time.Microsecond
 
-// Gather collects responses for the pending query until every cell answered
-// or the deadline fires, drives the aggregator committee (pumping the given
-// in-process aggregators; pass the committee that the spec names), and
-// returns the release. Committee traffic is retried through lossy providers;
-// only ErrGatherIncomplete is returned if the committee itself cannot be
+// Gather collects responses until every cell answered or, past the
+// deadline, a poll finds none queued; then it drives the aggregator
+// committee (pumping the given in-process aggregators, which the spec must
+// name) and returns the release. Committee traffic is retried through lossy
+// providers; ErrGatherIncomplete reports a committee that could not be
 // assembled within one extra deadline window.
 func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 	comm := co.cfg.Community
@@ -1009,7 +1016,7 @@ func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 		member[c] = true
 	}
 
-	// Round 1: collect cell responses until all answered or deadline.
+	// Round 1: collect cell responses.
 	responses := make(map[string]*response)
 	declined := make(map[string]bool)
 	for {
@@ -1048,10 +1055,10 @@ func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 		if len(responses)+len(declined) >= len(p.Cells) {
 			break
 		}
-		if co.clock().After(p.deadline) {
-			break
-		}
 		if !progress {
+			if co.clock().After(p.deadline) { // responses queued in time count
+				break
+			}
 			time.Sleep(gatherPoll)
 		}
 	}
@@ -1182,6 +1189,7 @@ func (co *Coordinator) runCommittee(spec *Spec, responses map[string]*response,
 					continue
 				}
 				bytes += int64(len(m.Body))
+				msgs++
 				got[ctl.aggID] = ctl
 				progress = true
 			}
@@ -1192,7 +1200,12 @@ func (co *Coordinator) runCommittee(spec *Spec, responses map[string]*response,
 			if now.After(deadline) {
 				return nil, ErrGatherIncomplete
 			}
-			if now.After(retryAt) {
+			if progress {
+				// Replies are still arriving: a large committee needs many
+				// polls to drain them, and its silent members are queued,
+				// not lost.
+				retryAt = now.Add(retryEvery)
+			} else if now.After(retryAt) {
 				for i, aggID := range spec.Aggregators {
 					if _, ok := got[aggID]; !ok {
 						if err := resend(i); err != nil {

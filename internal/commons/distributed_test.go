@@ -293,6 +293,36 @@ func TestStragglerDeadline(t *testing.T) {
 	}
 }
 
+// TestGatherCountsResponsesQueuedBeforeDeadline gathers only after the
+// deadline passed, with more responses queued than one mailbox poll returns:
+// every one of them arrived in time and enters the release.
+func TestGatherCountsResponsesQueuedBeforeDeadline(t *testing.T) {
+	values := make([]uint64, 1100)
+	for i := range values {
+		values[i] = 1
+	}
+	co, responders, aggs := newHarness(t, cloud.NewMemory(), values)
+	spec := testSpec("q-late-gather")
+	spec.Deadline = time.Millisecond
+	p, err := co.Scatter(spec, cellIDs(responders))
+	if err != nil {
+		t.Fatalf("scatter: %v", err)
+	}
+	for _, r := range responders {
+		if _, err := r.Poll(4); err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+	}
+	time.Sleep(5 * time.Millisecond)
+	res, err := co.Gather(p, aggs)
+	if err != nil {
+		t.Fatalf("gather: %v", err)
+	}
+	if res.Responded != len(values) || res.Sum != uint64(len(values)) {
+		t.Fatalf("responded %d/%d, sum %d", res.Responded, len(values), res.Sum)
+	}
+}
+
 func cellIDs(rs []*Responder) []string {
 	ids := make([]string, len(rs))
 	for i, r := range rs {

@@ -8,13 +8,11 @@ import (
 	"math/big"
 )
 
-// This file implements the two secret-sharing flavours used by the shared
-// commons protocols:
+// This file implements the two secret-sharing flavours of the system:
 //
-//   - Additive shares over a large prime field, used for secure aggregation
-//     (each cell splits its contribution into one share per aggregator; the
-//     sum of shares equals the secret). This is the "pure SMC fashion"
-//     computation mentioned in the paper.
+//   - Additive shares over a large prime field, used for the commons secure
+//     sum (each cell splits its contribution into one share per aggregator;
+//     the sum of shares equals the secret).
 //   - Shamir threshold shares, used for master-secret recovery ("master
 //     secrets must be restorable in case of crash/loss of a trusted cell").
 
@@ -50,23 +48,16 @@ func AdditiveShares(value uint64, n int) ([]*big.Int, error) {
 	return shares, nil
 }
 
-// SumShares adds a set of share values modulo the share modulus. Aggregators
-// use it to combine the shares they received; summing the aggregator totals
-// yields the global sum of the original secrets.
-func SumShares(shares []*big.Int) *big.Int {
+// CombineAggregates adds per-aggregator totals modulo the share modulus and
+// reduces the result to a uint64 sum of the original values. It is valid as
+// long as the true sum fits in 64 bits, which the commons protocol
+// guarantees by clamping contributions.
+func CombineAggregates(totals []*big.Int) uint64 {
 	sum := new(big.Int)
-	for _, s := range shares {
-		sum.Add(sum, s)
+	for _, t := range totals {
+		sum.Add(sum, t)
 		sum.Mod(sum, shareModulus)
 	}
-	return sum
-}
-
-// CombineAggregates adds per-aggregator totals and reduces the result to a
-// uint64 sum of the original values. It is valid as long as the true sum fits
-// in 64 bits, which the commons protocols guarantee by bounding contributions.
-func CombineAggregates(totals []*big.Int) uint64 {
-	sum := SumShares(totals)
 	return sum.Uint64()
 }
 

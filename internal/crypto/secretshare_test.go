@@ -16,8 +16,8 @@ func TestAdditiveSharesSumToValue(t *testing.T) {
 		if len(shares) != n {
 			t.Fatalf("expected %d shares, got %d", n, len(shares))
 		}
-		sum := SumShares(shares)
-		if sum.Uint64() != 123456789 {
+		sum := CombineAggregates(shares)
+		if sum != 123456789 {
 			t.Fatalf("n=%d: shares sum to %v, want 123456789", n, sum)
 		}
 	}
@@ -73,7 +73,7 @@ func TestAdditiveSharesProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return SumShares(shares).Uint64() == v
+		return CombineAggregates(shares) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

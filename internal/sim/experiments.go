@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"trustedcells/internal/baseline"
@@ -279,6 +280,7 @@ func formatBytes(n int) string {
 // E4Config parameterises the secure-aggregation experiment.
 type E4Config struct {
 	Populations []int
+	// Aggregators is the committee size of the cloud-assisted rows.
 	Aggregators int
 }
 
@@ -287,41 +289,56 @@ func DefaultE4Config() E4Config {
 	return E4Config{Populations: []int{10, 100, 1000}, Aggregators: 3}
 }
 
-// RunE4 runs the secure-sum protocols over growing populations.
+// e4MaxPureSMC is the largest population E4 runs with a committee as large
+// as the population: its traffic grows quadratically, so larger rows are
+// skipped, which is itself the result.
+const e4MaxPureSMC = 2000
+
+// RunE4 runs the distributed secure sum (E16's e16Query) over growing
+// populations at two committee sizes: a small cloud-assisted committee, and
+// pure SMC, where every one of n aggregators receives a share of every
+// cell's value.
 func RunE4(cfg E4Config) (*Table, error) {
 	table := &Table{
 		ID:      "E4",
 		Title:   "Shared commons: secure aggregation over N cells",
-		Headers: []string{"cells", "protocol", "messages", "bytes/cell", "rounds", "wall time"},
+		Headers: []string{"cells", "protocol", "committee", "messages", "bytes/cell", "wall time"},
 		Notes: []string{
-			"pure SMC is all-to-all (quadratic messages); the cloud-assisted protocol keeps per-cell cost constant by using a small aggregator committee and the untrusted cloud for transport",
+			"every row runs the scatter/gather protocol of commons/distributed.go over a fresh in-memory cloud: a sealed spec out, sealed shares back, then two committee rounds (shares/valid sets, finalize/partial totals)",
+			"messages are the cloud's mailbox sends (2n + 4c for n cells and a committee of c); bytes/cell is the sealed mailbox payload scattered and gathered, per cell",
+			"pure SMC is the committee of n: per-cell traffic grows with n, while the cloud-assisted committee keeps it flat, the untrusted cloud carrying only sealed shares",
 		},
 	}
 	for _, n := range cfg.Populations {
-		parts := make([]commons.Participant, n)
-		var want uint64
-		for i := range parts {
-			v := uint64(1000 + i%500)
-			parts[i] = commons.Participant{ID: fmt.Sprintf("cell-%05d", i), Value: v}
-			want += v
-		}
-		for _, proto := range []commons.Protocol{commons.PureSMC, commons.CloudAssisted} {
-			if proto == commons.PureSMC && n > 2000 {
-				continue // quadratic blow-up: skip, which is itself the result
+		for _, proto := range []string{"pure-smc", "cloud-assisted"} {
+			committee := cfg.Aggregators
+			if proto == "pure-smc" {
+				committee = n
 			}
-			start := time.Now()
-			res, err := commons.SecureSum(parts, proto, cfg.Aggregators)
+			if committee > e4MaxPureSMC {
+				continue
+			}
+			ecfg := DefaultE16Config()
+			ecfg.Aggregators = committee
+			svc := cloud.NewMemory()
+			run, err := e16Query(ecfg, svc, n, fmt.Sprintf("e4-%s-%d", proto, n), ecfg.Deadline, nil)
+			if err != nil {
+				return nil, fmt.Errorf("E4 %s at %d cells: %w", proto, n, err)
+			}
+			res := run.Res
+			want, err := e16ExpectedSum(res.Contributors)
 			if err != nil {
 				return nil, err
 			}
-			elapsed := time.Since(start)
-			if res.Sum != want {
-				return nil, fmt.Errorf("E4: wrong sum %d != %d", res.Sum, want)
+			if res.Responded != n || res.Sum != want {
+				return nil, fmt.Errorf("E4 %s at %d cells: %d responded, sum %d != %d", proto, n, res.Responded, res.Sum, want)
 			}
-			table.AddRow(fmt.Sprintf("%d", n), proto.String(),
-				fmt.Sprintf("%d", res.Messages),
-				fmt.Sprintf("%.0f", res.BytesPerParticipant),
-				fmt.Sprintf("%d", res.Rounds),
+			// Rows ascend, so the largest population's counts are the gated ones.
+			sends := svc.Stats().Sends
+			table.SetMetric(strings.ReplaceAll(proto, "-", "_")+"_sends_per_cell", float64(sends)/float64(n))
+			elapsed := time.Duration((run.ScatterMS + run.RespondMS + run.GatherMS) * float64(time.Millisecond))
+			table.AddRow(fmt.Sprintf("%d", n), proto, fmt.Sprintf("%d", committee), fmt.Sprintf("%d", sends),
+				fmt.Sprintf("%.0f", float64(res.BytesScattered+res.BytesGathered)/float64(n)),
 				elapsed.Round(100*time.Microsecond).String())
 		}
 	}
@@ -779,17 +796,35 @@ func RunFig1() (*Table, error) {
 		fmt.Sprintf("offers accepted: %d, recipient read ok: %t, accountability records back to Alice: %d",
 			sum.OffersAccepted, readErr == nil, len(ownerSummary.AuditRecords)))
 
-	// 6. The neighbourhood peak-shaving computation (shared commons).
-	parts := make([]commons.Participant, 20)
-	for i := range parts {
-		parts[i] = commons.Participant{ID: fmt.Sprintf("home-%02d", i), Value: uint64(500 + 13*i)}
+	// 6. The neighbourhood peak-shaving computation (shared commons): a
+	// sealed query over 20 homes' mailboxes, answered with secret shares.
+	comm := commons.NewCommunity("neighbourhood", crypto.DeriveKey(crypto.SymmetricKey{6}, "commons", "fig1"))
+	homes := make([]*commons.Responder, 20)
+	for i := range homes {
+		v := uint64(500 + 13*i)
+		homes[i] = commons.NewResponder(fmt.Sprintf("home-%02d", i), comm, svc,
+			func(*commons.Spec) (uint64, bool, error) { return v, true, nil })
 	}
-	res, err := commons.SecureSum(parts, commons.CloudAssisted, 3)
+	aggs := []*commons.Aggregator{commons.NewAggregator("agg-0", comm, svc),
+		commons.NewAggregator("agg-1", comm, svc), commons.NewAggregator("agg-2", comm, svc)}
+	co, err := commons.NewCoordinator(commons.CoordinatorConfig{ID: "grid-operator", Community: comm, Cloud: svc})
+	if err != nil {
+		return nil, err
+	}
+	res, err := co.Query(commons.Spec{
+		ID:              "peak-shaving",
+		K:               10,
+		Epsilon:         1.0,
+		MaxContribution: 1000,
+		Deadline:        5 * time.Second,
+		Aggregators:     []string{"agg-0", "agg-1", "agg-2"},
+	}, homes, aggs)
 	if err != nil {
 		return nil, err
 	}
 	table.AddRow("neighbourhood consumption aggregation (shared commons)",
-		fmt.Sprintf("secure sum over %d homes = %d Wh, no individual feed revealed", res.Participants, res.Sum))
+		fmt.Sprintf("%d/%d homes answered, k=%d cleared: %t, released %.0f Wh (Laplace, eps=%.1f); no individual feed revealed",
+			res.Responded, res.Total, res.K, res.Released, res.NoisySum, res.Epsilon))
 
 	// 7. The cloud only ever saw ciphertext.
 	table.AddRow("untrusted cloud observation",

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -107,26 +108,24 @@ func TestRunE4Shape(t *testing.T) {
 	if len(table.Rows) != 4 {
 		t.Fatalf("rows = %d", len(table.Rows))
 	}
-	// Bytes per cell stays flat for cloud-assisted, grows for pure SMC.
-	var smcSmall, smcLarge, cloudSmall, cloudLarge float64
+	// Every row moves 2n + 4c messages; bytes per cell stay flat for the
+	// cloud-assisted committee and grow with n for pure SMC.
+	bytesPerCell := map[string]float64{}
 	for _, row := range table.Rows {
-		bytesPerCell := parseFloat(t, row[3])
-		switch {
-		case row[0] == "10" && row[1] == "pure-smc":
-			smcSmall = bytesPerCell
-		case row[0] == "100" && row[1] == "pure-smc":
-			smcLarge = bytesPerCell
-		case row[0] == "10" && row[1] == "cloud-assisted":
-			cloudSmall = bytesPerCell
-		case row[0] == "100" && row[1] == "cloud-assisted":
-			cloudLarge = bytesPerCell
+		n, committee := int(parseFloat(t, row[0])), int(parseFloat(t, row[2]))
+		if got := int(parseFloat(t, row[3])); got != 2*n+4*committee {
+			t.Fatalf("%s at %d cells: %d messages, want %d\n%s", row[1], n, got, 2*n+4*committee, table)
 		}
+		bytesPerCell[row[1]+"/"+row[0]] = parseFloat(t, row[4])
 	}
-	if smcLarge <= smcSmall {
+	if smc10, smc100 := bytesPerCell["pure-smc/10"], bytesPerCell["pure-smc/100"]; smc100 < 5*smc10 {
 		t.Fatalf("pure SMC per-cell bytes should grow with population\n%s", table)
 	}
-	if cloudLarge != cloudSmall {
-		t.Fatalf("cloud-assisted per-cell bytes should be constant\n%s", table)
+	if c10, c100 := bytesPerCell["cloud-assisted/10"], bytesPerCell["cloud-assisted/100"]; math.Abs(c100-c10) > 0.2*c10 {
+		t.Fatalf("cloud-assisted per-cell bytes should stay within 20%%\n%s", table)
+	}
+	if got := table.Metrics["cloud_assisted_sends_per_cell"]; got != 2.12 {
+		t.Fatalf("cloud-assisted sends per cell at 100 = %v, want 2.12", got)
 	}
 }
 
@@ -511,7 +510,7 @@ func TestRunFig1AllFlowsSucceed(t *testing.T) {
 		t.Fatalf("expected 7 flows, got %d\n%s", len(table.Rows), table)
 	}
 	out := table.String()
-	for _, want := range []string{"raw read denied: true", "provider verification: true", "recipient read ok: true"} {
+	for _, want := range []string{"raw read denied: true", "provider verification: true", "recipient read ok: true", "k=10 cleared: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("walk-through missing %q:\n%s", want, out)
 		}

@@ -535,8 +535,20 @@ func (r *run) searchSegment(seg, key []byte) (memEntry, bool, error) {
 // an append-only key arena) that are never mutated afterwards, so retaining
 // them is safe.
 func (r *run) scan(dev Device, start, end []byte, fn func(memEntry) bool) error {
-	body := make([]byte, r.length)
-	n, err := dev.ReadAt(body, r.offset)
+	// Read only the blocks that can hold [start, end): none when the run's
+	// key range misses it, else those from start's block to end's.
+	if (start != nil && bytes.Compare(r.last, start) < 0) || (end != nil && bytes.Compare(r.first, end) >= 0) {
+		return nil
+	}
+	from, to := 0, r.length
+	if start != nil {
+		from, _ = r.segmentFor(start)
+	}
+	if end != nil {
+		_, to = r.segmentFor(end)
+	}
+	body := make([]byte, max(to-from, 0)) // empty when start > end
+	n, err := dev.ReadAt(body, r.offset+int64(from))
 	if err := fullRead(n, len(body), err); err != nil {
 		return fmt.Errorf("storage: run scan: %w", err)
 	}

@@ -372,6 +372,40 @@ func checkScan(t *testing.T, dev Device, r *run, entries []memEntry) {
 				i, e.key, e.value, e.tombstone, w.key, w.value, w.tombstone)
 		}
 	}
+	// A ranged scan reads only the blocks overlapping [start, end); it
+	// must still return exactly the entries inside the range.
+	n := len(entries)
+	for _, span := range [][2]int{{0, n / 2}, {n / 3, 2 * n / 3}, {n / 2, n}, {n - 1, n}} {
+		lo, hi := span[0], span[1]
+		if lo < 0 || lo >= n {
+			continue
+		}
+		end := []byte(nil)
+		if hi < n {
+			end = entries[hi].key
+		}
+		for _, start := range [][]byte{entries[lo].key, append(append([]byte(nil), entries[lo].key...), 0)} {
+			want := entries[lo:hi]
+			if len(start) > len(entries[lo].key) {
+				want = entries[min(lo+1, hi):hi]
+			}
+			var got [][]byte
+			if err := r.scan(dev, start, end, func(e memEntry) bool {
+				got = append(got, e.key)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("scan [%q, %q) returned %d entries, want %d", start, end, len(got), len(want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i].key) {
+					t.Fatalf("scan [%q, %q)[%d] = %q, want %q", start, end, i, got[i], want[i].key)
+				}
+			}
+		}
+	}
 }
 
 // TestRunFooterBoundsCounts feeds footers whose counts promise more elements

@@ -12,7 +12,7 @@
 // The facade re-exports the types a downstream application needs: the Cell
 // itself, the untrusted infrastructure (in-memory and TCP), the data model,
 // policies, usage control, time-series tooling, trusted-source simulators,
-// the shared-commons protocols, and the experiment harness. Quick start:
+// the shared-commons query plane, and the experiment harness. Quick start:
 //
 //	svc := trustedcells.NewMemoryCloud()
 //	cell, err := trustedcells.NewCell(trustedcells.CellConfig{
@@ -450,18 +450,6 @@ func GenerateTrip(id string, start time.Time, seed int64) (*sensor.Trip, error) 
 func ComputeRoadPricing(t *sensor.Trip) sensor.RoadPricingSummary {
 	return sensor.ComputeRoadPricing(t, sensor.DefaultPricing())
 }
-
-// SecureSum runs a shared-commons secure aggregation over participant values.
-func SecureSum(participants []commons.Participant, cloudAssisted bool, aggregators int) (*commons.AggregationResult, error) {
-	proto := commons.PureSMC
-	if cloudAssisted {
-		proto = commons.CloudAssisted
-	}
-	return commons.SecureSum(participants, proto, aggregators)
-}
-
-// Participant is one cell contributing to a shared-commons computation.
-type Participant = commons.Participant
 
 // CommonsCommunity is a shared-commons membership: a name plus a group
 // secret from which every member, aggregator and querier key of the

@@ -96,14 +96,26 @@ func TestFacadeSeriesAndSensors(t *testing.T) {
 }
 
 func TestFacadeCommonsAndExperiments(t *testing.T) {
-	parts := []Participant{{ID: "a", Value: 10}, {ID: "b", Value: 32}}
-	res, err := SecureSum(parts, true, 2)
-	if err != nil || res.Sum != 42 {
-		t.Fatalf("SecureSum: %+v %v", res, err)
+	svc := NewMemoryCloud()
+	key, err := NewCommonsKey()
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err = SecureSum(parts, false, 0)
-	if err != nil || res.Sum != 42 {
-		t.Fatalf("SecureSum SMC: %+v %v", res, err)
+	comm := NewCommonsCommunity("facade", key)
+	var responders []*CommonsResponder
+	for id, v := range map[string]uint64{"a": 10, "b": 32} {
+		responders = append(responders, NewCommonsResponder(id, comm, svc,
+			func(*CommonsSpec) (uint64, bool, error) { return v, true, nil }))
+	}
+	aggs := []*CommonsAggregator{NewCommonsAggregator("agg-0", comm, svc), NewCommonsAggregator("agg-1", comm, svc)}
+	co, err := NewCommonsCoordinator(CommonsCoordinatorConfig{ID: "querier", Community: comm, Cloud: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Query(CommonsSpec{ID: "q", K: 2, Epsilon: 1, MaxContribution: 100,
+		Deadline: 5 * time.Second, Aggregators: []string{"agg-0", "agg-1"}}, responders, aggs)
+	if err != nil || !res.Released || res.Responded != 2 || res.Sum != 42 {
+		t.Fatalf("commons query: %+v %v", res, err)
 	}
 	ids := ExperimentIDs()
 	if len(ids) == 0 {
