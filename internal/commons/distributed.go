@@ -995,9 +995,10 @@ type Result struct {
 const gatherPoll = 500 * time.Microsecond
 
 // Gather collects responses until every cell answered or, past the
-// deadline, a poll finds none queued; then it drives the aggregator
-// committee (pumping the given in-process aggregators, which the spec must
-// name) and returns the release. Committee traffic is retried through lossy
+// deadline, a poll finds none that reached the mailbox in time (Sent at or
+// before the deadline; later ones are dropped); then it drives the
+// aggregator committee (pumping the given in-process aggregators, which the
+// spec must name) and returns the release. Committee traffic is retried through lossy
 // providers; ErrGatherIncomplete reports a committee that could not be
 // assembled within one extra deadline window.
 func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
@@ -1020,6 +1021,7 @@ func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 	responses := make(map[string]*response)
 	declined := make(map[string]bool)
 	for {
+		late := co.clock().After(p.deadline)
 		msgs, err := co.cfg.Cloud.Receive(co.Mailbox(), 1024)
 		if err != nil {
 			return nil, err
@@ -1028,6 +1030,9 @@ func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 		for _, m := range msgs {
 			if m.Kind != KindResponse {
 				continue // committee replies from an earlier query: stale, drop
+			}
+			if late && m.Sent.After(p.deadline) {
+				continue // reached the mailbox after the deadline
 			}
 			plain, ad, err := crypto.Open(qKey, m.Body)
 			if err != nil {
@@ -1056,7 +1061,7 @@ func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 			break
 		}
 		if !progress {
-			if co.clock().After(p.deadline) { // responses queued in time count
+			if late {
 				break
 			}
 			time.Sleep(gatherPoll)

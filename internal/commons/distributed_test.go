@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 	"trustedcells/internal/timeseries"
 )
 
-func testCommunity(t *testing.T) *Community {
-	t.Helper()
+func testCommunity(tb testing.TB) *Community {
+	tb.Helper()
 	return NewCommunity("grid", crypto.DeriveKey(crypto.SymmetricKey{1}, "test", "commons"))
 }
 
@@ -44,24 +45,25 @@ func fixedEval(v uint64) EvalFunc {
 	return func(*Spec) (uint64, bool, error) { return v, true, nil }
 }
 
-func newHarness(t *testing.T, svc cloud.Service, values []uint64) (*Coordinator, []*Responder, []*Aggregator) {
-	t.Helper()
-	comm := testCommunity(t)
+// newHarness builds one responder per value, a committee of the given size
+// (ids agg-0, agg-1, ...) and the "census" coordinator over svc.
+func newHarness(tb testing.TB, svc cloud.Service, values []uint64, committee int) (*Coordinator, []*Responder, []*Aggregator) {
+	tb.Helper()
+	comm := testCommunity(tb)
 	responders := make([]*Responder, len(values))
 	for i, v := range values {
 		responders[i] = NewResponder(fmt.Sprintf("c%03d", i), comm, svc, fixedEval(v))
 	}
-	aggs := []*Aggregator{
-		NewAggregator("agg-0", comm, svc),
-		NewAggregator("agg-1", comm, svc),
-		NewAggregator("agg-2", comm, svc),
+	aggs := make([]*Aggregator, committee)
+	for i := range aggs {
+		aggs[i] = NewAggregator(fmt.Sprintf("agg-%d", i), comm, svc)
 	}
 	co, err := NewCoordinator(CoordinatorConfig{
 		ID: "census", Community: comm, Cloud: svc,
 		Rand: rand.New(rand.NewSource(7)),
 	})
 	if err != nil {
-		t.Fatalf("new coordinator: %v", err)
+		tb.Fatalf("new coordinator: %v", err)
 	}
 	return co, responders, aggs
 }
@@ -219,7 +221,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestQueryEndToEnd(t *testing.T) {
 	values := []uint64{10, 20, 30, 40, 50, 60, 70, 80}
-	co, responders, aggs := newHarness(t, cloud.NewMemory(), values)
+	co, responders, aggs := newHarness(t, cloud.NewMemory(), values, 3)
 	res, err := co.Query(testSpec("q-e2e"), responders, aggs)
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -245,7 +247,7 @@ func TestQueryEndToEnd(t *testing.T) {
 }
 
 func TestKAnonymitySuppression(t *testing.T) {
-	co, responders, aggs := newHarness(t, cloud.NewMemory(), []uint64{5, 7, 9})
+	co, responders, aggs := newHarness(t, cloud.NewMemory(), []uint64{5, 7, 9}, 3)
 	spec := testSpec("q-small")
 	spec.K = 5 // more than the 3 cells that will respond
 	res, err := co.Query(spec, responders, aggs)
@@ -265,7 +267,7 @@ func TestKAnonymitySuppression(t *testing.T) {
 
 func TestStragglerDeadline(t *testing.T) {
 	values := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	co, responders, aggs := newHarness(t, cloud.NewMemory(), values)
+	co, responders, aggs := newHarness(t, cloud.NewMemory(), values, 3)
 	spec := testSpec("q-straggler")
 	spec.Deadline = 150 * time.Millisecond
 	p, err := co.Scatter(spec, cellIDs(responders))
@@ -295,31 +297,54 @@ func TestStragglerDeadline(t *testing.T) {
 
 // TestGatherCountsResponsesQueuedBeforeDeadline gathers only after the
 // deadline passed, with more responses queued than one mailbox poll returns:
-// every one of them arrived in time and enters the release.
+// every one that reached the mailbox in time enters the release, and the
+// one sent after the deadline does not.
 func TestGatherCountsResponsesQueuedBeforeDeadline(t *testing.T) {
-	values := make([]uint64, 1100)
+	values := make([]uint64, 1101)
 	for i := range values {
 		values[i] = 1
 	}
-	co, responders, aggs := newHarness(t, cloud.NewMemory(), values)
+	svc := cloud.NewMemory()
+	_, responders, aggs := newHarness(t, svc, values, 3)
+	var mu sync.Mutex
+	now := time.Unix(1_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	svc.SetClock(clock)
+	co, err := NewCoordinator(CoordinatorConfig{
+		ID: "census", Community: responders[0].comm, Cloud: svc, Clock: clock,
+		Rand: rand.New(rand.NewSource(7)),
+	})
+	if err != nil {
+		t.Fatalf("new coordinator: %v", err)
+	}
 	spec := testSpec("q-late-gather")
-	spec.Deadline = time.Millisecond
+	spec.Deadline = time.Second
 	p, err := co.Scatter(spec, cellIDs(responders))
 	if err != nil {
 		t.Fatalf("scatter: %v", err)
 	}
-	for _, r := range responders {
+	onTime, straggler := responders[:1100], responders[1100]
+	for _, r := range onTime {
 		if _, err := r.Poll(4); err != nil {
 			t.Fatalf("poll: %v", err)
 		}
 	}
-	time.Sleep(5 * time.Millisecond)
+	mu.Lock()
+	now = now.Add(2 * spec.Deadline)
+	mu.Unlock()
+	if n, err := straggler.Poll(4); err != nil || n != 1 {
+		t.Fatalf("straggler poll: %d, %v", n, err)
+	}
 	res, err := co.Gather(p, aggs)
 	if err != nil {
 		t.Fatalf("gather: %v", err)
 	}
-	if res.Responded != len(values) || res.Sum != uint64(len(values)) {
-		t.Fatalf("responded %d/%d, sum %d", res.Responded, len(values), res.Sum)
+	if res.Total != 1101 || res.Responded != len(onTime) || res.Sum != uint64(len(onTime)) {
+		t.Fatalf("responded %d/%d, sum %d; want %d on-time responses", res.Responded, res.Total, res.Sum, len(onTime))
 	}
 }
 
@@ -333,7 +358,7 @@ func cellIDs(rs []*Responder) []string {
 
 func TestDuplicateResponseSuppressed(t *testing.T) {
 	svc := cloud.NewMemory()
-	co, responders, aggs := newHarness(t, svc, []uint64{11, 22, 33})
+	co, responders, aggs := newHarness(t, svc, []uint64{11, 22, 33}, 3)
 	comm := responders[0].comm
 	spec := testSpec("q-dup")
 	p, err := co.Scatter(spec, cellIDs(responders))
@@ -368,7 +393,7 @@ func TestDuplicateResponseSuppressed(t *testing.T) {
 
 func TestTamperedShareExcludedEverywhere(t *testing.T) {
 	svc := cloud.NewMemory()
-	co, responders, aggs := newHarness(t, svc, []uint64{100, 200})
+	co, responders, aggs := newHarness(t, svc, []uint64{100, 200}, 3)
 	comm := responders[0].comm
 	spec := testSpec("q-tamper")
 	p, err := co.Scatter(spec, cellIDs(responders))
@@ -433,7 +458,7 @@ func TestDroppingProviderOnlyReducesCoverage(t *testing.T) {
 	for i := range values {
 		values[i] = uint64(i + 1)
 	}
-	co, responders, aggs := newHarness(t, adv, values)
+	co, responders, aggs := newHarness(t, adv, values, 3)
 	spec := testSpec("q-drop")
 	spec.Deadline = 400 * time.Millisecond
 	p, err := co.Scatter(spec, cellIDs(responders))
@@ -571,7 +596,7 @@ func TestBackendsUnchanged(t *testing.T) {
 
 func runBackend(t *testing.T, svc cloud.Service) {
 	t.Helper()
-	co, responders, aggs := newHarness(t, svc, []uint64{7, 8, 9})
+	co, responders, aggs := newHarness(t, svc, []uint64{7, 8, 9}, 3)
 	res, err := co.Query(testSpec("q-backend"), responders, aggs)
 	if err != nil {
 		t.Fatalf("query: %v", err)
