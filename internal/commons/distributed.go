@@ -995,12 +995,11 @@ type Result struct {
 const gatherPoll = 500 * time.Microsecond
 
 // Gather collects responses until every cell answered or, past the
-// deadline, a poll finds none that reached the mailbox in time (Sent at or
-// before the deadline; later ones are dropped); then it drives the
-// aggregator committee (pumping the given in-process aggregators, which the
-// spec must name) and returns the release. Committee traffic is retried through lossy
-// providers; ErrGatherIncomplete reports a committee that could not be
-// assembled within one extra deadline window.
+// deadline, a poll finds none sent by it; then it drives the committee
+// (pumping the given in-process aggregators, which the spec must name) and
+// returns the release. Committee traffic is retried through lossy
+// providers; ErrGatherIncomplete reports a committee not assembled within
+// one extra deadline window.
 func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 	comm := co.cfg.Community
 	spec := &p.Spec
@@ -1028,11 +1027,8 @@ func (co *Coordinator) Gather(p *Pending, aggs []*Aggregator) (*Result, error) {
 		}
 		progress := false
 		for _, m := range msgs {
-			if m.Kind != KindResponse {
-				continue // committee replies from an earlier query: stale, drop
-			}
-			if late && m.Sent.After(p.deadline) {
-				continue // reached the mailbox after the deadline
+			if m.Kind != KindResponse || late && m.Sent.After(p.deadline) {
+				continue // a stale committee reply, or sent after the deadline
 			}
 			plain, ad, err := crypto.Open(qKey, m.Body)
 			if err != nil {
@@ -1206,9 +1202,8 @@ func (co *Coordinator) runCommittee(spec *Spec, responses map[string]*response,
 				return nil, ErrGatherIncomplete
 			}
 			if progress {
-				// Replies are still arriving: a large committee needs many
-				// polls to drain them, and its silent members are queued,
-				// not lost.
+				// Replies still arriving: a large committee needs many polls
+				// to drain, and its silent members are queued, not lost.
 				retryAt = now.Add(retryEvery)
 			} else if now.After(retryAt) {
 				for i, aggID := range spec.Aggregators {
