@@ -17,27 +17,54 @@ type MerkleTree struct {
 
 // leafPrefix and nodePrefix provide domain separation so a leaf value cannot
 // be confused with an interior node (second-preimage hardening).
-var (
-	leafPrefix = []byte{0x00}
-	nodePrefix = []byte{0x01}
+const (
+	leafPrefix = 0x00
+	nodePrefix = 0x01
 )
 
 // ErrBadProof reports a Merkle proof that does not verify.
 var ErrBadProof = errors.New("crypto: merkle proof verification failed")
 
+// merkleSum is the one hash of every tree: SHA-256 over a domain prefix and
+// the concatenation of a and b. It hashes from a stack buffer, so a node (two
+// child hashes) and a leaf of up to 127 bytes cost no allocation.
+func merkleSum(prefix byte, a, b []byte) [sha256.Size]byte {
+	var buf [128]byte
+	return sha256.Sum256(append(append(append(buf[:0], prefix), a...), b...))
+}
+
 func hashLeaf(data []byte) []byte {
-	h := sha256.New()
-	h.Write(leafPrefix)
-	h.Write(data)
-	return h.Sum(nil)
+	h := merkleSum(leafPrefix, data, nil)
+	return h[:]
 }
 
 func hashNode(left, right []byte) []byte {
-	h := sha256.New()
-	h.Write(nodePrefix)
-	h.Write(left)
-	h.Write(right)
-	return h.Sum(nil)
+	h := merkleSum(nodePrefix, left, right)
+	return h[:]
+}
+
+// MerkleLeaf returns the hash NewMerkleTree gives the leaf data.
+func MerkleLeaf(data []byte) [sha256.Size]byte { return merkleSum(leafPrefix, data, nil) }
+
+// MerkleRootOf returns the root NewMerkleTree builds over the leaves whose
+// MerkleLeaf hashes are given, without building the tree: it reduces the
+// hashes in place, so the slice is overwritten, and allocates nothing.
+//
+// Like the tree, it pairs an odd node with itself, so the leaf lists [a,b,c]
+// and [a,b,c,c] share a root. A caller must keep its leaf list free of such
+// repeats on its own: the sync shard root is sound only because the shard
+// decoder refuses a repeated document key.
+func MerkleRootOf(hashes [][sha256.Size]byte) [sha256.Size]byte {
+	if len(hashes) == 0 {
+		return MerkleLeaf(nil)
+	}
+	for n := len(hashes); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			j := min(i+1, n-1)
+			hashes[i/2] = merkleSum(nodePrefix, hashes[i][:], hashes[j][:])
+		}
+	}
+	return hashes[0]
 }
 
 // NewMerkleTree builds a tree over the given leaves. An empty leaf set yields
@@ -155,7 +182,7 @@ func ResumeHashChain(head []byte, n uint64) *HashChain {
 // Append extends the chain with payload and returns the new head.
 func (c *HashChain) Append(payload []byte) []byte {
 	h := sha256.New()
-	h.Write(nodePrefix)
+	h.Write([]byte{nodePrefix})
 	h.Write(c.head)
 	h.Write(payload)
 	c.head = h.Sum(nil)

@@ -252,12 +252,39 @@ func TestMerkleOddLeafSelfPairing(t *testing.T) {
 	padded := NewMerkleTree(append(makeLeaves(3), leaves[2]))
 	if !bytes.Equal(tree.Root(), padded.Root()) {
 		// This is the documented shape of the promotion rule: [a,b,c] and
-		// [a,b,c,c] do share a root, so the attested leaf *count* travels
-		// with the root (the catalog's attestation section signs both).
+		// [a,b,c,c] do share a root, so a root alone does not pin the leaf
+		// count. MerkleRootOf's comment says what its callers rely on instead.
 		t.Fatal("promotion shape changed: [a,b,c] no longer matches [a,b,c,c]")
 	}
 	if tree.NumLeaves() == padded.NumLeaves() {
 		t.Fatal("leaf count failed to distinguish promoted from padded tree")
+	}
+}
+
+func TestMerkleRootOfMatchesTree(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		leaves := makeLeaves(n)
+		hashes := make([][32]byte, n)
+		for i, l := range leaves {
+			hashes[i] = MerkleLeaf(l)
+		}
+		if got := MerkleRootOf(hashes); !bytes.Equal(got[:], NewMerkleTree(leaves).Root()) {
+			t.Fatalf("n=%d: MerkleRootOf differs from NewMerkleTree's root", n)
+		}
+	}
+}
+
+func TestMerkleRootOfAllocatesNothing(t *testing.T) {
+	leaves := makeLeaves(157)
+	hashes := make([][32]byte, len(leaves))
+	allocs := testing.AllocsPerRun(20, func() {
+		for i, l := range leaves {
+			hashes[i] = MerkleLeaf(l)
+		}
+		MerkleRootOf(hashes)
+	})
+	if allocs != 0 {
+		t.Fatalf("MerkleLeaf + MerkleRootOf over %d leaves: %.1f allocations, want 0", len(leaves), allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trustedcells/internal/cloud"
@@ -57,19 +58,25 @@ type E9Result struct {
 	SequentialOps float64 // ingest ops/sec, per-document Ingest on 1-shard store
 	BatchedOps    float64 // ingest ops/sec, IngestBatch on sharded store
 	Speedup       float64
+	// SequentialCallsPerDoc and BatchedCallsPerDoc are the service calls
+	// the fleet made per ingested document on each path: the round trips
+	// batching saves, independent of how loaded the host is.
+	SequentialCallsPerDoc float64
+	BatchedCallsPerDoc    float64
 }
 
 // RunE9Fleet measures one fleet size and returns both paths' throughput.
 func RunE9Fleet(cfg E9Config, cells int) (E9Result, error) {
-	seq, err := runE9Path(cfg, cells, false)
+	seq, seqCalls, err := runE9Path(cfg, cells, false)
 	if err != nil {
 		return E9Result{}, err
 	}
-	bat, err := runE9Path(cfg, cells, true)
+	bat, batCalls, err := runE9Path(cfg, cells, true)
 	if err != nil {
 		return E9Result{}, err
 	}
-	res := E9Result{Cells: cells, SequentialOps: seq, BatchedOps: bat}
+	res := E9Result{Cells: cells, SequentialOps: seq, BatchedOps: bat,
+		SequentialCallsPerDoc: seqCalls, BatchedCallsPerDoc: batCalls}
 	if seq > 0 {
 		res.Speedup = bat / seq
 	}
@@ -77,16 +84,18 @@ func RunE9Fleet(cfg E9Config, cells int) (E9Result, error) {
 }
 
 // runE9Path builds a fleet of cells against a fresh cloud store and measures
-// wall-clock ingest throughput. batched selects the IngestBatch + sharded
-// store path; otherwise each cell ingests one document per call against the
-// single-shard (historical single-mutex) store.
-func runE9Path(cfg E9Config, cells int, batched bool) (float64, error) {
+// wall-clock ingest throughput and service calls per document. batched
+// selects the IngestBatch + sharded store path; otherwise each cell ingests
+// one document per call against the single-shard (historical single-mutex)
+// store.
+func runE9Path(cfg E9Config, cells int, batched bool) (float64, float64, error) {
 	shards := 1
 	if batched {
 		shards = cfg.Shards
 	}
-	svc := cloud.NewMemoryShards(shards)
-	svc.SetLatency(cfg.RTT)
+	mem := cloud.NewMemoryShards(shards)
+	mem.SetLatency(cfg.RTT)
+	svc := &callCounter{Service: mem}
 
 	fleet := make([]*core.Cell, cells)
 	for i := range fleet {
@@ -97,13 +106,14 @@ func runE9Path(cfg E9Config, cells int, batched bool) (float64, error) {
 			Seed:  []byte(fmt.Sprintf("e9-seed-%03d", i)),
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		fleet[i] = c
 	}
 
 	errs := make([]error, cells)
 	var wg sync.WaitGroup
+	svc.calls.Store(0)
 	start := time.Now()
 	for ci, c := range fleet {
 		wg.Add(1)
@@ -116,11 +126,62 @@ func runE9Path(cfg E9Config, cells int, batched bool) (float64, error) {
 	elapsed := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	total := float64(cells * cfg.DocsPerCell)
-	return total / elapsed.Seconds(), nil
+	return total / elapsed.Seconds(), float64(svc.calls.Load()) / total, nil
+}
+
+// callCounter counts every call a fleet makes to its store.
+type callCounter struct {
+	cloud.Service
+	calls atomic.Int64
+}
+
+func (c *callCounter) PutBlob(name string, data []byte) (int, error) {
+	c.calls.Add(1)
+	return c.Service.PutBlob(name, data)
+}
+
+func (c *callCounter) GetBlob(name string) (cloud.Blob, error) {
+	c.calls.Add(1)
+	return c.Service.GetBlob(name)
+}
+
+func (c *callCounter) DeleteBlob(name string) error {
+	c.calls.Add(1)
+	return c.Service.DeleteBlob(name)
+}
+
+func (c *callCounter) ListBlobs(prefix string) ([]string, error) {
+	c.calls.Add(1)
+	return c.Service.ListBlobs(prefix)
+}
+
+func (c *callCounter) PutBlobs(puts []cloud.BlobPut) ([]int, error) {
+	c.calls.Add(1)
+	return c.Service.PutBlobs(puts)
+}
+
+func (c *callCounter) GetBlobs(names []string) ([]cloud.Blob, error) {
+	c.calls.Add(1)
+	return c.Service.GetBlobs(names)
+}
+
+func (c *callCounter) GetBlobsIf(gets []cloud.CondGet) ([]cloud.Blob, error) {
+	c.calls.Add(1)
+	return c.Service.GetBlobsIf(gets)
+}
+
+func (c *callCounter) Send(msg cloud.Message) error {
+	c.calls.Add(1)
+	return c.Service.Send(msg)
+}
+
+func (c *callCounter) Receive(recipient string, max int) ([]cloud.Message, error) {
+	c.calls.Add(1)
+	return c.Service.Receive(recipient, max)
 }
 
 // e9Ingest runs one cell's share of the workload. Payloads carry the cell

@@ -37,10 +37,10 @@ package sync
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
@@ -180,28 +180,17 @@ func (r *Replica) signAttest(si int, replica string, epoch uint64, root []byte) 
 
 // shardMerkleRoot commits to a shard's document set: one leaf per document
 // (sorted by ID) covering the ID, winning revision, authoring replica and
-// tombstone flag. Content bytes are already covered by the AEAD seal; the
-// root pins *which versions* the shard holds, which is exactly what rollback
-// and fork attacks manipulate.
-func shardMerkleRoot(st shardState) []byte {
-	ids := make([]string, 0, len(st.Docs))
-	for id := range st.Docs {
-		ids = append(ids, id)
+// tombstone flag (shardLeaf). Content bytes are already covered by the AEAD
+// seal; the root pins *which versions* the shard holds, which is exactly what
+// rollback and fork attacks manipulate. It combines the entries' cached leaf
+// hashes, so docs must come from a snapshot, which fills every cache.
+func shardMerkleRoot(docs []shardEntry) []byte {
+	hashes := make([][sha256.Size]byte, len(docs))
+	for i := range docs {
+		hashes[i] = docs[i].leaf
 	}
-	sort.Strings(ids)
-	leaves := make([][]byte, len(ids))
-	for i, id := range ids {
-		v := st.Docs[id]
-		leaf := datamodel.AppendString(nil, id)
-		leaf = binary.AppendUvarint(leaf, v.Revision)
-		leaf = datamodel.AppendString(leaf, v.Replica)
-		var flags byte
-		if v.Deleted {
-			flags |= shardFlagDeleted
-		}
-		leaves[i] = append(leaf, flags)
-	}
-	return crypto.NewMerkleTree(leaves).Root()
+	root := crypto.MerkleRootOf(hashes)
+	return root[:]
 }
 
 // nextEpochLocked issues the epoch for one outgoing attestation. The external
@@ -233,7 +222,7 @@ func (r *Replica) attestSnapshotLocked(si int, snap *shardState) error {
 	if err != nil {
 		return fmt.Errorf("sync: epoch source for shard %d: %w", si, err)
 	}
-	root := shardMerkleRoot(*snap)
+	root := shardMerkleRoot(snap.Docs)
 	att := Attestation{Epoch: epoch, Root: root, Sig: r.signAttest(si, r.id, epoch, root)}
 	sh := r.shards[si]
 	sh.attests[r.id] = att
@@ -329,7 +318,7 @@ func (r *Replica) classifyDivergence(d *divergenceError) error {
 	if err != nil || len(b.Data) == 0 {
 		return rollback
 	}
-	st, err := r.decodeShard(d.shard, b.Data)
+	st, err := r.decodeShard(d.shard, b.Data, nil)
 	if err != nil {
 		return rollback
 	}
@@ -372,7 +361,7 @@ func (r *Replica) CheckShardBlob(si int, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	st, err := r.decodeShard(si, data)
+	st, err := r.decodeShard(si, data, nil)
 	if err != nil {
 		return err
 	}

@@ -320,7 +320,7 @@ func TestEpochsResumeAcrossRestart(t *testing.T) {
 
 func TestCodecAuthSectionRoundTrip(t *testing.T) {
 	st := shardState{
-		Docs:   map[string]VersionedDoc{"d": {Revision: 3, Replica: "alice/gateway", Updated: t0}},
+		Docs:   []shardEntry{{ID: "d", VersionedDoc: VersionedDoc{Revision: 3, Replica: "alice/gateway", Updated: t0}}},
 		VV:     map[string]uint64{"alice/gateway": 3},
 		Writer: "alice/gateway",
 		Attests: map[string]Attestation{
@@ -335,7 +335,7 @@ func TestCodecAuthSectionRoundTrip(t *testing.T) {
 	if enc[1] != shardCodecVersion {
 		t.Fatalf("codec version = %d, want %d", enc[1], shardCodecVersion)
 	}
-	dec, err := decodeShardState(enc)
+	dec, err := decodeShardState(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestCodecAuthSectionRoundTrip(t *testing.T) {
 	}
 	// Truncated auth sections must fail closed, not decode partially.
 	for cut := len(enc) - 1; cut > len(enc)-6; cut-- {
-		if _, err := decodeShardState(enc[:cut]); err == nil {
+		if _, err := decodeShardState(enc[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
 	}
@@ -364,8 +364,10 @@ func TestAttestationOverheadConstant(t *testing.T) {
 			a.Upsert(doc(i))
 		}
 		a.mu.Lock()
-		snap := snapshotShardLocked(a.shards[0])
-		err := a.attestSnapshotLocked(0, &snap)
+		snap, err := snapshotShardLocked(a.shards[0])
+		if err == nil {
+			err = a.attestSnapshotLocked(0, &snap)
+		}
 		a.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)

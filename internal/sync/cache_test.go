@@ -1,0 +1,202 @@
+package sync
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"trustedcells/internal/cloud"
+	"trustedcells/internal/crypto"
+	"trustedcells/internal/datamodel"
+)
+
+// oracleShardRoot is the shard Merkle root as computed before entries cached
+// their leaf hashes: a leaf list built from the documents, hashed as a tree.
+func oracleShardRoot(docs []shardEntry) []byte {
+	leaves := make([][]byte, len(docs))
+	for i, e := range docs {
+		leaf := datamodel.AppendString(nil, e.ID)
+		leaf = binary.AppendUvarint(leaf, e.Revision)
+		leaf = datamodel.AppendString(leaf, e.Replica)
+		var flags byte
+		if e.Deleted {
+			flags |= shardFlagDeleted
+		}
+		leaves[i] = append(leaf, flags)
+	}
+	return crypto.NewMerkleTree(leaves).Root()
+}
+
+// pushRecorder keeps a copy of every blob a replica uploads.
+type pushRecorder struct {
+	cloud.Service
+	puts []cloud.BlobPut
+}
+
+func (p *pushRecorder) PutBlobs(puts []cloud.BlobPut) ([]int, error) {
+	for _, bp := range puts {
+		p.puts = append(p.puts, cloud.BlobPut{Name: bp.Name, Data: bytes.Clone(bp.Data)})
+	}
+	return p.Service.PutBlobs(puts)
+}
+
+// checkPushed opens every blob r uploaded since the last check and requires
+// its plaintext to equal the oracle's encoding of r's shard as it stands
+// after the push, and r's own attestation to carry the oracle's root.
+func checkPushed(t *testing.T, r *Replica, rec *pushRecorder) {
+	t.Helper()
+	for _, bp := range rec.puts {
+		si, err := strconv.Atoi(bp.Name[strings.LastIndexByte(bp.Name, '/')+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, _, err := crypto.Open(r.key, bp.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.mu.Lock()
+		sh := r.shards[si]
+		st := shardState{VV: sh.vv, Conflicts: sh.conflicts, Writer: r.id, Attests: sh.attests}
+		for _, id := range sortedKeys(sh.docs) {
+			st.Docs = append(st.Docs, shardEntry{ID: id, VersionedDoc: sh.docs[id]})
+		}
+		want, err := oracleShardState(st)
+		root := oracleShardRoot(st.Docs)
+		r.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain, want) {
+			t.Fatalf("%s pushed shard %d that differs from the oracle encoding:\n got  %x\n want %x", r.id, si, plain, want)
+		}
+		if !bytes.Equal(st.Attests[r.id].Root, root) {
+			t.Fatalf("%s attested shard %d under root %x, oracle %x", r.id, si, st.Attests[r.id].Root, root)
+		}
+	}
+	rec.puts = rec.puts[:0]
+}
+
+// TestPushedShardsMatchOracle drives three replicas through seeded sequences
+// of upserts, deletes, syncs and the conflicts they cause, and holds every
+// pushed shard blob byte for byte to the pre-cache whole-state encoder.
+func TestPushedShardsMatchOracle(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		svc := cloud.NewMemory()
+		key, _ := crypto.NewSymmetricKey()
+		tick := 0
+		clock := func() time.Time { tick++; return t0.Add(time.Duration(tick) * time.Second) }
+		var reps []*Replica
+		var recs []*pushRecorder
+		for _, name := range []string{"alice/gateway", "alice/phone", "alice/token"} {
+			rec := &pushRecorder{Service: svc}
+			recs = append(recs, rec)
+			reps = append(reps, NewReplicaShards(name, "alice", key, rec, clock, 4))
+		}
+		sync := func(i int) {
+			if err := reps[i].Sync(); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, reps[i].id, err)
+			}
+			checkPushed(t, reps[i], recs[i])
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 400; step++ {
+			i := rng.Intn(len(reps))
+			switch op := rng.Intn(10); {
+			case op < 5:
+				d := doc(rng.Intn(30))
+				d.Title = fmt.Sprintf("step %d", step)
+				reps[i].Upsert(d)
+			case op < 6:
+				reps[i].Delete(doc(rng.Intn(30)).ID)
+			default:
+				sync(i)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			for i := range reps {
+				sync(i)
+			}
+		}
+		if !Equal(reps[0], reps[1]) || !Equal(reps[1], reps[2]) {
+			t.Fatalf("seed %d: replicas did not converge", seed)
+		}
+		if reps[0].ConflictsResolved() == 0 {
+			t.Fatalf("seed %d: the sequence resolved no conflict", seed)
+		}
+	}
+}
+
+// TestPullDecodesOnlyChangedEntries pins the skip: decoding a pushed shard
+// against a replica that holds all but two of its entries returns exactly
+// those two, and the sync that merges them converges.
+func TestPullDecodesOnlyChangedEntries(t *testing.T) {
+	svc := cloud.NewMemory()
+	key, _ := crypto.NewSymmetricKey()
+	a := NewReplicaShards("alice/gateway", "alice", key, svc, nil, 1)
+	b := NewReplicaShards("alice/phone", "alice", key, svc, nil, 1)
+	for i := 0; i < 50; i++ {
+		a.Upsert(doc(i))
+	}
+	for _, r := range []*Replica{a, b} {
+		if err := r.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed := doc(7)
+	changed.Title = "changed"
+	a.Upsert(changed)
+	a.Upsert(doc(60))
+	if err := a.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := svc.GetBlob(a.shardBlobName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	st, err := b.decodeShard(0, blob.Data, b.shards[0].docs)
+	b.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range st.Docs {
+		ids = append(ids, e.ID)
+	}
+	if fmt.Sprint(ids) != "[doc-0007 doc-0060]" {
+		t.Fatalf("decode against the local shard kept %v, want [doc-0007 doc-0060]", ids)
+	}
+	if err := b.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.Get("doc-0007"); !Equal(a, b) || !ok || got.Title != "changed" {
+		t.Fatal("the changed entries did not merge")
+	}
+}
+
+// TestShardRootMatchesOracle holds the root combined from cached leaf hashes
+// to the tree built over the leaf list, for shards of 0 to 300 documents.
+func TestShardRootMatchesOracle(t *testing.T) {
+	r := NewReplicaShards("alice/gateway", "alice", crypto.SymmetricKey{}, nil, nil, 1)
+	for n := 0; n <= 300; n++ {
+		if n > 0 {
+			r.Upsert(doc(n))
+			if n%7 == 0 {
+				r.Delete(doc(n / 2).ID)
+			}
+		}
+		snap, err := snapshotShardLocked(r.shards[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleShardRoot(snap.Docs)
+		if got := shardMerkleRoot(snap.Docs); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: cached-leaf root %x, oracle %x", n, got, want)
+		}
+	}
+}

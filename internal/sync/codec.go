@@ -21,12 +21,20 @@ package sync
 // equal states encode to equal bytes on every replica. The decoder accepts
 // only what the encoder writes — keys strictly increasing, minimal varints,
 // no unknown flag bits — so an accepted state re-encodes to the same bytes.
+//
+// A replica keeps each doc entry's bytes beside the document
+// (VersionedDoc.wire): a push copies an unchanged entry instead of encoding
+// it, and a pull skips an entry equal to the local one instead of decoding
+// it (DESIGN.md §5.2).
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
 )
 
@@ -64,37 +72,76 @@ func consumeBytes(b []byte) ([]byte, []byte, error) {
 	return append([]byte(nil), b[:n]...), b[n:], nil
 }
 
-// appendShardState appends the binary encoding of st to dst.
+// appendShardEntry appends the canonical encoding of one doc entry, key
+// included. It is the only entry encoder: a push snapshot caches its output on
+// the entry (cacheEntry), and appendShardState runs it for an entry that has
+// no cache.
+func appendShardEntry(dst []byte, id string, v *VersionedDoc) ([]byte, error) {
+	dst = datamodel.AppendString(dst, id)
+	dst = binary.AppendUvarint(dst, v.Revision)
+	dst = datamodel.AppendString(dst, v.Replica)
+	var err error
+	if dst, err = datamodel.AppendTime(dst, v.Updated); err != nil {
+		return nil, fmt.Errorf("sync: encode doc %s: %w", id, err)
+	}
+	var flags byte
+	if v.Deleted {
+		flags |= shardFlagDeleted
+	}
+	if v.Doc != nil {
+		flags |= shardFlagHasDoc
+	}
+	dst = append(dst, flags)
+	if v.Doc != nil {
+		if dst, err = v.Doc.AppendBinary(dst); err != nil {
+			return nil, fmt.Errorf("sync: encode doc %s: %w", id, err)
+		}
+	}
+	return dst, nil
+}
+
+// shardLeaf is the Merkle leaf hash of one doc entry: its ID, revision,
+// authoring replica and tombstone flag (see shardMerkleRoot).
+func shardLeaf(id string, v *VersionedDoc) [sha256.Size]byte {
+	var buf [128]byte
+	leaf := datamodel.AppendString(buf[:0], id)
+	leaf = binary.AppendUvarint(leaf, v.Revision)
+	leaf = datamodel.AppendString(leaf, v.Replica)
+	var flags byte
+	if v.Deleted {
+		flags |= shardFlagDeleted
+	}
+	return crypto.MerkleLeaf(append(leaf, flags))
+}
+
+// cacheEntry fills v's wire and leaf cache, encoding through scratch, which
+// it returns for reuse. The caller stores v back under id.
+func cacheEntry(id string, v *VersionedDoc, scratch []byte) ([]byte, error) {
+	scratch, err := appendShardEntry(scratch[:0], id, v)
+	if err != nil {
+		return scratch, err
+	}
+	v.wire = append([]byte(nil), scratch...)
+	v.leaf = shardLeaf(id, v)
+	return scratch, nil
+}
+
+// appendShardState appends the binary encoding of st to dst. st.Docs must be
+// sorted by ID without repeats, as a snapshot or a decode leaves it; an entry
+// with a cache is copied, one without is encoded.
 func appendShardState(dst []byte, st shardState) ([]byte, error) {
 	dst = append(dst, shardCodecMagic, shardCodecVersion)
 
-	ids := make([]string, 0, len(st.Docs))
-	for id := range st.Docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		v := st.Docs[id]
-		dst = datamodel.AppendString(dst, id)
-		dst = binary.AppendUvarint(dst, v.Revision)
-		dst = datamodel.AppendString(dst, v.Replica)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Docs)))
+	for i := range st.Docs {
+		e := &st.Docs[i]
+		if len(e.wire) > 0 {
+			dst = append(dst, e.wire...)
+			continue
+		}
 		var err error
-		if dst, err = datamodel.AppendTime(dst, v.Updated); err != nil {
-			return nil, fmt.Errorf("sync: encode doc %s: %w", id, err)
-		}
-		var flags byte
-		if v.Deleted {
-			flags |= shardFlagDeleted
-		}
-		if v.Doc != nil {
-			flags |= shardFlagHasDoc
-		}
-		dst = append(dst, flags)
-		if v.Doc != nil {
-			if dst, err = v.Doc.AppendBinary(dst); err != nil {
-				return nil, fmt.Errorf("sync: encode doc %s: %w", id, err)
-			}
+		if dst, err = appendShardEntry(dst, e.ID, &e.VersionedDoc); err != nil {
+			return nil, err
 		}
 	}
 
@@ -152,20 +199,30 @@ func consumeCount(b []byte, minWire int) (uint64, []byte, error) {
 }
 
 // consumeKey reads one map key, which must sort strictly after prev (the
-// previous key of the same list, ignored for the first).
-func consumeKey(b []byte, first bool, prev string) (string, []byte, error) {
-	k, b, err := datamodel.ConsumeString(b)
+// previous key of the same list, ignored for the first). The key aliases b.
+func consumeKey(b []byte, first bool, prev []byte) ([]byte, []byte, error) {
+	n, b, err := datamodel.ConsumeUvarint(b)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	if !first && k <= prev {
-		return "", nil, fmt.Errorf("%w: keys out of order", errShardCodec)
+	if n > uint64(len(b)) {
+		return nil, nil, errShardCodec
 	}
-	return k, b, nil
+	k := b[:n]
+	if !first && bytes.Compare(k, prev) <= 0 {
+		return nil, nil, fmt.Errorf("%w: keys out of order", errShardCodec)
+	}
+	return k, b[n:], nil
 }
 
-// decodeShardState parses a shard blob written by appendShardState.
-func decodeShardState(data []byte) (shardState, error) {
+// decodeShardState parses a shard blob written by appendShardState. known is
+// the local shard's documents (nil for none): a doc entry whose bytes equal
+// the cached entry of the known document under its key is the same version,
+// so it is skipped — not decoded, not returned. Every other entry comes back
+// with its cache filled from the input. Skipping changes no verdict: keys are
+// checked for order before the lookup, and a skipped entry is a canonical
+// encoding, so the input is accepted exactly when a plain decode accepts it.
+func decodeShardState(data []byte, known map[string]VersionedDoc) (shardState, error) {
 	if len(data) < 2 || data[0] != shardCodecMagic || data[1] != shardCodecVersion {
 		return shardState{}, errShardCodec
 	}
@@ -175,13 +232,19 @@ func decodeShardState(data []byte) (shardState, error) {
 	if err != nil {
 		return shardState{}, err
 	}
-	st := shardState{Docs: make(map[string]VersionedDoc, nDocs)}
-	var id string
+	st := shardState{Docs: make([]shardEntry, 0, nDocs-min(nDocs, uint64(len(known))))}
+	var key []byte
 	for i := uint64(0); i < nDocs; i++ {
-		if id, b, err = consumeKey(b, i == 0, id); err != nil {
+		entry := b
+		if key, b, err = consumeKey(b, i == 0, key); err != nil {
 			return shardState{}, err
 		}
-		var v VersionedDoc
+		if lv, ok := known[string(key)]; ok && len(lv.wire) > 0 && bytes.HasPrefix(entry, lv.wire) {
+			b = entry[len(lv.wire):]
+			continue
+		}
+		e := shardEntry{ID: string(key)}
+		v := &e.VersionedDoc
 		if v.Revision, b, err = datamodel.ConsumeUvarint(b); err != nil {
 			return shardState{}, err
 		}
@@ -199,10 +262,12 @@ func decodeShardState(data []byte) (shardState, error) {
 		v.Deleted = flags&shardFlagDeleted != 0
 		if flags&shardFlagHasDoc != 0 {
 			if v.Doc, b, err = datamodel.DecodeDocumentPrefix(b); err != nil {
-				return shardState{}, fmt.Errorf("%w: doc %s: %v", errShardCodec, id, err)
+				return shardState{}, fmt.Errorf("%w: doc %s: %v", errShardCodec, e.ID, err)
 			}
 		}
-		st.Docs[id] = v
+		v.wire = append([]byte(nil), entry[:len(entry)-len(b)]...)
+		v.leaf = shardLeaf(e.ID, v)
+		st.Docs = append(st.Docs, e)
 	}
 
 	nVV, b, err := consumeCount(b, minVVEntryWire)
@@ -211,12 +276,12 @@ func decodeShardState(data []byte) (shardState, error) {
 	}
 	if nVV > 0 {
 		st.VV = make(map[string]uint64, nVV)
-		var k string
+		var k []byte
 		for i := uint64(0); i < nVV; i++ {
 			if k, b, err = consumeKey(b, i == 0, k); err != nil {
 				return shardState{}, err
 			}
-			if st.VV[k], b, err = datamodel.ConsumeUvarint(b); err != nil {
+			if st.VV[string(k)], b, err = datamodel.ConsumeUvarint(b); err != nil {
 				return shardState{}, err
 			}
 		}
@@ -228,12 +293,12 @@ func decodeShardState(data []byte) (shardState, error) {
 	}
 	if nConflicts > 0 {
 		st.Conflicts = make(map[string]bool, nConflicts)
-		var k string
+		var k []byte
 		for i := uint64(0); i < nConflicts; i++ {
 			if k, b, err = consumeKey(b, i == 0, k); err != nil {
 				return shardState{}, err
 			}
-			st.Conflicts[k] = true
+			st.Conflicts[string(k)] = true
 		}
 	}
 
@@ -246,7 +311,7 @@ func decodeShardState(data []byte) (shardState, error) {
 	}
 	if nAtt > 0 {
 		st.Attests = make(map[string]Attestation, nAtt)
-		var rep string
+		var rep []byte
 		for i := uint64(0); i < nAtt; i++ {
 			if rep, b, err = consumeKey(b, i == 0, rep); err != nil {
 				return shardState{}, err
@@ -261,7 +326,7 @@ func decodeShardState(data []byte) (shardState, error) {
 			if a.Sig, b, err = consumeBytes(b); err != nil {
 				return shardState{}, err
 			}
-			st.Attests[rep] = a
+			st.Attests[string(rep)] = a
 		}
 	}
 	if len(b) != 0 {

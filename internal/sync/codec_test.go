@@ -5,25 +5,28 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
 )
 
 func codecTestState() shardState {
 	updated := time.Date(2013, 1, 7, 9, 0, 0, 0, time.UTC)
 	return shardState{
-		Docs: map[string]VersionedDoc{
-			"doc-live": {
+		Docs: []shardEntry{
+			{ID: "doc-live", VersionedDoc: VersionedDoc{
 				Doc: &datamodel.Document{ID: "doc-live", Owner: "alice", Type: "note",
 					Title: "live", Keywords: []string{"k1"}, Tags: map[string]string{"a": "b"},
 					CreatedAt: updated, Class: datamodel.ClassAuthored},
 				Revision: 3, Replica: "alice/gateway", Updated: updated,
-			},
-			"doc-tombstone": {Revision: 5, Replica: "alice/phone", Updated: updated, Deleted: true},
+			}},
+			{ID: "doc-tombstone", VersionedDoc: VersionedDoc{Revision: 5, Replica: "alice/phone", Updated: updated, Deleted: true}},
 		},
 		VV:        map[string]uint64{"alice/gateway": 7, "alice/phone": 2},
 		Conflicts: map[string]bool{"doc-live@2:alice/phone": true},
@@ -35,10 +38,10 @@ func statesEquivalent(t *testing.T, want, got shardState) {
 	if len(want.Docs) != len(got.Docs) {
 		t.Fatalf("doc count differs: %d != %d", len(want.Docs), len(got.Docs))
 	}
-	for id, wv := range want.Docs {
-		gv, ok := got.Docs[id]
-		if !ok {
-			t.Fatalf("missing doc %s", id)
+	for i, we := range want.Docs {
+		id, wv, gv := we.ID, we.VersionedDoc, got.Docs[i].VersionedDoc
+		if got.Docs[i].ID != id {
+			t.Fatalf("entry %d is %s, want %s", i, got.Docs[i].ID, id)
 		}
 		if wv.Revision != gv.Revision || wv.Replica != gv.Replica || wv.Deleted != gv.Deleted {
 			t.Fatalf("doc %s metadata differs: %+v != %+v", id, wv, gv)
@@ -67,7 +70,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("appendShardState: %v", err)
 	}
-	got, err := decodeShardState(data)
+	got, err := decodeShardState(data, nil)
 	if err != nil {
 		t.Fatalf("decodeShardState: %v", err)
 	}
@@ -98,7 +101,7 @@ func legacyShardForms(t *testing.T, st shardState) map[string][]byte {
 // version 1 codec beside it, are gone: both are refused as malformed.
 func TestShardCodecJSONFallback(t *testing.T) {
 	for name, data := range legacyShardForms(t, codecTestState()) {
-		if _, err := decodeShardState(data); !errors.Is(err, errShardCodec) {
+		if _, err := decodeShardState(data, nil); !errors.Is(err, errShardCodec) {
 			t.Fatalf("%s: decodeShardState = %v, want errShardCodec", name, err)
 		}
 	}
@@ -115,7 +118,7 @@ func TestShardCodecDeterministic(t *testing.T) {
 
 func TestShardCodecRejectsTruncation(t *testing.T) {
 	for _, data := range truncationCases(t) {
-		if _, err := decodeShardState(data); err == nil {
+		if _, err := decodeShardState(data, nil); err == nil {
 			t.Fatalf("malformed %d-byte state accepted: %x", len(data), data)
 		}
 	}
@@ -145,7 +148,7 @@ func shardCountBomb(n int) []byte {
 func TestShardCodecBoundsCounts(t *testing.T) {
 	data := shardCountBomb(100000)
 	var err error
-	grew := allocatedBy(func() { _, err = decodeShardState(data) })
+	grew := allocatedBy(func() { _, err = decodeShardState(data, nil) })
 	if !errors.Is(err, errShardCodec) {
 		t.Fatalf("decodeShardState = %v, want errShardCodec", err)
 	}
@@ -179,7 +182,7 @@ func TestShardCodecRejectsNonCanonical(t *testing.T) {
 	}
 	flagged[at] |= 0x80
 	for name, in := range map[string][]byte{"unsorted keys": unsorted, "unknown flag": flagged} {
-		if _, err := decodeShardState(in); !errors.Is(err, errShardCodec) {
+		if _, err := decodeShardState(in, nil); !errors.Is(err, errShardCodec) {
 			t.Fatalf("%s: decodeShardState = %v, want errShardCodec", name, err)
 		}
 	}
@@ -193,9 +196,179 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// oracleShardState is the whole-state encoder from before doc entries carried
+// their own encoding: it sorts and encodes every field itself and ignores the
+// entry caches. Shard blobs must stay byte-identical to its output.
+func oracleShardState(st shardState) ([]byte, error) {
+	docs := docsOf(st)
+	dst := []byte{shardCodecMagic, shardCodecVersion}
+	dst = binary.AppendUvarint(dst, uint64(len(docs)))
+	for _, id := range sortedKeys(docs) {
+		v := docs[id]
+		dst = datamodel.AppendString(dst, id)
+		dst = binary.AppendUvarint(dst, v.Revision)
+		dst = datamodel.AppendString(dst, v.Replica)
+		var err error
+		if dst, err = datamodel.AppendTime(dst, v.Updated); err != nil {
+			return nil, err
+		}
+		var flags byte
+		if v.Deleted {
+			flags |= shardFlagDeleted
+		}
+		if v.Doc != nil {
+			flags |= shardFlagHasDoc
+		}
+		dst = append(dst, flags)
+		if v.Doc != nil {
+			if dst, err = v.Doc.AppendBinary(dst); err != nil {
+				return nil, err
+			}
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.VV)))
+	for _, k := range sortedKeys(st.VV) {
+		dst = datamodel.AppendString(dst, k)
+		dst = binary.AppendUvarint(dst, st.VV[k])
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.Conflicts)))
+	for _, k := range sortedKeys(st.Conflicts) {
+		dst = datamodel.AppendString(dst, k)
+	}
+	dst = datamodel.AppendString(dst, st.Writer)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Attests)))
+	for _, rep := range sortedKeys(st.Attests) {
+		a := st.Attests[rep]
+		dst = datamodel.AppendString(dst, rep)
+		dst = binary.AppendUvarint(dst, a.Epoch)
+		dst = appendBytes(dst, a.Root)
+		dst = appendBytes(dst, a.Sig)
+	}
+	return dst, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// withoutCache returns a copy of st whose entries carry no cache.
+func withoutCache(st shardState) shardState {
+	st.Docs = slices.Clone(st.Docs)
+	for i := range st.Docs {
+		st.Docs[i].wire, st.Docs[i].leaf = nil, [32]byte{}
+	}
+	return st
+}
+
+// docsOf indexes a state's entries by ID, caches included.
+func docsOf(st shardState) map[string]VersionedDoc {
+	docs := make(map[string]VersionedDoc, len(st.Docs))
+	for _, e := range st.Docs {
+		docs[e.ID] = e.VersionedDoc
+	}
+	return docs
+}
+
+// TestShardCodecRefusesRepeatedLastEntry pins what the shard Merkle root
+// relies on: the root over [a,b,c] equals the root over [a,b,c,c], so a state
+// whose last doc entry appears twice must never decode, with or without the
+// local shard to skip against.
+func TestShardCodecRefusesRepeatedLastEntry(t *testing.T) {
+	st := codecTestState()
+	data, err := appendShardState(nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := st.Docs[len(st.Docs)-1]
+	entry, err := appendShardEntry(nil, last.ID, &last.VersionedDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.Index(data, entry) + len(entry)
+	if data[2] != byte(len(st.Docs)) || end < len(entry) {
+		t.Fatal("doc section not found in the encoding")
+	}
+	dup := append([]byte{shardCodecMagic, shardCodecVersion, byte(len(st.Docs) + 1)}, data[3:end]...)
+	dup = append(append(dup, entry...), data[end:]...)
+	known, err := decodeShardState(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, docs := range map[string]map[string]VersionedDoc{"plain": nil, "against itself": docsOf(known)} {
+		if _, err := decodeShardState(dup, docs); !errors.Is(err, errShardCodec) {
+			t.Fatalf("%s: decodeShardState = %v, want errShardCodec", name, err)
+		}
+	}
+}
+
+// flipDecodes returns the documents of data with the low bit of byte at
+// flipped, if that still decodes.
+func flipDecodes(data []byte, at int) (map[string]VersionedDoc, bool) {
+	mut := bytes.Clone(data)
+	mut[at] ^= 1
+	st, err := decodeShardState(mut, nil)
+	if err != nil {
+		return nil, false
+	}
+	return docsOf(st), true
+}
+
+// checkAgainstKnownSets runs checkKnownDecode for an accepted state against
+// three kinds of local shard: its own documents, those of every one-bit
+// mutation of it that still decodes, and none.
+func checkAgainstKnownSets(t *testing.T, data []byte, full shardState) {
+	t.Helper()
+	checkKnownDecode(t, data, full, docsOf(full))
+	checkKnownDecode(t, data, full, map[string]VersionedDoc{})
+	for at := range data {
+		if known, ok := flipDecodes(data, at); ok {
+			checkKnownDecode(t, data, full, known)
+		}
+	}
+}
+
+// checkKnownDecode decodes data against known, merges the result into a
+// shard holding known, and requires the same shard a plain decode then merge
+// gives: same entries (each cache the canonical encoding), vector, conflicts,
+// dirty flag and changed documents.
+func checkKnownDecode(t *testing.T, data []byte, full shardState, known map[string]VersionedDoc) {
+	t.Helper()
+	partial, err := decodeShardState(data, known)
+	if err != nil {
+		t.Fatalf("decode against %d known documents refused an accepted state: %v", len(known), err)
+	}
+	merged := func(st shardState) (*replicaShard, map[string]bool) {
+		r := NewReplicaShards("alice/gateway", "alice", crypto.SymmetricKey{}, nil, nil, 1)
+		sh := &replicaShard{docs: maps.Clone(known), vv: map[string]uint64{}, conflicts: map[string]bool{}}
+		r.mergeShardLocked(sh, st)
+		return sh, r.changed
+	}
+	got, gotChanged := merged(partial)
+	want, wantChanged := merged(full)
+	if len(got.docs) != len(want.docs) || !maps.Equal(gotChanged, wantChanged) ||
+		!maps.Equal(got.vv, want.vv) || !maps.Equal(got.conflicts, want.conflicts) || got.dirty != want.dirty {
+		t.Fatalf("merge after skip-decode differs: %d/%d docs, changed %v/%v", len(got.docs), len(want.docs), gotChanged, wantChanged)
+	}
+	for id, w := range want.docs {
+		g := got.docs[id]
+		canon, err := appendShardEntry(nil, id, &g)
+		if err != nil || !bytes.Equal(g.wire, w.wire) || !bytes.Equal(g.wire, canon) || g.leaf != shardLeaf(id, &g) {
+			t.Fatalf("doc %s after skip-decode: cache %x, plain %x, canonical %x", id, g.wire, w.wire, canon)
+		}
+	}
+}
+
 // FuzzShardState throws arbitrary bytes at the shard decoder: it must never
 // panic, must not let a count size an allocation the input cannot back, and
-// anything it accepts must re-encode to the same bytes.
+// anything it accepts must re-encode to the same bytes — through the oracle
+// and through the entry encoder. Decoding an accepted state against local
+// shards (its own documents, those of its one-bit mutations, none) and
+// merging must equal a plain decode then merge.
 func FuzzShardState(f *testing.F) {
 	for _, data := range truncationCases(f) {
 		f.Add(data)
@@ -217,18 +390,29 @@ func FuzzShardState(f *testing.F) {
 		limit := uint64(64*len(data) + 64<<10)
 		var st shardState
 		var err error
-		if grew := allocatedBy(func() { st, err = decodeShardState(data) }); grew > limit {
+		if grew := allocatedBy(func() { st, err = decodeShardState(data, nil) }); grew > limit {
 			t.Fatalf("decodeShardState allocated %d bytes for a %d-byte state", grew, len(data))
 		}
 		if err != nil {
 			return
 		}
-		again, err := appendShardState(nil, st)
-		if err != nil {
-			t.Fatalf("accepted state does not encode: %v", err)
+		encoders := map[string]func(shardState) ([]byte, error){
+			"oracle":  oracleShardState,
+			"entries": func(st shardState) ([]byte, error) { return appendShardState(nil, withoutCache(st)) },
+			"cached":  func(st shardState) ([]byte, error) { return appendShardState(nil, st) },
 		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("accepted state re-encodes differently:\n in  %x\n out %x", data, again)
+		for name, encode := range encoders {
+			again, err := encode(st)
+			if err != nil {
+				t.Fatalf("%s: accepted state does not encode: %v", name, err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatalf("%s: accepted state re-encodes differently:\n in  %x\n out %x", name, data, again)
+			}
 		}
+		if self, err := decodeShardState(data, docsOf(st)); err != nil || len(self.Docs) != 0 {
+			t.Fatalf("decode against itself kept %d entries (err %v), want none", len(self.Docs), err)
+		}
+		checkAgainstKnownSets(t, data, st)
 	})
 }

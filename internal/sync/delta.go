@@ -94,8 +94,11 @@ func (r *Replica) push() error {
 	dirty = r.dirtyShardIndexesLocked()
 	snaps := make([]shardState, len(dirty))
 	for i, si := range dirty {
-		snaps[i] = snapshotShardLocked(r.shards[si])
-		if err := r.attestSnapshotLocked(si, &snaps[i]); err != nil {
+		var err error
+		if snaps[i], err = snapshotShardLocked(r.shards[si]); err == nil {
+			err = r.attestSnapshotLocked(si, &snaps[i])
+		}
+		if err != nil {
 			r.mu.Unlock()
 			return err
 		}
@@ -221,7 +224,10 @@ func (r *Replica) mergeFetchedLocked(si int, b cloud.Blob) error {
 		r.suspectLocked(si)
 		return nil
 	}
-	st, err := r.decodeShard(si, b.Data)
+	// Decoding against the local shard leaves out the entries this replica
+	// already holds, so the merge sees only what changed; an equal entry
+	// would be a no-op there anyway.
+	st, err := r.decodeShard(si, b.Data, sh.docs)
 	if err != nil {
 		return err
 	}

@@ -22,9 +22,11 @@
 package sync
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -54,6 +56,22 @@ type VersionedDoc struct {
 	Replica  string
 	Updated  time.Time
 	Deleted  bool
+
+	// wire and leaf cache this version's canonical shard entry (key
+	// included) and its Merkle leaf hash; an empty wire means no cache.
+	// They are filled under the replica's state mutex when a push snapshots
+	// the shard and when a pulled entry is decoded. Every write to a shard's
+	// docs map replaces the whole value, so a cache never outlives its
+	// version, and the bytes are never modified once filled, so a snapshot
+	// may share them outside the mutex.
+	wire []byte
+	leaf [sha256.Size]byte
+}
+
+// shardEntry is one document of a shard state under its ID.
+type shardEntry struct {
+	ID string
+	VersionedDoc
 }
 
 // shardState is the replicated state of one shard: its documents, its version
@@ -62,7 +80,9 @@ type VersionedDoc struct {
 // of the shard. All three merge commutatively, which is what lets concurrent
 // pushes converge instead of clobbering.
 type shardState struct {
-	Docs      map[string]VersionedDoc
+	// Docs is sorted by ID without repeats. A state decoded against the
+	// local shard holds only the entries that differ from it.
+	Docs      []shardEntry
 	VV        map[string]uint64
 	Conflicts map[string]bool
 	// Writer is the replica that pushed this state; Attests carries the
@@ -419,7 +439,8 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 			break
 		}
 	}
-	for id, rv := range remote.Docs {
+	for _, e := range remote.Docs {
+		id, rv := e.ID, e.VersionedDoc
 		lv, exists := s.docs[id]
 		if !exists {
 			s.docs[id] = rv
@@ -471,16 +492,32 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 	}
 }
 
-// snapshotShardLocked deep-copies a shard's replicated state for sealing
-// outside the state mutex.
-func snapshotShardLocked(s *replicaShard) shardState {
+// snapshotShardLocked copies a shard's replicated state for sealing outside
+// the state mutex. The documents become one ID-sorted entry slice, which the
+// Merkle root and the encoder share; an entry without a cache gets one here,
+// written back to the shard so the next snapshot finds it.
+func snapshotShardLocked(s *replicaShard) (shardState, error) {
 	out := shardState{
-		Docs:      make(map[string]VersionedDoc, len(s.docs)),
+		Docs:      make([]shardEntry, 0, len(s.docs)),
 		VV:        make(map[string]uint64, len(s.vv)),
 		Conflicts: make(map[string]bool, len(s.conflicts)),
 	}
-	for id, v := range s.docs {
-		out.Docs[id] = v
+	ids := make([]string, 0, len(s.docs))
+	for id := range s.docs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var scratch []byte
+	for _, id := range ids {
+		v := s.docs[id]
+		if len(v.wire) == 0 {
+			var err error
+			if scratch, err = cacheEntry(id, &v, scratch); err != nil {
+				return shardState{}, err
+			}
+			s.docs[id] = v
+		}
+		out.Docs = append(out.Docs, shardEntry{ID: id, VersionedDoc: v})
 	}
 	for k, v := range s.vv {
 		out.VV[k] = v
@@ -488,7 +525,7 @@ func snapshotShardLocked(s *replicaShard) shardState {
 	for k := range s.conflicts {
 		out.Conflicts[k] = true
 	}
-	return out
+	return out, nil
 }
 
 // mapCloudErr folds provider unavailability into the replica's disconnected
@@ -538,10 +575,11 @@ func releaseShardBufs(bufs []*[]byte) {
 	}
 }
 
-// decodeShard opens and verifies one sealed shard blob. The decrypted
-// plaintext lives in a pooled buffer for the duration of the decode — the
-// binary codec copies every field out.
-func (r *Replica) decodeShard(si int, sealed []byte) (shardState, error) {
+// decodeShard opens and verifies one sealed shard blob, decoding it against
+// known (see decodeShardState). The decrypted plaintext lives in a pooled
+// buffer for the duration of the decode — the binary codec copies every field
+// out.
+func (r *Replica) decodeShard(si int, sealed []byte, known map[string]VersionedDoc) (shardState, error) {
 	pb := shardBufs.Get()
 	defer shardBufs.Put(pb)
 	plain, ad, err := crypto.OpenTo(*pb, r.key, sealed)
@@ -552,7 +590,7 @@ func (r *Replica) decodeShard(si int, sealed []byte) (shardState, error) {
 	if string(ad) != string(r.shardAD(si)) {
 		return shardState{}, ErrIntegrity
 	}
-	st, err := decodeShardState(plain)
+	st, err := decodeShardState(plain, known)
 	if err != nil {
 		return shardState{}, ErrIntegrity
 	}
