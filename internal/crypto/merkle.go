@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"slices"
 )
 
 // Merkle trees are used by cells to verify the integrity of collections of
@@ -65,6 +66,73 @@ func MerkleRootOf(hashes [][sha256.Size]byte) [sha256.Size]byte {
 		}
 	}
 	return hashes[0]
+}
+
+// MerkleHashTree is the tree MerkleRootOf reduces, with every level kept:
+// after Set changes k of its n leaf hashes, Root re-hashes only their paths,
+// at most k·⌈log2 n⌉ node hashes instead of n-1. Its root equals MerkleRootOf
+// over the same leaves, odd-node rule included.
+type MerkleHashTree struct {
+	levels [][][sha256.Size]byte // levels[0] = leaf hashes, last level = root
+	dirty  []int                 // leaves Set to a new hash since the last Root
+}
+
+// NewMerkleHashTree builds the tree over the given leaf hashes. It keeps the
+// slice as its leaf level, so the caller must not modify it afterwards.
+func NewMerkleHashTree(leaves [][sha256.Size]byte) *MerkleHashTree {
+	t := &MerkleHashTree{levels: [][][sha256.Size]byte{leaves}}
+	for level := leaves; len(level) > 1; {
+		next := make([][sha256.Size]byte, (len(level)+1)/2)
+		for i := range next {
+			next[i] = parentOf(level, i)
+		}
+		t.levels = append(t.levels, next)
+		level = next
+	}
+	return t
+}
+
+// parentOf returns node i of the level above level, pairing an odd last
+// node with itself.
+func parentOf(level [][sha256.Size]byte, i int) [sha256.Size]byte {
+	l := 2 * i
+	r := min(l+1, len(level)-1)
+	return merkleSum(nodePrefix, level[l][:], level[r][:])
+}
+
+// Set replaces leaf i's hash. The path above it is re-hashed by the next Root.
+func (t *MerkleHashTree) Set(i int, leaf [sha256.Size]byte) {
+	if t.levels[0][i] != leaf {
+		t.levels[0][i] = leaf
+		t.dirty = append(t.dirty, i)
+	}
+}
+
+// Root returns the root over the current leaves, re-hashing each node above
+// a leaf Set since the last call once.
+func (t *MerkleHashTree) Root() [sha256.Size]byte {
+	if len(t.levels[0]) == 0 {
+		return MerkleLeaf(nil)
+	}
+	slices.Sort(t.dirty)
+	nodes := t.dirty
+	for lvl := 1; lvl < len(t.levels); lvl++ {
+		// Parents of sorted children come out sorted, so a repeat is always
+		// the previous entry.
+		n := 0
+		for _, i := range nodes {
+			if p := i / 2; n == 0 || nodes[n-1] != p {
+				nodes[n] = p
+				n++
+			}
+		}
+		nodes = nodes[:n]
+		for _, p := range nodes {
+			t.levels[lvl][p] = parentOf(t.levels[lvl-1], p)
+		}
+	}
+	t.dirty = t.dirty[:0]
+	return t.levels[len(t.levels)-1][0]
 }
 
 // NewMerkleTree builds a tree over the given leaves. An empty leaf set yields

@@ -3,6 +3,8 @@ package crypto
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -285,6 +287,37 @@ func TestMerkleRootOfAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MerkleLeaf + MerkleRootOf over %d leaves: %.1f allocations, want 0", len(leaves), allocs)
+	}
+}
+
+// TestMerkleHashTreeMatchesRootOf holds the incremental tree to MerkleRootOf
+// for 0 to 300 leaves: once built, then after each of several rounds of Set
+// calls, which repeat leaves and rewrite some with the hash they already hold.
+func TestMerkleHashTreeMatchesRootOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rootOf := func(leaves [][32]byte) [32]byte { return MerkleRootOf(slices.Clone(leaves)) }
+	for n := 0; n <= 300; n++ {
+		leaves := make([][32]byte, n)
+		for i, l := range makeLeaves(n) {
+			leaves[i] = MerkleLeaf(l)
+		}
+		want := rootOf(leaves)
+		tree := NewMerkleHashTree(slices.Clone(leaves))
+		if got := tree.Root(); got != want {
+			t.Fatalf("n=%d: built root differs from MerkleRootOf", n)
+		}
+		for round := 0; n > 0 && round < 4; round++ {
+			for k := rng.Intn(n) + 1; k > 0; k-- {
+				i := rng.Intn(n)
+				if rng.Intn(4) > 0 {
+					leaves[i] = MerkleLeaf([]byte(fmt.Sprintf("r%d-%d", round, k)))
+				}
+				tree.Set(i, leaves[i])
+			}
+			if got, want := tree.Root(), rootOf(leaves); got != want {
+				t.Fatalf("n=%d round %d: root after Set differs from MerkleRootOf", n, round)
+			}
+		}
 	}
 }
 

@@ -83,10 +83,11 @@ func timeEntryLess(a, b timeEntry) bool {
 // without touching the cloud.
 //
 // Every dimension a Query can filter on cheaply is indexed: keywords, the
-// document type, the owner, tag keys, and a time-ordered index serving
-// After/Before range scans. Search plans each query by picking the most
-// selective applicable index, intersecting the other applicable ID sets, and
-// only cloning the documents that survive sorting and Limit truncation.
+// document type, the owner, tag keys, (tag key, value) pairs, and a
+// time-ordered index serving After/Before range scans. Search plans each
+// query by picking the most selective applicable index, intersecting the
+// other applicable ID sets, and only cloning the documents that survive
+// sorting and Limit truncation.
 type Catalog struct {
 	mu      sync.RWMutex
 	docs    map[string]*Document
@@ -94,6 +95,9 @@ type Catalog struct {
 	byType  map[string]map[string]bool // document type -> doc ID set
 	byOwner map[string]map[string]bool // owner -> doc ID set
 	byTag   map[string]map[string]bool // tag key -> doc ID set
+	// byTagValue serves key-and-value tag filters, so they are driven by a
+	// set the size of their result instead of every document with the key.
+	byTagValue map[tagPair]map[string]bool
 	// byTime is the time-ordered index. It is kept sorted lazily: appends in
 	// creation-time order (the common case) keep it clean, out-of-order
 	// inserts mark it dirty and the next range query re-sorts it once.
@@ -110,11 +114,12 @@ type Catalog struct {
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		docs:    make(map[string]*Document),
-		keyword: make(map[string]map[string]bool),
-		byType:  make(map[string]map[string]bool),
-		byOwner: make(map[string]map[string]bool),
-		byTag:   make(map[string]map[string]bool),
+		docs:       make(map[string]*Document),
+		keyword:    make(map[string]map[string]bool),
+		byType:     make(map[string]map[string]bool),
+		byOwner:    make(map[string]map[string]bool),
+		byTag:      make(map[string]map[string]bool),
+		byTagValue: make(map[tagPair]map[string]bool),
 	}
 }
 
@@ -193,10 +198,11 @@ func (c *Catalog) Search(q Query) []*Document {
 // SearchPlan evaluates a metadata query like Search and additionally returns
 // the plan the catalog chose for it.
 //
-// Planning: every index applicable to q (keyword, type, owner, tag key, time
-// range) proposes its candidate set; the smallest one drives, the others are
-// intersected by cheap membership tests, and only conditions no index
-// guarantees remain in the residual filter. Sorting and Limit truncation
+// Planning: every index applicable to q (keyword, type, owner, tag, time
+// range) proposes its candidate set — the tag index's set is the documents
+// carrying the (key, value) pair when q names a value, else the key's; the
+// smallest one drives, the others are intersected by cheap membership tests,
+// and only conditions no index guarantees remain in the residual filter. Sorting and Limit truncation
 // happen on shared pointers; only the surviving documents are cloned.
 func (c *Catalog) SearchPlan(q Query) ([]*Document, PlanInfo) {
 	if !q.After.IsZero() || !q.Before.IsZero() {
@@ -227,6 +233,9 @@ func (c *Catalog) SearchPlan(q Query) ([]*Document, PlanInfo) {
 	}
 	if q.TagKey != "" {
 		set := c.byTag[q.TagKey]
+		if q.TagValue != "" {
+			set = c.byTagValue[tagPair{q.TagKey, q.TagValue}]
+		}
 		opts = append(opts, option{name: "tag", set: set, size: len(set)})
 	}
 	// The time index only serves range scans while sorted; a concurrent
@@ -289,11 +298,7 @@ func (c *Catalog) SearchPlan(q Query) ([]*Document, PlanInfo) {
 		case "owner":
 			rest.Owner = ""
 		case "tag":
-			// Membership in the tag-key index only proves the key exists;
-			// a value constraint still needs the residual filter.
-			if q.TagValue == "" {
-				rest.TagKey = ""
-			}
+			rest.TagKey, rest.TagValue = "", ""
 		case "time":
 			if i == driver {
 				rest.After, rest.Before = time.Time{}, time.Time{}
@@ -475,8 +480,11 @@ func normalizeKeyword(k string) string {
 	return strings.ToLower(strings.TrimSpace(k))
 }
 
+// tagPair is one (tag key, value) of the byTagValue index.
+type tagPair struct{ key, value string }
+
 // addToSet inserts id into idx[key], creating the set on first use.
-func addToSet(idx map[string]map[string]bool, key, id string) {
+func addToSet[K comparable](idx map[K]map[string]bool, key K, id string) {
 	set := idx[key]
 	if set == nil {
 		set = make(map[string]bool)
@@ -486,7 +494,7 @@ func addToSet(idx map[string]map[string]bool, key, id string) {
 }
 
 // dropFromSet removes id from idx[key], deleting empty sets.
-func dropFromSet(idx map[string]map[string]bool, key, id string) {
+func dropFromSet[K comparable](idx map[K]map[string]bool, key K, id string) {
 	if set := idx[key]; set != nil {
 		delete(set, id)
 		if len(set) == 0 {
@@ -506,8 +514,9 @@ func (c *Catalog) indexDocLocked(d *Document) {
 	}
 	addToSet(c.byType, d.Type, d.ID)
 	addToSet(c.byOwner, d.Owner, d.ID)
-	for k := range d.Tags {
+	for k, v := range d.Tags {
 		addToSet(c.byTag, k, d.ID)
+		addToSet(c.byTagValue, tagPair{k, v}, d.ID)
 	}
 	e := timeEntry{at: d.CreatedAt, id: d.ID}
 	if n := len(c.byTime); !c.timeDirty && n > 0 && timeEntryLess(e, c.byTime[n-1]) {
@@ -527,8 +536,9 @@ func (c *Catalog) unindexDocLocked(d *Document) {
 	}
 	dropFromSet(c.byType, d.Type, d.ID)
 	dropFromSet(c.byOwner, d.Owner, d.ID)
-	for k := range d.Tags {
+	for k, v := range d.Tags {
 		dropFromSet(c.byTag, k, d.ID)
+		dropFromSet(c.byTagValue, tagPair{k, v}, d.ID)
 	}
 	target := timeEntry{at: d.CreatedAt, id: d.ID}
 	i := 0

@@ -51,11 +51,11 @@ func TestSearchPlanUsesMostSelectiveIndex(t *testing.T) {
 		t.Fatalf("type plan = %+v", plan)
 	}
 
-	// Tag filter with value: tag-key index drives, residual filter keeps the
-	// value constraint.
+	// Tag filter with value: the (key, value) index drives with exactly the
+	// value's 50 documents, and none is scanned in vain.
 	docs, plan = cat.SearchPlan(Query{TagKey: "home", TagValue: "h0"})
-	if plan.Index != "tag" || plan.Candidates != 100 {
-		t.Fatalf("tag plan = %+v", plan)
+	if plan.Index != "tag" || plan.Candidates != 50 || plan.Scanned != 50 || len(docs) != 50 {
+		t.Fatalf("tag plan = %+v (%d docs)", plan, len(docs))
 	}
 	for _, d := range docs {
 		if d.Tags["home"] != "h0" {
@@ -228,5 +228,131 @@ func TestCatalogConcurrentSearchAndMutate(t *testing.T) {
 	wg.Wait()
 	if got := cat.Len(); got != 200+4*50 {
 		t.Fatalf("len after concurrent adds = %d", got)
+	}
+}
+
+// fuzzDoc builds document id from two input bytes: a picks the type, owner
+// and an optional second tag; b picks the creation minute (repeats and out of
+// order inserts included) and the home tag's value.
+func fuzzDoc(id string, a, b byte) *Document {
+	d := &Document{
+		ID:        id,
+		Owner:     []string{"alice", "bob"}[a>>2&1],
+		Type:      []string{"note", "series", "photo"}[a%3],
+		Keywords:  []string{"energy"},
+		CreatedAt: planBase.Add(time.Duration(b%8) * time.Minute),
+		Tags:      map[string]string{"home": fmt.Sprintf("h%d", b>>3%3)},
+	}
+	if a>>3&1 != 0 {
+		d.Tags["room"] = []string{"", "r1"}[a>>4&1]
+	}
+	return d
+}
+
+// fuzzQuery builds a filter from two input bytes: each bit of a sets one
+// field, b picks the values. A tag value without a key is included on
+// purpose: the filter ignores it.
+func fuzzQuery(a, b byte) Query {
+	var q Query
+	if a&1 != 0 {
+		q.TagKey = []string{"home", "room", "nope"}[b%3]
+	}
+	if a&2 != 0 {
+		q.TagValue = []string{"h0", "h1", "h2", "r1"}[b>>2%4]
+	}
+	if a&4 != 0 {
+		q.Type = []string{"note", "series", "photo"}[b>>4%3]
+	}
+	if a&8 != 0 {
+		q.After = planBase.Add(time.Duration(b%8) * time.Minute)
+	}
+	if a&16 != 0 {
+		q.Before = planBase.Add(time.Duration(b>>3%8) * time.Minute)
+	}
+	if a&32 != 0 {
+		q.Owner = "alice"
+	}
+	if a&64 != 0 {
+		q.Keyword = "energy"
+	}
+	if a&128 != 0 {
+		q.Limit = int(b%4) + 1
+	}
+	return q
+}
+
+// FuzzCatalogPlan runs a sequence of Add, Update, Remove and search steps
+// decoded from the input over a catalog of at most 16 documents, and holds
+// every planned search to the scan oracle. Updates may move a document to
+// another tag value, another type or another time, which is what would leave
+// a stale entry in an index.
+func FuzzCatalogPlan(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x03, 0x00})
+	// Add doc-00 as home=h0, move it to home=h1, ask for home=h0.
+	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x00, 0x08, 0x03, 0x03, 0x00})
+	f.Add([]byte{0x10, 0x09, 0x08, 0x11, 0x09, 0x10, 0x03, 0x03, 0x00, 0x03, 0x03, 0x04})
+	f.Add([]byte{0x20, 0x04, 0x07, 0x21, 0x04, 0x0f, 0x23, 0xff, 0x08, 0x32, 0x03, 0x1f, 0x2b})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		cat := NewCatalog()
+		for len(data) > 0 {
+			op := next()
+			id := fmt.Sprintf("doc-%02d", op>>4)
+			switch op % 4 {
+			case 0:
+				_ = cat.Add(fuzzDoc(id, next(), next()))
+			case 1:
+				_ = cat.Update(fuzzDoc(id, next(), next()))
+			case 2:
+				_ = cat.Remove(id)
+			case 3:
+				q := fuzzQuery(next(), next())
+				got, plan := cat.SearchPlan(q)
+				if want := cat.searchScan(q); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %+v: plan %+v returned %d docs, scan %d", q, plan, len(got), len(want))
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkCatalogTagQuery is the series query of the benchmark's cell_vault
+// workload against its catalog shape: 10k documents, half of them series in
+// tag partitions of 10, each query naming one partition and the series type.
+func BenchmarkCatalogTagQuery(b *testing.B) {
+	const docs, partitionDocs = 10_000, 10
+	cat := NewCatalog()
+	for i := 0; i < docs; i++ {
+		d := &Document{
+			ID: fmt.Sprintf("doc-%05d", i), Owner: "cell", Type: "note", Class: ClassAuthored,
+			CreatedAt: planBase.Add(time.Duration(i) * time.Second),
+		}
+		if i%2 == 0 {
+			d.Type, d.Class = "series", ClassSensed
+			d.Keywords = []string{"energy"}
+			d.Tags = map[string]string{"home": fmt.Sprintf("h%04d", i/2/partitionDocs)}
+		}
+		if err := cat.Add(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	parts := docs / 2 / partitionDocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := Query{Type: "series", TagKey: "home", TagValue: fmt.Sprintf("h%04d", i%parts)}
+		if got := cat.Search(q); len(got) != partitionDocs {
+			b.Fatalf("partition query returned %d docs", len(got))
+		}
 	}
 }

@@ -136,9 +136,12 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 			copy(grown, d.data)
 			d.data = grown
 		}
-		// Spare capacity may hold bytes from before a Truncate: zero the gap.
 		d.data = d.data[:end]
-		clear(d.data[old:end])
+		// Spare capacity may hold bytes from before a Truncate. The copy
+		// below covers [off, end); only a gap before off needs zeroing.
+		if off > old {
+			clear(d.data[old:off])
+		}
 	}
 	copy(d.data[off:end], p)
 	return len(p), nil

@@ -259,3 +259,33 @@ func TestAppendLogResume(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMemDeviceWriteAfterTruncate: a write that straddles the end left by a
+// Truncate reads back as written, and a write past it leaves a gap of zeros
+// even though the spare capacity still holds the truncated bytes.
+func TestMemDeviceWriteAfterTruncate(t *testing.T) {
+	d := NewMemDevice(0)
+	if _, err := d.WriteAt(bytes.Repeat([]byte{0xFF}, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Truncate(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteAt([]byte("abcd"), 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Truncate(10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteAt([]byte("xy"), 20); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 22)
+	if _, err := d.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(append(bytes.Repeat([]byte{0xFF}, 6), "abcd"...), make([]byte, 10)...), "xy"...)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("read %x, want %x", buf, want)
+	}
+}

@@ -37,7 +37,6 @@ package sync
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -178,21 +177,6 @@ func (r *Replica) signAttest(si int, replica string, epoch uint64, root []byte) 
 	return crypto.HMAC(r.authKey, r.attestMsg(si, replica, epoch, root))
 }
 
-// shardMerkleRoot commits to a shard's document set: one leaf per document
-// (sorted by ID) covering the ID, winning revision, authoring replica and
-// tombstone flag (shardLeaf). Content bytes are already covered by the AEAD
-// seal; the root pins *which versions* the shard holds, which is exactly what
-// rollback and fork attacks manipulate. It combines the entries' cached leaf
-// hashes, so docs must come from a snapshot, which fills every cache.
-func shardMerkleRoot(docs []shardEntry) []byte {
-	hashes := make([][sha256.Size]byte, len(docs))
-	for i := range docs {
-		hashes[i] = docs[i].leaf
-	}
-	root := crypto.MerkleRootOf(hashes)
-	return root[:]
-}
-
 // nextEpochLocked issues the epoch for one outgoing attestation. The external
 // source wins when installed; otherwise the in-memory counter continues past
 // the replica's own witnessed epochs, so a replica rebuilt from replicated
@@ -217,19 +201,18 @@ func (r *Replica) nextEpochLocked(si int) (uint64, error) {
 // from any single push). The replica witnesses its own attestation
 // immediately — an upload that then fails merely burns an epoch. The caller
 // holds the state mutex.
-func (r *Replica) attestSnapshotLocked(si int, snap *shardState) error {
+func (r *Replica) attestSnapshotLocked(si int, snap *shardSnapshot) error {
 	epoch, err := r.nextEpochLocked(si)
 	if err != nil {
 		return fmt.Errorf("sync: epoch source for shard %d: %w", si, err)
 	}
-	root := shardMerkleRoot(snap.Docs)
-	att := Attestation{Epoch: epoch, Root: root, Sig: r.signAttest(si, r.id, epoch, root)}
+	att := Attestation{Epoch: epoch, Root: snap.root, Sig: r.signAttest(si, r.id, epoch, snap.root)}
 	sh := r.shards[si]
 	sh.attests[r.id] = att
-	snap.Writer = r.id
-	snap.Attests = make(map[string]Attestation, len(sh.attests))
+	snap.state.Writer = r.id
+	snap.state.Attests = make(map[string]Attestation, len(sh.attests))
 	for rep, a := range sh.attests {
-		snap.Attests[rep] = a
+		snap.state.Attests[rep] = a
 	}
 	return nil
 }

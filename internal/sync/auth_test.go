@@ -215,7 +215,7 @@ func TestUnattestedShardRefused(t *testing.T) {
 	// forms and an unstamped current-codec state, each sealed under the user
 	// key, fail closed on Pull and on CheckShardBlob.
 	forms := legacyShardForms(t, codecTestState())
-	unstamped, err := appendShardState(nil, codecTestState())
+	unstamped, err := encodeState(codecTestState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCodecAuthSectionRoundTrip(t *testing.T) {
 			"alice/phone":   {Epoch: 2, Root: []byte{9}, Sig: []byte{8}},
 		},
 	}
-	enc, err := appendShardState(nil, st)
+	enc, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,15 +372,9 @@ func TestAttestationOverheadConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		with, err := appendShardState(nil, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.Writer, snap.Attests = "", nil
-		without, err := appendShardState(nil, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		with := appendShardState(nil, snap.entries, snap.state)
+		snap.state.Writer, snap.state.Attests = "", nil
+		without := appendShardState(nil, snap.entries, snap.state)
 		overhead[n] = len(with) - len(without)
 		if n == 1000 {
 			if pct := 100 * float64(overhead[n]) / float64(len(without)); pct > 5 {

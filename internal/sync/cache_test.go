@@ -2,6 +2,7 @@ package sync
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -179,24 +180,109 @@ func TestPullDecodesOnlyChangedEntries(t *testing.T) {
 	}
 }
 
-// TestShardRootMatchesOracle holds the root combined from cached leaf hashes
-// to the tree built over the leaf list, for shards of 0 to 300 documents.
+// shardMerkleRoot is a shard's root from scratch: every entry's leaf,
+// recomputed, in the order given, reduced by crypto.MerkleRootOf.
+func shardMerkleRoot(docs []shardEntry) []byte {
+	hashes := make([][sha256.Size]byte, len(docs))
+	for i := range docs {
+		hashes[i] = shardLeaf(docs[i].ID, &docs[i].VersionedDoc)
+	}
+	root := crypto.MerkleRootOf(hashes)
+	return root[:]
+}
+
+// remoteState builds a pulled shard state from the given entries, sorted by
+// ID: encoded and decoded, so every entry carries the cache a decode gives it.
+func remoteState(t *testing.T, entries map[string]VersionedDoc, vv map[string]uint64) shardState {
+	t.Helper()
+	st := shardState{VV: vv}
+	for _, id := range sortedKeys(entries) {
+		st.Docs = append(st.Docs, shardEntry{ID: id, VersionedDoc: entries[id]})
+	}
+	data, err := encodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = decodeShardState(data, nil); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestShardRootMatchesOracle drives one shard through seeded batches of
+// local upserts and deletes and merges of remote states (new documents,
+// newer revisions, both sides of a same-revision conflict), with new IDs
+// arriving throughout, until the shard holds more than 300 documents.
+// After every batch a push snapshot must carry the entries of a freshly
+// sorted copy of the shard, and its root — taken from the shard's
+// incrementally updated tree — must equal shardMerkleRoot over that copy and
+// the oracle's tree over the leaf bytes.
 func TestShardRootMatchesOracle(t *testing.T) {
-	r := NewReplicaShards("alice/gateway", "alice", crypto.SymmetricKey{}, nil, nil, 1)
-	for n := 0; n <= 300; n++ {
-		if n > 0 {
-			r.Upsert(doc(n))
-			if n%7 == 0 {
-				r.Delete(doc(n / 2).ID)
+	r := NewReplicaShards("alice/gateway", "alice", crypto.SymmetricKey{}, nil, func() time.Time { return t0 }, 1)
+	sh := r.shards[0]
+	rng := rand.New(rand.NewSource(5))
+	ids := 0
+	pick := func() int {
+		if ids == 0 || rng.Intn(3) == 0 {
+			ids++
+			return ids - 1
+		}
+		return rng.Intn(ids)
+	}
+	for step := 0; len(sh.docs) <= 300; step++ {
+		for k := rng.Intn(4); k > 0; k-- {
+			switch rng.Intn(4) {
+			case 0:
+				d := doc(pick())
+				d.Title = fmt.Sprintf("step %d", step)
+				r.Upsert(d)
+			case 1:
+				r.Delete(doc(pick()).ID)
+			default:
+				remote := map[string]VersionedDoc{}
+				for n := rng.Intn(4); n >= 0; n-- {
+					i := pick()
+					id := doc(i).ID
+					lv := sh.docs[id]
+					v := VersionedDoc{Doc: doc(i), Revision: lv.Revision + 1, Replica: "alice/phone", Updated: t0, Deleted: rng.Intn(4) == 0}
+					if lv.Revision > 0 && rng.Intn(2) == 0 {
+						// Same revision from another replica: a conflict that
+						// "alice/zeta" wins and "alice/alpha" loses.
+						v.Revision, v.Replica = lv.Revision, []string{"alice/alpha", "alice/zeta"}[rng.Intn(2)]
+					}
+					remote[id] = v
+				}
+				r.mergeShardLocked(sh, remoteState(t, remote, map[string]uint64{"alice/phone": uint64(step)}))
 			}
 		}
-		snap, err := snapshotShardLocked(r.shards[0])
+		snap, err := snapshotShardLocked(sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleShardRoot(snap.Docs)
-		if got := shardMerkleRoot(snap.Docs); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: cached-leaf root %x, oracle %x", n, got, want)
+		var fresh []shardEntry
+		for _, id := range sortedKeys(sh.docs) {
+			fresh = append(fresh, shardEntry{ID: id, VersionedDoc: sh.docs[id]})
 		}
+		if len(snap.entries) != len(fresh) {
+			t.Fatalf("step %d: snapshot has %d entries, shard %d", step, len(snap.entries), len(fresh))
+		}
+		for i := range fresh {
+			want, err := appendShardEntry(nil, fresh[i].ID, &fresh[i].VersionedDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snap.entries[i], want) {
+				t.Fatalf("step %d: snapshot entry %d is %x, want %s encoded", step, i, snap.entries[i], fresh[i].ID)
+			}
+		}
+		if want := shardMerkleRoot(fresh); !bytes.Equal(snap.root, want) {
+			t.Fatalf("step %d, %d docs: tree root %x, shardMerkleRoot %x", step, len(fresh), snap.root, want)
+		}
+		if want := oracleShardRoot(fresh); !bytes.Equal(snap.root, want) {
+			t.Fatalf("step %d, %d docs: tree root %x, oracle %x", step, len(fresh), snap.root, want)
+		}
+	}
+	if r.ConflictsResolved() == 0 {
+		t.Fatal("the sequence resolved no conflict")
 	}
 }

@@ -74,8 +74,7 @@ func consumeBytes(b []byte) ([]byte, []byte, error) {
 
 // appendShardEntry appends the canonical encoding of one doc entry, key
 // included. It is the only entry encoder: a push snapshot caches its output on
-// the entry (cacheEntry), and appendShardState runs it for an entry that has
-// no cache.
+// the entry (cacheEntry), and appendShardState copies the caches.
 func appendShardEntry(dst []byte, id string, v *VersionedDoc) ([]byte, error) {
 	dst = datamodel.AppendString(dst, id)
 	dst = binary.AppendUvarint(dst, v.Revision)
@@ -101,7 +100,10 @@ func appendShardEntry(dst []byte, id string, v *VersionedDoc) ([]byte, error) {
 }
 
 // shardLeaf is the Merkle leaf hash of one doc entry: its ID, revision,
-// authoring replica and tombstone flag (see shardMerkleRoot).
+// authoring replica and tombstone flag. A shard's attested root is the tree
+// over its leaves in ID order (replicaShard.tree). Content bytes are already
+// covered by the AEAD seal; the root pins which versions the shard holds,
+// which is exactly what rollback and fork attacks manipulate.
 func shardLeaf(id string, v *VersionedDoc) [sha256.Size]byte {
 	var buf [128]byte
 	leaf := datamodel.AppendString(buf[:0], id)
@@ -126,23 +128,16 @@ func cacheEntry(id string, v *VersionedDoc, scratch []byte) ([]byte, error) {
 	return scratch, nil
 }
 
-// appendShardState appends the binary encoding of st to dst. st.Docs must be
-// sorted by ID without repeats, as a snapshot or a decode leaves it; an entry
-// with a cache is copied, one without is encoded.
-func appendShardState(dst []byte, st shardState) ([]byte, error) {
+// appendShardState appends the binary encoding of a shard state to dst:
+// entries are its doc entries' canonical encodings (appendShardEntry's
+// output) sorted by ID without repeats, and st supplies the rest; st.Docs is
+// not read.
+func appendShardState(dst []byte, entries [][]byte, st shardState) []byte {
 	dst = append(dst, shardCodecMagic, shardCodecVersion)
 
-	dst = binary.AppendUvarint(dst, uint64(len(st.Docs)))
-	for i := range st.Docs {
-		e := &st.Docs[i]
-		if len(e.wire) > 0 {
-			dst = append(dst, e.wire...)
-			continue
-		}
-		var err error
-		if dst, err = appendShardEntry(dst, e.ID, &e.VersionedDoc); err != nil {
-			return nil, err
-		}
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
+	for _, e := range entries {
+		dst = append(dst, e...)
 	}
 
 	vvKeys := make([]string, 0, len(st.VV))
@@ -180,7 +175,7 @@ func appendShardState(dst []byte, st shardState) ([]byte, error) {
 		dst = appendBytes(dst, a.Root)
 		dst = appendBytes(dst, a.Sig)
 	}
-	return dst, nil
+	return dst
 }
 
 var errShardCodec = fmt.Errorf("sync: malformed shard state")

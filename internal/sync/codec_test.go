@@ -66,9 +66,9 @@ func statesEquivalent(t *testing.T, want, got shardState) {
 
 func TestShardCodecRoundTrip(t *testing.T) {
 	want := codecTestState()
-	data, err := appendShardState(nil, want)
+	data, err := encodeState(want)
 	if err != nil {
-		t.Fatalf("appendShardState: %v", err)
+		t.Fatalf("encodeState: %v", err)
 	}
 	got, err := decodeShardState(data, nil)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 func legacyShardForms(t *testing.T, st shardState) map[string][]byte {
 	t.Helper()
 	st.Writer, st.Attests = "", nil
-	v2, err := appendShardState(nil, st)
+	v2, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestShardCodecJSONFallback(t *testing.T) {
 
 func TestShardCodecDeterministic(t *testing.T) {
 	st := codecTestState()
-	a, _ := appendShardState(nil, st)
-	b, _ := appendShardState(nil, st)
+	a, _ := encodeState(st)
+	b, _ := encodeState(st)
 	if string(a) != string(b) {
 		t.Fatal("two encodings of the same state differ")
 	}
@@ -127,7 +127,7 @@ func TestShardCodecRejectsTruncation(t *testing.T) {
 // truncationCases is every proper prefix of an encoded state, plus the
 // state with a trailing byte.
 func truncationCases(t testing.TB) [][]byte {
-	data, err := appendShardState(nil, codecTestState())
+	data, err := encodeState(codecTestState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestShardCodecBoundsCounts(t *testing.T) {
 
 func TestShardCodecRejectsNonCanonical(t *testing.T) {
 	st := codecTestState()
-	data, err := appendShardState(nil, st)
+	data, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +256,23 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// encodeState encodes a decoded or hand-built state the way a push does:
+// each entry's cache, or its encoding when it has none, then the rest.
+func encodeState(st shardState) ([]byte, error) {
+	entries := make([][]byte, len(st.Docs))
+	for i := range st.Docs {
+		e := &st.Docs[i]
+		entries[i] = e.wire
+		if len(e.wire) == 0 {
+			var err error
+			if entries[i], err = appendShardEntry(nil, e.ID, &e.VersionedDoc); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return appendShardState(nil, entries, st), nil
+}
+
 // withoutCache returns a copy of st whose entries carry no cache.
 func withoutCache(st shardState) shardState {
 	st.Docs = slices.Clone(st.Docs)
@@ -280,7 +297,7 @@ func docsOf(st shardState) map[string]VersionedDoc {
 // local shard to skip against.
 func TestShardCodecRefusesRepeatedLastEntry(t *testing.T) {
 	st := codecTestState()
-	data, err := appendShardState(nil, st)
+	data, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +393,7 @@ func FuzzShardState(f *testing.F) {
 	signed := codecTestState()
 	signed.Writer = "alice/gateway"
 	signed.Attests = map[string]Attestation{"alice/gateway": {Epoch: 3, Root: []byte{1, 2}, Sig: []byte{3}}}
-	if data, err := appendShardState(nil, signed); err == nil {
+	if data, err := encodeState(signed); err == nil {
 		f.Add(data)
 	}
 	f.Add(shardCountBomb(200))
@@ -398,8 +415,8 @@ func FuzzShardState(f *testing.F) {
 		}
 		encoders := map[string]func(shardState) ([]byte, error){
 			"oracle":  oracleShardState,
-			"entries": func(st shardState) ([]byte, error) { return appendShardState(nil, withoutCache(st)) },
-			"cached":  func(st shardState) ([]byte, error) { return appendShardState(nil, st) },
+			"entries": func(st shardState) ([]byte, error) { return encodeState(withoutCache(st)) },
+			"cached":  func(st shardState) ([]byte, error) { return encodeState(st) },
 		}
 		for name, encode := range encoders {
 			again, err := encode(st)

@@ -92,7 +92,7 @@ func (r *Replica) push() error {
 	// push everything dirty now. Attestations are stamped before any dirty
 	// flag clears so an epoch-source failure loses nothing.
 	dirty = r.dirtyShardIndexesLocked()
-	snaps := make([]shardState, len(dirty))
+	snaps := make([]shardSnapshot, len(dirty))
 	for i, si := range dirty {
 		var err error
 		if snaps[i], err = snapshotShardLocked(r.shards[si]); err == nil {

@@ -61,9 +61,9 @@ type VersionedDoc struct {
 	// included) and its Merkle leaf hash; an empty wire means no cache.
 	// They are filled under the replica's state mutex when a push snapshots
 	// the shard and when a pulled entry is decoded. Every write to a shard's
-	// docs map replaces the whole value, so a cache never outlives its
-	// version, and the bytes are never modified once filled, so a snapshot
-	// may share them outside the mutex.
+	// docs map replaces the whole value (replicaShard.setDoc), so a cache
+	// never outlives its version, and the bytes are never modified once
+	// filled, so a snapshot may share them outside the mutex.
 	wire []byte
 	leaf [sha256.Size]byte
 }
@@ -81,7 +81,9 @@ type shardEntry struct {
 // pushes converge instead of clobbering.
 type shardState struct {
 	// Docs is sorted by ID without repeats. A state decoded against the
-	// local shard holds only the entries that differ from it.
+	// local shard holds only the entries that differ from it. A push
+	// snapshot leaves it nil and carries the encoded entries instead
+	// (shardSnapshot).
 	Docs      []shardEntry
 	VV        map[string]uint64
 	Conflicts map[string]bool
@@ -97,7 +99,20 @@ type shardState struct {
 // replicaShard is one in-memory partition of a replica, guarded by the
 // replica's state mutex.
 type replicaShard struct {
-	docs      map[string]VersionedDoc
+	// docs is written only through setDoc, which keeps order, tree and
+	// changed in step with it.
+	docs map[string]VersionedDoc
+	// order is the sorted IDs of docs and tree the Merkle tree over their
+	// cached leaves, in that order; a push snapshot builds both when they
+	// are nil. IDs are never deleted from docs (Delete keeps a tombstone),
+	// so only a new ID invalidates them.
+	order []string
+	tree  *crypto.MerkleHashTree
+	// changed holds the order positions of the cached entries replaced
+	// since the tree last took their leaves. A position whose entry has no
+	// cache yet is there already: every entry had one when the tree was
+	// built.
+	changed   []int
 	vv        map[string]uint64
 	conflicts map[string]bool
 	// dirty marks local information the cloud copy may lack: local updates
@@ -262,12 +277,12 @@ func (r *Replica) Upsert(doc *datamodel.Document) {
 	defer r.mu.Unlock()
 	s := r.shardFor(doc.ID)
 	cur := s.docs[doc.ID]
-	s.docs[doc.ID] = VersionedDoc{
+	s.setDoc(doc.ID, VersionedDoc{
 		Doc:      doc.Clone(),
 		Revision: cur.Revision + 1,
 		Replica:  r.id,
 		Updated:  r.clock(),
-	}
+	})
 	s.vv[r.id]++
 	s.dirty = true
 }
@@ -278,13 +293,13 @@ func (r *Replica) Delete(docID string) {
 	defer r.mu.Unlock()
 	s := r.shardFor(docID)
 	cur := s.docs[docID]
-	s.docs[docID] = VersionedDoc{
+	s.setDoc(docID, VersionedDoc{
 		Doc:      cur.Doc,
 		Revision: cur.Revision + 1,
 		Replica:  r.id,
 		Updated:  r.clock(),
 		Deleted:  true,
-	}
+	})
 	s.vv[r.id]++
 	s.dirty = true
 }
@@ -443,7 +458,7 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 		id, rv := e.ID, e.VersionedDoc
 		lv, exists := s.docs[id]
 		if !exists {
-			s.docs[id] = rv
+			s.setDoc(id, rv)
 			r.noteChangedLocked(id)
 			continue
 		}
@@ -461,7 +476,7 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 			if lv.Replica == r.id && rv.Replica != r.id && remote.VV[r.id] < s.vv[r.id] {
 				r.recordConflictLocked(s, conflictKey(id, rv.Revision, lv.Replica))
 			}
-			s.docs[id] = rv
+			s.setDoc(id, rv)
 			r.noteChangedLocked(id)
 		case rv.Revision == lv.Revision && rv.Replica != lv.Replica:
 			// True concurrent conflict: deterministic winner, recorded under a
@@ -472,7 +487,7 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 			}
 			r.recordConflictLocked(s, conflictKey(id, rv.Revision, loser))
 			if rv.Replica > lv.Replica {
-				s.docs[id] = rv
+				s.setDoc(id, rv)
 				r.noteChangedLocked(id)
 			}
 		}
@@ -492,40 +507,93 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 	}
 }
 
-// snapshotShardLocked copies a shard's replicated state for sealing outside
-// the state mutex. The documents become one ID-sorted entry slice, which the
-// Merkle root and the encoder share; an entry without a cache gets one here,
-// written back to the shard so the next snapshot finds it.
-func snapshotShardLocked(s *replicaShard) (shardState, error) {
-	out := shardState{
-		Docs:      make([]shardEntry, 0, len(s.docs)),
-		VV:        make(map[string]uint64, len(s.vv)),
-		Conflicts: make(map[string]bool, len(s.conflicts)),
+// setDoc is the one write to a shard's document map. A new ID drops the
+// order and the tree. Replacing a cached entry marks its position changed,
+// until as many positions are marked as the shard has documents: then
+// rebuilding the tree costs no more than re-hashing their paths, so the tree
+// is dropped instead.
+func (s *replicaShard) setDoc(id string, v VersionedDoc) {
+	old, exists := s.docs[id]
+	switch {
+	case !exists:
+		s.order, s.tree = nil, nil
+	case s.tree == nil || len(old.wire) == 0:
+		// The next snapshot builds the tree, or has the position already.
+	case len(s.changed) < len(s.order):
+		i, _ := slices.BinarySearch(s.order, id)
+		s.changed = append(s.changed, i)
+	default:
+		s.tree = nil
 	}
-	ids := make([]string, 0, len(s.docs))
-	for id := range s.docs {
-		ids = append(ids, id)
+	s.docs[id] = v
+}
+
+// shardSnapshot is one shard as a push seals it: the entries' cached
+// encodings in ID order, shared with the shard; the Merkle root over their
+// leaves; and a copy of the rest of the state, which attestSnapshotLocked
+// stamps.
+type shardSnapshot struct {
+	entries [][]byte
+	root    []byte
+	state   shardState
+}
+
+// snapshotShardLocked takes a shard's replicated state for sealing outside
+// the state mutex. It walks the shard's ID order, filling the cache of every
+// entry written since the last snapshot, and takes the root from the tree,
+// which re-hashes only the paths of changed leaves. A new ID since the last
+// snapshot costs a sort and a tree build.
+func snapshotShardLocked(s *replicaShard) (shardSnapshot, error) {
+	if s.order == nil {
+		s.order = make([]string, 0, len(s.docs))
+		for id := range s.docs {
+			s.order = append(s.order, id)
+		}
+		slices.Sort(s.order)
 	}
-	slices.Sort(ids)
+	var leaves [][sha256.Size]byte
+	if s.tree == nil {
+		leaves = make([][sha256.Size]byte, len(s.order))
+	}
+	snap := shardSnapshot{
+		entries: make([][]byte, len(s.order)),
+		state: shardState{
+			VV:        make(map[string]uint64, len(s.vv)),
+			Conflicts: make(map[string]bool, len(s.conflicts)),
+		},
+	}
 	var scratch []byte
-	for _, id := range ids {
+	for i, id := range s.order {
 		v := s.docs[id]
 		if len(v.wire) == 0 {
 			var err error
 			if scratch, err = cacheEntry(id, &v, scratch); err != nil {
-				return shardState{}, err
+				return shardSnapshot{}, err
 			}
-			s.docs[id] = v
+			s.setDoc(id, v)
 		}
-		out.Docs = append(out.Docs, shardEntry{ID: id, VersionedDoc: v})
+		snap.entries[i] = v.wire
+		if leaves != nil {
+			leaves[i] = v.leaf
+		}
 	}
+	if leaves != nil {
+		s.tree = crypto.NewMerkleHashTree(leaves)
+	} else {
+		for _, i := range s.changed {
+			s.tree.Set(i, s.docs[s.order[i]].leaf)
+		}
+	}
+	s.changed = s.changed[:0]
+	root := s.tree.Root()
+	snap.root = root[:]
 	for k, v := range s.vv {
-		out.VV[k] = v
+		snap.state.VV[k] = v
 	}
 	for k := range s.conflicts {
-		out.Conflicts[k] = true
+		snap.state.Conflicts[k] = true
 	}
-	return out, nil
+	return snap, nil
 }
 
 // mapCloudErr folds provider unavailability into the replica's disconnected
@@ -548,13 +616,10 @@ var shardBufs crypto.BufPool
 // scratch buffer, seal into a second pooled buffer in one pass. The caller
 // owns the returned buffer and must hand it back to releaseShardBuf once the
 // bytes have been shipped.
-func (r *Replica) encodeShard(si int, st shardState) (*[]byte, error) {
+func (r *Replica) encodeShard(si int, snap shardSnapshot) (*[]byte, error) {
 	pb := shardBufs.Get()
 	defer shardBufs.Put(pb)
-	payload, err := appendShardState(*pb, st)
-	if err != nil {
-		return nil, fmt.Errorf("sync: encode shard %d: %w", si, err)
-	}
+	payload := appendShardState(*pb, snap.entries, snap.state)
 	*pb = payload
 	sb := shardBufs.Get()
 	sealed, err := crypto.SealTo(*sb, r.key, payload, r.shardAD(si))
