@@ -38,8 +38,11 @@
 //	    -tenant acme:1073741824:500 -tenant globex
 //
 // Each -tenant is name[:maxBytes[:opsPerSec]]; omitted budgets are
-// unlimited. A front-door connection binds to its tenant with a hello frame
-// and then sees only its own namespace. The -addr listener keeps serving the
+// unlimited. With tenants defined the front door fails closed: a connection
+// must bind to its tenant with a hello frame before anything else (until then
+// every request fails with cloud.ErrNoTenant), binds once, and then sees only
+// its own namespace. Without -tenant flags it serves the backend, behind
+// admission, to every connection. The -addr listener keeps serving the
 // backend directly, with neither tenants nor admission: it is the port for
 // trusted local cells and for fleet coordinators dialing their members.
 //
@@ -299,7 +302,10 @@ func main() {
 			MaxInFlight: *maxInFly,
 			RetryAfter:  *retryAfter,
 		})
-		reg := cloud.NewTenants(adm)
+		var reg *cloud.Tenants
+		if len(tenants) > 0 {
+			reg = cloud.NewTenants(adm)
+		}
 		for _, spec := range tenants {
 			if err := reg.Define(spec.name, spec.quota); err != nil {
 				log.Fatalf("tccloud: %v", err)

@@ -97,17 +97,11 @@ func (a *Admission) acquire(w int64) error {
 
 func (a *Admission) release(w int64) { a.inFlight.Add(-w) }
 
-// PutBlob implements Service with weight 1.
-func (a *Admission) PutBlob(name string, data []byte) (int, error) {
-	if err := a.acquire(1); err != nil {
-		return 0, err
-	}
-	defer a.release(1)
-	return a.inner.PutBlob(name, data)
-}
+// PutBlob implements Service: a batch of one, weight 1.
+func (a *Admission) PutBlob(name string, data []byte) (int, error) { return putOne(a, name, data) }
 
-// GetBlob implements Service; reads are never shed.
-func (a *Admission) GetBlob(name string) (Blob, error) { return a.inner.GetBlob(name) }
+// GetBlob implements Service: a batch of one; reads are never shed.
+func (a *Admission) GetBlob(name string) (Blob, error) { return getOne(a, name) }
 
 // DeleteBlob implements Service with weight 1.
 func (a *Admission) DeleteBlob(name string) error {

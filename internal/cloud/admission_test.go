@@ -139,14 +139,14 @@ func TestAdmissionConcurrentBound(t *testing.T) {
 	}
 }
 
-// peakService records the highest concurrent PutBlob count it observes.
+// peakService records the highest concurrent put count it observes.
 type peakService struct {
 	Service
 	cur  atomic.Int64
 	peak atomic.Int64
 }
 
-func (p *peakService) PutBlob(name string, data []byte) (int, error) {
+func (p *peakService) PutBlobs(puts []BlobPut) ([]int, error) {
 	n := p.cur.Add(1)
 	for {
 		old := p.peak.Load()
@@ -155,5 +155,5 @@ func (p *peakService) PutBlob(name string, data []byte) (int, error) {
 		}
 	}
 	defer p.cur.Add(-1)
-	return p.Service.PutBlob(name, data)
+	return p.Service.PutBlobs(puts)
 }

@@ -61,10 +61,8 @@ type Adversary struct {
 	droppedBlobs, droppedMsgs, observed    atomic.Int64
 }
 
-// NewAdversary wraps svc with the adversarial behaviour selected by cfg. The
-// wrapper implements the batch and conditional-batch contracts regardless of
-// whether svc does (it degrades through the *Via helpers), so callers can use
-// it wherever they used the backend.
+// NewAdversary wraps svc with the adversarial behaviour selected by cfg;
+// callers can use it wherever they used the backend.
 func NewAdversary(svc Service, cfg AdversaryConfig) *Adversary {
 	return &Adversary{
 		inner:    svc,
@@ -301,34 +299,11 @@ func (a *Adversary) olderLocked(name string, cur int) []Blob {
 	return out
 }
 
-// getBatch serves one unconditional batched read for a client branch.
-func (a *Adversary) getBatch(branch string, names []string) ([]Blob, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.mode == Fork {
-		br := a.branchLocked(branch)
-		blobs := make([]Blob, len(names))
-		for i, n := range names {
-			if b, ok := a.effectiveLocked(br, n); ok {
-				blobs[i] = cloneBlob(b)
-			}
-		}
-		return blobs, nil
-	}
-	blobs, err := a.inner.GetBlobs(names)
-	if err != nil {
-		return nil, err
-	}
-	for i := range blobs {
-		if blobs[i].Version > 0 && len(blobs[i].Data) > 0 {
-			blobs[i] = a.serveLocked(blobs[i])
-		}
-	}
-	return blobs, nil
-}
-
-// condBatch serves one conditional batched read for a client branch.
-func (a *Adversary) condBatch(branch string, gets []CondGet) ([]Blob, error) {
+// readBatch serves one batched read for a client branch. Under Fork it
+// answers from the branch; otherwise fetch reads the backend (GetBlobs or
+// GetBlobsIf: over a Replicated backend the two differ) and the replay and
+// rollback substitutions apply to every blob that shipped data.
+func (a *Adversary) readBatch(branch string, gets []CondGet, fetch func() ([]Blob, error)) ([]Blob, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.mode == Fork {
@@ -347,7 +322,7 @@ func (a *Adversary) condBatch(branch string, gets []CondGet) ([]Blob, error) {
 		}
 		return blobs, nil
 	}
-	blobs, err := a.inner.GetBlobsIf(gets)
+	blobs, err := fetch()
 	if err != nil {
 		return nil, err
 	}
@@ -359,26 +334,21 @@ func (a *Adversary) condBatch(branch string, gets []CondGet) ([]Blob, error) {
 	return blobs, nil
 }
 
-// PutBlob implements Service.
-func (a *Adversary) PutBlob(name string, data []byte) (int, error) {
-	vs, err := a.putBatch("", []BlobPut{{Name: name, Data: data}})
-	if err != nil {
-		return 0, err
-	}
-	return vs[0], nil
+// getBatch serves one unconditional batched read for a client branch.
+func (a *Adversary) getBatch(branch string, names []string) ([]Blob, error) {
+	return a.readBatch(branch, unconditional(names), func() ([]Blob, error) { return a.inner.GetBlobs(names) })
 }
 
-// GetBlob implements Service.
-func (a *Adversary) GetBlob(name string) (Blob, error) {
-	blobs, err := a.getBatch("", []string{name})
-	if err != nil {
-		return Blob{}, err
-	}
-	if blobs[0].Version == 0 {
-		return Blob{}, ErrBlobNotFound
-	}
-	return blobs[0], nil
+// condBatch serves one conditional batched read for a client branch.
+func (a *Adversary) condBatch(branch string, gets []CondGet) ([]Blob, error) {
+	return a.readBatch(branch, gets, func() ([]Blob, error) { return a.inner.GetBlobsIf(gets) })
 }
+
+// PutBlob implements Service: a batch of one.
+func (a *Adversary) PutBlob(name string, data []byte) (int, error) { return putOne(a, name, data) }
+
+// GetBlob implements Service: a batch of one.
+func (a *Adversary) GetBlob(name string) (Blob, error) { return getOne(a, name) }
 
 // DeleteBlob implements Service. Under Fork the delete lands in the caller's
 // branch only (a divergent delete); otherwise it is forwarded.
@@ -485,26 +455,11 @@ type AdversaryView struct {
 	id string
 }
 
-// PutBlob implements Service.
-func (v *AdversaryView) PutBlob(name string, data []byte) (int, error) {
-	vs, err := v.a.putBatch(v.id, []BlobPut{{Name: name, Data: data}})
-	if err != nil {
-		return 0, err
-	}
-	return vs[0], nil
-}
+// PutBlob implements Service: a batch of one.
+func (v *AdversaryView) PutBlob(name string, data []byte) (int, error) { return putOne(v, name, data) }
 
-// GetBlob implements Service.
-func (v *AdversaryView) GetBlob(name string) (Blob, error) {
-	blobs, err := v.a.getBatch(v.id, []string{name})
-	if err != nil {
-		return Blob{}, err
-	}
-	if blobs[0].Version == 0 {
-		return Blob{}, ErrBlobNotFound
-	}
-	return blobs[0], nil
-}
+// GetBlob implements Service: a batch of one.
+func (v *AdversaryView) GetBlob(name string) (Blob, error) { return getOne(v, name) }
 
 // DeleteBlob implements Service.
 func (v *AdversaryView) DeleteBlob(name string) error { return v.a.DeleteBlob(name) }

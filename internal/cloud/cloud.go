@@ -13,15 +13,19 @@
 // concurrent cells does not serialize behind a single lock, and Service
 // carries batch calls (PutBlobs, GetBlobs, GetBlobsIf) that amortize one
 // network round-trip over many blobs. DESIGN.md documents both; experiment
-// E9 measures them.
+// E9 measures them. The batch calls are the only blob paths: every
+// implementation serves PutBlob and GetBlob as one-element batches (putOne,
+// getOne), so a single call and its batch of one cannot disagree.
 //
 // Beyond the single providers (Memory in RAM, Durable on disk, FrameClient
 // over TCP), Replicated stripes the same contract over N member backends with
 // quorum writes, read repair, hinted handoff and anti-entropy, so the fleet
 // keeps answering while providers fail (DESIGN.md §9, experiment E15); and
 // Faulty wraps any provider with deterministic fault injection — seeded
-// error rates, latency spikes, outage/flap schedules, partition masks — so
-// that failure handling is tested on demand rather than observed by luck.
+// error rates, latency and latency spikes, outage/flap schedules, partition
+// masks — so that failure handling is tested on demand rather than observed
+// by luck. It is the package's only fault injector: the stores themselves
+// never fail on purpose.
 package cloud
 
 import (
@@ -45,6 +49,10 @@ var (
 	// ErrQuotaExceeded is the sentinel behind QuotaError: a tenant crossed its
 	// byte or operation budget. Match with errors.Is.
 	ErrQuotaExceeded = errors.New("cloud: tenant quota exceeded")
+	// ErrNoTenant reports a request on a front-door connection that has not
+	// bound a tenant: a FrameServer with tenants refuses every request until
+	// the connection's hello succeeds (see FrameServerOptions.Tenants).
+	ErrNoTenant = errors.New("cloud: connection has no tenant; say hello first")
 )
 
 // OverloadError is the typed shedding error of the admission controller (see
@@ -240,4 +248,37 @@ type AdversaryConfig struct {
 	RollbackRate float64
 	// Seed makes the adversary deterministic for reproducible experiments.
 	Seed int64
+}
+
+// putOne is PutBlob for every implementation: a batch of one, so a single
+// put is charged, counted, faulted and versioned exactly like a batch.
+func putOne(svc Service, name string, data []byte) (int, error) {
+	versions, err := svc.PutBlobs([]BlobPut{{Name: name, Data: data}})
+	if err != nil {
+		return 0, err
+	}
+	return versions[0], nil
+}
+
+// getOne is GetBlob for every implementation: a batch of one, whose zero
+// Blob (Version 0) is ErrBlobNotFound.
+func getOne(svc Service, name string) (Blob, error) {
+	blobs, err := svc.GetBlobs([]string{name})
+	if err != nil {
+		return Blob{}, err
+	}
+	if blobs[0].Version == 0 {
+		return Blob{}, ErrBlobNotFound
+	}
+	return blobs[0], nil
+}
+
+// unconditional turns a batched read into the conditional read that ships
+// every blob: IfNewer 0 for each name.
+func unconditional(names []string) []CondGet {
+	gets := make([]CondGet, len(names))
+	for i, name := range names {
+		gets[i].Name = name
+	}
+	return gets
 }

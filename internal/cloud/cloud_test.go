@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestPutGetDeleteBlob(t *testing.T) {
@@ -121,23 +120,27 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestOutage drills a provider outage the one way the package injects it,
+// Faulty.SetDown: every call fails with ErrUnavailable without reaching the
+// store, and the store serves again once the switch is off.
 func TestOutage(t *testing.T) {
 	m := NewMemory()
-	fixed := time.Date(2013, 5, 1, 0, 0, 0, 0, time.UTC)
-	m.SetClock(func() time.Time { return fixed })
-	m.SetOutage(fixed.Add(time.Hour))
-	if _, err := m.PutBlob("a", []byte("x")); err != ErrUnavailable {
+	f := NewFaulty(m, FaultyOptions{})
+	f.SetDown(true)
+	if _, err := f.PutBlob("a", []byte("x")); err != ErrUnavailable {
 		t.Fatalf("put during outage: %v", err)
 	}
-	if _, err := m.GetBlob("a"); err != ErrUnavailable {
+	if _, err := f.GetBlob("a"); err != ErrUnavailable {
 		t.Fatalf("get during outage: %v", err)
 	}
-	if err := m.Send(Message{To: "x"}); err != ErrUnavailable {
+	if err := f.Send(Message{To: "x"}); err != ErrUnavailable {
 		t.Fatalf("send during outage: %v", err)
 	}
-	// After the outage window the service recovers.
-	m.SetClock(func() time.Time { return fixed.Add(2 * time.Hour) })
-	if _, err := m.PutBlob("a", []byte("x")); err != nil {
+	if st := m.Stats(); st != (Stats{}) {
+		t.Fatalf("calls reached the store during the outage: %+v", st)
+	}
+	f.SetDown(false)
+	if _, err := f.PutBlob("a", []byte("x")); err != nil {
 		t.Fatalf("put after outage: %v", err)
 	}
 }

@@ -262,6 +262,83 @@ func TestServiceConformance(t *testing.T) {
 	}
 }
 
+// statsDelta is after minus before, counter by counter.
+func statsDelta(after, before Stats) Stats {
+	for i, c := range after.counters() {
+		*c -= *before.counters()[i]
+	}
+	return after
+}
+
+// TestConformanceSingleIsBatchOfOne: on every stack a single call and its
+// one-element batch agree — the versions they assign, a missing name
+// (ErrBlobNotFound against a zero Blob), the Stats each moves, and names as
+// the caller gave them (a tenant's namespace prefix trimmed).
+func TestConformanceSingleIsBatchOfOne(t *testing.T) {
+	for name, mk := range serviceBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			svc := mk(t)
+			moved := func(call func() error) Stats {
+				t.Helper()
+				before := svc.Stats()
+				if err := call(); err != nil {
+					t.Fatal(err)
+				}
+				return statsDelta(svc.Stats(), before)
+			}
+			agree := func(what string, single, batch Stats) {
+				t.Helper()
+				if single != batch {
+					t.Fatalf("%s: the single call moved %+v, its batch of one %+v", what, single, batch)
+				}
+			}
+
+			for want := 1; want <= 2; want++ {
+				var v int
+				var vs []int
+				single := moved(func() (err error) { v, err = svc.PutBlob("single/doc", []byte("one")); return })
+				batch := moved(func() (err error) {
+					vs, err = svc.PutBlobs([]BlobPut{{Name: "batch/doc", Data: []byte("one")}})
+					return
+				})
+				if v != want || len(vs) != 1 || vs[0] != want {
+					t.Fatalf("put %d: single version %d, batch versions %v", want, v, vs)
+				}
+				agree("put", single, batch)
+			}
+
+			var b Blob
+			var bs []Blob
+			single := moved(func() (err error) { b, err = svc.GetBlob("single/doc"); return })
+			batch := moved(func() (err error) { bs, err = svc.GetBlobs([]string{"batch/doc"}); return })
+			if len(bs) != 1 {
+				t.Fatalf("GetBlobs of one name returned %d blobs", len(bs))
+			}
+			if b.Name != "single/doc" || bs[0].Name != "batch/doc" {
+				t.Fatalf("names changed on the way: %q, %q", b.Name, bs[0].Name)
+			}
+			if b.Version != 2 || bs[0].Version != 2 || string(b.Data) != "one" || string(bs[0].Data) != "one" {
+				t.Fatalf("get: single %+v, batch %+v", b, bs[0])
+			}
+			agree("get", single, batch)
+
+			single = moved(func() error {
+				if _, err := svc.GetBlob("single/missing"); err != ErrBlobNotFound {
+					return fmt.Errorf("GetBlob of a missing name = %v, want ErrBlobNotFound", err)
+				}
+				return nil
+			})
+			batch = moved(func() (err error) {
+				if bs, err = svc.GetBlobs([]string{"batch/missing"}); err == nil && (len(bs) != 1 || bs[0].Version != 0) {
+					err = fmt.Errorf("GetBlobs of a missing name = %+v, want one zero Blob", bs)
+				}
+				return
+			})
+			agree("missing get", single, batch)
+		})
+	}
+}
+
 // TestConformanceMailboxFIFO drives a long mailbox through interleaved sends
 // and bounded receives: every backend must deliver the exact global FIFO
 // order, never duplicating and never losing a message across receive calls.

@@ -4,7 +4,7 @@ package cloud
 // exact same Service contract as the in-memory store, but every acknowledged
 // write survives a process kill.
 // The paper's supporting server is "untrusted but highly available" — PRs 1–4
-// modelled the untrusted half (adversary injection lives in Memory); Durable
+// modelled the untrusted half (Adversary wraps any backend); Durable
 // models the availability half: a provider that restarts without losing the
 // sealed vaults entrusted to it.
 //
@@ -713,52 +713,11 @@ func (d *Durable) applyShardLocked(si int, ops []storage.Op) (journalGroup, erro
 	return g, nil
 }
 
-// PutBlob stores data under name durably and returns the new version. The
-// write is acknowledged only after its journal record is part of an fsync'd
-// group commit.
-func (d *Durable) PutBlob(name string, data []byte) (int, error) {
-	si := shardIndexOf(name, len(d.shards))
-	s := d.shards[si]
-	key := blobKey(name)
-	s.wmu.Lock()
-	cur, err := s.currentVersion(key)
-	if err != nil {
-		s.wmu.Unlock()
-		return 0, err
-	}
-	version := cur + 1
-	g, err := d.applyShardLocked(si, []storage.Op{{
-		Key:   key,
-		Value: encodeBlobValue(version, d.clock(), data),
-	}})
-	s.wmu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := d.commit([]journalGroup{g}); err != nil {
-		return 0, err
-	}
-	d.stats.puts.Add(1)
-	d.stats.bytesStored.Add(int64(len(data)))
-	return version, nil
-}
+// PutBlob stores data under name durably: a batch of one.
+func (d *Durable) PutBlob(name string, data []byte) (int, error) { return putOne(d, name, data) }
 
-// GetBlob returns the latest version of the blob.
-func (d *Durable) GetBlob(name string) (Blob, error) {
-	d.stats.gets.Add(1)
-	raw, err := d.shardFor(name).kv.Get(blobKey(name))
-	if err == storage.ErrNotFound {
-		return Blob{}, ErrBlobNotFound
-	}
-	if err != nil {
-		return Blob{}, err
-	}
-	version, stored, data, err := decodeBlobValue(raw)
-	if err != nil {
-		return Blob{}, err
-	}
-	return Blob{Name: name, Version: version, Data: data, Stored: stored}, nil
-}
+// GetBlob returns the latest version of the blob: a batch of one.
+func (d *Durable) GetBlob(name string) (Blob, error) { return getOne(d, name) }
 
 // DeleteBlob removes a blob (idempotent).
 func (d *Durable) DeleteBlob(name string) error {
@@ -942,26 +901,14 @@ func (d *Durable) putGroup(g shardGroup, puts []BlobPut, versions []int) (journa
 	return d.applyShardLocked(g.shard, ops)
 }
 
-// GetBlobs returns the latest version of each named blob in argument order;
-// missing names yield a zero Blob at their position.
+// GetBlobs implements Service as the conditional read at IfNewer 0.
 func (d *Durable) GetBlobs(names []string) ([]Blob, error) {
-	blobs := make([]Blob, len(names))
-	for i, name := range names {
-		b, err := d.GetBlob(name)
-		if err == ErrBlobNotFound {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		blobs[i] = b
-	}
-	return blobs, nil
+	return d.GetBlobsIf(unconditional(names))
 }
 
-// GetBlobsIf implements Service: blobs whose stored version is still <= the
-// requested IfNewer come back with their current Version but no data, exactly
-// like the in-memory store.
+// GetBlobsIf implements Service, the store's one read path: blobs whose
+// stored version is still <= the requested IfNewer come back with their
+// current Version but no data, exactly like the in-memory store.
 func (d *Durable) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	blobs := make([]Blob, len(gets))
 	for i, g := range gets {

@@ -51,8 +51,10 @@ type FaultyOptions struct {
 	// ErrorRate is the per-operation probability of failing with ErrInjected
 	// before the inner service is consulted.
 	ErrorRate float64
-	// Latency is added to every operation (one sleep per call, batch calls
-	// included — the same economics as Memory.SetLatency).
+	// Latency is added to every operation: one sleep per call, so a batch
+	// pays one simulated round trip for its whole argument list — the
+	// economics that make the batch calls worthwhile for a fleet of edge
+	// cells talking to a remote provider.
 	Latency time.Duration
 	// SpikeRate is the per-operation probability of a latency spike of
 	// SpikeLatency on top of Latency.
@@ -231,25 +233,11 @@ func (f *Faulty) checkIn(class OpClass) error {
 	return nil
 }
 
-// PutBlob implements Service.
-func (f *Faulty) PutBlob(name string, data []byte) (int, error) {
-	if err := f.checkIn(MaskWrites); err != nil {
-		return 0, err
-	}
-	return f.inner.PutBlob(name, data)
-}
+// PutBlob implements Service: a batch of one.
+func (f *Faulty) PutBlob(name string, data []byte) (int, error) { return putOne(f, name, data) }
 
-// GetBlob implements Service.
-func (f *Faulty) GetBlob(name string) (Blob, error) {
-	if err := f.checkIn(MaskReads); err != nil {
-		return Blob{}, err
-	}
-	b, err := f.inner.GetBlob(name)
-	if err != nil {
-		return b, err
-	}
-	return f.corruptBlob(b), nil
-}
+// GetBlob implements Service: a batch of one.
+func (f *Faulty) GetBlob(name string) (Blob, error) { return getOne(f, name) }
 
 // DeleteBlob implements Service.
 func (f *Faulty) DeleteBlob(name string) error {
@@ -303,14 +291,7 @@ func (f *Faulty) GetBlobs(names []string) ([]Blob, error) {
 	if err := f.checkIn(MaskReads); err != nil {
 		return nil, err
 	}
-	blobs, err := f.inner.GetBlobs(names)
-	if err != nil {
-		return blobs, err
-	}
-	for i := range blobs {
-		blobs[i] = f.corruptBlob(blobs[i])
-	}
-	return blobs, nil
+	return f.served(f.inner.GetBlobs(names))
 }
 
 // GetBlobsIf implements Service with one fault decision per batch and
@@ -319,9 +300,13 @@ func (f *Faulty) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	if err := f.checkIn(MaskReads); err != nil {
 		return nil, err
 	}
-	blobs, err := f.inner.GetBlobsIf(gets)
+	return f.served(f.inner.GetBlobsIf(gets))
+}
+
+// served applies the corruption schedule to every blob of a successful read.
+func (f *Faulty) served(blobs []Blob, err error) ([]Blob, error) {
 	if err != nil {
-		return blobs, err
+		return nil, err
 	}
 	for i := range blobs {
 		blobs[i] = f.corruptBlob(blobs[i])

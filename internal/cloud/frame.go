@@ -36,9 +36,11 @@ package cloud
 // client's read buffer is allocated per response and handed to the caller
 // with it: the returned blobs' Data point into that one allocation.
 //
-// An optional first frame with Op "hello" and Name <tenant> binds the
-// connection to that tenant's namespaced view (see Tenants). Connections
-// that skip the hello talk to the server's default backend.
+// A server with tenants (FrameServerOptions.Tenants) fails closed: a frame
+// with Op "hello" and Name <tenant> binds the connection, once, to that
+// tenant's namespaced view (see Tenants), and every request before a
+// successful hello fails with ErrNoTenant. A server without tenants serves
+// its backend to every connection and refuses hello.
 
 import (
 	"bufio"
@@ -151,14 +153,6 @@ func dispatch(svc Service, req rpcRequest) rpcResponse {
 	var resp rpcResponse
 	var err error
 	switch req.Op {
-	case "put":
-		resp.Version, err = svc.PutBlob(req.Name, req.Data)
-	case "get":
-		var b Blob
-		b, err = svc.GetBlob(req.Name)
-		if err == nil {
-			resp.Blob = &b
-		}
 	case "delete":
 		err = svc.DeleteBlob(req.Name)
 	case "list":
@@ -193,9 +187,10 @@ type FrameServerOptions struct {
 	// concurrently; beyond it the read loop blocks, which is per-connection
 	// flow control, not shedding (the Admission layer sheds). Default 32.
 	PerConnWorkers int
-	// Tenants, when set, lets connections bind to a tenant namespace with a
-	// hello frame. Connections that never say hello use the default
-	// backend.
+	// Tenants, when set, makes every connection bind to a tenant namespace
+	// with a hello frame before anything else: requests before it fail with
+	// ErrNoTenant, and a second hello fails. The backend is then reached
+	// only through tenant views.
 	Tenants *Tenants
 }
 
@@ -339,6 +334,9 @@ func (s *FrameServer) handle(conn net.Conn) {
 	fc := &frameConn{conn: conn}
 	br := bufio.NewReaderSize(conn, frameReadBuffer)
 	svc := s.svc
+	if s.opts.Tenants != nil {
+		svc = nil // no backend until a hello binds a tenant view
+	}
 	sem := make(chan struct{}, s.opts.PerConnWorkers)
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -366,16 +364,26 @@ func (s *FrameServer) handle(conn net.Conn) {
 			}
 			continue
 		}
-		if req.Op == opHello {
-			// Tenant binding is handled in the read loop, synchronously, so
-			// every later frame sees the bound view without locking.
+		if req.Op == opHello || svc == nil {
+			// A hello, and any frame of a connection still waiting for one,
+			// is answered in the read loop, synchronously, so every later
+			// frame sees the bound view without locking.
 			frameBufs.Put(bp)
 			var resp rpcResponse
-			view, err := s.bindTenant(req.Name)
-			if err != nil {
-				applyRespError(&resp, err)
-			} else {
-				svc = view
+			switch {
+			case req.Op != opHello:
+				applyRespError(&resp, ErrNoTenant)
+			case s.opts.Tenants == nil:
+				applyRespError(&resp, errors.New("cloud: server has no tenants configured"))
+			case svc != nil:
+				applyRespError(&resp, errors.New("cloud: connection already bound to a tenant"))
+			default:
+				view, err := s.opts.Tenants.View(req.Name)
+				if err != nil {
+					applyRespError(&resp, err)
+				} else {
+					svc = view
+				}
 			}
 			if fc.respond(id, &resp) != nil {
 				return
@@ -384,22 +392,14 @@ func (s *FrameServer) handle(conn net.Conn) {
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		bound := svc // the view as of this frame: a later hello rebinds svc
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			resp := dispatch(bound, req)
+			resp := dispatch(svc, req)
 			_ = fc.respond(id, &resp)
 			frameBufs.Put(bp)
 		}()
 	}
-}
-
-func (s *FrameServer) bindTenant(name string) (Service, error) {
-	if s.opts.Tenants == nil {
-		return nil, errors.New("cloud: server has no tenants configured")
-	}
-	return s.opts.Tenants.View(name)
 }
 
 // FrameClient is a Service over framed connections to one FrameServer
@@ -487,8 +487,9 @@ func (c *FrameClient) connectLocked() (*clientConn, error) {
 }
 
 // Hello binds the client to a tenant namespace, on the current connection
-// and on every connection it dials later. A failed hello leaves the binding
-// as it was.
+// and on every connection it dials later. A connection binds once: a second
+// Hello on a bound client fails, and a failed hello leaves the binding as it
+// was.
 func (c *FrameClient) Hello(tenant string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -626,29 +627,11 @@ func (cc *clientConn) call(req *rpcRequest) (rpcResponse, error) {
 	return resp, nil
 }
 
-// PutBlob implements Service.
-func (c *FrameClient) PutBlob(name string, data []byte) (int, error) {
-	resp, err := c.call(rpcRequest{Op: "put", Name: name, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, respError(resp)
-}
+// PutBlob implements Service: a batch of one, sent as a putb frame.
+func (c *FrameClient) PutBlob(name string, data []byte) (int, error) { return putOne(c, name, data) }
 
-// GetBlob implements Service.
-func (c *FrameClient) GetBlob(name string) (Blob, error) {
-	resp, err := c.call(rpcRequest{Op: "get", Name: name})
-	if err != nil {
-		return Blob{}, err
-	}
-	if err := respError(resp); err != nil {
-		return Blob{}, err
-	}
-	if resp.Blob == nil {
-		return Blob{}, ErrBlobNotFound
-	}
-	return *resp.Blob, nil
-}
+// GetBlob implements Service: a batch of one, sent as a getb frame.
+func (c *FrameClient) GetBlob(name string) (Blob, error) { return getOne(c, name) }
 
 // DeleteBlob implements Service.
 func (c *FrameClient) DeleteBlob(name string) error {

@@ -76,18 +76,18 @@ func readTestFrame(br *bufio.Reader) (id uint64, payload []byte, err error) {
 	return id, payload, err
 }
 
-// blockingService stalls PutBlob until released, so tests can hold requests
-// in flight deliberately.
+// blockingService stalls every put (PutBlob is a batch of one) until
+// released, so tests can hold requests in flight deliberately.
 type blockingService struct {
 	Service
 	release chan struct{}
 	entered chan string
 }
 
-func (b *blockingService) PutBlob(name string, data []byte) (int, error) {
-	b.entered <- name
+func (b *blockingService) PutBlobs(puts []BlobPut) ([]int, error) {
+	b.entered <- puts[0].Name
 	<-b.release
-	return b.Service.PutBlob(name, data)
+	return b.Service.PutBlobs(puts)
 }
 
 // TestFrameInterleavedResponses proves the multiplexing claim: a slow
@@ -306,6 +306,9 @@ func TestFrameTypedErrorsCrossWire(t *testing.T) {
 	// always sheds with a known hint.
 	shed := shedService{Service: NewMemory(), retry: 40 * time.Millisecond}
 	tenants := NewTenants(shed)
+	if err := tenants.Define("open", TenantQuota{}); err != nil {
+		t.Fatalf("Define: %v", err)
+	}
 	if err := tenants.Define("tiny", TenantQuota{MaxBytes: 4}); err != nil {
 		t.Fatalf("Define: %v", err)
 	}
@@ -315,6 +318,9 @@ func TestFrameTypedErrorsCrossWire(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
+	if err := c.Hello("open"); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
 
 	_, err = c.PutBlob("x", []byte("y"))
 	var oe *OverloadError
@@ -344,10 +350,15 @@ func TestFrameTypedErrorsCrossWire(t *testing.T) {
 }
 
 // TestFrameHelloUnknownTenant checks that a hello for an undefined tenant
-// fails without killing the connection, which stays on the default backend.
+// fails without killing the connection, which stays unbound — refused until
+// a hello succeeds — rather than falling through to the backend.
 func TestFrameHelloUnknownTenant(t *testing.T) {
-	tenants := NewTenants(NewMemory())
-	addr := startFrameServer(t, NewMemory(), FrameServerOptions{Tenants: tenants})
+	backend := NewMemory()
+	tenants := NewTenants(backend)
+	if err := tenants.Define("acme", TenantQuota{}); err != nil {
+		t.Fatal(err)
+	}
+	addr := startFrameServer(t, backend, FrameServerOptions{Tenants: tenants})
 	c, err := DialFramed(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -356,8 +367,66 @@ func TestFrameHelloUnknownTenant(t *testing.T) {
 	if err := c.Hello("ghost"); err == nil {
 		t.Fatal("hello for unknown tenant succeeded")
 	}
-	if _, err := c.PutBlob("still-works", []byte("x")); err != nil {
-		t.Fatalf("connection unusable after failed hello: %v", err)
+	if _, err := c.PutBlob("refused", []byte("x")); !errors.Is(err, ErrNoTenant) {
+		t.Fatalf("put after a failed hello = %v, want ErrNoTenant", err)
+	}
+	if err := c.Hello("acme"); err != nil {
+		t.Fatalf("hello after a failed hello: %v", err)
+	}
+	if _, err := c.PutBlob("works", []byte("x")); err != nil {
+		t.Fatalf("put once bound: %v", err)
+	}
+	if names, _ := backend.ListBlobs(""); len(names) != 1 || names[0] != "t/acme/works" {
+		t.Fatalf("backend holds %v, want only t/acme/works", names)
+	}
+}
+
+// TestFrameFailsClosedWithoutHello: on a server with tenants, a connection
+// that has not said hello is refused on every op with ErrNoTenant and
+// reaches nothing of the backend; once bound, a second hello fails and the
+// binding stays.
+func TestFrameFailsClosedWithoutHello(t *testing.T) {
+	backend := NewMemory()
+	tenants := NewTenants(backend)
+	for _, name := range []string{"acme", "other"} {
+		if err := tenants.Define(name, TenantQuota{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := backend.PutBlob("t/acme/secret", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.Send(Message{To: "t/acme/inbox", Body: []byte("m")}); err != nil {
+		t.Fatal(err)
+	}
+	before := backend.Stats()
+	c := dialTestFrameServer(t, backend, FrameServerOptions{Tenants: tenants}, "")
+	refused := map[string]error{}
+	_, refused["put"] = c.PutBlob("t/acme/secret", []byte("overwrite"))
+	_, refused["get"] = c.GetBlob("t/acme/secret")
+	_, refused["list"] = c.ListBlobs("")
+	refused["delete"] = c.DeleteBlob("t/acme/secret")
+	refused["send"] = c.Send(Message{To: "t/acme/inbox", Body: []byte("spoof")})
+	_, refused["receive"] = c.Receive("t/acme/inbox", 0)
+	for op, err := range refused {
+		if !errors.Is(err, ErrNoTenant) {
+			t.Errorf("%s without hello = %v, want ErrNoTenant", op, err)
+		}
+	}
+	if after := backend.Stats(); after != before {
+		t.Fatalf("a hello-less connection reached the backend: %+v -> %+v", before, after)
+	}
+
+	if err := c.Hello("acme"); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	for _, tenant := range []string{"acme", "other"} {
+		if err := c.Hello(tenant); err == nil {
+			t.Fatalf("second hello (%s) on a bound connection succeeded", tenant)
+		}
+	}
+	if b, err := c.GetBlob("secret"); err != nil || string(b.Data) != "x" {
+		t.Fatalf("bound connection lost its tenant: %+v %v", b, err)
 	}
 }
 
@@ -367,9 +436,6 @@ type shedService struct {
 	retry time.Duration
 }
 
-func (s shedService) PutBlob(string, []byte) (int, error) {
-	return 0, &OverloadError{RetryAfter: s.retry}
-}
 func (s shedService) PutBlobs([]BlobPut) ([]int, error) {
 	return nil, &OverloadError{RetryAfter: s.retry}
 }
@@ -385,7 +451,7 @@ type failingService struct {
 	err error
 }
 
-func (f failingService) PutBlob(string, []byte) (int, error) { return 0, f.err }
+func (f failingService) PutBlobs([]BlobPut) ([]int, error) { return nil, f.err }
 
 // TestErrorCodesNotTextCrossWire pins that the client rebuilds a typed error
 // from the response's code and never from its text: a backend error that
@@ -675,9 +741,9 @@ type countingService struct {
 	puts atomic.Int64
 }
 
-func (c *countingService) PutBlob(name string, data []byte) (int, error) {
+func (c *countingService) PutBlobs(puts []BlobPut) ([]int, error) {
 	c.puts.Add(1)
-	return c.blockingService.PutBlob(name, data)
+	return c.blockingService.PutBlobs(puts)
 }
 
 // TestFrameClientNeverResends: a put in flight when its connection is killed
@@ -951,17 +1017,18 @@ func TestTCPConditionalBatchGet(t *testing.T) {
 	}
 }
 
-// TestTCPUnknownOp: a request whose op code the server does not know is
-// answered with an error on its id, and the connection keeps serving.
-func TestTCPUnknownOp(t *testing.T) {
-	conn, err := net.Dial("tcp", startFrameServer(t, NewMemory(), FrameServerOptions{}))
+// rawFrameExchange dials addr without a client and returns a function that
+// sends one payload under an id and decodes the response frame to it.
+func rawFrameExchange(t *testing.T, addr string) func(id uint64, payload []byte) rpcResponse {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial raw: %v", err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { _ = conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReader(conn)
-	exchange := func(id uint64, payload []byte) rpcResponse {
+	return func(id uint64, payload []byte) rpcResponse {
 		t.Helper()
 		frame := append(beginFrame(nil), payload...)
 		if err := finishFrame(frame, id); err != nil {
@@ -980,6 +1047,12 @@ func TestTCPUnknownOp(t *testing.T) {
 		}
 		return resp
 	}
+}
+
+// TestTCPUnknownOp: a request whose op code the server does not know is
+// answered with an error on its id, and the connection keeps serving.
+func TestTCPUnknownOp(t *testing.T) {
+	exchange := rawFrameExchange(t, startFrameServer(t, NewMemory(), FrameServerOptions{}))
 	if resp := exchange(1, []byte{wireMagic, 0x7F, 0}); !strings.Contains(resp.Err, "unknown op") {
 		t.Fatalf("unknown op answered %+v", resp)
 	}
@@ -989,5 +1062,30 @@ func TestTCPUnknownOp(t *testing.T) {
 	}
 	if resp := exchange(2, stats); resp.Err != "" || resp.Stats == nil {
 		t.Fatalf("connection unusable after an unknown op: %+v", resp)
+	}
+}
+
+// TestFrameRetiredOpsRefused sends what a client of the single put and get
+// ops would: op codes 1 and 2, and the retired data mask bit on a putb. Each
+// is answered with an error on its id, none reaches the backend, and the
+// connection keeps serving.
+func TestFrameRetiredOpsRefused(t *testing.T) {
+	backend := NewMemory()
+	exchange := rawFrameExchange(t, startFrameServer(t, backend, FrameServerOptions{}))
+	for i, payload := range [][]byte{
+		{wireMagic, 1, reqName | reqRetiredData, 1, 'x', 1, 'y'}, // put "x" = "y"
+		{wireMagic, 2, reqName, 1, 'x'},                          // get "x"
+		{wireMagic, 5, reqRetiredData, 1, 'y'},                   // putb with a single put's data
+	} {
+		if resp := exchange(uint64(i+1), payload); respError(resp) == nil {
+			t.Fatalf("retired request %d answered without error: %+v", i, resp)
+		}
+	}
+	stats, err := appendRequest(nil, &rpcRequest{Op: "stats"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := exchange(9, stats); resp.Err != "" || resp.Stats == nil || *resp.Stats != (Stats{}) {
+		t.Fatalf("after the retired requests: %+v", resp)
 	}
 }

@@ -42,8 +42,9 @@ func (c *counters) snapshot() Stats {
 
 // Memory is an honest in-process implementation of Service. It is the
 // substrate for simulations; the TCP server in this package exposes the same
-// behaviour over the network, and adversarial behaviour is injected by
-// wrapping any backend — this one included — in an Adversary.
+// behaviour over the network, and faults and adversarial behaviour are
+// injected by wrapping any backend — this one included — in a Faulty or an
+// Adversary.
 //
 // The store is sharded: blob names and mailbox recipients are hashed onto
 // DefaultShards (or the count given to NewMemoryShards) independent
@@ -52,19 +53,15 @@ func (c *counters) snapshot() Stats {
 // behaviour and serves as the sequential baseline in experiment E9.
 //
 // The batch calls group their arguments by shard and take each shard lock
-// once, and pay the simulated network latency (SetLatency) once per call
-// instead of once per blob.
+// once.
 type Memory struct {
 	shards []*shard
 	stats  counters
 
 	nextMsg atomic.Uint64
 
-	// cfgMu guards the clock, the outage window and the simulated latency.
-	cfgMu            sync.RWMutex
-	unavailableUntil time.Time
-	now              func() time.Time
-	latency          time.Duration
+	clockMu sync.RWMutex
+	now     func() time.Time
 }
 
 // NewMemory creates an honest in-memory cloud service with DefaultShards
@@ -109,109 +106,31 @@ func shardIndexOf(key string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// shardIndex maps a blob name or mailbox recipient onto a shard index.
-func (m *Memory) shardIndex(key string) int {
-	return shardIndexOf(key, len(m.shards))
-}
-
 // shardFor maps a blob name or mailbox recipient onto its shard.
 func (m *Memory) shardFor(key string) *shard {
-	return m.shards[m.shardIndex(key)]
+	return m.shards[shardIndexOf(key, len(m.shards))]
 }
 
 // SetClock overrides the service clock (used by simulations).
 func (m *Memory) SetClock(now func() time.Time) {
-	m.cfgMu.Lock()
+	m.clockMu.Lock()
 	m.now = now
-	m.cfgMu.Unlock()
-}
-
-// SetOutage makes the service return ErrUnavailable until t.
-func (m *Memory) SetOutage(until time.Time) {
-	m.cfgMu.Lock()
-	m.unavailableUntil = until
-	m.cfgMu.Unlock()
-}
-
-// SetLatency attaches a simulated network round-trip to every service call.
-// Each Service method sleeps once per invocation — so a batch call pays one
-// round-trip for its whole argument list, which is precisely the economics
-// that make the batch calls worthwhile for a fleet of edge cells talking to a
-// remote provider. Zero disables the simulation (the default).
-func (m *Memory) SetLatency(d time.Duration) {
-	m.cfgMu.Lock()
-	m.latency = d
-	m.cfgMu.Unlock()
-}
-
-// checkIn applies the simulated round-trip latency and the outage window.
-// It is called once at the start of every service call, outside any shard
-// lock, and returns ErrUnavailable while an outage is in effect.
-func (m *Memory) checkIn() error {
-	m.cfgMu.RLock()
-	latency := m.latency
-	until := m.unavailableUntil
-	now := m.now
-	m.cfgMu.RUnlock()
-	if latency > 0 {
-		time.Sleep(latency)
-	}
-	if !until.IsZero() && now().Before(until) {
-		return ErrUnavailable
-	}
-	return nil
+	m.clockMu.Unlock()
 }
 
 // clock returns the current service time.
 func (m *Memory) clock() time.Time {
-	m.cfgMu.RLock()
+	m.clockMu.RLock()
 	now := m.now
-	m.cfgMu.RUnlock()
+	m.clockMu.RUnlock()
 	return now()
 }
 
-// PutBlob stores data under name.
-func (m *Memory) PutBlob(name string, data []byte) (int, error) {
-	if err := m.checkIn(); err != nil {
-		return 0, err
-	}
-	s := m.shardFor(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return m.putLocked(s, name, data)
-}
+// PutBlob stores data under name: a batch of one.
+func (m *Memory) PutBlob(name string, data []byte) (int, error) { return putOne(m, name, data) }
 
-// putLocked applies one put on a shard whose write lock is held.
-func (m *Memory) putLocked(s *shard, name string, data []byte) (int, error) {
-	m.stats.puts.Add(1)
-	m.stats.bytesStored.Add(int64(len(data)))
-
-	old := s.blobs[name]
-	b := Blob{Name: name, Version: old.Version + 1, Data: append([]byte(nil), data...), Stored: m.clock()}
-	s.blobs[name] = b
-	return b.Version, nil
-}
-
-// GetBlob returns the latest version of the blob.
-func (m *Memory) GetBlob(name string) (Blob, error) {
-	if err := m.checkIn(); err != nil {
-		return Blob{}, err
-	}
-	s := m.shardFor(name)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return m.getLocked(s, name)
-}
-
-// getLocked serves one read on a shard whose read lock is held.
-func (m *Memory) getLocked(s *shard, name string) (Blob, error) {
-	m.stats.gets.Add(1)
-	b, ok := s.blobs[name]
-	if !ok {
-		return Blob{}, ErrBlobNotFound
-	}
-	return cloneBlob(b), nil
-}
+// GetBlob returns the latest version of the blob: a batch of one.
+func (m *Memory) GetBlob(name string) (Blob, error) { return getOne(m, name) }
 
 func cloneBlob(b Blob) Blob {
 	c := b
@@ -221,9 +140,6 @@ func cloneBlob(b Blob) Blob {
 
 // DeleteBlob removes a blob (idempotent).
 func (m *Memory) DeleteBlob(name string) error {
-	if err := m.checkIn(); err != nil {
-		return err
-	}
 	s := m.shardFor(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,9 +150,6 @@ func (m *Memory) DeleteBlob(name string) error {
 
 // ListBlobs returns the stored blob names with the given prefix.
 func (m *Memory) ListBlobs(prefix string) ([]string, error) {
-	if err := m.checkIn(); err != nil {
-		return nil, err
-	}
 	m.stats.lists.Add(1)
 	var names []string
 	for _, s := range m.shards {
@@ -254,9 +167,6 @@ func (m *Memory) ListBlobs(prefix string) ([]string, error) {
 
 // Send delivers a message to the recipient's mailbox.
 func (m *Memory) Send(msg Message) error {
-	if err := m.checkIn(); err != nil {
-		return err
-	}
 	s := m.shardFor(msg.To)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,9 +186,6 @@ func (m *Memory) Send(msg Message) error {
 
 // Receive pops up to max messages from the recipient's mailbox in FIFO order.
 func (m *Memory) Receive(recipient string, max int) ([]Message, error) {
-	if err := m.checkIn(); err != nil {
-		return nil, err
-	}
 	s := m.shardFor(recipient)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,60 +210,40 @@ func (m *Memory) Stats() Stats {
 
 // PutBlobs implements Service: it stores every blob, grouping the writes
 // by shard so each shard lock is taken at most once, and returns the new
-// version of each blob in argument order. The simulated network latency is
-// paid once for the whole batch.
+// version of each blob in argument order.
 func (m *Memory) PutBlobs(puts []BlobPut) ([]int, error) {
-	if err := m.checkIn(); err != nil {
-		return nil, err
-	}
 	versions := make([]int, len(puts))
-	for _, group := range m.groupByShard(len(puts), func(i int) string { return puts[i].Name }) {
+	now := m.clock()
+	var bytes int64
+	for _, group := range groupKeysByShard(len(puts), len(m.shards), func(i int) string { return puts[i].Name }) {
 		s := m.shards[group.shard]
 		s.mu.Lock()
 		for _, i := range group.indices {
-			v, err := m.putLocked(s, puts[i].Name, puts[i].Data)
-			if err != nil {
-				s.mu.Unlock()
-				return nil, err
-			}
-			versions[i] = v
+			p := puts[i]
+			b := Blob{Name: p.Name, Version: s.blobs[p.Name].Version + 1, Data: append([]byte(nil), p.Data...), Stored: now}
+			s.blobs[p.Name] = b
+			versions[i] = b.Version
+			bytes += int64(len(p.Data))
 		}
 		s.mu.Unlock()
 	}
+	m.stats.puts.Add(int64(len(puts)))
+	m.stats.bytesStored.Add(bytes)
 	return versions, nil
 }
 
-// GetBlobs implements Service: it returns the latest version of each
-// named blob in argument order. A missing name yields a zero Blob (Version
-// 0) at its position rather than failing the whole batch; only service-level
-// failures (outages) return an error.
+// GetBlobs implements Service as the conditional read at IfNewer 0.
 func (m *Memory) GetBlobs(names []string) ([]Blob, error) {
-	if err := m.checkIn(); err != nil {
-		return nil, err
-	}
-	blobs := make([]Blob, len(names))
-	for _, group := range m.groupByShard(len(names), func(i int) string { return names[i] }) {
-		s := m.shards[group.shard]
-		s.mu.RLock()
-		for _, i := range group.indices {
-			if b, err := m.getLocked(s, names[i]); err == nil {
-				blobs[i] = b
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return blobs, nil
+	return m.GetBlobsIf(unconditional(names))
 }
 
-// GetBlobsIf implements Service: blobs whose stored version is still <= the
-// requested IfNewer come back with their current Version but no data, so a
-// synchronizing replica pays only for the shards that advanced.
+// GetBlobsIf implements Service, the store's one read path: blobs whose
+// stored version is still <= the requested IfNewer come back with their
+// current Version but no data, so a synchronizing replica pays only for the
+// shards that advanced; a missing name yields a zero Blob.
 func (m *Memory) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	if err := m.checkIn(); err != nil {
-		return nil, err
-	}
 	blobs := make([]Blob, len(gets))
-	for _, group := range m.groupByShard(len(gets), func(i int) string { return gets[i].Name }) {
+	for _, group := range groupKeysByShard(len(gets), len(m.shards), func(i int) string { return gets[i].Name }) {
 		s := m.shards[group.shard]
 		s.mu.RLock()
 		for _, i := range group.indices {
@@ -365,16 +252,13 @@ func (m *Memory) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 				continue
 			}
 			if cur.Version <= gets[i].IfNewer {
-				m.stats.gets.Add(1)
-				blobs[i] = Blob{Name: cur.Name, Version: cur.Version, Stored: cur.Stored}
-				continue
+				cur.Data = nil
 			}
-			if b, err := m.getLocked(s, gets[i].Name); err == nil {
-				blobs[i] = b
-			}
+			blobs[i] = cloneBlob(cur)
 		}
 		s.mu.RUnlock()
 	}
+	m.stats.gets.Add(int64(len(gets)))
 	return blobs, nil
 }
 
@@ -382,12 +266,6 @@ func (m *Memory) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 type shardGroup struct {
 	shard   int
 	indices []int
-}
-
-// groupByShard buckets n argument indices by the shard of their key, so batch
-// operations lock each shard once.
-func (m *Memory) groupByShard(n int, key func(int) string) []shardGroup {
-	return groupKeysByShard(n, len(m.shards), key)
 }
 
 // groupKeysByShard buckets n argument indices by the shard of their key; it

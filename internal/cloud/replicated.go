@@ -12,14 +12,16 @@ package cloud
 //   - Quorum writes: every write fans out to all live members and is
 //     acknowledged once W members accepted it. The returned version is the
 //     maximum version the acknowledging members assigned.
-//   - Quorum reads: a read needs R error-free member responses ("blob not
-//     found" counts as a response at version 0) — fewer than R fails with
-//     ErrQuorumFailed; the winner is the response with the maximum version.
-//     With W+R > N every acknowledged write intersects every quorum read, so
-//     acknowledged data is always readable.
-//   - Read repair: members that answered a read with a stale version (or
-//     conflicting bytes at the winning version) are rewritten with the
-//     winning blob until their version catches up to the winner's.
+//   - Quorum reads: every read is one batched member call merged
+//     element-wise (quorumRead). It needs R error-free member responses (a
+//     missing blob counts as a response at version 0) — fewer than R fails
+//     with ErrQuorumFailed; per blob the winner is the response with the
+//     maximum version. With W+R > N every acknowledged write intersects
+//     every quorum read, so acknowledged data is always readable.
+//   - Read repair: on GetBlob/GetBlobs (not the conditional GetBlobsIf),
+//     members that answered with a stale version (or conflicting bytes at
+//     the winning version) are rewritten with the winning blob until their
+//     version catches up to the winner's.
 //   - Hinted handoff: a write that a member misses — it is down, it holds
 //     queued hints, or its call failed — is queued as a hint in a bounded
 //     per-member FIFO and replayed in order when the member recovers. A
@@ -657,14 +659,12 @@ func (r *Replicated) quarantinedSet(idxs []int) map[int]bool {
 
 // fanResult is one member's answer to a fanned-out call.
 type fanResult struct {
-	idx     int
-	version int
-	blob    Blob
-	blobs   []Blob
-	vers    []int
-	names   []string
-	msgs    []Message
-	err     error
+	idx   int
+	blobs []Blob
+	vers  []int
+	names []string
+	msgs  []Message
+	err   error
 }
 
 // errCallTimeout marks a member call that outlived CallTimeout. The abandoned
@@ -765,133 +765,24 @@ func (r *Replicated) mailStripe(key string) *sync.Mutex {
 
 // --- Service: blobs ---------------------------------------------------------
 
-// PutBlob stores data on a write quorum of members and returns the maximum
-// version the acknowledging members assigned. Members that are down or whose
-// call failed receive a hint. The data is copied before fan-out, so the
-// caller may recycle its buffer the moment the call returns even while a
-// slow member's write is still in flight.
-func (r *Replicated) PutBlob(name string, data []byte) (int, error) {
-	r.maybeProbe()
-	stored := append([]byte(nil), data...)
+// PutBlob stores data on a write quorum of members: a batch of one (see
+// PutBlobs).
+func (r *Replicated) PutBlob(name string, data []byte) (int, error) { return putOne(r, name, data) }
 
-	// The stripe stays locked until every member call has returned (not just
-	// the quorum this call waits for): a repair that cannot take the stripe
-	// knows a write is still propagating and backs off, so a straggler can
-	// never race a repair put and inflate versions.
-	mu := r.stripe(name)
-	mu.Lock()
+// GetBlob reads the blob from a read quorum of members, repairing stale
+// members on the way out: a batch of one (see GetBlobs). It fails with
+// ErrBlobNotFound only when the whole quorum agrees the blob is gone.
+func (r *Replicated) GetBlob(name string) (Blob, error) { return getOne(r, name) }
 
-	live := r.live()
-	quar := r.quarantinedSet(live)
-	if len(live)-len(quar) < r.opts.WriteQuorum {
-		mu.Unlock()
-		r.stats.quorumFailures.Add(1)
-		return 0, fmt.Errorf("%w: %d of %d trusted members reachable, need %d",
-			ErrQuorumFailed, len(live)-len(quar), len(r.members), r.opts.WriteQuorum)
-	}
-	h := hint{kind: hintPut, name: name, data: stored}
-	r.hintSkipped(live, h)
-	// need counts quarantined members on top of W: their acks arrive but do
-	// not count, so the early exit must wait for W trusted acks even when
-	// every quarantined member answers first.
-	results := r.fanout(live, r.opts.WriteQuorum+len(quar), func(i int, svc Service) fanResult {
-		v, err := svc.PutBlob(name, stored)
-		return fanResult{version: v, err: err}
-	}, func(i int) { r.hintFailed(i, h) }, mu.Unlock)
-	maxV, acks := 0, 0
-	for _, res := range results {
-		if res.err == nil && !quar[res.idx] {
-			acks++
-			if res.version > maxV {
-				maxV = res.version
-			}
-		}
-	}
-	if acks < r.opts.WriteQuorum {
-		r.stats.quorumFailures.Add(1)
-		return 0, fmt.Errorf("%w: %d of %d write acks", ErrQuorumFailed, acks, r.opts.WriteQuorum)
-	}
-	r.stats.puts.Add(1)
-	return maxV, nil
-}
-
-// GetBlob reads from a read quorum of members and returns the
-// maximum-version response, repairing stale members on the way out. A
-// member's "not found" counts as a response at version 0; the read fails
-// with ErrBlobNotFound only when the whole quorum agrees the blob is gone,
-// and with ErrQuorumFailed when fewer than R members answered error-free —
-// a minority answer must never shadow an acknowledged write.
-func (r *Replicated) GetBlob(name string) (Blob, error) {
-	r.maybeProbe()
-	live := r.readEligible()
-	if len(live) < r.opts.ReadQuorum {
-		r.stats.quorumFailures.Add(1)
-		return Blob{}, fmt.Errorf("%w: %d of %d members readable, need %d",
-			ErrQuorumFailed, len(live), len(r.members), r.opts.ReadQuorum)
-	}
-	results := r.fanout(live, r.opts.ReadQuorum, func(i int, svc Service) fanResult {
-		b, err := svc.GetBlob(name)
-		if err == ErrBlobNotFound {
-			return fanResult{blob: Blob{}}
-		}
-		return fanResult{blob: b, err: err}
-	}, nil, nil)
-	winner, responders, ok := mergeBlobResponses(results, r.opts.ReadQuorum)
-	if !ok {
-		r.stats.quorumFailures.Add(1)
-		return Blob{}, fmt.Errorf("%w: %d of %d read responses", ErrQuorumFailed, len(responders), r.opts.ReadQuorum)
-	}
-	r.stats.gets.Add(1)
-	if winner.Version == 0 {
-		return Blob{}, ErrBlobNotFound
-	}
-	r.readRepair(name, winner, responders)
-	winner.Name = name
-	return winner, nil
-}
-
-// blobResponse is one member's (possibly zero) copy of a blob.
-type blobResponse struct {
-	idx  int
-	blob Blob
-}
-
-// mergeBlobResponses picks the maximum-version response (ties break toward
-// the lowest member index, making conflict resolution deterministic) and
-// returns the full responder list for read repair. ok is false when fewer
-// than need responses arrived error-free — the read quorum was not met, and
-// serving the partial answer could miss an acknowledged write.
-func mergeBlobResponses(results []fanResult, need int) (Blob, []blobResponse, bool) {
-	var responders []blobResponse
-	for _, res := range results {
-		if res.err != nil {
-			continue
-		}
-		responders = append(responders, blobResponse{idx: res.idx, blob: res.blob})
-	}
-	if len(responders) < need {
-		return Blob{}, responders, false
-	}
-	sort.Slice(responders, func(a, b int) bool { return responders[a].idx < responders[b].idx })
-	winner := responders[0].blob
-	for _, resp := range responders[1:] {
-		if resp.blob.Version > winner.Version {
-			winner = resp.blob
-		}
-	}
-	return winner, responders, true
-}
-
-// readRepair rewrites the winning blob to every responder whose snapshot was
-// stale: an older version, or different bytes at the winning version (a
-// conflict, resolved deterministically toward the merge winner).
-func (r *Replicated) readRepair(name string, winner Blob, responders []blobResponse) {
+// readRepair rewrites the winning blob at position pos to every responder
+// whose copy was stale: an older version, or different bytes at the winning
+// version (a conflict, resolved deterministically toward the merge winner).
+func (r *Replicated) readRepair(name string, winner Blob, responders []fanResult, pos int) {
 	targets := make([]int, 0, len(responders))
-	for _, resp := range responders {
-		stale := resp.blob.Version < winner.Version ||
-			(resp.blob.Version == winner.Version && !bytes.Equal(resp.blob.Data, winner.Data))
-		if stale {
-			targets = append(targets, resp.idx)
+	for _, res := range responders {
+		b := res.blobs[pos]
+		if b.Version < winner.Version || (b.Version == winner.Version && !bytes.Equal(b.Data, winner.Data)) {
+			targets = append(targets, res.idx)
 		}
 	}
 	r.stats.readRepairs.Add(int64(r.repairName(name, winner, targets, false)))
@@ -1202,7 +1093,9 @@ func (r *Replicated) PutBlobs(puts []BlobPut) ([]int, error) {
 		return nil, nil
 	}
 	// Private copies: members and hint queues may outlive the caller's
-	// buffers (see the PutBlob contract in cloud.go).
+	// buffers (see the PutBlob contract in cloud.go), so the caller may
+	// recycle its buffers the moment the call returns even while a slow
+	// member's write is still in flight.
 	copied := make([]BlobPut, len(puts))
 	for i, p := range puts {
 		copied[i] = BlobPut{Name: p.Name, Data: append([]byte(nil), p.Data...)}
@@ -1211,8 +1104,10 @@ func (r *Replicated) PutBlobs(puts []BlobPut) ([]int, error) {
 	for i, p := range copied {
 		names[i] = p.Name
 	}
-	// As in PutBlob, the stripes stay locked until every member call has
-	// returned, so repairs cannot interleave with a straggling batch write.
+	// The stripes stay locked until every member call has returned (not
+	// just the quorum this call waits for): a repair that cannot take a
+	// stripe knows a write is still propagating and backs off, so a
+	// straggler can never race a repair put and inflate versions.
 	unlock := r.lockStripes(names)
 
 	live := r.live()
@@ -1228,6 +1123,9 @@ func (r *Replicated) PutBlobs(puts []BlobPut) ([]int, error) {
 		hs[i] = hint{kind: hintPut, name: p.Name, data: p.Data}
 	}
 	r.hintSkipped(live, hs...)
+	// need counts quarantined members on top of W: their acks arrive but do
+	// not count, so the early exit must wait for W trusted acks even when
+	// every quarantined member answers first.
 	results := r.fanout(live, r.opts.WriteQuorum+len(quar), func(i int, svc Service) fanResult {
 		vers, err := svc.PutBlobs(copied)
 		return fanResult{vers: vers, err: err}
@@ -1257,73 +1155,37 @@ func (r *Replicated) PutBlobs(puts []BlobPut) ([]int, error) {
 // element-wise by maximum version, repairing stale members on the way out.
 // Missing names yield a zero Blob at their position.
 func (r *Replicated) GetBlobs(names []string) ([]Blob, error) {
-	r.maybeProbe()
-	if len(names) == 0 {
-		return nil, nil
-	}
-	live := r.readEligible()
-	if len(live) < r.opts.ReadQuorum {
-		r.stats.quorumFailures.Add(1)
-		return nil, fmt.Errorf("%w: %d of %d members readable, need %d",
-			ErrQuorumFailed, len(live), len(r.members), r.opts.ReadQuorum)
-	}
-	results := r.fanout(live, r.opts.ReadQuorum, func(i int, svc Service) fanResult {
-		blobs, err := svc.GetBlobs(names)
-		if err == nil && len(blobs) != len(names) {
-			err = fmt.Errorf("cloud: replicated: member %d returned %d blobs for %d names", i, len(blobs), len(names))
-		}
-		return fanResult{blobs: blobs, err: err}
-	}, nil, nil)
-	merged, err := r.mergeBatch(names, results)
-	if err != nil {
-		return nil, err
-	}
-	r.stats.gets.Add(int64(len(names)))
-	return merged, nil
-}
-
-// mergeBatch merges per-member batch reads element-wise by maximum version
-// and repairs stale members.
-func (r *Replicated) mergeBatch(names []string, results []fanResult) ([]Blob, error) {
-	var ok []fanResult
-	for _, res := range results {
-		if res.err == nil {
-			ok = append(ok, res)
-		}
-	}
-	if len(ok) < r.opts.ReadQuorum {
-		r.stats.quorumFailures.Add(1)
-		return nil, fmt.Errorf("%w: %d of %d batch-read responses", ErrQuorumFailed, len(ok), r.opts.ReadQuorum)
-	}
-	sort.Slice(ok, func(a, b int) bool { return ok[a].idx < ok[b].idx })
-	merged := make([]Blob, len(names))
-	for pos, name := range names {
-		responders := make([]blobResponse, 0, len(ok))
-		for _, res := range ok {
-			responders = append(responders, blobResponse{idx: res.idx, blob: res.blobs[pos]})
-		}
-		winner := responders[0].blob
-		for _, resp := range responders[1:] {
-			if resp.blob.Version > winner.Version {
-				winner = resp.blob
-			}
-		}
-		if winner.Version > 0 {
-			r.readRepair(name, winner, responders)
-			winner.Name = name
-		}
-		merged[pos] = winner
-	}
-	return merged, nil
+	return r.quorumRead(len(names), func(pos int) string { return names[pos] }, true,
+		func(svc Service) ([]Blob, error) { return svc.GetBlobs(names) })
 }
 
 // GetBlobsIf implements Service: the element-wise maximum-version merge of
 // a read quorum, shipping data only past the caller's version. The
-// conditional path does not read-repair — it is the hot path of delta sync —
-// so repairs ride on GetBlob/GetBlobs and the anti-entropy pass.
+// conditional path does not read-repair — it is the hot path of delta sync,
+// and a member's unchanged answer carries no bytes to compare — so repairs
+// ride on GetBlob/GetBlobs and the anti-entropy pass.
 func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
+	merged, err := r.quorumRead(len(gets), func(pos int) string { return gets[pos].Name }, false,
+		func(svc Service) ([]Blob, error) { return svc.GetBlobsIf(gets) })
+	for pos := range merged {
+		if merged[pos].Version <= gets[pos].IfNewer {
+			merged[pos].Data = nil
+		}
+	}
+	return merged, err
+}
+
+// quorumRead is the layer's one read path: it fans a batched read of n
+// blobs (read, the member call) out to a read quorum and merges the answers
+// element-wise — per position the maximum version wins, ties toward the
+// lowest member index, so conflict resolution is deterministic — naming
+// each winner name(pos). With repair, stale responders are rewritten on
+// the way out. The read fails with ErrQuorumFailed when fewer than R
+// members answered error-free: a minority answer must never shadow an
+// acknowledged write.
+func (r *Replicated) quorumRead(n int, name func(pos int) string, repair bool, read func(Service) ([]Blob, error)) ([]Blob, error) {
 	r.maybeProbe()
-	if len(gets) == 0 {
+	if n == 0 {
 		return nil, nil
 	}
 	live := r.readEligible()
@@ -1333,13 +1195,13 @@ func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 			ErrQuorumFailed, len(live), len(r.members), r.opts.ReadQuorum)
 	}
 	results := r.fanout(live, r.opts.ReadQuorum, func(i int, svc Service) fanResult {
-		blobs, err := svc.GetBlobsIf(gets)
-		if err == nil && len(blobs) != len(gets) {
-			err = fmt.Errorf("cloud: replicated: member %d returned %d blobs for %d gets", i, len(blobs), len(gets))
+		blobs, err := read(svc)
+		if err == nil && len(blobs) != n {
+			err = fmt.Errorf("cloud: replicated: member %d returned %d blobs for %d names", i, len(blobs), n)
 		}
 		return fanResult{blobs: blobs, err: err}
 	}, nil, nil)
-	var ok []fanResult
+	ok := results[:0]
 	for _, res := range results {
 		if res.err == nil {
 			ok = append(ok, res)
@@ -1347,11 +1209,11 @@ func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	}
 	if len(ok) < r.opts.ReadQuorum {
 		r.stats.quorumFailures.Add(1)
-		return nil, fmt.Errorf("%w: %d of %d conditional-read responses", ErrQuorumFailed, len(ok), r.opts.ReadQuorum)
+		return nil, fmt.Errorf("%w: %d of %d read responses", ErrQuorumFailed, len(ok), r.opts.ReadQuorum)
 	}
 	sort.Slice(ok, func(a, b int) bool { return ok[a].idx < ok[b].idx })
-	merged := make([]Blob, len(gets))
-	for pos, g := range gets {
+	merged := make([]Blob, n)
+	for pos := range merged {
 		winner := ok[0].blobs[pos]
 		for _, res := range ok[1:] {
 			if res.blobs[pos].Version > winner.Version {
@@ -1359,14 +1221,14 @@ func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 			}
 		}
 		if winner.Version > 0 {
-			winner.Name = g.Name
-			if winner.Version <= g.IfNewer {
-				winner.Data = nil
+			if repair {
+				r.readRepair(name(pos), winner, ok, pos)
 			}
+			winner.Name = name(pos)
 		}
 		merged[pos] = winner
 	}
-	r.stats.gets.Add(int64(len(gets)))
+	r.stats.gets.Add(int64(n))
 	return merged, nil
 }
 

@@ -56,16 +56,16 @@ func TestReplicatedConstruction(t *testing.T) {
 	}
 }
 
-// hungService blocks PutBlob until released — the "slowest member" of the
+// hungService blocks every put until released — the "slowest member" of the
 // quorum tests.
 type hungService struct {
 	*Memory
 	release chan struct{}
 }
 
-func (h *hungService) PutBlob(name string, data []byte) (int, error) {
+func (h *hungService) PutBlobs(puts []BlobPut) ([]int, error) {
 	<-h.release
-	return h.Memory.PutBlob(name, data)
+	return h.Memory.PutBlobs(puts)
 }
 
 // TestReplicatedExactlyWAcksWithHungMember proves a write returns as soon as

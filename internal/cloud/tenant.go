@@ -207,26 +207,13 @@ type TenantView struct {
 // Tenant returns the tenant name the view is bound to.
 func (v *TenantView) Tenant() string { return v.st.name }
 
-// PutBlob implements Service, charging 1 op and len(data) bytes.
-func (v *TenantView) PutBlob(name string, data []byte) (int, error) {
-	if err := v.st.admit(1, int64(len(data)), v.reg.now()); err != nil {
-		return 0, err
-	}
-	return v.reg.inner.PutBlob(v.prefix+name, data)
-}
+// PutBlob implements Service: a batch of one, charging 1 op and len(data)
+// bytes.
+func (v *TenantView) PutBlob(name string, data []byte) (int, error) { return putOne(v, name, data) }
 
-// GetBlob implements Service; reads charge 1 op and no bytes.
-func (v *TenantView) GetBlob(name string) (Blob, error) {
-	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
-		return Blob{}, err
-	}
-	b, err := v.reg.inner.GetBlob(v.prefix + name)
-	if err != nil {
-		return Blob{}, err
-	}
-	b.Name = strings.TrimPrefix(b.Name, v.prefix)
-	return b, nil
-}
+// GetBlob implements Service: a batch of one; reads charge 1 op and no
+// bytes.
+func (v *TenantView) GetBlob(name string) (Blob, error) { return getOne(v, name) }
 
 // DeleteBlob implements Service. Deleting does not refund the byte budget.
 func (v *TenantView) DeleteBlob(name string) error {
@@ -307,14 +294,7 @@ func (v *TenantView) GetBlobs(names []string) ([]Blob, error) {
 	for i, name := range names {
 		renamed[i] = v.prefix + name
 	}
-	blobs, err := v.reg.inner.GetBlobs(renamed)
-	if err != nil {
-		return nil, err
-	}
-	for i := range blobs {
-		blobs[i].Name = strings.TrimPrefix(blobs[i].Name, v.prefix)
-	}
-	return blobs, nil
+	return v.trimmed(v.reg.inner.GetBlobs(renamed))
 }
 
 // GetBlobsIf implements Service, charging len(gets) ops.
@@ -326,7 +306,11 @@ func (v *TenantView) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	for i, g := range gets {
 		renamed[i] = CondGet{Name: v.prefix + g.Name, IfNewer: g.IfNewer}
 	}
-	blobs, err := v.reg.inner.GetBlobsIf(renamed)
+	return v.trimmed(v.reg.inner.GetBlobsIf(renamed))
+}
+
+// trimmed strips the namespace prefix from the names of a successful read.
+func (v *TenantView) trimmed(blobs []Blob, err error) ([]Blob, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -9,17 +9,23 @@ package cloud
 // a uvarint count followed by its elements.
 //
 //	request:  [0xCB] [op] [uvarint field mask] fields present in the mask, in
-//	          bit order: puts, names, gets, name, data, prefix, message,
-//	          recipient, max
+//	          bit order: puts, names, gets, name, (bit 4 retired), prefix,
+//	          message, recipient, max
 //	response: [0xCB] [error code] [field mask]
 //	          code != 0: err string, uvarint retry-after ms, tenant, resource
 //	          then the fields present in the mask, in bit order: versions,
-//	          blobs, version, blob, names, messages, stats
+//	          blobs, (bits 2 and 3 retired), names, messages, stats
 //	put:      name, data            cond get: name, varint if-newer
 //	blob:     [flags] name, varint version, [data], [varint stored unix ns]
 //	message:  [flags] id, from, to, kind, [body], [varint sent unix ns],
 //	          uvarint seq
 //	stats:    the fourteen counters of Stats as varints, in field order
+//
+// Single-blob calls travel as batches of one (putb, getb). The single put
+// and get ops (codes 1 and 2) and the fields only they used — the request's
+// data, the response's version and blob — are retired and never reused: a
+// retired op code is refused as an unknown op, a retired mask bit as a
+// malformed payload.
 //
 // The first byte is the codec's magic and version in one: it is not a byte
 // JSON text can start with, so a peer still speaking the old JSON payload is
@@ -35,7 +41,7 @@ package cloud
 // constant factor of its own size.
 //
 // Buffer ownership: decoded byte strings that stand for blob data — a
-// request's Data and Puts[i].Data, a response's Blob.Data and Blobs[i].Data —
+// request's Puts[i].Data and a response's Blobs[i].Data —
 // alias the payload they were decoded from (capacity capped, so appending to
 // one never overwrites its neighbour). Names are copied into strings and
 // message bodies into their own slices, because stores keep those.
@@ -66,7 +72,6 @@ var errMalformedPayload = errors.New("cloud: malformed frame payload")
 type rpcRequest struct {
 	Op        string
 	Name      string
-	Data      []byte
 	Prefix    string
 	Recipient string
 	Max       int
@@ -86,8 +91,6 @@ type rpcResponse struct {
 	RetryAfterMs int64
 	Tenant       string
 	Resource     string
-	Version      int
-	Blob         *Blob
 	Names        []string
 	Messages     []Message
 	Stats        *Stats
@@ -108,6 +111,7 @@ const (
 	codeOverloaded
 	codeQuota
 	codeWireVersion
+	codeNoTenant
 )
 
 // codeSentinels maps the codes that stand for a sentinel error to it.
@@ -116,6 +120,7 @@ var codeSentinels = [...]error{
 	codeUnavailable:  ErrUnavailable,
 	codeMailboxEmpty: ErrMailboxEmpty,
 	codeWireVersion:  ErrWireVersion,
+	codeNoTenant:     ErrNoTenant,
 }
 
 // applyRespError serializes err into resp: its text, the code of the typed
@@ -187,34 +192,41 @@ func (e *remoteError) Error() string { return e.text }
 func (e *remoteError) Unwrap() error { return e.sentinel }
 
 // wireOps maps the one-byte op code to the op name dispatch switches on.
-// Code 0 is unused so that a zeroed payload is not a valid request.
+// Code 0 is unused so that a zeroed payload is not a valid request; codes 1
+// and 2 (the retired single put and get) are refused and never reused.
 var wireOps = [...]string{
-	1: "put", 2: "get", 3: "delete", 4: "list", 5: "putb", 6: "getb",
+	3: "delete", 4: "list", 5: "putb", 6: "getb",
 	7: "getc", 8: "send", 9: "receive", 10: "stats", 11: opHello,
 }
 
 // Field mask bits; the batch fields sit lowest so the hot requests and
-// responses keep a one-byte mask.
+// responses keep a one-byte mask. Retired bits keep their place, so every
+// other field keeps its bit, but leave the known masks: a payload that sets
+// one is malformed.
 const (
 	reqPuts = 1 << iota
 	reqNames
 	reqGets
 	reqName
-	reqData
+	reqRetiredData
 	reqPrefix
 	reqMessage
 	reqRecipient
 	reqMax
+
+	reqKnown = (reqMax<<1 - 1) &^ reqRetiredData
 )
 
 const (
 	respVersions = 1 << iota
 	respBlobs
-	respVersion
-	respBlob
+	respRetiredVersion
+	respRetiredBlob
 	respNames
 	respMessages
 	respStats
+
+	respKnown = (respStats<<1 - 1) &^ (respRetiredVersion | respRetiredBlob)
 )
 
 const (
@@ -317,7 +329,6 @@ func appendRequest(dst []byte, req *rpcRequest) ([]byte, error) {
 		maskBit(reqNames, len(req.Names) > 0) |
 		maskBit(reqGets, len(req.Gets) > 0) |
 		maskBit(reqName, req.Name != "") |
-		maskBit(reqData, len(req.Data) > 0) |
 		maskBit(reqPrefix, req.Prefix != "") |
 		maskBit(reqMessage, !messageIsZero(&req.Message)) |
 		maskBit(reqRecipient, req.Recipient != "") |
@@ -348,9 +359,6 @@ func appendRequest(dst []byte, req *rpcRequest) ([]byte, error) {
 	if mask&reqName != 0 {
 		dst = appendString(dst, req.Name)
 	}
-	if mask&reqData != 0 {
-		dst = appendBytes(dst, req.Data)
-	}
 	if mask&reqPrefix != 0 {
 		dst = appendString(dst, req.Prefix)
 	}
@@ -379,8 +387,6 @@ func appendResponse(dst []byte, resp *rpcResponse) []byte {
 	}
 	mask := maskBit(respVersions, len(resp.Versions) > 0) |
 		maskBit(respBlobs, len(resp.Blobs) > 0) |
-		maskBit(respVersion, resp.Version != 0) |
-		maskBit(respBlob, resp.Blob != nil) |
 		maskBit(respNames, len(resp.Names) > 0) |
 		maskBit(respMessages, len(resp.Messages) > 0) |
 		maskBit(respStats, resp.Stats != nil)
@@ -404,12 +410,6 @@ func appendResponse(dst []byte, resp *rpcResponse) []byte {
 		for i := range resp.Blobs {
 			dst = appendBlob(dst, &resp.Blobs[i])
 		}
-	}
-	if mask&respVersion != 0 {
-		dst = binary.AppendVarint(dst, int64(resp.Version))
-	}
-	if mask&respBlob != 0 {
-		dst = appendBlob(dst, resp.Blob)
 	}
 	if mask&respNames != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(resp.Names)))
@@ -576,12 +576,12 @@ func (r *wireReader) finish() error {
 	return r.err
 }
 
-// decodeRequest parses a request payload into req, which must be zero. Data
-// and Puts[i].Data are views of payload: they are valid until payload's
-// buffer is reused and must not be retained past that.
+// decodeRequest parses a request payload into req, which must be zero.
+// Puts[i].Data are views of payload: they are valid until payload's buffer
+// is reused and must not be retained past that.
 func decodeRequest(payload []byte, req *rpcRequest) error {
 	r := wireReader{b: payload}
-	op, mask, err := r.header(reqMax<<1 - 1)
+	op, mask, err := r.header(reqKnown)
 	if err != nil {
 		return err
 	}
@@ -613,11 +613,6 @@ func decodeRequest(payload []byte, req *rpcRequest) error {
 	if mask&reqName != 0 {
 		req.Name = r.str()
 	}
-	if mask&reqData != 0 {
-		if data := r.bytes(); len(data) > 0 {
-			req.Data = data // no bytes is no field, as the encoder has it
-		}
-	}
 	if mask&reqPrefix != 0 {
 		req.Prefix = r.str()
 	}
@@ -634,11 +629,11 @@ func decodeRequest(payload []byte, req *rpcRequest) error {
 }
 
 // decodeResponse parses a response payload into resp, which must be zero.
-// Blob.Data and Blobs[i].Data are views of payload, so the caller hands the
-// payload's buffer over to whoever receives resp.
+// Blobs[i].Data are views of payload, so the caller hands the payload's
+// buffer over to whoever receives resp.
 func decodeResponse(payload []byte, resp *rpcResponse) error {
 	r := wireReader{b: payload}
-	code, mask, err := r.header(respStats<<1 - 1)
+	code, mask, err := r.header(respKnown)
 	if err != nil {
 		return err
 	}
@@ -666,13 +661,6 @@ func decodeResponse(payload []byte, resp *rpcResponse) error {
 				r.blob(&resp.Blobs[i])
 			}
 		}
-	}
-	if mask&respVersion != 0 {
-		resp.Version = r.int()
-	}
-	if mask&respBlob != 0 {
-		resp.Blob = new(Blob)
-		r.blob(resp.Blob)
 	}
 	if mask&respNames != 0 {
 		resp.Names = r.strings()

@@ -22,9 +22,9 @@ func wireCases() (reqs []rpcRequest, resps []rpcResponse) {
 	msg := Message{ID: "m-1", From: "alice", To: "bob", Kind: "share", Body: []byte("sealed"), Sent: stored, Seq: 1<<63 + 5}
 	bare := Message{To: "bob", Body: []byte{}} // as a client sends it: no id, no time yet
 	reqs = []rpcRequest{
-		{Op: "put", Name: "vault/1", Data: []byte("ciphertext")},
-		{Op: "put", Name: "vault/empty"},
-		{Op: "get", Name: "vault/1"},
+		{Op: "putb", Puts: []BlobPut{{Name: "vault/1", Data: []byte("ciphertext")}}}, // PutBlob: a batch of one
+		{Op: "putb", Puts: []BlobPut{{Name: "vault/empty", Data: []byte{}}}},
+		{Op: "getb", Names: []string{"vault/1"}}, // GetBlob: a batch of one
 		{Op: "delete", Name: "vault/1"},
 		{Op: "list", Prefix: "vault/"},
 		{Op: "list"},
@@ -43,9 +43,9 @@ func wireCases() (reqs []rpcRequest, resps []rpcResponse) {
 		RolledBackBlobs: 13, ForkedBlobs: -14}
 	resps = []rpcResponse{
 		{},
-		{Version: 7},
-		{Blob: &Blob{Name: "vault/1", Version: 3, Data: []byte("ciphertext"), Stored: stored}},
-		{Blob: &Blob{}},
+		{Versions: []int{7}},
+		{Blobs: []Blob{{Name: "vault/1", Version: 3, Data: []byte("ciphertext"), Stored: stored}}},
+		{Blobs: []Blob{{}}}, // GetBlob of a missing name
 		{Names: []string{"vault/1", "vault/2", ""}},
 		{Versions: []int{1, 2, 1 << 40}},
 		{Blobs: []Blob{
@@ -64,6 +64,7 @@ func wireCases() (reqs []rpcRequest, resps []rpcResponse) {
 		{Err: "cloud: overloaded; retry after 40ms", Code: codeOverloaded, RetryAfterMs: 40},
 		{Err: `cloud: tenant "acme" over ops quota`, Code: codeQuota, RetryAfterMs: 1, Tenant: "acme", Resource: "ops"},
 		{Err: ErrWireVersion.Error(), Code: codeWireVersion},
+		{Err: ErrNoTenant.Error(), Code: codeNoTenant},
 	}
 	return reqs, resps
 }
@@ -130,16 +131,19 @@ func TestFrameCodecRejects(t *testing.T) {
 		"trailing byte":   {append(append([]byte{}, good...), 0), errMalformedPayload},
 		"unknown field":   {[]byte{wireMagic, 2, 0x80, 0x04}, errMalformedPayload},
 		"count past end":  {hugeCount, errMalformedPayload},
-		"string past end": {[]byte{wireMagic, 2, reqName, 200, 'x'}, errMalformedPayload},
+		"string past end": {[]byte{wireMagic, 3, reqName, 200, 'x'}, errMalformedPayload},
+		"retired data":    {[]byte{wireMagic, 5, reqRetiredData, 1, 'x'}, errMalformedPayload},
 	} {
 		var req rpcRequest
 		if err := decodeRequest(tc.payload, &req); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decodeRequest = %v, want %v", name, err, tc.want)
 		}
 	}
-	var req rpcRequest
-	if err := decodeRequest([]byte{wireMagic, 0x7F, 0}, &req); err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Errorf("unknown op code: decodeRequest = %v", err)
+	for _, op := range []byte{0x7F, 1, 2} { // 1 and 2 are the retired single put and get
+		var req rpcRequest
+		if err := decodeRequest([]byte{wireMagic, op, 0}, &req); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op code %#02x: decodeRequest = %v", op, err)
+		}
 	}
 	var resp rpcResponse
 	if err := decodeResponse([]byte(`{"err":"x"}`), &resp); !errors.Is(err, ErrWireVersion) {
@@ -148,8 +152,13 @@ func TestFrameCodecRejects(t *testing.T) {
 	if err := decodeResponse([]byte{wireMagic, 0, respBlobs, 0xFF, 0xFF, 0xFF, 0x7F}, &resp); !errors.Is(err, errMalformedPayload) {
 		t.Errorf("blob count past end: decodeResponse = %v", err)
 	}
-	if err := decodeResponse([]byte{wireMagic, 0, respBlob, 0x04, 0, 0}, &resp); !errors.Is(err, errMalformedPayload) {
+	if err := decodeResponse([]byte{wireMagic, 0, respBlobs, 1, 0x04, 0, 0}, &resp); !errors.Is(err, errMalformedPayload) {
 		t.Errorf("unknown blob flag: decodeResponse = %v", err)
+	}
+	for _, bit := range []byte{respRetiredVersion, respRetiredBlob} {
+		if err := decodeResponse([]byte{wireMagic, 0, bit, 2}, &resp); !errors.Is(err, errMalformedPayload) {
+			t.Errorf("retired mask bit %#02x: decodeResponse = %v", bit, err)
+		}
 	}
 }
 
@@ -286,14 +295,12 @@ func randomWireValues(seed int64) (rpcRequest, rpcResponse) {
 		return Blob{Name: str(), Version: num(), Data: data(), Stored: when()}
 	}
 
-	req := rpcRequest{Op: wireOps[1+rng.Intn(len(wireOps)-1)]}
-	if rng.Intn(2) == 0 {
-		req.Name, req.Prefix, req.Recipient, req.Max = str(), str(), str(), num()
+	var req rpcRequest
+	for req.Op == "" { // skip the unused and retired codes
+		req.Op = wireOps[rng.Intn(len(wireOps))]
 	}
 	if rng.Intn(2) == 0 {
-		if req.Data = data(); len(req.Data) == 0 {
-			req.Data = nil // a put of no bytes travels as no field
-		}
+		req.Name, req.Prefix, req.Recipient, req.Max = str(), str(), str(), num()
 	}
 	if rng.Intn(2) == 0 {
 		req.Message = message()
@@ -310,14 +317,9 @@ func randomWireValues(seed int64) (rpcRequest, rpcResponse) {
 
 	var resp rpcResponse
 	if rng.Intn(3) == 0 {
-		resp.Code = errCode(1 + rng.Intn(int(codeWireVersion)))
+		resp.Code = errCode(1 + rng.Intn(int(codeNoTenant)))
 		resp.Err, resp.Tenant, resp.Resource = str(), str(), str()
 		resp.RetryAfterMs = rng.Int63()
-	}
-	if rng.Intn(2) == 0 {
-		resp.Version = num()
-		b := blob()
-		resp.Blob = &b
 	}
 	if rng.Intn(2) == 0 {
 		resp.Stats = new(Stats)
@@ -353,6 +355,8 @@ func FuzzFrameCodec(f *testing.F) {
 	}
 	f.Add([]byte(`{"op":"get"}`), int64(0))
 	f.Add(binary.AppendUvarint([]byte{wireMagic, 5, reqPuts}, 1<<62), int64(0))
+	f.Add([]byte{wireMagic, 1, reqName | reqRetiredData, 1, 'x', 1, 'y'}, int64(0)) // a retired single put
+	f.Add([]byte{wireMagic, 0, respRetiredVersion, 2}, int64(0))                    // a retired single put's answer
 
 	f.Fuzz(func(t *testing.T, payload []byte, seed int64) {
 		// The largest element a byte of input can stand for is a Blob (three

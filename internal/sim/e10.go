@@ -120,9 +120,12 @@ func buildE10Cell(cfg E10Config, catalogDocs int, svc *cloud.Memory) (*core.Cell
 	if _, err := builder.SyncVault(); err != nil {
 		return nil, err
 	}
+	// The provider round-trip only matters once the fleet queries, so only
+	// the reader's provider pays it.
 	reader, err := core.New(core.Config{
-		ID: "e10-lib", Class: tamper.ClassHomeGateway, Cloud: svc,
-		Seed: []byte("e10-seed"), Clock: fixedClock(),
+		ID: "e10-lib", Class: tamper.ClassHomeGateway,
+		Cloud: cloud.NewFaulty(svc, cloud.FaultyOptions{Latency: cfg.RTT}),
+		Seed:  []byte("e10-seed"), Clock: fixedClock(),
 	})
 	if err != nil {
 		return nil, err
@@ -150,8 +153,6 @@ func RunE10Size(cfg E10Config, catalogDocs int) (E10Result, error) {
 	if err != nil {
 		return E10Result{}, err
 	}
-	// The provider round-trip only starts mattering once the fleet queries.
-	svc.SetLatency(cfg.RTT)
 	cell.Catalog().ResetIndexStats()
 
 	errs := make([]error, cfg.Readers)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trustedcells/internal/cloud"
@@ -40,8 +41,9 @@ type E16Config struct {
 	// Deadline is the healthy-run response window (generous: the gather
 	// exits early once every cell answered).
 	Deadline time.Duration
-	// DrillDeadline is the response window of the straggler and adversary
-	// drills, which must actually expire.
+	// DrillDeadline is the straggler drill's response window, which must
+	// actually expire: the drill's logical clock passes it once every alive
+	// cell has answered.
 	DrillDeadline time.Duration
 	// DeadFraction is the share of the fleet that never polls its mailbox
 	// in the straggler drill.
@@ -85,9 +87,30 @@ type e16Run struct {
 	GatherMS  float64
 }
 
+// e16Clock is a drill's one logical clock: the cloud stamps messages with it
+// and the coordinator checks its deadline against it. It stands still until
+// the drill moves it, so whether a response beats the deadline is decided by
+// the drill, not by how the scheduler happened to run the fleet.
+type e16Clock struct{ unixNano atomic.Int64 }
+
+func newE16Clock() *e16Clock {
+	c := &e16Clock{}
+	c.unixNano.Store(simStart.UnixNano())
+	return c
+}
+
+// Now is the clock's current time.
+func (c *e16Clock) Now() time.Time { return time.Unix(0, c.unixNano.Load()) }
+
+// Advance moves the clock forward by d.
+func (c *e16Clock) Advance(d time.Duration) { c.unixNano.Add(int64(d)) }
+
 // e16Query runs one full scatter/respond/gather cycle over n responders on
-// svc. alive(i) selects which cells poll their mailbox; nil means all.
-func e16Query(cfg E16Config, svc cloud.Service, n int, queryID string, deadline time.Duration, alive func(int) bool) (*e16Run, error) {
+// svc. alive(i) selects which cells poll their mailbox; nil means all. clock,
+// when non-nil, is the coordinator's clock and must be svc's too: it is
+// advanced past the deadline once every alive cell has answered, so exactly
+// the cells that never polled miss it. nil runs on the wall clock.
+func e16Query(cfg E16Config, svc cloud.Service, n int, queryID string, deadline time.Duration, alive func(int) bool, clock *e16Clock) (*e16Run, error) {
 	comm := commons.NewCommunity("e16", crypto.DeriveKey(crypto.SymmetricKey{16}, "commons", "e16"))
 	responders := make([]*commons.Responder, n)
 	cells := make([]string, n)
@@ -103,10 +126,15 @@ func e16Query(cfg E16Config, svc cloud.Service, n int, queryID string, deadline 
 		aggIDs[i] = fmt.Sprintf("agg-%d", i)
 		aggs[i] = commons.NewAggregator(aggIDs[i], comm, svc)
 	}
+	var now func() time.Time
+	if clock != nil {
+		now = clock.Now
+	}
 	co, err := commons.NewCoordinator(commons.CoordinatorConfig{
 		ID:        "census",
 		Community: comm,
 		Cloud:     svc,
+		Clock:     now,
 		Rand:      rand.New(rand.NewSource(cfg.Seed)),
 		Workers:   cfg.Workers,
 	})
@@ -162,6 +190,9 @@ func e16Query(cfg E16Config, svc cloud.Service, n int, queryID string, deadline 
 	wg.Wait()
 	if pollErr != nil {
 		return nil, pollErr
+	}
+	if clock != nil {
+		clock.Advance(deadline + time.Nanosecond)
 	}
 	respondDone := time.Now()
 
@@ -243,7 +274,7 @@ func RunE16(cfg E16Config) (*Table, error) {
 	}
 
 	for _, n := range cfg.FleetSizes {
-		run, err := e16Query(cfg, cloud.NewMemory(), n, fmt.Sprintf("census-%d", n), cfg.Deadline, nil)
+		run, err := e16Query(cfg, cloud.NewMemory(), n, fmt.Sprintf("census-%d", n), cfg.Deadline, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("healthy run at %d cells: %w", n, err)
 		}
@@ -257,10 +288,14 @@ func RunE16(cfg E16Config) (*Table, error) {
 
 	// Straggler drill: a deterministic 10% of the fleet is dead, the
 	// deadline fires, and the release must still clear k with honest
-	// accounting.
+	// accounting. The cloud and the coordinator share one logical clock, so
+	// the deadline passes only after every alive cell has answered.
 	deadEvery := int(1 / cfg.DeadFraction)
-	drill, err := e16Query(cfg, cloud.NewMemory(), headline, "census-straggler", cfg.DrillDeadline,
-		func(i int) bool { return i%deadEvery != deadEvery-1 })
+	clock := newE16Clock()
+	drillCloud := cloud.NewMemory()
+	drillCloud.SetClock(clock.Now)
+	drill, err := e16Query(cfg, drillCloud, headline, "census-straggler", cfg.DrillDeadline,
+		func(i int) bool { return i%deadEvery != deadEvery-1 }, clock)
 	if err != nil {
 		return nil, fmt.Errorf("straggler drill: %w", err)
 	}
@@ -279,7 +314,7 @@ func RunE16(cfg E16Config) (*Table, error) {
 	adv := cloud.NewAdversary(cloud.NewMemory(), cloud.AdversaryConfig{
 		Mode: cloud.Dropping, DropRate: cfg.DropRate, Seed: cfg.Seed,
 	})
-	advRun, err := e16Query(cfg, adv, headline, "census-dropping", 2*time.Second, nil)
+	advRun, err := e16Query(cfg, adv, headline, "census-dropping", 2*time.Second, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dropping-provider drill: %w", err)
 	}

@@ -94,8 +94,7 @@ func runE9Path(cfg E9Config, cells int, batched bool) (float64, float64, error) 
 		shards = cfg.Shards
 	}
 	mem := cloud.NewMemoryShards(shards)
-	mem.SetLatency(cfg.RTT)
-	svc := &callCounter{Service: mem}
+	svc := &callCounter{Service: cloud.NewFaulty(mem, cloud.FaultyOptions{Latency: cfg.RTT})}
 
 	fleet := make([]*core.Cell, cells)
 	for i := range fleet {

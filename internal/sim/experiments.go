@@ -321,7 +321,7 @@ func RunE4(cfg E4Config) (*Table, error) {
 			ecfg := DefaultE16Config()
 			ecfg.Aggregators = committee
 			svc := cloud.NewMemory()
-			run, err := e16Query(ecfg, svc, n, fmt.Sprintf("e4-%s-%d", proto, n), ecfg.Deadline, nil)
+			run, err := e16Query(ecfg, svc, n, fmt.Sprintf("e4-%s-%d", proto, n), ecfg.Deadline, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("E4 %s at %d cells: %w", proto, n, err)
 			}

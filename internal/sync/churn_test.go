@@ -135,8 +135,7 @@ func TestConcurrentUpsertsDuringSync(t *testing.T) {
 // provider mid-push, Upsert and Get must complete at memory speed instead of
 // queueing behind the cloud round-trip.
 func TestLocalOpsDoNotBlockOnSlowCloud(t *testing.T) {
-	svc := cloud.NewMemory()
-	svc.SetLatency(250 * time.Millisecond)
+	svc := cloud.NewFaulty(cloud.NewMemory(), cloud.FaultyOptions{Latency: 250 * time.Millisecond})
 	replicas := fleet(t, svc, 1)
 	r := replicas[0]
 	r.Upsert(doc(1))

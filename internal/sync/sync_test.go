@@ -141,11 +141,10 @@ func TestDisconnectedReplicasCatchUp(t *testing.T) {
 }
 
 func TestCloudOutageMapsToDisconnected(t *testing.T) {
-	svc := cloud.NewMemory()
-	svc.SetClock(func() time.Time { return t0 })
+	svc := cloud.NewFaulty(cloud.NewMemory(), cloud.FaultyOptions{})
 	a, _ := twoReplicas(svc)
 	a.Upsert(doc(1))
-	svc.SetOutage(t0.Add(time.Hour))
+	svc.SetDown(true)
 	if err := a.Push(); err != ErrDisconnected {
 		t.Fatalf("push during outage: %v", err)
 	}
