@@ -103,19 +103,20 @@ func (a *Adversary) chanceLocked(p float64) bool {
 	return a.rng.Float64() < p
 }
 
-// knownVersionLocked returns the highest version the wrapper has acknowledged
-// or observed for name, consulting the backend once for names it has never
-// seen. The caller holds mu.
-func (a *Adversary) knownVersionLocked(name string) int {
-	if v, ok := a.versions[name]; ok {
-		return v
+// learnVersionsLocked records the backend's version of names the wrapper has
+// never seen (0 when absent or unreadable), all in one backend read. The
+// caller holds mu.
+func (a *Adversary) learnVersionsLocked(names []string) {
+	if len(names) == 0 {
+		return
 	}
-	v := 0
-	if b, err := a.inner.GetBlob(name); err == nil {
-		v = b.Version
+	blobs, err := a.inner.GetBlobs(names)
+	for i, n := range names {
+		a.versions[n] = 0
+		if err == nil {
+			a.versions[n] = blobs[i].Version
+		}
 	}
-	a.versions[name] = v
-	return v
 }
 
 // noteVersionLocked records an acknowledged or observed version.
@@ -156,17 +157,29 @@ func (a *Adversary) branchLocked(id string) *forkBranch {
 	return br
 }
 
-// effectiveLocked resolves a name in a branch: the branch's own write if it
-// has one, the frozen backend state otherwise. ok is false for names that
-// exist nowhere.
-func (a *Adversary) effectiveLocked(br *forkBranch, name string) (Blob, bool) {
-	if b, ok := br.blobs[name]; ok {
-		return b, true
+// frozenLocked reads, in one backend call, the frozen backend state of the
+// names the branch has not overwritten (a name resolves to the branch's own
+// write if it has one). The result is indexed like names; a name the branch
+// holds, or the backend lacks or fails to serve, reads as the zero Blob.
+func (a *Adversary) frozenLocked(br *forkBranch, names []string) []Blob {
+	out := make([]Blob, len(names))
+	var miss []string
+	var at []int
+	for i, n := range names {
+		if _, ok := br.blobs[n]; !ok {
+			miss = append(miss, n)
+			at = append(at, i)
+		}
 	}
-	if b, err := a.inner.GetBlob(name); err == nil {
-		return b, true
+	if len(miss) == 0 {
+		return out
 	}
-	return Blob{}, false
+	if blobs, err := a.inner.GetBlobs(miss); err == nil {
+		for j, b := range blobs {
+			out[at[j]] = b
+		}
+	}
+	return out
 }
 
 // EndFork heals a fork: the winner branch's writes are flushed to the backend
@@ -209,9 +222,14 @@ func (a *Adversary) putBatch(branch string, puts []BlobPut) ([]int, error) {
 		// the fork point. Version numbers continue the branch's own history,
 		// so each client sees a self-consistent world.
 		br := a.branchLocked(branch)
+		names := make([]string, len(puts))
 		for i, p := range puts {
-			base := 0
-			if cur, ok := a.effectiveLocked(br, p.Name); ok {
+			names[i] = p.Name
+		}
+		frozen := a.frozenLocked(br, names)
+		for i, p := range puts {
+			base := frozen[i].Version
+			if cur, ok := br.blobs[p.Name]; ok {
 				base = cur.Version
 			}
 			b := Blob{Name: p.Name, Version: base + 1, Data: append([]byte(nil), p.Data...)}
@@ -222,14 +240,29 @@ func (a *Adversary) putBatch(branch string, puts []BlobPut) ([]int, error) {
 		return versions, nil
 	}
 
+	// Draw the drops first, so the versions of dropped names the wrapper has
+	// never seen come from one backend read.
+	var drop []bool
+	if a.mode == Dropping {
+		drop = make([]bool, len(puts))
+		var unseen []string
+		for i, p := range puts {
+			if drop[i] = a.chanceLocked(a.cfg.DropRate); drop[i] {
+				if _, ok := a.versions[p.Name]; !ok {
+					unseen = append(unseen, p.Name)
+				}
+			}
+		}
+		a.learnVersionsLocked(unseen)
+	}
 	fwd := make([]BlobPut, 0, len(puts))
 	fwdIdx := make([]int, 0, len(puts))
 	for i, p := range puts {
-		if a.mode == Dropping && a.chanceLocked(a.cfg.DropRate) {
+		if drop != nil && drop[i] {
 			// Pretend success but do not store: a silently lossy provider.
 			// The invented version continues the acknowledged sequence, so
 			// the lie is only visible to a client that audits freshness.
-			v := a.knownVersionLocked(p.Name) + 1
+			v := a.versions[p.Name] + 1
 			a.versions[p.Name] = v
 			versions[i] = v
 			a.droppedBlobs.Add(1)
@@ -308,10 +341,18 @@ func (a *Adversary) readBatch(branch string, gets []CondGet, fetch func() ([]Blo
 	defer a.mu.Unlock()
 	if a.mode == Fork {
 		br := a.branchLocked(branch)
+		names := make([]string, len(gets))
+		for i, g := range gets {
+			names[i] = g.Name
+		}
+		frozen := a.frozenLocked(br, names)
 		blobs := make([]Blob, len(gets))
 		for i, g := range gets {
-			b, ok := a.effectiveLocked(br, g.Name)
+			b, ok := br.blobs[g.Name]
 			if !ok {
+				b = frozen[i]
+			}
+			if b.Version == 0 {
 				continue
 			}
 			if b.Version <= g.IfNewer {

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -186,5 +187,83 @@ func TestAdversaryStatsMergeAndBatches(t *testing.T) {
 	st := a.Stats()
 	if st.Puts != 2 || st.BytesStored != 2 {
 		t.Fatalf("inner counters not merged: %+v", st)
+	}
+}
+
+// callCounter is a backend that counts the calls it serves.
+type callCounter struct {
+	*Memory
+	calls int
+}
+
+func (c *callCounter) GetBlob(name string) (Blob, error) {
+	c.calls++
+	return c.Memory.GetBlob(name)
+}
+
+func (c *callCounter) PutBlobs(puts []BlobPut) ([]int, error) {
+	c.calls++
+	return c.Memory.PutBlobs(puts)
+}
+
+func (c *callCounter) GetBlobs(names []string) ([]Blob, error) {
+	c.calls++
+	return c.Memory.GetBlobs(names)
+}
+
+func (c *callCounter) GetBlobsIf(gets []CondGet) ([]Blob, error) {
+	c.calls++
+	return c.Memory.GetBlobsIf(gets)
+}
+
+// TestAdversaryBatchesMakeOneInnerCall pins that the wrapper resolves the
+// names a batch needs from the backend in one call, not one per name: a
+// Fork-mode read of names the branch never wrote, and a Dropping put of names
+// the wrapper never saw.
+func TestAdversaryBatchesMakeOneInnerCall(t *testing.T) {
+	const n = 16
+	names := make([]string, n)
+	puts := make([]BlobPut, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("blob-%02d", i)
+		puts[i] = BlobPut{Name: names[i], Data: []byte(names[i])}
+	}
+	inner := &callCounter{Memory: NewMemory()}
+	if _, err := inner.PutBlobs(puts); err != nil {
+		t.Fatal(err)
+	}
+	fork := NewAdversary(inner, AdversaryConfig{Mode: Fork, Seed: 1})
+	calls := []struct {
+		name string
+		run  func() error
+	}{
+		{"fork GetBlobs", func() error {
+			blobs, err := fork.ClientView("phone").GetBlobs(names)
+			if err == nil && (blobs[n-1].Version != 1 || string(blobs[n-1].Data) != names[n-1]) {
+				t.Errorf("fork read served %+v", blobs[n-1])
+			}
+			return err
+		}},
+		{"fork GetBlobsIf", func() error {
+			_, err := fork.ClientView("phone").GetBlobsIf(unconditional(names))
+			return err
+		}},
+		{"dropping PutBlobs", func() error {
+			drop := NewAdversary(inner, AdversaryConfig{Mode: Dropping, DropRate: 1, Seed: 1})
+			versions, err := drop.PutBlobs(puts)
+			if err == nil && versions[0] != 2 {
+				t.Errorf("dropped put acknowledged version %d, want 2", versions[0])
+			}
+			return err
+		}},
+	}
+	for _, c := range calls {
+		inner.calls = 0
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if inner.calls != 1 {
+			t.Errorf("%s of %d names made %d backend calls, want 1", c.name, n, inner.calls)
+		}
 	}
 }

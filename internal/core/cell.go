@@ -65,7 +65,9 @@ type Config struct {
 
 // Cell is a trusted cell: the user's personal data server.
 type Cell struct {
-	mu sync.Mutex
+	// mu guards the mutable maps below and the access rules: reads take it
+	// shared to evaluate rules while an accepted offer may install new ones.
+	mu sync.RWMutex
 
 	id      string
 	tee     *tamper.TEE
@@ -210,6 +212,8 @@ func (c *Cell) AddRule(r policy.Rule) error {
 	if c.tee.Locked() {
 		return ErrNotOwner
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.access.Add(r)
 }
 
@@ -322,53 +326,13 @@ type IngestOptions struct {
 // Ingest acquires a payload into the personal data space: the payload is
 // sealed under a per-document key, the ciphertext is cached locally and
 // pushed to the cloud vault, and the metadata is indexed in the catalog.
-// Ingest is an owner operation.
+// Ingest is an owner operation, an IngestBatch of one.
 func (c *Cell) Ingest(payload []byte, opts IngestOptions) (*datamodel.Document, error) {
-	if c.tee.Locked() {
-		return nil, ErrNotOwner
-	}
-	contentHash := crypto.HashString(payload)
-	doc := &datamodel.Document{
-		ID:          datamodel.NewDocumentID(c.id, opts.Type, contentHash),
-		Owner:       c.id,
-		Class:       opts.Class,
-		Type:        opts.Type,
-		Title:       opts.Title,
-		Keywords:    opts.Keywords,
-		Tags:        opts.Tags,
-		CreatedAt:   c.clock(),
-		Size:        int64(len(payload)),
-		ContentHash: contentHash,
-	}
-	key := c.keys.DocumentKey(doc.ID)
-	doc.KeyFingerprint = key.Fingerprint()
-	// The envelope and its key/AD scratch live in pooled buffers: both the
-	// cloud store and the local cache copy on put, so once the writes settle
-	// the buffers are recycled and a steady-state ingest allocates nothing
-	// for sealing.
-	scratch, sb := keyBufs.Get(), sealBufs.Get()
-	defer func() { keyBufs.Put(scratch); sealBufs.Put(sb) }()
-	*scratch = appendAssociatedData(*scratch, c.id, doc.ID)
-	sealed, err := crypto.SealTo(*sb, key, payload, *scratch)
+	docs, err := c.IngestBatch([]IngestItem{{Payload: payload, Opts: opts}})
 	if err != nil {
-		return nil, fmt.Errorf("core: ingest: %w", err)
+		return nil, err
 	}
-	*sb = sealed
-	doc.BlobRef = c.blobName(doc.ID)
-	if c.cloud != nil {
-		if _, err := c.cloud.PutBlob(doc.BlobRef, sealed); err != nil {
-			return nil, fmt.Errorf("core: ingest: cloud put: %w", err)
-		}
-	}
-	if err := c.cache.Apply([]storage.Op{{Key: appendPayloadKey((*scratch)[:0], doc.ID), Value: sealed}}); err != nil {
-		return nil, fmt.Errorf("core: ingest: cache: %w", err)
-	}
-	if err := c.catalog.Add(doc); err != nil {
-		return nil, fmt.Errorf("core: ingest: catalog: %w", err)
-	}
-	c.mirrorToReplica(doc)
-	c.appendAudit(c.id, "ingest", doc.ID, audit.OutcomeAllowed, "owner ingest", "")
-	return doc.Clone(), nil
+	return docs[0], nil
 }
 
 // IngestSeries serialises a time series and ingests it as a SeriesDocType
@@ -412,61 +376,21 @@ func decodeSeries(data []byte) (*timeseries.Series, error) {
 	return s, nil
 }
 
-// fetchSealed returns the sealed payload of a document, preferring the local
-// cache and falling back to the cloud; fromCloud reports which one served
-// it, so callers can warm the cache once the envelope verifies.
-func (c *Cell) fetchSealed(doc *datamodel.Document) (sealed []byte, fromCloud bool, err error) {
-	kb := keyBufs.Get()
-	cached, cacheErr := c.cache.Get(appendPayloadKey(*kb, doc.ID))
-	keyBufs.Put(kb)
-	if cacheErr == nil {
-		return cached, false, nil
-	}
-	if c.cloud == nil {
-		return nil, false, fmt.Errorf("core: payload of %s unavailable: no cloud and no cache", doc.ID)
-	}
-	blob, err := c.cloud.GetBlob(doc.BlobRef)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: fetching %s: %w", doc.ID, err)
-	}
-	return blob.Data, true, nil
-}
-
-// openDocument fetches, decrypts and integrity-checks a document payload.
-// A verified cloud fetch warms the local cache so the next read of the same
-// document stays local (read-your-reads); a payload that fails verification
-// is never cached, so recovery retries the cloud.
-func (c *Cell) openDocument(doc *datamodel.Document, key crypto.SymmetricKey, owner string) ([]byte, error) {
-	sealed, fromCloud, err := c.fetchSealed(doc)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := c.openSealed(doc, key, owner, sealed)
-	if err == nil && fromCloud {
-		c.warmCache(doc.ID, sealed)
-	}
-	return plain, err
-}
-
-// warmCache writes a verified sealed payload back to the local cache. Best
-// effort: the read already has the bytes even if caching them fails. The
-// cache key lives in pooled scratch (the memtable copies it on apply).
+// warmCache writes a verified sealed payload back to the local cache, so the
+// next read of the same document stays local. Best effort: the read already
+// has the bytes even if caching them fails. The cache key lives in pooled
+// scratch (the memtable copies it on apply).
 func (c *Cell) warmCache(docID string, sealed []byte) {
 	kb := keyBufs.Get()
 	_ = c.cache.Apply([]storage.Op{{Key: appendPayloadKey(*kb, docID), Value: sealed}})
 	keyBufs.Put(kb)
 }
 
-// openSealed decrypts and integrity-checks an already-fetched sealed payload.
-// It only reads immutable cell state, so it is safe from many workers at once.
-func (c *Cell) openSealed(doc *datamodel.Document, key crypto.SymmetricKey, owner string, sealed []byte) ([]byte, error) {
-	return c.openSealedTo(nil, doc, key, owner, sealed)
-}
-
-// openSealedTo is openSealed appending the plaintext to dst: decryption in
-// one pass (the associated data is verified in place, never copied), the
-// content hash compared without materializing its hex form. With a pooled
-// dst the only allocation left on the open path is whatever the caller keeps.
+// openSealedTo decrypts and integrity-checks a sealed payload, appending the
+// plaintext to dst: decryption in one pass (the associated data is verified
+// in place, never copied), the content hash compared without materializing
+// its hex form. It only reads immutable cell state, so it is safe from many
+// workers at once.
 func (c *Cell) openSealedTo(dst []byte, doc *datamodel.Document, key crypto.SymmetricKey, owner string, sealed []byte) ([]byte, error) {
 	plain, ad, err := crypto.OpenTo(dst, key, sealed)
 	if err != nil {
@@ -510,181 +434,20 @@ func (c *Cell) appendAudit(actor, action, resource string, outcome audit.Outcome
 	})
 }
 
-// readGate is the outcome of the reference-monitor gate for one document of a
-// read or aggregate: everything needed to open the payload and settle the
-// access afterwards.
-type readGate struct {
-	doc        *datamodel.Document
-	key        crypto.SymmetricKey
-	owner      string
-	session    *ucon.Session
-	decision   policy.Decision
-	originator string
-}
-
-// gateRead runs the reference-monitor checks of a read — catalog lookup,
-// access-control evaluation, usage-control session admission, key selection —
-// auditing every refusal. It performs no payload I/O, so batches can gate
-// every document before a single cloud exchange.
-func (c *Cell) gateRead(subjectID, docID string, ctx AccessContext) (*readGate, error) {
-	doc, err := c.catalog.Get(docID)
-	if err != nil {
-		c.appendAudit(subjectID, string(policy.ActionRead), docID, audit.OutcomeError, "unknown document", "")
-		return nil, ErrUnknownDocument
-	}
-	subj := c.subject(subjectID, ctx)
-	req := policy.Request{
-		Subject: subj,
-		Action:  policy.ActionRead,
-		Resource: policy.Resource{
-			DocumentID: doc.ID, Type: doc.Type, Class: doc.Class.String(), Tags: doc.Tags,
-		},
-		Context: policy.Context{Time: c.clock(), Location: ctx.Location, Purpose: ctx.Purpose},
-	}
-	decision := c.access.Evaluate(req)
-	originator := c.originatorOf(docID)
-	if !decision.Allowed {
-		c.appendAudit(subjectID, string(policy.ActionRead), docID, audit.OutcomeDenied, decision.Reason, originator)
-		return nil, fmt.Errorf("%w: %s", ErrAccessDenied, decision.Reason)
-	}
-	// Usage control (sessions opened only when a usage policy is attached).
-	var session *ucon.Session
-	if len(c.usage.Policies(docID)) > 0 {
-		session, err = c.usage.TryAccess(ucon.Request{
-			ObjectID:     docID,
-			SubjectID:    subjectID,
-			Attributes:   subj.Attributes,
-			Now:          c.clock(),
-			FulfilledPre: ctx.FulfilledObligations,
-		})
-		if err != nil {
-			c.appendAudit(subjectID, string(policy.ActionRead), docID, audit.OutcomeDenied, err.Error(), originator)
-			return nil, fmt.Errorf("%w: %v", ErrAccessDenied, err)
-		}
-	}
-	key := c.keys.DocumentKey(docID)
-	owner := c.id
-	if sticky, ok := c.remoteDocs[docID]; ok {
-		owner = sticky.OriginatorID
-		var kerr error
-		key, kerr = c.remoteKey(docID)
-		if kerr != nil {
-			c.appendAudit(subjectID, string(policy.ActionRead), docID, audit.OutcomeError, kerr.Error(), originator)
-			return nil, kerr
-		}
-	}
-	return &readGate{doc: doc, key: key, owner: owner, session: session,
-		decision: decision, originator: originator}, nil
-}
-
-// settleRead finishes a gated read whose payload has been fetched and
-// decrypted: it fulfils usage obligations, closes the session, and audits the
-// outcome. openErr carries the fetch or decryption failure, if any; a failed
-// read revokes the session rather than leaving it active (and the subject
-// never saw the payload, so no use is counted).
-func (c *Cell) settleRead(subjectID string, g *readGate, plain []byte, openErr error) ([]byte, error) {
-	if openErr != nil {
-		if g.session != nil {
-			_ = c.usage.Revoke(g.session.ID)
-		}
-		c.appendAudit(subjectID, string(policy.ActionRead), g.doc.ID, audit.OutcomeError, openErr.Error(), g.originator)
-		return nil, openErr
-	}
-	if g.session != nil {
-		// Fulfil the notify-owner obligation by exporting an audit segment to
-		// the originator mailbox, then close the session.
-		pending, _ := c.usage.PendingObligations(g.session.ID)
-		for _, ob := range pending {
-			if ob == ucon.ObligationNotifyOwner {
-				if err := c.notifyOriginator(g.doc.ID, subjectID); err == nil {
-					_ = c.usage.FulfillObligation(g.session.ID, ucon.ObligationNotifyOwner)
-				}
-			}
-		}
-		if err := c.usage.EndAccess(g.session.ID); err != nil {
-			c.appendAudit(subjectID, string(policy.ActionRead), g.doc.ID, audit.OutcomeError, err.Error(), g.originator)
-			return nil, fmt.Errorf("%w: %v", ErrAccessDenied, err)
-		}
-	}
-	c.appendAudit(subjectID, string(policy.ActionRead), g.doc.ID, audit.OutcomeAllowed,
-		g.decision.Reason+" rule="+g.decision.RuleID, g.originator)
-	return plain, nil
-}
-
 // Read returns the plaintext payload of a document if the access-control
 // policy and the usage-control monitor both allow it. Every attempt is
-// audited. Many documents at once go through ReadBatch, which fetches all
-// cache misses in one cloud round-trip.
+// audited. It is a ReadBatch of one.
 func (c *Cell) Read(subjectID, docID string, ctx AccessContext) ([]byte, error) {
-	g, err := c.gateRead(subjectID, docID, ctx)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := c.openDocument(g.doc, g.key, g.owner)
-	return c.settleRead(subjectID, g, plain, err)
-}
-
-// gateAggregate runs the reference-monitor checks of an aggregate query over
-// one series document, including the policy's MaxGranularity cap, auditing
-// every refusal. Like gateRead it performs no payload I/O.
-func (c *Cell) gateAggregate(subjectID, docID string, g timeseries.Granularity, ctx AccessContext) (*readGate, error) {
-	doc, err := c.catalog.Get(docID)
-	if err != nil {
-		c.appendAudit(subjectID, string(policy.ActionAggregate), docID, audit.OutcomeError, "unknown document", "")
-		return nil, ErrUnknownDocument
-	}
-	if doc.Type != SeriesDocType {
-		return nil, ErrNotSeries
-	}
-	subj := c.subject(subjectID, ctx)
-	req := policy.Request{
-		Subject: subj,
-		Action:  policy.ActionAggregate,
-		Resource: policy.Resource{
-			DocumentID: doc.ID, Type: doc.Type, Class: doc.Class.String(), Tags: doc.Tags,
-		},
-		Context: policy.Context{Time: c.clock(), Location: ctx.Location, Purpose: ctx.Purpose},
-	}
-	decision := c.access.Evaluate(req)
-	originator := c.originatorOf(docID)
-	if !decision.Allowed {
-		c.appendAudit(subjectID, string(policy.ActionAggregate), docID, audit.OutcomeDenied, decision.Reason, originator)
-		return nil, fmt.Errorf("%w: %s", ErrAccessDenied, decision.Reason)
-	}
-	if decision.MaxGranularity > 0 && time.Duration(g) < decision.MaxGranularity {
-		c.appendAudit(subjectID, string(policy.ActionAggregate), docID, audit.OutcomeDenied,
-			fmt.Sprintf("requested %v finer than allowed %v", time.Duration(g), decision.MaxGranularity), originator)
-		return nil, ErrGranularity
-	}
-	return &readGate{doc: doc, key: c.keys.DocumentKey(docID), owner: c.id,
-		decision: decision, originator: originator}, nil
+	r := c.ReadBatch(subjectID, []string{docID}, ctx)[0]
+	return r.Payload, r.Err
 }
 
 // Aggregate evaluates an aggregate query over a time-series document at the
-// requested granularity. The policy's MaxGranularity cap is enforced: a
-// requester entitled to 15-minute aggregates cannot obtain 1-second data.
-// Many documents at once go through AggregateBatch.
+// requested granularity, under the same gate as Read plus the policy's
+// MaxGranularity cap. It is an AggregateBatch of one.
 func (c *Cell) Aggregate(subjectID, docID string, g timeseries.Granularity, kind timeseries.AggregateKind, ctx AccessContext) (*timeseries.Series, error) {
-	gate, err := c.gateAggregate(subjectID, docID, g, ctx)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := c.openDocument(gate.doc, gate.key, gate.owner)
-	if err != nil {
-		c.appendAudit(subjectID, string(policy.ActionAggregate), docID, audit.OutcomeError, err.Error(), gate.originator)
-		return nil, err
-	}
-	series, err := decodeSeries(plain)
-	if err != nil {
-		return nil, err
-	}
-	out, err := series.DownsampleSeries(g, kind)
-	if err != nil {
-		return nil, fmt.Errorf("core: aggregate: %w", err)
-	}
-	c.appendAudit(subjectID, string(policy.ActionAggregate), docID, audit.OutcomeAllowed,
-		fmt.Sprintf("granularity=%v rule=%s", time.Duration(g), gate.decision.RuleID), gate.originator)
-	return out, nil
+	r := c.AggregateBatch(subjectID, []string{docID}, g, kind, ctx)[0]
+	return r.Series, r.Err
 }
 
 // Search runs a metadata query over the catalog. Searching is an owner
@@ -717,17 +480,16 @@ func (c *Cell) KeywordCounts(keywords []string) (map[string]int, error) {
 
 // notifyOriginator pushes the audit records concerning docID to the
 // originator cell's mailbox, sealed under the pairing key.
-func (c *Cell) notifyOriginator(docID, subjectID string) error {
-	sticky, ok := c.remoteDocs[docID]
-	if !ok || c.cloud == nil {
+func (c *Cell) notifyOriginator(originator, docID, subjectID string) error {
+	if originator == "" || c.cloud == nil {
 		return fmt.Errorf("core: no originator to notify for %s", docID)
 	}
 	// Record the access being notified before exporting.
-	c.appendAudit(subjectID, "notify-originator", docID, audit.OutcomeAllowed, "usage obligation", sticky.OriginatorID)
+	c.appendAudit(subjectID, "notify-originator", docID, audit.OutcomeAllowed, "usage obligation", originator)
 	var body []byte
-	err := c.pairingKey(sticky.OriginatorID, func(pk crypto.SymmetricKey) error {
-		segKey := crypto.DeriveKey(pk, "audit-segment", c.id+"->"+sticky.OriginatorID)
-		seg, err := c.log.Export(sticky.OriginatorID, segKey)
+	err := c.pairingKey(originator, func(pk crypto.SymmetricKey) error {
+		segKey := crypto.DeriveKey(pk, "audit-segment", c.id+"->"+originator)
+		seg, err := c.log.Export(originator, segKey)
 		if err != nil {
 			return err
 		}
@@ -739,18 +501,10 @@ func (c *Cell) notifyOriginator(docID, subjectID string) error {
 	}
 	return c.cloud.Send(cloud.Message{
 		From: c.id,
-		To:   sticky.OriginatorID,
+		To:   originator,
 		Kind: "audit-segment",
 		Body: body,
 	})
-}
-
-// originatorOf returns the originator cell ID for shared documents.
-func (c *Cell) originatorOf(docID string) string {
-	if sticky, ok := c.remoteDocs[docID]; ok {
-		return sticky.OriginatorID
-	}
-	return ""
 }
 
 // CacheStats exposes the embedded engine statistics (experiments E2).

@@ -168,8 +168,16 @@ func TestAggregateGranularityEnforcement(t *testing.T) {
 	if _, err := c.Read("bob", doc.ID, AccessContext{Groups: []string{"household"}}); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("raw read: %v", err)
 	}
-	// Aggregate on a non-series document fails.
+	// Aggregate on a non-series document fails. The type check follows the
+	// policy check, so only a subject a rule admits learns the document is
+	// not a series.
 	note, _ := c.Ingest([]byte("hello"), IngestOptions{Type: "note", Class: datamodel.ClassAuthored})
+	if _, err := c.Aggregate("bob", note.ID, timeseries.GranularityHour, timeseries.AggregateMean, ctx); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("aggregate over note without a rule: %v", err)
+	}
+	_ = c.AddRule(policy.Rule{ID: "household-notes", Effect: policy.EffectAllow,
+		SubjectGroups: []string{"household"}, Actions: []policy.Action{policy.ActionAggregate},
+		Resource: policy.Resource{Type: "note"}})
 	if _, err := c.Aggregate("bob", note.ID, timeseries.GranularityHour, timeseries.AggregateMean, ctx); err != ErrNotSeries {
 		t.Fatalf("aggregate over note: %v", err)
 	}

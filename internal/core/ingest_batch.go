@@ -17,13 +17,15 @@ type IngestItem struct {
 	Opts    IngestOptions
 }
 
-// sealedItem is the output of the sealing stage for one item. sealed lives in
-// a pooled buffer (buf) until the batch has flushed it to the cloud and the
-// local cache — both copy on put — after which IngestBatch recycles it.
+// sealedItem is the output of the sealing stage for one item, or its error.
+// sealed lives in a pooled buffer (buf) until the batch has flushed it to the
+// cloud and the local cache — both copy on put — after which IngestBatch
+// recycles it.
 type sealedItem struct {
-	doc    *datamodel.Document
+	doc    datamodel.Document
 	sealed []byte
 	buf    *[]byte
+	err    error
 }
 
 // IngestBatch acquires many payloads in one operation. Sealing — the AES
@@ -61,12 +63,14 @@ func (c *Cell) IngestBatch(items []IngestItem) ([]*datamodel.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make(map[string]int, len(sealed))
-	for i, s := range sealed {
-		if j, dup := ids[s.doc.ID]; dup {
-			return nil, fmt.Errorf("core: ingest batch: items %d and %d are identical (document %s)", j, i, s.doc.ID)
+	if len(sealed) > 1 {
+		ids := make(map[string]int, len(sealed))
+		for i, s := range sealed {
+			if j, dup := ids[s.doc.ID]; dup {
+				return nil, fmt.Errorf("core: ingest: items %d and %d are identical (document %s)", j, i, s.doc.ID)
+			}
+			ids[s.doc.ID] = i
 		}
-		ids[s.doc.ID] = i
 	}
 
 	if c.cloud != nil {
@@ -75,7 +79,7 @@ func (c *Cell) IngestBatch(items []IngestItem) ([]*datamodel.Document, error) {
 			puts[i] = cloud.BlobPut{Name: s.doc.BlobRef, Data: s.sealed}
 		}
 		if _, err := c.cloud.PutBlobs(puts); err != nil {
-			return nil, fmt.Errorf("core: ingest batch: cloud put: %w", err)
+			return nil, fmt.Errorf("core: ingest: cloud put: %w", err)
 		}
 	}
 
@@ -92,17 +96,18 @@ func (c *Cell) IngestBatch(items []IngestItem) ([]*datamodel.Document, error) {
 	err = c.cache.Apply(ops)
 	keyBufs.Put(kb)
 	if err != nil {
-		return nil, fmt.Errorf("core: ingest batch: cache: %w", err)
+		return nil, fmt.Errorf("core: ingest: cache: %w", err)
 	}
 
 	docs := make([]*datamodel.Document, 0, len(sealed))
-	for _, s := range sealed {
-		if err := c.catalog.Add(s.doc); err != nil {
-			return docs, fmt.Errorf("core: ingest batch: catalog: %w", err)
+	for i := range sealed {
+		doc := &sealed[i].doc
+		if err := c.catalog.Add(doc); err != nil {
+			return docs, fmt.Errorf("core: ingest: catalog: %w", err)
 		}
-		c.mirrorToReplica(s.doc)
-		c.appendAudit(c.id, "ingest", s.doc.ID, audit.OutcomeAllowed, "owner ingest (batch)", "")
-		docs = append(docs, s.doc.Clone())
+		c.mirrorToReplica(doc)
+		c.appendAudit(c.id, "ingest", doc.ID, audit.OutcomeAllowed, "owner ingest", "")
+		docs = append(docs, doc.Clone())
 	}
 	return docs, nil
 }
@@ -113,16 +118,15 @@ func (c *Cell) IngestBatch(items []IngestItem) ([]*datamodel.Document, error) {
 func (c *Cell) sealAll(items []IngestItem) ([]sealedItem, error) {
 	now := c.clock() // one timestamp for the whole batch
 	out := make([]sealedItem, len(items))
-	errs := make([]error, len(items))
 	parallelDo(len(items), maxCryptoWorkers, func(i int) {
-		out[i], errs[i] = c.sealOne(items[i], now)
+		out[i] = c.sealOne(items[i], now)
 	})
-	for _, err := range errs {
-		if err != nil {
+	for _, s := range out {
+		if s.err != nil {
 			for i := range out {
 				sealBufs.Put(out[i].buf)
 			}
-			return nil, err
+			return nil, s.err
 		}
 	}
 	return out, nil
@@ -131,9 +135,9 @@ func (c *Cell) sealAll(items []IngestItem) ([]sealedItem, error) {
 // sealOne builds the document metadata and seals the payload of one item.
 // It only reads immutable cell state (id, key hierarchy, clock value), so it
 // is safe to run from many workers at once.
-func (c *Cell) sealOne(item IngestItem, now time.Time) (sealedItem, error) {
+func (c *Cell) sealOne(item IngestItem, now time.Time) sealedItem {
 	contentHash := crypto.HashString(item.Payload)
-	doc := &datamodel.Document{
+	doc := datamodel.Document{
 		ID:          datamodel.NewDocumentID(c.id, item.Opts.Type, contentHash),
 		Owner:       c.id,
 		Class:       item.Opts.Class,
@@ -154,9 +158,9 @@ func (c *Cell) sealOne(item IngestItem, now time.Time) (sealedItem, error) {
 	keyBufs.Put(scratch)
 	if err != nil {
 		sealBufs.Put(sb)
-		return sealedItem{}, fmt.Errorf("core: ingest batch: %w", err)
+		return sealedItem{err: fmt.Errorf("core: ingest: %w", err)}
 	}
 	*sb = sealed
 	doc.BlobRef = c.blobName(doc.ID)
-	return sealedItem{doc: doc, sealed: sealed, buf: sb}, nil
+	return sealedItem{doc: doc, sealed: sealed, buf: sb}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func newBatchTestCell(t *testing.T, svc cloud.Service) *Cell {
 	t.Helper()
 	cell, err := New(Config{ID: "batch-cell", Class: tamper.ClassHomeGateway,
-		Cloud: svc, Seed: []byte("batch-cell")})
+		Cloud: svc, Seed: []byte("batch-cell"), Clock: fixedClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,10 @@ func newBatchTestCell(t *testing.T, svc cloud.Service) *Cell {
 	return cell
 }
 
+// TestIngestBatchMatchesIngest compares a batch of N with N batches of one on
+// twin cells: the same documents, audit records and cache state, one cloud
+// exchange against N.
 func TestIngestBatchMatchesIngest(t *testing.T) {
-	svc := cloud.NewMemory()
-	cell := newBatchTestCell(t, svc)
-
 	items := make([]IngestItem, 10)
 	for i := range items {
 		items[i] = IngestItem{
@@ -37,44 +38,43 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			Opts:    IngestOptions{Class: datamodel.ClassAuthored, Type: "note", Title: fmt.Sprintf("n%d", i)},
 		}
 	}
-	docs, err := cell.IngestBatch(items)
+	batchSvc := &countingService{Memory: cloud.NewMemory()}
+	batched := newBatchTestCell(t, batchSvc)
+	docs, err := batched.IngestBatch(items)
 	if err != nil {
 		t.Fatalf("IngestBatch: %v", err)
 	}
-	if len(docs) != len(items) {
-		t.Fatalf("docs = %d", len(docs))
+	oneSvc := &countingService{Memory: cloud.NewMemory()}
+	ones := newBatchTestCell(t, oneSvc)
+	for i, item := range items {
+		one, err := ones.IngestBatch([]IngestItem{item})
+		if err != nil {
+			t.Fatalf("IngestBatch of one: %v", err)
+		}
+		if !reflect.DeepEqual(one[0], docs[i]) {
+			t.Fatalf("doc %d: batch %+v, batch of one %+v", i, docs[i], one[0])
+		}
 	}
-	if cell.Catalog().Len() != len(items) {
-		t.Fatalf("catalog = %d", cell.Catalog().Len())
+	if batched.Catalog().Len() != len(items) || ones.Catalog().Len() != len(items) {
+		t.Fatalf("catalogs = %d / %d", batched.Catalog().Len(), ones.Catalog().Len())
+	}
+	if batchSvc.puts != 1 || oneSvc.puts != len(items) {
+		t.Fatalf("cloud put exchanges = %d / %d, want 1 / %d", batchSvc.puts, oneSvc.puts, len(items))
+	}
+	if batchSvc.Stats().Puts != int64(len(items)) || oneSvc.Stats().Puts != int64(len(items)) {
+		t.Fatalf("cloud blob puts = %d / %d", batchSvc.Stats().Puts, oneSvc.Stats().Puts)
+	}
+	if !reflect.DeepEqual(batched.AuditLog().Records(), ones.AuditLog().Records()) {
+		t.Fatal("audit records differ between a batch and batches of one")
+	}
+	if batched.CacheStats() != ones.CacheStats() {
+		t.Fatalf("cache state: %+v / %+v", batched.CacheStats(), ones.CacheStats())
 	}
 	for i, doc := range docs {
-		// Batched documents read back through the reference monitor exactly
-		// like individually ingested ones.
-		plain, err := cell.Read("owner", doc.ID, AccessContext{})
-		if err != nil {
-			t.Fatalf("read %s: %v", doc.ID, err)
+		plain, err := batched.Read("owner", doc.ID, AccessContext{})
+		if err != nil || !bytes.Equal(plain, items[i].Payload) {
+			t.Fatalf("payload %d round-trip: %q %v", i, plain, err)
 		}
-		if !bytes.Equal(plain, items[i].Payload) {
-			t.Fatalf("payload %d round-trip: %q", i, plain)
-		}
-		// The sealed blob reached the cloud vault under the document's ref.
-		if _, err := svc.GetBlob(doc.BlobRef); err != nil {
-			t.Fatalf("cloud blob %s: %v", doc.BlobRef, err)
-		}
-	}
-	if got := int64(len(items)); svc.Stats().Puts != got {
-		t.Fatalf("cloud puts = %d, want %d", svc.Stats().Puts, got)
-	}
-	// Every item is individually audited.
-	records := cell.AuditLog().Records()
-	ingests := 0
-	for _, r := range records {
-		if r.Action == "ingest" {
-			ingests++
-		}
-	}
-	if ingests < len(items) {
-		t.Fatalf("audit records = %d", ingests)
 	}
 }
 
@@ -107,23 +107,29 @@ func TestIngestBatchEmptyAndLocked(t *testing.T) {
 	}
 }
 
-// countingBatchService records how many batch uploads it served, proving the
-// cell prefers the batch API when the cloud offers it.
-type countingBatchService struct {
+// countingService counts the batched uploads and downloads a cell makes.
+type countingService struct {
 	*cloud.Memory
 	mu         sync.Mutex
-	batchCalls int
+	puts, gets int
 }
 
-func (c *countingBatchService) PutBlobs(puts []cloud.BlobPut) ([]int, error) {
+func (c *countingService) PutBlobs(puts []cloud.BlobPut) ([]int, error) {
 	c.mu.Lock()
-	c.batchCalls++
+	c.puts++
 	c.mu.Unlock()
 	return c.Memory.PutBlobs(puts)
 }
 
+func (c *countingService) GetBlobs(names []string) ([]cloud.Blob, error) {
+	c.mu.Lock()
+	c.gets++
+	c.mu.Unlock()
+	return c.Memory.GetBlobs(names)
+}
+
 func TestIngestBatchUsesBatchAPI(t *testing.T) {
-	svc := &countingBatchService{Memory: cloud.NewMemory()}
+	svc := &countingService{Memory: cloud.NewMemory()}
 	cell, err := New(Config{ID: "batch-cell", Class: tamper.ClassHomeGateway,
 		Cloud: svc, Seed: []byte("batch-cell")})
 	if err != nil {
@@ -137,8 +143,8 @@ func TestIngestBatchUsesBatchAPI(t *testing.T) {
 	if _, err := cell.IngestBatch(items); err != nil {
 		t.Fatal(err)
 	}
-	if svc.batchCalls != 1 {
-		t.Fatalf("batch uploads = %d, want 1", svc.batchCalls)
+	if svc.puts != 1 {
+		t.Fatalf("batch uploads = %d, want 1", svc.puts)
 	}
 }
 

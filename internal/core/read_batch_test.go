@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"trustedcells/internal/audit"
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/datamodel"
 	"trustedcells/internal/policy"
+	"trustedcells/internal/storage"
 	"trustedcells/internal/tamper"
 	"trustedcells/internal/timeseries"
 	"trustedcells/internal/ucon"
@@ -22,7 +27,7 @@ import (
 func coldReadCell(t *testing.T, svc cloud.Service, n int) (*Cell, []string, [][]byte) {
 	t.Helper()
 	builder, err := New(Config{ID: "reader-cell", Class: tamper.ClassHomeGateway,
-		Cloud: svc, Seed: []byte("reader-cell")})
+		Cloud: svc, Seed: []byte("reader-cell"), Clock: fixedClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func coldReadCell(t *testing.T, svc cloud.Service, n int) (*Cell, []string, [][]
 		t.Fatal(err)
 	}
 	cold, err := New(Config{ID: "reader-cell", Class: tamper.ClassHomeGateway,
-		Cloud: svc, Seed: []byte("reader-cell")})
+		Cloud: svc, Seed: []byte("reader-cell"), Clock: fixedClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,36 +64,53 @@ func coldReadCell(t *testing.T, svc cloud.Service, n int) (*Cell, []string, [][]
 	return cold, ids, payloads
 }
 
+// TestReadBatchMatchesRead compares a batch of N with N batches of one on
+// twin cold cells: the same payloads, errors and audit records, one cloud
+// exchange against N.
 func TestReadBatchMatchesRead(t *testing.T) {
-	svc := cloud.NewMemory()
-	cell, ids, payloads := coldReadCell(t, svc, 8)
+	batchSvc := &countingService{Memory: cloud.NewMemory()}
+	batched, ids, payloads := coldReadCell(t, batchSvc, 8)
+	oneSvc := &countingService{Memory: cloud.NewMemory()}
+	ones, _, _ := coldReadCell(t, oneSvc, 8)
 
 	req := append(append([]string{}, ids...), "doc-missing")
-	results := cell.ReadBatch("owner", req, AccessContext{})
+	results := batched.ReadBatch("owner", req, AccessContext{})
 	if len(results) != len(req) {
 		t.Fatalf("results = %d, want %d", len(results), len(req))
 	}
-	for i := range ids {
-		if results[i].Err != nil {
-			t.Fatalf("doc %d: %v", i, results[i].Err)
+	for i, id := range req {
+		one := ones.ReadBatch("owner", []string{id}, AccessContext{})[0]
+		if one.DocID != results[i].DocID || !bytes.Equal(one.Payload, results[i].Payload) ||
+			fmt.Sprint(one.Err) != fmt.Sprint(results[i].Err) {
+			t.Fatalf("doc %d: batch %+v, batch of one %+v", i, results[i], one)
 		}
-		if !bytes.Equal(results[i].Payload, payloads[i]) {
-			t.Fatalf("doc %d payload %q", i, results[i].Payload)
+	}
+	for i := range ids {
+		if results[i].Err != nil || !bytes.Equal(results[i].Payload, payloads[i]) {
+			t.Fatalf("doc %d: %q %v", i, results[i].Payload, results[i].Err)
 		}
 	}
 	if !errors.Is(results[len(req)-1].Err, ErrUnknownDocument) {
 		t.Fatalf("unknown doc error = %v", results[len(req)-1].Err)
 	}
+	if batchSvc.gets != 1 || oneSvc.gets != len(ids) {
+		t.Fatalf("cloud get exchanges = %d / %d, want 1 / %d", batchSvc.gets, oneSvc.gets, len(ids))
+	}
+	// A batch audits its refusals as it gates and its accesses as it settles,
+	// so the records agree as a set, not in order.
+	if b, o := auditSet(batched), auditSet(ones); !reflect.DeepEqual(b, o) {
+		t.Fatalf("audit records differ:\n%v\n%v", b, o)
+	}
 
 	// A stranger is denied per document, and the denials are audited.
-	denied := cell.ReadBatch("stranger", ids[:3], AccessContext{})
+	denied := batched.ReadBatch("stranger", ids[:3], AccessContext{})
 	for _, r := range denied {
 		if !errors.Is(r.Err, ErrAccessDenied) {
 			t.Fatalf("stranger result %v", r.Err)
 		}
 	}
 	deniedAudits := 0
-	for _, r := range cell.AuditLog().Records() {
+	for _, r := range batched.AuditLog().Records() {
 		if r.Actor == "stranger" && r.Outcome == "denied" {
 			deniedAudits++
 		}
@@ -98,22 +120,129 @@ func TestReadBatchMatchesRead(t *testing.T) {
 	}
 }
 
-// countingGetBatchService records how many batched downloads it served.
-type countingGetBatchService struct {
-	*cloud.Memory
-	mu         sync.Mutex
-	getBatches int
+// auditSet lists a cell's audit records without their position in the log.
+func auditSet(c *Cell) []string {
+	var out []string
+	for _, r := range c.AuditLog().Records() {
+		out = append(out, fmt.Sprintf("%s|%s|%s|%s|%s|%s", r.Actor, r.Action, r.Resource, r.Outcome, r.Reason, r.Originator))
+	}
+	sort.Strings(out)
+	return out
 }
 
-func (c *countingGetBatchService) GetBlobs(names []string) ([]cloud.Blob, error) {
-	c.mu.Lock()
-	c.getBatches++
-	c.mu.Unlock()
-	return c.Memory.GetBlobs(names)
+// TestSingleCallIsBatchOfOne drives twin cells, one through Ingest, Read and
+// Aggregate and one through one-element IngestBatch, ReadBatch and
+// AggregateBatch, over cold reads, a usage cap, a refusal and an unknown
+// document: documents, results, cloud exchanges, cache state and audit
+// records must all agree.
+func TestSingleCallIsBatchOfOne(t *testing.T) {
+	s := timeseries.NewSeries("power", "W")
+	for i := 0; i < 120; i++ {
+		_ = s.AppendValue(testTime.Add(time.Duration(i)*time.Minute), float64(i))
+	}
+	seriesPayload, err := encodeSeries(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []IngestItem{
+		{Payload: []byte("a note"), Opts: IngestOptions{Class: datamodel.ClassAuthored, Type: "note", Title: "n"}},
+		{Payload: seriesPayload, Opts: IngestOptions{Class: datamodel.ClassSensed, Type: SeriesDocType, Title: "s"}},
+	}
+	type observed struct {
+		docs                []*datamodel.Document
+		reads, aggs         []string
+		puts, gets          int
+		builderLog, log     []audit.Record
+		builderCache, cache storage.Stats
+	}
+	drive := func(single bool) observed {
+		var o observed
+		svc := &countingService{Memory: cloud.NewMemory()}
+		builder := newTestCell(t, "twin-cell", svc)
+		for _, item := range items {
+			var doc *datamodel.Document
+			if single {
+				doc, err = builder.Ingest(item.Payload, item.Opts)
+			} else {
+				var docs []*datamodel.Document
+				if docs, err = builder.IngestBatch([]IngestItem{item}); err == nil {
+					doc = docs[0]
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.docs = append(o.docs, doc)
+		}
+		if _, err := builder.SyncVault(); err != nil {
+			t.Fatal(err)
+		}
+		cold := newTestCell(t, "twin-cell", svc)
+		if _, err := cold.RestoreVault(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.AddRule(policy.Rule{ID: "owner", Effect: policy.EffectAllow, SubjectIDs: []string{"owner"},
+			Actions: []policy.Action{policy.ActionRead, policy.ActionAggregate}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.AttachUsagePolicy(ucon.Policy{ObjectID: o.docs[0].ID, MaxUses: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{o.docs[0].ID, o.docs[0].ID, o.docs[1].ID, "doc-missing"} {
+			r := ReadResult{DocID: id}
+			if single {
+				r.Payload, r.Err = cold.Read("owner", id, AccessContext{})
+			} else {
+				r = cold.ReadBatch("owner", []string{id}, AccessContext{})[0]
+			}
+			o.reads = append(o.reads, fmt.Sprintf("%q %v", r.Payload, r.Err))
+		}
+		for _, subject := range []string{"owner", "stranger"} {
+			r := AggregateResult{DocID: o.docs[1].ID}
+			if single {
+				r.Series, r.Err = cold.Aggregate(subject, o.docs[1].ID, timeseries.GranularityHour, timeseries.AggregateMean, AccessContext{})
+			} else {
+				r = cold.AggregateBatch(subject, []string{o.docs[1].ID}, timeseries.GranularityHour, timeseries.AggregateMean, AccessContext{})[0]
+			}
+			var points []timeseries.Point
+			if r.Series != nil {
+				points = r.Series.Points()
+			}
+			o.aggs = append(o.aggs, fmt.Sprintf("%v %v", points, r.Err))
+		}
+		o.puts, o.gets = svc.puts, svc.gets
+		o.builderLog, o.log = builder.AuditLog().Records(), cold.AuditLog().Records()
+		o.builderCache, o.cache = builder.CacheStats(), cold.CacheStats()
+		return o
+	}
+	single, batch := drive(true), drive(false)
+	if !reflect.DeepEqual(single.docs, batch.docs) {
+		t.Fatalf("documents differ:\n%+v\n%+v", single.docs, batch.docs)
+	}
+	if !reflect.DeepEqual(single.reads, batch.reads) || !reflect.DeepEqual(single.aggs, batch.aggs) {
+		t.Fatalf("results differ:\n%v %v\n%v %v", single.reads, single.aggs, batch.reads, batch.aggs)
+	}
+	if single.puts != batch.puts || single.gets != batch.gets {
+		t.Fatalf("cloud exchanges: puts %d/%d gets %d/%d", single.puts, batch.puts, single.gets, batch.gets)
+	}
+	if single.builderCache != batch.builderCache || single.cache != batch.cache {
+		t.Fatalf("cache state differs: %+v %+v / %+v %+v", single.builderCache, single.cache, batch.builderCache, batch.cache)
+	}
+	if !reflect.DeepEqual(single.builderLog, batch.builderLog) || !reflect.DeepEqual(single.log, batch.log) {
+		t.Fatal("audit records differ")
+	}
+	// The script itself: the capped second read and the stranger's aggregate
+	// are refused, and each document is downloaded once.
+	if !strings.Contains(single.reads[1], ErrAccessDenied.Error()) || !strings.Contains(single.aggs[1], ErrAccessDenied.Error()) {
+		t.Fatalf("refusals not observed: %v %v", single.reads, single.aggs)
+	}
+	if single.gets != 2 {
+		t.Fatalf("cloud get exchanges = %d, want 2 (note, series)", single.gets)
+	}
 }
 
 func TestReadBatchSingleCloudExchangeAndCacheWarming(t *testing.T) {
-	svc := &countingGetBatchService{Memory: cloud.NewMemory()}
+	svc := &countingService{Memory: cloud.NewMemory()}
 	cell, ids, _ := coldReadCell(t, svc, 12)
 
 	gets0 := svc.Stats().Gets
@@ -123,8 +252,8 @@ func TestReadBatchSingleCloudExchangeAndCacheWarming(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	if svc.getBatches != 1 {
-		t.Fatalf("batched downloads = %d, want 1", svc.getBatches)
+	if svc.gets != 1 {
+		t.Fatalf("batched downloads = %d, want 1", svc.gets)
 	}
 	if d := svc.Stats().Gets - gets0; d != int64(len(ids)) {
 		t.Fatalf("blob gets = %d, want %d", d, len(ids))
@@ -138,8 +267,8 @@ func TestReadBatchSingleCloudExchangeAndCacheWarming(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	if svc.getBatches != 1 || svc.Stats().Gets != gets1 {
-		t.Fatalf("second batch hit the cloud: batches=%d gets=%d", svc.getBatches, svc.Stats().Gets-gets1)
+	if svc.gets != 1 || svc.Stats().Gets != gets1 {
+		t.Fatalf("second batch hit the cloud: batches=%d gets=%d", svc.gets, svc.Stats().Gets-gets1)
 	}
 }
 
@@ -193,17 +322,18 @@ func TestAggregateBatchMatchesAggregate(t *testing.T) {
 	}
 	ctx := AccessContext{Groups: []string{"household"}}
 
+	// A batch of N answers like N batches of one, bucket for bucket.
 	results := cell.AggregateBatch("bob", ids, timeseries.GranularityHour, timeseries.AggregateMean, ctx)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("doc %d: %v", i, r.Err)
 		}
-		want, err := cell.Aggregate("bob", ids[i], timeseries.GranularityHour, timeseries.AggregateMean, ctx)
-		if err != nil {
-			t.Fatal(err)
+		one := cell.AggregateBatch("bob", ids[i:i+1], timeseries.GranularityHour, timeseries.AggregateMean, ctx)[0]
+		if one.Err != nil || r.DocID != one.DocID || !reflect.DeepEqual(r.Series.Points(), one.Series.Points()) {
+			t.Fatalf("doc %d batch/batch-of-one mismatch: %v", i, one.Err)
 		}
-		if r.Series.Len() != want.Len() || r.Series.At(0).Value != want.At(0).Value {
-			t.Fatalf("doc %d batch/single mismatch", i)
+		if r.Series.Len() != 24 || r.Series.At(0).Value != float64(100*(i+1)) {
+			t.Fatalf("doc %d: %d buckets, first %v", i, r.Series.Len(), r.Series.At(0).Value)
 		}
 	}
 
@@ -215,14 +345,52 @@ func TestAggregateBatchMatchesAggregate(t *testing.T) {
 		}
 	}
 
-	// Non-series documents are rejected per document.
+	// Non-series documents are rejected per document, once a rule lets the
+	// subject aggregate them at all.
 	note, err := cell.Ingest([]byte("note"), IngestOptions{Class: datamodel.ClassAuthored, Type: "note"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cell.AddRule(policy.Rule{ID: "household-notes", Effect: policy.EffectAllow,
+		SubjectGroups: []string{"household"}, Actions: []policy.Action{policy.ActionAggregate},
+		Resource: policy.Resource{Type: "note"}}); err != nil {
 		t.Fatal(err)
 	}
 	mixed := cell.AggregateBatch("bob", []string{ids[0], note.ID}, timeseries.GranularityHour, timeseries.AggregateMean, ctx)
 	if mixed[0].Err != nil || !errors.Is(mixed[1].Err, ErrNotSeries) {
 		t.Fatalf("mixed batch = %v / %v", mixed[0].Err, mixed[1].Err)
+	}
+}
+
+// TestAggregateBatchDuplicateIDsRespectUsageCap proves usage control governs
+// aggregates, duplicates included: an owner's MaxUses=1 policy on their own
+// series allows one aggregate of a batch naming it twice.
+func TestAggregateBatchDuplicateIDsRespectUsageCap(t *testing.T) {
+	cell := newBatchTestCell(t, cloud.NewMemory())
+	if err := cell.AddRule(policy.Rule{ID: "owner-agg", Effect: policy.EffectAllow,
+		SubjectIDs: []string{"owner"}, Actions: []policy.Action{policy.ActionAggregate}}); err != nil {
+		t.Fatal(err)
+	}
+	s := timeseries.NewSeries("power", "W")
+	for i := 0; i < 4; i++ {
+		_ = s.AppendValue(testTime.Add(time.Duration(i)*time.Hour), 1)
+	}
+	doc, err := cell.IngestSeries(s, "rationed", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cell.AttachUsagePolicy(ucon.Policy{ObjectID: doc.ID, MaxUses: 1}); err != nil {
+		t.Fatal(err)
+	}
+	results := cell.AggregateBatch("owner", []string{doc.ID, doc.ID}, timeseries.GranularityHour, timeseries.AggregateSum, AccessContext{})
+	if results[0].Err != nil {
+		t.Fatalf("first use: %v", results[0].Err)
+	}
+	if !errors.Is(results[1].Err, ErrAccessDenied) || results[1].Series != nil {
+		t.Fatalf("second use of a MaxUses=1 series must be denied, got %v", results[1].Err)
+	}
+	if n := cell.Usage().UseCount(doc.ID, "owner"); n != 1 {
+		t.Fatalf("use count = %d, want 1", n)
 	}
 }
 

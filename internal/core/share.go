@@ -9,6 +9,7 @@ import (
 	"trustedcells/internal/audit"
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
+	"trustedcells/internal/datamodel"
 	"trustedcells/internal/policy"
 	"trustedcells/internal/sharing"
 	"trustedcells/internal/ucon"
@@ -93,12 +94,15 @@ func (c *Cell) Share(docID, peerID string, opts ShareOptions) error {
 	}
 	// Policy check: the owner shares, but an explicit deny rule on sharing
 	// (e.g. "never share raw data") still applies.
-	decision := c.access.Evaluate(policy.Request{
+	req := policy.Request{
 		Subject:  policy.Subject{ID: c.id, Groups: []string{"owner"}},
 		Action:   policy.ActionShare,
 		Resource: policy.Resource{DocumentID: doc.ID, Type: doc.Type, Class: doc.Class.String(), Tags: doc.Tags},
 		Context:  policy.Context{Time: c.clock()},
-	})
+	}
+	c.mu.RLock()
+	decision := c.access.Evaluate(req)
+	c.mu.RUnlock()
 	// The owner is implicitly allowed unless an explicit deny matched.
 	if !decision.Allowed && decision.RuleID != "" {
 		c.appendAudit(c.id, string(policy.ActionShare), docID, audit.OutcomeDenied, decision.Reason, "")
@@ -230,6 +234,9 @@ func (c *Cell) acceptOffer(body []byte) error {
 	if !c.Paired(offer.From) {
 		return ErrNotPaired
 	}
+	if _, err := c.catalog.Get(offer.Document.ID); err == nil {
+		return fmt.Errorf("core: accept offer: %w", datamodel.ErrDuplicateID)
+	}
 	var docKey crypto.SymmetricKey
 	err = c.pairingKey(offer.From, func(pk crypto.SymmetricKey) error {
 		var uerr error
@@ -243,27 +250,30 @@ func (c *Cell) acceptOffer(body []byte) error {
 	if err := c.tee.SealSecret("dockey/"+offer.Document.ID, docKey); err != nil {
 		return err
 	}
+	// Install the originator's usage limits, then its access rules and the
+	// document's originator, so this cell enforces them; the document enters
+	// the catalog last, so no read finds it without all three.
 	doc := offer.Document.Clone()
-	if err := c.catalog.Add(doc); err != nil {
-		return fmt.Errorf("core: accept offer: %w", err)
-	}
-	c.mu.Lock()
-	c.remoteDocs[doc.ID] = offer.Sticky
-	c.mu.Unlock()
-
-	// Install the originator's access rules and usage limits locally so this
-	// cell enforces them.
-	for _, r := range offer.Sticky.Access.Rules {
-		if err := c.access.Add(r); err != nil {
-			return err
-		}
-	}
 	up := ucon.Policy{ObjectID: doc.ID, MaxUses: offer.Sticky.MaxUses, NotAfter: offer.Sticky.NotAfter}
 	if offer.Sticky.ObligationNotify {
 		up.Obligations = append(up.Obligations, ucon.Obligation{Kind: ucon.ObligationNotifyOwner})
 	}
 	if err := c.usage.Attach(up); err != nil {
 		return err
+	}
+	c.mu.Lock()
+	c.remoteDocs[doc.ID] = offer.Sticky
+	for _, r := range offer.Sticky.Access.Rules {
+		if err = c.access.Add(r); err != nil {
+			break
+		}
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := c.catalog.Add(doc); err != nil {
+		return fmt.Errorf("core: accept offer: %w", err)
 	}
 	c.appendAudit(offer.From, "accept-share", doc.ID, audit.OutcomeAllowed, "offer verified", offer.From)
 	return nil

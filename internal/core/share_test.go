@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"trustedcells/internal/datamodel"
 	"trustedcells/internal/policy"
 	"trustedcells/internal/tamper"
+	"trustedcells/internal/timeseries"
 )
 
 // pairCells installs a fresh pairing secret on both cells.
@@ -196,5 +200,131 @@ func TestUnknownInboxMessageKind(t *testing.T) {
 	}
 	if len(bob.AuditLog().Query("x", "mystery", audit.OutcomeError)) != 1 {
 		t.Fatal("unknown message kind not audited")
+	}
+}
+
+// TestShareSeriesAggregateIsUsageControlled proves aggregates of a shared
+// series pass the same gate as reads: the shared key opens the series, the
+// sticky MaxUses admits one aggregate and then refuses, the notify obligation
+// sends the originator one audit segment, and the shared MaxGranularity cap
+// holds.
+func TestShareSeriesAggregateIsUsageControlled(t *testing.T) {
+	svc := cloud.NewMemory()
+	alice := newTestCell(t, "alice-gw", svc)
+	bob := newTestCell(t, "bob-phone", svc)
+	pairCells(t, alice, bob)
+	s := timeseries.NewSeries("power", "W")
+	for i := 0; i < 4*60; i++ {
+		_ = s.AppendValue(testTime.Add(time.Duration(i)*time.Minute), float64(i%60))
+	}
+	doc, err := alice.IngestSeries(s, "power", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Share(doc.ID, "bob-phone", ShareOptions{MaxUses: 1, NotifyOwner: true,
+		MaxGranularity: 15 * time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := bob.ProcessInbox(); err != nil || sum.OffersAccepted != 1 {
+		t.Fatalf("inbox: %+v %v", sum, err)
+	}
+
+	// Finer than the shared cap: refused before any usage session opens.
+	if _, err := bob.Aggregate("bob-phone", doc.ID, timeseries.GranularityMinute, timeseries.AggregateMean, AccessContext{}); !errors.Is(err, ErrGranularity) {
+		t.Fatalf("fine-grained aggregate of a shared series: %v", err)
+	}
+	got, err := bob.Aggregate("bob-phone", doc.ID, timeseries.GranularityHour, timeseries.AggregateMean, AccessContext{})
+	if err != nil {
+		t.Fatalf("aggregate of a shared series: %v", err)
+	}
+	want, err := s.DownsampleSeries(timeseries.GranularityHour, timeseries.AggregateMean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 4 || !reflect.DeepEqual(got.Points(), want.Points()) {
+		t.Fatalf("shared aggregate = %v, want %v", got.Points(), want.Points())
+	}
+	if _, err := bob.Aggregate("bob-phone", doc.ID, timeseries.GranularityHour, timeseries.AggregateMean, AccessContext{}); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("second aggregate past MaxUses=1: %v", err)
+	}
+	if n := bob.Usage().UseCount(doc.ID, "bob-phone"); n != 1 {
+		t.Fatalf("use count = %d, want 1", n)
+	}
+	if n := bob.Usage().ActiveSessions(); n != 0 {
+		t.Fatalf("%d usage sessions left open", n)
+	}
+	sum, err := alice.ProcessInbox()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.AuditSegments != 1 {
+		t.Fatalf("originator received %d audit segments, want 1", sum.AuditSegments)
+	}
+}
+
+// TestConcurrentInboxAndReads accepts 20 share offers on one goroutine while
+// another reads on the same cell; under -race it pins that installing an
+// offer's rules and received-document entry is ordered with the read gate.
+func TestConcurrentInboxAndReads(t *testing.T) {
+	svc := cloud.NewMemory()
+	alice := newTestCell(t, "alice-gw", svc)
+	bob := newTestCell(t, "bob-phone", svc)
+	pairCells(t, alice, bob)
+	if err := bob.AddRule(policy.Rule{ID: "owner", Effect: policy.EffectAllow,
+		SubjectIDs: []string{"bob-phone"}, Actions: []policy.Action{policy.ActionRead}}); err != nil {
+		t.Fatal(err)
+	}
+	own, err := bob.Ingest([]byte("bob's own note"), IngestOptions{Type: "note", Class: datamodel.ClassAuthored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const offers = 20
+	shared := make([]string, offers)
+	for i := range shared {
+		doc, err := alice.Ingest([]byte(fmt.Sprintf("shared photo %02d", i)), IngestOptions{Type: "photo", Class: datamodel.ClassAuthored})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.Share(doc.ID, "bob-phone", ShareOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		shared[i] = doc.ID
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := bob.Read("bob-phone", own.ID, AccessContext{}); err != nil {
+				t.Errorf("read of own note: %v", err)
+				return
+			}
+			// Shared documents become readable as their offers land; until
+			// then the gate refuses them, never opens them with a wrong key.
+			for _, r := range bob.ReadBatch("bob-phone", []string{shared[i%offers], own.ID}, AccessContext{}) {
+				if errors.Is(r.Err, ErrIntegrity) {
+					t.Errorf("read during inbox processing: %v", r.Err)
+					return
+				}
+			}
+		}
+	}()
+	sum, err := bob.ProcessInbox()
+	close(done)
+	wg.Wait()
+	if err != nil || sum.OffersAccepted != offers {
+		t.Fatalf("inbox: %+v %v", sum, err)
+	}
+	for _, r := range bob.ReadBatch("bob-phone", shared, AccessContext{}) {
+		if r.Err != nil {
+			t.Fatalf("shared %s: %v", r.DocID, r.Err)
+		}
 	}
 }
