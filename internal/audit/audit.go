@@ -1,8 +1,8 @@
 // Package audit implements the accountability subsystem of a trusted cell:
 // an append-only, hash-chained audit log of every access and usage decision,
-// which can be encrypted and pushed to the cloud "to the destination of the
-// originator trusted cell" so that data owners can verify how their shared
-// data was used.
+// whose records concerning shared data are pushed, sealed by the cell, "to
+// the destination of the originator trusted cell" so that data owners can
+// verify how their shared data was used.
 package audit
 
 import (
@@ -15,11 +15,8 @@ import (
 	"trustedcells/internal/crypto"
 )
 
-// Errors returned by the log.
-var (
-	ErrChainBroken = errors.New("audit: hash chain verification failed")
-	ErrBadSegment  = errors.New("audit: exported segment is invalid")
-)
+// ErrChainBroken reports a log whose hash chain does not verify.
+var ErrChainBroken = errors.New("audit: hash chain verification failed")
 
 // Outcome is the decision recorded for an audited event.
 type Outcome string
@@ -54,8 +51,8 @@ type Record struct {
 	ChainHead []byte `json:"chain_head"`
 }
 
-// Log is a hash-chained audit log. It is kept inside the cell; Export
-// produces an encrypted segment for the cloud.
+// Log is a hash-chained audit log. It is kept inside the cell; DestinedTo
+// selects the records an originator cell is owed.
 type Log struct {
 	mu      sync.Mutex
 	records []Record
@@ -150,61 +147,16 @@ func (l *Log) Verify() error {
 	return nil
 }
 
-// Segment is an exported, encrypted slice of the audit log destined to an
-// originator cell.
-type Segment struct {
-	// Originator identifies the intended recipient of the segment.
-	Originator string `json:"originator"`
-	// FromSeq/ToSeq delimit the exported records (inclusive).
-	FromSeq uint64 `json:"from_seq"`
-	ToSeq   uint64 `json:"to_seq"`
-	// Sealed is the encrypted JSON array of records.
-	Sealed []byte `json:"sealed"`
-}
-
-// Export extracts all records destined to originator (Record.Originator) and
-// seals them under key. The segment can be pushed to the cloud mailbox of the
-// originator.
-func (l *Log) Export(originator string, key crypto.SymmetricKey) (*Segment, error) {
+// DestinedTo returns the records destined to originator (Record.Originator):
+// the accountability segment a recipient cell pushes to the originator cell.
+func (l *Log) DestinedTo(originator string) []Record {
 	l.mu.Lock()
-	var selected []Record
+	defer l.mu.Unlock()
+	var out []Record
 	for _, r := range l.records {
 		if r.Originator == originator {
-			selected = append(selected, r)
+			out = append(out, r)
 		}
 	}
-	l.mu.Unlock()
-	if len(selected) == 0 {
-		return nil, fmt.Errorf("audit: no records destined to %q", originator)
-	}
-	plain, err := json.Marshal(selected)
-	if err != nil {
-		return nil, fmt.Errorf("audit: export: %w", err)
-	}
-	sealed, err := crypto.Seal(key, plain, []byte("audit-segment:"+originator))
-	if err != nil {
-		return nil, fmt.Errorf("audit: export: %w", err)
-	}
-	return &Segment{
-		Originator: originator,
-		FromSeq:    selected[0].Seq,
-		ToSeq:      selected[len(selected)-1].Seq,
-		Sealed:     sealed,
-	}, nil
-}
-
-// OpenSegment decrypts a segment with the shared key and returns its records.
-func OpenSegment(s *Segment, key crypto.SymmetricKey) ([]Record, error) {
-	plain, ad, err := crypto.Open(key, s.Sealed)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
-	}
-	if string(ad) != "audit-segment:"+s.Originator {
-		return nil, fmt.Errorf("%w: segment bound to a different originator", ErrBadSegment)
-	}
-	var records []Record
-	if err := json.Unmarshal(plain, &records); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
-	}
-	return records, nil
+	return out
 }

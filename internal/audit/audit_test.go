@@ -3,8 +3,6 @@ package audit
 import (
 	"testing"
 	"time"
-
-	"trustedcells/internal/crypto"
 )
 
 var now = time.Date(2013, 4, 1, 9, 0, 0, 0, time.UTC)
@@ -101,7 +99,11 @@ func TestRecordsReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestExportOpenSegment(t *testing.T) {
+// TestRecordsDestinedTo checks the selection of an accountability segment:
+// the records destined to one originator, in log order, and nothing else.
+// Sealing the segment, and refusing a wrong key or a re-addressed segment, is
+// the pairing channel's job (core's TestAuditSegmentBoundToPairing).
+func TestRecordsDestinedTo(t *testing.T) {
 	l := NewLog()
 	r := sampleRecord(0, "bob", OutcomeAllowed)
 	r.Originator = "alice"
@@ -113,39 +115,21 @@ func TestExportOpenSegment(t *testing.T) {
 	r3.Originator = "alice"
 	l.Append(r3)
 
-	key, _ := crypto.NewSymmetricKey()
-	seg, err := l.Export("alice", key)
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	if seg.FromSeq != 1 || seg.ToSeq != 3 {
-		t.Fatalf("segment bounds %d..%d", seg.FromSeq, seg.ToSeq)
-	}
-	records, err := OpenSegment(seg, key)
-	if err != nil {
-		t.Fatalf("OpenSegment: %v", err)
-	}
-	if len(records) != 2 {
-		t.Fatalf("segment contains %d records, want 2", len(records))
+	records := l.DestinedTo("alice")
+	if len(records) != 2 || records[0].Seq != 1 || records[1].Seq != 3 {
+		t.Fatalf("records destined to alice: %+v", records)
 	}
 	for _, rec := range records {
 		if rec.Originator != "alice" {
 			t.Fatalf("foreign record leaked into segment: %+v", rec)
 		}
 	}
-	// Wrong key fails.
-	other, _ := crypto.NewSymmetricKey()
-	if _, err := OpenSegment(seg, other); err == nil {
-		t.Fatal("segment opened with wrong key")
+	records[0].Actor = "mallory"
+	if l.Records()[0].Actor != "bob" {
+		t.Fatal("DestinedTo exposes internal state")
 	}
-	// Re-addressed segment fails (associated data binds the originator).
-	seg.Originator = "dave"
-	if _, err := OpenSegment(seg, key); err == nil {
-		t.Fatal("re-addressed segment accepted")
-	}
-	// No records for unknown originator.
-	if _, err := l.Export("nobody", key); err == nil {
-		t.Fatal("Export for unknown originator succeeded")
+	if got := l.DestinedTo("nobody"); len(got) != 0 {
+		t.Fatalf("records for an unknown originator: %+v", got)
 	}
 }
 

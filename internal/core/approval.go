@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"trustedcells/internal/audit"
-	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
 )
@@ -70,27 +69,13 @@ type approvalResponse struct {
 	Reason    string `json:"reason"`
 }
 
-// approvalKey derives the symmetric key protecting approval traffic between
-// the two paired cells.
-func approvalKey(pairing crypto.SymmetricKey, a, b string) crypto.SymmetricKey {
-	// Canonical ordering so both sides derive the same key.
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return crypto.DeriveKey(pairing, "approval", lo+"|"+hi)
-}
-
 // RequestApproval asks the referenced party's cell to approve data described
 // by (description, docType, contentHash) before it is integrated. The request
-// travels sealed under the pairing key. It returns the request ID to pass to
+// travels over the pairing channel. It returns the request ID to pass to
 // IngestReferencing later.
 func (c *Cell) RequestApproval(referencedParty, description, docType string, payload []byte) (string, error) {
 	if c.tee.Locked() {
 		return "", ErrNotOwner
-	}
-	if c.cloud == nil {
-		return "", ErrNoCloud
 	}
 	contentHash := crypto.HashString(payload)
 	req := ApprovalRequest{
@@ -101,30 +86,11 @@ func (c *Cell) RequestApproval(referencedParty, description, docType string, pay
 		DocType:     docType,
 		ContentHash: contentHash,
 	}
-	plain, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	var sealed []byte
-	err = c.pairingKey(referencedParty, func(pk crypto.SymmetricKey) error {
-		var serr error
-		sealed, serr = crypto.Seal(approvalKey(pk, c.id, referencedParty), plain, []byte("approval-request"))
-		return serr
-	})
-	if err != nil {
-		return "", err
-	}
-	if err := c.cloud.Send(cloud.Message{From: c.id, To: referencedParty, Kind: "approval-request", Body: sealed}); err != nil {
+	if err := c.sendPaired(referencedParty, kindApprovalRequest, req); err != nil {
 		return "", fmt.Errorf("core: approval request: %w", err)
 	}
 	c.mu.Lock()
-	if c.approvalStatus == nil {
-		c.approvalStatus = make(map[string]ApprovalStatus)
-	}
 	c.approvalStatus[req.ID] = ApprovalPending
-	if c.approvalHash == nil {
-		c.approvalHash = make(map[string]string)
-	}
 	c.approvalHash[req.ID] = contentHash
 	c.mu.Unlock()
 	c.appendAudit(c.id, "request-approval", req.ID, audit.OutcomeAllowed,
@@ -136,26 +102,13 @@ func (c *Cell) RequestApproval(referencedParty, description, docType string, pay
 // referenced party's cell.
 func (c *Cell) handleApprovalRequest(from string, body []byte) error {
 	var req ApprovalRequest
-	err := c.pairingKey(from, func(pk crypto.SymmetricKey) error {
-		plain, ad, oerr := crypto.Open(approvalKey(pk, from, c.id), body)
-		if oerr != nil {
-			return oerr
-		}
-		if string(ad) != "approval-request" {
-			return fmt.Errorf("core: unexpected approval envelope")
-		}
-		return json.Unmarshal(plain, &req)
-	})
-	if err != nil {
-		return err
+	if err := json.Unmarshal(body, &req); err != nil {
+		return fmt.Errorf("core: approval request: %w", err)
 	}
-	if req.To != c.id {
-		return fmt.Errorf("core: approval request addressed to %s", req.To)
+	if req.From != from || req.To != c.id {
+		return fmt.Errorf("core: approval request from %s names %s->%s", from, req.From, req.To)
 	}
 	c.mu.Lock()
-	if c.incomingApprovals == nil {
-		c.incomingApprovals = make(map[string]ApprovalRequest)
-	}
 	c.incomingApprovals[req.ID] = req
 	c.mu.Unlock()
 	c.appendAudit(from, "approval-request", req.ID, audit.OutcomeAllowed, req.Description, "")
@@ -192,20 +145,7 @@ func (c *Cell) RespondApproval(requestID string, approve bool, reason string) er
 		return ErrUnknownApproval
 	}
 	resp := approvalResponse{RequestID: requestID, Approved: approve, Reason: reason}
-	plain, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	var sealed []byte
-	err = c.pairingKey(req.From, func(pk crypto.SymmetricKey) error {
-		var serr error
-		sealed, serr = crypto.Seal(approvalKey(pk, c.id, req.From), plain, []byte("approval-response"))
-		return serr
-	})
-	if err != nil {
-		return err
-	}
-	if err := c.cloud.Send(cloud.Message{From: c.id, To: req.From, Kind: "approval-response", Body: sealed}); err != nil {
+	if err := c.sendPaired(req.From, kindApprovalResponse, resp); err != nil {
 		return fmt.Errorf("core: approval response: %w", err)
 	}
 	outcome := audit.OutcomeAllowed
@@ -220,23 +160,10 @@ func (c *Cell) RespondApproval(requestID string, approve bool, reason string) er
 // requesting cell.
 func (c *Cell) handleApprovalResponse(from string, body []byte) error {
 	var resp approvalResponse
-	err := c.pairingKey(from, func(pk crypto.SymmetricKey) error {
-		plain, ad, oerr := crypto.Open(approvalKey(pk, from, c.id), body)
-		if oerr != nil {
-			return oerr
-		}
-		if string(ad) != "approval-response" {
-			return fmt.Errorf("core: unexpected approval envelope")
-		}
-		return json.Unmarshal(plain, &resp)
-	})
-	if err != nil {
-		return err
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return fmt.Errorf("core: approval response: %w", err)
 	}
 	c.mu.Lock()
-	if c.approvalStatus == nil {
-		c.approvalStatus = make(map[string]ApprovalStatus)
-	}
 	if _, known := c.approvalStatus[resp.RequestID]; !known {
 		c.mu.Unlock()
 		return ErrUnknownApproval

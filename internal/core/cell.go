@@ -98,7 +98,7 @@ type Cell struct {
 	// anti-entropy synchronizer so the user's other cells converge on the
 	// same metadata catalog (see AttachReplica). Documents received from
 	// *other* users via the sharing protocol are deliberately not mirrored:
-	// their keys are wrapped for this cell alone, so replicating their
+	// their keys were sent to this cell alone, so replicating their
 	// metadata would hand sibling cells entries they cannot open.
 	replica *syncpkg.Replica
 }
@@ -144,19 +144,22 @@ func New(cfg Config) (*Cell, error) {
 	// page traffic is charged to the TEE and a replaced generation is freed.
 	newDevice := func() storage.Device { return storage.NewMeteredDevice(storage.NewMemDevice(0), tee.Meter()) }
 	cell := &Cell{
-		id:             cfg.ID,
-		tee:            tee,
-		keys:           keys,
-		catalog:        datamodel.NewCatalog(),
-		cache:          storage.NewMemoryKV(newDevice, storage.PersistentOptions{MemtableBytes: cacheBytes}),
-		access:         policy.NewSet(cfg.ID),
-		usage:          ucon.NewMonitor(),
-		log:            audit.NewLog(),
-		cloud:          cfg.Cloud,
-		clock:          clock,
-		trustedIssuers: make(map[string]crypto.VerifyKey),
-		pairings:       make(map[string]bool),
-		remoteDocs:     make(map[string]*policy.StickyPolicy),
+		id:                cfg.ID,
+		tee:               tee,
+		keys:              keys,
+		catalog:           datamodel.NewCatalog(),
+		cache:             storage.NewMemoryKV(newDevice, storage.PersistentOptions{MemtableBytes: cacheBytes}),
+		access:            policy.NewSet(cfg.ID),
+		usage:             ucon.NewMonitor(),
+		log:               audit.NewLog(),
+		cloud:             cfg.Cloud,
+		clock:             clock,
+		trustedIssuers:    make(map[string]crypto.VerifyKey),
+		pairings:          make(map[string]bool),
+		remoteDocs:        make(map[string]*policy.StickyPolicy),
+		approvalStatus:    make(map[string]ApprovalStatus),
+		approvalHash:      make(map[string]string),
+		incomingApprovals: make(map[string]ApprovalRequest),
 	}
 	return cell, nil
 }
@@ -180,8 +183,13 @@ func (c *Cell) AuditLog() *audit.Log { return c.log }
 // Catalog returns the metadata catalog (owner-side use and tests).
 func (c *Cell) Catalog() *datamodel.Catalog { return c.catalog }
 
-// AccessPolicy returns the cell's access-control policy set.
-func (c *Cell) AccessPolicy() *policy.Set { return c.access }
+// AccessPolicy returns a snapshot of the cell's access-control policy set:
+// changing it changes no decision of the cell (AddRule does).
+func (c *Cell) AccessPolicy() *policy.Set {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.access.Clone()
+}
 
 // Usage returns the usage-control monitor.
 func (c *Cell) Usage() *ucon.Monitor { return c.usage }
@@ -229,7 +237,7 @@ func (c *Cell) AttachUsagePolicy(p ucon.Policy) error {
 // ingested document is mirrored into the replica (marking its shard dirty),
 // so a later SyncCatalog pushes exactly the changed shards to the user's
 // other cells. Documents received through the sharing protocol stay
-// cell-local (their wrapped keys only open here). The replica should be
+// cell-local (their keys were sent to this cell alone). The replica should be
 // built over the same cloud service and user ID as the cell.
 //
 // Attaching also backs the replica's attestation epochs with the TEE's
@@ -479,32 +487,14 @@ func (c *Cell) KeywordCounts(keywords []string) (map[string]int, error) {
 }
 
 // notifyOriginator pushes the audit records concerning docID to the
-// originator cell's mailbox, sealed under the pairing key.
+// originator cell's mailbox over the pairing channel.
 func (c *Cell) notifyOriginator(originator, docID, subjectID string) error {
-	if originator == "" || c.cloud == nil {
+	if originator == "" {
 		return fmt.Errorf("core: no originator to notify for %s", docID)
 	}
 	// Record the access being notified before exporting.
 	c.appendAudit(subjectID, "notify-originator", docID, audit.OutcomeAllowed, "usage obligation", originator)
-	var body []byte
-	err := c.pairingKey(originator, func(pk crypto.SymmetricKey) error {
-		segKey := crypto.DeriveKey(pk, "audit-segment", c.id+"->"+originator)
-		seg, err := c.log.Export(originator, segKey)
-		if err != nil {
-			return err
-		}
-		body, err = json.Marshal(seg)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	return c.cloud.Send(cloud.Message{
-		From: c.id,
-		To:   originator,
-		Kind: "audit-segment",
-		Body: body,
-	})
+	return c.sendPaired(originator, kindAuditSegment, c.log.DestinedTo(originator))
 }
 
 // CacheStats exposes the embedded engine statistics (experiments E2).

@@ -23,7 +23,7 @@ func fixedClock() func() time.Time {
 	return func() time.Time { return t }
 }
 
-func newTestCell(t *testing.T, id string, svc cloud.Service) *Cell {
+func newTestCell(t testing.TB, id string, svc cloud.Service) *Cell {
 	t.Helper()
 	c, err := New(Config{
 		ID:    id,

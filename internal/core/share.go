@@ -1,5 +1,14 @@
 package core
 
+// Sharing a document means sharing three things (per the paper): the
+// metadata, so the recipient can locate the referenced data in the cloud; the
+// cryptographic key, so the recipient cell can decrypt it; and the sticky
+// policy, so the recipient cell enforces the expected access and usage
+// control rules. A share offer carries the three to a paired cell, sealed by
+// the pairing channel (pairing.go): the infrastructure relaying it learns
+// none of them and cannot alter them. The sticky policy is also signed by the
+// originator and bound to the document's ID and content hash.
+
 import (
 	"encoding/json"
 	"errors"
@@ -7,61 +16,14 @@ import (
 	"time"
 
 	"trustedcells/internal/audit"
-	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
 	"trustedcells/internal/policy"
-	"trustedcells/internal/sharing"
 	"trustedcells/internal/ucon"
 )
 
-// Errors specific to sharing.
-var (
-	ErrNotPaired = errors.New("core: cells are not paired")
-	ErrNoCloud   = errors.New("core: cell has no cloud service attached")
-)
-
-// pairingSecretName is the TEE secret slot used for the pairing key with a
-// given peer.
-func pairingSecretName(peerID string) string { return "pairing/" + peerID }
-
-// Pair establishes a shared pairing secret with a peer cell. The secret is
-// produced by one side (typically during a physical pairing ceremony, QR code
-// or NFC touch — the "proof of legitimacy" step) and installed on both cells
-// with this method. It is sealed inside the TEE; only its existence is
-// tracked outside.
-func (c *Cell) Pair(peerID string, secret crypto.SymmetricKey) error {
-	if c.tee.Locked() {
-		return ErrNotOwner
-	}
-	if err := c.tee.SealSecret(pairingSecretName(peerID), secret); err != nil {
-		return fmt.Errorf("core: pairing with %s: %w", peerID, err)
-	}
-	c.mu.Lock()
-	c.pairings[peerID] = true
-	c.mu.Unlock()
-	c.appendAudit(c.id, "pair", peerID, audit.OutcomeAllowed, "pairing established", "")
-	return nil
-}
-
-// NewPairingSecret generates a pairing secret to be installed on this cell
-// and handed to the peer (out of band).
-func NewPairingSecret() (crypto.SymmetricKey, error) { return crypto.NewSymmetricKey() }
-
-// Paired reports whether a pairing exists with the peer.
-func (c *Cell) Paired(peerID string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pairings[peerID]
-}
-
-// pairingKey runs fn with the pairing key for peerID inside the TEE boundary.
-func (c *Cell) pairingKey(peerID string, fn func(crypto.SymmetricKey) error) error {
-	if !c.Paired(peerID) {
-		return ErrNotPaired
-	}
-	return c.tee.UseSecret(pairingSecretName(peerID), fn)
-}
+// errBadOffer reports a share offer that opened but cannot be installed.
+var errBadOffer = errors.New("core: share offer refused")
 
 // ShareOptions describe the terms under which a document is shared.
 type ShareOptions struct {
@@ -140,22 +102,8 @@ func (c *Cell) Share(docID, peerID string, opts ShareOptions) error {
 		return fmt.Errorf("core: share: sealing sticky policy: %w", err)
 	}
 
-	var offer *sharing.Offer
-	err = c.pairingKey(peerID, func(pk crypto.SymmetricKey) error {
-		var berr error
-		offer, berr = sharing.BuildOffer(c.id, peerID, doc, c.keys.DocumentKey(doc.ID), pk,
-			sticky, c.clock(), identity, c.tee.Sign)
-		return berr
-	})
-	if err != nil {
-		c.appendAudit(c.id, string(policy.ActionShare), docID, audit.OutcomeError, err.Error(), "")
-		return err
-	}
-	body, err := offer.Encode()
-	if err != nil {
-		return err
-	}
-	if err := c.cloud.Send(cloud.Message{From: c.id, To: peerID, Kind: "share-offer", Body: body}); err != nil {
+	docKey := c.keys.DocumentKey(doc.ID)
+	if err := c.sendPaired(peerID, kindShareOffer, offer{Document: doc, Key: docKey[:], Sticky: sticky}); err != nil {
 		c.appendAudit(c.id, string(policy.ActionShare), docID, audit.OutcomeError, err.Error(), "")
 		return fmt.Errorf("core: share: %w", err)
 	}
@@ -164,119 +112,88 @@ func (c *Cell) Share(docID, peerID string, opts ShareOptions) error {
 	return nil
 }
 
-// InboxSummary reports what ProcessInbox handled.
-type InboxSummary struct {
-	OffersAccepted    int
-	OffersRejected    int
-	AuditSegments     int
-	AuditRecords      []audit.Record
-	ApprovalRequests  int
-	ApprovalResponses int
+// offer is the body of a share-offer message.
+type offer struct {
+	Document *datamodel.Document  `json:"document"`
+	Key      []byte               `json:"key"`
+	Sticky   *policy.StickyPolicy `json:"sticky"`
 }
 
-// ProcessInbox fetches pending messages from the cloud mailbox and handles
-// them: share offers are verified and installed, audit segments from
-// recipient cells are decrypted and returned for the owner's inspection.
-func (c *Cell) ProcessInbox() (InboxSummary, error) {
-	var summary InboxSummary
-	if c.cloud == nil {
-		return summary, ErrNoCloud
+// acceptOffer verifies a share offer from a paired cell and installs the
+// shared document. The sticky rules are installed scoped to the shared
+// document, and an offer whose rules allow anything beyond read and
+// aggregate is refused: a paired peer can share its own data, never open the
+// recipient's.
+func (c *Cell) acceptOffer(from string, body []byte) error {
+	var o offer
+	if err := json.Unmarshal(body, &o); err != nil {
+		return fmt.Errorf("%w: %v", errBadOffer, err)
 	}
-	msgs, err := c.cloud.Receive(c.id, 0)
+	if o.Document == nil || o.Sticky == nil {
+		return fmt.Errorf("%w: missing document or sticky policy", errBadOffer)
+	}
+	doc, sticky := o.Document, o.Sticky
+	docKey, err := crypto.SymmetricKeyFromBytes(o.Key)
 	if err != nil {
-		return summary, fmt.Errorf("core: inbox: %w", err)
+		return fmt.Errorf("%w: document key: %v", errBadOffer, err)
 	}
-	for _, m := range msgs {
-		switch m.Kind {
-		case "share-offer":
-			if err := c.acceptOffer(m.Body); err != nil {
-				summary.OffersRejected++
-				c.appendAudit(m.From, "accept-share", "", audit.OutcomeDenied, err.Error(), "")
-			} else {
-				summary.OffersAccepted++
-			}
-		case "audit-segment":
-			records, err := c.openAuditSegment(m.From, m.Body)
-			if err != nil {
-				c.appendAudit(m.From, "audit-segment", "", audit.OutcomeError, err.Error(), "")
-				continue
-			}
-			summary.AuditSegments++
-			summary.AuditRecords = append(summary.AuditRecords, records...)
-		case "approval-request":
-			if err := c.handleApprovalRequest(m.From, m.Body); err != nil {
-				c.appendAudit(m.From, "approval-request", "", audit.OutcomeError, err.Error(), "")
-				continue
-			}
-			summary.ApprovalRequests++
-		case "approval-response":
-			if err := c.handleApprovalResponse(m.From, m.Body); err != nil {
-				c.appendAudit(m.From, "approval-response", "", audit.OutcomeError, err.Error(), "")
-				continue
-			}
-			summary.ApprovalResponses++
-		default:
-			c.appendAudit(m.From, "inbox", m.Kind, audit.OutcomeError, "unknown message kind", "")
+	if err := doc.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", errBadOffer, err)
+	}
+	if err := sticky.Verify(doc.ContentHash); err != nil {
+		return fmt.Errorf("%w: %v", errBadOffer, err)
+	}
+	if sticky.DocumentID != doc.ID || sticky.OriginatorID != from {
+		return fmt.Errorf("%w: sticky policy bound to another document or originator", errBadOffer)
+	}
+	rules := make([]policy.Rule, len(sticky.Access.Rules))
+	for i, r := range sticky.Access.Rules {
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", errBadOffer, err)
 		}
+		if r.Effect == policy.EffectAllow && !readOnly(r.Actions) {
+			return fmt.Errorf("%w: rule %q allows more than read and aggregate", errBadOffer, r.ID)
+		}
+		r.Resource = policy.Resource{DocumentID: doc.ID}
+		rules[i] = r
 	}
-	return summary, nil
-}
-
-// acceptOffer verifies a share offer and installs the shared document.
-func (c *Cell) acceptOffer(body []byte) error {
-	offer, err := sharing.DecodeOffer(body)
-	if err != nil {
-		return err
-	}
-	if err := offer.Verify(c.id, nil); err != nil {
-		return err
-	}
-	if !c.Paired(offer.From) {
-		return ErrNotPaired
-	}
-	if _, err := c.catalog.Get(offer.Document.ID); err == nil {
+	if _, err := c.catalog.Get(doc.ID); err == nil {
 		return fmt.Errorf("core: accept offer: %w", datamodel.ErrDuplicateID)
 	}
-	var docKey crypto.SymmetricKey
-	err = c.pairingKey(offer.From, func(pk crypto.SymmetricKey) error {
-		var uerr error
-		docKey, uerr = offer.UnwrapKey(pk)
-		return uerr
-	})
-	if err != nil {
-		return fmt.Errorf("core: accept offer: unwrapping key: %w", err)
-	}
 	// Seal the received document key in the TEE under a per-document slot.
-	if err := c.tee.SealSecret("dockey/"+offer.Document.ID, docKey); err != nil {
+	if err := c.tee.SealSecret("dockey/"+doc.ID, docKey); err != nil {
 		return err
 	}
 	// Install the originator's usage limits, then its access rules and the
 	// document's originator, so this cell enforces them; the document enters
 	// the catalog last, so no read finds it without all three.
-	doc := offer.Document.Clone()
-	up := ucon.Policy{ObjectID: doc.ID, MaxUses: offer.Sticky.MaxUses, NotAfter: offer.Sticky.NotAfter}
-	if offer.Sticky.ObligationNotify {
+	up := ucon.Policy{ObjectID: doc.ID, MaxUses: sticky.MaxUses, NotAfter: sticky.NotAfter}
+	if sticky.ObligationNotify {
 		up.Obligations = append(up.Obligations, ucon.Obligation{Kind: ucon.ObligationNotifyOwner})
 	}
 	if err := c.usage.Attach(up); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.remoteDocs[doc.ID] = offer.Sticky
-	for _, r := range offer.Sticky.Access.Rules {
-		if err = c.access.Add(r); err != nil {
-			break
-		}
-	}
+	c.remoteDocs[doc.ID] = sticky
+	c.access.Rules = append(c.access.Rules, rules...)
 	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	if err := c.catalog.Add(doc); err != nil {
 		return fmt.Errorf("core: accept offer: %w", err)
 	}
-	c.appendAudit(offer.From, "accept-share", doc.ID, audit.OutcomeAllowed, "offer verified", offer.From)
+	c.appendAudit(from, "accept-share", doc.ID, audit.OutcomeAllowed, "offer verified", from)
 	return nil
+}
+
+// readOnly reports whether an allow rule over actions grants only reads and
+// aggregates (no actions at all means every action).
+func readOnly(actions []policy.Action) bool {
+	for _, a := range actions {
+		if a != policy.ActionRead && a != policy.ActionAggregate {
+			return false
+		}
+	}
+	return len(actions) > 0
 }
 
 // remoteKey returns the sealed key of a shared document.
@@ -290,32 +207,6 @@ func (c *Cell) remoteKey(docID string) (crypto.SymmetricKey, error) {
 		return crypto.SymmetricKey{}, fmt.Errorf("core: key of shared document %s: %w", docID, err)
 	}
 	return key, nil
-}
-
-// openAuditSegment decrypts an accountability segment pushed by a recipient
-// cell.
-func (c *Cell) openAuditSegment(from string, body []byte) ([]audit.Record, error) {
-	var seg audit.Segment
-	if err := json.Unmarshal(body, &seg); err != nil {
-		return nil, fmt.Errorf("core: audit segment: %w", err)
-	}
-	// The recipient sealed the segment under its sharing key for us; we
-	// derive the mirror key from our pairing with that cell. The recipient
-	// derives SharingKey(originator) from *its* hierarchy, so the key must be
-	// communicated: by convention it is wrapped under the pairing key at
-	// share time. For simplicity the segment key is the recipient's
-	// SharingKey; we recover it via the pairing-derived convention below.
-	var records []audit.Record
-	err := c.pairingKey(from, func(pk crypto.SymmetricKey) error {
-		segKey := crypto.DeriveKey(pk, "audit-segment", from+"->"+c.id)
-		var oerr error
-		records, oerr = audit.OpenSegment(&seg, segKey)
-		return oerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return records, nil
 }
 
 // SharedWithMe lists the documents this cell received from other cells.

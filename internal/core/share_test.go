@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"trustedcells/internal/audit"
 	"trustedcells/internal/cloud"
+	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
 	"trustedcells/internal/policy"
 	"trustedcells/internal/tamper"
@@ -18,7 +20,7 @@ import (
 )
 
 // pairCells installs a fresh pairing secret on both cells.
-func pairCells(t *testing.T, a, b *Cell) {
+func pairCells(t testing.TB, a, b *Cell) {
 	t.Helper()
 	secret, err := NewPairingSecret()
 	if err != nil {
@@ -56,7 +58,7 @@ func TestShareEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ProcessInbox: %v", err)
 	}
-	if summary.OffersAccepted != 1 || summary.OffersRejected != 0 {
+	if summary.OffersAccepted != 1 || summary.Rejected != 0 {
 		t.Fatalf("inbox summary %+v", summary)
 	}
 	if got := bob.SharedWithMe(); len(got) != 1 || got[0] != doc.ID {
@@ -139,34 +141,84 @@ func TestShareDenyRuleBlocksSharing(t *testing.T) {
 	}
 }
 
+// TestTamperedOfferRejected plays the provider against a share offer. It
+// flips a sealed byte; it re-signs the offer under its own key with the use
+// cap lifted, the notify obligation cleared and a rule letting "mallory" read
+// everything, then seals that under a pairing key of its own (an impostor
+// cell named alice-gw) and also delivers it unsealed. Every copy is refused
+// and leaves Bob's rules, usage limits and catalog unchanged; the genuine
+// offer is then accepted with its terms intact.
 func TestTamperedOfferRejected(t *testing.T) {
-	svc := cloud.NewMemory()
-	alice := newTestCell(t, "alice-gw", svc)
-	bob := newTestCell(t, "bob-phone", svc)
-	pairCells(t, alice, bob)
-	doc, _ := alice.Ingest([]byte("payload"), IngestOptions{Type: "photo", Class: datamodel.ClassAuthored})
-	if err := alice.Share(doc.ID, "bob-phone", ShareOptions{MaxUses: 1}); err != nil {
+	svc, alice, bob, doc, note := shareFixture(t)
+	if err := alice.Share(doc.ID, "bob-phone", ShareOptions{MaxUses: 1, NotifyOwner: true}); err != nil {
 		t.Fatal(err)
 	}
-	// A malicious cloud rewrites the offer body (e.g. to weaken MaxUses).
 	msgs, _ := svc.Receive("bob-phone", 0)
 	if len(msgs) != 1 {
 		t.Fatalf("expected 1 offer in mailbox, got %d", len(msgs))
 	}
-	tampered := bytes.Replace(msgs[0].Body, []byte(`"max_uses":1`), []byte(`"max_uses":100000`), 1)
-	if bytes.Equal(tampered, msgs[0].Body) {
-		t.Fatal("test setup: max_uses field not found in offer body")
-	}
-	msgs[0].Body = tampered
-	if err := svc.Send(msgs[0]); err != nil {
-		t.Fatal(err)
-	}
-	summary, err := bob.ProcessInbox()
+	genuine := msgs[0]
+	flipped := genuine
+	flipped.Body = append([]byte(nil), genuine.Body...)
+	flipped.Body[len(flipped.Body)-1] ^= 0x01
+
+	forger, err := crypto.NewSigningKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if summary.OffersAccepted != 0 || summary.OffersRejected != 1 {
-		t.Fatalf("tampered offer was accepted: %+v", summary)
+	o := signedOffer(t, alice, doc, nil)
+	weakened := *o.Sticky
+	weakened.MaxUses, weakened.ObligationNotify = 0, false
+	weakened.Access.Rules = append(weakened.Access.Rules, policy.Rule{ID: "mallory", Effect: policy.EffectAllow,
+		SubjectIDs: []string{"mallory"}, Actions: []policy.Action{policy.ActionRead}})
+	if o.Sticky, err = policy.SealSticky(weakened, forger.Public(),
+		func(m []byte) ([]byte, error) { return forger.Sign(m), nil }); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor := newTestCell(t, "alice-gw", cloud.NewMemory())
+	foreignSecret, _ := NewPairingSecret()
+	if err := impostor.Pair("bob-phone", foreignSecret); err != nil {
+		t.Fatal(err)
+	}
+	resealed := genuine
+	if resealed.Body, err = impostor.sealPaired("bob-phone", kindShareOffer, plain); err != nil {
+		t.Fatal(err)
+	}
+	unsealed := genuine
+	unsealed.Body = plain
+
+	before := stateOf(bob, doc.ID)
+	for _, m := range []cloud.Message{flipped, resealed, unsealed} {
+		if err := svc.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum := inbox(t, bob); sum.OffersAccepted != 0 || sum.Rejected != 3 {
+		t.Fatalf("tampered offers: %+v", sum)
+	}
+	if after := stateOf(bob, doc.ID); !reflect.DeepEqual(before, after) {
+		t.Fatalf("tampered offers changed the recipient: %+v -> %+v", before, after)
+	}
+	if _, err := bob.Read("mallory", note.ID, AccessContext{}); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("mallory reads Bob's note: %v", err)
+	}
+
+	_ = svc.Send(genuine)
+	if sum := inbox(t, bob); sum.OffersAccepted != 1 {
+		t.Fatalf("genuine offer: %+v", sum)
+	}
+	if _, err := bob.Read("bob-phone", doc.ID, AccessContext{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.Read("bob-phone", doc.ID, AccessContext{}); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("second read past MaxUses=1: %v", err)
+	}
+	if sum := inbox(t, alice); sum.AuditSegments != 1 {
+		t.Fatalf("notify obligation: %+v", sum)
 	}
 }
 
@@ -182,7 +234,7 @@ func TestOfferFromUnpairedCellRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	summary, _ := bob.ProcessInbox()
-	if summary.OffersAccepted != 0 || summary.OffersRejected != 1 {
+	if summary.OffersAccepted != 0 || summary.Rejected != 1 {
 		t.Fatalf("offer from unpaired cell accepted: %+v", summary)
 	}
 }
@@ -195,7 +247,7 @@ func TestUnknownInboxMessageKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if summary.OffersAccepted != 0 && summary.OffersRejected != 0 {
+	if summary.Rejected != 1 {
 		t.Fatalf("unexpected summary %+v", summary)
 	}
 	if len(bob.AuditLog().Query("x", "mystery", audit.OutcomeError)) != 1 {

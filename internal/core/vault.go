@@ -60,9 +60,11 @@ func (c *Cell) SyncVault() (uint64, error) {
 
 // RestoreVault fetches the encrypted catalog from the cloud, verifies its
 // integrity and freshness (the embedded version must not be older than the
-// TEE counter) and replaces the in-cell catalog. This is how Charlie, at an
-// internet café with only his portable cell, recovers access to his whole
-// digital space from any terminal without leaving a trace.
+// TEE counter) and replaces the in-cell catalog's contents in place, so a
+// concurrent read, search or ingest sees the old catalog or the restored
+// one. This is how Charlie, at an internet café with only his portable cell,
+// recovers access to his whole digital space from any terminal without
+// leaving a trace.
 func (c *Cell) RestoreVault() (uint64, error) {
 	if c.tee.Locked() {
 		return 0, ErrNotOwner
@@ -101,10 +103,9 @@ func (c *Cell) RestoreVault() (uint64, error) {
 	if err := c.tee.CounterAdvanceTo(vaultCounter, version); err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	c.catalog = catalog
-	c.mu.Unlock()
+	n := catalog.Len()
+	c.catalog.Replace(catalog)
 	c.appendAudit(c.id, "restore-vault", vaultBlobName(c.id), audit.OutcomeAllowed,
-		fmt.Sprintf("version %d, %d documents", version, catalog.Len()), "")
+		fmt.Sprintf("version %d, %d documents", version, n), "")
 	return version, nil
 }

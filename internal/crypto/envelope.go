@@ -49,22 +49,3 @@ func Open(key SymmetricKey, sealed []byte) (plaintext, associated []byte, err er
 func EnvelopeOverhead(associatedLen int) int {
 	return envelopeHeaderBase + associatedLen + 16 // 16 = GCM tag
 }
-
-// WrapKey encrypts (wraps) a symmetric key under a key-encryption key. Used
-// when sharing a document key with a recipient cell.
-func WrapKey(kek SymmetricKey, key SymmetricKey, context string) ([]byte, error) {
-	return Seal(kek, key[:], []byte("keywrap:"+context))
-}
-
-// UnwrapKey reverses WrapKey. The context must match the one used at wrap
-// time, otherwise authentication fails.
-func UnwrapKey(kek SymmetricKey, wrapped []byte, context string) (SymmetricKey, error) {
-	pt, ad, err := Open(kek, wrapped)
-	if err != nil {
-		return SymmetricKey{}, err
-	}
-	if string(ad) != "keywrap:"+context {
-		return SymmetricKey{}, ErrDecrypt
-	}
-	return SymmetricKeyFromBytes(pt)
-}

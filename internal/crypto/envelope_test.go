@@ -92,29 +92,6 @@ func TestEnvelopeOverhead(t *testing.T) {
 	}
 }
 
-func TestWrapUnwrapKey(t *testing.T) {
-	kek, _ := NewSymmetricKey()
-	dk, _ := NewSymmetricKey()
-	wrapped, err := WrapKey(kek, dk, "doc-42")
-	if err != nil {
-		t.Fatalf("WrapKey: %v", err)
-	}
-	got, err := UnwrapKey(kek, wrapped, "doc-42")
-	if err != nil {
-		t.Fatalf("UnwrapKey: %v", err)
-	}
-	if got != dk {
-		t.Fatal("unwrapped key differs")
-	}
-	if _, err := UnwrapKey(kek, wrapped, "doc-43"); err == nil {
-		t.Fatal("unwrap with wrong context succeeded")
-	}
-	other, _ := NewSymmetricKey()
-	if _, err := UnwrapKey(other, wrapped, "doc-42"); err == nil {
-		t.Fatal("unwrap with wrong KEK succeeded")
-	}
-}
-
 // Property-based: Seal/Open round-trips arbitrary payloads and AD.
 func TestSealOpenProperty(t *testing.T) {
 	key, _ := NewSymmetricKey()

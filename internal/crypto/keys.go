@@ -239,11 +239,6 @@ func (h *KeyHierarchy) EpochKey(epoch uint64) SymmetricKey {
 	return DeriveKeyN(h.master, "epoch", epoch)
 }
 
-// SharingKey returns the key used to wrap material shared with a peer cell.
-func (h *KeyHierarchy) SharingKey(peerID string) SymmetricKey {
-	return DeriveKey(h.master, "sharing", peerID)
-}
-
 // RandomBytes returns n cryptographically random bytes.
 func RandomBytes(n int) ([]byte, error) {
 	b := make([]byte, n)

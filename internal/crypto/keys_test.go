@@ -163,8 +163,6 @@ func TestKeyHierarchy(t *testing.T) {
 		h.AuditKey(),
 		h.EpochKey(1),
 		h.EpochKey(2),
-		h.SharingKey("bob"),
-		h.SharingKey("carol"),
 	}
 	for i := range keys {
 		for j := i + 1; j < len(keys); j++ {

@@ -89,7 +89,19 @@ func timeEntryLess(a, b timeEntry) bool {
 // other applicable ID sets, and only cloning the documents that survive
 // sorting and Limit truncation.
 type Catalog struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	catalogIndex
+
+	searches    atomic.Int64
+	indexScans  atomic.Int64
+	fullScans   atomic.Int64
+	docsScanned atomic.Int64
+	docsMatched atomic.Int64
+}
+
+// catalogIndex is a catalog's contents: its documents and every index over
+// them, guarded by the catalog's mutex and replaced whole by Replace.
+type catalogIndex struct {
 	docs    map[string]*Document
 	keyword map[string]map[string]bool // normalized keyword -> doc ID set
 	byType  map[string]map[string]bool // document type -> doc ID set
@@ -103,24 +115,30 @@ type Catalog struct {
 	// inserts mark it dirty and the next range query re-sorts it once.
 	byTime    []timeEntry
 	timeDirty bool
-
-	searches    atomic.Int64
-	indexScans  atomic.Int64
-	fullScans   atomic.Int64
-	docsScanned atomic.Int64
-	docsMatched atomic.Int64
 }
 
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
+	return &Catalog{catalogIndex: catalogIndex{
 		docs:       make(map[string]*Document),
 		keyword:    make(map[string]map[string]bool),
 		byType:     make(map[string]map[string]bool),
 		byOwner:    make(map[string]map[string]bool),
 		byTag:      make(map[string]map[string]bool),
 		byTagValue: make(map[tagPair]map[string]bool),
-	}
+	}}
+}
+
+// Replace moves the contents of other into c in one step: a concurrent
+// reader of c sees the old documents or the new ones, never a mix. other must
+// not be used afterwards. The planner counters of c are kept.
+func (c *Catalog) Replace(other *Catalog) {
+	other.mu.RLock()
+	contents := other.catalogIndex
+	other.mu.RUnlock()
+	c.mu.Lock()
+	c.catalogIndex = contents
+	c.mu.Unlock()
 }
 
 // Add inserts a document. The ID must be unique.

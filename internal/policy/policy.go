@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -285,6 +287,22 @@ func (s *Set) Add(r Rule) error {
 	}
 	s.Rules = append(s.Rules, r)
 	return nil
+}
+
+// Clone returns a deep copy of the set.
+func (s *Set) Clone() *Set {
+	out := &Set{Owner: s.Owner, Rules: make([]Rule, len(s.Rules))}
+	for i, r := range s.Rules {
+		r.SubjectIDs = slices.Clone(r.SubjectIDs)
+		r.SubjectGroups = slices.Clone(r.SubjectGroups)
+		r.Actions = slices.Clone(r.Actions)
+		r.Resource.Tags = maps.Clone(r.Resource.Tags)
+		r.Condition.Locations = slices.Clone(r.Condition.Locations)
+		r.Condition.Purposes = slices.Clone(r.Condition.Purposes)
+		r.Condition.RequiredAttributes = maps.Clone(r.Condition.RequiredAttributes)
+		out.Rules[i] = r
+	}
+	return out
 }
 
 // Evaluate applies the policy to a request.

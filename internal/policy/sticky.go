@@ -76,15 +76,3 @@ func (p *StickyPolicy) Verify(contentHash string) error {
 	}
 	return nil
 }
-
-// Encode serialises the sticky policy for transport.
-func (p *StickyPolicy) Encode() ([]byte, error) { return json.Marshal(p) }
-
-// DecodeSticky parses a sticky policy.
-func DecodeSticky(data []byte) (*StickyPolicy, error) {
-	var p StickyPolicy
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("policy: decode sticky: %w", err)
-	}
-	return &p, nil
-}

@@ -201,7 +201,7 @@ func RunE3(cfg E3Config) (*Table, error) {
 		Title:   "Secure sharing between two cells through the untrusted cloud",
 		Headers: []string{"payload", "ingest+share", "accept offer", "recipient read", "cloud bytes stored", "cloud messages"},
 		Notes: []string{
-			"sharing = metadata + wrapped key + sticky policy; all cryptographic work happens inside the cells",
+			"sharing = one sealed offer (metadata, key, sticky policy) over the pairing channel; all cryptographic work happens inside the cells",
 		},
 	}
 	for _, size := range cfg.PayloadSizes {
