@@ -88,10 +88,10 @@ func inbox(t *testing.T, c *Cell) InboxSummary {
 	return sum
 }
 
-// TestOfferChannelRoundTrip opens a share offer the way the recipient does
-// and finds the three shared things: the document, its key and the signed
-// sticky policy. A sealed body that is not an offer is refused.
-func TestOfferChannelRoundTrip(t *testing.T) {
+// TestOfferChannelOpensSharedParts opens a share offer the way the recipient
+// does and finds the three shared things: the document, its key and the
+// signed sticky policy, which verifies against the document's content hash.
+func TestOfferChannelOpensSharedParts(t *testing.T) {
 	svc, alice, bob, doc, _ := shareFixture(t)
 	if err := alice.Share(doc.ID, "bob-phone", ShareOptions{MaxUses: 1}); err != nil {
 		t.Fatal(err)
@@ -116,6 +116,36 @@ func TestOfferChannelRoundTrip(t *testing.T) {
 	}
 	if err := o.Sticky.Verify(doc.ContentHash); err != nil || o.Sticky.MaxUses != 1 {
 		t.Fatalf("sticky policy %+v: %v", o.Sticky, err)
+	}
+	_ = svc.Send(msgs[0])
+	if sum := inbox(t, bob); sum.OffersAccepted != 1 || sum.Rejected != 0 {
+		t.Fatalf("inbox summary %+v", sum)
+	}
+}
+
+// TestOfferChannelRoundTrip sends an offer body through the paired channel
+// and decodes the same body on the other side; a sealed body that is not an
+// offer is refused.
+func TestOfferChannelRoundTrip(t *testing.T) {
+	svc, alice, bob, doc, _ := shareFixture(t)
+	sent := signedOffer(t, alice, doc, nil)
+	if err := alice.sendPaired("bob-phone", kindShareOffer, sent); err != nil {
+		t.Fatal(err)
+	}
+	msgs, _ := svc.Receive("bob-phone", 0)
+	if len(msgs) != 1 {
+		t.Fatalf("mailbox: %+v", msgs)
+	}
+	plain, err := bob.openPaired(msgs[0])
+	if err != nil {
+		t.Fatalf("openPaired: %v", err)
+	}
+	var got offer
+	if err := json.Unmarshal(plain, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sent) {
+		t.Fatalf("decoded offer %+v, want %+v", got, sent)
 	}
 	_ = svc.Send(msgs[0])
 	if sum := inbox(t, bob); sum.OffersAccepted != 1 || sum.Rejected != 0 {
