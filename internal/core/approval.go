@@ -25,6 +25,11 @@ var (
 	ErrApprovalRequired = errors.New("core: referenced party has not approved this data")
 	ErrApprovalRejected = errors.New("core: referenced party rejected this data")
 	ErrUnknownApproval  = errors.New("core: unknown approval request")
+	// ErrApprovalSender refuses a response from a party the request was
+	// not sent to, and ErrApprovalDecided a second response: the first
+	// decision of the referenced party is final.
+	ErrApprovalSender  = errors.New("core: approval response from a party the request was not sent to")
+	ErrApprovalDecided = errors.New("core: approval request already decided")
 )
 
 // ApprovalStatus is the state of an approval request.
@@ -62,6 +67,13 @@ type ApprovalRequest struct {
 	ContentHash string `json:"content_hash"`
 }
 
+// outgoingApproval is one request this cell sent: the party it went to, the
+// content hash it describes, and the decision once it arrived.
+type outgoingApproval struct {
+	to, contentHash string
+	status          ApprovalStatus
+}
+
 // approvalResponse is the wire answer.
 type approvalResponse struct {
 	RequestID string `json:"request_id"`
@@ -72,14 +84,19 @@ type approvalResponse struct {
 // RequestApproval asks the referenced party's cell to approve data described
 // by (description, docType, contentHash) before it is integrated. The request
 // travels over the pairing channel. It returns the request ID to pass to
-// IngestReferencing later.
+// IngestReferencing later; a random nonce in the ID keeps a third party from
+// deriving it from the parties and the content.
 func (c *Cell) RequestApproval(referencedParty, description, docType string, payload []byte) (string, error) {
 	if c.tee.Locked() {
 		return "", ErrNotOwner
 	}
 	contentHash := crypto.HashString(payload)
+	nonce, err := crypto.RandomBytes(16)
+	if err != nil {
+		return "", fmt.Errorf("core: approval request: %w", err)
+	}
 	req := ApprovalRequest{
-		ID:          "appr-" + crypto.HashString([]byte(c.id + referencedParty + contentHash))[:16],
+		ID:          "appr-" + crypto.HashString(append([]byte(c.id+referencedParty+contentHash), nonce...))[:16],
 		From:        c.id,
 		To:          referencedParty,
 		Description: description,
@@ -90,8 +107,7 @@ func (c *Cell) RequestApproval(referencedParty, description, docType string, pay
 		return "", fmt.Errorf("core: approval request: %w", err)
 	}
 	c.mu.Lock()
-	c.approvalStatus[req.ID] = ApprovalPending
-	c.approvalHash[req.ID] = contentHash
+	c.approvals[req.ID] = &outgoingApproval{to: referencedParty, contentHash: contentHash}
 	c.mu.Unlock()
 	c.appendAudit(c.id, "request-approval", req.ID, audit.OutcomeAllowed,
 		fmt.Sprintf("awaiting approbation from %s", referencedParty), referencedParty)
@@ -157,23 +173,32 @@ func (c *Cell) RespondApproval(requestID string, approve bool, reason string) er
 }
 
 // handleApprovalResponse records the referenced party's decision on the
-// requesting cell.
+// requesting cell. Only the party the request went to decides, and only once:
+// ProcessInbox audits and counts any other response as rejected.
 func (c *Cell) handleApprovalResponse(from string, body []byte) error {
 	var resp approvalResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return fmt.Errorf("core: approval response: %w", err)
 	}
 	c.mu.Lock()
-	if _, known := c.approvalStatus[resp.RequestID]; !known {
-		c.mu.Unlock()
-		return ErrUnknownApproval
-	}
-	if resp.Approved {
-		c.approvalStatus[resp.RequestID] = ApprovalGranted
-	} else {
-		c.approvalStatus[resp.RequestID] = ApprovalRejected
+	req, known := c.approvals[resp.RequestID]
+	var err error
+	switch {
+	case !known:
+		err = ErrUnknownApproval
+	case from != req.to:
+		err = fmt.Errorf("%w: %s answered %s, sent to %s", ErrApprovalSender, from, resp.RequestID, req.to)
+	case req.status != ApprovalPending:
+		err = fmt.Errorf("%w: %s is %v", ErrApprovalDecided, resp.RequestID, req.status)
+	case resp.Approved:
+		req.status = ApprovalGranted
+	default:
+		req.status = ApprovalRejected
 	}
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	outcome := audit.OutcomeAllowed
 	if !resp.Approved {
 		outcome = audit.OutcomeDenied
@@ -186,11 +211,11 @@ func (c *Cell) handleApprovalResponse(from string, body []byte) error {
 func (c *Cell) ApprovalStatusOf(requestID string) (ApprovalStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.approvalStatus[requestID]
+	req, ok := c.approvals[requestID]
 	if !ok {
 		return ApprovalPending, ErrUnknownApproval
 	}
-	return st, nil
+	return req.status, nil
 }
 
 // IngestReferencing integrates data that references another individual. It
@@ -198,8 +223,12 @@ func (c *Cell) ApprovalStatusOf(requestID string) (ApprovalStatus, error) {
 // approval request (matched by request ID and content hash).
 func (c *Cell) IngestReferencing(payload []byte, opts IngestOptions, approvalID string) (*datamodel.Document, error) {
 	c.mu.Lock()
-	status, known := c.approvalStatus[approvalID]
-	expectedHash := c.approvalHash[approvalID]
+	req, known := c.approvals[approvalID]
+	var status ApprovalStatus
+	var expectedHash string
+	if known {
+		status, expectedHash = req.status, req.contentHash
+	}
 	c.mu.Unlock()
 	if !known {
 		return nil, ErrUnknownApproval

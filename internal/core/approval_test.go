@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"trustedcells/internal/audit"
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/datamodel"
 )
@@ -130,5 +132,72 @@ func TestApprovalErrorsAndGuards(t *testing.T) {
 	}
 	if err := alice.RespondApproval("id", true, ""); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("RespondApproval locked: %v", err)
+	}
+}
+
+// TestApprovalResponseOnlyFromAddresseeOnce pins who decides an approval
+// request and how often: a response from a third paired cell that knows the
+// request ID, and any second response from the addressee, are refused with a
+// typed error, counted in InboxSummary.Rejected and audited, and leave the
+// first decision standing.
+func TestApprovalResponseOnlyFromAddresseeOnce(t *testing.T) {
+	alice, bob := setupApprovalPeers(t)
+	carol := newTestCell(t, "carol-phone", alice.cloud)
+	pairCells(t, alice, carol)
+	payload := []byte("photo with Bob in the frame")
+	reqID, err := alice.RequestApproval("bob-phone", "photo", "photo", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := alice.RequestApproval("bob-phone", "photo", "photo", payload); err != nil || again == reqID {
+		t.Fatalf("the same request twice got the ID %s twice (%v): it is derivable", again, err)
+	}
+	if _, err := bob.ProcessInbox(); err != nil {
+		t.Fatal(err)
+	}
+	respond := func(from *Cell, approved bool) InboxSummary {
+		t.Helper()
+		if err := from.sendPaired(alice.ID(), kindApprovalResponse, approvalResponse{RequestID: reqID, Approved: approved}); err != nil {
+			t.Fatal(err)
+		}
+		summary, err := alice.ProcessInbox()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return summary
+	}
+	refused := func(what string, want error) {
+		t.Helper()
+		for _, r := range alice.AuditLog().Records() {
+			if r.Action == "inbox" && r.Outcome == audit.OutcomeError && strings.Contains(r.Reason, want.Error()) {
+				return
+			}
+		}
+		t.Fatalf("%s: no audit record of the refusal", what)
+	}
+
+	if s := respond(carol, true); s.Rejected != 1 {
+		t.Fatalf("a third party's approval: inbox summary %+v, want it rejected", s)
+	}
+	refused("third party", ErrApprovalSender)
+	if st, _ := alice.ApprovalStatusOf(reqID); st != ApprovalPending {
+		t.Fatalf("a third party decided the request: %v", st)
+	}
+	if err := alice.handleApprovalResponse(carol.ID(), []byte(`{"request_id":"`+reqID+`","approved":true}`)); !errors.Is(err, ErrApprovalSender) {
+		t.Fatalf("third-party response = %v, want ErrApprovalSender", err)
+	}
+
+	if s := respond(bob, false); s.Rejected != 0 {
+		t.Fatalf("the addressee's decision was refused: %+v", s)
+	}
+	if s := respond(bob, true); s.Rejected != 1 {
+		t.Fatalf("a second response: inbox summary %+v, want it rejected", s)
+	}
+	refused("second response", ErrApprovalDecided)
+	if st, _ := alice.ApprovalStatusOf(reqID); st != ApprovalRejected {
+		t.Fatalf("status = %v, want the first decision (rejected) to stand", st)
+	}
+	if _, err := alice.IngestReferencing(payload, IngestOptions{Type: "photo", Class: datamodel.ClassAuthored}, reqID); !errors.Is(err, ErrApprovalRejected) {
+		t.Fatalf("IngestReferencing after an overridden rejection = %v", err)
 	}
 }

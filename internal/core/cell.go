@@ -88,11 +88,9 @@ type Cell struct {
 	// remoteDocs tracks documents received from other cells: docID ->
 	// originator ID, plus the sticky policy that travels with them.
 	remoteDocs map[string]*policy.StickyPolicy
-	// approvalStatus / approvalHash track outgoing approbation requests
-	// (IngestReferencing); incomingApprovals holds requests awaiting this
-	// owner's decision.
-	approvalStatus    map[string]ApprovalStatus
-	approvalHash      map[string]string
+	// approvals tracks outgoing approbation requests (IngestReferencing);
+	// incomingApprovals holds requests awaiting this owner's decision.
+	approvals         map[string]*outgoingApproval
 	incomingApprovals map[string]ApprovalRequest
 	// replica, when attached, mirrors every owner ingest into the sharded
 	// anti-entropy synchronizer so the user's other cells converge on the
@@ -157,8 +155,7 @@ func New(cfg Config) (*Cell, error) {
 		trustedIssuers:    make(map[string]crypto.VerifyKey),
 		pairings:          make(map[string]bool),
 		remoteDocs:        make(map[string]*policy.StickyPolicy),
-		approvalStatus:    make(map[string]ApprovalStatus),
-		approvalHash:      make(map[string]string),
+		approvals:         make(map[string]*outgoingApproval),
 		incomingApprovals: make(map[string]ApprovalRequest),
 	}
 	return cell, nil

@@ -25,6 +25,11 @@ import (
 // errBadOffer reports a share offer that opened but cannot be installed.
 var errBadOffer = errors.New("core: share offer refused")
 
+// ErrReshare refuses to share a document received from another cell: the
+// offer would carry this cell's key, not the originator's, and the
+// originator's sticky policy would not follow the copy.
+var ErrReshare = errors.New("core: a document received from another cell cannot be re-shared")
+
 // ShareOptions describe the terms under which a document is shared.
 type ShareOptions struct {
 	// Recipients lists the subject IDs allowed to read the shared copy on the
@@ -53,6 +58,13 @@ func (c *Cell) Share(docID, peerID string, opts ShareOptions) error {
 	doc, err := c.catalog.Get(docID)
 	if err != nil {
 		return ErrUnknownDocument
+	}
+	c.mu.RLock()
+	_, received := c.remoteDocs[docID]
+	c.mu.RUnlock()
+	if received {
+		c.appendAudit(c.id, string(policy.ActionShare), docID, audit.OutcomeDenied, ErrReshare.Error(), "")
+		return ErrReshare
 	}
 	// Policy check: the owner shares, but an explicit deny rule on sharing
 	// (e.g. "never share raw data") still applies.

@@ -380,3 +380,36 @@ func TestConcurrentInboxAndReads(t *testing.T) {
 		}
 	}
 }
+
+// TestReshareOfReceivedDocumentRefused pins that a document received from
+// another cell cannot be passed on: the offer would carry the recipient's own
+// document key, which does not open the originator's sealed payload, and the
+// originator's sticky policy would not follow. Share refuses with a typed
+// error, audits the refusal, and sends nothing.
+func TestReshareOfReceivedDocumentRefused(t *testing.T) {
+	svc := cloud.NewMemory()
+	alice := newTestCell(t, "alice-gw", svc)
+	bob := newTestCell(t, "bob-phone", svc)
+	carol := newTestCell(t, "carol-phone", svc)
+	pairCells(t, alice, bob)
+	pairCells(t, bob, carol)
+	doc, err := alice.Ingest([]byte("holiday photo"), IngestOptions{Type: "photo", Class: datamodel.ClassAuthored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Share(doc.ID, "bob-phone", ShareOptions{MaxUses: 1, NotifyOwner: true}); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := bob.ProcessInbox(); err != nil || s.OffersAccepted != 1 {
+		t.Fatalf("bob's inbox: %+v, %v", s, err)
+	}
+	if err := bob.Share(doc.ID, "carol-phone", ShareOptions{}); !errors.Is(err, ErrReshare) {
+		t.Fatalf("re-share = %v, want ErrReshare", err)
+	}
+	if denied := bob.AuditLog().Query(bob.ID(), doc.ID, audit.OutcomeDenied); len(denied) != 1 || denied[0].Action != string(policy.ActionShare) {
+		t.Fatalf("refused re-share audited as %+v, want one denied share", denied)
+	}
+	if s, err := carol.ProcessInbox(); err != nil || s.OffersAccepted != 0 || s.Rejected != 0 {
+		t.Fatalf("carol's inbox after a refused re-share: %+v, %v", s, err)
+	}
+}

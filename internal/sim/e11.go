@@ -68,7 +68,8 @@ type E11Result struct {
 	// SyncBytes is the sealed bytes moved during churn plus recovery — the
 	// steady-state replication cost.
 	SyncBytes int64
-	// ShardsMoved counts shard payloads shipped during churn plus recovery.
+	// ShardsMoved counts shard blobs, bases and segments, shipped during churn
+	// plus recovery.
 	ShardsMoved int64
 	// Rounds is how many fleet-wide sync rounds recovery needed before every
 	// replica converged (same live state, same replicated conflict count).
@@ -184,19 +185,20 @@ func RunE11Sync(cfg E11Config) (E11Result, error) {
 
 // RunE11 measures catalog replication across a fleet of intermittently
 // connected replicas on the sharded delta protocol (per-shard version vectors,
-// dirty-shard pushes, conditional batched pulls). The headline metric is
+// base and segment blobs per shard, segment pushes, conditional batched
+// pulls). The headline metric is
 // sealed bytes moved during churn and recovery; rounds-to-convergence and the
 // replicated conflict count complete the picture.
 func RunE11(cfg E11Config) (*Table, error) {
 	table := &Table{
 		ID:      "E11",
 		Title:   "Fleet-scale catalog replication: sharded delta sync",
-		Headers: []string{"replicas", "docs", "syncs (failed)", "recovery rounds", "sync MB moved", "shard blobs", "conflicts", "converged"},
+		Headers: []string{"replicas", "docs", "syncs (failed)", "recovery rounds", "sync MB moved", "blobs moved", "conflicts", "converged"},
 		Notes: []string{
 			fmt.Sprintf("%d replicas of a %d-document catalog; %d churn rounds at %.0f%% connectivity with %d fleet-wide updates per round (seed %d)",
 				cfg.Replicas, cfg.Docs, cfg.ChurnRounds, cfg.ConnectProb*100, cfg.UpdatesPerRound, cfg.Seed),
 			"sync MB = sealed bytes moved during churn + recovery, excluding the one-time seeding cost",
-			"dirty shards pushed, advanced shards pulled via one conditional batched exchange",
+			"each dirty shard pushes its segment, or a new base once the segment outgrows a fixed share of the old one; advanced blobs pulled via one conditional batched exchange",
 			"converged = identical live state and identical replicated conflict count on every replica",
 		},
 	}
@@ -211,7 +213,7 @@ func RunE11(cfg E11Config) (*Table, error) {
 		fmt.Sprintf("%d", res.Docs),
 		fmt.Sprintf("%d (%d)", res.SyncsAttempted, res.SyncsFailed),
 		fmt.Sprintf("%d", res.Rounds),
-		fmt.Sprintf("%.1f", float64(res.SyncBytes)/(1<<20)),
+		fmt.Sprintf("%.2f", float64(res.SyncBytes)/(1<<20)),
 		fmt.Sprintf("%d", res.ShardsMoved),
 		fmt.Sprintf("%d", res.Conflicts),
 		fmt.Sprintf("%t", res.Converged))

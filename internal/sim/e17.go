@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -215,39 +214,34 @@ func e17DurableDrill(cfg E17Config, docs int, attack string) (e17DrillResult, er
 	return res, nil
 }
 
-// e17ShardIndex parses a sync shard blob name ("alice/syncshard/0007") into
-// its shard index; ok is false for any other blob.
-func e17ShardIndex(name string) (int, bool) {
-	const marker = "/syncshard/"
-	i := strings.Index(name, marker)
-	if i < 0 {
-		return 0, false
-	}
-	si, err := strconv.Atoi(name[i+len(marker):])
-	if err != nil {
-		return 0, false
-	}
-	return si, true
+// e17SyncBlob reports whether a blob name is a sync shard blob — a base
+// ("alice/syncshard/0007") or a segment ("alice/syncseg/0007") — which the
+// replica's catalog audit checks; every other blob passes unaudited.
+func e17SyncBlob(name string) bool {
+	return strings.Contains(name, "/syncshard/") || strings.Contains(name, "/syncseg/")
 }
 
-// e17AuditMember sweeps one member's shard blobs through the replica's
-// read-only catalog audit, returning whether any blob was convicted.
+// e17AuditMember sweeps one member's shard blobs, bases and segments, through
+// the replica's read-only catalog audit, returning whether any blob was
+// convicted.
 func e17AuditMember(rep *syncpkg.Replica, member cloud.Service, user string) (bool, error) {
 	for si := 0; si < rep.ShardCount(); si++ {
-		name := fmt.Sprintf("%s/syncshard/%04d", user, si)
-		b, err := member.GetBlob(name)
-		if errors.Is(err, cloud.ErrBlobNotFound) {
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		err = rep.CheckShardBlob(si, b.Data)
-		if _, ok := e17Classify(err); ok {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
+		for _, dir := range []string{"syncshard", "syncseg"} {
+			name := fmt.Sprintf("%s/%s/%04d", user, dir, si)
+			b, err := member.GetBlob(name)
+			if errors.Is(err, cloud.ErrBlobNotFound) {
+				continue
+			}
+			if err != nil {
+				return false, err
+			}
+			err = rep.CheckBlob(name, b.Data)
+			if _, ok := e17Classify(err); ok {
+				return true, nil
+			}
+			if err != nil {
+				return false, err
+			}
 		}
 	}
 	return false, nil
@@ -276,11 +270,10 @@ func e17ReplicatedDrill(cfg E17Config, docs int, attack string) (e17DrillResult,
 		WriteQuorum: cfg.WriteQuorum,
 		ReadQuorum:  cfg.ReadQuorum,
 		Verifier: func(name string, data []byte) error {
-			si, ok := e17ShardIndex(name)
-			if !ok || rep == nil {
+			if !e17SyncBlob(name) || rep == nil {
 				return nil
 			}
-			return rep.CheckShardBlob(si, data)
+			return rep.CheckBlob(name, data)
 		},
 	})
 	if err != nil {

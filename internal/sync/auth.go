@@ -6,20 +6,23 @@ package sync
 // sealed blob (rollback), or shows different clients different histories
 // (fork/equivocation), never breaks a seal. This file closes that gap.
 //
-// Every push stamps the outgoing shard state with an attestation: a Merkle
-// root over the shard's documents, countersigned together with a monotonic
-// per-shard epoch under a key the provider never holds. Replicas witness the
-// attestations they merge and audit every fetched blob against that witness
-// set:
+// Every blob a push writes — a segment, or the base and segment of a
+// compaction — is stamped with an attestation: a Merkle root over the whole
+// logical shard (the base with the segment over it, which is every document
+// of the writer's shard), countersigned together with a monotonic per-shard
+// epoch under a key the provider never holds; each blob takes a fresh epoch.
+// Replicas witness the attestations they merge and audit every fetched blob
+// against that witness set:
 //
-//	rule 1 (freshness) — the provider serves a shard *below* the version it
-//	    acknowledged for our own last push. On a single provider version
-//	    numbers are monotonic per name, so this is guilt, classified as
-//	    rollback or fork by whether the served history carries epochs newer
-//	    than our witness set.
+//	rule 1 (freshness) — the provider serves a blob *below* the version it
+//	    acknowledged for our own last write of that blob. On a single
+//	    provider version numbers are monotonic per name, so this is guilt,
+//	    classified as rollback or fork by whether the served history carries
+//	    epochs newer than our witness set.
 //	rule 2 (stale epochs) — the blob's version advanced past everything we
-//	    merged, yet it carries no epoch newer than our witness set: old
-//	    content re-served under a bumped version number.
+//	    merged under its name, yet it carries no epoch newer than our witness
+//	    set as it stood before the round: old content re-served under a
+//	    bumped version number.
 //	rule 3 (equivocation) — one (replica, epoch) pair signed over two
 //	    different roots. Signing keys live only in the cells, so this proves
 //	    a forked history was joined back together.
@@ -30,16 +33,20 @@ package sync
 // read quorum intersect only in members that have not yet drained their hints,
 // and anti-entropy repairs can bump member version counters without new
 // content. Replicas syncing over cloud.Replicated therefore run with
-// SetStrictFreshness(false) — violations count as suspicions and re-dirty the
-// shard (republishing heals benign races) — and Byzantine members are instead
-// convicted per member via CheckShardBlob and quarantined by the replication
-// layer (see cloud/replicated.go and experiment E17).
+// SetStrictFreshness(false) — violations count as suspicions, the suspected
+// blob is not merged, and the shard is re-dirtied (republishing heals benign
+// races) — and Byzantine members are instead convicted per member via
+// CheckBlob and quarantined by the replication layer (see
+// cloud/replicated.go and experiment E17).
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"strconv"
+	"strings"
 
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
@@ -115,20 +122,21 @@ func (e *ForkError) Unwrap() []error { return []error{ErrForkDetected, ErrIntegr
 // push/pull translate it outside the lock via classifyDivergence.
 type divergenceError struct {
 	shard  int
+	blob   int
 	acked  int
 	served int
 }
 
 func (e *divergenceError) Error() string {
-	return fmt.Sprintf("sync: shard %d served at v%d below acknowledged v%d", e.shard, e.served, e.acked)
+	return fmt.Sprintf("sync: shard %d blob %d served at v%d below acknowledged v%d", e.shard, e.blob, e.served, e.acked)
 }
 
 // SetStrictFreshness selects what a freshness violation (rules 1 and 2) does:
 // strict (default) returns a typed RollbackError/ForkError from the sync
-// round; lenient counts a suspicion and re-dirties the shard so the next push
-// republishes the newest state. Strict is sound against a single provider;
-// replicas syncing over a replicated quorum must run lenient (see the package
-// comment above).
+// round; lenient counts a suspicion, leaves the suspected blob unmerged and
+// re-dirties the shard so the next push republishes the newest state. Strict
+// is sound against a single provider; replicas syncing over a replicated
+// quorum must run lenient (see the package comment above).
 func (r *Replica) SetStrictFreshness(on bool) {
 	r.mu.Lock()
 	r.strict = on
@@ -136,7 +144,7 @@ func (r *Replica) SetStrictFreshness(on bool) {
 }
 
 // SetEpochSource installs an external monotonic counter for attestation
-// epochs, called once per attested shard push. Cells back it with the TEE's
+// epochs, called once per blob a push writes. Cells back it with the TEE's
 // tamper-resistant counters (tamper.TEE.CounterIncrement), which survive
 // restarts; without a source the replica uses an in-memory counter resuming
 // past its own witnessed epochs.
@@ -195,25 +203,21 @@ func (r *Replica) nextEpochLocked(si int) (uint64, error) {
 	return sh.epoch, nil
 }
 
-// attestSnapshotLocked stamps one outgoing shard snapshot: a fresh epoch and
+// attestLocked stamps one outgoing blob of shard si: a fresh epoch and the
 // root signed by this replica, alongside the latest witnessed attestation of
 // every other replica (so pullers learn the whole fleet's freshness frontier
 // from any single push). The replica witnesses its own attestation
 // immediately — an upload that then fails merely burns an epoch. The caller
 // holds the state mutex.
-func (r *Replica) attestSnapshotLocked(si int, snap *shardSnapshot) error {
+func (r *Replica) attestLocked(si int, root []byte, st *shardState) error {
 	epoch, err := r.nextEpochLocked(si)
 	if err != nil {
 		return fmt.Errorf("sync: epoch source for shard %d: %w", si, err)
 	}
-	att := Attestation{Epoch: epoch, Root: snap.root, Sig: r.signAttest(si, r.id, epoch, snap.root)}
 	sh := r.shards[si]
-	sh.attests[r.id] = att
-	snap.state.Writer = r.id
-	snap.state.Attests = make(map[string]Attestation, len(sh.attests))
-	for rep, a := range sh.attests {
-		snap.state.Attests[rep] = a
-	}
+	sh.attests[r.id] = Attestation{Epoch: epoch, Root: root, Sig: r.signAttest(si, r.id, epoch, root)}
+	st.Writer = r.id
+	st.Attests = maps.Clone(sh.attests)
 	return nil
 }
 
@@ -225,31 +229,33 @@ func (r *Replica) suspectLocked(si int) {
 	r.shards[si].dirty = true
 }
 
-// auditFetchedLocked runs rules 2 and 3 over a fetched shard state whose blob
-// version advanced past everything previously merged. It returns a typed
-// conviction for proven misbehaviour, ErrIntegrity for a state its writer did
-// not attest, and records a suspicion instead of convicting rule 2 in lenient
-// mode. The caller holds the state mutex.
-func (r *Replica) auditFetchedLocked(si int, st shardState, b cloud.Blob) error {
+// auditFetchedLocked runs rules 2 and 3 over fetched blob kind of shard si,
+// whose version advanced past everything previously merged under its name,
+// and reports whether it may merge. It returns a typed conviction for proven
+// misbehaviour and ErrIntegrity for a state its writer did not attest; in
+// lenient mode it records a suspicion instead of convicting rule 2, and the
+// blob does not merge. The caller holds the state mutex.
+func (r *Replica) auditFetchedLocked(si, kind int, st shardState, b cloud.Blob) (bool, error) {
 	if _, ok := st.Attests[st.Writer]; !ok {
-		return ErrIntegrity
+		return false, ErrIntegrity
 	}
 	sh := r.shards[si]
+	acked := sh.fresh[kind].acked
 	fresh := false
 	for rep, att := range st.Attests {
 		// The AEAD seal already stops the provider from minting attestations,
 		// so a bad signature here means key/layout confusion or a corrupted
 		// replica — fail closed either way.
 		if !crypto.VerifyHMAC(r.authKey, r.attestMsg(si, rep, att.Epoch, att.Root), att.Sig) {
-			return ErrIntegrity
+			return false, ErrIntegrity
 		}
 		w, witnessed := sh.attests[rep]
 		if witnessed && att.Epoch == w.Epoch && !bytes.Equal(att.Root, w.Root) {
 			// Rule 3: one (replica, epoch) attesting two different roots.
-			return &ForkError{
+			return false, &ForkError{
 				Shard: si, Replica: rep,
 				WitnessedEpoch: w.Epoch, ServedEpoch: att.Epoch,
-				AckedVersion: sh.acked, ServedVersion: b.Version,
+				AckedVersion: acked, ServedVersion: b.Version,
 			}
 		}
 		if !witnessed || att.Epoch > w.Epoch {
@@ -267,15 +273,15 @@ func (r *Replica) auditFetchedLocked(si int, st shardState, b cloud.Blob) error 
 			if w, ok := sh.attests[rep]; ok {
 				we = w.Epoch
 			}
-			return &RollbackError{
+			return false, &RollbackError{
 				Shard: si, Replica: rep,
 				WitnessedEpoch: we, ServedEpoch: se,
-				AckedVersion: sh.acked, ServedVersion: b.Version,
+				AckedVersion: acked, ServedVersion: b.Version,
 			}
 		}
 		r.suspectLocked(si)
 	}
-	return nil
+	return fresh, nil
 }
 
 // witnessAttestsLocked advances the shard's witness set to the newest
@@ -297,11 +303,11 @@ func witnessAttestsLocked(sh *replicaShard, attests map[string]Attestation) {
 // rollback.
 func (r *Replica) classifyDivergence(d *divergenceError) error {
 	rollback := &RollbackError{Shard: d.shard, AckedVersion: d.acked, ServedVersion: d.served}
-	b, err := r.cloud.GetBlob(r.shardBlobName(d.shard))
+	b, err := r.cloud.GetBlob(r.shards[d.shard].names[d.blob])
 	if err != nil || len(b.Data) == 0 {
 		return rollback
 	}
-	st, err := r.decodeShard(d.shard, b.Data, nil)
+	st, err := r.decodeShard(d.shard, d.blob, b.Data, nil)
 	if err != nil {
 		return rollback
 	}
@@ -330,21 +336,27 @@ func (r *Replica) finishDetection(err error) error {
 	return r.classifyDivergence(d)
 }
 
-// CheckShardBlob audits one shard blob without merging it: decode, verify
-// every attestation signature, and run the equivocation and stale-epoch rules
-// against the replica's current witness set. It never mutates replica state
-// and never convicts on version numbers (member version counters are not
-// comparable across a replicated fleet) — it answers "could this blob be an
-// honest copy of shard si?" The replication layer's quarantine verifier is
-// built from exactly this check (see cloud.ReplicatedOptions.Verifier).
-func (r *Replica) CheckShardBlob(si int, data []byte) error {
-	if si < 0 || si >= len(r.shards) {
-		return fmt.Errorf("sync: shard index %d out of range", si)
+// CheckBlob audits one sync blob of this replica's user, named as the cloud
+// stores it, without merging it: decode, verify every attestation signature,
+// and run the equivocation and stale-epoch rules against the replica's
+// current witness set. A blob passes the stale-epoch rule when it is the
+// version of its name this replica merged or wrote last — the same writer at
+// the same epoch — or carries an epoch newer than the witness set. The audit
+// never mutates replica state and never convicts on version numbers (member
+// version counters are not comparable across a replicated fleet) — it
+// answers "could this blob be an honest copy of the current one?" The
+// replication layer's quarantine verifier is built from exactly this check
+// (see cloud.ReplicatedOptions.Verifier). A name that is not one of the
+// replica's blobs is an error.
+func (r *Replica) CheckBlob(name string, data []byte) error {
+	si, kind, ok := r.blobByName(name)
+	if !ok {
+		return fmt.Errorf("sync: %q is not a sync blob of this replica", name)
 	}
 	if len(data) == 0 {
 		return nil
 	}
-	st, err := r.decodeShard(si, data, nil)
+	st, err := r.decodeShard(si, kind, data, nil)
 	if err != nil {
 		return err
 	}
@@ -354,7 +366,7 @@ func (r *Replica) CheckShardBlob(si int, data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sh := r.shards[si]
-	fresh := false
+	fresh := st.ref() == sh.fresh[kind].ref
 	for rep, att := range st.Attests {
 		if !crypto.VerifyHMAC(r.authKey, r.attestMsg(si, rep, att.Epoch, att.Root), att.Sig) {
 			return ErrIntegrity
@@ -363,7 +375,7 @@ func (r *Replica) CheckShardBlob(si int, data []byte) error {
 		if witnessed && att.Epoch == w.Epoch && !bytes.Equal(att.Root, w.Root) {
 			return &ForkError{Shard: si, Replica: rep, WitnessedEpoch: w.Epoch, ServedEpoch: att.Epoch}
 		}
-		if !witnessed || att.Epoch >= w.Epoch {
+		if !witnessed || att.Epoch > w.Epoch {
 			fresh = true
 		}
 	}
@@ -375,4 +387,20 @@ func (r *Replica) CheckShardBlob(si int, data []byte) error {
 		return &RollbackError{Shard: si, Replica: st.Writer, WitnessedEpoch: we}
 	}
 	return nil
+}
+
+// blobByName maps one of the replica's blob names to its shard and kind.
+func (r *Replica) blobByName(name string) (si, kind int, ok bool) {
+	for kind, dir := range [2]string{"/syncshard/", "/syncseg/"} {
+		rest, found := strings.CutPrefix(name, r.userID+dir)
+		if !found {
+			continue
+		}
+		si, err := strconv.Atoi(rest)
+		if err != nil || si < 0 || si >= len(r.shards) || r.shards[si].names[kind] != name {
+			return 0, 0, false
+		}
+		return si, kind, true
+	}
+	return 0, 0, false
 }

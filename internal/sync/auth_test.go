@@ -224,18 +224,19 @@ func TestUnattestedShardRefused(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			svc := cloud.NewMemory()
 			a, b := authPair(svc)
-			sealed, err := crypto.Seal(a.key, payload, a.shardAD(0))
+			name := a.shards[0].names[baseBlob]
+			sealed, err := crypto.Seal(a.key, payload, a.shards[0].ads[baseBlob])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := svc.PutBlob(a.shardBlobName(0), sealed); err != nil {
+			if _, err := svc.PutBlob(name, sealed); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Pull(); !errors.Is(err, ErrIntegrity) {
 				t.Fatalf("Pull = %v, want ErrIntegrity", err)
 			}
-			if err := b.CheckShardBlob(0, sealed); !errors.Is(err, ErrIntegrity) {
-				t.Fatalf("CheckShardBlob = %v, want ErrIntegrity", err)
+			if err := b.CheckBlob(name, sealed); !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("CheckBlob = %v, want ErrIntegrity", err)
 			}
 			if b.LiveCount() != 0 {
 				t.Fatal("refused shard merged documents")
@@ -245,41 +246,65 @@ func TestUnattestedShardRefused(t *testing.T) {
 }
 
 func TestCheckShardBlobAudit(t *testing.T) {
-	// CheckShardBlob is the read-only audit the replication layer's
-	// quarantine verifier wraps: a current blob passes, a stale copy of the
-	// shard's history is convicted against the same witness set.
+	// CheckBlob is the read-only audit the replication layer's quarantine
+	// verifier wraps: a current base or segment passes, a stale copy of
+	// either from the shard's history is convicted against the same witness
+	// set.
 	svc := cloud.NewMemory()
 	a, b := authPair(svc)
+	names := []string{"alice/syncshard/0000", "alice/syncseg/0000"}
+	snapshot := func() [][]byte {
+		var out [][]byte
+		for _, name := range names {
+			blob, err := svc.GetBlob(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, blob.Data)
+		}
+		return out
+	}
 	a.Upsert(doc(1))
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	stale, err := svc.GetBlob("alice/syncshard/0000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Upsert(doc(2))
+	stale := snapshot()
+	a.Upsert(doc(2)) // a new base: one entry is past 1/segmentRatio of one
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Sync(); err != nil { // witness both epochs
+	for i := 3; i < 40; i++ {
+		a.Upsert(doc(i))
+	}
+	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	current, err := svc.GetBlob("alice/syncshard/0000")
-	if err != nil {
+	a.Upsert(doc(1)) // a segment over that base
+	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.CheckShardBlob(0, current.Data); err != nil {
-		t.Fatalf("current blob failed audit: %v", err)
+	if err := b.Sync(); err != nil { // witness every epoch
+		t.Fatal(err)
 	}
-	if err := b.CheckShardBlob(0, stale.Data); !errors.Is(err, ErrRollbackDetected) {
-		t.Fatalf("stale blob audit = %v, want rollback", err)
+	current := snapshot()
+	for i, name := range names {
+		if err := b.CheckBlob(name, current[i]); err != nil {
+			t.Fatalf("current %s failed audit: %v", name, err)
+		}
+		if err := b.CheckBlob(name, stale[i]); !errors.Is(err, ErrRollbackDetected) {
+			t.Fatalf("stale %s audit = %v, want rollback", name, err)
+		}
+		if err := b.CheckBlob(name, nil); err != nil {
+			t.Fatalf("empty blob should pass (nothing to audit): %v", err)
+		}
 	}
-	if err := b.CheckShardBlob(0, nil); err != nil {
-		t.Fatalf("empty blob should pass (nothing to audit): %v", err)
+	if err := b.CheckBlob(names[0], current[1]); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("segment under the base's name = %v, want ErrIntegrity", err)
 	}
-	if err := b.CheckShardBlob(99, current.Data); err == nil {
-		t.Fatal("out-of-range shard index must error")
+	for _, name := range []string{"alice/syncshard/0099", "alice/syncseg/1", "bob/syncshard/0000"} {
+		if err := b.CheckBlob(name, current[0]); err == nil {
+			t.Fatalf("%s is no blob of the replica, and must error", name)
+		}
 	}
 }
 
@@ -364,14 +389,12 @@ func TestAttestationOverheadConstant(t *testing.T) {
 			a.Upsert(doc(i))
 		}
 		a.mu.Lock()
-		snap, err := snapshotShardLocked(a.shards[0])
-		if err == nil {
-			err = a.attestSnapshotLocked(0, &snap)
-		}
+		snaps, err := a.snapshotLocked(0) // a first push: a base, stamped
 		a.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := snaps[0]
 		with := appendShardState(nil, snap.entries, snap.state)
 		snap.state.Writer, snap.state.Attests = "", nil
 		without := appendShardState(nil, snap.entries, snap.state)

@@ -46,17 +46,66 @@ func (p *pushRecorder) PutBlobs(puts []cloud.BlobPut) ([]int, error) {
 	return p.Service.PutBlobs(puts)
 }
 
-// checkPushed opens every blob r uploaded since the last check and requires
-// its plaintext to equal the oracle's encoding of r's shard as it stands
-// after the push, and r's own attestation to carry the oracle's root.
-func checkPushed(t *testing.T, r *Replica, rec *pushRecorder) {
+// openBlob opens and plainly decodes one blob of shard si as it stands in
+// svc, with every entry's cache filled.
+func openBlob(t *testing.T, r *Replica, svc cloud.Service, si, kind int) (shardState, []byte) {
 	t.Helper()
+	blob, err := svc.GetBlob(r.shards[si].names[kind])
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, err := crypto.Open(r.key, blob.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.decodeShard(si, kind, blob.Data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, plain
+}
+
+// checkPushed holds every shard r wrote since the last check to the oracle.
+// Each of its two blobs in the cloud must be the oracle's encoding of what it
+// decodes to; the segment must name the base; and the logical state they
+// make — the base's entries with the segment's over them, under the
+// segment's vector, conflicts and attestations — must encode, through the
+// oracle, byte for byte as r's shard does as it stands after the push, whose
+// oracle root r's own attestation must carry.
+func checkPushed(t *testing.T, r *Replica, svc cloud.Service, rec *pushRecorder) {
+	t.Helper()
+	shards := map[int]bool{}
 	for _, bp := range rec.puts {
 		si, err := strconv.Atoi(bp.Name[strings.LastIndexByte(bp.Name, '/')+1:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, _, err := crypto.Open(r.key, bp.Data)
+		shards[si] = true
+	}
+	rec.puts = rec.puts[:0]
+	for si := range shards {
+		base, basePlain := openBlob(t, r, svc, si, baseBlob)
+		seg, segPlain := openBlob(t, r, svc, si, segmentBlob)
+		for name, blob := range map[string]struct {
+			st    shardState
+			plain []byte
+		}{"base": {base, basePlain}, "segment": {seg, segPlain}} {
+			if again, err := oracleShardState(blob.st); err != nil || !bytes.Equal(again, blob.plain) {
+				t.Fatalf("%s: shard %d %s is not the oracle's encoding of itself (%v)", r.id, si, name, err)
+			}
+		}
+		if seg.Base != base.ref() {
+			t.Fatalf("%s: shard %d segment names base %+v, the cloud holds %+v", r.id, si, seg.Base, base.ref())
+		}
+		docs := docsOf(base)
+		for _, e := range seg.Docs {
+			docs[e.ID] = e.VersionedDoc
+		}
+		logical := shardState{VV: seg.VV, Conflicts: seg.Conflicts, Writer: seg.Writer, Attests: seg.Attests}
+		for _, id := range sortedKeys(docs) {
+			logical.Docs = append(logical.Docs, shardEntry{ID: id, VersionedDoc: docs[id]})
+		}
+		got, err := oracleShardState(logical)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,19 +121,19 @@ func checkPushed(t *testing.T, r *Replica, rec *pushRecorder) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(plain, want) {
-			t.Fatalf("%s pushed shard %d that differs from the oracle encoding:\n got  %x\n want %x", r.id, si, plain, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: shard %d base and segment make a state that differs from the oracle encoding:\n got  %x\n want %x", r.id, si, got, want)
 		}
 		if !bytes.Equal(st.Attests[r.id].Root, root) {
 			t.Fatalf("%s attested shard %d under root %x, oracle %x", r.id, si, st.Attests[r.id].Root, root)
 		}
 	}
-	rec.puts = rec.puts[:0]
 }
 
 // TestPushedShardsMatchOracle drives three replicas through seeded sequences
-// of upserts, deletes, syncs and the conflicts they cause, and holds every
-// pushed shard blob byte for byte to the pre-cache whole-state encoder.
+// of upserts, deletes, syncs and the conflicts they cause, and holds the
+// logical state of every pushed shard — its base with its segment over it —
+// byte for byte to the pre-cache whole-state encoder.
 func TestPushedShardsMatchOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		svc := cloud.NewMemory()
@@ -102,7 +151,7 @@ func TestPushedShardsMatchOracle(t *testing.T) {
 			if err := reps[i].Sync(); err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, reps[i].id, err)
 			}
-			checkPushed(t, reps[i], recs[i])
+			checkPushed(t, reps[i], svc, recs[i])
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 400; step++ {
@@ -132,7 +181,7 @@ func TestPushedShardsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPullDecodesOnlyChangedEntries pins the skip: decoding a pushed shard
+// TestPullDecodesOnlyChangedEntries pins the skip: decoding a pushed segment
 // against a replica that holds all but two of its entries returns exactly
 // those two, and the sync that merges them converges.
 func TestPullDecodesOnlyChangedEntries(t *testing.T) {
@@ -155,12 +204,12 @@ func TestPullDecodesOnlyChangedEntries(t *testing.T) {
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := svc.GetBlob(a.shardBlobName(0))
+	blob, err := svc.GetBlob(a.shards[0].names[segmentBlob])
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.mu.Lock()
-	st, err := b.decodeShard(0, blob.Data, b.shards[0].docs)
+	st, err := b.decodeShard(0, segmentBlob, blob.Data, b.shards[0].docs)
 	b.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +262,8 @@ func remoteState(t *testing.T, entries map[string]VersionedDoc, vv map[string]ui
 // local upserts and deletes and merges of remote states (new documents,
 // newer revisions, both sides of a same-revision conflict), with new IDs
 // arriving throughout, until the shard holds more than 300 documents.
-// After every batch a push snapshot must carry the entries of a freshly
-// sorted copy of the shard, and its root — taken from the shard's
+// After every batch the entries a compaction writes must be those of a
+// freshly sorted copy of the shard, and the shard's root — taken from its
 // incrementally updated tree — must equal shardMerkleRoot over that copy and
 // the oracle's tree over the leaf bytes.
 func TestShardRootMatchesOracle(t *testing.T) {
@@ -255,31 +304,32 @@ func TestShardRootMatchesOracle(t *testing.T) {
 				r.mergeShardLocked(sh, remoteState(t, remote, map[string]uint64{"alice/phone": uint64(step)}))
 			}
 		}
-		snap, err := snapshotShardLocked(sh)
+		root, err := sh.rootLocked()
 		if err != nil {
 			t.Fatal(err)
 		}
+		entries, _ := sh.wiresLocked(sh.order)
 		var fresh []shardEntry
 		for _, id := range sortedKeys(sh.docs) {
 			fresh = append(fresh, shardEntry{ID: id, VersionedDoc: sh.docs[id]})
 		}
-		if len(snap.entries) != len(fresh) {
-			t.Fatalf("step %d: snapshot has %d entries, shard %d", step, len(snap.entries), len(fresh))
+		if len(entries) != len(fresh) {
+			t.Fatalf("step %d: snapshot has %d entries, shard %d", step, len(entries), len(fresh))
 		}
 		for i := range fresh {
 			want, err := appendShardEntry(nil, fresh[i].ID, &fresh[i].VersionedDoc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(snap.entries[i], want) {
-				t.Fatalf("step %d: snapshot entry %d is %x, want %s encoded", step, i, snap.entries[i], fresh[i].ID)
+			if !bytes.Equal(entries[i], want) {
+				t.Fatalf("step %d: snapshot entry %d is %x, want %s encoded", step, i, entries[i], fresh[i].ID)
 			}
 		}
-		if want := shardMerkleRoot(fresh); !bytes.Equal(snap.root, want) {
-			t.Fatalf("step %d, %d docs: tree root %x, shardMerkleRoot %x", step, len(fresh), snap.root, want)
+		if want := shardMerkleRoot(fresh); !bytes.Equal(root, want) {
+			t.Fatalf("step %d, %d docs: tree root %x, shardMerkleRoot %x", step, len(fresh), root, want)
 		}
-		if want := oracleShardRoot(fresh); !bytes.Equal(snap.root, want) {
-			t.Fatalf("step %d, %d docs: tree root %x, oracle %x", step, len(fresh), snap.root, want)
+		if want := oracleShardRoot(fresh); !bytes.Equal(root, want) {
+			t.Fatalf("step %d, %d docs: tree root %x, oracle %x", step, len(fresh), root, want)
 		}
 	}
 	if r.ConflictsResolved() == 0 {

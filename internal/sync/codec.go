@@ -1,14 +1,16 @@
 package sync
 
-// Binary shard codec: the one wire form of a shard state. It embeds the
-// datamodel binary document codec and always carries the authenticated-catalog
-// section, so a replica never writes an unattested shard. The unattested
-// version 1 and the JSON form before it are refused.
+// Binary shard codec: the one wire form of a shard's two blobs, the base and
+// the segment (DESIGN.md §5.2). It embeds the datamodel binary document codec
+// and always carries the authenticated-catalog section, so a replica never
+// writes an unattested blob. The whole-shard version 2 and every form before
+// it are refused with a ShardVersionError.
 //
 // Wire format (integers are unsigned varints):
 //
-//	[1] magic 0xD6
-//	[1] codec version (2)
+//	[1] magic: 0xD6 base, 0xD7 segment
+//	[1] codec version: 3 base, 1 segment
+//	segment only: the base it extends — writer string, that writer's epoch
 //	docs:      count + per entry: key string, revision, replica string,
 //	           updated (uvarint length + time.MarshalBinary), flags byte
 //	           (bit0 deleted, bit1 metadata present), [binary document]
@@ -39,8 +41,10 @@ import (
 )
 
 const (
-	shardCodecMagic   = 0xD6
-	shardCodecVersion = 2
+	shardCodecMagic     = 0xD6
+	shardCodecVersion   = 3
+	segmentCodecMagic   = 0xD7
+	segmentCodecVersion = 1
 
 	shardFlagDeleted = 1 << 0
 	shardFlagHasDoc  = 1 << 1
@@ -128,12 +132,18 @@ func cacheEntry(id string, v *VersionedDoc, scratch []byte) ([]byte, error) {
 	return scratch, nil
 }
 
-// appendShardState appends the binary encoding of a shard state to dst:
-// entries are its doc entries' canonical encodings (appendShardEntry's
-// output) sorted by ID without repeats, and st supplies the rest; st.Docs is
-// not read.
+// appendShardState appends the binary encoding of a shard state to dst — a
+// segment when st.Segment is set, a base otherwise: entries are its doc
+// entries' canonical encodings (appendShardEntry's output) sorted by ID
+// without repeats, and st supplies the rest; st.Docs is not read.
 func appendShardState(dst []byte, entries [][]byte, st shardState) []byte {
-	dst = append(dst, shardCodecMagic, shardCodecVersion)
+	if st.Segment {
+		dst = append(dst, segmentCodecMagic, segmentCodecVersion)
+		dst = datamodel.AppendString(dst, st.Base.Writer)
+		dst = binary.AppendUvarint(dst, st.Base.Epoch)
+	} else {
+		dst = append(dst, shardCodecMagic, shardCodecVersion)
+	}
 
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
@@ -180,6 +190,21 @@ func appendShardState(dst []byte, entries [][]byte, st shardState) []byte {
 
 var errShardCodec = fmt.Errorf("sync: malformed shard state")
 
+// ShardVersionError refuses a sync blob whose magic names a shard codec in a
+// version this replica does not read, such as a whole-shard version 2 blob
+// written before bases and segments. It is an integrity failure: a replica
+// cannot merge what it cannot read.
+type ShardVersionError struct {
+	Magic, Version byte
+}
+
+func (e *ShardVersionError) Error() string {
+	return fmt.Sprintf("sync: shard codec %#x version %d is not read", e.Magic, e.Version)
+}
+
+// Unwrap makes the refusal match ErrIntegrity and the codec's own error.
+func (e *ShardVersionError) Unwrap() []error { return []error{ErrIntegrity, errShardCodec} }
+
 // consumeCount reads a list count and refuses one the bytes left cannot hold
 // at minWire bytes per entry.
 func consumeCount(b []byte, minWire int) (uint64, []byte, error) {
@@ -210,24 +235,44 @@ func consumeKey(b []byte, first bool, prev []byte) ([]byte, []byte, error) {
 	return k, b[n:], nil
 }
 
-// decodeShardState parses a shard blob written by appendShardState. known is
-// the local shard's documents (nil for none): a doc entry whose bytes equal
-// the cached entry of the known document under its key is the same version,
-// so it is skipped — not decoded, not returned. Every other entry comes back
-// with its cache filled from the input. Skipping changes no verdict: keys are
-// checked for order before the lookup, and a skipped entry is a canonical
-// encoding, so the input is accepted exactly when a plain decode accepts it.
+// decodeShardState parses a base or segment written by appendShardState.
+// known is the local shard's documents (nil for none): a doc entry whose
+// bytes equal the cached entry of the known document under its key is the
+// same version, so it is skipped — not decoded, not returned. Every other
+// entry comes back with its cache filled from the input. Skipping changes no
+// verdict: keys are checked for order before the lookup, and a skipped entry
+// is a canonical encoding, so the input is accepted exactly when a plain
+// decode accepts it.
 func decodeShardState(data []byte, known map[string]VersionedDoc) (shardState, error) {
-	if len(data) < 2 || data[0] != shardCodecMagic || data[1] != shardCodecVersion {
+	if len(data) < 2 {
 		return shardState{}, errShardCodec
 	}
+	var st shardState
 	b := data[2:]
+	var err error
+	switch {
+	case data[0] == shardCodecMagic && data[1] == shardCodecVersion:
+	case data[0] == segmentCodecMagic && data[1] == segmentCodecVersion:
+		st.Segment = true
+		if st.Base.Writer, b, err = datamodel.ConsumeString(b); err != nil {
+			return shardState{}, err
+		}
+		if st.Base.Epoch, b, err = datamodel.ConsumeUvarint(b); err != nil {
+			return shardState{}, err
+		}
+	case data[0] == shardCodecMagic || data[0] == segmentCodecMagic:
+		return shardState{}, &ShardVersionError{Magic: data[0], Version: data[1]}
+	default:
+		return shardState{}, errShardCodec
+	}
 
 	nDocs, b, err := consumeCount(b, minDocEntryWire)
 	if err != nil {
 		return shardState{}, err
 	}
-	st := shardState{Docs: make([]shardEntry, 0, nDocs-min(nDocs, uint64(len(known))))}
+	st.Docs = make([]shardEntry, 0, nDocs-min(nDocs, uint64(len(known))))
+	st.n = int(nDocs)
+	docsStart := len(b)
 	var key []byte
 	for i := uint64(0); i < nDocs; i++ {
 		entry := b
@@ -264,6 +309,7 @@ func decodeShardState(data []byte, known map[string]VersionedDoc) (shardState, e
 		v.leaf = shardLeaf(e.ID, v)
 		st.Docs = append(st.Docs, e)
 	}
+	st.size = docsStart - len(b)
 
 	nVV, b, err := consumeCount(b, minVVEntryWire)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
 	"trustedcells/internal/datamodel"
 )
@@ -99,11 +100,52 @@ func legacyShardForms(t *testing.T, st shardState) map[string][]byte {
 
 // TestShardCodecJSONFallback pins that the JSON fallback, and the unattested
 // version 1 codec beside it, are gone: both are refused as malformed.
+// (legacyShardForms leaves out version 2, which TestShardCodecRefusesV2
+// covers.)
 func TestShardCodecJSONFallback(t *testing.T) {
 	for name, data := range legacyShardForms(t, codecTestState()) {
 		if _, err := decodeShardState(data, nil); !errors.Is(err, errShardCodec) {
 			t.Fatalf("%s: decodeShardState = %v, want errShardCodec", name, err)
 		}
+	}
+}
+
+// TestShardCodecRefusesV2 pins the refusal of the whole-shard version 2, the
+// form every shard blob took before bases and segments: a typed
+// ShardVersionError from the codec, and from a sealed blob under the base's
+// name, which a pull refuses as an integrity failure.
+func TestShardCodecRefusesV2(t *testing.T) {
+	st := codecTestState()
+	st.Writer = "alice/gateway"
+	st.Attests = map[string]Attestation{"alice/gateway": {Epoch: 1, Root: []byte{1}, Sig: []byte{2}}}
+	v3, err := encodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version 2 laid a shard out exactly as a version 3 base does.
+	v2 := append([]byte{shardCodecMagic, 2}, v3[2:]...)
+	var ve *ShardVersionError
+	if _, err := decodeShardState(v2, nil); !errors.As(err, &ve) || ve.Magic != shardCodecMagic || ve.Version != 2 {
+		t.Fatalf("decodeShardState(v2) = %v, want a ShardVersionError for %#x version 2", err, shardCodecMagic)
+	}
+	svc := cloud.NewMemory()
+	a, b := authPair(svc)
+	name := a.shards[0].names[baseBlob]
+	sealed, err := crypto.Seal(a.key, v2, a.shards[0].ads[baseBlob])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.PutBlob(name, sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Pull(); !errors.As(err, &ve) || !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("Pull of a v2 blob = %v, want a ShardVersionError matching ErrIntegrity", err)
+	}
+	if err := b.CheckBlob(name, sealed); !errors.As(err, &ve) {
+		t.Fatalf("CheckBlob of a v2 blob = %v, want a ShardVersionError", err)
+	}
+	if b.LiveCount() != 0 {
+		t.Fatal("a refused v2 blob merged documents")
 	}
 }
 
@@ -198,10 +240,16 @@ func allocatedBy(f func()) uint64 {
 
 // oracleShardState is the whole-state encoder from before doc entries carried
 // their own encoding: it sorts and encodes every field itself and ignores the
-// entry caches. Shard blobs must stay byte-identical to its output.
+// entry caches. Shard blobs must stay byte-identical to its output; for a
+// segment it writes the segment header first.
 func oracleShardState(st shardState) ([]byte, error) {
 	docs := docsOf(st)
 	dst := []byte{shardCodecMagic, shardCodecVersion}
+	if st.Segment {
+		dst = []byte{segmentCodecMagic, segmentCodecVersion}
+		dst = datamodel.AppendString(dst, st.Base.Writer)
+		dst = binary.AppendUvarint(dst, st.Base.Epoch)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(docs)))
 	for _, id := range sortedKeys(docs) {
 		v := docs[id]
@@ -362,14 +410,16 @@ func checkKnownDecode(t *testing.T, data []byte, full shardState, known map[stri
 	merged := func(st shardState) (*replicaShard, map[string]bool) {
 		r := NewReplicaShards("alice/gateway", "alice", crypto.SymmetricKey{}, nil, nil, 1)
 		sh := &replicaShard{docs: maps.Clone(known), vv: map[string]uint64{}, conflicts: map[string]bool{}}
-		r.mergeShardLocked(sh, st)
+		sh.dirty = r.mergeShardLocked(sh, st)
 		return sh, r.changed
 	}
 	got, gotChanged := merged(partial)
 	want, wantChanged := merged(full)
 	if len(got.docs) != len(want.docs) || !maps.Equal(gotChanged, wantChanged) ||
-		!maps.Equal(got.vv, want.vv) || !maps.Equal(got.conflicts, want.conflicts) || got.dirty != want.dirty {
-		t.Fatalf("merge after skip-decode differs: %d/%d docs, changed %v/%v", len(got.docs), len(want.docs), gotChanged, wantChanged)
+		!maps.Equal(got.vv, want.vv) || !maps.Equal(got.conflicts, want.conflicts) || got.dirty != want.dirty ||
+		!slices.Equal(got.delta, want.delta) {
+		t.Fatalf("merge after skip-decode differs: %d/%d docs, changed %v/%v, delta %v/%v",
+			len(got.docs), len(want.docs), gotChanged, wantChanged, got.delta, want.delta)
 	}
 	for id, w := range want.docs {
 		g := got.docs[id]
@@ -380,10 +430,31 @@ func checkKnownDecode(t *testing.T, data []byte, full shardState, known map[stri
 	}
 }
 
-// FuzzShardState throws arbitrary bytes at the shard decoder: it must never
-// panic, must not let a count size an allocation the input cannot back, and
-// anything it accepts must re-encode to the same bytes — through the oracle
-// and through the entry encoder. Decoding an accepted state against local
+// segmentSeeds are segment encodings for the fuzzer to start from: the test
+// state as a signed segment, and as an empty one naming its base — what a
+// compaction writes beside the base.
+func segmentSeeds(t testing.TB) [][]byte {
+	seg := codecTestState()
+	seg.Segment, seg.Base = true, baseRef{Writer: "alice/phone", Epoch: 4}
+	seg.Writer = "alice/gateway"
+	seg.Attests = map[string]Attestation{"alice/gateway": {Epoch: 5, Root: []byte{1, 2}, Sig: []byte{3}}}
+	empty := seg
+	empty.Docs = nil
+	var out [][]byte
+	for _, st := range []shardState{seg, empty} {
+		data, err := encodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// FuzzShardState throws arbitrary bytes at the shard decoder, bases and
+// segments alike: it must never panic, must not let a count size an
+// allocation the input cannot back, and anything it accepts must re-encode
+// to the same bytes — through the oracle and through the entry encoder. Decoding an accepted state against local
 // shards (its own documents, those of its one-bit mutations, none) and
 // merging must equal a plain decode then merge.
 func FuzzShardState(f *testing.F) {
@@ -397,6 +468,9 @@ func FuzzShardState(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add(shardCountBomb(200))
+	for _, data := range segmentSeeds(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Longer states only repeat the same paths, and the fuzzer's

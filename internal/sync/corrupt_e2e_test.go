@@ -41,7 +41,7 @@ func TestCorruptBlobFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GetBlob: %v", err)
 	}
-	if err := b.CheckShardBlob(0, blob.Data); err == nil {
+	if err := b.CheckBlob("alice/syncshard/0000", blob.Data); err == nil {
 		t.Fatal("catalog audit accepted a corrupted shard blob")
 	}
 
@@ -100,11 +100,12 @@ func TestCorruptMemberQuarantinedFleetRoutesAround(t *testing.T) {
 	// bit and fails verification.
 	convicted := false
 	for si := 0; si < a.ShardCount(); si++ {
-		blob, err := members[0].GetBlob(fmt.Sprintf("alice/syncshard/%04d", si))
+		name := fmt.Sprintf("alice/syncshard/%04d", si)
+		blob, err := members[0].GetBlob(name)
 		if err != nil {
 			continue
 		}
-		if a.CheckShardBlob(si, blob.Data) != nil {
+		if a.CheckBlob(name, blob.Data) != nil {
 			convicted = true
 			break
 		}

@@ -7,11 +7,15 @@
 // Each cell keeps a replica of the metadata catalog plus a per-document
 // revision counter. The replica is partitioned into shards by FNV-1a hash of
 // the document ID — the same striping the sharded cloud store uses — and each
-// shard carries a version vector (replica ID → local update count). Push
-// seals and uploads only the dirty shards in one batched exchange; Pull asks
-// the provider for every shard conditionally (one conditional batched
-// exchange) and receives bytes only for the shards whose remote version
-// advanced. Sync cost is therefore O(changed shards), not O(catalog).
+// shard carries a version vector (replica ID → local update count). In the
+// cloud a shard is two sealed blobs: a base holding its whole state at the
+// last compaction, and a segment holding every entry written since. Push
+// seals and uploads only the segments of the dirty shards in one batched
+// exchange, and writes a new base only once a segment grows past a fixed
+// share of its base; Pull asks the provider for every blob conditionally (one
+// conditional batched exchange) and receives bytes only for the blobs whose
+// remote version advanced. Sync cost is therefore O(changed documents), not
+// O(catalog) nor O(changed shards × shard size).
 //
 // Conflicts (the same document updated on two cells while disconnected) are
 // resolved deterministically by highest revision, then lexicographically
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -48,6 +53,19 @@ var (
 // updates are localized) at the cost of more blobs; experiment E11 measures
 // the trade-off at 10k-document catalogs.
 const DefaultShardCount = 64
+
+// segmentRatio is the compaction threshold: a push writes a segment while its
+// entries stay within 1/segmentRatio of the bytes of the base it extends, and
+// a new base with an empty segment once they pass it (DESIGN.md §5.2).
+const segmentRatio = 8
+
+// The two blobs of a shard, as indexes of its per-blob state: the base holds
+// the shard's whole state at its last compaction, the segment every entry
+// written since.
+const (
+	baseBlob = iota
+	segmentBlob
+)
 
 // VersionedDoc is a document plus its replication metadata.
 type VersionedDoc struct {
@@ -74,12 +92,17 @@ type shardEntry struct {
 	VersionedDoc
 }
 
-// shardState is the replicated state of one shard: its documents, its version
+// shardState is the content of one shard blob: documents, the writer's version
 // vector (replica ID → count of local updates that replica applied to this
 // shard), and the set of conflict-resolution records discovered on documents
 // of the shard. All three merge commutatively, which is what lets concurrent
-// pushes converge instead of clobbering.
+// pushes converge instead of clobbering. A base holds every document of the
+// shard; a segment holds the writer's documents that the base it names lacks,
+// beside the writer's whole vector and conflict set.
 type shardState struct {
+	// Segment marks a segment, and Base names the base it extends.
+	Segment bool
+	Base    baseRef
 	// Docs is sorted by ID without repeats. A state decoded against the
 	// local shard holds only the entries that differ from it. A push
 	// snapshot leaves it nil and carries the encoded entries instead
@@ -94,6 +117,37 @@ type shardState struct {
 	// that has not been stamped yet.
 	Writer  string
 	Attests map[string]Attestation
+	// n is the number of doc entries a decoded blob holds, skipped ones
+	// included, and size their encoded bytes.
+	n, size int
+}
+
+// baseRef names a base blob by its writer and the epoch the writer signed it
+// under; a segment records the ref of the base it extends.
+type baseRef struct {
+	Writer string
+	Epoch  uint64
+}
+
+// ref names a blob state by its writer and the epoch the writer signed it
+// under; for a base, that is the name segments extend it by.
+func (st *shardState) ref() baseRef {
+	return baseRef{Writer: st.Writer, Epoch: st.Attests[st.Writer].Epoch}
+}
+
+// blobFreshness is what a replica knows of one of a shard's blobs.
+type blobFreshness struct {
+	// seen is the cloud blob version last merged or written, so Pull can
+	// skip a blob that did not advance.
+	seen int
+	// acked is the blob version the provider acknowledged for this
+	// replica's own last write of it. Unlike seen (which merges can
+	// advance), acked is set only from our own write acknowledgements, so
+	// a later read below it is provider guilt on any single-provider
+	// backend (freshness rule 1).
+	acked int
+	// ref names the version last merged or written by its writer and epoch.
+	ref baseRef
 }
 
 // replicaShard is one in-memory partition of a replica, guarded by the
@@ -119,14 +173,17 @@ type replicaShard struct {
 	// since the last successful push, or a merge that found the remote state
 	// behind this replica's version vector.
 	dirty bool
-	// seen is the cloud blob version last merged or written, so Pull can skip
-	// shards that did not advance.
-	seen int
-	// acked is the blob version the provider acknowledged for this replica's
-	// own last push. Unlike seen (which merges can advance), acked is set
-	// only from our own write acknowledgements, so a later read below it is
-	// provider guilt on any single-provider backend (freshness rule 1).
-	acked int
+	// names and ads are the cloud names and the sealing associated data of
+	// the shard's blobs, indexed by blob kind; both are fixed at creation.
+	names [2]string
+	ads   [2][]byte
+	// fresh is the freshness state of each blob, indexed by blob kind.
+	fresh [2]blobFreshness
+	// baseSize is the bytes of the doc entries of the shard's base, the one
+	// fresh[baseBlob].ref names. delta is the sorted IDs whose local version
+	// that base lacks: what the next segment carries.
+	baseSize int
+	delta    []string
 	// attests is the witness set: the newest verified attestation per
 	// replica, advanced only by shard merges and our own pushes.
 	attests map[string]Attestation
@@ -226,7 +283,17 @@ func NewReplicaShards(id, userID string, key crypto.SymmetricKey, svc cloud.Serv
 		strict:    true,
 	}
 	for i := range r.shards {
+		// The names and associated data bind each blob to its user, the
+		// replica's shard count and the shard index: the untrusted provider
+		// can splice blobs neither across users nor across positions nor
+		// between a base and a segment, and a replica misconfigured with a
+		// different shard count fails loudly with ErrIntegrity instead of
+		// silently misrouting documents.
+		index := fmt.Sprintf("%04d", i)
+		layout := ":" + userID + ":" + strconv.Itoa(shards) + ":" + strconv.Itoa(i)
 		r.shards[i] = &replicaShard{
+			names:     [2]string{userID + "/syncshard/" + index, userID + "/syncseg/" + index},
+			ads:       [2][]byte{[]byte("syncshard" + layout), []byte("syncseg" + layout)},
 			docs:      make(map[string]VersionedDoc),
 			vv:        make(map[string]uint64),
 			conflicts: make(map[string]bool),
@@ -283,6 +350,7 @@ func (r *Replica) Upsert(doc *datamodel.Document) {
 		Replica:  r.id,
 		Updated:  r.clock(),
 	})
+	s.addDelta(doc.ID)
 	s.vv[r.id]++
 	s.dirty = true
 }
@@ -300,6 +368,7 @@ func (r *Replica) Delete(docID string) {
 		Updated:  r.clock(),
 		Deleted:  true,
 	})
+	s.addDelta(docID)
 	s.vv[r.id]++
 	s.dirty = true
 }
@@ -438,28 +507,33 @@ func (r *Replica) recordConflictLocked(s *replicaShard, key string) {
 	s.dirty = true
 }
 
-// mergeShardLocked merges a remote shard state into the local shard,
+// mergeShardLocked merges a remote base or segment into the local shard,
 // resolving document conflicts deterministically (highest revision, then
 // lexicographically greatest replica ID), unioning the conflict records, and
-// joining the version vectors. If the local shard holds updates the remote
-// state has not seen — its vector does not dominate ours — the shard is
-// marked dirty so the next push re-publishes the merged state; this is the
-// anti-entropy step that recovers from concurrent pushes overwriting each
-// other at the blob store.
-func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
-	behind := false
+// joining the version vectors. Every document it takes joins the delta; a
+// base merge recomputes the delta afterwards (rebaseLocked). It reports
+// whether the local shard holds updates the remote state has not seen — its
+// vector does not dominate ours — in which case the caller marks the shard
+// dirty so the next push re-publishes them; this is the anti-entropy step
+// that recovers from concurrent pushes overwriting each other at the blob
+// store.
+func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) (behind bool) {
 	for k, v := range s.vv {
 		if remote.VV[k] < v {
 			behind = true
 			break
 		}
 	}
+	take := func(id string, rv VersionedDoc) {
+		s.setDoc(id, rv)
+		s.addDelta(id)
+		r.noteChangedLocked(id)
+	}
 	for _, e := range remote.Docs {
 		id, rv := e.ID, e.VersionedDoc
 		lv, exists := s.docs[id]
 		if !exists {
-			s.setDoc(id, rv)
-			r.noteChangedLocked(id)
+			take(id, rv)
 			continue
 		}
 		switch {
@@ -476,8 +550,7 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 			if lv.Replica == r.id && rv.Replica != r.id && remote.VV[r.id] < s.vv[r.id] {
 				r.recordConflictLocked(s, conflictKey(id, rv.Revision, lv.Replica))
 			}
-			s.setDoc(id, rv)
-			r.noteChangedLocked(id)
+			take(id, rv)
 		case rv.Revision == lv.Revision && rv.Replica != lv.Replica:
 			// True concurrent conflict: deterministic winner, recorded under a
 			// key both sides derive identically.
@@ -487,8 +560,7 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 			}
 			r.recordConflictLocked(s, conflictKey(id, rv.Revision, loser))
 			if rv.Replica > lv.Replica {
-				s.setDoc(id, rv)
-				r.noteChangedLocked(id)
+				take(id, rv)
 			}
 		}
 	}
@@ -502,8 +574,46 @@ func (r *Replica) mergeShardLocked(s *replicaShard, remote shardState) {
 			s.vv[k] = v
 		}
 	}
-	if behind {
-		s.dirty = true
+	return behind
+}
+
+// rebaseLocked recomputes the delta of shard si against base st, just merged
+// into it, as every local entry that base lacks. An entry the
+// decode skipped equals the base's; a decoded one stays only where the local
+// version beat it; and when the shard holds more IDs than the base, a full
+// decode of the sealed base finds the ones it lacks.
+func (r *Replica) rebaseLocked(si int, st shardState, sealed []byte) error {
+	sh := r.shards[si]
+	var delta []string
+	for _, e := range st.Docs {
+		if v := sh.docs[e.ID]; v.Revision != e.Revision || v.Replica != e.Replica {
+			delta = append(delta, e.ID)
+		}
+	}
+	if len(sh.docs) > st.n {
+		full, err := r.decodeShard(si, baseBlob, sealed, nil)
+		if err != nil {
+			return err
+		}
+		in := make(map[string]bool, len(full.Docs))
+		for _, e := range full.Docs {
+			in[e.ID] = true
+		}
+		for id := range sh.docs {
+			if !in[id] {
+				delta = append(delta, id)
+			}
+		}
+	}
+	slices.Sort(delta)
+	sh.delta, sh.baseSize = delta, st.size
+	return nil
+}
+
+// addDelta records that the local version of id is not in the shard's base.
+func (s *replicaShard) addDelta(id string) {
+	if i, found := slices.BinarySearch(s.delta, id); !found {
+		s.delta = slices.Insert(s.delta, i, id)
 	}
 }
 
@@ -528,72 +638,115 @@ func (s *replicaShard) setDoc(id string, v VersionedDoc) {
 	s.docs[id] = v
 }
 
-// shardSnapshot is one shard as a push seals it: the entries' cached
-// encodings in ID order, shared with the shard; the Merkle root over their
-// leaves; and a copy of the rest of the state, which attestSnapshotLocked
-// stamps.
-type shardSnapshot struct {
-	entries [][]byte
-	root    []byte
-	state   shardState
+// cachedLocked returns the entry under id with its wire and leaf cache
+// filled, encoding through scratch.
+func (s *replicaShard) cachedLocked(id string, scratch *[]byte) (VersionedDoc, error) {
+	v := s.docs[id]
+	if len(v.wire) == 0 {
+		var err error
+		if *scratch, err = cacheEntry(id, &v, *scratch); err != nil {
+			return v, err
+		}
+		s.setDoc(id, v)
+	}
+	return v, nil
 }
 
-// snapshotShardLocked takes a shard's replicated state for sealing outside
-// the state mutex. It walks the shard's ID order, filling the cache of every
-// entry written since the last snapshot, and takes the root from the tree,
-// which re-hashes only the paths of changed leaves. A new ID since the last
-// snapshot costs a sort and a tree build.
-func snapshotShardLocked(s *replicaShard) (shardSnapshot, error) {
+// rootLocked returns the Merkle root over every entry of the shard — its
+// logical state, the base with the delta over it — filling the cache of each
+// entry written since the last push. Only a new ID since then costs a sort
+// of the ID order and a tree build; otherwise the tree re-hashes the paths
+// of the changed leaves.
+func (s *replicaShard) rootLocked() ([]byte, error) {
+	var scratch []byte
 	if s.order == nil {
 		s.order = make([]string, 0, len(s.docs))
 		for id := range s.docs {
 			s.order = append(s.order, id)
 		}
 		slices.Sort(s.order)
+		s.tree = nil
 	}
-	var leaves [][sha256.Size]byte
 	if s.tree == nil {
-		leaves = make([][sha256.Size]byte, len(s.order))
-	}
-	snap := shardSnapshot{
-		entries: make([][]byte, len(s.order)),
-		state: shardState{
-			VV:        make(map[string]uint64, len(s.vv)),
-			Conflicts: make(map[string]bool, len(s.conflicts)),
-		},
-	}
-	var scratch []byte
-	for i, id := range s.order {
-		v := s.docs[id]
-		if len(v.wire) == 0 {
-			var err error
-			if scratch, err = cacheEntry(id, &v, scratch); err != nil {
-				return shardSnapshot{}, err
+		leaves := make([][sha256.Size]byte, len(s.order))
+		for i, id := range s.order {
+			v, err := s.cachedLocked(id, &scratch)
+			if err != nil {
+				return nil, err
 			}
-			s.setDoc(id, v)
-		}
-		snap.entries[i] = v.wire
-		if leaves != nil {
 			leaves[i] = v.leaf
 		}
-	}
-	if leaves != nil {
 		s.tree = crypto.NewMerkleHashTree(leaves)
 	} else {
 		for _, i := range s.changed {
-			s.tree.Set(i, s.docs[s.order[i]].leaf)
+			v, err := s.cachedLocked(s.order[i], &scratch)
+			if err != nil {
+				return nil, err
+			}
+			s.tree.Set(i, v.leaf)
 		}
 	}
 	s.changed = s.changed[:0]
 	root := s.tree.Root()
-	snap.root = root[:]
-	for k, v := range s.vv {
-		snap.state.VV[k] = v
+	return root[:], nil
+}
+
+// wiresLocked returns the cached encodings of the given entries, in order,
+// and their total length. rootLocked has filled every cache.
+func (s *replicaShard) wiresLocked(ids []string) ([][]byte, int) {
+	wires := make([][]byte, len(ids))
+	n := 0
+	for i, id := range ids {
+		wires[i] = s.docs[id].wire
+		n += len(wires[i])
 	}
-	for k := range s.conflicts {
-		snap.state.Conflicts[k] = true
+	return wires, n
+}
+
+// shardSnapshot is one blob as a push seals it: which shard and blob, the
+// entries' cached encodings in ID order, shared with the shard, and a copy
+// of the rest of the state, stamped by attestLocked.
+type shardSnapshot struct {
+	shard, kind int
+	entries     [][]byte
+	state       shardState
+}
+
+// snapshotLocked takes what a push writes for shard si. That is a segment of
+// the delta while its entries stay within 1/segmentRatio of the base's bytes,
+// and otherwise — or when the shard has no base yet — a compaction: a new
+// base of every entry, and an empty segment naming it, after which the shard
+// has an empty delta (and the new base once the upload is acknowledged).
+// Every blob is stamped with a fresh epoch over the root of the whole shard.
+// The caller holds the state mutex.
+func (r *Replica) snapshotLocked(si int) ([]shardSnapshot, error) {
+	sh := r.shards[si]
+	root, err := sh.rootLocked()
+	if err != nil {
+		return nil, err
 	}
-	return snap, nil
+	seg := shardSnapshot{shard: si, kind: segmentBlob, state: shardState{
+		Segment: true, Base: sh.fresh[baseBlob].ref, VV: maps.Clone(sh.vv), Conflicts: maps.Clone(sh.conflicts),
+	}}
+	var segBytes int
+	seg.entries, segBytes = sh.wiresLocked(sh.delta)
+	if seg.state.Base.Writer != "" && segBytes*segmentRatio <= sh.baseSize {
+		if err := r.attestLocked(si, root, &seg.state); err != nil {
+			return nil, err
+		}
+		return []shardSnapshot{seg}, nil
+	}
+	base := shardSnapshot{shard: si, kind: baseBlob, state: shardState{VV: seg.state.VV, Conflicts: seg.state.Conflicts}}
+	base.entries, _ = sh.wiresLocked(sh.order)
+	if err := r.attestLocked(si, root, &base.state); err != nil {
+		return nil, err
+	}
+	sh.delta = nil
+	seg.entries, seg.state.Base = nil, base.state.ref()
+	if err := r.attestLocked(si, root, &seg.state); err != nil {
+		return nil, err
+	}
+	return []shardSnapshot{base, seg}, nil
 }
 
 // mapCloudErr folds provider unavailability into the replica's disconnected
@@ -612,20 +765,20 @@ func mapCloudErr(op string, err error) error {
 // per-exchange buffer churn.
 var shardBufs crypto.BufPool
 
-// encodeShard seals one shard state for upload: binary-encode into a pooled
-// scratch buffer, seal into a second pooled buffer in one pass. The caller
-// owns the returned buffer and must hand it back to releaseShardBuf once the
-// bytes have been shipped.
-func (r *Replica) encodeShard(si int, snap shardSnapshot) (*[]byte, error) {
+// encodeShard seals one outgoing blob: binary-encode into a pooled scratch
+// buffer, seal into a second pooled buffer in one pass. The caller owns the
+// returned buffer and must hand it back to releaseShardBufs once the bytes
+// have been shipped.
+func (r *Replica) encodeShard(snap shardSnapshot) (*[]byte, error) {
 	pb := shardBufs.Get()
 	defer shardBufs.Put(pb)
 	payload := appendShardState(*pb, snap.entries, snap.state)
 	*pb = payload
 	sb := shardBufs.Get()
-	sealed, err := crypto.SealTo(*sb, r.key, payload, r.shardAD(si))
+	sealed, err := crypto.SealTo(*sb, r.key, payload, r.shards[snap.shard].ads[snap.kind])
 	if err != nil {
 		shardBufs.Put(sb)
-		return nil, fmt.Errorf("sync: seal shard %d: %w", si, err)
+		return nil, fmt.Errorf("sync: seal shard %d: %w", snap.shard, err)
 	}
 	*sb = sealed
 	return sb, nil
@@ -640,11 +793,12 @@ func releaseShardBufs(bufs []*[]byte) {
 	}
 }
 
-// decodeShard opens and verifies one sealed shard blob, decoding it against
-// known (see decodeShardState). The decrypted plaintext lives in a pooled
-// buffer for the duration of the decode — the binary codec copies every field
-// out.
-func (r *Replica) decodeShard(si int, sealed []byte, known map[string]VersionedDoc) (shardState, error) {
+// decodeShard opens and verifies one sealed blob of shard si, decoding it
+// against known (see decodeShardState). The decrypted plaintext lives in a
+// pooled buffer for the duration of the decode — the binary codec copies every
+// field out. A blob in a codec version this replica does not read comes back
+// as its ShardVersionError; every other failure as ErrIntegrity.
+func (r *Replica) decodeShard(si, kind int, sealed []byte, known map[string]VersionedDoc) (shardState, error) {
 	pb := shardBufs.Get()
 	defer shardBufs.Put(pb)
 	plain, ad, err := crypto.OpenTo(*pb, r.key, sealed)
@@ -652,28 +806,18 @@ func (r *Replica) decodeShard(si int, sealed []byte, known map[string]VersionedD
 		return shardState{}, ErrIntegrity
 	}
 	*pb = plain
-	if string(ad) != string(r.shardAD(si)) {
+	if string(ad) != string(r.shards[si].ads[kind]) {
 		return shardState{}, ErrIntegrity
 	}
 	st, err := decodeShardState(plain, known)
-	if err != nil {
+	var ve *ShardVersionError
+	switch {
+	case errors.As(err, &ve):
+		return shardState{}, ve
+	case err != nil || st.Segment != (kind == segmentBlob):
 		return shardState{}, ErrIntegrity
 	}
 	return st, nil
-}
-
-// shardBlobName is the cloud name of one replication shard.
-func (r *Replica) shardBlobName(si int) string {
-	return r.userID + "/syncshard/" + fmt.Sprintf("%04d", si)
-}
-
-// shardAD binds a sealed shard to its user, the replica's shard count and the
-// shard index: the untrusted provider can neither splice shards across users
-// nor across positions, and a replica misconfigured with a different shard
-// count fails loudly with ErrIntegrity instead of silently misrouting
-// documents.
-func (r *Replica) shardAD(si int) []byte {
-	return []byte("syncshard:" + r.userID + ":" + strconv.Itoa(len(r.shards)) + ":" + strconv.Itoa(si))
 }
 
 // DocIDs returns the sorted IDs of live documents (for convergence checks).

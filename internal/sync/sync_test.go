@@ -197,43 +197,59 @@ func TestSpliceAcrossShardsDetected(t *testing.T) {
 }
 
 // TestDeltaMovesOnlyDirtyShards is the point of the protocol: after a
-// converged state, one updated document costs one shard blob in each
-// direction, not the whole catalog.
+// converged state, one updated document costs the blobs of one shard in each
+// direction, not the whole catalog — one segment where the shard's base is
+// more than segmentRatio times the entry, and a new base with an empty
+// segment where it is not (200 documents leave about 3 per shard).
 func TestDeltaMovesOnlyDirtyShards(t *testing.T) {
-	svc := cloud.NewMemory()
-	a, b := twoReplicas(svc)
-	for i := 0; i < 200; i++ {
-		a.Upsert(doc(i))
-	}
-	if err := a.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(a, b) {
-		t.Fatal("replicas did not converge")
-	}
-	before := a.TransferStats()
-	a.Upsert(doc(3))
-	if err := a.Push(); err != nil {
-		t.Fatal(err)
-	}
-	after := a.TransferStats()
-	if n := after.ShardsPushed - before.ShardsPushed; n != 1 {
-		t.Fatalf("one update pushed %d shards, want 1", n)
-	}
-	// And the peer's pull fetches only that advanced shard.
-	pb := b.TransferStats()
-	if err := b.Pull(); err != nil {
-		t.Fatal(err)
-	}
-	pa := b.TransferStats()
-	if n := pa.ShardsPulled - pb.ShardsPulled; n != 1 {
-		t.Fatalf("pull fetched %d shards, want 1", n)
-	}
-	if a.DirtyShards() != 0 {
-		t.Fatalf("dirty shards after push = %d", a.DirtyShards())
+	for _, tc := range []struct{ docs, blobs int }{{200, 2}, {2000, 1}} {
+		svc := cloud.NewMemory()
+		a, b := twoReplicas(svc)
+		rec := &pushRecorder{Service: svc}
+		a.cloud = rec
+		for i := 0; i < tc.docs; i++ {
+			a.Upsert(doc(i))
+		}
+		if err := a.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(a, b) {
+			t.Fatal("replicas did not converge")
+		}
+		rec.puts = nil
+		before := a.TransferStats()
+		a.Upsert(doc(3))
+		if err := a.Push(); err != nil {
+			t.Fatal(err)
+		}
+		after := a.TransferStats()
+		if n := after.ShardsPushed - before.ShardsPushed; n != int64(tc.blobs) || len(rec.puts) != tc.blobs {
+			t.Fatalf("%d docs: one update pushed %d blobs, want %d", tc.docs, n, tc.blobs)
+		}
+		shard := a.shardIndex(doc(3).ID)
+		for _, bp := range rec.puts {
+			if bp.Name != a.shards[shard].names[baseBlob] && bp.Name != a.shards[shard].names[segmentBlob] {
+				t.Fatalf("%d docs: one update pushed %s, a blob of another shard", tc.docs, bp.Name)
+			}
+		}
+		// And the peer's pull fetches only those advanced blobs.
+		pb := b.TransferStats()
+		if err := b.Pull(); err != nil {
+			t.Fatal(err)
+		}
+		pa := b.TransferStats()
+		if n := pa.ShardsPulled - pb.ShardsPulled; n != int64(tc.blobs) {
+			t.Fatalf("%d docs: pull fetched %d blobs, want %d", tc.docs, n, tc.blobs)
+		}
+		if a.DirtyShards() != 0 {
+			t.Fatalf("dirty shards after push = %d", a.DirtyShards())
+		}
+		if !Equal(a, b) {
+			t.Fatal("replicas did not converge on the update")
+		}
 	}
 }
 

@@ -412,7 +412,7 @@ func NewAdversaryCloud(inner CloudService, cfg AdversaryCloudConfig) *AdversaryC
 }
 
 // Catalog-authentication verdicts: a replica's Sync/Pull (and the read-only
-// CheckShardBlob audit) return errors matching these sentinels when the
+// CheckBlob audit) return errors matching these sentinels when the
 // provider's served state betrays a rollback or a fork of the signed,
 // epoch-countersigned shard roots.
 var (
