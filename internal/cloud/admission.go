@@ -41,6 +41,8 @@ type AdmissionOptions struct {
 // provider's health, not any one tenant's budget — while quota checks run
 // first, so an over-quota tenant cannot consume admission slots.
 type Admission struct {
+	layer // every Service method runs through serve
+
 	inner      Service
 	maxInFly   int64
 	retryAfter time.Duration
@@ -67,7 +69,9 @@ func NewAdmission(inner Service, opts AdmissionOptions) *Admission {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = 25 * time.Millisecond
 	}
-	return &Admission{inner: inner, maxInFly: opts.MaxInFlight, retryAfter: opts.RetryAfter}
+	a := &Admission{inner: inner, maxInFly: opts.MaxInFlight, retryAfter: opts.RetryAfter}
+	a.layer = layer{a.serve}
+	return a
 }
 
 // AdmissionStats returns the controller's counters.
@@ -97,66 +101,29 @@ func (a *Admission) acquire(w int64) error {
 
 func (a *Admission) release(w int64) { a.inFlight.Add(-w) }
 
-// PutBlob implements Service: a batch of one, weight 1.
-func (a *Admission) PutBlob(name string, data []byte) (int, error) { return putOne(a, name, data) }
-
-// GetBlob implements Service: a batch of one; reads are never shed.
-func (a *Admission) GetBlob(name string) (Blob, error) { return getOne(a, name) }
-
-// DeleteBlob implements Service with weight 1.
-func (a *Admission) DeleteBlob(name string) error {
-	if err := a.acquire(1); err != nil {
-		return err
+// serve is the controller's hook: a mutation holds its weight of the budget
+// while the inner call runs; a read passes through.
+func (a *Admission) serve(req rpcRequest) (rpcResponse, error) {
+	if w := weight(req); w > 0 {
+		if err := a.acquire(w); err != nil {
+			return rpcResponse{}, err
+		}
+		defer a.release(w)
 	}
-	defer a.release(1)
-	return a.inner.DeleteBlob(name)
+	return dispatch(a.inner, req)
 }
 
-// ListBlobs implements Service; reads are never shed.
-func (a *Admission) ListBlobs(prefix string) ([]string, error) { return a.inner.ListBlobs(prefix) }
-
-// Send implements Service with weight 1 (mailbox appends ride the journal).
-func (a *Admission) Send(msg Message) error {
-	if err := a.acquire(1); err != nil {
-		return err
+// weight is what a request costs the mutation budget. A batch put weighs its
+// length (at least 1), so one huge batch cannot slip under a budget that N
+// singles would have tripped; a delete, a send and a receive weigh 1 —
+// mailbox appends and pops commit through the journal like any write; reads
+// and Stats weigh nothing and are never shed.
+func weight(req rpcRequest) int64 {
+	switch req.Op {
+	case "putb":
+		return int64(max(1, len(req.Puts)))
+	case "delete", "send", "receive":
+		return 1
 	}
-	defer a.release(1)
-	return a.inner.Send(msg)
-}
-
-// Receive implements Service with weight 1: popping messages mutates the
-// mailbox and commits through the journal like any write.
-func (a *Admission) Receive(recipient string, max int) ([]Message, error) {
-	if err := a.acquire(1); err != nil {
-		return nil, err
-	}
-	defer a.release(1)
-	return a.inner.Receive(recipient, max)
-}
-
-// Stats implements Service; pass-through.
-func (a *Admission) Stats() Stats { return a.inner.Stats() }
-
-// PutBlobs implements Service with weight len(puts), so one huge batch
-// cannot slip under a budget that N singles would have tripped.
-func (a *Admission) PutBlobs(puts []BlobPut) ([]int, error) {
-	w := int64(len(puts))
-	if w == 0 {
-		w = 1
-	}
-	if err := a.acquire(w); err != nil {
-		return nil, err
-	}
-	defer a.release(w)
-	return a.inner.PutBlobs(puts)
-}
-
-// GetBlobs implements Service; reads are never shed.
-func (a *Admission) GetBlobs(names []string) ([]Blob, error) {
-	return a.inner.GetBlobs(names)
-}
-
-// GetBlobsIf implements Service; reads are never shed.
-func (a *Admission) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	return a.inner.GetBlobsIf(gets)
+	return 0
 }

@@ -22,6 +22,7 @@ package cloud
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -31,8 +32,9 @@ import (
 const advHistoryCap = 4
 
 // forkBranch is one client's divergent state while Fork is active: the blobs
-// the branch wrote since the fork point. Reads fall through to the frozen
-// backend for everything the branch did not overwrite.
+// the branch wrote since the fork point, and a zero Blob (Version 0) as the
+// tombstone of each name it deleted. Reads and listings fall through to the
+// frozen backend for every name the branch holds neither.
 type forkBranch struct {
 	blobs map[string]Blob
 }
@@ -40,6 +42,8 @@ type forkBranch struct {
 // Adversary is a Service wrapper injecting adversarial behaviour in front of
 // any backend.
 type Adversary struct {
+	layer // every Service method runs through serve, as the client ""
+
 	inner Service
 
 	// mu guards mode, rng, versions, history and branches. It is held across
@@ -64,7 +68,7 @@ type Adversary struct {
 // NewAdversary wraps svc with the adversarial behaviour selected by cfg;
 // callers can use it wherever they used the backend.
 func NewAdversary(svc Service, cfg AdversaryConfig) *Adversary {
-	return &Adversary{
+	a := &Adversary{
 		inner:    svc,
 		mode:     cfg.Mode,
 		cfg:      cfg,
@@ -73,6 +77,8 @@ func NewAdversary(svc Service, cfg AdversaryConfig) *Adversary {
 		history:  make(map[string][]Blob),
 		branches: make(map[string]*forkBranch),
 	}
+	a.layer = a.hookFor("")
+	return a
 }
 
 // Inner returns the wrapped backend, for drills that need to inspect the
@@ -136,17 +142,6 @@ func (a *Adversary) recordHistoryLocked(name string, v int, data []byte) {
 	a.history[name] = h
 }
 
-// staleLocked returns the oldest retained payload strictly older than cur,
-// or false when the wrapper has no rollback material for the name.
-func (a *Adversary) staleLocked(name string, cur int) (Blob, bool) {
-	for _, old := range a.history[name] {
-		if old.Version < cur {
-			return old, true
-		}
-	}
-	return Blob{}, false
-}
-
 // branchLocked returns (creating on demand) the fork branch for a client id.
 func (a *Adversary) branchLocked(id string) *forkBranch {
 	br, ok := a.branches[id]
@@ -182,11 +177,11 @@ func (a *Adversary) frozenLocked(br *forkBranch, names []string) []Blob {
 	return out
 }
 
-// EndFork heals a fork: the winner branch's writes are flushed to the backend
-// in name order, every branch is dropped, and the mode returns to Honest.
-// Clients of the losing branches now observe a history that excludes their
-// acknowledged writes — the view-crossing moment an authenticated catalog
-// detects.
+// EndFork heals a fork: the winner branch's writes and deletes are flushed to
+// the backend in name order, every branch is dropped, and the mode returns to
+// Honest. Clients of the losing branches now observe a history that excludes
+// their acknowledged writes — the view-crossing moment an authenticated
+// catalog detects.
 func (a *Adversary) EndFork(winner string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -197,9 +192,15 @@ func (a *Adversary) EndFork(winner string) error {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		puts := make([]BlobPut, len(names))
-		for i, n := range names {
-			puts[i] = BlobPut{Name: n, Data: br.blobs[n].Data}
+		var puts []BlobPut
+		for _, n := range names {
+			if b := br.blobs[n]; b.Version == 0 {
+				if err := a.inner.DeleteBlob(n); err != nil {
+					return err
+				}
+			} else {
+				puts = append(puts, BlobPut{Name: n, Data: b.Data})
+			}
 		}
 		if _, err := a.inner.PutBlobs(puts); err != nil {
 			return err
@@ -301,45 +302,46 @@ func (a *Adversary) putBatch(branch string, puts []BlobPut) ([]int, error) {
 // blob the backend shipped with data. The caller holds mu.
 func (a *Adversary) serveLocked(b Blob) Blob {
 	a.noteVersionLocked(b.Name, b.Version)
-	switch a.mode {
-	case Replaying:
-		if olds := a.olderLocked(b.Name, b.Version); len(olds) > 0 && a.chanceLocked(a.cfg.ReplayRate) {
-			a.replayed.Add(1)
-			return cloneBlob(olds[a.rng.Intn(len(olds))])
+	if a.mode != Replaying && a.mode != Rollback {
+		return b
+	}
+	// The retained payloads strictly older than b, oldest first.
+	var olds []Blob
+	for _, old := range a.history[b.Name] {
+		if old.Version < b.Version {
+			olds = append(olds, old)
 		}
-	case Rollback:
-		if old, ok := a.staleLocked(b.Name, b.Version); ok && a.chanceLocked(a.cfg.RollbackRate) {
-			a.rolledBack.Add(1)
-			// Stale bytes under the current version number: version checks
-			// pass, only authenticated freshness catches the lie.
-			served := cloneBlob(old)
-			served.Version = b.Version
-			served.Stored = b.Stored
-			return served
-		}
+	}
+	switch {
+	case len(olds) == 0:
+	case a.mode == Replaying && a.chanceLocked(a.cfg.ReplayRate):
+		a.replayed.Add(1)
+		return cloneBlob(olds[a.rng.Intn(len(olds))])
+	case a.mode == Rollback && a.chanceLocked(a.cfg.RollbackRate):
+		a.rolledBack.Add(1)
+		// The oldest stale bytes under the current version number: version
+		// checks pass, only authenticated freshness catches the lie.
+		served := cloneBlob(olds[0])
+		served.Version = b.Version
+		served.Stored = b.Stored
+		return served
 	}
 	return b
 }
 
-// olderLocked lists the retained payloads strictly older than cur.
-func (a *Adversary) olderLocked(name string, cur int) []Blob {
-	var out []Blob
-	for _, old := range a.history[name] {
-		if old.Version < cur {
-			out = append(out, old)
-		}
-	}
-	return out
-}
-
-// readBatch serves one batched read for a client branch. Under Fork it
-// answers from the branch; otherwise fetch reads the backend (GetBlobs or
-// GetBlobsIf: over a Replicated backend the two differ) and the replay and
-// rollback substitutions apply to every blob that shipped data.
-func (a *Adversary) readBatch(branch string, gets []CondGet, fetch func() ([]Blob, error)) ([]Blob, error) {
+// readBatch serves one batched read (getb or getc) for a client branch.
+// Under Fork it answers from the branch; otherwise it reads the backend with
+// the request as it came (over a Replicated backend GetBlobs and GetBlobsIf
+// differ), and the replay and rollback substitutions apply to every blob
+// that shipped data.
+func (a *Adversary) readBatch(branch string, req rpcRequest) ([]Blob, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.mode == Fork {
+		gets := req.Gets
+		if req.Op == "getb" {
+			gets = unconditional(req.Names)
+		}
 		br := a.branchLocked(branch)
 		names := make([]string, len(gets))
 		for i, g := range gets {
@@ -363,101 +365,90 @@ func (a *Adversary) readBatch(branch string, gets []CondGet, fetch func() ([]Blo
 		}
 		return blobs, nil
 	}
-	blobs, err := fetch()
+	resp, err := dispatch(a.inner, req)
 	if err != nil {
 		return nil, err
 	}
-	for i := range blobs {
-		if blobs[i].Version > 0 && len(blobs[i].Data) > 0 {
-			blobs[i] = a.serveLocked(blobs[i])
+	for i, b := range resp.Blobs {
+		if b.Version > 0 && len(b.Data) > 0 {
+			resp.Blobs[i] = a.serveLocked(b)
 		}
 	}
-	return blobs, nil
+	return resp.Blobs, nil
 }
 
-// getBatch serves one unconditional batched read for a client branch.
-func (a *Adversary) getBatch(branch string, names []string) ([]Blob, error) {
-	return a.readBatch(branch, unconditional(names), func() ([]Blob, error) { return a.inner.GetBlobs(names) })
+// hookFor is the layer of one client: every call runs through serve as that
+// client, whose id keys its branch while Fork is active.
+func (a *Adversary) hookFor(client string) layer {
+	return layer{func(req rpcRequest) (rpcResponse, error) { return a.serve(client, req) }}
 }
 
-// condBatch serves one conditional batched read for a client branch.
-func (a *Adversary) condBatch(branch string, gets []CondGet) ([]Blob, error) {
-	return a.readBatch(branch, gets, func() ([]Blob, error) { return a.inner.GetBlobsIf(gets) })
-}
-
-// PutBlob implements Service: a batch of one.
-func (a *Adversary) PutBlob(name string, data []byte) (int, error) { return putOne(a, name, data) }
-
-// GetBlob implements Service: a batch of one.
-func (a *Adversary) GetBlob(name string) (Blob, error) { return getOne(a, name) }
-
-// DeleteBlob implements Service. Under Fork the delete lands in the caller's
-// branch only (a divergent delete); otherwise it is forwarded.
-func (a *Adversary) DeleteBlob(name string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.mode == Fork {
-		delete(a.branchLocked("").blobs, name)
-		return nil
-	}
-	delete(a.history, name)
-	delete(a.versions, name)
-	return a.inner.DeleteBlob(name)
-}
-
-// ListBlobs implements Service. Under Fork the listing is the union of the
-// frozen backend and the caller's branch.
-func (a *Adversary) ListBlobs(prefix string) ([]string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names, err := a.inner.ListBlobs(prefix)
-	if err != nil {
-		return nil, err
-	}
-	if a.mode != Fork {
-		return names, nil
-	}
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		seen[n] = true
-	}
-	for n := range a.branchLocked("").blobs {
-		if len(n) >= len(prefix) && n[:len(prefix)] == prefix && !seen[n] {
-			names = append(names, n)
+// serve is the adversary's hook for one client. Blob calls go through the
+// client's branch under Fork — a delete leaves a tombstone in the branch, a
+// listing is the frozen backend seen through the branch — and through the
+// adversarial substitutions otherwise; a Dropping adversary loses messages
+// too; Stats adds the adversarial actions to the backend's counters.
+func (a *Adversary) serve(client string, req rpcRequest) (rpcResponse, error) {
+	var resp rpcResponse
+	var err error
+	switch req.Op {
+	case "putb":
+		resp.Versions, err = a.putBatch(client, req.Puts)
+	case "getb", "getc":
+		resp.Blobs, err = a.readBatch(client, req)
+	case "delete":
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.mode == Fork {
+			a.branchLocked(client).blobs[req.Name] = Blob{}
+			return resp, nil
 		}
+		delete(a.history, req.Name)
+		delete(a.versions, req.Name)
+		return dispatch(a.inner, req)
+	case "list":
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		resp, err = dispatch(a.inner, req)
+		if err != nil || a.mode != Fork {
+			return resp, err
+		}
+		br := a.branchLocked(client)
+		names := resp.Names[:0]
+		for _, n := range resp.Names {
+			if _, ok := br.blobs[n]; !ok {
+				names = append(names, n)
+			}
+		}
+		for n, b := range br.blobs {
+			if b.Version > 0 && strings.HasPrefix(n, req.Prefix) {
+				names = append(names, n)
+			}
+		}
+		sort.Strings(names)
+		resp.Names = names
+	case "send":
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.mode == Dropping && a.chanceLocked(a.cfg.DropRate) {
+			a.droppedMsgs.Add(1)
+			return resp, nil
+		}
+		return dispatch(a.inner, req)
+	case "stats":
+		resp, err = dispatch(a.inner, req)
+		st := resp.Stats
+		st.TamperedBlobs += a.tampered.Load()
+		st.ReplayedBlobs += a.replayed.Load()
+		st.DroppedBlobs += a.droppedBlobs.Load()
+		st.DroppedMessages += a.droppedMsgs.Load()
+		st.ObservedBlobs += a.observed.Load()
+		st.RolledBackBlobs += a.rolledBack.Load()
+		st.ForkedBlobs += a.forked.Load()
+	default:
+		return dispatch(a.inner, req)
 	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Send implements Service; a Dropping adversary loses messages too.
-func (a *Adversary) Send(msg Message) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.mode == Dropping && a.chanceLocked(a.cfg.DropRate) {
-		a.droppedMsgs.Add(1)
-		return nil
-	}
-	return a.inner.Send(msg)
-}
-
-// Receive implements Service.
-func (a *Adversary) Receive(recipient string, max int) ([]Message, error) {
-	return a.inner.Receive(recipient, max)
-}
-
-// Stats implements Service: the backend's counters plus the adversarial
-// actions this wrapper performed.
-func (a *Adversary) Stats() Stats {
-	st := a.inner.Stats()
-	st.TamperedBlobs += a.tampered.Load()
-	st.ReplayedBlobs += a.replayed.Load()
-	st.DroppedBlobs += a.droppedBlobs.Load()
-	st.DroppedMessages += a.droppedMsgs.Load()
-	st.ObservedBlobs += a.observed.Load()
-	st.RolledBackBlobs += a.rolledBack.Load()
-	st.ForkedBlobs += a.forked.Load()
-	return st
+	return resp, err
 }
 
 // Observations returns what an honest-but-curious provider captured. The
@@ -472,58 +463,16 @@ func (a *Adversary) Observations() [][]byte {
 	return out
 }
 
-// PutBlobs implements Service.
-func (a *Adversary) PutBlobs(puts []BlobPut) ([]int, error) { return a.putBatch("", puts) }
-
-// GetBlobs implements Service.
-func (a *Adversary) GetBlobs(names []string) ([]Blob, error) { return a.getBatch("", names) }
-
-// GetBlobsIf implements Service.
-func (a *Adversary) GetBlobsIf(gets []CondGet) ([]Blob, error) { return a.condBatch("", gets) }
-
 // ClientView returns the Service through which one client (a connection, a
 // tenant, a replica) talks to the provider. Views are how the Fork mode keys
-// its equivocation: each view reads and writes its own branch while the fork
-// is active, and behaves identically to the parent otherwise.
+// its equivocation: each view reads, writes, deletes and lists its own branch
+// while the fork is active, and behaves identically to the parent otherwise.
 func (a *Adversary) ClientView(id string) *AdversaryView {
-	return &AdversaryView{a: a, id: id}
+	return &AdversaryView{a.hookFor(id)}
 }
 
 // AdversaryView is one client's handle onto a forking provider; see
 // Adversary.ClientView.
 type AdversaryView struct {
-	a  *Adversary
-	id string
+	layer // every Service method runs through Adversary.serve as this client
 }
-
-// PutBlob implements Service: a batch of one.
-func (v *AdversaryView) PutBlob(name string, data []byte) (int, error) { return putOne(v, name, data) }
-
-// GetBlob implements Service: a batch of one.
-func (v *AdversaryView) GetBlob(name string) (Blob, error) { return getOne(v, name) }
-
-// DeleteBlob implements Service.
-func (v *AdversaryView) DeleteBlob(name string) error { return v.a.DeleteBlob(name) }
-
-// ListBlobs implements Service.
-func (v *AdversaryView) ListBlobs(prefix string) ([]string, error) { return v.a.ListBlobs(prefix) }
-
-// Send implements Service.
-func (v *AdversaryView) Send(msg Message) error { return v.a.Send(msg) }
-
-// Receive implements Service.
-func (v *AdversaryView) Receive(recipient string, max int) ([]Message, error) {
-	return v.a.Receive(recipient, max)
-}
-
-// Stats implements Service.
-func (v *AdversaryView) Stats() Stats { return v.a.Stats() }
-
-// PutBlobs implements Service.
-func (v *AdversaryView) PutBlobs(puts []BlobPut) ([]int, error) { return v.a.putBatch(v.id, puts) }
-
-// GetBlobs implements Service.
-func (v *AdversaryView) GetBlobs(names []string) ([]Blob, error) { return v.a.getBatch(v.id, names) }
-
-// GetBlobsIf implements Service.
-func (v *AdversaryView) GetBlobsIf(gets []CondGet) ([]Blob, error) { return v.a.condBatch(v.id, gets) }

@@ -131,6 +131,89 @@ func TestForkAdversary(t *testing.T) {
 	}
 }
 
+// TestAdversaryForkViewsDeleteAndList: under Fork every operation of a client
+// view stays in that view's branch. A view lists what it wrote; its delete
+// hides the name from its own reads and listings only, even for a blob
+// written before the fork; a later put in the branch reads back; and EndFork
+// flushes the winner's deletes along with its writes.
+func TestAdversaryForkViewsDeleteAndList(t *testing.T) {
+	for name, mk := range adversaryBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			a := NewAdversary(mk(t), AdversaryConfig{Mode: Honest, Seed: 7})
+			if _, err := a.PutBlob("x", []byte("base")); err != nil {
+				t.Fatal(err)
+			}
+			a.SetMode(Fork)
+			alice, bob := a.ClientView("alice"), a.ClientView("bob")
+			list := func(svc Service) string {
+				t.Helper()
+				names, err := svc.ListBlobs("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprint(names)
+			}
+
+			if _, err := bob.PutBlob("y", []byte("bob-y")); err != nil {
+				t.Fatal(err)
+			}
+			if got := list(bob); got != "[x y]" {
+				t.Fatalf("bob lists %s after writing y, want [x y]", got)
+			}
+			if got := list(alice); got != "[x]" {
+				t.Fatalf("alice lists %s, want [x]: bob's write crossed branches", got)
+			}
+
+			// Bob deletes the pre-fork blob: gone for him, there for Alice
+			// and in the frozen backend.
+			if err := bob.DeleteBlob("x"); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := bob.GetBlob("x"); err != ErrBlobNotFound {
+				t.Fatalf("bob reads deleted x: %+v %v", b, err)
+			}
+			if blobs, err := bob.GetBlobsIf([]CondGet{{Name: "x"}}); err != nil || blobs[0].Version != 0 {
+				t.Fatalf("bob's conditional read of deleted x: %+v %v", blobs, err)
+			}
+			if got := list(bob); got != "[y]" {
+				t.Fatalf("bob lists %s after deleting x, want [y]", got)
+			}
+			if b, err := alice.GetBlob("x"); err != nil || string(b.Data) != "base" {
+				t.Fatalf("alice lost x to bob's delete: %+v %v", b, err)
+			}
+			if b, err := a.Inner().GetBlob("x"); err != nil || string(b.Data) != "base" {
+				t.Fatalf("backend moved during fork: %+v %v", b, err)
+			}
+
+			// A put after the delete reads back in bob's branch, restarting
+			// the version count like a store does after a delete.
+			if v, err := bob.PutBlob("x", []byte("bob-x")); err != nil || v != 1 {
+				t.Fatalf("bob re-put x: v=%d err=%v", v, err)
+			}
+			if b, err := bob.GetBlob("x"); err != nil || string(b.Data) != "bob-x" {
+				t.Fatalf("bob reads %+v %v after re-put", b, err)
+			}
+			if got := list(bob); got != "[x y]" {
+				t.Fatalf("bob lists %s after re-put, want [x y]", got)
+			}
+
+			// Bob deletes y again and wins: the backend takes his deletes too.
+			if err := bob.DeleteBlob("y"); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.EndFork("bob"); err != nil {
+				t.Fatal(err)
+			}
+			if got := list(a.Inner()); got != "[x]" {
+				t.Fatalf("backend lists %s after EndFork(bob), want [x]", got)
+			}
+			if b, _ := alice.GetBlob("x"); string(b.Data) != "bob-x" {
+				t.Fatalf("alice reads %q after the heal, want bob's x", b.Data)
+			}
+		})
+	}
+}
+
 func TestDroppingAdversaryOverDurable(t *testing.T) {
 	d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2})
 	if err != nil {

@@ -13,19 +13,27 @@
 // concurrent cells does not serialize behind a single lock, and Service
 // carries batch calls (PutBlobs, GetBlobs, GetBlobsIf) that amortize one
 // network round-trip over many blobs. DESIGN.md documents both; experiment
-// E9 measures them. The batch calls are the only blob paths: every
-// implementation serves PutBlob and GetBlob as one-element batches (putOne,
-// getOne), so a single call and its batch of one cannot disagree.
+// E9 measures them. The batch calls are the only blob paths: PutBlob and
+// GetBlob are one-element batches (putOne, getOne), so a single call and its
+// batch of one cannot disagree.
 //
-// Beyond the single providers (Memory in RAM, Durable on disk, FrameClient
-// over TCP), Replicated stripes the same contract over N member backends with
-// quorum writes, read repair, hinted handoff and anti-entropy, so the fleet
-// keeps answering while providers fail (DESIGN.md §9, experiment E15); and
-// Faulty wraps any provider with deterministic fault injection — seeded
-// error rates, latency and latency spikes, outage/flap schedules, partition
-// masks — so that failure handling is tested on demand rather than observed
-// by luck. It is the package's only fault injector: the stores themselves
-// never fail on purpose.
+// The stores implement Service method by method: Memory in RAM, Durable on
+// disk, and Replicated, which stripes the same contract over N member
+// backends with quorum writes, read repair, hinted handoff and anti-entropy,
+// so the fleet keeps answering while providers fail (DESIGN.md §9,
+// experiment E15). Everything else is a layer over a Service and supplies
+// one hook over the request the wire already carries (rpcRequest): the
+// shared layer type builds that request from each Service call, and dispatch
+// maps it back onto the next Service's method. The layers are FrameClient
+// (the hook is one round trip over TCP), Admission (load shedding), the
+// tenant views of Tenants (namespaces and quotas), Adversary and its client
+// views (the Byzantine provider) and Faulty — deterministic fault injection:
+// seeded error rates, latency and latency spikes, outage/flap schedules,
+// partition masks, silent corruption — so that failure handling is tested
+// on demand rather than observed by luck. Faulty is the package's only
+// fault injector: the stores themselves never fail on purpose. In process an
+// error keeps its identity through every layer; only the wire serializes it
+// (applyRespError) and rebuilds it on the other side (respError).
 package cloud
 
 import (
@@ -281,4 +289,116 @@ func unconditional(names []string) []CondGet {
 		gets[i].Name = name
 	}
 	return gets
+}
+
+// layer implements Service over one request hook: each method builds the
+// rpcRequest the wire would carry, hands it to the hook and reads its answer
+// out of the rpcResponse. Every layer of the package — FrameClient,
+// Admission, TenantView, Faulty, Adversary, AdversaryView — embeds one and
+// supplies only the hook; dispatch is the mapping back from a request to the
+// next Service's method. Errors pass through as the hook returns them.
+type layer struct {
+	hook func(rpcRequest) (rpcResponse, error)
+}
+
+// PutBlob implements Service: a batch of one.
+func (l layer) PutBlob(name string, data []byte) (int, error) { return putOne(l, name, data) }
+
+// GetBlob implements Service: a batch of one.
+func (l layer) GetBlob(name string) (Blob, error) { return getOne(l, name) }
+
+// DeleteBlob implements Service.
+func (l layer) DeleteBlob(name string) error {
+	_, err := l.hook(rpcRequest{Op: "delete", Name: name})
+	return err
+}
+
+// ListBlobs implements Service.
+func (l layer) ListBlobs(prefix string) ([]string, error) {
+	resp, err := l.hook(rpcRequest{Op: "list", Prefix: prefix})
+	return resp.Names, err
+}
+
+// PutBlobs implements Service.
+func (l layer) PutBlobs(puts []BlobPut) ([]int, error) {
+	resp, err := l.hook(rpcRequest{Op: "putb", Puts: puts})
+	return oneEach(resp.Versions, err, "batch put", len(puts))
+}
+
+// GetBlobs implements Service.
+func (l layer) GetBlobs(names []string) ([]Blob, error) {
+	resp, err := l.hook(rpcRequest{Op: "getb", Names: names})
+	return oneEach(resp.Blobs, err, "batch get", len(names))
+}
+
+// GetBlobsIf implements Service.
+func (l layer) GetBlobsIf(gets []CondGet) ([]Blob, error) {
+	resp, err := l.hook(rpcRequest{Op: "getc", Gets: gets})
+	return oneEach(resp.Blobs, err, "conditional batch get", len(gets))
+}
+
+// Send implements Service.
+func (l layer) Send(msg Message) error {
+	_, err := l.hook(rpcRequest{Op: "send", Message: msg})
+	return err
+}
+
+// Receive implements Service.
+func (l layer) Receive(recipient string, max int) ([]Message, error) {
+	resp, err := l.hook(rpcRequest{Op: "receive", Recipient: recipient, Max: max})
+	return resp.Messages, err
+}
+
+// Stats implements Service; a failed call reads as zero counters.
+func (l layer) Stats() Stats {
+	resp, err := l.hook(rpcRequest{Op: "stats"})
+	if err != nil || resp.Stats == nil {
+		return Stats{}
+	}
+	return *resp.Stats
+}
+
+// oneEach returns a batch's results if the call succeeded with one result
+// per argument, and an error otherwise. Whatever is below a layer may be an
+// untrusted provider: positional callers must never get a slice whose length
+// it chose.
+func oneEach[T any](results []T, err error, what string, args int) ([]T, error) {
+	if err == nil && len(results) != args {
+		err = fmt.Errorf("cloud: %s: %d results for %d arguments", what, len(results), args)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// dispatch is the one mapping from a request to a Service method: it runs
+// req against svc and answers with the results and the method's own error.
+// A layer's hook calls it to reach the Service below; FrameServer calls it
+// and serializes the error with applyRespError.
+func dispatch(svc Service, req rpcRequest) (rpcResponse, error) {
+	var resp rpcResponse
+	var err error
+	switch req.Op {
+	case "delete":
+		err = svc.DeleteBlob(req.Name)
+	case "list":
+		resp.Names, err = svc.ListBlobs(req.Prefix)
+	case "putb":
+		resp.Versions, err = svc.PutBlobs(req.Puts)
+	case "getb":
+		resp.Blobs, err = svc.GetBlobs(req.Names)
+	case "getc":
+		resp.Blobs, err = svc.GetBlobsIf(req.Gets)
+	case "send":
+		err = svc.Send(req.Message)
+	case "receive":
+		resp.Messages, err = svc.Receive(req.Recipient, req.Max)
+	case "stats":
+		st := svc.Stats()
+		resp.Stats = &st
+	default:
+		err = fmt.Errorf("cloud: unknown op %q", req.Op)
+	}
+	return resp, err
 }

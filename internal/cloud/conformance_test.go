@@ -1,8 +1,8 @@
 package cloud
 
 // The conformance battery: one behavioural table driving every backend the
-// package ships — RAM, disk, wire, and the replicated layer (healthy and with
-// a faulty member). A caller must not be able to tell the backends apart
+// package ships — RAM, disk, wire, the replicated layer (healthy and with
+// a faulty member) and every layer bare. A caller must not be able to tell the backends apart
 // through the Service contract.
 
 import (
@@ -14,6 +14,10 @@ import (
 
 // serviceBackends builds each backend the conformance battery runs against.
 //
+//   - faulty, admission, tenant-view and adversary-view run each layer bare
+//     over a Memory, configured to be invisible: a Faulty that injects
+//     nothing, an Admission whose budget is never reached, a TenantView
+//     without quotas and an honest Adversary's client view;
 //   - durable gets a small shard count so the per-shard paths (and the
 //     META.json shard pinning) are exercised without 32 directories per test;
 //   - tcp serves a Memory the way tccloud -addr does — a FrameServer with
@@ -36,6 +40,22 @@ func serviceBackends(t *testing.T) map[string]func(t *testing.T) Service {
 		// only allowed to change semantics when a malicious mode is active.
 		"adversary-honest": func(t *testing.T) Service {
 			return NewAdversary(NewMemory(), AdversaryConfig{Mode: Honest, Seed: 1})
+		},
+		"adversary-view": func(t *testing.T) Service {
+			return NewAdversary(NewMemory(), AdversaryConfig{Mode: Honest, Seed: 1}).ClientView("bob")
+		},
+		"faulty":    func(t *testing.T) Service { return NewFaulty(NewMemory(), FaultyOptions{}) },
+		"admission": func(t *testing.T) Service { return NewAdmission(NewMemory(), AdmissionOptions{}) },
+		"tenant-view": func(t *testing.T) Service {
+			tenants := NewTenants(NewMemory())
+			if err := tenants.Define("acme", TenantQuota{}); err != nil {
+				t.Fatalf("Define: %v", err)
+			}
+			view, err := tenants.View("acme")
+			if err != nil {
+				t.Fatalf("View: %v", err)
+			}
+			return view
 		},
 		"durable": func(t *testing.T) Service {
 			d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 4})

@@ -85,6 +85,8 @@ type FaultStats struct {
 // Faulty wraps a Service (and its batch extensions) with deterministic fault
 // injection. All methods are safe for concurrent use.
 type Faulty struct {
+	layer // every Service method runs through serve
+
 	inner Service
 	opts  FaultyOptions
 
@@ -116,6 +118,7 @@ func NewFaulty(inner Service, opts FaultyOptions) *Faulty {
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 	}
+	f.layer = layer{f.serve}
 	f.corrupt.Store(math.Float64bits(opts.CorruptRate))
 	return f
 }
@@ -233,86 +236,34 @@ func (f *Faulty) checkIn(class OpClass) error {
 	return nil
 }
 
-// PutBlob implements Service: a batch of one.
-func (f *Faulty) PutBlob(name string, data []byte) (int, error) { return putOne(f, name, data) }
-
-// GetBlob implements Service: a batch of one.
-func (f *Faulty) GetBlob(name string) (Blob, error) { return getOne(f, name) }
-
-// DeleteBlob implements Service.
-func (f *Faulty) DeleteBlob(name string) error {
-	if err := f.checkIn(MaskWrites); err != nil {
-		return err
+// serve is the wrapper's hook: one fault decision per call — a batch is one
+// round trip, so it is one decision for its whole argument list — then the
+// corruption schedule over every served blob, drawn per blob, since bit rot
+// strikes objects, not round trips. Stats passes through uncounted;
+// FaultStats holds the wrapper's own counters.
+func (f *Faulty) serve(req rpcRequest) (rpcResponse, error) {
+	if req.Op != "stats" {
+		if err := f.checkIn(opClass(req.Op)); err != nil {
+			return rpcResponse{}, err
+		}
 	}
-	return f.inner.DeleteBlob(name)
-}
-
-// ListBlobs implements Service.
-func (f *Faulty) ListBlobs(prefix string) ([]string, error) {
-	if err := f.checkIn(MaskReads); err != nil {
-		return nil, err
-	}
-	return f.inner.ListBlobs(prefix)
-}
-
-// Send implements Service.
-func (f *Faulty) Send(msg Message) error {
-	if err := f.checkIn(MaskMail); err != nil {
-		return err
-	}
-	return f.inner.Send(msg)
-}
-
-// Receive implements Service.
-func (f *Faulty) Receive(recipient string, max int) ([]Message, error) {
-	if err := f.checkIn(MaskMail); err != nil {
-		return nil, err
-	}
-	return f.inner.Receive(recipient, max)
-}
-
-// Stats implements Service by delegating to the inner service; FaultStats
-// holds the wrapper's own counters.
-func (f *Faulty) Stats() Stats { return f.inner.Stats() }
-
-// PutBlobs implements Service: the whole batch is one fault decision,
-// matching the one-round-trip economics the batch API models.
-func (f *Faulty) PutBlobs(puts []BlobPut) ([]int, error) {
-	if err := f.checkIn(MaskWrites); err != nil {
-		return nil, err
-	}
-	return f.inner.PutBlobs(puts)
-}
-
-// GetBlobs implements Service with one fault decision per batch; the
-// corruption schedule still draws per blob, since bit rot strikes objects,
-// not round trips.
-func (f *Faulty) GetBlobs(names []string) ([]Blob, error) {
-	if err := f.checkIn(MaskReads); err != nil {
-		return nil, err
-	}
-	return f.served(f.inner.GetBlobs(names))
-}
-
-// GetBlobsIf implements Service with one fault decision per batch and
-// per-blob corruption draws.
-func (f *Faulty) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	if err := f.checkIn(MaskReads); err != nil {
-		return nil, err
-	}
-	return f.served(f.inner.GetBlobsIf(gets))
-}
-
-// served applies the corruption schedule to every blob of a successful read.
-func (f *Faulty) served(blobs []Blob, err error) ([]Blob, error) {
+	resp, err := dispatch(f.inner, req)
 	if err != nil {
-		return nil, err
+		return rpcResponse{}, err
 	}
-	for i := range blobs {
-		blobs[i] = f.corruptBlob(blobs[i])
+	for i := range resp.Blobs {
+		resp.Blobs[i] = f.corruptBlob(resp.Blobs[i])
 	}
-	return blobs, nil
+	return resp, nil
 }
 
-// interface conformance
-var _ Service = (*Faulty)(nil)
+// opClass is the partition-mask class of a request.
+func opClass(op string) OpClass {
+	switch op {
+	case "putb", "delete":
+		return MaskWrites
+	case "send", "receive":
+		return MaskMail
+	}
+	return MaskReads
+}

@@ -148,35 +148,6 @@ func readFramePayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// dispatch executes one wire request against svc.
-func dispatch(svc Service, req rpcRequest) rpcResponse {
-	var resp rpcResponse
-	var err error
-	switch req.Op {
-	case "delete":
-		err = svc.DeleteBlob(req.Name)
-	case "list":
-		resp.Names, err = svc.ListBlobs(req.Prefix)
-	case "putb":
-		resp.Versions, err = svc.PutBlobs(req.Puts)
-	case "getb":
-		resp.Blobs, err = svc.GetBlobs(req.Names)
-	case "getc":
-		resp.Blobs, err = svc.GetBlobsIf(req.Gets)
-	case "send":
-		err = svc.Send(req.Message)
-	case "receive":
-		resp.Messages, err = svc.Receive(req.Recipient, req.Max)
-	case "stats":
-		st := svc.Stats()
-		resp.Stats = &st
-	default:
-		err = fmt.Errorf("cloud: unknown op %q", req.Op)
-	}
-	applyRespError(&resp, err)
-	return resp
-}
-
 // FrameServerOptions tunes a FrameServer. The zero value gets defaults from
 // NewFrameServer.
 type FrameServerOptions struct {
@@ -301,8 +272,10 @@ type frameConn struct {
 	writeMu sync.Mutex
 }
 
-// respond encodes resp into a pooled buffer and writes it as one frame.
-func (fc *frameConn) respond(id uint64, resp *rpcResponse) error {
+// respond serializes err into resp, encodes resp into a pooled buffer and
+// writes it as one frame.
+func (fc *frameConn) respond(id uint64, resp *rpcResponse, err error) error {
+	applyRespError(resp, err)
 	bp := frameBufs.Get()
 	defer frameBufs.Put(bp)
 	*bp = appendResponse(beginFrame(*bp), resp)
@@ -318,15 +291,8 @@ func (fc *frameConn) respond(id uint64, resp *rpcResponse) error {
 	}
 	fc.writeMu.Lock()
 	defer fc.writeMu.Unlock()
-	_, err := fc.conn.Write(*bp)
+	_, err = fc.conn.Write(*bp)
 	return err
-}
-
-// respondError answers id with err as an error frame.
-func (fc *frameConn) respondError(id uint64, err error) error {
-	var resp rpcResponse
-	applyRespError(&resp, err)
-	return fc.respond(id, &resp)
 }
 
 func (s *FrameServer) handle(conn net.Conn) {
@@ -343,7 +309,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 	for {
 		id, n, err := readFrameHeader(br, s.opts.MaxFrameBytes)
 		if err == errTooLarge {
-			_ = fc.respondError(id, errors.New(errFrameTooLarge))
+			_ = fc.respond(id, &rpcResponse{}, errors.New(errFrameTooLarge))
 			return
 		}
 		if err != nil {
@@ -359,7 +325,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 		var req rpcRequest
 		if err := decodeRequest(*bp, &req); err != nil {
 			frameBufs.Put(bp)
-			if fc.respondError(id, err) != nil || errors.Is(err, ErrWireVersion) {
+			if fc.respond(id, &rpcResponse{}, err) != nil || errors.Is(err, ErrWireVersion) {
 				return
 			}
 			continue
@@ -369,23 +335,20 @@ func (s *FrameServer) handle(conn net.Conn) {
 			// is answered in the read loop, synchronously, so every later
 			// frame sees the bound view without locking.
 			frameBufs.Put(bp)
-			var resp rpcResponse
 			switch {
 			case req.Op != opHello:
-				applyRespError(&resp, ErrNoTenant)
+				err = ErrNoTenant
 			case s.opts.Tenants == nil:
-				applyRespError(&resp, errors.New("cloud: server has no tenants configured"))
+				err = errors.New("cloud: server has no tenants configured")
 			case svc != nil:
-				applyRespError(&resp, errors.New("cloud: connection already bound to a tenant"))
+				err = errors.New("cloud: connection already bound to a tenant")
 			default:
-				view, err := s.opts.Tenants.View(req.Name)
-				if err != nil {
-					applyRespError(&resp, err)
-				} else {
+				var view *TenantView
+				if view, err = s.opts.Tenants.View(req.Name); err == nil {
 					svc = view
 				}
 			}
-			if fc.respond(id, &resp) != nil {
+			if fc.respond(id, &rpcResponse{}, err) != nil {
 				return
 			}
 			continue
@@ -395,8 +358,8 @@ func (s *FrameServer) handle(conn net.Conn) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			resp := dispatch(svc, req)
-			_ = fc.respond(id, &resp)
+			resp, err := dispatch(svc, req)
+			_ = fc.respond(id, &resp, err)
 			frameBufs.Put(bp)
 		}()
 	}
@@ -415,6 +378,8 @@ func (s *FrameServer) handle(conn net.Conn) {
 // connection dies fail with the transport error and are never re-sent, since
 // the server may have applied them. Close is terminal.
 type FrameClient struct {
+	layer // every Service method is one request frame through call
+
 	addr string
 	cur  atomic.Pointer[clientConn] // the live connection, if any
 
@@ -441,7 +406,11 @@ var errClientClosed = errors.New("cloud: framed client closed")
 // NewFrameClient returns a client for the FrameServer at addr without
 // dialing it: the first call connects, so a client can be made for a server
 // that is not up yet.
-func NewFrameClient(addr string) *FrameClient { return &FrameClient{addr: addr} }
+func NewFrameClient(addr string) *FrameClient {
+	c := &FrameClient{addr: addr}
+	c.layer = layer{c.call}
+	return c
+}
 
 // DialFramed connects to a FrameServer at addr, reporting a dial failure
 // now rather than at the first call.
@@ -516,12 +485,19 @@ func (c *FrameClient) Close() error {
 	return nil
 }
 
+// call is the client's hook: one request frame out, one response frame back,
+// and the connection stays available to other goroutines meanwhile. The
+// server's error comes back as the typed error it was (respError).
 func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
 	cc, err := c.connect()
 	if err != nil {
 		return rpcResponse{}, err
 	}
-	return cc.call(&req)
+	resp, err := cc.call(&req)
+	if err != nil {
+		return rpcResponse{}, err
+	}
+	return resp, respError(resp)
 }
 
 func (cc *clientConn) hello(tenant string) error {
@@ -625,103 +601,4 @@ func (cc *clientConn) call(req *rpcRequest) (rpcResponse, error) {
 		return rpcResponse{}, cc.err // fail closes channels only after setting err
 	}
 	return resp, nil
-}
-
-// PutBlob implements Service: a batch of one, sent as a putb frame.
-func (c *FrameClient) PutBlob(name string, data []byte) (int, error) { return putOne(c, name, data) }
-
-// GetBlob implements Service: a batch of one, sent as a getb frame.
-func (c *FrameClient) GetBlob(name string) (Blob, error) { return getOne(c, name) }
-
-// DeleteBlob implements Service.
-func (c *FrameClient) DeleteBlob(name string) error {
-	resp, err := c.call(rpcRequest{Op: "delete", Name: name})
-	if err != nil {
-		return err
-	}
-	return respError(resp)
-}
-
-// ListBlobs implements Service.
-func (c *FrameClient) ListBlobs(prefix string) ([]string, error) {
-	resp, err := c.call(rpcRequest{Op: "list", Prefix: prefix})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, respError(resp)
-}
-
-// Send implements Service.
-func (c *FrameClient) Send(msg Message) error {
-	resp, err := c.call(rpcRequest{Op: "send", Message: msg})
-	if err != nil {
-		return err
-	}
-	return respError(resp)
-}
-
-// Receive implements Service.
-func (c *FrameClient) Receive(recipient string, max int) ([]Message, error) {
-	resp, err := c.call(rpcRequest{Op: "receive", Recipient: recipient, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Messages, respError(resp)
-}
-
-// Stats implements Service.
-func (c *FrameClient) Stats() Stats {
-	resp, err := c.call(rpcRequest{Op: "stats"})
-	if err != nil || resp.Stats == nil {
-		return Stats{}
-	}
-	return *resp.Stats
-}
-
-// PutBlobs implements Service: one frame out, one frame back, and the
-// connection stays available to other goroutines while the batch commits.
-func (c *FrameClient) PutBlobs(puts []BlobPut) ([]int, error) {
-	resp, err := c.call(rpcRequest{Op: "putb", Puts: puts})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, err
-	}
-	// The provider is untrusted: never hand positional callers a slice
-	// whose length the server chose.
-	if len(resp.Versions) != len(puts) {
-		return nil, fmt.Errorf("cloud: batch put: server returned %d versions for %d blobs", len(resp.Versions), len(puts))
-	}
-	return resp.Versions, nil
-}
-
-// GetBlobs implements Service.
-func (c *FrameClient) GetBlobs(names []string) ([]Blob, error) {
-	resp, err := c.call(rpcRequest{Op: "getb", Names: names})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Blobs) != len(names) {
-		return nil, fmt.Errorf("cloud: batch get: server returned %d blobs for %d names", len(resp.Blobs), len(names))
-	}
-	return resp.Blobs, nil
-}
-
-// GetBlobsIf implements Service.
-func (c *FrameClient) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	resp, err := c.call(rpcRequest{Op: "getc", Gets: gets})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Blobs) != len(gets) {
-		return nil, fmt.Errorf("cloud: conditional batch get: server returned %d blobs for %d requests", len(resp.Blobs), len(gets))
-	}
-	return resp.Blobs, nil
 }

@@ -485,6 +485,47 @@ func TestErrorCodesNotTextCrossWire(t *testing.T) {
 	}
 }
 
+// shortService answers every batch with one result too few.
+type shortService struct{ Service }
+
+func (s shortService) PutBlobs(puts []BlobPut) ([]int, error) {
+	versions, err := s.Service.PutBlobs(puts)
+	return versions[:len(versions)-1], err
+}
+
+func (s shortService) GetBlobs(names []string) ([]Blob, error) {
+	blobs, err := s.Service.GetBlobs(names)
+	return blobs[:len(blobs)-1], err
+}
+
+func (s shortService) GetBlobsIf(gets []CondGet) ([]Blob, error) {
+	blobs, err := s.Service.GetBlobsIf(gets)
+	return blobs[:len(blobs)-1], err
+}
+
+// TestFrameClientRefusesMiscountedBatch: a server that answers a batch with
+// the wrong number of results gets an error at the client, never a slice
+// whose length it chose — and a single call, a batch of one answered with
+// nothing, fails instead of indexing past the end.
+func TestFrameClientRefusesMiscountedBatch(t *testing.T) {
+	c := dialTestFrameServer(t, shortService{NewMemory()}, FrameServerOptions{}, "")
+	if vs, err := c.PutBlobs([]BlobPut{{Name: "a", Data: []byte("1")}, {Name: "b", Data: []byte("2")}}); err == nil {
+		t.Fatalf("2-blob PutBlobs answered with 1 version came back %v, nil", vs)
+	}
+	if bs, err := c.GetBlobs([]string{"a", "b"}); err == nil {
+		t.Fatalf("2-name GetBlobs answered with 1 blob came back %+v, nil", bs)
+	}
+	if bs, err := c.GetBlobsIf([]CondGet{{Name: "a"}, {Name: "b"}}); err == nil {
+		t.Fatalf("2-name GetBlobsIf answered with 1 blob came back %+v, nil", bs)
+	}
+	if _, err := c.PutBlob("a", []byte("1")); err == nil {
+		t.Fatal("PutBlob answered with no version succeeded")
+	}
+	if _, err := c.GetBlob("a"); err == nil || err == ErrBlobNotFound {
+		t.Fatalf("GetBlob answered with no blob = %v, want a batch-length error", err)
+	}
+}
+
 // TestFrameWireVersionRefused sends the server what a client of the JSON
 // payload era would: the frame is answered, on its id, with an
 // ErrWireVersion error frame in the current codec, and the connection is

@@ -117,7 +117,9 @@ func (t *Tenants) View(name string) (*TenantView, error) {
 	if !ok {
 		return nil, fmt.Errorf("cloud: unknown tenant %q", name)
 	}
-	return &TenantView{reg: t, st: st, prefix: "t/" + name + "/"}, nil
+	v := &TenantView{reg: t, st: st, prefix: "t/" + name + "/"}
+	v.layer = layer{v.serve}
+	return v, nil
 }
 
 // Names returns the defined tenant names, sorted.
@@ -199,6 +201,8 @@ func (st *tenantState) admit(ops int, bytes int64, now time.Time) error {
 // safe, and quota accounting stays coherent because it lives in the record,
 // not the view.
 type TenantView struct {
+	layer // every Service method runs through serve
+
 	reg    *Tenants
 	st     *tenantState
 	prefix string // "t/<tenant>/", built once: every name of every batch takes it
@@ -207,115 +211,62 @@ type TenantView struct {
 // Tenant returns the tenant name the view is bound to.
 func (v *TenantView) Tenant() string { return v.st.name }
 
-// PutBlob implements Service: a batch of one, charging 1 op and len(data)
-// bytes.
-func (v *TenantView) PutBlob(name string, data []byte) (int, error) { return putOne(v, name, data) }
-
-// GetBlob implements Service: a batch of one; reads charge 1 op and no
-// bytes.
-func (v *TenantView) GetBlob(name string) (Blob, error) { return getOne(v, name) }
-
-// DeleteBlob implements Service. Deleting does not refund the byte budget.
-func (v *TenantView) DeleteBlob(name string) error {
-	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
-		return err
+// serve is the view's hook. It charges the call against the tenant's quota
+// before the inner Service is touched — one op per name (at least one per
+// call) plus the bytes the call writes; Stats is provider-global and
+// uncharged (Tenants.Usage holds per-tenant accounting) — then moves every
+// name into the tenant's namespace and the answer's names back out of it.
+func (v *TenantView) serve(req rpcRequest) (rpcResponse, error) {
+	if req.Op == "stats" {
+		return dispatch(v.reg.inner, req)
 	}
-	return v.reg.inner.DeleteBlob(v.prefix + name)
-}
-
-// ListBlobs implements Service, listing only this tenant's names (returned
-// without the namespace prefix).
-func (v *TenantView) ListBlobs(prefix string) ([]string, error) {
-	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
-		return nil, err
-	}
-	names, err := v.reg.inner.ListBlobs(v.prefix + prefix)
-	if err != nil {
-		return nil, err
-	}
-	for i := range names {
-		names[i] = strings.TrimPrefix(names[i], v.prefix)
-	}
-	return names, nil
-}
-
-// Send implements Service, delivering to the recipient's mailbox inside the
-// tenant namespace and charging len(body) bytes.
-func (v *TenantView) Send(msg Message) error {
-	if err := v.st.admit(1, int64(len(msg.Body)), v.reg.now()); err != nil {
-		return err
-	}
-	msg.To = v.prefix + msg.To
-	return v.reg.inner.Send(msg)
-}
-
-// Receive implements Service, popping from the tenant's namespaced mailbox.
-func (v *TenantView) Receive(recipient string, max int) ([]Message, error) {
-	if err := v.st.admit(1, 0, v.reg.now()); err != nil {
-		return nil, err
-	}
-	msgs, err := v.reg.inner.Receive(v.prefix+recipient, max)
-	if err != nil {
-		return nil, err
-	}
-	for i := range msgs {
-		msgs[i].To = strings.TrimPrefix(msgs[i].To, v.prefix)
-	}
-	return msgs, nil
-}
-
-// Stats implements Service. Counters are provider-global, not per-tenant —
-// use Tenants.Usage for per-tenant accounting.
-func (v *TenantView) Stats() Stats { return v.reg.inner.Stats() }
-
-// PutBlobs implements Service: the batch charges len(puts) ops plus
-// the summed payload bytes up front, then rides the inner batch fast path.
-func (v *TenantView) PutBlobs(puts []BlobPut) ([]int, error) {
-	var bytes int64
-	for _, p := range puts {
+	bytes := int64(len(req.Message.Body))
+	for _, p := range req.Puts {
 		bytes += int64(len(p.Data))
 	}
-	if err := v.st.admit(max(1, len(puts)), bytes, v.reg.now()); err != nil {
-		return nil, err
+	if err := v.st.admit(max(1, len(req.Puts)+len(req.Names)+len(req.Gets)), bytes, v.reg.now()); err != nil {
+		return rpcResponse{}, err
 	}
-	renamed := make([]BlobPut, len(puts))
-	for i, p := range puts {
-		renamed[i] = BlobPut{Name: v.prefix + p.Name, Data: p.Data}
+	switch req.Op {
+	case "delete":
+		req.Name = v.prefix + req.Name
+	case "list":
+		req.Prefix = v.prefix + req.Prefix
+	case "send":
+		req.Message.To = v.prefix + req.Message.To
+	case "receive":
+		req.Recipient = v.prefix + req.Recipient
+	case "putb":
+		puts := make([]BlobPut, len(req.Puts))
+		for i, p := range req.Puts {
+			puts[i] = BlobPut{Name: v.prefix + p.Name, Data: p.Data}
+		}
+		req.Puts = puts
+	case "getb":
+		names := make([]string, len(req.Names))
+		for i, name := range req.Names {
+			names[i] = v.prefix + name
+		}
+		req.Names = names
+	case "getc":
+		gets := make([]CondGet, len(req.Gets))
+		for i, g := range req.Gets {
+			gets[i] = CondGet{Name: v.prefix + g.Name, IfNewer: g.IfNewer}
+		}
+		req.Gets = gets
 	}
-	return v.reg.inner.PutBlobs(renamed)
-}
-
-// GetBlobs implements Service, charging len(names) ops.
-func (v *TenantView) GetBlobs(names []string) ([]Blob, error) {
-	if err := v.st.admit(max(1, len(names)), 0, v.reg.now()); err != nil {
-		return nil, err
-	}
-	renamed := make([]string, len(names))
-	for i, name := range names {
-		renamed[i] = v.prefix + name
-	}
-	return v.trimmed(v.reg.inner.GetBlobs(renamed))
-}
-
-// GetBlobsIf implements Service, charging len(gets) ops.
-func (v *TenantView) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	if err := v.st.admit(max(1, len(gets)), 0, v.reg.now()); err != nil {
-		return nil, err
-	}
-	renamed := make([]CondGet, len(gets))
-	for i, g := range gets {
-		renamed[i] = CondGet{Name: v.prefix + g.Name, IfNewer: g.IfNewer}
-	}
-	return v.trimmed(v.reg.inner.GetBlobsIf(renamed))
-}
-
-// trimmed strips the namespace prefix from the names of a successful read.
-func (v *TenantView) trimmed(blobs []Blob, err error) ([]Blob, error) {
+	resp, err := dispatch(v.reg.inner, req)
 	if err != nil {
-		return nil, err
+		return rpcResponse{}, err
 	}
-	for i := range blobs {
-		blobs[i].Name = strings.TrimPrefix(blobs[i].Name, v.prefix)
+	for i := range resp.Names {
+		resp.Names[i] = strings.TrimPrefix(resp.Names[i], v.prefix)
 	}
-	return blobs, nil
+	for i := range resp.Blobs {
+		resp.Blobs[i].Name = strings.TrimPrefix(resp.Blobs[i].Name, v.prefix)
+	}
+	for i := range resp.Messages {
+		resp.Messages[i].To = strings.TrimPrefix(resp.Messages[i].To, v.prefix)
+	}
+	return resp, nil
 }

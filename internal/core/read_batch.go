@@ -6,8 +6,9 @@ package core
 // the local cache are fetched in ONE batched cloud exchange
 // (cloud.Service.GetBlobs), decryption fans out over the shared bounded
 // worker pool, and obligations, session close and audit settle in argument
-// order. A read and an aggregate differ only in what the open step makes of
-// the plaintext and in the audit text.
+// order — so a batch audits exactly what, and in the order, its reads made
+// one at a time would. A read and an aggregate differ only in what the open
+// step makes of the plaintext and in the audit text.
 
 import (
 	"fmt"
@@ -49,7 +50,8 @@ type readOp struct {
 // access is one document's passage through the read pipeline. doc is set
 // once the gate admits the document; from then on settle closes what the gate
 // opened, and err carries the first failure of key selection, fetch, open or
-// decode. A refused document keeps doc nil and its refusal in err.
+// decode. A refused document keeps doc nil, its refusal in err and the
+// refusal's audit outcome and reason for settle to record.
 type access struct {
 	doc        *datamodel.Document
 	key        crypto.SymmetricKey
@@ -62,6 +64,8 @@ type access struct {
 	payload    []byte             // a read's plaintext
 	series     *timeseries.Series // an aggregate's result
 	err        error
+	outcome    audit.Outcome // a refusal's audit outcome
+	reason     string        // a refusal's audit reason
 }
 
 // ReadBatch reads many documents for one subject: policy and usage control
@@ -102,7 +106,7 @@ func (c *Cell) AggregateBatch(subjectID string, docIDs []string, g timeseries.Gr
 
 // readPipeline runs gate → fetch → open → settle over docIDs.
 //
-// A repeated ID waits until the batch settles and then runs as a batch of
+// A repeated ID waits until settling reaches it and then runs as a batch of
 // one: gating it before the first occurrence's session closed would let it
 // slip past usage caps like MaxUses. The batch warms the cache, so the
 // deferred reads cost no extra round-trip.
@@ -129,13 +133,13 @@ func (c *Cell) readPipeline(subjectID string, op readOp, docIDs []string, ctx Ac
 			c.open(op, a)
 		}
 	})
-	for i := range acc {
-		if acc[i].doc != nil {
-			acc[i].err = c.settle(subjectID, op, &acc[i])
+	for i, id := range docIDs {
+		if len(dups) > 0 && dups[0] == i {
+			dups = dups[1:]
+			acc[i] = c.readPipeline(subjectID, op, docIDs[i:i+1], ctx)[0]
+			continue
 		}
-	}
-	for _, i := range dups {
-		acc[i] = c.readPipeline(subjectID, op, docIDs[i:i+1], ctx)[0]
+		acc[i].err = c.settle(subjectID, op, id, &acc[i])
 	}
 	return acc
 }
@@ -144,12 +148,12 @@ func (c *Cell) readPipeline(subjectID string, op readOp, docIDs []string, ctx Ac
 // catalog lookup, access-control evaluation, originator lookup, for
 // aggregates the series type and the MaxGranularity cap, usage-control
 // session admission, and key selection (a document received from another
-// cell opens under the key it was shared with). Every refusal is audited.
-// It performs no payload I/O, so a batch is gated before a byte moves.
+// cell opens under the key it was shared with). A refusal is recorded on the
+// access for settle to audit. It performs no payload I/O, so a batch is
+// gated before a byte moves.
 func (c *Cell) gate(subjectID string, op readOp, docID string, ctx AccessContext, a *access) {
 	refuse := func(outcome audit.Outcome, reason string, err error) {
-		c.appendAudit(subjectID, string(op.action), docID, outcome, reason, a.originator)
-		a.err = err
+		a.outcome, a.reason, a.err = outcome, reason, err
 	}
 	doc, err := c.catalog.Get(docID)
 	if err != nil {
@@ -295,11 +299,17 @@ func (c *Cell) open(op readOp, a *access) {
 	}
 }
 
-// settle finishes an admitted document: a failure revokes the usage session
-// (the subject never saw the data, so no use is counted) and is audited;
-// a success fulfils the notify-owner obligation by exporting an audit segment
-// to the originator's mailbox, closes the session and audits the access.
-func (c *Cell) settle(subjectID string, op readOp, a *access) error {
+// settle finishes a document and is the one place the pipeline audits. A
+// refusal is audited as the gate recorded it. For an admitted document, a
+// failure revokes the usage session (the subject never saw the data, so no
+// use is counted) and is audited; a success fulfils the notify-owner
+// obligation by exporting an audit segment to the originator's mailbox,
+// closes the session and audits the access.
+func (c *Cell) settle(subjectID string, op readOp, docID string, a *access) error {
+	if a.doc == nil {
+		c.appendAudit(subjectID, string(op.action), docID, a.outcome, a.reason, a.originator)
+		return a.err
+	}
 	if a.err != nil {
 		if a.session != nil {
 			_ = c.usage.Revoke(a.session.ID)

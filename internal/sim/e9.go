@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"trustedcells/internal/cloud"
@@ -94,7 +93,8 @@ func runE9Path(cfg E9Config, cells int, batched bool) (float64, float64, error) 
 		shards = cfg.Shards
 	}
 	mem := cloud.NewMemoryShards(shards)
-	svc := &callCounter{Service: cloud.NewFaulty(mem, cloud.FaultyOptions{Latency: cfg.RTT})}
+	// Faulty charges the round trip and counts every call that pays it.
+	svc := cloud.NewFaulty(mem, cloud.FaultyOptions{Latency: cfg.RTT})
 
 	fleet := make([]*core.Cell, cells)
 	for i := range fleet {
@@ -112,7 +112,7 @@ func runE9Path(cfg E9Config, cells int, batched bool) (float64, float64, error) 
 
 	errs := make([]error, cells)
 	var wg sync.WaitGroup
-	svc.calls.Store(0)
+	calls0 := svc.FaultStats().Ops
 	start := time.Now()
 	for ci, c := range fleet {
 		wg.Add(1)
@@ -129,58 +129,7 @@ func runE9Path(cfg E9Config, cells int, batched bool) (float64, float64, error) 
 		}
 	}
 	total := float64(cells * cfg.DocsPerCell)
-	return total / elapsed.Seconds(), float64(svc.calls.Load()) / total, nil
-}
-
-// callCounter counts every call a fleet makes to its store.
-type callCounter struct {
-	cloud.Service
-	calls atomic.Int64
-}
-
-func (c *callCounter) PutBlob(name string, data []byte) (int, error) {
-	c.calls.Add(1)
-	return c.Service.PutBlob(name, data)
-}
-
-func (c *callCounter) GetBlob(name string) (cloud.Blob, error) {
-	c.calls.Add(1)
-	return c.Service.GetBlob(name)
-}
-
-func (c *callCounter) DeleteBlob(name string) error {
-	c.calls.Add(1)
-	return c.Service.DeleteBlob(name)
-}
-
-func (c *callCounter) ListBlobs(prefix string) ([]string, error) {
-	c.calls.Add(1)
-	return c.Service.ListBlobs(prefix)
-}
-
-func (c *callCounter) PutBlobs(puts []cloud.BlobPut) ([]int, error) {
-	c.calls.Add(1)
-	return c.Service.PutBlobs(puts)
-}
-
-func (c *callCounter) GetBlobs(names []string) ([]cloud.Blob, error) {
-	c.calls.Add(1)
-	return c.Service.GetBlobs(names)
-}
-
-func (c *callCounter) GetBlobsIf(gets []cloud.CondGet) ([]cloud.Blob, error) {
-	c.calls.Add(1)
-	return c.Service.GetBlobsIf(gets)
-}
-
-func (c *callCounter) Send(msg cloud.Message) error {
-	c.calls.Add(1)
-	return c.Service.Send(msg)
-}
-
-func (c *callCounter) Receive(recipient string, max int) ([]cloud.Message, error) {
-	c.calls.Add(1)
-	return c.Service.Receive(recipient, max)
+	return total / elapsed.Seconds(), float64(svc.FaultStats().Ops-calls0) / total, nil
 }
 
 // e9Ingest runs one cell's share of the workload. Payloads carry the cell
