@@ -230,8 +230,8 @@ func main() {
 			log.Printf("tccloud: truncated torn tails: %d journal bytes, %d run bytes",
 				rec.DiscardedJournalBytes, rec.DiscardedRunBytes)
 		}
-		log.Printf("tccloud: read fast path: %d MiB block cache, bloom filters %s, compaction slots %d",
-			opts.CacheBytes>>20, enabledWord(opts.BloomBitsPerKey >= 0), opts.CompactionConcurrency)
+		log.Printf("tccloud: read fast path: %d MiB block cache, bloom filters %s",
+			opts.CacheBytes>>20, enabledWord(opts.BloomBitsPerKey >= 0))
 		if *statsEvery > 0 {
 			go logEngineStats(d, *statsEvery)
 		}
@@ -296,13 +296,13 @@ func main() {
 	// The front door: admission control around the backend, tenant
 	// namespaces on top. The -addr listener keeps serving the raw backend.
 	var framedSrv *cloud.FrameServer
+	var reg *cloud.Tenants
 	framedErr := make(chan error, 1)
 	if *framedAddr != "" {
 		adm := cloud.NewAdmission(svc, cloud.AdmissionOptions{
 			MaxInFlight: *maxInFly,
 			RetryAfter:  *retryAfter,
 		})
-		var reg *cloud.Tenants
 		if len(tenants) > 0 {
 			reg = cloud.NewTenants(adm)
 		}
@@ -339,6 +339,13 @@ func main() {
 	if framedSrv != nil {
 		if ferr := <-framedErr; ferr != nil && err == nil {
 			err = ferr
+		}
+	}
+	if reg != nil {
+		for _, name := range reg.Names() {
+			u, _ := reg.Usage(name)
+			log.Printf("tccloud: tenant %s: %d bytes written, %d ops admitted, %d refused",
+				name, u.BytesWritten, u.Admitted, u.Rejected)
 		}
 	}
 	if replicated != nil {

@@ -2,8 +2,9 @@
 // gateway is a trusted cell fed by a 1 Hz Linky power meter. The cell keeps
 // the raw feed to itself, exposes 15-minute aggregates to the household,
 // daily statistics to a social game, certified hourly statistics to the
-// distribution company — and the example shows how much activity information
-// each granularity would reveal to an eavesdropper.
+// distribution company, answers the company's neighbourhood census through
+// the shared commons under those same rules — and the example shows how much
+// activity information each granularity would reveal to an eavesdropper.
 package main
 
 import (
@@ -84,6 +85,49 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("utility feed: %d certified-granularity hourly values\n", hourly.Len())
+
+	// The company's neighbourhood census of daily mean power runs over the
+	// shared commons. The gateway answers from its sealed feed through its
+	// own policy gate (a daily value is within the hourly cap); two
+	// neighbours answer with fixed values. The company only sees the noised
+	// total of secret shares.
+	key, err := trustedcells.NewCommonsKey()
+	if err != nil {
+		log.Fatal(err)
+	}
+	community := trustedcells.NewCommonsCommunity("neighbourhood", key)
+	responders := []*trustedcells.CommonsResponder{trustedcells.NewCommonsResponder(gateway.ID(), community, svc,
+		trustedcells.CommonsCellEvaluator(gateway, "distribution-company", trustedcells.AccessContext{}))}
+	for id, watts := range map[string]uint64{"neighbour-1": 380, "neighbour-2": 510} {
+		responders = append(responders, trustedcells.NewCommonsResponder(id, community, svc,
+			func(*trustedcells.CommonsSpec) (uint64, bool, error) { return watts, true, nil }))
+	}
+	aggs := []*trustedcells.CommonsAggregator{
+		trustedcells.NewCommonsAggregator("agg-0", community, svc),
+		trustedcells.NewCommonsAggregator("agg-1", community, svc),
+	}
+	census, err := trustedcells.NewCommonsCoordinator(trustedcells.CommonsCoordinatorConfig{
+		ID: "distribution-company", Community: community, Cloud: svc,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := census.Query(trustedcells.CommonsSpec{
+		ID:              "daily-consumption",
+		Filter:          trustedcells.CommonsFilter{TagKey: "device", TagValue: "linky"},
+		Granularity:     trustedcells.GranularityDay,
+		Kind:            trustedcells.AggregateMean,
+		K:               3,
+		Epsilon:         1.0,
+		MaxContribution: 5000,
+		Deadline:        5 * time.Second,
+		Aggregators:     []string{"agg-0", "agg-1"},
+	}, responders, aggs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("neighbourhood census: %d/%d homes answered, released %v, noised total %.0f W\n",
+		res.Responded, res.Total, res.Released, res.NoisySum)
 
 	// Why this matters: what an analyst could infer at each granularity.
 	fmt.Println("\nwhat each granularity reveals (appliance-detection F1 on this very day):")

@@ -59,12 +59,20 @@ func main() {
 			trip.ID, trip.DistanceKm(), rawDoc.ID[:12], summary.Fee, sumDoc.ID[:12])
 	}
 
-	// The insurer may read pricing summaries, never GPS traces.
+	// The insurer may read pricing summaries, never GPS traces, and only
+	// while it holds a motor-insurance licence from the regulator, an
+	// issuer the cell trusts.
+	regulator, err := trustedcells.NewSigningKey()
+	if err != nil {
+		log.Fatal(err)
+	}
+	carCell.TrustIssuer("insurance-regulator", regulator.Public())
 	if err := carCell.AddRule(trustedcells.Rule{
 		ID: "insurer-summaries-only", Effect: trustedcells.EffectAllow,
 		SubjectIDs: []string{"car-insurer"},
 		Actions:    []trustedcells.Action{trustedcells.ActionRead},
 		Resource:   trustedcells.Resource{Type: "road-pricing-summary"},
+		Condition:  trustedcells.Condition{RequiredAttributes: map[string]string{"licence": "motor-insurance"}},
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -77,12 +85,31 @@ func main() {
 	}
 	fmt.Printf("\nweekly fee reported to the insurer: %.2f EUR\n", totalFee)
 
-	// Demonstrate the enforcement: summaries readable, raw traces not.
-	insurer := trustedcells.AccessContext{Purpose: "billing"}
+	// Usage control: the insurer may read each summary once.
+	for _, d := range summaries {
+		if err := carCell.AttachUsagePolicy(trustedcells.UsagePolicy{
+			ObjectID: d.ID, SubjectID: "car-insurer", MaxUses: 1,
+		}); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	// Demonstrate the enforcement: a summary is readable once with the
+	// licence, raw traces never.
+	now := time.Now()
+	licence := trustedcells.IssueCredential("insurance-regulator", regulator,
+		"car-insurer", "licence", "motor-insurance", now, now.AddDate(1, 0, 0))
+	if _, err := carCell.Read("car-insurer", summaries[0].ID, trustedcells.AccessContext{Purpose: "billing"}); err != nil {
+		fmt.Printf("insurer read of a pricing summary without its licence: denied (%v)\n", err)
+	}
+	insurer := trustedcells.AccessContext{Purpose: "billing", Credentials: []*trustedcells.Credential{licence}}
 	if _, err := carCell.Read("car-insurer", summaries[0].ID, insurer); err != nil {
 		fmt.Printf("summary read unexpectedly denied: %v\n", err)
 	} else {
-		fmt.Println("insurer read a pricing summary: allowed")
+		fmt.Println("insurer read a pricing summary with its licence: allowed")
+	}
+	if _, err := carCell.Read("car-insurer", summaries[0].ID, insurer); err != nil {
+		fmt.Printf("insurer's second read of the same summary: denied (%v)\n", err)
 	}
 	rawDocs, _ := carCell.Search(trustedcells.Query{Type: "gps-trace"})
 	if _, err := carCell.Read("car-insurer", rawDocs[0].ID, insurer); err != nil {

@@ -1,6 +1,7 @@
 // Quickstart: create a trusted cell, acquire a document into the personal
 // data space, define an access policy, and watch the reference monitor allow
-// the household and deny a stranger — with every decision audited.
+// the household and deny a stranger — with every decision audited. Last,
+// the owner's phone, a second cell, syncs the catalog through the cloud.
 package main
 
 import (
@@ -74,4 +75,42 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("audit hash chain verified")
+
+	// 6. Alice's phone is a second cell of hers. From the moment a replica
+	// is attached, what the gateway ingests replicates to the phone's
+	// catalog through the untrusted cloud, sealed under a key only her
+	// cells hold.
+	phone, err := trustedcells.NewCell(trustedcells.CellConfig{
+		ID:    "alice-phone",
+		Class: trustedcells.ClassTrustZonePhone,
+		Cloud: svc,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	key, err := trustedcells.NewReplicaKey()
+	if err != nil {
+		log.Fatal(err)
+	}
+	cell.AttachReplica(trustedcells.NewReplica("alice/gateway", "alice", key, svc))
+	phone.AttachReplica(trustedcells.NewReplica("alice/phone", "alice", key, svc))
+	if _, err := cell.Ingest([]byte("February pay slip: 2,345.67 EUR"), trustedcells.IngestOptions{
+		Class:    trustedcells.ClassExternal,
+		Type:     "pay-slip",
+		Title:    "February pay slip",
+		Keywords: []string{"salary", "2013"},
+	}); err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range []*trustedcells.Cell{cell, phone} {
+		if err := c.SyncCatalog(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	onPhone, err := phone.Search(trustedcells.Query{Keyword: "salary"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("phone catalog after one sync round: %d document(s) for \"salary\", replicas converged: %v\n",
+		len(onPhone), trustedcells.ReplicasEqual(cell.Replica(), phone.Replica()))
 }

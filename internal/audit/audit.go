@@ -91,14 +91,6 @@ func (l *Log) Len() int {
 	return len(l.records)
 }
 
-// Head returns the current chain head; storing it in tamper-resistant memory
-// lets the cell detect truncation of an externalized log.
-func (l *Log) Head() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chain.Head()
-}
-
 // Records returns a copy of all records (for queries and tests).
 func (l *Log) Records() []Record {
 	l.mu.Lock()
@@ -108,8 +100,8 @@ func (l *Log) Records() []Record {
 	return out
 }
 
-// Query returns the records matching the non-empty filters.
-func (l *Log) Query(actor, resource string, outcome Outcome) []Record {
+// query returns the records matching the non-empty filters.
+func (l *Log) query(actor, resource string, outcome Outcome) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Record

@@ -31,7 +31,7 @@ func TestAppendAssignsSequenceAndHead(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if string(l.Head()) != string(r2.ChainHead) {
+	if string(l.chain.Head()) != string(r2.ChainHead) {
 		t.Fatal("log head does not match last record head")
 	}
 }
@@ -72,19 +72,19 @@ func TestQueryFilters(t *testing.T) {
 	r.Resource = "doc-2"
 	l.Append(r)
 
-	if got := l.Query("bob", "", ""); len(got) != 2 {
+	if got := l.query("bob", "", ""); len(got) != 2 {
 		t.Fatalf("actor filter: %d", len(got))
 	}
-	if got := l.Query("", "doc-2", ""); len(got) != 1 {
+	if got := l.query("", "doc-2", ""); len(got) != 1 {
 		t.Fatalf("resource filter: %d", len(got))
 	}
-	if got := l.Query("", "", OutcomeDenied); len(got) != 2 {
+	if got := l.query("", "", OutcomeDenied); len(got) != 2 {
 		t.Fatalf("outcome filter: %d", len(got))
 	}
-	if got := l.Query("bob", "doc-2", OutcomeDenied); len(got) != 1 {
+	if got := l.query("bob", "doc-2", OutcomeDenied); len(got) != 1 {
 		t.Fatalf("combined filter: %d", len(got))
 	}
-	if got := l.Query("nobody", "", ""); len(got) != 0 {
+	if got := l.query("nobody", "", ""); len(got) != 0 {
 		t.Fatalf("no-match filter: %d", len(got))
 	}
 }

@@ -20,9 +20,8 @@ import (
 
 // Errors returned by the server.
 var (
-	ErrDenied     = errors.New("baseline: access denied")
-	ErrNoSuchUser = errors.New("baseline: unknown user")
-	ErrNoSuchDoc  = errors.New("baseline: unknown document")
+	ErrDenied    = errors.New("baseline: access denied")
+	ErrNoSuchDoc = errors.New("baseline: unknown document")
 )
 
 // Record is one stored personal document.
@@ -48,7 +47,6 @@ type CentralVault struct {
 	// the provider grants itself read access to every record for "service
 	// improvement" regardless of user policies.
 	marketingOverride bool
-	accesses          int64
 }
 
 // NewCentralVault creates an empty centralized vault.
@@ -101,7 +99,6 @@ func (v *CentralVault) Read(owner, docID, subjectID string, now time.Time) ([]by
 	rec, ok := v.records[owner][docID]
 	set := v.policies[owner]
 	override := v.marketingOverride
-	v.accesses++
 	v.mu.Unlock()
 	if !ok {
 		return nil, ErrNoSuchDoc
@@ -124,31 +121,6 @@ func (v *CentralVault) Read(owner, docID, subjectID string, now time.Time) ([]by
 		return nil, fmt.Errorf("baseline: read: %w", err)
 	}
 	return plain, nil
-}
-
-// UserCount returns the number of users with stored data.
-func (v *CentralVault) UserCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.records)
-}
-
-// RecordCount returns the total number of stored records.
-func (v *CentralVault) RecordCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	n := 0
-	for _, docs := range v.records {
-		n += len(docs)
-	}
-	return n
-}
-
-// Accesses returns how many reads were attempted.
-func (v *CentralVault) Accesses() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.accesses
 }
 
 // BreachResult summarises what an attacker obtains from a compromise.

@@ -81,17 +81,6 @@ func NewAdversary(svc Service, cfg AdversaryConfig) *Adversary {
 	return a
 }
 
-// Inner returns the wrapped backend, for drills that need to inspect the
-// provider's true state behind the adversary's lies.
-func (a *Adversary) Inner() Service { return a.inner }
-
-// Mode returns the currently active adversary mode.
-func (a *Adversary) Mode() AdversaryMode {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mode
-}
-
 // SetMode switches the adversarial behaviour at runtime, so a drill can
 // converge honestly and then turn the provider malicious. Switching away from
 // Fork does not heal existing branches; use EndFork for that.

@@ -97,7 +97,7 @@ func TestForkAdversary(t *testing.T) {
 				t.Fatalf("bob's view polluted: %q", b.Data)
 			}
 			// The backend froze at the fork point.
-			if b, _ := a.Inner().GetBlob("doc"); string(b.Data) != "base" {
+			if b, _ := a.inner.GetBlob("doc"); string(b.Data) != "base" {
 				t.Fatalf("backend advanced during fork: %q", b.Data)
 			}
 			// Conditional reads honour the branch's own version numbering.
@@ -118,10 +118,10 @@ func TestForkAdversary(t *testing.T) {
 			if err := a.EndFork("alice"); err != nil {
 				t.Fatal(err)
 			}
-			if a.Mode() != Honest {
-				t.Fatalf("mode after EndFork = %v", a.Mode())
+			if a.mode != Honest {
+				t.Fatalf("mode after EndFork = %v", a.mode)
 			}
-			if b, _ := a.Inner().GetBlob("doc"); string(b.Data) != "alice-1" {
+			if b, _ := a.inner.GetBlob("doc"); string(b.Data) != "alice-1" {
 				t.Fatalf("winner branch not flushed: %q", b.Data)
 			}
 			if b, _ := vb.GetBlob("doc"); string(b.Data) != "alice-1" {
@@ -181,7 +181,7 @@ func TestAdversaryForkViewsDeleteAndList(t *testing.T) {
 			if b, err := alice.GetBlob("x"); err != nil || string(b.Data) != "base" {
 				t.Fatalf("alice lost x to bob's delete: %+v %v", b, err)
 			}
-			if b, err := a.Inner().GetBlob("x"); err != nil || string(b.Data) != "base" {
+			if b, err := a.inner.GetBlob("x"); err != nil || string(b.Data) != "base" {
 				t.Fatalf("backend moved during fork: %+v %v", b, err)
 			}
 
@@ -204,7 +204,7 @@ func TestAdversaryForkViewsDeleteAndList(t *testing.T) {
 			if err := a.EndFork("bob"); err != nil {
 				t.Fatal(err)
 			}
-			if got := list(a.Inner()); got != "[x]" {
+			if got := list(a.inner); got != "[x]" {
 				t.Fatalf("backend lists %s after EndFork(bob), want [x]", got)
 			}
 			if b, _ := alice.GetBlob("x"); string(b.Data) != "bob-x" {

@@ -191,8 +191,8 @@ func TestShardedMemoryConcurrentStress(t *testing.T) {
 func TestSingleShardMatchesDefault(t *testing.T) {
 	for _, shards := range []int{1, 4, DefaultShards} {
 		m := NewMemoryShards(shards)
-		if m.ShardCount() != shards {
-			t.Fatalf("ShardCount = %d, want %d", m.ShardCount(), shards)
+		if len(m.shards) != shards {
+			t.Fatalf("ShardCount = %d, want %d", len(m.shards), shards)
 		}
 		for i := 0; i < 50; i++ {
 			name := fmt.Sprintf("doc-%02d", i)

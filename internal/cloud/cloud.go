@@ -28,9 +28,9 @@
 // (the hook is one round trip over TCP), Admission (load shedding), the
 // tenant views of Tenants (namespaces and quotas), Adversary and its client
 // views (the Byzantine provider) and Faulty — deterministic fault injection:
-// seeded error rates, latency and latency spikes, outage/flap schedules,
-// partition masks, silent corruption — so that failure handling is tested
-// on demand rather than observed by luck. Faulty is the package's only
+// seeded error rates, latency, outage/flap schedules, partition masks,
+// silent corruption — so that failure handling is tested on demand rather
+// than observed by luck. Faulty is the package's only
 // fault injector: the stores themselves never fail on purpose. In process an
 // error keeps its identity through every layer; only the wire serializes it
 // (applyRespError) and rebuilds it on the other side (respError).

@@ -71,23 +71,15 @@ type DurableOptions struct {
 	// lookups skip runs without a device read. Zero uses the storage-layer
 	// default (~10 bits/key); negative disables the filters.
 	BloomBitsPerKey int
-	// CompactionConcurrency bounds how many shards may compact at once. Zero
-	// uses the default (2); negative removes the bound.
-	CompactionConcurrency int
-	// CompactionBytesPerSec caps the combined compaction read+write bandwidth
-	// across all shards, smoothing foreground p99 during maintenance. Zero
-	// (the default) leaves the bandwidth unmetered.
-	CompactionBytesPerSec int64
 }
 
 // DefaultDurableOptions are sized for a provider shard serving a cell fleet.
 func DefaultDurableOptions() DurableOptions {
 	return DurableOptions{
-		Shards:                DefaultShards,
-		MemtableBytes:         512 << 10,
-		MaxRuns:               8,
-		CacheBytes:            16 << 20,
-		CompactionConcurrency: 2,
+		Shards:        DefaultShards,
+		MemtableBytes: 512 << 10,
+		MaxRuns:       8,
+		CacheBytes:    16 << 20,
 	}
 }
 
@@ -143,7 +135,7 @@ type Durable struct {
 	stats  counters
 
 	// cache and limiter are shared across every shard: one RAM budget for
-	// hot read segments, one maintenance-bandwidth budget for compactions.
+	// hot read segments, one bound on concurrent compactions.
 	cache   *storage.BlockCache
 	limiter *storage.CompactionLimiter
 
@@ -152,13 +144,11 @@ type Durable struct {
 	// (flush all shards, reset the journal) holds it exclusively.
 	jmu     sync.RWMutex
 	journal *commitJournal
+	closed  bool // set by Close under jmu
 
 	// nextMsg is the global message sequence; restoreMessageSeq re-seeds it
 	// from the surviving mailbox keys on open.
 	nextMsg atomic.Uint64
-
-	cfgMu sync.RWMutex
-	now   func() time.Time
 
 	recovery DurableRecovery
 }
@@ -171,6 +161,9 @@ type durableMeta struct {
 }
 
 const durableMetaFile = "META.json"
+
+// compactionSlots bounds how many shards of one store compact at once.
+const compactionSlots = 2
 
 // Key prefixes inside each shard's keyspace.
 const (
@@ -197,9 +190,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = def.CacheBytes
 	}
-	if opts.CompactionConcurrency == 0 {
-		opts.CompactionConcurrency = def.CompactionConcurrency
-	}
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("cloud: open durable store: %w", err)
 	}
@@ -211,9 +201,8 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	d := &Durable{
 		dir:     dir,
 		shards:  make([]*durableShard, shards),
-		now:     time.Now,
 		cache:   storage.NewBlockCache(opts.CacheBytes),
-		limiter: storage.NewCompactionLimiter(opts.CompactionBytesPerSec, opts.CompactionConcurrency),
+		limiter: storage.NewCompactionLimiter(compactionSlots),
 	}
 	popts := storage.PersistentOptions{
 		MemtableBytes:   opts.MemtableBytes,
@@ -399,35 +388,19 @@ func (d *Durable) restoreMessageSeq() error {
 // RecoveryStats reports what the last OpenDurable replayed and repaired.
 func (d *Durable) RecoveryStats() DurableRecovery { return d.recovery }
 
-// ShardCount returns the number of shards of the store.
-func (d *Durable) ShardCount() int { return len(d.shards) }
-
-// Dir returns the store's root directory.
-func (d *Durable) Dir() string { return d.dir }
-
-// SetClock overrides the service clock (used by simulations).
-func (d *Durable) SetClock(now func() time.Time) {
-	d.cfgMu.Lock()
-	d.now = now
-	d.cfgMu.Unlock()
-}
-
-func (d *Durable) clock() time.Time {
-	d.cfgMu.RLock()
-	now := d.now
-	d.cfgMu.RUnlock()
-	return now()
-}
-
 func (d *Durable) shardFor(key string) *durableShard {
 	return d.shards[shardIndexOf(key, len(d.shards))]
 }
 
 // Close flushes every shard, retires the commit journal and closes the
-// underlying files.
+// underlying files. Calls after the first do nothing and return nil.
 func (d *Durable) Close() error {
 	d.jmu.Lock()
 	defer d.jmu.Unlock()
+	if d.closed {
+		return nil
+	}
+	d.closed = true
 	var err error
 	for _, s := range d.shards {
 		if s == nil {
@@ -465,9 +438,9 @@ func (d *Durable) Crash() {
 
 // Compact forces a full compaction of every shard (normally compaction runs
 // in the background when a shard exceeds MaxRuns). Shards compact in
-// parallel goroutines; the shared CompactionLimiter bounds how many actually
-// run at once and holds their combined I/O to the configured bytes/sec
-// budget, so even a store-wide compaction cannot starve foreground traffic.
+// parallel goroutines; the shared CompactionLimiter lets compactionSlots of
+// them run at once, so even a store-wide compaction cannot starve foreground
+// traffic.
 func (d *Durable) Compact() error {
 	errs := make([]error, len(d.shards))
 	var wg sync.WaitGroup
@@ -763,7 +736,7 @@ func (d *Durable) Send(msg Message) error {
 		msg.ID = fmt.Sprintf("msg-%08d", seq)
 	}
 	if msg.Sent.IsZero() {
-		msg.Sent = d.clock()
+		msg.Sent = time.Now()
 	}
 	g, err := d.applyShardLocked(si, []storage.Op{{Key: msgKey(msg.To, seq), Value: encodeMessage(msg)}})
 	s.wmu.Unlock()
@@ -873,7 +846,7 @@ func (d *Durable) PutBlobs(puts []BlobPut) ([]int, error) {
 // journal group; the caller commits all groups as one record.
 func (d *Durable) putGroup(g shardGroup, puts []BlobPut, versions []int) (journalGroup, error) {
 	s := d.shards[g.shard]
-	now := d.clock()
+	now := time.Now()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	ops := make([]storage.Op, 0, len(g.indices))

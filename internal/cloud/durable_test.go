@@ -222,8 +222,8 @@ func TestDurableShardCountPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if d2.ShardCount() != 4 {
-		t.Fatalf("shard count drifted to %d", d2.ShardCount())
+	if len(d2.shards) != 4 {
+		t.Fatalf("shard count drifted to %d", len(d2.shards))
 	}
 	for i := 0; i < 40; i++ {
 		if _, err := d2.GetBlob(fmt.Sprintf("doc-%03d", i)); err != nil {
@@ -267,24 +267,6 @@ func TestDurableCompactionBoundsRuns(t *testing.T) {
 	defer d2.Close()
 	if names, _ := d2.ListBlobs(""); len(names) != 120 {
 		t.Fatalf("blobs after reopen: %d", len(names))
-	}
-}
-
-// TestDurableClockOverride keeps experiments deterministic.
-func TestDurableClockOverride(t *testing.T) {
-	d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	fixed := time.Date(2013, 1, 7, 0, 0, 0, 0, time.UTC)
-	d.SetClock(func() time.Time { return fixed })
-	if _, err := d.PutBlob("doc", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.GetBlob("doc")
-	if err != nil || !b.Stored.Equal(fixed) {
-		t.Fatalf("Stored = %v, want %v (%v)", b.Stored, fixed, err)
 	}
 }
 

@@ -56,10 +56,6 @@ type FaultyOptions struct {
 	// economics that make the batch calls worthwhile for a fleet of edge
 	// cells talking to a remote provider.
 	Latency time.Duration
-	// SpikeRate is the per-operation probability of a latency spike of
-	// SpikeLatency on top of Latency.
-	SpikeRate    float64
-	SpikeLatency time.Duration
 	// CorruptRate is the per-blob probability that a read returns the stored
 	// bytes with one seeded bit flipped — the silent-corruption adversary
 	// (disk rot, a provider truncating or patching ciphertext). The flip is
@@ -77,7 +73,6 @@ type FaultStats struct {
 	OutageRejects int64 // failures while SetDown(true) was in effect
 	FlapRejects   int64 // failures from the flap schedule
 	MaskRejects   int64 // failures from the partition mask
-	LatencySpikes int64 // operations that paid SpikeLatency
 	PassedThrough int64 // operations forwarded to the inner service
 	Corrupted     int64 // blobs served with a flipped bit
 }
@@ -106,7 +101,6 @@ type Faulty struct {
 	outageRejects atomic.Int64
 	flapRejects   atomic.Int64
 	maskRejects   atomic.Int64
-	spikes        atomic.Int64
 	passed        atomic.Int64
 	corrupted     atomic.Int64
 }
@@ -165,7 +159,6 @@ func (f *Faulty) FaultStats() FaultStats {
 		OutageRejects: f.outageRejects.Load(),
 		FlapRejects:   f.flapRejects.Load(),
 		MaskRejects:   f.maskRejects.Load(),
-		LatencySpikes: f.spikes.Load(),
 		PassedThrough: f.passed.Load(),
 		Corrupted:     f.corrupted.Load(),
 	}
@@ -208,10 +201,6 @@ func (f *Faulty) checkIn(class OpClass) error {
 	n := f.ops.Add(1)
 	if f.opts.Latency > 0 {
 		time.Sleep(f.opts.Latency)
-	}
-	if f.opts.SpikeLatency > 0 && f.chance(f.opts.SpikeRate) {
-		f.spikes.Add(1)
-		time.Sleep(f.opts.SpikeLatency)
 	}
 	if f.down.Load() {
 		f.outageRejects.Add(1)

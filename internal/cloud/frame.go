@@ -75,6 +75,11 @@ const frameReadBuffer = 32 << 10
 // have actually arrived, so a declared length alone reserves no memory.
 const frameReadChunk = 64 << 10
 
+// perConnWorkers bounds the requests one connection may have executing
+// concurrently; beyond it the read loop blocks, which is per-connection flow
+// control, not shedding (the Admission layer sheds).
+const perConnWorkers = 32
+
 // opHello is the reserved op binding a connection to a tenant.
 const opHello = "hello"
 
@@ -154,10 +159,6 @@ type FrameServerOptions struct {
 	// MaxFrameBytes rejects frames declaring more than this many bytes
 	// (id + payload). Default DefaultMaxFrameBytes.
 	MaxFrameBytes int
-	// PerConnWorkers bounds the requests one connection may have executing
-	// concurrently; beyond it the read loop blocks, which is per-connection
-	// flow control, not shedding (the Admission layer sheds). Default 32.
-	PerConnWorkers int
 	// Tenants, when set, makes every connection bind to a tenant namespace
 	// with a hello frame before anything else: requests before it fail with
 	// ErrNoTenant, and a second hello fails. The backend is then reached
@@ -166,7 +167,7 @@ type FrameServerOptions struct {
 }
 
 // FrameServer serves a Service over the framed multiplexed protocol. Each
-// connection gets one reader goroutine plus up to PerConnWorkers dispatch
+// connection gets one reader goroutine plus up to perConnWorkers dispatch
 // goroutines; response frames are serialized by a per-connection write
 // mutex, so responses from concurrent requests interleave at frame
 // granularity, never mid-frame. Safe for concurrent use; Serve may be
@@ -186,9 +187,6 @@ type FrameServer struct {
 func NewFrameServer(svc Service, opts FrameServerOptions) *FrameServer {
 	if opts.MaxFrameBytes <= 0 {
 		opts.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if opts.PerConnWorkers <= 0 {
-		opts.PerConnWorkers = 32
 	}
 	return &FrameServer{svc: svc, opts: opts, conns: make(map[net.Conn]struct{})}
 }
@@ -250,10 +248,13 @@ func (s *FrameServer) untrack(conn net.Conn) {
 // Close stops the server: it closes the listener and stops reading every
 // connection, so no new request starts. Requests already dispatched still
 // answer; each connection closes once its last one has, and Serve returns
-// when all have.
+// when all have. Calls after the first do nothing and return nil.
 func (s *FrameServer) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	s.closed = true
 	for conn := range s.conns {
 		// A read deadline in the past fails the blocked read at once while
@@ -303,7 +304,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 	if s.opts.Tenants != nil {
 		svc = nil // no backend until a hello binds a tenant view
 	}
-	sem := make(chan struct{}, s.opts.PerConnWorkers)
+	sem := make(chan struct{}, perConnWorkers)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {

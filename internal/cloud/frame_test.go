@@ -1130,3 +1130,53 @@ func TestFrameRetiredOpsRefused(t *testing.T) {
 		t.Fatalf("after the retired requests: %+v", resp)
 	}
 }
+
+// TestCloseTwice: a second Close of a store, a server, a client or a
+// replicated layer does nothing and returns nil: a durable store must not
+// checkpoint into its closed journal, nor a server close its closed
+// listener.
+func TestCloseTwice(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.PutBlob("doc", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	srv := serveFramesAt(t, "127.0.0.1:0", d, FrameServerOptions{})
+	c, err := DialFramed(srv.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if _, err := c.GetBlob("doc"); err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	r, err := NewReplicated([]Service{NewMemory(), NewMemory()}, ReplicatedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.StartAntiEntropy(time.Hour)
+	for _, closer := range []struct {
+		name  string
+		close func() error
+	}{
+		{"FrameClient", c.Close},
+		{"FrameServer", srv.Close},
+		{"Replicated", r.Close},
+		{"Durable", d.Close},
+	} {
+		for i := 1; i <= 2; i++ {
+			if err := closer.close(); err != nil {
+				t.Errorf("%s: Close #%d: %v", closer.name, i, err)
+			}
+		}
+	}
+	select {
+	case err := <-srv.served:
+		if err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Serve did not return after Close")
+	}
+}

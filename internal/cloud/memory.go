@@ -90,9 +90,6 @@ func NewMemoryShards(shards int) *Memory {
 	return m
 }
 
-// ShardCount returns the number of shards of the store.
-func (m *Memory) ShardCount() int { return len(m.shards) }
-
 // shardIndexOf maps a blob name or mailbox recipient onto one of shards
 // partitions by FNV-1a hash. It is the striping function shared by every
 // sharded backend (Memory, Durable): identical hashing means a workload's

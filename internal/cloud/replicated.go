@@ -111,7 +111,7 @@ type ReplicatedOptions struct {
 	// re-admission probe: a quarantined member is only re-admitted after its
 	// copies byte-match the trusted fleet state AND every checked winner blob
 	// passes this hook. The replication layer holds no keys, so the trusted
-	// side installs a closure (typically over sync.Replica.CheckShardBlob)
+	// side installs a closure (typically over sync.Replica.CheckBlob)
 	// that verifies the sealed payload's signed freshness evidence. A nil
 	// Verifier re-admits on byte-equality alone.
 	Verifier func(name string, data []byte) error
@@ -243,9 +243,6 @@ type Replicated struct {
 	delivered  map[string]struct{}  // recently delivered IDs (dedup window)
 	deliverLog []string             // FIFO eviction order for delivered
 
-	cfgMu sync.RWMutex
-	now   func() time.Time
-
 	stats struct {
 		puts, gets, deletes, lists atomic.Int64
 		sends, receives            atomic.Int64
@@ -287,7 +284,6 @@ func NewReplicated(members []Service, opts ReplicatedOptions) (*Replicated, erro
 		opts:      opts,
 		pending:   make(map[string][]Message),
 		delivered: make(map[string]struct{}),
-		now:       time.Now,
 	}
 	for i, svc := range members {
 		if svc == nil {
@@ -337,7 +333,7 @@ func (r *Replicated) MemberDown(i int) bool {
 
 // Quarantine excludes member i for Byzantine behaviour: a provider caught
 // rolling back, forking or dropping acknowledged state by the trusted side's
-// audit (e.g. sync.Replica.CheckShardBlob). A quarantined member serves no
+// audit (e.g. sync.Replica.CheckBlob). A quarantined member serves no
 // reads and its write acknowledgements stop counting toward the write quorum,
 // so poisoned copies cannot shadow honest ones — but writes keep fanning to
 // it, so a member that starts behaving again converges instead of drifting
@@ -358,20 +354,6 @@ func (r *Replicated) IsQuarantined(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.quarantined
-}
-
-// SetClock overrides the layer clock used to stamp outgoing messages.
-func (r *Replicated) SetClock(now func() time.Time) {
-	r.cfgMu.Lock()
-	r.now = now
-	r.cfgMu.Unlock()
-}
-
-func (r *Replicated) clock() time.Time {
-	r.cfgMu.RLock()
-	now := r.now
-	r.cfgMu.RUnlock()
-	return now()
 }
 
 // ReplicationStats returns a snapshot of the layer's counters.
@@ -940,7 +922,7 @@ func (r *Replicated) Send(msg Message) error {
 		msg.ID = fmt.Sprintf("rmsg-%016x", seq)
 	}
 	if msg.Sent.IsZero() {
-		msg.Sent = r.clock()
+		msg.Sent = time.Now()
 	}
 	msg.Body = append([]byte(nil), msg.Body...)
 

@@ -208,9 +208,6 @@ type TenantView struct {
 	prefix string // "t/<tenant>/", built once: every name of every batch takes it
 }
 
-// Tenant returns the tenant name the view is bound to.
-func (v *TenantView) Tenant() string { return v.st.name }
-
 // serve is the view's hook. It charges the call against the tenant's quota
 // before the inner Service is touched — one op per name (at least one per
 // call) plus the bytes the call writes; Stats is provider-global and

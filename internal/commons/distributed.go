@@ -107,9 +107,6 @@ func NewCommunity(name string, key crypto.SymmetricKey) *Community {
 	return &Community{name: name, key: key}
 }
 
-// Name returns the community name.
-func (c *Community) Name() string { return c.name }
-
 // Mailbox returns the commons mailbox of a member, kept separate from the
 // cell's document-sharing mailbox so a Responder poll never consumes
 // unrelated messages.
@@ -847,14 +844,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 // Mailbox returns the commons mailbox responses arrive at.
 func (co *Coordinator) Mailbox() string { return co.cfg.Community.Mailbox(co.cfg.ID) }
-
-// EpsilonSpent returns the cumulative privacy budget consumed by released
-// queries (suppressed queries release nothing and spend nothing).
-func (co *Coordinator) EpsilonSpent() float64 {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.spent
-}
 
 // Pending is an in-flight query: the sealed specs have been scattered and
 // Gather can be called to collect the release.

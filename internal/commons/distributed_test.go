@@ -238,7 +238,7 @@ func TestQueryEndToEnd(t *testing.T) {
 	if res.NoisySum == float64(res.Sum) {
 		t.Fatalf("noisy sum should be perturbed, got exactly %v", res.NoisySum)
 	}
-	if got := co.EpsilonSpent(); got != 1.0 {
+	if got := co.spent; got != 1.0 {
 		t.Fatalf("epsilon spent: got %v, want 1.0", got)
 	}
 	if len(res.Contributors) != len(values) {
@@ -260,7 +260,7 @@ func TestKAnonymitySuppression(t *testing.T) {
 	if res.Responded != 3 {
 		t.Fatalf("responded: got %d, want 3", res.Responded)
 	}
-	if got := co.EpsilonSpent(); got != 0 {
+	if got := co.spent; got != 0 {
 		t.Fatalf("suppressed query spent budget: %v", got)
 	}
 }

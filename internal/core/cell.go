@@ -171,9 +171,6 @@ func (c *Cell) Identity() (crypto.VerifyKey, error) { return c.tee.Identity() }
 // and lock/unlock flows).
 func (c *Cell) TEE() *tamper.TEE { return c.tee }
 
-// Clock returns the cell's current time.
-func (c *Cell) Clock() time.Time { return c.clock() }
-
 // AuditLog returns the cell's audit log.
 func (c *Cell) AuditLog() *audit.Log { return c.log }
 
@@ -187,12 +184,6 @@ func (c *Cell) AccessPolicy() *policy.Set {
 	defer c.mu.RUnlock()
 	return c.access.Clone()
 }
-
-// Usage returns the usage-control monitor.
-func (c *Cell) Usage() *ucon.Monitor { return c.usage }
-
-// CloudService returns the attached infrastructure service (may be nil).
-func (c *Cell) CloudService() cloud.Service { return c.cloud }
 
 // TrustIssuer registers a credential issuer the cell accepts.
 func (c *Cell) TrustIssuer(id string, key crypto.VerifyKey) {
@@ -474,15 +465,6 @@ func (c *Cell) SearchPlan(q datamodel.Query) ([]*datamodel.Document, datamodel.P
 	return docs, plan, nil
 }
 
-// KeywordCounts counts catalog documents per keyword in a single pass over
-// the keyword index (owner operation).
-func (c *Cell) KeywordCounts(keywords []string) (map[string]int, error) {
-	if c.tee.Locked() {
-		return nil, ErrNotOwner
-	}
-	return c.catalog.KeywordCounts(keywords), nil
-}
-
 // notifyOriginator pushes the audit records concerning docID to the
 // originator cell's mailbox over the pairing channel.
 func (c *Cell) notifyOriginator(originator, docID, subjectID string) error {
@@ -493,9 +475,3 @@ func (c *Cell) notifyOriginator(originator, docID, subjectID string) error {
 	c.appendAudit(subjectID, "notify-originator", docID, audit.OutcomeAllowed, "usage obligation", originator)
 	return c.sendPaired(originator, kindAuditSegment, c.log.DestinedTo(originator))
 }
-
-// CacheStats exposes the embedded engine statistics (experiments E2).
-func (c *Cell) CacheStats() storage.Stats { return c.cache.Stats() }
-
-// VerifyCache re-checks the integrity of the local encrypted cache.
-func (c *Cell) VerifyCache() error { return c.cache.VerifyRuns() }

@@ -87,7 +87,7 @@ func FuzzInboxOpen(f *testing.F) {
 		if !fromPaired && sum.Rejected != 1 {
 			t.Fatalf("message from an unpaired sender handled: %+v", sum)
 		}
-		shared := bob.SharedWithMe()
+		shared := sharedWithMe(bob)
 		if len(shared) != sum.OffersAccepted {
 			t.Fatalf("%d documents received for %d accepted offers", len(shared), sum.OffersAccepted)
 		}

@@ -67,8 +67,8 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 	if !reflect.DeepEqual(batched.AuditLog().Records(), ones.AuditLog().Records()) {
 		t.Fatal("audit records differ between a batch and batches of one")
 	}
-	if batched.CacheStats() != ones.CacheStats() {
-		t.Fatalf("cache state: %+v / %+v", batched.CacheStats(), ones.CacheStats())
+	if batched.cache.Stats() != ones.cache.Stats() {
+		t.Fatalf("cache state: %+v / %+v", batched.cache.Stats(), ones.cache.Stats())
 	}
 	for i, doc := range docs {
 		plain, err := batched.Read("owner", doc.ID, AccessContext{})

@@ -72,10 +72,10 @@ type recipientState struct {
 
 func stateOf(c *Cell, offered string) recipientState {
 	var usage []string
-	for _, p := range c.Usage().Policies(offered) {
+	for _, p := range c.usage.Policies(offered) {
 		usage = append(usage, p.ObjectID)
 	}
-	return recipientState{c.AccessPolicy().Rules, c.Catalog().All(), c.SharedWithMe(), usage}
+	return recipientState{c.AccessPolicy().Rules, c.Catalog().All(), sharedWithMe(c), usage}
 }
 
 // inbox runs ProcessInbox and fails the test on a service error.
@@ -269,7 +269,7 @@ func TestOfferWrongPairingKeyRefused(t *testing.T) {
 	if err := alice.Share(doc.ID, "bob-phone", ShareOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if sum := inbox(t, bob); sum.OffersAccepted != 0 || sum.Rejected != 1 || len(bob.SharedWithMe()) != 0 {
+	if sum := inbox(t, bob); sum.OffersAccepted != 0 || sum.Rejected != 1 || len(sharedWithMe(bob)) != 0 {
 		t.Fatalf("offer under a wrong pairing key: %+v", sum)
 	}
 }
@@ -310,7 +310,7 @@ func TestOfferRulesScopedToSharedDocument(t *testing.T) {
 		SubjectIDs: []string{"mallory"}, Actions: []policy.Action{policy.ActionRead}}
 	before := stateOf(bob, doc.ID)
 	for _, actions := range [][]policy.Action{
-		{policy.ActionRead, policy.ActionWrite}, // an action beyond read/aggregate
+		{policy.ActionRead, policy.ActionShare}, // an action beyond read/aggregate
 		nil,                                     // every action
 	} {
 		r := mallory
@@ -473,7 +473,7 @@ func TestAccessPolicyIsSnapshot(t *testing.T) {
 	if _, err := c.Read("mallory", doc.ID, AccessContext{}); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("mallory read after editing the snapshot: %v", err)
 	}
-	if got := c.AccessPolicy().RuleIDs(); !reflect.DeepEqual(got, []string{"owner"}) {
+	if got := c.AccessPolicy().Rules; len(got) != 1 || got[0].ID != "owner" {
 		t.Fatalf("rules after editing the snapshot: %v", got)
 	}
 }

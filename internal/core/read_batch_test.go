@@ -201,7 +201,7 @@ func TestSingleCallIsBatchOfOne(t *testing.T) {
 		}
 		o.puts, o.gets = svc.puts, svc.gets
 		o.builderLog, o.log = builder.AuditLog().Records(), cold.AuditLog().Records()
-		o.builderCache, o.cache = builder.CacheStats(), cold.CacheStats()
+		o.builderCache, o.cache = builder.cache.Stats(), cold.cache.Stats()
 		return o
 	}
 	single, batch := drive(true), drive(false)
@@ -321,8 +321,8 @@ func TestAggregateBatchMatchesAggregate(t *testing.T) {
 		if one.Err != nil || r.DocID != one.DocID || !reflect.DeepEqual(r.Series.Points(), one.Series.Points()) {
 			t.Fatalf("doc %d batch/batch-of-one mismatch: %v", i, one.Err)
 		}
-		if r.Series.Len() != 24 || r.Series.At(0).Value != float64(100*(i+1)) {
-			t.Fatalf("doc %d: %d buckets, first %v", i, r.Series.Len(), r.Series.At(0).Value)
+		if r.Series.Len() != 24 || r.Series.Points()[0].Value != float64(100*(i+1)) {
+			t.Fatalf("doc %d: %d buckets, first %v", i, r.Series.Len(), r.Series.Points()[0].Value)
 		}
 	}
 
@@ -378,7 +378,7 @@ func TestAggregateBatchDuplicateIDsRespectUsageCap(t *testing.T) {
 	if !errors.Is(results[1].Err, ErrAccessDenied) || results[1].Series != nil {
 		t.Fatalf("second use of a MaxUses=1 series must be denied, got %v", results[1].Err)
 	}
-	if n := cell.Usage().UseCount(doc.ID, "owner"); n != 1 {
+	if n := cell.usage.UseCount(doc.ID, "owner"); n != 1 {
 		t.Fatalf("use count = %d, want 1", n)
 	}
 }
@@ -466,12 +466,8 @@ func TestConcurrentReadSearchIngestStress(t *testing.T) {
 					t.Errorf("search plan: %v", err)
 					return
 				}
-				if _, err := cell.Search(datamodel.Query{Before: cell.Clock().Add(time.Hour)}); err != nil {
+				if _, err := cell.Search(datamodel.Query{Before: cell.clock().Add(time.Hour)}); err != nil {
 					t.Errorf("time search: %v", err)
-					return
-				}
-				if _, err := cell.KeywordCounts([]string{"seed", "stress"}); err != nil {
-					t.Errorf("keyword counts: %v", err)
 					return
 				}
 			}
@@ -507,7 +503,7 @@ func TestReadBatchDuplicateIDsRespectUsageCap(t *testing.T) {
 	if !errors.Is(results[1].Err, ErrAccessDenied) {
 		t.Fatalf("second use of a MaxUses=1 document must be denied, got %v", results[1].Err)
 	}
-	if n := cell.Usage().UseCount(doc.ID, "owner"); n != 1 {
+	if n := cell.usage.UseCount(doc.ID, "owner"); n != 1 {
 		t.Fatalf("use count = %d, want 1", n)
 	}
 }
@@ -539,11 +535,11 @@ func TestFailedReadRevokesUsageSession(t *testing.T) {
 			t.Fatalf("corrupted payload not detected: %v", r.Err)
 		}
 	}
-	if n := cell.Usage().ActiveSessions(); n != 0 {
+	if n := cell.usage.ActiveSessions(); n != 0 {
 		t.Fatalf("failed batch leaked %d active usage sessions", n)
 	}
 	for _, id := range ids {
-		if n := cell.Usage().UseCount(id, "owner"); n != 0 {
+		if n := cell.usage.UseCount(id, "owner"); n != 0 {
 			t.Fatalf("failed read counted as a use (%d)", n)
 		}
 	}

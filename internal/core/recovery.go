@@ -6,7 +6,6 @@ import (
 
 	"trustedcells/internal/audit"
 	"trustedcells/internal/crypto"
-	"trustedcells/internal/tamper"
 )
 
 // The paper's secure-sharing challenge notes that "master secrets must be
@@ -104,7 +103,3 @@ func RecoverCell(shares []RecoveryShare, cfg Config) (*Cell, error) {
 	}
 	return cell, nil
 }
-
-// HardwareClassOf is a small helper so callers recovering a cell on new
-// hardware can keep the previous class explicit in their code.
-func HardwareClassOf(c *Cell) tamper.HardwareClass { return c.tee.Profile().Class }

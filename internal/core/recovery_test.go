@@ -62,7 +62,7 @@ func TestRecoverCellRebuildsVaultAccess(t *testing.T) {
 	if recovered.ID() != "alice-gw" {
 		t.Fatalf("recovered cell ID %q", recovered.ID())
 	}
-	if HardwareClassOf(recovered) != tamper.ClassTrustZonePhone {
+	if recovered.tee.Profile().Class != tamper.ClassTrustZonePhone {
 		t.Fatal("recovered cell should use the new hardware class")
 	}
 	// Identity is preserved (same seed → same attestation key).

@@ -220,14 +220,3 @@ func (c *Cell) remoteKey(docID string) (crypto.SymmetricKey, error) {
 	}
 	return key, nil
 }
-
-// SharedWithMe lists the documents this cell received from other cells.
-func (c *Cell) SharedWithMe() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.remoteDocs))
-	for id := range c.remoteDocs {
-		out = append(out, id)
-	}
-	return out
-}

@@ -61,7 +61,7 @@ func TestShareEndToEnd(t *testing.T) {
 	if summary.OffersAccepted != 1 || summary.Rejected != 0 {
 		t.Fatalf("inbox summary %+v", summary)
 	}
-	if got := bob.SharedWithMe(); len(got) != 1 || got[0] != doc.ID {
+	if got := sharedWithMe(bob); len(got) != 1 || got[0] != doc.ID {
 		t.Fatalf("SharedWithMe = %v", got)
 	}
 	// Bob (the recipient cell's owner) reads the shared document; the sticky
@@ -250,7 +250,7 @@ func TestUnknownInboxMessageKind(t *testing.T) {
 	if summary.Rejected != 1 {
 		t.Fatalf("unexpected summary %+v", summary)
 	}
-	if len(bob.AuditLog().Query("x", "mystery", audit.OutcomeError)) != 1 {
+	if len(auditMatching(bob, "x", "mystery", audit.OutcomeError)) != 1 {
 		t.Fatal("unknown message kind not audited")
 	}
 }
@@ -299,10 +299,10 @@ func TestShareSeriesAggregateIsUsageControlled(t *testing.T) {
 	if _, err := bob.Aggregate("bob-phone", doc.ID, timeseries.GranularityHour, timeseries.AggregateMean, AccessContext{}); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("second aggregate past MaxUses=1: %v", err)
 	}
-	if n := bob.Usage().UseCount(doc.ID, "bob-phone"); n != 1 {
+	if n := bob.usage.UseCount(doc.ID, "bob-phone"); n != 1 {
 		t.Fatalf("use count = %d, want 1", n)
 	}
-	if n := bob.Usage().ActiveSessions(); n != 0 {
+	if n := bob.usage.ActiveSessions(); n != 0 {
 		t.Fatalf("%d usage sessions left open", n)
 	}
 	sum, err := alice.ProcessInbox()
@@ -406,10 +406,21 @@ func TestReshareOfReceivedDocumentRefused(t *testing.T) {
 	if err := bob.Share(doc.ID, "carol-phone", ShareOptions{}); !errors.Is(err, ErrReshare) {
 		t.Fatalf("re-share = %v, want ErrReshare", err)
 	}
-	if denied := bob.AuditLog().Query(bob.ID(), doc.ID, audit.OutcomeDenied); len(denied) != 1 || denied[0].Action != string(policy.ActionShare) {
+	if denied := auditMatching(bob, bob.ID(), doc.ID, audit.OutcomeDenied); len(denied) != 1 || denied[0].Action != string(policy.ActionShare) {
 		t.Fatalf("refused re-share audited as %+v, want one denied share", denied)
 	}
 	if s, err := carol.ProcessInbox(); err != nil || s.OffersAccepted != 0 || s.Rejected != 0 {
 		t.Fatalf("carol's inbox after a refused re-share: %+v, %v", s, err)
 	}
+}
+
+// sharedWithMe lists the documents c received from other cells.
+func sharedWithMe(c *Cell) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, len(c.remoteDocs))
+	for id := range c.remoteDocs {
+		out = append(out, id)
+	}
+	return out
 }

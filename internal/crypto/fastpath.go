@@ -125,17 +125,6 @@ func (c *AEADCache) Get(key SymmetricKey) (cipher.AEAD, error) {
 	return a, nil
 }
 
-// Len returns the number of cached ciphers.
-func (c *AEADCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
 // Stats returns the hit and miss counters.
 func (c *AEADCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()

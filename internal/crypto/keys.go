@@ -54,23 +54,6 @@ func SymmetricKeyFromBytes(b []byte) (SymmetricKey, error) {
 	return k, nil
 }
 
-// Bytes returns a copy of the key material.
-func (k SymmetricKey) Bytes() []byte {
-	out := make([]byte, KeySize)
-	copy(out, k[:])
-	return out
-}
-
-// IsZero reports whether the key is the all-zero (unset) key.
-func (k SymmetricKey) IsZero() bool {
-	for _, b := range k {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a short fingerprint of the key, never the key itself.
 func (k SymmetricKey) String() string {
 	h := sha256.Sum256(k[:])
@@ -144,12 +127,6 @@ func VerifyKeyFromBytes(b []byte) (VerifyKey, error) {
 	pub := make(ed25519.PublicKey, ed25519.PublicKeySize)
 	copy(pub, b)
 	return VerifyKey{pub: pub}, nil
-}
-
-// Fingerprint returns a stable identifier for the public key.
-func (v VerifyKey) Fingerprint() string {
-	h := sha256.Sum256(v.pub)
-	return hex.EncodeToString(h[:8])
 }
 
 // Equal reports whether two verify keys are the same key.
@@ -227,16 +204,6 @@ func (h *KeyHierarchy) DocumentKey(docID string) SymmetricKey {
 // MetadataKey returns the key protecting the metadata store.
 func (h *KeyHierarchy) MetadataKey() SymmetricKey {
 	return DeriveKey(h.master, "metadata", "")
-}
-
-// AuditKey returns the key protecting the audit log.
-func (h *KeyHierarchy) AuditKey() SymmetricKey {
-	return DeriveKey(h.master, "audit", "")
-}
-
-// EpochKey returns a per-epoch key, used for rotating stream encryption.
-func (h *KeyHierarchy) EpochKey(epoch uint64) SymmetricKey {
-	return DeriveKeyN(h.master, "epoch", epoch)
 }
 
 // RandomBytes returns n cryptographically random bytes.

@@ -19,7 +19,7 @@ func TestNewSymmetricKeyUnique(t *testing.T) {
 	if k1 == k2 {
 		t.Fatal("two freshly generated keys are identical")
 	}
-	if k1.IsZero() || k2.IsZero() {
+	if k1 == (SymmetricKey{}) || k2 == (SymmetricKey{}) {
 		t.Fatal("freshly generated key is zero")
 	}
 }
@@ -33,7 +33,7 @@ func TestSymmetricKeyFromBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SymmetricKeyFromBytes: %v", err)
 	}
-	if !bytes.Equal(k.Bytes(), b) {
+	if !bytes.Equal(k[:], b) {
 		t.Fatal("round trip mismatch")
 	}
 	if _, err := SymmetricKeyFromBytes(b[:10]); err != ErrBadKeySize {
@@ -48,7 +48,7 @@ func TestSymmetricKeyStringDoesNotLeak(t *testing.T) {
 		t.Fatalf("unexpected key string %q", s)
 	}
 	// The rendered string must not contain the hex of the raw key.
-	raw := k.Bytes()
+	raw := k[:]
 	if strings.Contains(s, string(raw)) {
 		t.Fatal("String leaks raw key material")
 	}
@@ -160,9 +160,6 @@ func TestKeyHierarchy(t *testing.T) {
 		h.DocumentKey("doc-1"),
 		h.DocumentKey("doc-2"),
 		h.MetadataKey(),
-		h.AuditKey(),
-		h.EpochKey(1),
-		h.EpochKey(2),
 	}
 	for i := range keys {
 		for j := i + 1; j < len(keys); j++ {

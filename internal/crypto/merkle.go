@@ -23,8 +23,8 @@ const (
 	nodePrefix = 0x01
 )
 
-// ErrBadProof reports a Merkle proof that does not verify.
-var ErrBadProof = errors.New("crypto: merkle proof verification failed")
+// errBadProof reports a Merkle proof that does not verify.
+var errBadProof = errors.New("crypto: merkle proof verification failed")
 
 // merkleSum is the one hash of every tree: SHA-256 over a domain prefix and
 // the concatenation of a and b. It hashes from a stack buffer, so a node (two
@@ -170,21 +170,18 @@ func (t *MerkleTree) Root() []byte {
 	return out
 }
 
-// NumLeaves returns the number of leaves the tree was built over.
-func (t *MerkleTree) NumLeaves() int { return len(t.levels[0]) }
-
-// ProofStep is one sibling hash in an inclusion proof.
-type ProofStep struct {
+// proofStep is one sibling hash in an inclusion proof.
+type proofStep struct {
 	Hash  []byte
 	Right bool // true if the sibling is the right child
 }
 
-// Proof returns the inclusion proof for leaf index i.
-func (t *MerkleTree) Proof(i int) ([]ProofStep, error) {
+// proof returns the inclusion proof for leaf index i.
+func (t *MerkleTree) proof(i int) ([]proofStep, error) {
 	if i < 0 || i >= len(t.levels[0]) {
 		return nil, errors.New("crypto: merkle proof: leaf index out of range")
 	}
-	var proof []ProofStep
+	var proof []proofStep
 	idx := i
 	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
 		level := t.levels[lvl]
@@ -201,7 +198,7 @@ func (t *MerkleTree) Proof(i int) ([]ProofStep, error) {
 			sib = level[idx-1]
 			right = false
 		}
-		step := ProofStep{Hash: make([]byte, len(sib)), Right: right}
+		step := proofStep{Hash: make([]byte, len(sib)), Right: right}
 		copy(step.Hash, sib)
 		proof = append(proof, step)
 		idx /= 2
@@ -209,8 +206,8 @@ func (t *MerkleTree) Proof(i int) ([]ProofStep, error) {
 	return proof, nil
 }
 
-// VerifyProof checks that leaf is included under root given the proof.
-func VerifyProof(root, leaf []byte, proof []ProofStep) error {
+// verifyProof checks that leaf is included under root given the proof.
+func verifyProof(root, leaf []byte, proof []proofStep) error {
 	h := hashLeaf(leaf)
 	for _, step := range proof {
 		if step.Right {
@@ -220,7 +217,7 @@ func VerifyProof(root, leaf []byte, proof []ProofStep) error {
 		}
 	}
 	if !bytes.Equal(h, root) {
-		return ErrBadProof
+		return errBadProof
 	}
 	return nil
 }
@@ -239,9 +236,9 @@ func NewHashChain() *HashChain {
 	return &HashChain{head: genesis[:]}
 }
 
-// ResumeHashChain resumes a chain from a known head and length, e.g. after a
+// resumeHashChain resumes a chain from a known head and length, e.g. after a
 // restart when the head was persisted in the tamper-resistant store.
-func ResumeHashChain(head []byte, n uint64) *HashChain {
+func resumeHashChain(head []byte, n uint64) *HashChain {
 	h := make([]byte, len(head))
 	copy(h, head)
 	return &HashChain{head: h, n: n}
@@ -267,12 +264,9 @@ func (c *HashChain) Head() []byte {
 	return out
 }
 
-// Len returns the number of appended entries.
-func (c *HashChain) Len() uint64 { return c.n }
-
-// VerifyChain recomputes the chain over payloads starting from genesis and
+// verifyChain recomputes the chain over payloads starting from genesis and
 // reports whether it ends at expectedHead.
-func VerifyChain(payloads [][]byte, expectedHead []byte) bool {
+func verifyChain(payloads [][]byte, expectedHead []byte) bool {
 	c := NewHashChain()
 	for _, p := range payloads {
 		c.Append(p)

@@ -37,15 +37,15 @@ func TestMerkleProofAllLeaves(t *testing.T) {
 		tree := NewMerkleTree(leaves)
 		root := tree.Root()
 		for i := 0; i < n; i++ {
-			proof, err := tree.Proof(i)
+			proof, err := tree.proof(i)
 			if err != nil {
 				t.Fatalf("n=%d Proof(%d): %v", n, i, err)
 			}
-			if err := VerifyProof(root, leaves[i], proof); err != nil {
+			if err := verifyProof(root, leaves[i], proof); err != nil {
 				t.Fatalf("n=%d leaf %d: proof rejected: %v", n, i, err)
 			}
 			// Proof must not verify for a different leaf value.
-			if err := VerifyProof(root, []byte("forged"), proof); err == nil {
+			if err := verifyProof(root, []byte("forged"), proof); err == nil {
 				t.Fatalf("n=%d leaf %d: forged leaf accepted", n, i)
 			}
 		}
@@ -54,18 +54,18 @@ func TestMerkleProofAllLeaves(t *testing.T) {
 
 func TestMerkleProofOutOfRange(t *testing.T) {
 	tree := NewMerkleTree(makeLeaves(4))
-	if _, err := tree.Proof(-1); err == nil {
+	if _, err := tree.proof(-1); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if _, err := tree.Proof(4); err == nil {
+	if _, err := tree.proof(4); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
 
 func TestMerkleEmpty(t *testing.T) {
 	tree := NewMerkleTree(nil)
-	if tree.NumLeaves() != 1 {
-		t.Fatalf("empty tree should have a single sentinel leaf, got %d", tree.NumLeaves())
+	if len(tree.levels[0]) != 1 {
+		t.Fatalf("empty tree should have a single sentinel leaf, got %d", len(tree.levels[0]))
 	}
 	if len(tree.Root()) == 0 {
 		t.Fatal("empty tree has empty root")
@@ -86,16 +86,16 @@ func TestMerkleSecondPreimageResistanceShape(t *testing.T) {
 
 func TestHashChainAppend(t *testing.T) {
 	c := NewHashChain()
-	if c.Len() != 0 {
-		t.Fatalf("fresh chain has length %d", c.Len())
+	if c.n != 0 {
+		t.Fatalf("fresh chain has length %d", c.n)
 	}
 	h1 := c.Append([]byte("entry-1"))
 	h2 := c.Append([]byte("entry-2"))
 	if bytes.Equal(h1, h2) {
 		t.Fatal("chain head did not change after append")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("chain length = %d, want 2", c.Len())
+	if c.n != 2 {
+		t.Fatalf("chain length = %d, want 2", c.n)
 	}
 	if !bytes.Equal(c.Head(), h2) {
 		t.Fatal("Head() does not match the last append result")
@@ -108,19 +108,19 @@ func TestHashChainVerify(t *testing.T) {
 	for _, p := range payloads {
 		c.Append(p)
 	}
-	if !VerifyChain(payloads, c.Head()) {
+	if !verifyChain(payloads, c.Head()) {
 		t.Fatal("valid chain rejected")
 	}
 	tampered := [][]byte{[]byte("a"), []byte("X"), []byte("c")}
-	if VerifyChain(tampered, c.Head()) {
+	if verifyChain(tampered, c.Head()) {
 		t.Fatal("tampered chain accepted")
 	}
 	reordered := [][]byte{[]byte("b"), []byte("a"), []byte("c")}
-	if VerifyChain(reordered, c.Head()) {
+	if verifyChain(reordered, c.Head()) {
 		t.Fatal("reordered chain accepted")
 	}
 	truncated := payloads[:2]
-	if VerifyChain(truncated, c.Head()) {
+	if verifyChain(truncated, c.Head()) {
 		t.Fatal("truncated chain accepted")
 	}
 }
@@ -129,14 +129,14 @@ func TestResumeHashChain(t *testing.T) {
 	c := NewHashChain()
 	c.Append([]byte("a"))
 	c.Append([]byte("b"))
-	resumed := ResumeHashChain(c.Head(), c.Len())
+	resumed := resumeHashChain(c.Head(), c.n)
 	h1 := resumed.Append([]byte("c"))
 	c.Append([]byte("c"))
 	if !bytes.Equal(h1, c.Head()) {
 		t.Fatal("resumed chain diverges from original")
 	}
-	if resumed.Len() != 3 {
-		t.Fatalf("resumed length = %d, want 3", resumed.Len())
+	if resumed.n != 3 {
+		t.Fatalf("resumed length = %d, want 3", resumed.n)
 	}
 }
 
@@ -148,11 +148,11 @@ func TestMerkleProperty(t *testing.T) {
 		tree := NewMerkleTree(raw)
 		root := tree.Root()
 		for i := range raw {
-			proof, err := tree.Proof(i)
+			proof, err := tree.proof(i)
 			if err != nil {
 				return false
 			}
-			if err := VerifyProof(root, raw[i], proof); err != nil {
+			if err := verifyProof(root, raw[i], proof); err != nil {
 				return false
 			}
 		}
@@ -175,10 +175,10 @@ func BenchmarkMerkleProofVerify(b *testing.B) {
 	leaves := makeLeaves(1024)
 	tree := NewMerkleTree(leaves)
 	root := tree.Root()
-	proof, _ := tree.Proof(511)
+	proof, _ := tree.proof(511)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := VerifyProof(root, leaves[511], proof); err != nil {
+		if err := verifyProof(root, leaves[511], proof); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,24 +187,24 @@ func BenchmarkMerkleProofVerify(b *testing.B) {
 func TestMerkleSingleLeaf(t *testing.T) {
 	leaf := []byte("only")
 	tree := NewMerkleTree([][]byte{leaf})
-	if got := tree.NumLeaves(); got != 1 {
+	if got := len(tree.levels[0]); got != 1 {
 		t.Fatalf("NumLeaves = %d, want 1", got)
 	}
 	// A single-leaf tree's root is the leaf hash and its proof is empty.
 	if !bytes.Equal(tree.Root(), hashLeaf(leaf)) {
 		t.Fatal("single-leaf root is not the leaf hash")
 	}
-	proof, err := tree.Proof(0)
+	proof, err := tree.proof(0)
 	if err != nil {
 		t.Fatalf("Proof(0): %v", err)
 	}
 	if len(proof) != 0 {
 		t.Fatalf("single-leaf proof has %d steps, want 0", len(proof))
 	}
-	if err := VerifyProof(tree.Root(), leaf, proof); err != nil {
+	if err := verifyProof(tree.Root(), leaf, proof); err != nil {
 		t.Fatalf("single-leaf proof rejected: %v", err)
 	}
-	if err := VerifyProof(tree.Root(), []byte("other"), proof); err == nil {
+	if err := verifyProof(tree.Root(), []byte("other"), proof); err == nil {
 		t.Fatal("single-leaf proof accepted a different leaf")
 	}
 }
@@ -214,14 +214,14 @@ func TestMerkleEmptyTreeProof(t *testing.T) {
 	// and distinguishable from a tree over one empty-but-present leaf set
 	// sibling shapes.
 	tree := NewMerkleTree(nil)
-	proof, err := tree.Proof(0)
+	proof, err := tree.proof(0)
 	if err != nil {
 		t.Fatalf("Proof(0) on empty tree: %v", err)
 	}
-	if err := VerifyProof(tree.Root(), nil, proof); err != nil {
+	if err := verifyProof(tree.Root(), nil, proof); err != nil {
 		t.Fatalf("empty-tree sentinel proof rejected: %v", err)
 	}
-	if _, err := tree.Proof(1); err == nil {
+	if _, err := tree.proof(1); err == nil {
 		t.Fatal("empty tree accepted a proof index past the sentinel")
 	}
 	if bytes.Equal(tree.Root(), NewMerkleTree(makeLeaves(1)).Root()) {
@@ -240,14 +240,14 @@ func TestMerkleOddLeafSelfPairing(t *testing.T) {
 		t.Fatal("odd-leaf promotion does not self-pair")
 	}
 	// The odd leaf's proof carries itself as its sibling and still verifies.
-	proof, err := tree.Proof(2)
+	proof, err := tree.proof(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(proof[0].Hash, hashLeaf(leaves[2])) || !proof[0].Right {
 		t.Fatalf("odd leaf's first sibling should be itself on the right: %+v", proof[0])
 	}
-	if err := VerifyProof(tree.Root(), leaves[2], proof); err != nil {
+	if err := verifyProof(tree.Root(), leaves[2], proof); err != nil {
 		t.Fatalf("odd-leaf proof rejected: %v", err)
 	}
 	// Self-pairing must not make [a,b,c] collide with [a,b,c,c].
@@ -258,7 +258,7 @@ func TestMerkleOddLeafSelfPairing(t *testing.T) {
 		// count. MerkleRootOf's comment says what its callers rely on instead.
 		t.Fatal("promotion shape changed: [a,b,c] no longer matches [a,b,c,c]")
 	}
-	if tree.NumLeaves() == padded.NumLeaves() {
+	if len(tree.levels[0]) == len(padded.levels[0]) {
 		t.Fatal("leaf count failed to distinguish promoted from padded tree")
 	}
 }
@@ -337,22 +337,22 @@ func FuzzMerkleProof(f *testing.F) {
 		tree := NewMerkleTree(leaves)
 		root := tree.Root()
 		i := int(idx) % len(leaves)
-		proof, err := tree.Proof(i)
+		proof, err := tree.proof(i)
 		if err != nil {
 			t.Fatalf("Proof(%d) of %d leaves: %v", i, len(leaves), err)
 		}
-		if err := VerifyProof(root, leaves[i], proof); err != nil {
+		if err := verifyProof(root, leaves[i], proof); err != nil {
 			t.Fatalf("genuine proof rejected: %v", err)
 		}
 		forged := append(append([]byte{}, leaves[i]...), 0xA5)
-		if err := VerifyProof(root, forged, proof); err == nil {
+		if err := verifyProof(root, forged, proof); err == nil {
 			t.Fatal("forged leaf accepted under genuine proof")
 		}
 		if len(proof) > 0 {
 			step := int(flip) % len(proof)
 			bit := int(flip) % (len(proof[step].Hash) * 8)
 			proof[step].Hash[bit/8] ^= 1 << (bit % 8)
-			if err := VerifyProof(root, leaves[i], proof); err == nil {
+			if err := verifyProof(root, leaves[i], proof); err == nil {
 				t.Fatal("bit-flipped proof step accepted")
 			}
 		}

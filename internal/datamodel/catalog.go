@@ -409,9 +409,9 @@ func (c *Catalog) ensureTimeSorted() {
 	c.mu.Unlock()
 }
 
-// KeywordCounts returns, for each keyword, how many documents carry it — a
+// keywordCounts returns, for each keyword, how many documents carry it — a
 // single pass over the keyword index, no document is touched.
-func (c *Catalog) KeywordCounts(keywords []string) map[string]int {
+func (c *Catalog) keywordCounts(keywords []string) map[string]int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make(map[string]int, len(keywords))

@@ -195,7 +195,7 @@ func TestTimeIndexSurvivesOutOfOrderInsertsAndRemoves(t *testing.T) {
 
 func TestKeywordCounts(t *testing.T) {
 	cat := planCatalog(t, 300)
-	counts := cat.KeywordCounts([]string{"common", "Energy", "missing"})
+	counts := cat.keywordCounts([]string{"common", "Energy", "missing"})
 	if counts["common"] != 300 || counts["Energy"] != 30 || counts["missing"] != 0 {
 		t.Fatalf("keyword counts %v", counts)
 	}
@@ -221,7 +221,7 @@ func TestCatalogConcurrentSearchAndMutate(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				cat.Search(Query{Type: "power-series"})
 				cat.Search(Query{After: planBase, Before: planBase.Add(time.Hour)})
-				cat.KeywordCounts([]string{"energy"})
+				cat.keywordCounts([]string{"energy"})
 			}
 		}()
 	}

@@ -88,9 +88,6 @@ func (d *Document) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeBinary returns the document's binary encoding.
-func (d *Document) EncodeBinary() ([]byte, error) { return d.AppendBinary(nil) }
-
 // AppendTime appends t as a uvarint length plus its time.MarshalBinary bytes.
 func AppendTime(dst []byte, t time.Time) ([]byte, error) {
 	tb, err := t.MarshalBinary()
@@ -225,20 +222,4 @@ func DecodeDocumentPrefix(data []byte) (*Document, []byte, error) {
 		}
 	}
 	return &d, b, nil
-}
-
-// DecodeDocument parses a complete binary-encoded document, rejecting
-// trailing bytes and validating the result.
-func DecodeDocument(data []byte) (*Document, error) {
-	d, rest, err := DecodeDocumentPrefix(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(rest))
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }

@@ -3,6 +3,7 @@ package datamodel
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -66,11 +67,11 @@ func docsEquivalent(t *testing.T, want, got *Document) {
 // TestBinaryCodecRoundTrip proves binary encode/decode is lossless.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	for _, doc := range codecTestDocs() {
-		data, err := doc.EncodeBinary()
+		data, err := doc.AppendBinary(nil)
 		if err != nil {
-			t.Fatalf("%s: EncodeBinary: %v", doc.ID, err)
+			t.Fatalf("%s: AppendBinary: %v", doc.ID, err)
 		}
-		got, err := DecodeDocument(data)
+		got, err := decodeDocument(data)
 		if err != nil {
 			t.Fatalf("%s: DecodeDocument: %v", doc.ID, err)
 		}
@@ -86,14 +87,14 @@ func TestCrossCodecDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: json.Marshal: %v", doc.ID, err)
 		}
-		binBytes, err := doc.EncodeBinary()
+		binBytes, err := doc.AppendBinary(nil)
 		if err != nil {
-			t.Fatalf("%s: EncodeBinary: %v", doc.ID, err)
+			t.Fatalf("%s: AppendBinary: %v", doc.ID, err)
 		}
-		if _, err := DecodeDocument(binBytes); err != nil {
-			t.Fatalf("%s: DecodeDocument(binary): %v", doc.ID, err)
+		if _, err := decodeDocument(binBytes); err != nil {
+			t.Fatalf("%s: decodeDocument(binary): %v", doc.ID, err)
 		}
-		if _, err := DecodeDocument(jsonBytes); err == nil {
+		if _, err := decodeDocument(jsonBytes); err == nil {
 			t.Fatalf("%s: DecodeDocument accepted JSON", doc.ID)
 		}
 	}
@@ -103,8 +104,8 @@ func TestCrossCodecDecode(t *testing.T) {
 // are sorted), so replicated blobs are byte-stable across replicas.
 func TestBinaryCodecDeterministic(t *testing.T) {
 	doc := codecTestDocs()[1]
-	a, _ := doc.EncodeBinary()
-	b, _ := doc.Clone().EncodeBinary()
+	a, _ := doc.AppendBinary(nil)
+	b, _ := doc.Clone().AppendBinary(nil)
 	if string(a) != string(b) {
 		t.Fatal("two encodings of the same document differ")
 	}
@@ -112,13 +113,13 @@ func TestBinaryCodecDeterministic(t *testing.T) {
 
 func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	doc := codecTestDocs()[1]
-	data, _ := doc.EncodeBinary()
+	data, _ := doc.AppendBinary(nil)
 	// The first string (the ID) re-encoded with a non-minimal length varint.
 	padded := append([]byte{DocCodecMagic, docCodecVersion, byte(len(doc.ID)) | 0x80, 0x00}, data[3:]...)
 	// Tags written in decreasing key order.
 	swapped := codecTestDocs()[1]
 	swapped.Tags = map[string]string{"device": "linky"}
-	unsorted, _ := swapped.EncodeBinary()
+	unsorted, _ := swapped.AppendBinary(nil)
 	unsorted = bytes.Replace(unsorted, []byte{1, 6, 'd', 'e', 'v', 'i', 'c', 'e', 5, 'l', 'i', 'n', 'k', 'y'},
 		[]byte{2, 1, 'z', 0, 6, 'd', 'e', 'v', 'i', 'c', 'e', 5, 'l', 'i', 'n', 'k', 'y'}, 1)
 	cases := map[string][]byte{
@@ -132,13 +133,13 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 		"json":               []byte(`{"id":"x","owner":"y","type":"z"}`),
 	}
 	for name, input := range cases {
-		if _, err := DecodeDocument(input); err == nil {
+		if _, err := decodeDocument(input); err == nil {
 			t.Fatalf("%s: malformed input accepted", name)
 		}
 	}
 	// Truncation at every boundary must error, never panic.
 	for n := 0; n < len(data); n++ {
-		if _, err := DecodeDocument(data[:n]); err == nil {
+		if _, err := decodeDocument(data[:n]); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", n)
 		}
 	}
@@ -148,7 +149,7 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 // panic, and anything it accepts must re-encode to the same bytes.
 func FuzzDecodeDocument(f *testing.F) {
 	for _, doc := range codecTestDocs() {
-		if bin, err := doc.EncodeBinary(); err == nil {
+		if bin, err := doc.AppendBinary(nil); err == nil {
 			f.Add(bin)
 			f.Add(bin[:len(bin)/2])
 		}
@@ -157,11 +158,11 @@ func FuzzDecodeDocument(f *testing.F) {
 	f.Add([]byte{DocCodecMagic, docCodecVersion, 0x81, 0x00, 'x'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		doc, err := DecodeDocument(data)
+		doc, err := decodeDocument(data)
 		if err != nil {
 			return
 		}
-		bin, err := doc.EncodeBinary()
+		bin, err := doc.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("decoded document does not re-encode: %v", err)
 		}
@@ -169,4 +170,20 @@ func FuzzDecodeDocument(f *testing.F) {
 			t.Fatalf("accepted document re-encodes differently:\n in  %x\n out %x", data, bin)
 		}
 	})
+}
+
+// decodeDocument parses a complete binary-encoded document, rejecting
+// trailing bytes and validating the result.
+func decodeDocument(data []byte) (*Document, error) {
+	d, rest, err := DecodeDocumentPrefix(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(rest))
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }

@@ -8,7 +8,6 @@ package datamodel
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"trustedcells/internal/crypto"
@@ -41,20 +40,6 @@ func (c DataClass) String() string {
 		return "authored"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// ParseDataClass parses the textual form produced by String.
-func ParseDataClass(s string) (DataClass, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "sensed":
-		return ClassSensed, nil
-	case "external":
-		return ClassExternal, nil
-	case "authored":
-		return ClassAuthored, nil
-	default:
-		return 0, fmt.Errorf("datamodel: unknown data class %q", s)
 	}
 }
 

@@ -23,14 +23,10 @@ func sampleDoc(i int, class DataClass) *Document {
 }
 
 func TestDataClassStringParse(t *testing.T) {
-	for _, c := range []DataClass{ClassSensed, ClassExternal, ClassAuthored} {
-		parsed, err := ParseDataClass(c.String())
-		if err != nil || parsed != c {
-			t.Fatalf("round trip of %v failed: %v %v", c, parsed, err)
+	for c, want := range map[DataClass]string{ClassSensed: "sensed", ClassExternal: "external", ClassAuthored: "authored"} {
+		if got := c.String(); got != want {
+			t.Fatalf("%d renders as %q, want %q", int(c), got, want)
 		}
-	}
-	if _, err := ParseDataClass("nonsense"); err == nil {
-		t.Fatal("ParseDataClass accepted nonsense")
 	}
 	if DataClass(9).String() == "" {
 		t.Fatal("unknown class should still render")
@@ -72,25 +68,25 @@ func TestNewDocumentIDDeterministicAndDistinct(t *testing.T) {
 
 func TestDocumentEncodeDecode(t *testing.T) {
 	d := sampleDoc(3, ClassExternal)
-	enc, err := d.EncodeBinary()
+	enc, err := d.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDocument(enc)
+	got, err := decodeDocument(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != d.ID || got.Class != d.Class || got.Tags["device"] != "linky" {
 		t.Fatalf("decoded doc differs: %+v", got)
 	}
-	invalid, err := (&Document{Owner: "alice", Type: "note"}).EncodeBinary()
+	invalid, err := (&Document{Owner: "alice", Type: "note"}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDocument(invalid); err == nil {
+	if _, err := decodeDocument(invalid); err == nil {
 		t.Fatal("invalid decoded doc accepted")
 	}
-	if _, err := DecodeDocument([]byte("not a document")); err == nil {
+	if _, err := decodeDocument([]byte("not a document")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

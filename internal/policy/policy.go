@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -26,10 +25,7 @@ type Action string
 const (
 	ActionRead      Action = "read"
 	ActionAggregate Action = "aggregate"
-	ActionWrite     Action = "write"
 	ActionShare     Action = "share"
-	ActionDelete    Action = "delete"
-	ActionCompute   Action = "compute" // participate in a commons computation
 )
 
 // Effect is the outcome of a rule.
@@ -56,7 +52,6 @@ type Decision struct {
 
 // Errors returned by the package.
 var (
-	ErrNoRules          = errors.New("policy: policy set has no rules")
 	ErrBadRule          = errors.New("policy: invalid rule")
 	ErrCredentialProof  = errors.New("policy: credential proof invalid")
 	ErrStickyTampered   = errors.New("policy: sticky policy does not match the protected data")
@@ -337,33 +332,6 @@ func (s *Set) Evaluate(req Request) Decision {
 		reason = firstCondErr.Error()
 	}
 	return Decision{Allowed: false, Reason: reason}
-}
-
-// Encode serialises the policy set.
-func (s *Set) Encode() ([]byte, error) { return json.Marshal(s) }
-
-// DecodeSet parses a policy set.
-func DecodeSet(data []byte) (*Set, error) {
-	var s Set
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("policy: decode set: %w", err)
-	}
-	for _, r := range s.Rules {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &s, nil
-}
-
-// RuleIDs returns the sorted IDs of all rules, handy for diffing policies.
-func (s *Set) RuleIDs() []string {
-	ids := make([]string, 0, len(s.Rules))
-	for _, r := range s.Rules {
-		ids = append(ids, r.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Credential is a signed statement by an issuer that a subject holds an

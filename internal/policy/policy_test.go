@@ -239,31 +239,6 @@ func TestResourceMatching(t *testing.T) {
 	}
 }
 
-func TestSetEncodeDecodeAndRuleIDs(t *testing.T) {
-	s := basicSet(t)
-	enc, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSet(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rules) != len(s.Rules) || got.Owner != "alice" {
-		t.Fatalf("decoded set differs: %+v", got)
-	}
-	ids := got.RuleIDs()
-	if len(ids) != 3 || ids[0] > ids[1] {
-		t.Fatalf("RuleIDs = %v", ids)
-	}
-	if _, err := DecodeSet([]byte("{")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	if _, err := DecodeSet([]byte(`{"rules":[{"id":"","effect":"allow"}]}`)); err == nil {
-		t.Fatal("invalid rule in decoded set accepted")
-	}
-}
-
 func TestCredentialIssueVerify(t *testing.T) {
 	issuer, _ := crypto.NewSigningKey()
 	trusted := map[string]crypto.VerifyKey{"hospital": issuer.Public()}

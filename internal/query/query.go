@@ -38,17 +38,6 @@ func NewEngine(cell *core.Cell, subject string, ctx core.AccessContext) *Engine 
 	return &Engine{cell: cell, subject: subject, ctx: ctx}
 }
 
-// Metadata runs a catalog query (owner-side operation).
-func (e *Engine) Metadata(q datamodel.Query) ([]*datamodel.Document, error) {
-	return e.cell.Search(q)
-}
-
-// Explain runs a catalog query and returns the plan the catalog chose
-// alongside the results, without touching any payload.
-func (e *Engine) Explain(q datamodel.Query) ([]*datamodel.Document, datamodel.PlanInfo, error) {
-	return e.cell.SearchPlan(q)
-}
-
 // SeriesAggregate describes an aggregate query over all time-series documents
 // matching a metadata filter.
 type SeriesAggregate struct {
@@ -162,11 +151,4 @@ func (e *Engine) finishSeries(res *SeriesResult, kind timeseries.AggregateKind, 
 	}
 	res.Merged = merged
 	return res, nil
-}
-
-// KeywordCount returns, for each keyword, the number of catalog documents
-// carrying it — a single pass over the catalog's keyword index; no document
-// metadata is cloned and no payload is touched.
-func (e *Engine) KeywordCount(keywords []string) (map[string]int, error) {
-	return e.cell.KeywordCounts(keywords)
 }

@@ -65,7 +65,7 @@ func TestRunSeriesAggregateMergesDocuments(t *testing.T) {
 		t.Fatalf("merged buckets = %d", res.Merged.Len())
 	}
 	// Each hour: 100 + 200 + 300 = 600.
-	if v := res.Merged.At(0).Value; v != 600 {
+	if v := res.Merged.Points()[0].Value; v != 600 {
 		t.Fatalf("merged value = %v, want 600", v)
 	}
 	// Mean across documents.
@@ -76,7 +76,7 @@ func TestRunSeriesAggregateMergesDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := res.Merged.At(0).Value; v != 200 {
+	if v := res.Merged.Points()[0].Value; v != 200 {
 		t.Fatalf("merged mean = %v, want 200", v)
 	}
 }
@@ -118,25 +118,6 @@ func TestRunSeriesAggregateNoMatch(t *testing.T) {
 	})
 	if err != ErrNoDocuments {
 		t.Fatalf("expected ErrNoDocuments, got %v", err)
-	}
-}
-
-func TestMetadataAndKeywordCount(t *testing.T) {
-	cell := newCellWithSeries(t, 2)
-	eng := NewEngine(cell, "alice", core.AccessContext{})
-	docs, err := eng.Metadata(datamodel.Query{Keyword: "energy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 3 { // 2 series + 1 note
-		t.Fatalf("metadata matches = %d", len(docs))
-	}
-	counts, err := eng.KeywordCount([]string{"energy", "todo", "missing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["energy"] != 3 || counts["todo"] != 1 || counts["missing"] != 0 {
-		t.Fatalf("keyword counts %v", counts)
 	}
 }
 
@@ -249,35 +230,5 @@ func TestBatchedPipelineMatchesSequentialBaseline(t *testing.T) {
 	}
 	if batched.Plan.Index != "type" || batched.Plan.Scanned >= cell.Catalog().Len() {
 		t.Fatalf("batched plan %+v", batched.Plan)
-	}
-}
-
-func TestExplainExposesThePlan(t *testing.T) {
-	cell := newCellWithSeries(t, 3)
-	eng := NewEngine(cell, "alice", core.AccessContext{})
-	docs, plan, err := eng.Explain(datamodel.Query{TagKey: "meter", TagValue: "linky"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 3 || plan.Index != "tag" {
-		t.Fatalf("explain: %d docs, plan %+v", len(docs), plan)
-	}
-}
-
-// TestKeywordCountSinglePass proves KeywordCount no longer runs one search
-// per keyword: the catalog search counters stay untouched.
-func TestKeywordCountSinglePass(t *testing.T) {
-	cell := newCellWithSeries(t, 2)
-	eng := NewEngine(cell, "alice", core.AccessContext{})
-	cell.Catalog().ResetIndexStats()
-	counts, err := eng.KeywordCount([]string{"energy", "todo", "missing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["energy"] != 3 || counts["todo"] != 1 || counts["missing"] != 0 {
-		t.Fatalf("keyword counts %v", counts)
-	}
-	if st := cell.Catalog().IndexStats(); st.Searches != 0 || st.DocsScanned != 0 {
-		t.Fatalf("KeywordCount ran searches: %+v", st)
 	}
 }

@@ -162,37 +162,6 @@ func ComputeRoadPricing(t *Trip, scheme PricingScheme) RoadPricingSummary {
 	return sum
 }
 
-// Receipt is a purchase record obtained by near-field communication — the
-// paper's example of externally produced data.
-type Receipt struct {
-	ID       string
-	Merchant string
-	Category string
-	Amount   float64
-	Time     time.Time
-}
-
-// GenerateReceipts produces n synthetic receipts over the given period.
-func GenerateReceipts(n int, start time.Time, seed int64) []Receipt {
-	rng := rand.New(rand.NewSource(seed))
-	merchants := []struct{ name, cat string }{
-		{"SuperMart", "groceries"}, {"PharmaPlus", "health"}, {"CityTransit", "transport"},
-		{"BookNook", "leisure"}, {"GreenGrocer", "groceries"}, {"ElectroShop", "electronics"},
-	}
-	out := make([]Receipt, 0, n)
-	for i := 0; i < n; i++ {
-		m := merchants[rng.Intn(len(merchants))]
-		out = append(out, Receipt{
-			ID:       fmt.Sprintf("rcpt-%05d", i),
-			Merchant: m.name,
-			Category: m.cat,
-			Amount:   math.Round(rng.Float64()*15000) / 100,
-			Time:     start.Add(time.Duration(rng.Intn(30*24)) * time.Hour),
-		})
-	}
-	return out
-}
-
 // HealthRecord is a medical observation sent by a hospital or lab.
 type HealthRecord struct {
 	ID        string

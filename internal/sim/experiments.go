@@ -147,7 +147,7 @@ func RunE2(cfg E2Config) (*Table, error) {
 			return nil, err
 		}
 		insertTime := meter.SimulatedTime(profile)
-		_, _, writes, _, _ := meter.Snapshot()
+		_, _, writes := meter.Snapshot()
 		energy := meter.Energy(profile)
 
 		meter.Reset()

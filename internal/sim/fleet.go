@@ -48,7 +48,6 @@ const (
 type LatencyRecorder struct {
 	buckets [(64-lrSubBits)*lrSub + lrSub]atomic.Uint64
 	count   atomic.Uint64
-	sum     atomic.Uint64 // nanoseconds
 	max     atomic.Uint64 // nanoseconds
 }
 
@@ -81,25 +80,12 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 	v := uint64(d)
 	r.buckets[lrIndex(v)].Add(1)
 	r.count.Add(1)
-	r.sum.Add(v)
 	for {
 		old := r.max.Load()
 		if v <= old || r.max.CompareAndSwap(old, v) {
 			return
 		}
 	}
-}
-
-// Count returns the number of recorded observations.
-func (r *LatencyRecorder) Count() uint64 { return r.count.Load() }
-
-// Mean returns the average recorded latency.
-func (r *LatencyRecorder) Mean() time.Duration {
-	n := r.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(r.sum.Load() / n)
 }
 
 // Max returns the largest recorded latency (exact, not bucketed).

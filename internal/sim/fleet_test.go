@@ -17,8 +17,8 @@ func TestLatencyRecorderQuantiles(t *testing.T) {
 	for i := 1; i <= 10000; i++ {
 		r.Record(time.Duration(i) * time.Microsecond)
 	}
-	if r.Count() != 10000 {
-		t.Fatalf("count = %d", r.Count())
+	if r.count.Load() != 10000 {
+		t.Fatalf("count = %d", r.count.Load())
 	}
 	checks := []struct {
 		q    float64
@@ -39,17 +39,13 @@ func TestLatencyRecorderQuantiles(t *testing.T) {
 	if r.Max() != 10000*time.Microsecond {
 		t.Fatalf("Max = %v (must be exact)", r.Max())
 	}
-	mean := r.Mean()
-	if mean < 4700*time.Microsecond || mean > 5300*time.Microsecond {
-		t.Fatalf("Mean = %v", mean)
-	}
 	// Degenerate cases must not panic or divide by zero.
 	var empty LatencyRecorder
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 || empty.Max() != 0 {
+	if empty.Quantile(0.5) != 0 || empty.Max() != 0 {
 		t.Fatal("empty recorder not zero-valued")
 	}
 	empty.Record(-time.Second) // clamped, not panicking
-	if empty.Count() != 1 {
+	if empty.count.Load() != 1 {
 		t.Fatal("negative observation dropped")
 	}
 }
@@ -89,8 +85,8 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if r.Count() != 8*per {
-		t.Fatalf("count = %d, want %d", r.Count(), 8*per)
+	if r.count.Load() != 8*per {
+		t.Fatalf("count = %d, want %d", r.count.Load(), 8*per)
 	}
 }
 
@@ -153,8 +149,8 @@ func TestRunLoadSmall(t *testing.T) {
 	if res.Completed != 60 || res.Shed != 0 {
 		t.Fatalf("completed=%d shed=%d", res.Completed, res.Shed)
 	}
-	if res.Latency.Count() != 60 {
-		t.Fatalf("latency observations = %d", res.Latency.Count())
+	if res.Latency.count.Load() != 60 {
+		t.Fatalf("latency observations = %d", res.Latency.count.Load())
 	}
 	if res.DocsWritten == 0 {
 		t.Fatal("no documents written")
@@ -195,8 +191,8 @@ func TestRunLoadSheds(t *testing.T) {
 	if res.Completed+res.Shed != 200 {
 		t.Fatalf("completed %d + shed %d != 200", res.Completed, res.Shed)
 	}
-	if res.Latency.Count() != uint64(res.Completed) {
-		t.Fatalf("latency must only record completions: %d vs %d", res.Latency.Count(), res.Completed)
+	if res.Latency.count.Load() != uint64(res.Completed) {
+		t.Fatalf("latency must only record completions: %d vs %d", res.Latency.count.Load(), res.Completed)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestMeteredDeviceCharges(t *testing.T) {
 	if _, err := d.ReadAt(buf, 0); err != nil {
 		t.Fatalf("ReadAt: %v", err)
 	}
-	_, reads, writes, _, _ := meter.Snapshot()
+	_, reads, writes := meter.Snapshot()
 	if writes != 3 {
 		t.Fatalf("page writes = %d, want 3", writes)
 	}
@@ -209,7 +209,7 @@ func TestAppendLogScan(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := log.Scan(func(_ int64, p []byte) bool { got = append(got, p); return true }); err != nil {
+	if err := log.scan(func(_ int64, p []byte) bool { got = append(got, p); return true }); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
 	if len(got) != len(want) {
@@ -222,7 +222,7 @@ func TestAppendLogScan(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	_ = log.Scan(func(_ int64, _ []byte) bool { count++; return false })
+	_ = log.scan(func(_ int64, _ []byte) bool { count++; return false })
 	if count != 1 {
 		t.Fatalf("early stop visited %d records", count)
 	}

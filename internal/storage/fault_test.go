@@ -198,7 +198,7 @@ func TestKVSurfacesShortRunRead(t *testing.T) {
 	if err := p.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("Scan over a short read: %v", err)
 	}
-	if err := p.VerifyRuns(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := p.verifyRuns(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("VerifyRuns over a short read: %v", err)
 	}
 	cache := NewBlockCache(1 << 20)

@@ -1,82 +1,32 @@
 package storage
 
-import (
-	"sync"
-	"time"
-)
-
 // A CompactionLimiter bounds how hard background maintenance can hit the
-// device: at most maxConcurrent compactions run at once (across every engine
-// sharing the limiter — typically all shards of a cloud.Durable store), and
-// together they consume at most bytesPerSec of combined read+write bandwidth.
-// Foreground traffic keeps its p99 because compactions queue on the slot
-// semaphore and pace their I/O through the token bucket instead of saturating
-// the device all at once.
+// device: at most maxConcurrent compactions run at once across every engine
+// sharing the limiter — typically all shards of a cloud.Durable store — so
+// foreground traffic keeps its p99 while compactions queue on the slot
+// semaphore instead of saturating the device all at once.
 //
-// A nil *CompactionLimiter imposes no limits; every method is nil-safe.
+// A nil *CompactionLimiter imposes no limit; acquire is nil-safe.
 type CompactionLimiter struct {
 	sem chan struct{}
-
-	mu     sync.Mutex
-	rate   float64 // bytes per second; 0 = unlimited
-	burst  float64
-	tokens float64
-	last   time.Time
 }
 
 // NewCompactionLimiter builds a limiter allowing maxConcurrent simultaneous
-// compactions (<=0 means unbounded) with a shared bytesPerSec I/O budget
-// (<=0 means unmetered). If both are unbounded the limiter is nil.
-func NewCompactionLimiter(bytesPerSec int64, maxConcurrent int) *CompactionLimiter {
-	if bytesPerSec <= 0 && maxConcurrent <= 0 {
+// compactions. If maxConcurrent <= 0 the limiter is nil: unbounded.
+func NewCompactionLimiter(maxConcurrent int) *CompactionLimiter {
+	if maxConcurrent <= 0 {
 		return nil
 	}
-	l := &CompactionLimiter{}
-	if maxConcurrent > 0 {
-		l.sem = make(chan struct{}, maxConcurrent)
-	}
-	if bytesPerSec > 0 {
-		l.rate = float64(bytesPerSec)
-		// A one-second burst keeps small compactions from sleeping at all
-		// while still capping the sustained rate.
-		l.burst = l.rate
-		l.tokens = l.burst
-		l.last = time.Now()
-	}
-	return l
+	return &CompactionLimiter{sem: make(chan struct{}, maxConcurrent)}
 }
 
 // acquire claims a compaction slot, blocking while maxConcurrent others are
-// in flight, and returns the release function. On a nil limiter (or one
-// without a concurrency bound) it returns a no-op release immediately.
+// in flight, and returns the release function. On a nil limiter it returns a
+// no-op release immediately.
 func (l *CompactionLimiter) acquire() (release func()) {
-	if l == nil || l.sem == nil {
+	if l == nil {
 		return func() {}
 	}
 	l.sem <- struct{}{}
 	return func() { <-l.sem }
-}
-
-// throttle charges n bytes of compaction I/O against the shared budget and
-// sleeps long enough to keep the sustained rate at or under bytesPerSec.
-func (l *CompactionLimiter) throttle(n int) {
-	if l == nil || l.rate == 0 || n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	now := time.Now()
-	l.tokens += now.Sub(l.last).Seconds() * l.rate
-	if l.tokens > l.burst {
-		l.tokens = l.burst
-	}
-	l.last = now
-	l.tokens -= float64(n)
-	var wait time.Duration
-	if l.tokens < 0 {
-		wait = time.Duration(-l.tokens / l.rate * float64(time.Second))
-	}
-	l.mu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
-	}
 }

@@ -83,10 +83,10 @@ func (l *AppendLog) Head() int64 {
 	return l.head
 }
 
-// Scan iterates over all records from the beginning, calling fn with each
+// scan iterates over all records from the beginning, calling fn with each
 // record's offset and payload. Iteration stops at the first error or when fn
 // returns false.
-func (l *AppendLog) Scan(fn func(off int64, payload []byte) bool) error {
+func (l *AppendLog) scan(fn func(off int64, payload []byte) bool) error {
 	end := l.Head()
 	var off int64
 	for off < end {

@@ -66,10 +66,9 @@ type PersistentOptions struct {
 	// cache is typically shared by many engines (the shards of a
 	// cloud.Durable store) under a single capacity budget.
 	Cache *BlockCache
-	// Limiter, when non-nil, paces compactions: concurrent compactions are
-	// bounded and their combined I/O is held to a bytes/sec budget. Shared
-	// across engines so background maintenance of a whole shard fleet cannot
-	// saturate the device.
+	// Limiter, when non-nil, bounds how many compactions run at once.
+	// Shared across engines so background maintenance of a whole shard fleet
+	// cannot saturate the device.
 	Limiter *CompactionLimiter
 }
 
@@ -477,9 +476,9 @@ func (p *PersistentKV) Scan(start, end []byte, fn func(key, value []byte) bool) 
 	return nil
 }
 
-// VerifyRuns re-reads every run and checks its checksum: the integrity check
+// verifyRuns re-reads every run and checks its checksum: the integrity check
 // of a store whose device is an untrusted cache.
-func (p *PersistentKV) VerifyRuns() error {
+func (p *PersistentKV) verifyRuns() error {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
@@ -574,9 +573,7 @@ func (p *PersistentKV) Compact() error {
 // by flushes), so reads and writes keep flowing during a compaction. The
 // lock is retaken only to fold in any runs flushed meanwhile and swap the
 // generation. When a Limiter is configured the compaction first queues for a
-// concurrency slot and then paces its reads and writes against the shared
-// bytes/sec budget (only outside the lock — the fold-in under the lock is
-// never throttled). Crash-safety ordering: the new generation's content is
+// concurrency slot. Crash-safety ordering: the new generation's content is
 // synced before it is installed, and installed before the old generation is
 // removed, so with files at every instant one complete generation is on
 // disk. The memtable is untouched — it holds strictly newer data. Readers
@@ -618,15 +615,10 @@ func (p *PersistentKV) compact() (err error) {
 	defer h.release()
 	dev := h.dev
 
-	readBytes := 0
-	for _, r := range snapshot {
-		readBytes += r.length
-	}
 	merged, err := mergeEntries(dev, snapshot, nil, nil, nil)
 	if err != nil {
 		return err
 	}
-	p.opts.Limiter.throttle(readBytes)
 	live := merged[:0]
 	for _, e := range merged {
 		if !e.tombstone {
@@ -648,7 +640,6 @@ func (p *PersistentKV) compact() (err error) {
 		if err != nil {
 			return abort(err)
 		}
-		p.opts.Limiter.throttle(int(r.extent()))
 		newRuns = []*run{r}
 	}
 	if err := newDev.Sync(); err != nil {

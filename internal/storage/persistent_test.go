@@ -691,7 +691,7 @@ func TestKVClose(t *testing.T) {
 		if _, err := p.Get([]byte("k")); err != ErrClosed {
 			t.Fatalf("Get after close: %v", err)
 		}
-		if err := p.VerifyRuns(); err != ErrClosed {
+		if err := p.verifyRuns(); err != ErrClosed {
 			t.Fatalf("VerifyRuns after close: %v", err)
 		}
 		if err := p.Close(); err != nil {
@@ -708,14 +708,14 @@ func TestKVVerifyRunsDetectsTampering(t *testing.T) {
 		put(t, p, fmt.Sprintf("key-%03d", i), string(bytes.Repeat([]byte("v"), 50)))
 	}
 	flush(t, p)
-	if err := p.VerifyRuns(); err != nil {
+	if err := p.verifyRuns(); err != nil {
 		t.Fatalf("VerifyRuns on clean store: %v", err)
 	}
 	// Corrupt a byte in the middle of the device (inside the run body).
 	if _, err := dev.WriteAt([]byte{0xAA}, dev.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.VerifyRuns(); err == nil {
+	if err := p.verifyRuns(); err == nil {
 		t.Fatal("tampered run not detected")
 	}
 }
@@ -730,7 +730,7 @@ func TestKVMeteredWorkload(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		put(t, p, fmt.Sprintf("sensor/%06d", i), "reading=1234")
 	}
-	_, _, writes, _, _ := meter.Snapshot()
+	_, _, writes := meter.Snapshot()
 	if writes == 0 {
 		t.Fatal("metered device recorded no page writes")
 	}

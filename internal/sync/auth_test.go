@@ -213,7 +213,7 @@ func TestUnattestedShardRefused(t *testing.T) {
 	// Every push stamps its writer's attestation, so a shard without one is
 	// not something an honest replica wrote: the two pre-attestation wire
 	// forms and an unstamped current-codec state, each sealed under the user
-	// key, fail closed on Pull and on CheckShardBlob.
+	// key, fail closed on Pull and on CheckBlob.
 	forms := legacyShardForms(t, codecTestState())
 	unstamped, err := encodeState(codecTestState())
 	if err != nil {
@@ -238,7 +238,7 @@ func TestUnattestedShardRefused(t *testing.T) {
 			if err := b.CheckBlob(name, sealed); !errors.Is(err, ErrIntegrity) {
 				t.Fatalf("CheckBlob = %v, want ErrIntegrity", err)
 			}
-			if b.LiveCount() != 0 {
+			if liveCount(b) != 0 {
 				t.Fatal("refused shard merged documents")
 			}
 		})

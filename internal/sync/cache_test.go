@@ -224,7 +224,7 @@ func TestPullDecodesOnlyChangedEntries(t *testing.T) {
 	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := b.Get("doc-0007"); !Equal(a, b) || !ok || got.Title != "changed" {
+	if got, ok := getDoc(b, "doc-0007"); !Equal(a, b) || !ok || got.Title != "changed" {
 		t.Fatal("the changed entries did not merge")
 	}
 }

@@ -79,7 +79,7 @@ func TestChurnConvergenceAndConflictAgreement(t *testing.T) {
 			}
 			if !converged {
 				for _, r := range replicas {
-					t.Logf("%s: %d live docs, %d conflicts", r.ID(), r.LiveCount(), r.ConflictsResolved())
+					t.Logf("%s: %d live docs, %d conflicts", r.id, liveCount(r), r.ConflictsResolved())
 				}
 				t.Fatal("replicas did not converge (state + conflict counts) after churn")
 			}
@@ -104,7 +104,7 @@ func TestConcurrentUpsertsDuringSync(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				r.Upsert(doc(ri*1000 + i%60))
 				if i%7 == 0 {
-					r.Get(fmt.Sprintf("doc-%04d", i%60))
+					getDoc(r, fmt.Sprintf("doc-%04d", i%60))
 				}
 			}
 		}(ri, r)
@@ -126,7 +126,7 @@ func TestConcurrentUpsertsDuringSync(t *testing.T) {
 	for _, r := range replicas[1:] {
 		if !Equal(replicas[0], r) {
 			t.Fatalf("replicas did not converge: %d vs %d live docs",
-				replicas[0].LiveCount(), r.LiveCount())
+				liveCount(replicas[0]), liveCount(r))
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestLocalOpsDoNotBlockOnSlowCloud(t *testing.T) {
 
 	t0 := time.Now()
 	r.Upsert(doc(2))
-	r.Get("doc-0001")
+	getDoc(r, "doc-0001")
 	if elapsed := time.Since(t0); elapsed > 200*time.Millisecond {
 		t.Fatalf("local ops blocked behind the cloud round-trip: %v", elapsed)
 	}

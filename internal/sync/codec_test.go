@@ -144,7 +144,7 @@ func TestShardCodecRefusesV2(t *testing.T) {
 	if err := b.CheckBlob(name, sealed); !errors.As(err, &ve) {
 		t.Fatalf("CheckBlob of a v2 blob = %v, want a ShardVersionError", err)
 	}
-	if b.LiveCount() != 0 {
+	if liveCount(b) != 0 {
 		t.Fatal("a refused v2 blob merged documents")
 	}
 }

@@ -28,7 +28,7 @@ func TestCorruptBlobFailsClosed(t *testing.T) {
 	if err := b.Pull(); err == nil {
 		t.Fatal("pull of a bit-flipped blob succeeded; corruption must fail closed")
 	}
-	if _, ok := b.Get("doc-0000"); ok {
+	if _, ok := getDoc(b, "doc-0000"); ok {
 		t.Fatal("corrupted blob materialised documents in the victim replica")
 	}
 	if got := faulty.FaultStats().Corrupted; got == 0 {
@@ -50,7 +50,7 @@ func TestCorruptBlobFailsClosed(t *testing.T) {
 	if err := b.Pull(); err != nil {
 		t.Fatalf("pull after corruption cleared: %v", err)
 	}
-	if _, ok := b.Get("doc-0000"); !ok {
+	if _, ok := getDoc(b, "doc-0000"); !ok {
 		t.Fatal("victim did not converge once served honest bytes")
 	}
 }
@@ -121,7 +121,7 @@ func TestCorruptMemberQuarantinedFleetRoutesAround(t *testing.T) {
 		t.Fatalf("pull during quarantine: %v", err)
 	}
 	for i := 0; i < 16; i++ {
-		if _, ok := b.Get(fmt.Sprintf("doc-%04d", i)); !ok {
+		if _, ok := getDoc(b, fmt.Sprintf("doc-%04d", i)); !ok {
 			t.Fatalf("doc-%04d unreadable during quarantine", i)
 		}
 	}

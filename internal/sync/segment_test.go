@@ -95,7 +95,7 @@ func converged(t *testing.T, want []string, reps ...*Replica) {
 			t.Fatalf("%s and %s did not converge", reps[0].id, r.id)
 		}
 		for _, id := range want {
-			if _, ok := r.Get(id); !ok {
+			if _, ok := getDoc(r, id); !ok {
 				t.Fatalf("%s lost %s", r.id, id)
 			}
 		}
@@ -260,7 +260,7 @@ func TestHonestCompactionStaysClean(t *testing.T) {
 				if err := b.Pull(); err != nil {
 					t.Fatalf("pull of the base alone: %v", err)
 				}
-				if _, ok := b.Get(added[0]); !ok {
+				if _, ok := getDoc(b, added[0]); !ok {
 					t.Fatal("the base did not merge")
 				}
 				b.cloud = adv

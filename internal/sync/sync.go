@@ -303,9 +303,6 @@ func NewReplicaShards(id, userID string, key crypto.SymmetricKey, svc cloud.Serv
 	return r
 }
 
-// ID returns the replica identifier.
-func (r *Replica) ID() string { return r.id }
-
 // ShardCount returns the number of replication shards.
 func (r *Replica) ShardCount() int { return len(r.shards) }
 
@@ -329,13 +326,6 @@ func (r *Replica) SetConnected(up bool) {
 	r.mu.Lock()
 	r.connected = up
 	r.mu.Unlock()
-}
-
-// Connected reports the current connectivity.
-func (r *Replica) Connected() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.connected
 }
 
 // Upsert records a local create/update of a document.
@@ -373,46 +363,6 @@ func (r *Replica) Delete(docID string) {
 	s.dirty = true
 }
 
-// Get returns the live document with the given ID, if present.
-func (r *Replica) Get(docID string) (*datamodel.Document, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.shardFor(docID).docs[docID]
-	if !ok || v.Deleted || v.Doc == nil {
-		return nil, false
-	}
-	return v.Doc.Clone(), true
-}
-
-// LiveCount returns the number of live (non-deleted) documents.
-func (r *Replica) LiveCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, s := range r.shards {
-		for _, v := range s.docs {
-			if !v.Deleted {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// DirtyShards returns how many shards hold local information the cloud copy
-// may lack.
-func (r *Replica) DirtyShards() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, s := range r.shards {
-		if s.dirty {
-			n++
-		}
-	}
-	return n
-}
-
 // ConflictsResolved returns how many conflicting updates have been resolved
 // on documents this replica knows about. The count is part of the replicated
 // state, so converged replicas report the same number.
@@ -424,13 +374,6 @@ func (r *Replica) ConflictsResolved() int {
 		n += len(s.conflicts)
 	}
 	return n
-}
-
-// Traffic returns the number of pushes and pulls performed.
-func (r *Replica) Traffic() (pushes, pulls int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pushes, r.pulls
 }
 
 // TransferStats returns a snapshot of all synchronization traffic counters,
@@ -818,22 +761,6 @@ func (r *Replica) decodeShard(si, kind int, sealed []byte, known map[string]Vers
 		return shardState{}, ErrIntegrity
 	}
 	return st, nil
-}
-
-// DocIDs returns the sorted IDs of live documents (for convergence checks).
-func (r *Replica) DocIDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ids []string
-	for _, s := range r.shards {
-		for id, v := range s.docs {
-			if !v.Deleted {
-				ids = append(ids, id)
-			}
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // liveVersions returns one "<id>@<revision>:<replica>" entry per live

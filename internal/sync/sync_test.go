@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -50,12 +51,13 @@ func TestBasicConvergence(t *testing.T) {
 		t.Fatalf("a.Sync 2: %v", err)
 	}
 	if !Equal(a, b) {
-		t.Fatalf("replicas did not converge: %v vs %v", a.DocIDs(), b.DocIDs())
+		t.Fatalf("replicas did not converge: %v vs %v", docIDs(a), docIDs(b))
 	}
-	if a.LiveCount() != 8 {
-		t.Fatalf("LiveCount = %d, want 8", a.LiveCount())
+	if liveCount(a) != 8 {
+		t.Fatalf("LiveCount = %d, want 8", liveCount(a))
 	}
-	pushes, pulls := a.Traffic()
+	tr := a.TransferStats()
+	pushes, pulls := tr.Pushes, tr.Pulls
 	if pushes == 0 || pulls == 0 {
 		t.Fatal("traffic counters not updated")
 	}
@@ -67,17 +69,17 @@ func TestDeleteReplication(t *testing.T) {
 	a.Upsert(doc(1))
 	_ = a.Sync()
 	_ = b.Sync()
-	if _, ok := b.Get("doc-0001"); !ok {
+	if _, ok := getDoc(b, "doc-0001"); !ok {
 		t.Fatal("document did not replicate")
 	}
 	b.Delete("doc-0001")
 	_ = b.Sync()
 	_ = a.Sync()
-	if _, ok := a.Get("doc-0001"); ok {
+	if _, ok := getDoc(a, "doc-0001"); ok {
 		t.Fatal("deletion did not replicate")
 	}
-	if a.LiveCount() != 0 {
-		t.Fatalf("LiveCount after delete = %d", a.LiveCount())
+	if liveCount(a) != 0 {
+		t.Fatalf("LiveCount after delete = %d", liveCount(a))
 	}
 }
 
@@ -100,8 +102,8 @@ func TestConflictResolutionDeterministic(t *testing.T) {
 	if !Equal(a, b) {
 		t.Fatal("replicas did not converge after conflict")
 	}
-	ga, _ := a.Get("doc-0001")
-	gb, _ := b.Get("doc-0001")
+	ga, _ := getDoc(a, "doc-0001")
+	gb, _ := getDoc(b, "doc-0001")
 	if ga.Title != gb.Title {
 		t.Fatalf("conflict resolved differently: %q vs %q", ga.Title, gb.Title)
 	}
@@ -118,7 +120,7 @@ func TestDisconnectedReplicasCatchUp(t *testing.T) {
 	svc := cloud.NewMemory()
 	a, b := twoReplicas(svc)
 	b.SetConnected(false)
-	if b.Connected() {
+	if b.connected {
 		t.Fatal("SetConnected(false) ignored")
 	}
 	for i := 0; i < 10; i++ {
@@ -128,15 +130,15 @@ func TestDisconnectedReplicasCatchUp(t *testing.T) {
 	if err := b.Sync(); err != ErrDisconnected {
 		t.Fatalf("disconnected sync: %v", err)
 	}
-	if b.LiveCount() != 0 {
+	if liveCount(b) != 0 {
 		t.Fatal("disconnected replica received data")
 	}
 	b.SetConnected(true)
 	if err := b.Sync(); err != nil {
 		t.Fatalf("reconnect sync: %v", err)
 	}
-	if b.LiveCount() != 10 {
-		t.Fatalf("after reconnection LiveCount = %d", b.LiveCount())
+	if liveCount(b) != 10 {
+		t.Fatalf("after reconnection LiveCount = %d", liveCount(b))
 	}
 }
 
@@ -244,8 +246,8 @@ func TestDeltaMovesOnlyDirtyShards(t *testing.T) {
 		if n := pa.ShardsPulled - pb.ShardsPulled; n != int64(tc.blobs) {
 			t.Fatalf("%d docs: pull fetched %d blobs, want %d", tc.docs, n, tc.blobs)
 		}
-		if a.DirtyShards() != 0 {
-			t.Fatalf("dirty shards after push = %d", a.DirtyShards())
+		if dirtyShards(a) != 0 {
+			t.Fatalf("dirty shards after push = %d", dirtyShards(a))
 		}
 		if !Equal(a, b) {
 			t.Fatal("replicas did not converge on the update")
@@ -305,23 +307,67 @@ func TestRandomizedConvergenceUnderChurn(t *testing.T) {
 		}
 	}
 	if !Equal(a, b) {
-		t.Fatalf("replicas did not converge after churn:\n a=%v\n b=%v", a.DocIDs(), b.DocIDs())
+		t.Fatalf("replicas did not converge after churn:\n a=%v\n b=%v", docIDs(a), docIDs(b))
 	}
 }
 
 func TestGetMissingAndUnknownDelete(t *testing.T) {
 	svc := cloud.NewMemory()
 	a, _ := twoReplicas(svc)
-	if _, ok := a.Get("missing"); ok {
+	if _, ok := getDoc(a, "missing"); ok {
 		t.Fatal("missing document found")
 	}
 	// Deleting an unknown document creates a tombstone but no live doc.
 	a.Delete("ghost")
-	if a.LiveCount() != 0 {
+	if liveCount(a) != 0 {
 		t.Fatal("tombstone counted as live")
 	}
 	// Pull with no remote state is a no-op.
 	if err := a.Pull(); err != nil {
 		t.Fatalf("pull with no remote state: %v", err)
 	}
+}
+
+// getDoc returns r's live document id, if r has one.
+func getDoc(r *Replica, id string) (*datamodel.Document, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.shardFor(id).docs[id]
+	if !ok || v.Deleted || v.Doc == nil {
+		return nil, false
+	}
+	return v.Doc.Clone(), true
+}
+
+// docIDs returns the sorted IDs of r's live documents.
+func docIDs(r *Replica) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ids []string
+	for _, s := range r.shards {
+		for id, v := range s.docs {
+			if !v.Deleted {
+				ids = append(ids, id)
+			}
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// liveCount returns the number of r's live documents.
+func liveCount(r *Replica) int { return len(docIDs(r)) }
+
+// dirtyShards returns how many of r's shards hold local information the
+// cloud copy may lack.
+func dirtyShards(r *Replica) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, s := range r.shards {
+		if s.dirty {
+			n++
+		}
+	}
+	return n
 }

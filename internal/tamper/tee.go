@@ -22,10 +22,8 @@ import (
 
 // Errors returned by the TEE.
 var (
-	ErrSealed         = errors.New("tamper: secret is sealed and cannot be exported")
 	ErrNoSuchSecret   = errors.New("tamper: no such sealed secret")
 	ErrCounterRewind  = errors.New("tamper: monotonic counter cannot move backwards")
-	ErrBudgetExceeded = errors.New("tamper: operation exceeds the hardware RAM budget")
 	ErrNotProvisioned = errors.New("tamper: TEE has not been provisioned with a master secret")
 	ErrLocked         = errors.New("tamper: TEE is locked; authenticate first")
 	ErrBadPIN         = errors.New("tamper: authentication failed")
@@ -82,10 +80,6 @@ type Profile struct {
 	// 512-byte page.
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
-	// NetLatency and NetBandwidth model the link between the device and the
-	// untrusted infrastructure.
-	NetLatency   time.Duration
-	NetBandwidth float64 // bytes per second
 	// EnergyPerPage is an abstract energy unit charged per flash page write,
 	// used by the co-design experiments.
 	EnergyPerPage float64
@@ -100,53 +94,45 @@ func DefaultProfile(c HardwareClass) Profile {
 		return Profile{
 			Class: c, RAMBudget: 64 << 10, CPUFactor: 40,
 			ReadLatency: 120 * time.Microsecond, WriteLatency: 450 * time.Microsecond,
-			NetLatency: 30 * time.Millisecond, NetBandwidth: 100 << 10,
 			EnergyPerPage: 8,
 		}
 	case ClassSecureMCU:
 		return Profile{
 			Class: c, RAMBudget: 1 << 20, CPUFactor: 10,
 			ReadLatency: 60 * time.Microsecond, WriteLatency: 250 * time.Microsecond,
-			NetLatency: 20 * time.Millisecond, NetBandwidth: 1 << 20,
 			EnergyPerPage: 4,
 		}
 	case ClassTrustZonePhone:
 		return Profile{
 			Class: c, RAMBudget: 64 << 20, CPUFactor: 2,
 			ReadLatency: 25 * time.Microsecond, WriteLatency: 90 * time.Microsecond,
-			NetLatency: 40 * time.Millisecond, NetBandwidth: 5 << 20,
 			EnergyPerPage: 2,
 		}
 	case ClassHomeGateway:
 		return Profile{
 			Class: c, RAMBudget: 256 << 20, CPUFactor: 1.5,
 			ReadLatency: 20 * time.Microsecond, WriteLatency: 70 * time.Microsecond,
-			NetLatency: 15 * time.Millisecond, NetBandwidth: 10 << 20,
 			EnergyPerPage: 1.5,
 		}
 	case ClassCloudServer:
 		return Profile{
 			Class: c, RAMBudget: 8 << 30, CPUFactor: 1,
 			ReadLatency: 10 * time.Microsecond, WriteLatency: 30 * time.Microsecond,
-			NetLatency: 5 * time.Millisecond, NetBandwidth: 100 << 20,
 			EnergyPerPage: 1,
 		}
 	default:
 		return Profile{Class: c, RAMBudget: 1 << 20, CPUFactor: 1,
-			ReadLatency: time.Microsecond, WriteLatency: time.Microsecond,
-			NetLatency: time.Millisecond, NetBandwidth: 1 << 20, EnergyPerPage: 1}
+			ReadLatency: time.Microsecond, WriteLatency: time.Microsecond, EnergyPerPage: 1}
 	}
 }
 
 // CostMeter accumulates the simulated cost of operations executed inside a
 // TEE. It is the measurement hook for the hardware-profile experiments.
 type CostMeter struct {
-	mu          sync.Mutex
-	cpuUnits    float64
-	pageReads   int64
-	pageWrites  int64
-	netBytes    int64
-	netRequests int64
+	mu         sync.Mutex
+	cpuUnits   float64
+	pageReads  int64
+	pageWrites int64
 }
 
 // ChargeCPU adds work units of compute.
@@ -170,19 +156,11 @@ func (m *CostMeter) ChargeWrite(n int) {
 	m.mu.Unlock()
 }
 
-// ChargeNet adds one network request of the given size.
-func (m *CostMeter) ChargeNet(bytes int) {
-	m.mu.Lock()
-	m.netBytes += int64(bytes)
-	m.netRequests++
-	m.mu.Unlock()
-}
-
 // Snapshot returns the accumulated raw counters.
-func (m *CostMeter) Snapshot() (cpuUnits float64, pageReads, pageWrites, netBytes, netRequests int64) {
+func (m *CostMeter) Snapshot() (cpuUnits float64, pageReads, pageWrites int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cpuUnits, m.pageReads, m.pageWrites, m.netBytes, m.netRequests
+	return m.cpuUnits, m.pageReads, m.pageWrites
 }
 
 // Reset zeroes all counters.
@@ -191,28 +169,22 @@ func (m *CostMeter) Reset() {
 	m.cpuUnits = 0
 	m.pageReads = 0
 	m.pageWrites = 0
-	m.netBytes = 0
-	m.netRequests = 0
 	m.mu.Unlock()
 }
 
 // SimulatedTime converts the accumulated counters into simulated wall time
 // under the given profile.
 func (m *CostMeter) SimulatedTime(p Profile) time.Duration {
-	cpu, reads, writes, netBytes, netReqs := m.Snapshot()
+	cpu, reads, writes := m.Snapshot()
 	d := time.Duration(cpu*p.CPUFactor) * time.Nanosecond
 	d += time.Duration(reads) * p.ReadLatency
 	d += time.Duration(writes) * p.WriteLatency
-	d += time.Duration(netReqs) * p.NetLatency
-	if p.NetBandwidth > 0 {
-		d += time.Duration(float64(netBytes) / p.NetBandwidth * float64(time.Second))
-	}
 	return d
 }
 
 // Energy converts page writes into abstract energy units under the profile.
 func (m *CostMeter) Energy(p Profile) float64 {
-	_, _, writes, _, _ := m.Snapshot()
+	_, _, writes := m.Snapshot()
 	return float64(writes) * p.EnergyPerPage
 }
 
@@ -351,14 +323,6 @@ func (t *TEE) Locked() bool {
 	return t.locked || !t.provisioned
 }
 
-// Bricked reports whether the TEE destroyed its secrets after repeated
-// authentication failures.
-func (t *TEE) Bricked() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bricked
-}
-
 func (t *TEE) usable() error {
 	if !t.provisioned {
 		return ErrNotProvisioned
@@ -434,14 +398,6 @@ func (t *TEE) UseSecret(name string, fn func(crypto.SymmetricKey) error) error {
 	return fn(key)
 }
 
-// HasSecret reports whether a named secret is sealed in the TEE.
-func (t *TEE) HasSecret(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.sealed[name]
-	return ok
-}
-
 // CounterIncrement advances a named monotonic counter and returns its new
 // value. Monotonic counters let cells detect rollback of cloud state.
 func (t *TEE) CounterIncrement(name string) (uint64, error) {
@@ -476,68 +432,5 @@ func (t *TEE) CounterAdvanceTo(name string, v uint64) error {
 		return ErrCounterRewind
 	}
 	t.counters[name] = v
-	return nil
-}
-
-// Attestation is a signed statement of the device class and identity that a
-// peer cell can verify before exchanging data ("proof of legitimacy for the
-// credentials exposed by the participants").
-type Attestation struct {
-	Class     HardwareClass
-	PublicKey []byte
-	Nonce     []byte
-	Signature []byte
-}
-
-// Attest produces an attestation bound to the caller-supplied nonce.
-func (t *TEE) Attest(nonce []byte) (Attestation, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.usable(); err != nil {
-		return Attestation{}, err
-	}
-	pub := t.identity.Public().Bytes()
-	msg := attestationMessage(t.profile.Class, pub, nonce)
-	t.meter.ChargeCPU(60)
-	return Attestation{
-		Class:     t.profile.Class,
-		PublicKey: pub,
-		Nonce:     append([]byte(nil), nonce...),
-		Signature: t.identity.Sign(msg),
-	}, nil
-}
-
-// VerifyAttestation checks an attestation against the nonce the verifier
-// issued. It returns the attested identity key on success.
-func VerifyAttestation(a Attestation, nonce []byte) (crypto.VerifyKey, error) {
-	if string(a.Nonce) != string(nonce) {
-		return crypto.VerifyKey{}, errors.New("tamper: attestation nonce mismatch")
-	}
-	vk, err := crypto.VerifyKeyFromBytes(a.PublicKey)
-	if err != nil {
-		return crypto.VerifyKey{}, fmt.Errorf("tamper: attestation key: %w", err)
-	}
-	msg := attestationMessage(a.Class, a.PublicKey, a.Nonce)
-	if err := vk.Verify(msg, a.Signature); err != nil {
-		return crypto.VerifyKey{}, fmt.Errorf("tamper: attestation: %w", err)
-	}
-	return vk, nil
-}
-
-func attestationMessage(class HardwareClass, pub, nonce []byte) []byte {
-	msg := make([]byte, 0, 16+len(pub)+len(nonce))
-	msg = append(msg, []byte(fmt.Sprintf("attest:%d:", int(class)))...)
-	msg = append(msg, pub...)
-	msg = append(msg, ':')
-	msg = append(msg, nonce...)
-	return msg
-}
-
-// CheckRAM verifies that a requested working-set size fits the profile's RAM
-// budget. The embedded storage engine calls it before allocating buffers.
-func (t *TEE) CheckRAM(bytes int) error {
-	if bytes > t.profile.RAMBudget {
-		return fmt.Errorf("%w: need %d bytes, budget %d", ErrBudgetExceeded, bytes, t.profile.RAMBudget)
-	}
 	return nil
 }

@@ -91,15 +91,3 @@ func (c *CertifiedSeries) Verify(expectedSource *crypto.VerifyKey) error {
 	}
 	return nil
 }
-
-// Encode serialises the certified series for transport or storage.
-func (c *CertifiedSeries) Encode() ([]byte, error) { return json.Marshal(c) }
-
-// DecodeCertifiedSeries parses a certified series produced by Encode.
-func DecodeCertifiedSeries(data []byte) (*CertifiedSeries, error) {
-	var c CertifiedSeries
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("timeseries: decode certified series: %w", err)
-	}
-	return &c, nil
-}

@@ -26,13 +26,11 @@ type Granularity time.Duration
 // Standard granularities used throughout the experiments. They match the
 // sharing tiers of the motivating scenario.
 const (
-	GranularitySecond  = Granularity(time.Second)
-	GranularityMinute  = Granularity(time.Minute)
-	Granularity15Min   = Granularity(15 * time.Minute)
-	GranularityHour    = Granularity(time.Hour)
-	GranularityDay     = Granularity(24 * time.Hour)
-	GranularityMonth   = Granularity(30 * 24 * time.Hour)
-	GranularityRawFeed = GranularitySecond
+	GranularitySecond = Granularity(time.Second)
+	GranularityMinute = Granularity(time.Minute)
+	Granularity15Min  = Granularity(15 * time.Minute)
+	GranularityHour   = Granularity(time.Hour)
+	GranularityDay    = Granularity(24 * time.Hour)
 )
 
 // String renders the granularity in a human-friendly way.
@@ -99,19 +97,16 @@ func (s *Series) Points() []Point {
 	return out
 }
 
-// At returns the i-th point.
-func (s *Series) At(i int) Point { return s.points[i] }
-
-// Span returns the first and last timestamps.
-func (s *Series) Span() (start, end time.Time, err error) {
+// span returns the first and last timestamps.
+func (s *Series) span() (start, end time.Time, err error) {
 	if len(s.points) == 0 {
 		return time.Time{}, time.Time{}, ErrEmptySeries
 	}
 	return s.points[0].Time, s.points[len(s.points)-1].Time, nil
 }
 
-// Slice returns the points with Time in [from, to).
-func (s *Series) Slice(from, to time.Time) []Point {
+// slice returns the points with Time in [from, to).
+func (s *Series) slice(from, to time.Time) []Point {
 	lo := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(from) })
 	hi := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(to) })
 	out := make([]Point, hi-lo)

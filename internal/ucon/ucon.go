@@ -32,14 +32,9 @@ var (
 // ObligationKind enumerates the obligations the monitor can track.
 type ObligationKind string
 
-// Supported obligations. NotifyOwner is the paper's accountability hook: the
-// recipient cell must push an audit record to the originator. DeleteAfterUse
-// requires the local copy to be destroyed when the session ends.
-const (
-	ObligationNotifyOwner    ObligationKind = "notify-owner"
-	ObligationDeleteAfterUse ObligationKind = "delete-after-use"
-	ObligationDisplayNotice  ObligationKind = "display-notice"
-)
+// ObligationNotifyOwner is the paper's accountability hook: the recipient
+// cell must push an audit record to the originator.
+const ObligationNotifyOwner ObligationKind = "notify-owner"
 
 // Obligation describes one required action and whether it must be fulfilled
 // before (pre) or after (post) the usage.
@@ -315,29 +310,6 @@ func (m *Monitor) Revoke(sessionID string) error {
 	}
 	s.State = StateRevoked
 	return nil
-}
-
-// ReevaluateOngoing re-checks the conditions of all active sessions at time
-// now and revokes the sessions whose rights no longer hold (ongoing
-// conditions in UCON terms). It returns the IDs of revoked sessions.
-func (m *Monitor) ReevaluateOngoing(now time.Time) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var revoked []string
-	for id, s := range m.sessions {
-		if s.State != StateActive {
-			continue
-		}
-		for _, p := range applicable(m.policies[s.ObjectID], s.SubjectID) {
-			expired := !p.NotAfter.IsZero() && now.After(p.NotAfter)
-			if expired || !hourAllowed(p, now) {
-				s.State = StateRevoked
-				revoked = append(revoked, id)
-				break
-			}
-		}
-	}
-	return revoked
 }
 
 // ActiveSessions returns the number of sessions currently active.
