@@ -2,7 +2,7 @@ package trustedcells
 
 // This file holds one benchmark per experiment of the evaluation suite
 // defined in DESIGN.md (the paper itself, a vision paper, has no tables or
-// figures; E1–E15 and E18 plus the Figure 1 walk-through are the synthetic
+// figures; E1–E13 and E15–E18 plus the Figure 1 walk-through are the synthetic
 // suite that substantiates each architectural claim). The same code paths
 // back cmd/tcbench, which prints the full tables; the benchmarks here measure
 // the cost of regenerating each experiment and keep them exercised by
@@ -266,35 +266,6 @@ func BenchmarkE13DurableCloud(b *testing.B) {
 	if durOps > 0 {
 		b.ReportMetric(memOps/durOps, "durable-overhead")
 	}
-}
-
-// BenchmarkE14FleetFrontDoor measures experiment E14 at a reduced fleet: an
-// open-loop zipf-skewed document workload from simulated cells through
-// per-tenant framed connections against the durable-backed, admission-
-// controlled front door, reporting sustained docs/sec and the p99/p999 tail.
-// The full 100k–1M sweep runs in cmd/tcbench; the benchmark keeps the whole
-// stack (durable store → admission → tenants → framed protocol over loopback)
-// exercised by `go test -bench`.
-func BenchmarkE14FleetFrontDoor(b *testing.B) {
-	cfg := sim.DefaultE14Config()
-	cfg.FleetSizes = []int{20_000}
-	cfg.Requests = 400
-	cfg.Workers = 16
-	cfg.OverloadFactor = 0 // the tail numbers, not the shedding drill
-	var ops, p99, p999 float64
-	for i := 0; i < b.N; i++ {
-		table, err := sim.RunE14(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ops += table.Metrics["ops_per_sec"]
-		p99 += table.Metrics["p99_ms"]
-		p999 += table.Metrics["p999_ms"]
-	}
-	n := float64(b.N)
-	b.ReportMetric(ops/n, "docs/sec")
-	b.ReportMetric(p99/n, "p99-ms")
-	b.ReportMetric(p999/n, "p999-ms")
 }
 
 // BenchmarkE15ReplicatedCloud measures experiment E15 at 10k documents:

@@ -16,6 +16,11 @@
 #      bound, i.e. a BENCH_E<n>.json report the bench-trend job publishes)
 #      must have a recorded `## E<n> — ...` section in EXPERIMENTS.md: a
 #      benchmark CI enforces but the docs never explain is drift too.
+#   4. Every experiment id passed to tcbench (`-run` or `-experiment`, and
+#      the default `-run` set in cmd/tcbench/main.go) in README.md,
+#      EXPERIMENTS.md, the CI workflow or cmd/tcbench/main.go must be listed
+#      by ExperimentIDs() in internal/sim/sim.go, so a command line naming a
+#      deleted experiment fails here instead of at its first run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -48,6 +53,18 @@ gated=$(grep -ohE '"e[0-9]+\.' ci/bench_baseline.json | sed -E 's/"e([0-9]+)\./E
 for id in $gated; do
   if ! printf '%s\n' "$sections" | grep -qx "$id"; then
     echo "FAIL: $id is gated in ci/bench_baseline.json (BENCH_$id.json) but EXPERIMENTS.md has no '## $id — ...' section"
+    fail=1
+  fi
+done
+
+known=$(sed -n '/^func ExperimentIDs/,/^}/p' internal/sim/sim.go | grep -oE '"[a-z0-9]+"' | tr -d '"')
+passed=$( (grep -hE 'tcbench' README.md EXPERIMENTS.md .github/workflows/ci.yml cmd/tcbench/main.go |
+  grep -oE -- '-(run|experiment)[ =][A-Za-z0-9,]+' | sed -E 's/^-(run|experiment)[ =]//'
+  grep -oE 'run = "[a-z0-9,]+"' cmd/tcbench/main.go | sed -E 's/^run = "(.*)"$/\1/') |
+  tr ',' '\n' | tr 'A-Z' 'a-z' | grep -vx 'all' | sort -u)
+for id in $passed; do
+  if ! printf '%s\n' "$known" | grep -qx "$id"; then
+    echo "FAIL: tcbench is given experiment '$id', which ExperimentIDs() in internal/sim/sim.go does not list"
     fail=1
   fi
 done

@@ -1,14 +1,14 @@
 // Command tcbench regenerates the evaluation suite defined in DESIGN.md: one
-// table per experiment (E1–E18) plus the Figure 1 architecture walk-through.
+// table per experiment (E1–E13, E15–E18) plus the Figure 1 architecture
+// walk-through. E14, the fleet at the front door, is bench/'s frontdoor_ingest
+// workload (bash bench/run.sh -workload frontdoor_ingest).
 //
 //	tcbench -experiment all                  # run everything
 //	tcbench -experiment e4                   # one experiment
 //	tcbench -run e15                         # filter flag: just the availability drill
-//	tcbench -run e14                         # fleet-scale tail latency at the front door
 //	tcbench -run e17                         # the Byzantine-provider drill
 //	tcbench -run e18                         # the durable read fast path
-//	tcbench -run e4,e9,e10,e11,e12,e13,e14,e15,e16,e17,e18 -quick   # CI-sized configurations
-//	tcbench -run e14 -quick -json -out BENCH_E14.json
+//	tcbench -run e4,e9,e10,e11,e12,e13,e15,e16,e17,e18 -quick   # CI-sized configurations
 //	tcbench -run e17 -quick -json -out BENCH_E17.json
 //	tcbench -gate ci/bench_baseline.json -in BENCH_E15.json
 //	tcbench -gate ci/bench_baseline.json -in BENCH_E13.json,BENCH_E17.json
@@ -219,7 +219,7 @@ func runGate(gateFile, inFiles, run string, quick bool) error {
 		}
 	} else {
 		if run == "" {
-			run = "e4,e9,e10,e11,e12,e13,e14,e15,e16,e17,e18"
+			run = "e4,e9,e10,e11,e12,e13,e15,e16,e17,e18"
 		}
 		if tables, err = runExperiments("", run, quick); err != nil {
 			return fmt.Errorf("gate: %w", err)

@@ -100,26 +100,6 @@ func (l *Log) Records() []Record {
 	return out
 }
 
-// query returns the records matching the non-empty filters.
-func (l *Log) query(actor, resource string, outcome Outcome) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.records {
-		if actor != "" && r.Actor != actor {
-			continue
-		}
-		if resource != "" && r.Resource != resource {
-			continue
-		}
-		if outcome != "" && r.Outcome != outcome {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // Verify recomputes the hash chain over all records and checks that it
 // matches the stored heads and the current head. Any in-place modification,
 // reordering or truncation of records is detected.

@@ -64,31 +64,6 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}
 }
 
-func TestQueryFilters(t *testing.T) {
-	l := NewLog()
-	l.Append(sampleRecord(0, "bob", OutcomeAllowed))
-	l.Append(sampleRecord(1, "carol", OutcomeDenied))
-	r := sampleRecord(2, "bob", OutcomeDenied)
-	r.Resource = "doc-2"
-	l.Append(r)
-
-	if got := l.query("bob", "", ""); len(got) != 2 {
-		t.Fatalf("actor filter: %d", len(got))
-	}
-	if got := l.query("", "doc-2", ""); len(got) != 1 {
-		t.Fatalf("resource filter: %d", len(got))
-	}
-	if got := l.query("", "", OutcomeDenied); len(got) != 2 {
-		t.Fatalf("outcome filter: %d", len(got))
-	}
-	if got := l.query("bob", "doc-2", OutcomeDenied); len(got) != 1 {
-		t.Fatalf("combined filter: %d", len(got))
-	}
-	if got := l.query("nobody", "", ""); len(got) != 0 {
-		t.Fatalf("no-match filter: %d", len(got))
-	}
-}
-
 func TestRecordsReturnsCopy(t *testing.T) {
 	l := NewLog()
 	l.Append(sampleRecord(0, "bob", OutcomeAllowed))

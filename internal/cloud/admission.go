@@ -12,7 +12,7 @@ package cloud
 // shed request costs microseconds instead of a queue slot, so the requests
 // that are admitted keep their latency, and clients get an explicit signal
 // to back off instead of a timeout. DESIGN.md §11.4 documents the policy;
-// experiment E14 measures it under open-loop overload.
+// bench/'s frontdoor_ingest loads it, TestFrameShedsAtSaturation pins it.
 
 import (
 	"sync/atomic"

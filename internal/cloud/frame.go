@@ -2,12 +2,12 @@ package cloud
 
 // This file is the wire: a connection-multiplexed framed protocol carrying
 // Service calls between processes (cmd/tccell and cmd/tccloud, a tccloud
-// coordinator and its fleet members, the E14 front door). Every request is
-// tagged with an id and responses return in completion order, so one TCP
-// connection carries any number of concurrent operations and a slow
-// operation never stalls the ones queued behind it — which is what lets tens
-// of thousands of simulated cells share a handful of sockets in experiment
-// E14.
+// coordinator and its fleet members, the front door of bench/'s
+// frontdoor_ingest workload). Every request is tagged with an id and
+// responses return in completion order, so one TCP connection carries any
+// number of concurrent operations and a slow operation never stalls the ones
+// queued behind it — which is what lets a 100k-cell fleet share a handful of
+// sockets in frontdoor_ingest.
 //
 // Frame layout (DESIGN.md §11.2):
 //

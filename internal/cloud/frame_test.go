@@ -349,6 +349,51 @@ func TestFrameTypedErrorsCrossWire(t *testing.T) {
 	}
 }
 
+// TestFrameShedsAtSaturation drives a real Admission through the framed
+// protocol: with its one slot held by a put parked in the backend, a second
+// put over the wire is shed as a typed OverloadError with a retry-after
+// hint, and the held put still succeeds once the backend lets it go.
+func TestFrameShedsAtSaturation(t *testing.T) {
+	blocker := &blockingService{
+		Service: NewMemory(),
+		release: make(chan struct{}),
+		entered: make(chan string, 1),
+	}
+	release := sync.OnceFunc(func() { close(blocker.release) })
+	defer release()
+	adm := NewAdmission(blocker, AdmissionOptions{MaxInFlight: 1})
+	c, err := DialFramed(startFrameServer(t, adm, FrameServerOptions{}))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := c.PutBlob("held", []byte("kept"))
+		held <- err
+	}()
+	<-blocker.entered // the held put owns the only slot
+
+	_, err = c.PutBlob("shed", []byte("x"))
+	var oe *OverloadError
+	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
+		t.Fatalf("saturated put over the wire: %v, want OverloadError with a retry-after hint", err)
+	}
+	if got := adm.AdmissionStats().Shed; got != 1 {
+		t.Fatalf("shed = %d, want 1", got)
+	}
+
+	release()
+	if err := <-held; err != nil {
+		t.Fatalf("held put: %v", err)
+	}
+	b, err := c.GetBlob("held")
+	if err != nil || string(b.Data) != "kept" {
+		t.Fatalf("read back held put: %q, %v", b.Data, err)
+	}
+}
+
 // TestFrameHelloUnknownTenant checks that a hello for an undefined tenant
 // fails without killing the connection, which stays unbound — refused until
 // a hello succeeds — rather than falling through to the backend.

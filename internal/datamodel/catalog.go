@@ -409,18 +409,6 @@ func (c *Catalog) ensureTimeSorted() {
 	c.mu.Unlock()
 }
 
-// keywordCounts returns, for each keyword, how many documents carry it — a
-// single pass over the keyword index, no document is touched.
-func (c *Catalog) keywordCounts(keywords []string) map[string]int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]int, len(keywords))
-	for _, kw := range keywords {
-		out[kw] = len(c.keyword[normalizeKeyword(kw)])
-	}
-	return out
-}
-
 // IndexStats returns a snapshot of the planner counters.
 func (c *Catalog) IndexStats() IndexStats {
 	return IndexStats{

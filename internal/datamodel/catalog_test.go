@@ -193,14 +193,6 @@ func TestTimeIndexSurvivesOutOfOrderInsertsAndRemoves(t *testing.T) {
 	}
 }
 
-func TestKeywordCounts(t *testing.T) {
-	cat := planCatalog(t, 300)
-	counts := cat.keywordCounts([]string{"common", "Energy", "missing"})
-	if counts["common"] != 300 || counts["Energy"] != 30 || counts["missing"] != 0 {
-		t.Fatalf("keyword counts %v", counts)
-	}
-}
-
 func TestCatalogConcurrentSearchAndMutate(t *testing.T) {
 	cat := planCatalog(t, 200)
 	var wg sync.WaitGroup
@@ -221,7 +213,6 @@ func TestCatalogConcurrentSearchAndMutate(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				cat.Search(Query{Type: "power-series"})
 				cat.Search(Query{After: planBase, Before: planBase.Add(time.Hour)})
-				cat.keywordCounts([]string{"energy"})
 			}
 		}()
 	}

@@ -191,8 +191,6 @@ type Rule struct {
 	// MaxGranularity caps the granularity of time-series data released under
 	// this rule (0 = no cap). Only meaningful for allow rules.
 	MaxGranularity time.Duration `json:"max_granularity,omitempty"`
-	// Description documents the rule for the policy HCI.
-	Description string `json:"description,omitempty"`
 }
 
 // Validate checks structural invariants.

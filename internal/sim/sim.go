@@ -2,8 +2,9 @@
 // vision paper with no evaluation section, DESIGN.md defines a synthetic
 // evaluation suite (experiments E1–E18 plus the Figure 1 walk-through), each
 // substantiating one architectural claim. This package implements every
-// experiment as a pure function returning a Table, so the same code backs the
-// Go benchmarks, the tcbench command line and EXPERIMENTS.md.
+// experiment but E14 as a pure function returning a Table, so the same code
+// backs the Go benchmarks, the tcbench command line and EXPERIMENTS.md. E14,
+// the fleet at the front door, is bench/'s frontdoor_ingest workload.
 package sim
 
 import (
@@ -103,7 +104,7 @@ func (t *Table) String() string {
 
 // ExperimentIDs lists the experiments in presentation order.
 func ExperimentIDs() []string {
-	return []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "fig1"}
+	return []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15", "e16", "e17", "e18", "fig1"}
 }
 
 // Run dispatches an experiment by ID with default parameters.
@@ -135,8 +136,6 @@ func Run(id string) (*Table, error) {
 		return RunE12(DefaultE12Config())
 	case "e13":
 		return RunE13(DefaultE13Config())
-	case "e14":
-		return RunE14(DefaultE14Config())
 	case "e15":
 		return RunE15(DefaultE15Config())
 	case "e16":
@@ -175,13 +174,6 @@ func RunQuick(id string) (*Table, error) {
 		cfg := DefaultE13Config()
 		cfg.CatalogSizes = []int{10_000}
 		return RunE13(cfg)
-	case "e14":
-		// The gated scale point: 100k cells at the default offered rate,
-		// with a shorter schedule and the overload drill intact.
-		cfg := DefaultE14Config()
-		cfg.FleetSizes = []int{100_000}
-		cfg.Requests = 1_500
-		return RunE14(cfg)
 	case "e15":
 		cfg := DefaultE15Config()
 		cfg.CatalogSizes = []int{10_000}

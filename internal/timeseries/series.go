@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -50,7 +49,6 @@ func (g Granularity) String() string {
 
 // Errors returned by the package.
 var (
-	ErrEmptySeries    = errors.New("timeseries: empty series")
 	ErrNotMonotonic   = errors.New("timeseries: points must be appended in time order")
 	ErrBadGranularity = errors.New("timeseries: granularity must be positive")
 )
@@ -94,23 +92,6 @@ func (s *Series) AppendValue(t time.Time, v float64) error {
 func (s *Series) Points() []Point {
 	out := make([]Point, len(s.points))
 	copy(out, s.points)
-	return out
-}
-
-// span returns the first and last timestamps.
-func (s *Series) span() (start, end time.Time, err error) {
-	if len(s.points) == 0 {
-		return time.Time{}, time.Time{}, ErrEmptySeries
-	}
-	return s.points[0].Time, s.points[len(s.points)-1].Time, nil
-}
-
-// slice returns the points with Time in [from, to).
-func (s *Series) slice(from, to time.Time) []Point {
-	lo := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(from) })
-	hi := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(to) })
-	out := make([]Point, hi-lo)
-	copy(out, s.points[lo:hi])
 	return out
 }
 

@@ -42,27 +42,6 @@ func TestSeriesAppendOrdering(t *testing.T) {
 	}
 }
 
-func TestSeriesSpanAndSlice(t *testing.T) {
-	s := rampSeries(100, time.Second)
-	start, end, err := s.span()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !start.Equal(t0) || !end.Equal(t0.Add(99*time.Second)) {
-		t.Fatalf("span %v..%v", start, end)
-	}
-	slice := s.slice(t0.Add(10*time.Second), t0.Add(20*time.Second))
-	if len(slice) != 10 {
-		t.Fatalf("slice len = %d, want 10", len(slice))
-	}
-	if slice[0].Value != 10 || slice[9].Value != 19 {
-		t.Fatalf("slice bounds wrong: %v..%v", slice[0].Value, slice[9].Value)
-	}
-	if _, _, err := NewSeries("x", "").span(); err != ErrEmptySeries {
-		t.Fatalf("empty span error = %v", err)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	pts := []Point{{t0, 2}, {t0.Add(time.Second), 4}, {t0.Add(2 * time.Second), 6}}
 	st := ComputeStats(pts)

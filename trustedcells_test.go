@@ -8,7 +8,6 @@ import (
 
 	"trustedcells/internal/cloud"
 	"trustedcells/internal/crypto"
-	"trustedcells/internal/sim"
 	syncpkg "trustedcells/internal/sync"
 	"trustedcells/internal/timeseries"
 )
@@ -188,8 +187,9 @@ func TestFacadeQueryPipeline(t *testing.T) {
 }
 
 // TestFacadeFrontDoorAndFleet exercises the multi-tenant front door end to
-// end: admission + tenants over the in-memory cloud, a fleet driven through
-// per-tenant views, and the typed backpressure sentinels.
+// end: admission + tenants over the in-memory cloud, one put through each
+// per-tenant view, and the typed quota error. The fleet-scale load runs in
+// bench/'s frontdoor_ingest workload.
 func TestFacadeFrontDoorAndFleet(t *testing.T) {
 	adm := cloud.NewAdmission(cloud.NewMemory(), cloud.AdmissionOptions{})
 	tenants := cloud.NewTenants(adm)
@@ -207,22 +207,21 @@ func TestFacadeFrontDoorAndFleet(t *testing.T) {
 		t.Fatalf("View: %v", err)
 	}
 
-	fleet, err := sim.NewFleet(64, []byte("facade"))
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
+	// One put through each view: the same name lands in two namespaces.
+	views := []struct {
+		view cloud.Service
+		data string
+	}{{acme, "acme doc"}, {globex, "globex doc"}}
+	for _, v := range views {
+		if _, err := v.view.PutBlob("vault/doc", []byte(v.data)); err != nil {
+			t.Fatalf("PutBlob(%s): %v", v.data, err)
+		}
 	}
-	res, err := sim.RunLoad(fleet, []cloud.Service{acme, globex}, sim.FleetLoad{
-		Requests: 40, RatePerSec: 2_000, Workers: 4,
-		BatchSize: 4, PayloadSize: 64, ReadFraction: 0.25, Seed: 7,
-	})
-	if err != nil {
-		t.Fatalf("RunFleetLoad: %v", err)
-	}
-	if res.Completed != 40 || res.Shed != 0 || res.DocsWritten == 0 {
-		t.Fatalf("result %+v", res)
-	}
-	if res.Latency.Quantile(0.99) <= 0 {
-		t.Fatalf("no latency recorded")
+	for _, v := range views {
+		b, err := v.view.GetBlob("vault/doc")
+		if err != nil || string(b.Data) != v.data {
+			t.Fatalf("GetBlob = %q, %v; want %q", b.Data, err, v.data)
+		}
 	}
 
 	// Quota exhaustion surfaces as the typed sentinel with its details.
